@@ -15,7 +15,6 @@ from .chattering import (
     InfeasibleLevels,
     LevelGrid,
     control_from_measure,
-    generate_levels,
     level_bound_search,
     realize_signal,
     signal_time_average,
@@ -98,7 +97,6 @@ __all__ = [
     "eval_hamiltonian",
     "eval_hamiltonian_batch",
     "finite_diff_sensitivities",
-    "generate_levels",
     "grad_h_costate",
     "grad_h_state",
     "level_bound_search",

@@ -71,7 +71,6 @@ class LevelGrid:
     """
 
     levels: Array
-    interval_index: int = 0
 
     def __post_init__(self):
         levels = np.array(self.levels, dtype=float)
@@ -95,7 +94,6 @@ class ChatteringMeasure:
     fraction of the interval spent at that level."""
 
     weights: Array
-    interval_index: int = 0
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -151,7 +149,7 @@ class ChatteringSignal:
         return occ
 
 
-def solve_measure_lp(h_values: Array, interval_index: int = 0) -> ChatteringMeasure:
+def solve_measure_lp(h_values: Array) -> ChatteringMeasure:
     """Analytic minimizer of sum_k h_k * a_k over the probability simplex.
 
     The optimum of a linear objective over the simplex sits at a vertex, so
@@ -171,7 +169,7 @@ def solve_measure_lp(h_values: Array, interval_index: int = 0) -> ChatteringMeas
     tied = np.flatnonzero(h <= h_min + TIE_TOL)
     weights = np.zeros(h.size)
     weights[tied] = 1.0 / tied.size
-    return ChatteringMeasure(weights, interval_index)
+    return ChatteringMeasure(weights)
 
 
 def control_from_measure(grid: LevelGrid, measure: ChatteringMeasure) -> Array:
@@ -469,27 +467,28 @@ def _product_indices(sizes: Tuple[int, ...]) -> Array:
 
 
 def generate_levels_with_dynamics(
-    problem: ControlProblem,
-    t: float,
-    x_i: Array,
-    dt: float,
-    k_per_dim: int,
-    cap: int,
-    interval_index: int = 0,
+    problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams
 ) -> Tuple[LevelGrid, Optional[Array]]:
-    """:func:`generate_levels`, also returning the dynamics evaluated at the
-    surviving levels when the admissibility filter already computed them
-    (None otherwise).  Lets the propagation loop skip a second sweep."""
-    if k_per_dim < 2:
-        raise ValueError("k_per_dim must be >= 2")
+    """Build the level grid for one interval at state ``x_i``.
+
+    Per control dimension a uniform grid covers the admissible range (the
+    control bounds, shrunk where a one-step state prediction would leave the
+    state box).  The multidimensional grid is the Cartesian product with
+    per-dimension counts coarsened uniformly so the total stays within
+    ``params.cap``; when state bounds are present, product vectors whose
+    joint one-step prediction leaves the box are dropped.  Rows come back
+    sorted lexicographically.
+
+    Also returns the dynamics at the surviving levels when the admissibility
+    filter already computed them (None otherwise), so the propagation loop
+    skips a second sweep.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     x_i = np.asarray(x_i, dtype=float)
     m = problem.control_dim
     ranges = _search_dims(problem, t, x_i, dt, list(range(m)))
-    counts = _coarsen_counts(problem, k_per_dim, cap)
+    counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
     grids = [
         _scalar_grid(problem, j, ranges[j][0], ranges[j][1], int(counts[j]))
         for j in range(m)
@@ -514,29 +513,5 @@ def generate_levels_with_dynamics(
             f_kept = f[keep]
         else:
             f_kept = f
-    return LevelGrid(levels, interval_index), f_kept
+    return LevelGrid(levels), f_kept
 
-
-def generate_levels(
-    problem: ControlProblem,
-    t: float,
-    x_i: Array,
-    dt: float,
-    k_per_dim: int,
-    cap: int,
-    interval_index: int = 0,
-) -> LevelGrid:
-    """Build the level grid for one interval at state ``x_i``.
-
-    Per control dimension a uniform grid covers the admissible range (the
-    control bounds, shrunk where a one-step state prediction would leave the
-    state box).  The multidimensional grid is the Cartesian product with
-    per-dimension counts coarsened uniformly so the total stays within
-    ``cap``; when state bounds are present, product vectors whose joint
-    one-step prediction leaves the box are dropped.  Rows come back sorted
-    lexicographically.
-    """
-    grid, _ = generate_levels_with_dynamics(
-        problem, t, x_i, dt, k_per_dim, cap, interval_index
-    )
-    return grid

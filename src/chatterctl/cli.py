@@ -273,7 +273,7 @@ def run_solve(config: SolveConfig) -> int:
         if not result.converged and result.message:
             log.info("%s", result.message)
         return 0 if result.converged else 2
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NonFiniteEvaluation, InfeasibleLevels) as err:
@@ -512,10 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_solve(config)
     if args.command == "validate":
         return run_validate(args.target)
-    if args.command == "export-fixtures":
-        return run_export_fixtures(args.out_dir)
-    parser.error(f"unknown command {args.command!r}")
-    return 1
+    return run_export_fixtures(args.out_dir)
 
 
 def console_main() -> None:

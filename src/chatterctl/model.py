@@ -192,22 +192,14 @@ def grad_h_costate(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -
     return eval_dynamics(problem, ctx.time, ctx.state, np.asarray(u, dtype=float))
 
 
-def _fd_state_step(x: Array, j: int, fd_step: Optional[float]) -> float:
-    if fd_step is not None:
-        return float(fd_step)
+def _fd_state_step(x: Array, j: int) -> float:
+    """Central-difference step for state coordinate j: 1e-6 * max(1, |x_j|)."""
     return 1e-6 * max(1.0, abs(float(x[j])))
 
 
-def grad_h_state(
-    problem: ControlProblem,
-    ctx: HamiltonianContext,
-    u: Array,
-    fd_step: Optional[float] = None,
-) -> Array:
+def grad_h_state(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -> Array:
     """dH/dx, analytic when the problem supplies it, otherwise a central
-    finite difference per state coordinate.
-
-    With ``fd_step=None`` the step for coordinate j is 1e-6 * max(1, |x_j|).
+    finite difference per state coordinate (step 1e-6 * max(1, |x_j|)).
     """
     u = np.asarray(u, dtype=float)
     if problem.hamiltonian_x_gradient is not None:
@@ -219,12 +211,10 @@ def grad_h_state(
         if not np.all(np.isfinite(grad)):
             raise NonFiniteEvaluation(f"analytic dH/dx is non-finite at t={ctx.time}")
         return grad
-    if fd_step is not None and not fd_step > 0:
-        raise ValueError("fd_step must be positive")
     x = ctx.state
     grad = np.empty(problem.state_dim)
     for j in range(problem.state_dim):
-        h = _fd_state_step(x, j, fd_step)
+        h = _fd_state_step(x, j)
         xp = np.array(x)
         xm = np.array(x)
         xp[j] += h
@@ -244,9 +234,7 @@ def eval_terminal_cost(problem: ControlProblem, x_final: Array) -> float:
     return psi
 
 
-def terminal_costate(
-    problem: ControlProblem, x_final: Array, fd_step: Optional[float] = None
-) -> Array:
+def terminal_costate(problem: ControlProblem, x_final: Array) -> Array:
     """Terminal costate p(T) = d(psi)/dx at x(T).
 
     Uses the analytic gradient when supplied; with no terminal cost at all
@@ -268,7 +256,7 @@ def terminal_costate(
         return np.zeros(n)
     grad = np.empty(n)
     for j in range(n):
-        h = _fd_state_step(x_final, j, fd_step)
+        h = _fd_state_step(x_final, j)
         xp = np.array(x_final)
         xm = np.array(x_final)
         xp[j] += h
@@ -279,9 +267,7 @@ def terminal_costate(
     return grad
 
 
-def terminal_hessian(
-    problem: ControlProblem, x_final: Array, fd_step: Optional[float] = None
-) -> Array:
+def terminal_hessian(problem: ControlProblem, x_final: Array) -> Array:
     """d2(psi)/dx2 at x(T); exact zeros when there is no terminal cost."""
     x_final = np.asarray(x_final, dtype=float)
     n = problem.state_dim
@@ -297,12 +283,12 @@ def terminal_hessian(
     # central differences of the terminal gradient, symmetrized
     hess = np.empty((n, n))
     for j in range(n):
-        h = _fd_state_step(x_final, j, fd_step)
+        h = _fd_state_step(x_final, j)
         xp = np.array(x_final)
         xm = np.array(x_final)
         xp[j] += h
         xm[j] -= h
-        gp = terminal_costate(problem, xp, fd_step=fd_step)
-        gm = terminal_costate(problem, xm, fd_step=fd_step)
+        gp = terminal_costate(problem, xp)
+        gm = terminal_costate(problem, xm)
         hess[:, j] = (gp - gm) / (2.0 * h)
     return 0.5 * (hess + hess.T)

@@ -379,8 +379,6 @@ def build_supply_chain(
             raise ConfigError(f"demand model produced a negative or non-finite rate at t={t}")
         return table
 
-    theta_mat = _memoized_matrix(build_theta)
-
     has_supply = any(rec.supply_rate is not None for rec in suppliers)
 
     def build_supply(t: float) -> Array:
@@ -392,7 +390,6 @@ def build_supply_chain(
 
     supply_vec = _memoized_matrix(build_supply) if has_supply else (lambda t: 0.0)
 
-    has_custom_revenue = any(c.revenue is not None for c in customers)
     default_revenue = revenue_factor * alpha_env
 
     def build_revenue(t: float) -> Array:
@@ -403,10 +400,6 @@ def build_supply_chain(
             else:
                 rows.append(np.array([float(c.revenue(t, iid)) for iid in item_ids]))
         return np.stack(rows)
-
-    revenue_mat = _memoized_matrix(build_revenue) if has_custom_revenue else (
-        lambda t: default_revenue[None, :]
-    )
 
     def split_state(x: Array) -> Tuple[Array, Array]:
         X = x[:n_items]
@@ -425,19 +418,10 @@ def build_supply_chain(
             B[col, j] = -1.0  # inventory drain
             B[col, n_items + j * n_cust + c] = -1.0  # unmet-demand drain
     # theta laid out like the Z state block (item-major)
-    theta_state = _memoized_matrix(lambda t: theta_mat(t).T.ravel())
-    drift_cache: Dict[Tuple[float, bytes], Array] = {}
+    theta_state = _memoized_matrix(lambda t: build_theta(t).T.ravel())
 
     def state_drift(t: float, x: Array) -> Array:
-        # one interval solve evaluates dozens of control batches at the same
-        # (t, x); memoize the control-independent part
-        key = (t, x.tobytes())
-        hit = drift_cache.get(key)
-        if hit is None:
-            hit = np.concatenate([-x[:n_items] + supply_vec(t), -x[n_items:] + theta_state(t)])
-            drift_cache.clear()
-            drift_cache[key] = hit
-        return hit
+        return np.concatenate([-x[:n_items] + supply_vec(t), -x[n_items:] + theta_state(t)])
 
     def dynamics_batch(t: float, x: Array, U: Array) -> Array:
         U = np.asarray(U, dtype=float)
@@ -445,9 +429,7 @@ def build_supply_chain(
         return state_drift(t, x) + U @ B
 
     # unit revenue per delivery column, customer-major like the control layout
-    revenue_cols = _memoized_matrix(
-        lambda t: np.broadcast_to(revenue_mat(t), (n_cust, n_items)).ravel()
-    )
+    revenue_cols = _memoized_matrix(lambda t: build_revenue(t).ravel())
 
     def net_cost_rate_batch(t: float, x: Array, U: Array) -> Array:
         U = np.asarray(U, dtype=float)

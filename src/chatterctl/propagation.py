@@ -154,17 +154,6 @@ class Trajectory:
         return np.stack([pt.u for pt in self.points[:-1]])
 
 
-def _chattered_drift(
-    problem: ControlProblem, ctx: HamiltonianContext, grid: LevelGrid, measure: ChatteringMeasure
-) -> Array:
-    if grid.K != measure.K:
-        raise chattering.DimensionMismatch(
-            f"grid has {grid.K} levels but measure has {measure.K} weights"
-        )
-    f = eval_dynamics_batch(problem, ctx.time, ctx.state, grid.levels)
-    return measure.weights @ f
-
-
 def _clamp(problem: ControlProblem, x: Array) -> Tuple[Array, bool]:
     clamped = x
     if problem.state_lower is not None:
@@ -175,19 +164,21 @@ def _clamp(problem: ControlProblem, x: Array) -> Tuple[Array, bool]:
 
 
 def step_state(
-    problem: ControlProblem,
-    ctx: HamiltonianContext,
-    grid: LevelGrid,
-    measure: ChatteringMeasure,
-    dt: float,
-) -> Array:
+    problem: ControlProblem, x: Array, measure: ChatteringMeasure, f_vals: Array, dt: float
+) -> Tuple[Array, bool]:
     """x_{i+1} = x_i + dt * sum_k a_k f(t_i, x_i, c_k), clamped to the state
-    box when bounds exist."""
+    box when bounds exist.
+
+    ``f_vals`` holds the dynamics rows f(t_i, x_i, c_k), one per level of the
+    measure.  Returns the next state and whether the clamp moved it.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x_next = ctx.state + dt * _chattered_drift(problem, ctx, grid, measure)
-    clamped, _ = _clamp(problem, x_next)
-    return clamped
+    if f_vals.shape[0] != measure.K:
+        raise chattering.DimensionMismatch(
+            f"dynamics have {f_vals.shape[0]} rows but measure has {measure.K} weights"
+        )
+    return _clamp(problem, x + dt * (measure.weights @ f_vals))
 
 
 def step_costate(
@@ -196,14 +187,13 @@ def step_costate(
     grid: LevelGrid,
     measure: ChatteringMeasure,
     dt: float,
-    fd_step: Optional[float] = None,
 ) -> Array:
     """p_{i+1} = p_i - dt * sum_k a_k dH/dx(t_i, x_i, p_i, c_k)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     acc = np.zeros(problem.state_dim)
     for k in measure.support():
-        grad = grad_h_state(problem, ctx, grid.levels[k], fd_step=fd_step)
+        grad = grad_h_state(problem, ctx, grid.levels[k])
         acc = acc + measure.weights[k] * grad
     return ctx.costate - dt * acc
 
@@ -217,8 +207,8 @@ def _support_pair(
     if support.size == measure.K:
         return grid, measure
     return (
-        LevelGrid(grid.levels[support], grid.interval_index),
-        ChatteringMeasure(measure.weights[support], measure.interval_index),
+        LevelGrid(grid.levels[support]),
+        ChatteringMeasure(measure.weights[support]),
     )
 
 
@@ -233,7 +223,6 @@ def propagate_forward(
     partition: TimePartition,
     p0: Array,
     grid_params: GridParams = GridParams(),
-    fd_step: Optional[float] = None,
     measurement_source: Optional[MeasurementSource] = None,
 ) -> Trajectory:
     """Run the full per-interval pipeline from (x_0, p0) to the horizon.
@@ -268,7 +257,7 @@ def propagate_forward(
         ctx = HamiltonianContext(t, x, p)
         try:
             grid, f_vals = chattering.generate_levels_with_dynamics(
-                problem, t, x, dt, grid_params.k_per_dim, grid_params.cap, interval_index=i
+                problem, t, x, dt, grid_params
             )
             if f_vals is None:
                 f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
@@ -276,13 +265,12 @@ def propagate_forward(
             h_vals = g_vals + f_vals @ p
             if not np.all(np.isfinite(h_vals)):
                 raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
-            measure = solve_measure_lp(h_vals, interval_index=i)
+            measure = solve_measure_lp(h_vals)
             u = control_from_measure(grid, measure)
             h_value = float(measure.weights @ h_vals)
             stage = eval_running_cost(problem, t, x, u) * dt
-            x_raw = x + dt * (measure.weights @ f_vals)
-            x_next, clamped = _clamp(problem, x_raw)
-            p_next = step_costate(problem, ctx, grid, measure, dt, fd_step=fd_step)
+            x_next, clamped = step_state(problem, x, measure, f_vals, dt)
+            p_next = step_costate(problem, ctx, grid, measure, dt)
         except (NonFiniteEvaluation, InfeasibleLevels) as err:
             raise _annotate(err, i, t) from err
         grid_s, measure_s = _support_pair(grid, measure)

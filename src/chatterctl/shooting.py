@@ -132,7 +132,6 @@ def finite_diff_sensitivities(
     p0: Array,
     delta_p: float,
     grid_params: GridParams = GridParams(),
-    fd_step: Optional[float] = None,
     nominal: Optional[Trajectory] = None,
 ) -> SensitivityEstimate:
     """One-sided difference Jacobians from n perturbed propagations, one per
@@ -142,7 +141,7 @@ def finite_diff_sensitivities(
     p0 = np.asarray(p0, dtype=float)
     n = problem.state_dim
     if nominal is None:
-        nominal = propagate_forward(problem, partition, p0, grid_params, fd_step=fd_step)
+        nominal = propagate_forward(problem, partition, p0, grid_params)
     x_T = nominal.terminal.x
     p_T = nominal.terminal.p
     P_x = np.empty((n, n))
@@ -151,7 +150,7 @@ def finite_diff_sensitivities(
         p0_j = np.array(p0)
         p0_j[j] += delta_p
         try:
-            perturbed = propagate_forward(problem, partition, p0_j, grid_params, fd_step=fd_step)
+            perturbed = propagate_forward(problem, partition, p0_j, grid_params)
         except (NonFiniteEvaluation, InfeasibleLevels) as err:
             tagged = type(err)(f"{err} [perturbation {j}]")
             tagged.perturbation_index = j
@@ -197,7 +196,6 @@ def solve(
     partition: TimePartition,
     config: ShootingConfig,
     grid_params: GridParams = GridParams(),
-    fd_step: Optional[float] = None,
     progress: Optional[ProgressSink] = None,
 ) -> ShootingResult:
     """Iterate propagate / sensitivities / correct until the terminal costate
@@ -218,7 +216,7 @@ def solve(
     message = ""
     for _ in range(config.max_iterations):
         try:
-            trajectory = propagate_forward(problem, partition, p0, grid_params, fd_step=fd_step)
+            trajectory = propagate_forward(problem, partition, p0, grid_params)
         except InfeasibleLevels as err:
             message = f"level generation became infeasible: {err}"
             break
@@ -240,7 +238,7 @@ def solve(
         delta = _auto_delta(p0, config.delta_p)
         try:
             sens = finite_diff_sensitivities(
-                problem, partition, p0, delta, grid_params, fd_step=fd_step, nominal=trajectory
+                problem, partition, p0, delta, grid_params, nominal=trajectory
             )
             p0 = update_initial_costate(
                 p0, sens, p_T, x_T, problem, config.gamma, config.ridge

@@ -8,16 +8,16 @@ from chatterctl import (
     ControlProblem,
     DimensionMismatch,
     EmptyGrid,
+    GridParams,
     InfeasibleLevels,
     LevelGrid,
     control_from_measure,
-    generate_levels,
     level_bound_search,
     realize_signal,
     signal_time_average,
     solve_measure_lp,
 )
-from chatterctl.chattering import _coarsen_counts
+from chatterctl.chattering import _coarsen_counts, generate_levels_with_dynamics
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
@@ -228,7 +228,9 @@ class TestLevelBoundSearch:
 class TestGenerateLevels:
     def test_uniform_grid_endpoints(self):
         problem = box_problem()
-        grid = generate_levels(problem, 0.0, np.zeros(1), 0.1, 5, 4096)
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, np.zeros(1), 0.1, GridParams(5, 4096)
+        )
         assert np.array_equal(grid.levels[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0])
 
     def test_degenerate_grid_at_bound(self):
@@ -240,7 +242,9 @@ class TestGenerateLevels:
             control_upper=[10.0],
             x0=[1.0],
         )
-        grid = generate_levels(problem, 0.0, np.array([1.0]), 1.0, 5, 4096)
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, np.array([1.0]), 1.0, GridParams(5, 4096)
+        )
         assert grid.K == 1
         assert grid.levels[0, 0] == 0.0
 
@@ -248,7 +252,9 @@ class TestGenerateLevels:
         problem = box_problem(
             control_lower=[0.0], control_upper=[14.0], gated_dims={0: (7.0, 14.0)}
         )
-        grid = generate_levels(problem, 0.0, np.zeros(1), 0.1, 5, 4096)
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, np.zeros(1), 0.1, GridParams(5, 4096)
+        )
         vals = grid.levels[:, 0]
         assert vals[0] == 0.0
         assert np.all(vals[1:] >= 7.0) and np.all(vals[1:] <= 14.0)
@@ -257,14 +263,18 @@ class TestGenerateLevels:
 
     def test_cap_coarsens_uniformly(self):
         problem = box_problem(m=2, control_lower=[-1.0, -1.0], control_upper=[1.0, 1.0])
-        grid = generate_levels(problem, 0.0, np.zeros(1), 0.1, 101, 4096)
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, np.zeros(1), 0.1, GridParams(101, 4096)
+        )
         assert grid.K == 64 * 64
         for j in range(2):
             assert len(np.unique(grid.levels[:, j])) == 64
 
     def test_lexicographic_order(self):
         problem = box_problem(m=2, control_lower=[0.0, 0.0], control_upper=[1.0, 1.0])
-        grid = generate_levels(problem, 0.0, np.zeros(1), 0.1, 3, 4096)
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, np.zeros(1), 0.1, GridParams(3, 4096)
+        )
         rows = [tuple(r) for r in grid.levels]
         assert rows == sorted(rows)
 
@@ -285,7 +295,7 @@ class TestGenerateLevels:
             )
             dt = float(rng.uniform(0.05, 0.3))
             x = np.asarray(problem.initial_state)
-            grid = generate_levels(problem, 0.0, x, dt, 7, 4096)
+            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, GridParams(7, 4096))
             for level in grid.levels:
                 x_next = x + dt * problem.dynamics(0.0, x, level)
                 assert np.all(x_next >= problem.state_lower - 1e-9)
@@ -297,7 +307,9 @@ class TestGenerateLevels:
             control_lower=[-2.0, 0.0, 1.0],
             control_upper=[2.0, 5.0, 4.0],
         )
-        grid = generate_levels(problem, 0.0, np.zeros(1), 0.1, 4, 4096)
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, np.zeros(1), 0.1, GridParams(4, 4096)
+        )
         assert np.all(grid.levels >= problem.control_lower - 1e-12)
         assert np.all(grid.levels <= problem.control_upper + 1e-12)
 

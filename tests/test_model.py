@@ -113,7 +113,7 @@ class TestGradHState:
 
     def test_fd_matches_analytic(self):
         problem = dataclasses.replace(build_lqr(), hamiltonian_x_gradient=None)
-        fd = grad_h_state(problem, ctx(x=(10.0,), p=(1.0,)), np.array([0.0]), fd_step=1e-5)
+        fd = grad_h_state(problem, ctx(x=(10.0,), p=(1.0,)), np.array([0.0]))
         assert abs(fd[0] - 21.0) <= 1e-8
 
     def test_default_step_scales_with_state(self):
@@ -127,11 +127,6 @@ class TestGradHState:
             got = grad_h_state(problem, c, u)
             tol = max(1e-6, 1e-4 * float(np.linalg.norm(want)))
             assert abs(got[0] - want[0]) <= tol
-
-    def test_bad_fd_step_rejected(self):
-        problem = dataclasses.replace(build_lqr(), hamiltonian_x_gradient=None)
-        with pytest.raises(ValueError):
-            grad_h_state(problem, ctx(), np.array([0.0]), fd_step=0.0)
 
 
 class TestTerminal:

@@ -19,7 +19,8 @@ from chatterctl import (
     synthetic_demand,
     terminal_costate,
 )
-from chatterctl.chattering import ChatteringMeasure, LevelGrid
+from chatterctl.chattering import ChatteringMeasure
+from chatterctl.model import eval_dynamics_batch
 from chatterctl.problems import (
     CUSTOMERS,
     ITEMS,
@@ -242,10 +243,9 @@ class TestSupplyChainProblem:
             u = rng.uniform(problem.control_lower, problem.control_upper)
             dt = float(rng.uniform(0.001, 0.004))
             t = float(rng.uniform(0.0, 1.0))
-            grid = LevelGrid(u[None, :])
             measure = ChatteringMeasure(np.array([1.0]))
-            ctx = HamiltonianContext(t, x, np.zeros(20))
-            stepped = step_state(problem, ctx, grid, measure, dt)
+            f_vals = eval_dynamics_batch(problem, t, x, u[None, :])
+            stepped, _ = step_state(problem, x, measure, f_vals, dt)
             for j in range(5):
                 for c in range(3):
                     idx = 5 + j * 3 + c

@@ -12,17 +12,28 @@ from chatterctl import (
     TimePartition,
     accumulate_cost,
     build_lqr,
+    build_supply_chain,
     load_replay_file,
     lqr_analytic_solution,
     propagate_forward,
     replay_measurement_source,
     step_costate,
     step_state,
+    synthetic_demand,
 )
+from chatterctl.chattering import generate_levels_with_dynamics
+from chatterctl.model import eval_dynamics_batch
 
 
 def lqr_ctx(x, p, t=0.0):
     return HamiltonianContext(t, np.array([x]), np.array([p]))
+
+
+def state_step(problem, ctx, grid, measure, dt):
+    """``step_state`` on the dynamics rows at the grid's levels, as
+    ``propagate_forward`` calls it."""
+    f_vals = eval_dynamics_batch(problem, ctx.time, ctx.state, grid.levels)
+    return step_state(problem, ctx.state, measure, f_vals, dt)
 
 
 class TestTimePartition:
@@ -50,8 +61,9 @@ class TestSteps:
         problem = build_lqr()
         grid = LevelGrid(np.array([[0.0]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        x_next = step_state(problem, lqr_ctx(10.0, 0.0), grid, measure, 0.01)
+        x_next, clamped = state_step(problem, lqr_ctx(10.0, 0.0), grid, measure, 0.01)
         assert x_next[0] == pytest.approx(10.1, abs=1e-15)
+        assert not clamped
 
     def test_state_step_fixed_point_when_dynamics_vanish(self):
         problem = ControlProblem(
@@ -66,14 +78,14 @@ class TestSteps:
         )
         grid = LevelGrid(np.array([[0.5]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        x_next = step_state(problem, lqr_ctx(2.0, 0.0), grid, measure, 0.3)
+        x_next, _ = state_step(problem, lqr_ctx(2.0, 0.0), grid, measure, 0.3)
         assert x_next[0] == 2.0
 
     def test_state_step_convex_combination(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[-2.0], [0.0]]))
         measure = ChatteringMeasure(np.array([0.5, 0.5]))
-        x_next = step_state(problem, lqr_ctx(10.0, 0.0), grid, measure, 0.01)
+        x_next, _ = state_step(problem, lqr_ctx(10.0, 0.0), grid, measure, 0.01)
         assert x_next[0] == pytest.approx(10.09, abs=1e-15)
 
     def test_costate_step_lqr(self):
@@ -108,8 +120,8 @@ class TestSteps:
         grid = LevelGrid(np.array([[-1.5], [2.0]]))
         measure = ChatteringMeasure(np.array([0.25, 0.75]))
         ctx = lqr_ctx(3.5, -1.25)
-        dx_full = step_state(problem, ctx, grid, measure, 0.25) - ctx.state
-        dx_half = step_state(problem, ctx, grid, measure, 0.125) - ctx.state
+        dx_full = state_step(problem, ctx, grid, measure, 0.25)[0] - ctx.state
+        dx_half = state_step(problem, ctx, grid, measure, 0.125)[0] - ctx.state
         assert dx_half[0] == 0.5 * dx_full[0]
         dp_full = step_costate(problem, ctx, grid, measure, 0.25) - ctx.costate
         dp_half = step_costate(problem, ctx, grid, measure, 0.125) - ctx.costate
@@ -120,10 +132,13 @@ class TestSteps:
         grid = LevelGrid(np.array([[-1.5], [2.0]]))
         measure = ChatteringMeasure(np.array([0.25, 0.75]))
         ctx = lqr_ctx(3.7, -1.3)
-        for step in (step_state, step_costate):
-            base = ctx.state if step is step_state else ctx.costate
-            full = step(problem, ctx, grid, measure, 0.02) - base
-            half = step(problem, ctx, grid, measure, 0.01) - base
+        steps = (
+            (ctx.state, lambda dt: state_step(problem, ctx, grid, measure, dt)[0]),
+            (ctx.costate, lambda dt: step_costate(problem, ctx, grid, measure, dt)),
+        )
+        for base, step in steps:
+            full = step(0.02) - base
+            half = step(0.01) - base
             assert half[0] == pytest.approx(0.5 * full[0], rel=1e-12)
 
     def test_state_step_clamps_to_bounds(self):
@@ -141,8 +156,9 @@ class TestSteps:
         )
         grid = LevelGrid(np.array([[-10.0]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        x_next = step_state(problem, lqr_ctx(0.5, 0.0), grid, measure, 0.2)
+        x_next, clamped = state_step(problem, lqr_ctx(0.5, 0.0), grid, measure, 0.2)
         assert x_next[0] == 0.0
+        assert clamped
 
 
 def trivial_problem():
@@ -325,3 +341,48 @@ class TestFeedbackHook:
 
         propagate_forward(problem, part, np.zeros(1), GridParams(3, 16), measurement_source=source)
         assert [i for i, _ in seen] == [0, 1, 2, 3, 4]
+
+
+class TestProductionPath:
+    """``propagate_forward`` runs the same stage functions the step tests
+    exercise: replaying each recorded point through them reproduces the
+    next point."""
+
+    INTERVALS = 6
+    REPLAYED = 3
+
+    def test_points_replay_through_step_functions(self):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        dt = problem.horizon / 200
+        part = TimePartition.uniform(self.INTERVALS * dt, self.INTERVALS)
+        rng = np.random.default_rng(4)
+        p0 = np.concatenate([np.full(5, 1e5), np.full(15, 1e2)]) * rng.uniform(0.5, 2.0, 20)
+        replayed = rng.uniform(0.0, 1.0, 20)
+        source = replay_measurement_source({self.REPLAYED: replayed})
+        traj = propagate_forward(problem, part, p0, GridParams(), measurement_source=source)
+        assert np.array_equal(traj.points[self.REPLAYED].x, replayed)
+        for i, (pt, nxt) in enumerate(zip(traj.points[:-1], traj.points[1:])):
+            dt_i = nxt.t - pt.t
+            ctx = HamiltonianContext(pt.t, pt.x, pt.p)
+            p_next = step_costate(problem, ctx, pt.grid, pt.measure, dt_i)
+            assert np.array_equal(p_next, nxt.p)
+            if i + 1 != self.REPLAYED:
+                f_vals = eval_dynamics_batch(problem, pt.t, pt.x, pt.grid.levels)
+                x_next, _ = step_state(problem, pt.x, pt.measure, f_vals, dt_i)
+                assert np.max(np.abs(x_next - nxt.x)) <= 1e-12
+
+    def test_level_generator_dynamics_match_a_fresh_sweep(self):
+        # propagate_forward skips its own dynamics sweep when the level
+        # generator hands back the rows it already evaluated
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            t = float(rng.uniform(0.0, 1.0))
+            x = rng.uniform(0.0, 2.0, 20)
+            # states on the zero floor make the admissibility filter drop levels
+            x[rng.integers(0, 20, 6)] = 0.0
+            grid, f_vals = generate_levels_with_dynamics(problem, t, x, 0.005, GridParams())
+            assert f_vals is not None and grid.K < GridParams().cap
+            fresh = eval_dynamics_batch(problem, t, x, grid.levels)
+            assert f_vals.shape == fresh.shape
+            assert np.max(np.abs(f_vals - fresh)) <= 1e-12
