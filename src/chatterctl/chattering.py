@@ -14,8 +14,9 @@ are immutable once built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -270,135 +271,74 @@ def _step_feasible(
     return _feasible_from_dynamics(problem, x, dt, f)
 
 
-def _anchor_candidates(problem: ControlProblem) -> List[Array]:
-    mid = 0.5 * (problem.control_lower + problem.control_upper)
-    return [mid, np.array(problem.control_lower), np.array(problem.control_upper)]
-
-
-def _search_dims(
-    problem: ControlProblem, t: float, x: Array, dt: float, dims: List[int]
-) -> List[Tuple[float, float]]:
-    """Feasible scalar range per requested control dimension.
-
-    The remaining dimensions are held at the midpoint of the control box; if
-    the whole midpoint slice for a dimension is infeasible the search retries
-    with the off-dimensions pinned at the lower and then the upper control
-    bound before declaring the dimension infeasible.  Within a slice the
-    boundary between feasible and infeasible is located by bisection from
-    each violated end, which assumes the violation is monotone toward that
-    end.
-    """
-    if not problem.has_state_bounds:
-        return [
-            (float(problem.control_lower[d]), float(problem.control_upper[d]))
-            for d in dims
-        ]
-    anchors = _anchor_candidates(problem)
-    results: dict[int, Tuple[float, float]] = {}
-    pending = list(dims)
-    for anchor in anchors:
-        if not pending:
-            break
-        pending = _search_dims_at_anchor(problem, t, x, dt, pending, anchor, results)
-    if pending:
-        raise InfeasibleLevels(
-            f"no admissible control level found for dimension(s) {pending} "
-            f"at t={t}: state bounds and step size are incompatible here"
-        )
-    return [results[d] for d in dims]
-
-
-def _search_dims_at_anchor(
-    problem: ControlProblem,
-    t: float,
-    x: Array,
-    dt: float,
-    dims: List[int],
-    anchor: Array,
-    results: dict,
-) -> List[int]:
-    """Run the bisection search for ``dims`` with off-dimensions at ``anchor``.
-    Fills ``results`` for dimensions that admit a feasible range; returns the
-    dimensions that do not."""
-    lower = problem.control_lower
-    upper = problem.control_upper
-
-    # endpoint feasibility, one batched evaluation for all dims and both ends
-    dims_arr = np.asarray(dims, dtype=int)
-    probe = np.tile(anchor, (2 * len(dims), 1))
-    probe[0::2][np.arange(len(dims)), dims_arr] = lower[dims_arr]
-    probe[1::2][np.arange(len(dims)), dims_arr] = upper[dims_arr]
-    ok = _step_feasible(problem, t, x, dt, probe)
-    lo_ok = {d: bool(ok[2 * i]) for i, d in enumerate(dims)}
-    hi_ok = {d: bool(ok[2 * i + 1]) for i, d in enumerate(dims)}
-
-    # midpoint anchor value for dims with both ends infeasible
-    both_bad = [d for d in dims if not lo_ok[d] and not hi_ok[d]]
-    mid_ok: dict[int, bool] = {}
-    if both_bad:
-        bad_arr = np.asarray(both_bad, dtype=int)
-        mids = np.tile(anchor, (len(both_bad), 1))
-        mids[np.arange(len(both_bad)), bad_arr] = 0.5 * (lower[bad_arr] + upper[bad_arr])
-        ok_mid = _step_feasible(problem, t, x, dt, mids)
-        mid_ok = {d: bool(ok_mid[i]) for i, d in enumerate(both_bad)}
-
-    failed = [d for d in both_bad if not mid_ok[d]]
-
-    # set up bisection brackets: (feasible end, infeasible end) per search
-    searches: List[Tuple[int, str, float, float]] = []  # dim, side, a=feasible, b=infeasible
-    for d in dims:
-        if d in failed:
-            continue
-        if lo_ok[d] and hi_ok[d]:
-            results[d] = (float(lower[d]), float(upper[d]))
-            continue
-        if lo_ok[d]:
-            searches.append((d, "hi", float(lower[d]), float(upper[d])))
-        elif hi_ok[d]:
-            searches.append((d, "lo", float(upper[d]), float(lower[d])))
-        else:
-            mid = 0.5 * (float(lower[d]) + float(upper[d]))
-            searches.append((d, "lo", mid, float(lower[d])))
-            searches.append((d, "hi", mid, float(upper[d])))
-
-    if searches:
-        rows = np.arange(len(searches))
-        cols = np.array([s[0] for s in searches], dtype=int)
-        a = np.array([s[2] for s in searches])
-        b = np.array([s[3] for s in searches])
-        base = np.tile(anchor, (len(searches), 1))
-        for _ in range(BOUND_SEARCH_ITERATIONS):
-            mid = 0.5 * (a + b)
-            base[rows, cols] = mid
-            ok = _step_feasible(problem, t, x, dt, base)
-            a = np.where(ok, mid, a)
-            b = np.where(ok, b, mid)
-        bounds_by_dim: dict[int, dict] = {}
-        for row, (d, side, _, _) in enumerate(searches):
-            bounds_by_dim.setdefault(d, {})[side] = float(a[row])
-        for d, sides in bounds_by_dim.items():
-            c_lo = sides.get("lo", float(lower[d]))
-            c_hi = sides.get("hi", float(upper[d]))
-            results[d] = (c_lo, c_hi)
-    return failed
-
-
 def level_bound_search(
-    problem: ControlProblem, t: float, x_i: Array, dt: float, dim: int
-) -> Tuple[float, float]:
-    """Largest subinterval of [control_lower[dim], control_upper[dim]] whose
-    endpoints keep one explicit Euler step inside the state box, with the
-    other control dimensions held at the midpoint of their bounds.
+    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int]
+) -> List[Tuple[float, float]]:
+    """Admissible scalar range ``(lo, hi)`` of each control dimension in
+    ``dims``: the largest subinterval of its control bounds whose endpoints
+    keep one explicit Euler step inside the state box.
 
-    Without state bounds the constraint is vacuous and the full control
-    interval comes back unchanged.
+    The other dimensions are held at an anchor: the midpoint of the control
+    box, then (for dimensions whose whole slice was infeasible) the lower
+    bound, then the upper bound.  On the first anchor with a feasible point
+    (the lower end if it passes, else the upper end, else the midpoint) each
+    infeasible end is found by bisection from that point, which assumes the
+    violation is monotone toward that end.  Without state bounds the full
+    control intervals come back unchanged.  Raises ``InfeasibleLevels`` when
+    some dimension has no feasible point at any anchor.
     """
-    if not 0 <= dim < problem.control_dim:
-        raise ValueError(f"control dimension {dim} out of range")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x_i = np.asarray(x_i, dtype=float)
-    return _search_dims(problem, t, x_i, dt, [dim])[0]
+    dims = list(dims)
+    if any(not 0 <= d < problem.control_dim for d in dims):
+        raise ValueError(f"control dimensions {dims} out of range")
+    lower, upper = problem.control_lower, problem.control_upper
+    if not problem.has_state_bounds:
+        return [(float(lower[d]), float(upper[d])) for d in dims]
+    lo_out, hi_out = np.array(lower), np.array(upper)
+    pending = np.asarray(dims, dtype=np.intp)
+    x = np.asarray(x, dtype=float)
+    for anchor in (0.5 * (lower + upper), lower, upper):
+        if pending.size == 0:
+            break
+        rows = np.arange(pending.size)
+        lo, hi, mid = lower[pending], upper[pending], 0.5 * (lower[pending] + upper[pending])
+        # both ends of every pending dimension in one batch, interleaved lo/hi
+        probe = np.tile(anchor, (2 * pending.size, 1))
+        probe[0::2][rows, pending] = lo
+        probe[1::2][rows, pending] = hi
+        ends_ok = _step_feasible(problem, t, x, dt, probe).reshape(-1, 2)
+        lo_ok, hi_ok = ends_ok[:, 0], ends_ok[:, 1]
+        found = lo_ok | hi_ok
+        both_bad = ~found
+        if np.any(both_bad):
+            probe = np.tile(anchor, (int(both_bad.sum()), 1))
+            probe[np.arange(probe.shape[0]), pending[both_bad]] = mid[both_bad]
+            found[both_bad] = _step_feasible(problem, t, x, dt, probe)
+        # one bisection row per (dimension, infeasible end), lower end first
+        bisect = np.stack([found & ~lo_ok, found & ~hi_ok], axis=1)
+        which, side = np.nonzero(bisect)
+        if which.size:
+            cols = pending[which]
+            a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]  # feasible
+            b = np.where(side == 0, lo[which], hi[which])  # infeasible
+            rows = np.arange(which.size)
+            probe = np.tile(anchor, (which.size, 1))
+            for _ in range(BOUND_SEARCH_ITERATIONS):
+                mid_ab = 0.5 * (a + b)
+                probe[rows, cols] = mid_ab
+                ok = _step_feasible(problem, t, x, dt, probe)
+                a = np.where(ok, mid_ab, a)
+                b = np.where(ok, b, mid_ab)
+            lo_out[cols[side == 0]] = a[side == 0]
+            hi_out[cols[side == 1]] = a[side == 1]
+        pending = pending[~found]
+    if pending.size:
+        raise InfeasibleLevels(
+            f"no admissible control level found for dimension(s) {pending.tolist()} "
+            f"at t={t}: state bounds and step size are incompatible here"
+        )
+    return [(float(lo_out[d]), float(hi_out[d])) for d in dims]
 
 
 def _uniform_grid(lo: float, hi: float, count: int) -> Array:
@@ -444,26 +384,20 @@ def _scalar_grid(
     return np.unique(np.asarray(values, dtype=float))
 
 
-_PRODUCT_INDEX_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _product_indices(sizes: Tuple[int, ...]) -> Array:
-    """Index matrix enumerating the Cartesian product of per-dimension grids
-    in lexicographic order; cached because interval after interval reuses the
-    same per-dimension counts."""
-    cached = _PRODUCT_INDEX_CACHE.get(sizes)
-    if cached is None:
-        total = int(np.prod(sizes))
-        cached = np.empty((total, len(sizes)), dtype=np.intp)
-        stride = total
-        rows = np.arange(total)
-        for j, size in enumerate(sizes):
-            stride //= size
-            cached[:, j] = rows // stride % size
-        if len(_PRODUCT_INDEX_CACHE) > 64:
-            _PRODUCT_INDEX_CACHE.clear()
-        _PRODUCT_INDEX_CACHE[sizes] = cached
-    return cached
+    """Read-only index matrix enumerating the Cartesian product of
+    per-dimension grids in lexicographic order; cached because interval
+    after interval reuses the same per-dimension counts."""
+    total = int(np.prod(sizes))
+    idx = np.empty((total, len(sizes)), dtype=np.intp)
+    stride = total
+    rows = np.arange(total)
+    for j, size in enumerate(sizes):
+        stride //= size
+        idx[:, j] = rows // stride % size
+    idx.setflags(write=False)
+    return idx
 
 
 def generate_levels_with_dynamics(
@@ -483,11 +417,9 @@ def generate_levels_with_dynamics(
     filter already computed them (None otherwise), so the propagation loop
     skips a second sweep.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     x_i = np.asarray(x_i, dtype=float)
     m = problem.control_dim
-    ranges = _search_dims(problem, t, x_i, dt, list(range(m)))
+    ranges = level_bound_search(problem, t, x_i, dt, range(m))
     counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
     grids = [
         _scalar_grid(problem, j, ranges[j][0], ranges[j][1], int(counts[j]))

@@ -197,6 +197,20 @@ def _fd_state_step(x: Array, j: int) -> float:
     return 1e-6 * max(1.0, abs(float(x[j])))
 
 
+def _central_difference(fn: Callable[[Array], object], x: Array) -> Array:
+    """Entry j is (fn(x + h e_j) - fn(x - h e_j)) / (2h) with
+    h = ``_fd_state_step(x, j)``; a vector-valued ``fn`` gives one row per j."""
+    diffs = []
+    for j in range(x.size):
+        h = _fd_state_step(x, j)
+        xp = np.array(x)
+        xm = np.array(x)
+        xp[j] += h
+        xm[j] -= h
+        diffs.append((fn(xp) - fn(xm)) / (2.0 * h))
+    return np.array(diffs)
+
+
 def grad_h_state(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -> Array:
     """dH/dx, analytic when the problem supplies it, otherwise a central
     finite difference per state coordinate (step 1e-6 * max(1, |x_j|)).
@@ -211,18 +225,9 @@ def grad_h_state(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -> 
         if not np.all(np.isfinite(grad)):
             raise NonFiniteEvaluation(f"analytic dH/dx is non-finite at t={ctx.time}")
         return grad
-    x = ctx.state
-    grad = np.empty(problem.state_dim)
-    for j in range(problem.state_dim):
-        h = _fd_state_step(x, j)
-        xp = np.array(x)
-        xm = np.array(x)
-        xp[j] += h
-        xm[j] -= h
-        hp = eval_hamiltonian(problem, dataclasses.replace(ctx, state=xp), u)
-        hm = eval_hamiltonian(problem, dataclasses.replace(ctx, state=xm), u)
-        grad[j] = (hp - hm) / (2.0 * h)
-    return grad
+    return _central_difference(
+        lambda x: eval_hamiltonian(problem, dataclasses.replace(ctx, state=x), u), ctx.state
+    )
 
 
 def eval_terminal_cost(problem: ControlProblem, x_final: Array) -> float:
@@ -254,14 +259,7 @@ def terminal_costate(problem: ControlProblem, x_final: Array) -> Array:
         return grad
     if problem.terminal_cost is None:
         return np.zeros(n)
-    grad = np.empty(n)
-    for j in range(n):
-        h = _fd_state_step(x_final, j)
-        xp = np.array(x_final)
-        xm = np.array(x_final)
-        xp[j] += h
-        xm[j] -= h
-        grad[j] = (eval_terminal_cost(problem, xp) - eval_terminal_cost(problem, xm)) / (2.0 * h)
+    grad = _central_difference(lambda x: eval_terminal_cost(problem, x), x_final)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteEvaluation("finite-difference terminal gradient is non-finite")
     return grad
@@ -280,15 +278,7 @@ def terminal_hessian(problem: ControlProblem, x_final: Array) -> Array:
         return hess
     if problem.terminal_cost is None:
         return np.zeros((n, n))
-    # central differences of the terminal gradient, symmetrized
-    hess = np.empty((n, n))
-    for j in range(n):
-        h = _fd_state_step(x_final, j)
-        xp = np.array(x_final)
-        xm = np.array(x_final)
-        xp[j] += h
-        xm[j] -= h
-        gp = terminal_costate(problem, xp)
-        gm = terminal_costate(problem, xm)
-        hess[:, j] = (gp - gm) / (2.0 * h)
+    # central differences of the terminal gradient (column j is the
+    # difference along x_j), symmetrized
+    hess = _central_difference(lambda x: terminal_costate(problem, x), x_final).T
     return 0.5 * (hess + hess.T)

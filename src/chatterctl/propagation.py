@@ -21,6 +21,7 @@ import numpy as np
 
 from . import chattering
 from .chattering import (
+    STEP_FEASIBILITY_TOL,
     ChatteringMeasure,
     GridParams,
     InfeasibleLevels,
@@ -116,7 +117,8 @@ class TrajectoryPoint:
 @dataclass(frozen=True)
 class Trajectory:
     """Points at every interval start plus the terminal state/costate, with
-    the accumulated discretized cost and a count of state-bound clampings."""
+    the accumulated discretized cost and the number of state steps that the
+    state-box clamp moved by more than ``STEP_FEASIBILITY_TOL``."""
 
     points: Tuple[TrajectoryPoint, ...]
     accumulated_cost: float
@@ -155,12 +157,14 @@ class Trajectory:
 
 
 def _clamp(problem: ControlProblem, x: Array) -> Tuple[Array, bool]:
+    """Clamp ``x`` to the state box; the flag says whether that moved it by
+    more than ``STEP_FEASIBILITY_TOL`` (smaller moves are rounding)."""
     clamped = x
     if problem.state_lower is not None:
         clamped = np.maximum(clamped, problem.state_lower)
     if problem.state_upper is not None:
         clamped = np.minimum(clamped, problem.state_upper)
-    return clamped, bool(np.any(clamped != x))
+    return clamped, bool(np.any(np.abs(clamped - x) > STEP_FEASIBILITY_TOL))
 
 
 def step_state(
@@ -170,7 +174,8 @@ def step_state(
     box when bounds exist.
 
     ``f_vals`` holds the dynamics rows f(t_i, x_i, c_k), one per level of the
-    measure.  Returns the next state and whether the clamp moved it.
+    measure.  Returns the next state and whether the clamp moved it by more
+    than ``STEP_FEASIBILITY_TOL``.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -253,6 +258,10 @@ def propagate_forward(
             measured = measurement_source(i, t, x)
             if measured is not None:
                 x = np.asarray(measured, dtype=float)
+                if x.shape != (problem.state_dim,) or not np.all(np.isfinite(x)):
+                    n = problem.state_dim
+                    err = ValueError(f"measured state must be {n} finite values, got {x.tolist()}")
+                    raise _annotate(err, i, t)
                 x, _ = _clamp(problem, x)
         ctx = HamiltonianContext(t, x, p)
         try:

@@ -17,7 +17,12 @@ from chatterctl import (
     signal_time_average,
     solve_measure_lp,
 )
-from chatterctl.chattering import _coarsen_counts, generate_levels_with_dynamics
+from chatterctl.chattering import (
+    BOUND_SEARCH_ITERATIONS,
+    STEP_FEASIBILITY_TOL,
+    _coarsen_counts,
+    generate_levels_with_dynamics,
+)
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
@@ -183,22 +188,110 @@ class TestRealizeSignal:
             assert integral == pytest.approx(duty_sum, abs=1e-12 * max(1.0, abs(duty_sum)))
 
 
+def reference_bound_search(problem, t, x, dt, dims):
+    """Scalar form of the level-range rule, for comparison with the batched
+    search: per dimension, hold the other controls at the midpoint, then the
+    lower, then the upper control bound; on the first of these slices with a
+    feasible point, bisect from it toward each infeasible end.  Returns the
+    ranges and, per dimension, the index of the anchor that supplied it."""
+    lower, upper = problem.control_lower, problem.control_upper
+
+    def feasible(anchor, d, value):
+        u = np.array(anchor)
+        u[d] = value
+        x_next = x + dt * np.asarray(problem.dynamics(t, x, u), dtype=float)
+        return bool(
+            np.all(x_next >= problem.state_lower - STEP_FEASIBILITY_TOL)
+            and np.all(x_next <= problem.state_upper + STEP_FEASIBILITY_TOL)
+        )
+
+    def bisect(anchor, d, a, b):
+        for _ in range(BOUND_SEARCH_ITERATIONS):
+            mid = 0.5 * (a + b)
+            if feasible(anchor, d, mid):
+                a = mid
+            else:
+                b = mid
+        return a
+
+    ranges, anchors_used = [], []
+    for d in dims:
+        lo, hi = float(lower[d]), float(upper[d])
+        for k, anchor in enumerate((0.5 * (lower + upper), lower, upper)):
+            lo_ok, hi_ok = feasible(anchor, d, lo), feasible(anchor, d, hi)
+            start = lo if lo_ok else hi if hi_ok else 0.5 * (lo + hi)
+            if lo_ok or hi_ok or feasible(anchor, d, start):
+                ranges.append((
+                    lo if lo_ok else bisect(anchor, d, start, lo),
+                    hi if hi_ok else bisect(anchor, d, start, hi),
+                ))
+                anchors_used.append(k)
+                break
+        else:
+            raise InfeasibleLevels(f"no feasible level for dimension {d}")
+    return ranges, anchors_used
+
+
+def random_cubic_problem(rng):
+    """x' = A (u + 0.3 u^3) + c - 0.5 x on the state box [-0.4, 0.4]^n:
+    monotone in every control, so each feasible slice is an interval."""
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    a = rng.normal(size=(n, m))
+    c = 0.5 * rng.normal(size=n)
+    lower = rng.uniform(-2.0, 0.0, m)
+    return ControlProblem(
+        state_dim=n,
+        control_dim=m,
+        horizon=1.0,
+        initial_state=rng.uniform(-0.4, 0.4, n),
+        running_cost=lambda t, x, u: 0.0,
+        dynamics=lambda t, x, u: a @ (u + 0.3 * u**3) + c - 0.5 * x,
+        control_lower=lower,
+        control_upper=lower + rng.uniform(0.0, 3.0, m),
+        state_lower=np.full(n, -0.4),
+        state_upper=np.full(n, 0.4),
+    )
+
+
 class TestLevelBoundSearch:
     def test_no_state_bounds_returns_full_interval(self):
         problem = box_problem(control_lower=[-7.0], control_upper=[3.0])
-        assert level_bound_search(problem, 0.0, np.zeros(1), 0.1, 0) == (-7.0, 3.0)
+        assert level_bound_search(problem, 0.0, np.zeros(1), 0.1, [0]) == [(-7.0, 3.0)]
 
-    def test_bisection_finds_analytic_bounds(self):
+    @pytest.mark.parametrize(
+        "dynamics, control_lower, control_upper, dt, expected",
+        [
+            # both ends infeasible: both sides are bisected from the midpoint
+            (lambda t, x, u: np.array([u[0]]), [-10.0], [10.0], 0.5, [(-2.0, 2.0)]),
+            # only the upper end is feasible: the lower side is bisected from it
+            (lambda t, x, u: np.array([u[0]]), [-10.0], [1.0], 0.5, [(-2.0, 1.0)]),
+            # dimension 0 has no feasible point with u1 at its midpoint, where
+            # the drift term peaks; the slice with u1 at its lower bound is
+            # tried before the one at its upper bound, which would give (0, 2).
+            # Both ends of dimension 1 are feasible, so it keeps its bounds.
+            (lambda t, x, u: np.array([u[0] + np.interp(u[1], [0, 5, 10], [-2, 2, -1])]),
+             [0.0, 0.0], [3.0, 10.0], 1.0, [(1.0, 3.0), (0.0, 10.0)]),
+            # dimension 0 is infeasible with u1 at its midpoint and its lower
+            # bound; the slice with u1 at its upper bound supplies its range
+            (lambda t, x, u: np.array([u[0] + u[1] - 10.0]), [0.0, 0.0], [2.0, 10.0], 1.0,
+             [(0.0, 1.0), (8.0, 10.0)]),
+        ],
+        ids=["midpoint-start", "upper-end-start", "lower-anchor", "upper-anchor"],
+    )
+    def test_bisection_finds_analytic_bounds(
+        self, dynamics, control_lower, control_upper, dt, expected
+    ):
         problem = box_problem(
-            dynamics=lambda t, x, u: np.array([u[0]]),
+            m=len(control_lower),
+            dynamics=dynamics,
             state_lower=np.array([-1.0]),
             state_upper=np.array([1.0]),
-            control_lower=[-10.0],
-            control_upper=[10.0],
+            control_lower=control_lower,
+            control_upper=control_upper,
         )
-        lo, hi = level_bound_search(problem, 0.0, np.zeros(1), 0.5, 0)
-        assert abs(lo - (-2.0)) <= 1e-6
-        assert abs(hi - 2.0) <= 1e-6
+        dims = list(range(problem.control_dim))
+        bounds = level_bound_search(problem, 0.0, np.zeros(1), dt, dims)
+        assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
 
     def test_state_pinned_at_upper_bound(self):
         problem = box_problem(
@@ -209,7 +302,7 @@ class TestLevelBoundSearch:
             control_upper=[10.0],
             x0=[1.0],
         )
-        lo, hi = level_bound_search(problem, 0.0, np.array([1.0]), 1.0, 0)
+        [(lo, hi)] = level_bound_search(problem, 0.0, np.array([1.0]), 1.0, [0])
         assert lo == 0.0
         assert hi == 0.0
 
@@ -222,7 +315,27 @@ class TestLevelBoundSearch:
             control_upper=[1.0],
         )
         with pytest.raises(InfeasibleLevels):
-            level_bound_search(problem, 0.0, np.zeros(1), 1.0, 0)
+            level_bound_search(problem, 0.0, np.zeros(1), 1.0, [0])
+
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(20171)
+        fallbacks = infeasible = 0
+        for _ in range(300):
+            problem = random_cubic_problem(rng)
+            x = problem.initial_state
+            dt = float(rng.uniform(0.05, 0.5))
+            dims = list(range(problem.control_dim))
+            try:
+                expected, anchors_used = reference_bound_search(problem, 0.0, x, dt, dims)
+            except InfeasibleLevels:
+                infeasible += 1
+                with pytest.raises(InfeasibleLevels):
+                    level_bound_search(problem, 0.0, x, dt, dims)
+                continue
+            fallbacks += sum(k > 0 for k in anchors_used)
+            assert level_bound_search(problem, 0.0, x, dt, dims) == expected
+        assert fallbacks > 0
+        assert infeasible > 0
 
 
 class TestGenerateLevels:

@@ -332,6 +332,7 @@ class TestSupplyChainProblem:
         part = TimePartition.uniform(1.0, 50)
         traj = propagate_forward(problem, part, np.zeros(20), GridParams(3, 64))
         assert np.all(traj.states() >= -1e-9)
+        assert traj.clamp_count == 0
 
     def test_config_errors(self):
         with pytest.raises(ConfigError):

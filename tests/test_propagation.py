@@ -141,7 +141,12 @@ class TestSteps:
             half = step(0.01) - base
             assert half[0] == pytest.approx(0.5 * full[0], rel=1e-12)
 
-    def test_state_step_clamps_to_bounds(self):
+    @pytest.mark.parametrize(
+        "x, level, dt, beyond_tolerance",
+        [(0.5, -10.0, 0.2, True), (0.0, -5e-10, 1.0, False)],
+        ids=["overshoot", "rounding"],
+    )
+    def test_state_step_clamps_to_bounds(self, x, level, dt, beyond_tolerance):
         problem = ControlProblem(
             state_dim=1,
             control_dim=1,
@@ -154,11 +159,11 @@ class TestSteps:
             state_lower=np.array([0.0]),
             state_upper=np.array([1.0]),
         )
-        grid = LevelGrid(np.array([[-10.0]]))
+        grid = LevelGrid(np.array([[level]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        x_next, clamped = state_step(problem, lqr_ctx(0.5, 0.0), grid, measure, 0.2)
+        x_next, clamped = state_step(problem, lqr_ctx(x, 0.0), grid, measure, dt)
         assert x_next[0] == 0.0
-        assert clamped
+        assert clamped == beyond_tolerance
 
 
 def trivial_problem():
@@ -329,6 +334,26 @@ class TestFeedbackHook:
         source = load_replay_file(path)
         assert source(2, 0.0, np.zeros(1))[0] == 7.5
         assert source(1, 0.0, np.zeros(1)) is None
+
+    @pytest.mark.parametrize(
+        "state",
+        [[5.0], [1.0] * 19, [float("nan")] * 20],
+        ids=["length-1", "length-19", "nan"],
+    )
+    def test_replayed_state_validated(self, tmp_path, state):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 50)
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"3": state}), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            propagate_forward(
+                problem,
+                TimePartition.uniform(1.0, 50),
+                np.zeros(20),
+                GridParams(3, 64),
+                measurement_source=load_replay_file(path),
+            )
+        assert excinfo.value.interval_index == 3
+        assert "interval 3" in str(excinfo.value)
 
     def test_source_consulted_every_interval(self):
         problem = trivial_problem()
