@@ -17,7 +17,6 @@ from .chattering import (
     control_from_measure,
     level_bound_search,
     realize_signal,
-    signal_time_average,
     solve_measure_lp,
 )
 from .model import (
@@ -40,8 +39,6 @@ from .problems import (
     build_lqr,
     build_supply_chain,
     lqr_analytic_solution,
-    lqr_hamiltonian_flow,
-    market_step_oracle,
     synthetic_demand,
 )
 from .propagation import (
@@ -51,6 +48,7 @@ from .propagation import (
     accumulate_cost,
     load_replay_file,
     propagate_forward,
+    propagate_terminals,
     replay_measurement_source,
     step_costate,
     step_state,
@@ -102,12 +100,10 @@ __all__ = [
     "level_bound_search",
     "load_replay_file",
     "lqr_analytic_solution",
-    "lqr_hamiltonian_flow",
-    "market_step_oracle",
     "propagate_forward",
+    "propagate_terminals",
     "realize_signal",
     "replay_measurement_source",
-    "signal_time_average",
     "solve",
     "solve_measure_lp",
     "step_costate",

@@ -207,16 +207,6 @@ def realize_signal(
     return ChatteringSignal(tuple(segments))
 
 
-def signal_time_average(signal: ChatteringSignal, grid: LevelGrid) -> Array:
-    """Time average of the realized control over its interval, one value per
-    control dimension."""
-    total = signal.end - signal.start
-    acc = np.zeros(grid.control_dim)
-    for s, e, k in signal.segments:
-        acc += (e - s) * grid.levels[k]
-    return acc / total
-
-
 # ---------------------------------------------------------------------------
 # Level generation
 # ---------------------------------------------------------------------------

@@ -144,6 +144,14 @@ def _num(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_text(path, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OSError(f"failed writing {what} to {path}: {err}") from err
+
+
 def export_trajectory(trajectory: Trajectory, path) -> None:
     """CSV of the control law: one row per interval start plus a terminal row
     with empty control/Hamiltonian cells.  Numbers carry 17 significant
@@ -172,11 +180,7 @@ def export_trajectory(trajectory: Trajectory, path) -> None:
             cells += ["" for _ in range(m)]
             cells += ["", _num(trajectory.accumulated_cost)]
         lines.append(",".join(cells))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise OSError(f"failed writing trajectory CSV to {path}: {err}") from err
+    _write_text(path, "\n".join(lines) + "\n", "trajectory CSV")
 
 
 def export_schedule(trajectory: Trajectory, path) -> None:
@@ -194,11 +198,7 @@ def export_schedule(trajectory: Trajectory, path) -> None:
             cells = [str(i), _num(start), _num(end), str(k)]
             cells += [_num(v) for v in pt.grid.levels[k]]
             lines.append(",".join(cells))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise OSError(f"failed writing schedule CSV to {path}: {err}") from err
+    _write_text(path, "\n".join(lines) + "\n", "schedule CSV")
 
 
 def export_convergence(result: shooting.ShootingResult, path) -> None:
@@ -211,13 +211,9 @@ def export_convergence(result: shooting.ShootingResult, path) -> None:
         "p0": [float(v) for v in result.p0_final],
         "p_T": [float(v) for v in result.trajectory.terminal.p] if result.trajectory else None,
         "message": result.message,
+        "step_kinds": list(result.step_kinds),
     }
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as err:
-        raise OSError(f"failed writing convergence JSON to {path}: {err}") from err
+    _write_text(path, json.dumps(payload, indent=2) + "\n", "convergence JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +269,11 @@ def run_solve(config: SolveConfig) -> int:
         if not result.converged and result.message:
             log.info("%s", result.message)
         return 0 if result.converged else 2
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NonFiniteEvaluation, InfeasibleLevels) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

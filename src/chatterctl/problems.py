@@ -113,15 +113,6 @@ def lqr_analytic_solution(t: float) -> Tuple[float, float, float, float]:
     return x, p, u, int_x2 + int_u2
 
 
-def lqr_hamiltonian_flow(t: float) -> Array:
-    """State-transition matrix exp(A t) of the optimality system
-    A = [[1, -1/2], [-2, -1]], via its eigendecomposition."""
-    s = math.sqrt(2.0)
-    V = np.array([[1.0, 1.0], [2.0 * (1.0 - s), 2.0 * (1.0 + s)]])
-    D = np.diag([math.exp(s * t), math.exp(-s * t)])
-    return V @ D @ np.linalg.inv(V)
-
-
 # ---------------------------------------------------------------------------
 # Grocer's scheduling problem: external parameters
 # ---------------------------------------------------------------------------
@@ -213,31 +204,6 @@ SUPPLY_CHAIN_CONTROL_DIM = N_SUPPLIER_ROWS + N_CUSTOMERS * N_ITEMS  # orders the
 DELIVERY_RATE_MAX = 20.0
 
 
-def item_unit_cost_envelope() -> Array:
-    """Per-item sum of supplier unit costs."""
-    alpha = np.zeros(N_ITEMS)
-    for rec in SUPPLIERS:
-        alpha[rec.item_id] += rec.unit_cost
-    return alpha
-
-
-def item_fixed_cost_envelope() -> Array:
-    """Per-item sum of supplier fixed costs."""
-    beta = np.zeros(N_ITEMS)
-    for rec in SUPPLIERS:
-        beta[rec.item_id] += rec.fixed_cost
-    return beta
-
-
-def unmet_demand_weights() -> Array:
-    """Normalized penalty weights, shape (customers, items):
-    w_i * delta_j / sum_ij w_i * delta_j."""
-    w = np.array([c.importance for c in CUSTOMERS])
-    delta = np.array([it.penalty for it in ITEMS])
-    table = np.outer(w, delta)
-    return table / table.sum()
-
-
 # ---------------------------------------------------------------------------
 # Synthetic demand
 # ---------------------------------------------------------------------------
@@ -281,12 +247,6 @@ def synthetic_demand(profile: str, amplitude: float, period: float = 1.0) -> Dem
             return amplitude if period <= t < 2.0 * period else 0.0
 
     return DemandModel(theta, f"{profile}(amplitude={amplitude:g}, period={period:g})")
-
-
-def market_step_oracle(Z: float, theta: float, v: float, dt: float) -> float:
-    """Single-row explicit Euler step of the market conservation dynamics:
-    Z + dt * (-Z + theta - v).  Independent check used by tests."""
-    return Z + dt * (-Z + theta - v)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ control piecewise constant in the guess, so the sensitivities are exact
 between level-switch boundaries and noisy across them; the damping factor and
 best-iterate tracking absorb that noise.
 
-The n perturbed propagations of one iteration are mutually independent and
-could run concurrently; the outer loop is sequential.
+The n perturbed propagations of one iteration march in lockstep
+(``propagate_terminals``): runs at bitwise-equal states share each level
+generation, and the Jacobians are bitwise those of n separate propagations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .model import (
     terminal_costate,
     terminal_hessian,
 )
-from .propagation import TimePartition, Trajectory, propagate_forward
+from .propagation import TimePartition, Trajectory, propagate_forward, propagate_terminals
 
 #: refuse the linear correction when the regularized matrix is worse
 #: conditioned than this
@@ -106,6 +107,8 @@ class ShootingResult:
     trajectory: Optional[Trajectory]
     p0_final: Array
     message: str = ""
+    #: one per correction: "newton", or "gradient" after a SingularCorrection
+    step_kinds: Tuple[str, ...] = ()
 
     def __post_init__(self):
         hist = np.array(self.residual_history, dtype=float)
@@ -135,7 +138,8 @@ def finite_diff_sensitivities(
     nominal: Optional[Trajectory] = None,
 ) -> SensitivityEstimate:
     """One-sided difference Jacobians from n perturbed propagations, one per
-    costate coordinate, plus the nominal run (reused when supplied)."""
+    costate coordinate, plus the nominal run (reused when supplied).  The
+    lowest-index failing perturbation raises, with its ``perturbation_index``."""
     if not delta_p > 0:
         raise ValueError("delta_p must be positive")
     p0 = np.asarray(p0, dtype=float)
@@ -144,19 +148,17 @@ def finite_diff_sensitivities(
         nominal = propagate_forward(problem, partition, p0, grid_params)
     x_T = nominal.terminal.x
     p_T = nominal.terminal.p
-    P_x = np.empty((n, n))
-    P_p = np.empty((n, n))
-    for j in range(n):
-        p0_j = np.array(p0)
-        p0_j[j] += delta_p
-        try:
-            perturbed = propagate_forward(problem, partition, p0_j, grid_params)
-        except (NonFiniteEvaluation, InfeasibleLevels) as err:
-            tagged = type(err)(f"{err} [perturbation {j}]")
-            tagged.perturbation_index = j
-            raise tagged from err
-        P_x[:, j] = (perturbed.terminal.x - x_T) / delta_p
-        P_p[:, j] = (perturbed.terminal.p - p_T) / delta_p
+    perturbed = np.tile(p0, (n, 1))
+    perturbed[np.diag_indices(n)] += delta_p
+    try:
+        terminals = propagate_terminals(problem, partition, perturbed, grid_params)
+    except (NonFiniteEvaluation, InfeasibleLevels) as err:
+        j = err.run_index
+        tagged = type(err)(f"{err} [perturbation {j}]")
+        tagged.perturbation_index = j
+        raise tagged from err
+    P_x = np.stack([x_j - x_T for x_j, _ in terminals], axis=1) / delta_p
+    P_p = np.stack([p_j - p_T for _, p_j in terminals], axis=1) / delta_p
     return SensitivityEstimate(P_x, P_p)
 
 
@@ -209,6 +211,7 @@ def solve(
     if p0.shape != (problem.state_dim,):
         raise ValueError(f"p0_initial must have shape ({problem.state_dim},)")
     history: List[float] = []
+    step_kinds: List[str] = []
     best_residual = np.inf
     best_trajectory: Optional[Trajectory] = None
     best_p0 = np.array(p0)
@@ -243,9 +246,11 @@ def solve(
             p0 = update_initial_costate(
                 p0, sens, p_T, x_T, problem, config.gamma, config.ridge
             )
+            step_kinds.append("newton")
         except SingularCorrection:
             # plain residual gradient step keeps the loop alive
             p0 = p0 - config.gamma * (p_T - terminal_costate(problem, x_T))
+            step_kinds.append("gradient")
         except InfeasibleLevels as err:
             message = f"perturbed propagation became infeasible: {err}"
             break
@@ -258,4 +263,5 @@ def solve(
         trajectory=best_trajectory,
         p0_final=best_p0,
         message="" if converged else message,
+        step_kinds=tuple(step_kinds),
     )

@@ -1,0 +1,83 @@
+"""Independent oracles the tests compare the solver against.
+
+None of these run in the solver itself: closed forms, per-table envelopes,
+a single-row reference step, a signal average, and the one-propagation-per-
+coordinate finite-difference loop that the lockstep sensitivities must
+reproduce bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from chatterctl import SensitivityEstimate, propagate_forward
+from chatterctl.chattering import ChatteringSignal, LevelGrid
+from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
+
+
+def lqr_hamiltonian_flow(t: float) -> np.ndarray:
+    """State-transition matrix exp(A t) of the optimality system
+    A = [[1, -1/2], [-2, -1]], via its eigendecomposition."""
+    s = math.sqrt(2.0)
+    V = np.array([[1.0, 1.0], [2.0 * (1.0 - s), 2.0 * (1.0 + s)]])
+    D = np.diag([math.exp(s * t), math.exp(-s * t)])
+    return V @ D @ np.linalg.inv(V)
+
+
+def item_unit_cost_envelope() -> np.ndarray:
+    """Per-item sum of supplier unit costs."""
+    alpha = np.zeros(N_ITEMS)
+    for rec in SUPPLIERS:
+        alpha[rec.item_id] += rec.unit_cost
+    return alpha
+
+
+def item_fixed_cost_envelope() -> np.ndarray:
+    """Per-item sum of supplier fixed costs."""
+    beta = np.zeros(N_ITEMS)
+    for rec in SUPPLIERS:
+        beta[rec.item_id] += rec.fixed_cost
+    return beta
+
+
+def unmet_demand_weights() -> np.ndarray:
+    """Normalized penalty weights, shape (customers, items):
+    w_i * delta_j / sum_ij w_i * delta_j."""
+    w = np.array([c.importance for c in CUSTOMERS])
+    delta = np.array([it.penalty for it in ITEMS])
+    table = np.outer(w, delta)
+    return table / table.sum()
+
+
+def market_step_oracle(Z: float, theta: float, v: float, dt: float) -> float:
+    """Single-row explicit Euler step of the market conservation dynamics:
+    Z + dt * (-Z + theta - v)."""
+    return Z + dt * (-Z + theta - v)
+
+
+def signal_time_average(signal: ChatteringSignal, grid: LevelGrid) -> np.ndarray:
+    """Time average of the realized control over its interval, one value per
+    control dimension."""
+    total = signal.end - signal.start
+    acc = np.zeros(grid.control_dim)
+    for s, e, k in signal.segments:
+        acc += (e - s) * grid.levels[k]
+    return acc / total
+
+
+def sequential_sensitivities(problem, partition, p0, delta_p, grid_params) -> SensitivityEstimate:
+    """Finite-difference Jacobians from n + 1 separate ``propagate_forward``
+    runs: the nominal, then one per costate coordinate perturbed by
+    ``delta_p``."""
+    p0 = np.asarray(p0, dtype=float)
+    n = problem.state_dim
+    nominal = propagate_forward(problem, partition, p0, grid_params).terminal
+    P_x = np.empty((n, n))
+    P_p = np.empty((n, n))
+    for j in range(n):
+        p0_j = np.array(p0)
+        p0_j[j] += delta_p
+        perturbed = propagate_forward(problem, partition, p0_j, grid_params).terminal
+        P_x[:, j] = (perturbed.x - nominal.x) / delta_p
+        P_p[:, j] = (perturbed.p - nominal.p) / delta_p
+    return SensitivityEstimate(P_x, P_p)

@@ -22,11 +22,11 @@ from chatterctl import (
     lqr_analytic_solution,
     propagate_forward,
     realize_signal,
-    signal_time_average,
     solve,
     synthetic_demand,
 )
 from chatterctl.cli import check_gradients, check_lp, check_tables, main
+from oracles import signal_time_average
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

@@ -14,7 +14,6 @@ from chatterctl import (
     control_from_measure,
     level_bound_search,
     realize_signal,
-    signal_time_average,
     solve_measure_lp,
 )
 from chatterctl.chattering import (
@@ -23,6 +22,7 @@ from chatterctl.chattering import (
     _coarsen_counts,
     generate_levels_with_dynamics,
 )
+from oracles import signal_time_average
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,

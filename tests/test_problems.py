@@ -12,8 +12,6 @@ from chatterctl import (
     grad_h_costate,
     grad_h_state,
     lqr_analytic_solution,
-    lqr_hamiltonian_flow,
-    market_step_oracle,
     propagate_forward,
     step_state,
     synthetic_demand,
@@ -25,8 +23,12 @@ from chatterctl.problems import (
     CUSTOMERS,
     ITEMS,
     SUPPLIERS,
+)
+from oracles import (
     item_fixed_cost_envelope,
     item_unit_cost_envelope,
+    lqr_hamiltonian_flow,
+    market_step_oracle,
     unmet_demand_weights,
 )
 

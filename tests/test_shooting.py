@@ -1,20 +1,28 @@
+import json
+
 import numpy as np
 import pytest
 
 from chatterctl import (
     ControlProblem,
     GridParams,
+    InfeasibleLevels,
     SensitivityEstimate,
     ShootingConfig,
     SingularCorrection,
     TimePartition,
     build_lqr,
+    build_supply_chain,
     finite_diff_sensitivities,
     lqr_analytic_solution,
-    lqr_hamiltonian_flow,
+    propagate_forward,
     solve,
+    synthetic_demand,
     update_initial_costate,
 )
+from chatterctl import chattering, shooting
+from chatterctl.cli import export_convergence
+from oracles import lqr_hamiltonian_flow, sequential_sensitivities
 
 
 def inert_problem(n=2, horizon=1.0):
@@ -280,3 +288,114 @@ class TestSolve:
         )
         assert [it for it, _, _ in seen] == list(range(1, len(seen) + 1))
         assert all(cost == 0.0 for _, _, cost in seen)
+
+
+def grocer_10():
+    problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 10)
+    return problem, TimePartition.uniform(1.0, 10), GridParams(3, 64)
+
+
+def two_rest_point_problem():
+    """Two decoupled copies of the rest-point problem of
+    ``test_perturbation_errors_are_tagged``, resting at 0.2 and 0.1: a
+    perturbed costate turns its control on, its state falls to the floor and
+    there no control level is admissible.  The state resting at 0.1 gets
+    there first."""
+    rest = np.array([0.2, 0.1])
+    return ControlProblem(
+        state_dim=2,
+        control_dim=2,
+        horizon=1.0,
+        initial_state=rest,
+        running_cost=lambda t, x, u: 0.1 * float(u[0] + u[1]),
+        dynamics=lambda t, x, u: -u - (rest - x),
+        control_lower=np.zeros(2),
+        control_upper=np.ones(2),
+        state_lower=np.zeros(2),
+    )
+
+
+#: p0 near the converged grocer costate (1e5 on inventory, 1e2 on unmet
+#: demand); a 3e4 perturbation switches orders on for a few coordinates only
+GROCER_P0 = np.concatenate([np.full(5, 1e5), np.full(15, 1e2)])
+
+
+class TestLockstepSensitivities:
+    @pytest.mark.parametrize("case", ["grocer-shared", "lqr-divergent", "grocer-partial"])
+    def test_matches_sequential_oracle(self, case):
+        if case == "lqr-divergent":
+            problem, part, grid = build_lqr(), TimePartition.uniform(1.0, 100), GridParams(101, 4096)
+            p0, delta = np.array([lqr_analytic_solution(0.0)[1]]), 4.0
+        elif case == "grocer-shared":
+            (problem, part, grid), p0, delta = grocer_10(), np.zeros(20), 1e-3
+        else:
+            (problem, part, grid), p0, delta = grocer_10(), GROCER_P0, 3e4
+        sens = finite_diff_sensitivities(problem, part, p0, delta, grid)
+        reference = sequential_sensitivities(problem, part, p0, delta, grid)
+        assert np.array_equal(sens.P_x, reference.P_x)
+        assert np.array_equal(sens.P_p, reference.P_p)
+        # the case holds what its name says: a perturbed run that leaves the
+        # nominal states has a nonzero P_x column
+        diverged = int(np.count_nonzero(np.any(sens.P_x != 0.0, axis=0)))
+        if case == "grocer-shared":
+            assert diverged == 0
+        elif case == "lqr-divergent":
+            assert diverged == 1
+        else:
+            assert 0 < diverged < problem.state_dim
+
+    def test_one_level_generation_per_distinct_state(self, monkeypatch):
+        problem, part, grid = grocer_10()
+        nominal = propagate_forward(problem, part, np.zeros(20), grid)
+        generate = chattering.generate_levels_with_dynamics
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted)
+        finite_diff_sensitivities(problem, part, np.zeros(20), 1e-3, grid, nominal=nominal)
+        # all 20 perturbed runs stay on the nominal states: one grid per interval
+        assert len(calls) == 10
+        assert calls == part.times[:-1].tolist()
+
+    def test_lowest_failing_perturbation_reported(self):
+        problem = two_rest_point_problem()
+        part = TimePartition.uniform(1.0, 10)
+        grid = GridParams(3, 16)
+        intervals = []
+        for j in range(2):
+            p0_j = np.zeros(2)
+            p0_j[j] += 0.2
+            with pytest.raises(InfeasibleLevels) as alone:
+                propagate_forward(problem, part, p0_j, grid)
+            intervals.append(alone.value.interval_index)
+        assert intervals[1] < intervals[0]
+        with pytest.raises(InfeasibleLevels) as excinfo:
+            finite_diff_sensitivities(problem, part, np.zeros(2), 0.2, grid)
+        assert excinfo.value.perturbation_index == 0
+        assert excinfo.value.__cause__.interval_index == intervals[0]
+        assert f"[interval {intervals[0]}," in str(excinfo.value)
+
+
+class TestStepKinds:
+    def test_newton_steps_recorded(self):
+        config = ShootingConfig(
+            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3, ridge=0.0, delta_p=0.25
+        )
+        result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 3), config, GridParams(3, 16))
+        assert result.step_kinds == ("newton",)
+
+    def test_singular_correction_shows_as_gradient(self, monkeypatch, tmp_path):
+        def singular(*args, **kwargs):
+            raise SingularCorrection("forced")
+
+        monkeypatch.setattr(shooting, "update_initial_costate", singular)
+        config = ShootingConfig(p0_initial=np.array([2.0]), gamma=0.5, epsilon=1e-3)
+        result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 2), config, GridParams(3, 16))
+        assert result.converged
+        assert result.step_kinds == ("gradient",) * (result.iterations - 1)
+        export_convergence(result, tmp_path / "convergence.json")
+        written = json.loads((tmp_path / "convergence.json").read_text())
+        assert written["step_kinds"] == ["gradient"] * (result.iterations - 1)
