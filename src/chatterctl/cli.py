@@ -4,7 +4,8 @@ Subcommands
 -----------
 solve            run the shooting solver on a built-in problem and export the
                  trajectory CSV, chattering schedule CSV and convergence JSON
-validate         run oracle comparisons (lqr | lp | gradients | tables)
+validate         run oracle comparisons (lqr | lp | gradients | tables |
+                 sensitivities)
 export-fixtures  write the grocer parameter tables as CSV
 
 Exit codes: 0 success/converged, 2 iteration budget exhausted, 1 error.
@@ -37,7 +38,7 @@ from .model import (
     grad_h_state,
 )
 from .problems import ConfigError
-from .propagation import TimePartition, Trajectory
+from .propagation import TimePartition, Trajectory, propagate_forward
 
 log = logging.getLogger("chatterctl")
 
@@ -45,7 +46,7 @@ log = logging.getLogger("chatterctl")
 SUPPLY_CHAIN_HORIZON = 1.0
 
 PROBLEM_CHOICES = ("lqr", "supply-chain")
-VALIDATE_CHOICES = ("lqr", "lp", "gradients", "tables")
+VALIDATE_CHOICES = ("lqr", "lp", "gradients", "tables", "sensitivities")
 
 
 @dataclass
@@ -57,7 +58,6 @@ class SolveConfig:
     levels: int = 101
     level_cap: int = 4096
     gamma: float = 0.5
-    delta_p: Optional[float] = None
     eps: float = 1e-3
     max_iters: int = 500
     ridge: float = 1e-8
@@ -79,8 +79,6 @@ class SolveConfig:
             raise ConfigError("level-cap must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
-        if self.delta_p is not None and not self.delta_p > 0:
-            raise ConfigError("delta-p must be positive")
         if not self.eps > 0:
             raise ConfigError("eps must be positive")
         if self.max_iters < 1:
@@ -212,6 +210,8 @@ def export_convergence(result: shooting.ShootingResult, path) -> None:
         "p_T": [float(v) for v in result.trajectory.terminal.p] if result.trajectory else None,
         "message": result.message,
         "step_kinds": list(result.step_kinds),
+        # JSON has no nan: a refused correction matrix is written as null
+        "condition_numbers": [None if np.isnan(c) else c for c in result.condition_numbers],
     }
     _write_text(path, json.dumps(payload, indent=2) + "\n", "convergence JSON")
 
@@ -234,7 +234,6 @@ def run_solve(config: SolveConfig) -> int:
         shooting_config = shooting.ShootingConfig(
             p0_initial=p0,
             gamma=config.gamma,
-            delta_p=config.delta_p,
             epsilon=config.eps,
             max_iterations=config.max_iters,
             ridge=config.ridge,
@@ -387,11 +386,37 @@ def check_tables() -> Tuple[bool, List[str]]:
     return ok, lines
 
 
+def check_sensitivities() -> Tuple[bool, List[str]]:
+    """Tangent sensitivities against the finite-difference reference on the
+    10-interval grocer at p0 = 0, where every perturbed run stays on the
+    nominal states: ``P_x`` must match exactly and ``P_p`` to 1e-6
+    relative."""
+    demand = problems.synthetic_demand("seasonal", 5.0, 0.5)
+    problem = problems.build_supply_chain(demand, SUPPLY_CHAIN_HORIZON, 10)
+    partition = TimePartition.uniform(problem.horizon, 10)
+    grid_params = GridParams(3, 64)
+    p0 = np.zeros(problem.state_dim)
+    nominal = propagate_forward(problem, partition, p0, grid_params)
+    tangent = shooting.tangent_sensitivities(problem, partition, nominal)
+    reference = shooting.finite_diff_sensitivities(
+        problem, partition, p0, 1e-3, grid_params, nominal=nominal
+    )
+    px_equal = bool(np.array_equal(tangent.P_x, reference.P_x))
+    rel_err = float(np.max(np.abs(tangent.P_p - reference.P_p)) / np.max(np.abs(reference.P_p)))
+    ok = px_equal and rel_err <= 1e-6
+    lines = [
+        f"P_x identical to finite differences: {px_equal}",
+        f"P_p max relative difference: {rel_err:.2e} (limit 1e-06)",
+    ]
+    return ok, lines
+
+
 CHECKS = {
     "lqr": check_lqr,
     "lp": check_lp,
     "gradients": check_gradients,
     "tables": check_tables,
+    "sensitivities": check_sensitivities,
 }
 
 
@@ -444,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=int)
     sp.add_argument("--level-cap", type=int, dest="level_cap")
     sp.add_argument("--gamma", type=float)
-    sp.add_argument("--delta-p", type=float, dest="delta_p")
     sp.add_argument("--eps", type=float)
     sp.add_argument("--max-iters", type=int, dest="max_iters")
     sp.add_argument("--ridge", type=float)

@@ -3,15 +3,21 @@
 The two-point boundary value problem (x(0) fixed, p(T) pinned to the terminal
 cost gradient) is solved as an initial value problem: guess p(0), propagate,
 measure the terminal mismatch, estimate the sensitivity of the terminal pair
-to the guess by finite differences over perturbed propagations, and apply a
-damped Newton-style correction.  The per-interval measure LP makes the
-control piecewise constant in the guess, so the sensitivities are exact
-between level-switch boundaries and noisy across them; the damping factor and
-best-iterate tracking absorb that noise.
+to the guess, and apply a damped Newton-style correction.
 
-The n perturbed propagations of one iteration march in lockstep
-(``propagate_terminals``): runs at bitwise-equal states share each level
-generation, and the Jacobians are bitwise those of n separate propagations.
+The sensitivities are the linearised state/costate flow along the nominal
+run (``tangent_sensitivities``; Bryson & Ho's neighbouring extremals): each
+interval's measure is held at its recorded value, so the state path does not
+depend on the guess and only the costate tangent moves, with the
+measure-weighted dynamics Jacobian.  The per-interval measure LP makes the
+control piecewise constant in the guess, so the tangent is exact within a
+switching pattern and blind to level switches; the damping factor and
+best-iterate tracking absorb that.
+
+``finite_diff_sensitivities`` is the reference the tangent is checked
+against: n perturbed propagations that march in lockstep
+(``propagate_terminals``), runs at bitwise-equal states sharing each level
+generation.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .model import (
     Array,
     ControlProblem,
     NonFiniteEvaluation,
+    _central_difference,
+    eval_dynamics_batch,
     terminal_costate,
     terminal_hessian,
 )
@@ -48,14 +56,12 @@ class SingularCorrection(RuntimeError):
 class ShootingConfig:
     """Outer-loop parameters.
 
-    ``delta_p=None`` scales the perturbation with the current guess as
-    1e-3 * max(1, ||p0||).  The defaults aim for stable damped-Newton
-    behavior; nothing here is problem specific.
+    The defaults aim for stable damped-Newton behavior; nothing here is
+    problem specific.
     """
 
     p0_initial: Array
     gamma: float = 0.5
-    delta_p: Optional[float] = None
     epsilon: float = 1e-3
     max_iterations: int = 500
     ridge: float = 1e-8
@@ -70,8 +76,6 @@ class ShootingConfig:
         object.__setattr__(self, "p0_initial", p0)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.delta_p is not None and not self.delta_p > 0:
-            raise ValueError("delta_p must be positive")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
@@ -82,8 +86,8 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class SensitivityEstimate:
-    """Finite-difference Jacobians of the terminal state and costate with
-    respect to the initial costate guess."""
+    """Jacobians of the terminal state and costate with respect to the
+    initial costate guess."""
 
     P_x: Array
     P_p: Array
@@ -109,6 +113,9 @@ class ShootingResult:
     message: str = ""
     #: one per correction: "newton", or "gradient" after a SingularCorrection
     step_kinds: Tuple[str, ...] = ()
+    #: one per correction: the condition number of the regularized
+    #: correction matrix, nan where the matrix was refused
+    condition_numbers: Tuple[float, ...] = ()
 
     def __post_init__(self):
         hist = np.array(self.residual_history, dtype=float)
@@ -121,12 +128,6 @@ class ShootingResult:
     @property
     def residual(self) -> float:
         return float(np.min(self.residual_history)) if self.residual_history.size else np.inf
-
-
-def _auto_delta(p0: Array, delta_p: Optional[float]) -> float:
-    if delta_p is not None:
-        return float(delta_p)
-    return 1e-3 * max(1.0, float(np.linalg.norm(p0)))
 
 
 def finite_diff_sensitivities(
@@ -162,6 +163,53 @@ def finite_diff_sensitivities(
     return SensitivityEstimate(P_x, P_p)
 
 
+def tangent_sensitivities(
+    problem: ControlProblem, partition: TimePartition, nominal: Trajectory
+) -> SensitivityEstimate:
+    """Jacobians of the terminal pair from the variational equations along
+    ``nominal``, in one pass over its recorded points: no level generation,
+    no measure LP, no propagation.
+
+    Each interval's measure (the point's support levels and weights) is held
+    fixed.  Then the state path does not depend on p0 and x_0 is fixed, so
+    ``P_x`` is exactly 0.  H is affine in p, so the costate step's
+    derivative in p is ``I - dt F_x^T`` with ``F_x = sum_k a_k df/dx``, a
+    central difference of the dynamics at the support levels; the tangent
+    starts at I and ``P_p`` is its terminal value.
+
+    The tangent does not see level switches: a change of p0 that moves an
+    interval's argmin changes the terminal pair in a way it misses.
+    """
+    if nominal.intervals != partition.intervals:
+        raise ValueError(
+            f"nominal has {nominal.intervals} intervals, partition {partition.intervals}"
+        )
+    n = problem.state_dim
+    dp = np.eye(n)
+    for point, dt in zip(nominal.points, partition.deltas.tolist()):
+        levels, weights = point.grid.levels, point.measure.weights
+        # row j is d/dx_j of the measure-weighted dynamics: F_x^T
+        F_xT = _central_difference(
+            lambda x: weights @ eval_dynamics_batch(problem, point.t, x, levels), point.x
+        )
+        dp = dp - dt * (F_xT @ dp)
+    return SensitivityEstimate(np.zeros((n, n)), dp)
+
+
+def _correction_matrix(
+    problem: ControlProblem, sens: SensitivityEstimate, x_T: Array, ridge: float
+) -> Tuple[Array, float]:
+    """The regularized correction matrix Hess(psi)(x_T) P_x - P_p + ridge I
+    and its condition number."""
+    M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
+    M_reg = M + ridge * np.eye(M.shape[0])
+    try:
+        cond = float(np.linalg.cond(M_reg))
+    except np.linalg.LinAlgError as err:  # pragma: no cover - cond rarely fails
+        raise SingularCorrection("condition estimate failed") from err
+    return M_reg, cond
+
+
 def update_initial_costate(
     p0: Array,
     sens: SensitivityEstimate,
@@ -179,12 +227,7 @@ def update_initial_costate(
     """
     p0 = np.asarray(p0, dtype=float)
     residual = p_T - terminal_costate(problem, x_T)
-    M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
-    M_reg = M + ridge * np.eye(M.shape[0])
-    try:
-        cond = np.linalg.cond(M_reg)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - cond rarely fails
-        raise SingularCorrection("condition estimate failed") from err
+    M_reg, cond = _correction_matrix(problem, sens, x_T, ridge)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularCorrection(
             f"correction matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
@@ -212,6 +255,7 @@ def solve(
         raise ValueError(f"p0_initial must have shape ({problem.state_dim},)")
     history: List[float] = []
     step_kinds: List[str] = []
+    condition_numbers: List[float] = []
     best_residual = np.inf
     best_trajectory: Optional[Trajectory] = None
     best_p0 = np.array(p0)
@@ -238,22 +282,18 @@ def solve(
             break
         if len(history) >= config.max_iterations:
             break
-        delta = _auto_delta(p0, config.delta_p)
+        sens = tangent_sensitivities(problem, partition, trajectory)
         try:
-            sens = finite_diff_sensitivities(
-                problem, partition, p0, delta, grid_params, nominal=trajectory
-            )
             p0 = update_initial_costate(
                 p0, sens, p_T, x_T, problem, config.gamma, config.ridge
             )
             step_kinds.append("newton")
+            condition_numbers.append(_correction_matrix(problem, sens, x_T, config.ridge)[1])
         except SingularCorrection:
             # plain residual gradient step keeps the loop alive
             p0 = p0 - config.gamma * (p_T - terminal_costate(problem, x_T))
             step_kinds.append("gradient")
-        except InfeasibleLevels as err:
-            message = f"perturbed propagation became infeasible: {err}"
-            break
+            condition_numbers.append(float("nan"))
     if not converged and not message:
         message = "iteration budget exhausted before the residual dropped below epsilon"
     return ShootingResult(
@@ -264,4 +304,5 @@ def solve(
         p0_final=best_p0,
         message="" if converged else message,
         step_kinds=tuple(step_kinds),
+        condition_numbers=tuple(condition_numbers),
     )

@@ -44,6 +44,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_file(path)
 
+    def test_removed_delta_p_rejected(self, tmp_path, capsys):
+        from chatterctl import ConfigError
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"delta-p": 0.25}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown config key 'delta-p'"):
+            parse_config_file(path)
+        assert main(["solve", "--delta-p", "0.25", "--out-dir", str(tmp_path)]) == 1
+        assert "--delta-p" in capsys.readouterr().err
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "config.json"
         serialize_config(SolveConfig(intervals=40, gamma=0.25), path)
@@ -146,6 +156,15 @@ class TestSolveCommand:
         assert len(payload["residual_history"]) == payload["iterations"]
         assert (tmp_path / "schedule.csv").exists()
 
+    def test_convergence_records_condition_numbers(self, tmp_path):
+        args = ["solve", "--problem", "lqr", "--intervals", "40", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        payload = json.loads((tmp_path / "convergence.json").read_text())
+        conditions = payload["condition_numbers"]
+        assert len(conditions) == len(payload["step_kinds"]) == payload["iterations"] - 1
+        # one costate coordinate: every accepted 1 x 1 matrix has condition 1
+        assert conditions == [1.0] * len(conditions)
+
     def test_zero_max_iters_rejected(self, tmp_path, capsys):
         code = main(
             ["solve", "--problem", "lqr", "--max-iters", "0", "--out-dir", str(tmp_path)]
@@ -232,6 +251,12 @@ class TestValidateCommand:
     def test_gradients(self, capsys):
         assert main(["validate", "gradients"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_sensitivities(self, capsys):
+        assert main(["validate", "sensitivities"]) == 0
+        out = capsys.readouterr().out
+        assert "P_x identical to finite differences: True" in out
+        assert "validate sensitivities: PASS" in out
 
 
 class TestExportFixtures:

@@ -22,6 +22,7 @@ from chatterctl import (
 )
 from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
+from chatterctl.shooting import tangent_sensitivities
 from oracles import lqr_hamiltonian_flow, sequential_sensitivities
 
 
@@ -122,9 +123,8 @@ class TestSolve:
     def test_inert_problem_converges_in_one_correction(self):
         problem = inert_problem(n=1)
         part = TimePartition.uniform(1.0, 3)
-        # a power-of-two perturbation keeps the difference quotient exact
         config = ShootingConfig(
-            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3, ridge=0.0, delta_p=0.25
+            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3, ridge=0.0
         )
         result = solve(problem, part, config, GridParams(3, 16))
         assert result.converged
@@ -247,7 +247,7 @@ class TestSolve:
         part = TimePartition.uniform(1.0, 10)
         # the control-off trajectory itself is fine
         nominal = solve(
-            problem, part, ShootingConfig(p0_initial=np.zeros(1), delta_p=1e-6),
+            problem, part, ShootingConfig(p0_initial=np.zeros(1)),
             GridParams(3, 16),
         )
         assert nominal.trajectory is not None
@@ -271,8 +271,6 @@ class TestSolve:
             ShootingConfig(p0_initial=np.zeros(1), max_iterations=0)
         with pytest.raises(ValueError):
             ShootingConfig(p0_initial=np.zeros(1), epsilon=0.0)
-        with pytest.raises(ValueError):
-            ShootingConfig(p0_initial=np.zeros(1), delta_p=-1.0)
 
     def test_progress_sink_sees_every_iteration(self):
         problem = inert_problem(n=1)
@@ -379,10 +377,144 @@ class TestLockstepSensitivities:
         assert f"[interval {intervals[0]}," in str(excinfo.value)
 
 
+def coupled_problem():
+    """x0' = x1, x1' = 0: the dynamics Jacobian is not symmetric, so the
+    costate tangent tells F_x^T from F_x."""
+    return ControlProblem(
+        state_dim=2,
+        control_dim=1,
+        horizon=1.0,
+        initial_state=np.array([0.5, 2.0]),
+        running_cost=lambda t, x, u: 0.0,
+        dynamics=lambda t, x, u: np.array([x[1], 0.0]),
+        control_lower=np.array([-1.0]),
+        control_upper=np.array([1.0]),
+    )
+
+
+def desk_problem():
+    problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+    return problem, TimePartition.uniform(1.0, 200), GridParams(101, 4096)
+
+
+#: a central difference with step 1e-6 * max(1, |x_j|) of dynamics affine in
+#: x is exact up to rounding of about eps / 1e-6 = 2e-10 relative per
+#: interval, which largely cancels over the run (lqr and drift-only measure
+#: 5e-12 and 6e-12)
+AFFINE_RTOL = 1e-10
+
+
+class TestTangentSensitivities:
+    def tangent(self, problem, intervals, p0, grid):
+        part = TimePartition.uniform(problem.horizon, intervals)
+        nominal = propagate_forward(problem, part, p0, grid)
+        return tangent_sensitivities(problem, part, nominal)
+
+    def test_lqr_closed_form(self):
+        # f = x + u: every interval multiplies the costate tangent by 1 - dt
+        p0 = np.array([lqr_analytic_solution(0.0)[1]])
+        sens = self.tangent(build_lqr(), 100, p0, GridParams(101, 4096))
+        assert np.array_equal(sens.P_x, np.zeros((1, 1)))
+        expected = (1.0 - 1.0 / 100) ** 100
+        assert abs(sens.P_p[0, 0] - expected) <= AFFINE_RTOL * expected
+
+    def test_grocer_closed_form(self):
+        # the grocer's drift is -x plus terms free of x
+        problem, part, grid = grocer_10()
+        sens = self.tangent(problem, 10, np.zeros(20), grid)
+        assert np.array_equal(sens.P_x, np.zeros((20, 20)))
+        expected = (1.0 + 0.1) ** 10 * np.eye(20)
+        assert np.max(np.abs(sens.P_p - expected)) <= 1e-9 * expected[0, 0]
+
+    def test_inert_problem_gives_identity(self):
+        sens = self.tangent(inert_problem(), 5, np.zeros(2), GridParams(3, 16))
+        assert np.array_equal(sens.P_x, np.zeros((2, 2)))
+        assert np.array_equal(sens.P_p, np.eye(2))
+
+    def test_drift_only_closed_form(self):
+        sens = self.tangent(drift_only_problem(), 10, np.zeros(2), GridParams(3, 16))
+        assert np.array_equal(sens.P_x, np.zeros((2, 2)))
+        expected = np.diag([(1.0 + 0.1) ** 10, (1.0 - 0.05) ** 10])
+        assert np.max(np.abs(sens.P_p - expected)) <= AFFINE_RTOL * expected[0, 0]
+
+    def test_costate_tangent_uses_transposed_jacobian(self):
+        # p0' = 0, p1' = -p0, so p_T = (p0(0), p1(0) - p0(0)); the nilpotent
+        # Jacobian makes the Euler product exact
+        sens = self.tangent(coupled_problem(), 10, np.zeros(2), GridParams(3, 16))
+        expected = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        assert np.max(np.abs(sens.P_p - expected)) <= AFFINE_RTOL
+        reference = finite_diff_sensitivities(
+            coupled_problem(), TimePartition.uniform(1.0, 10), np.zeros(2), 1e-3, GridParams(3, 16)
+        )
+        assert np.max(np.abs(sens.P_p - reference.P_p)) <= 1e-6
+
+    def test_partition_must_match_nominal(self):
+        problem = inert_problem()
+        part = TimePartition.uniform(1.0, 5)
+        nominal = propagate_forward(problem, part, np.zeros(2), GridParams(3, 16))
+        with pytest.raises(ValueError):
+            tangent_sensitivities(problem, TimePartition.uniform(1.0, 4), nominal)
+
+    def test_desk_solve_runs_no_perturbed_propagation(self, monkeypatch):
+        problem, part, grid = desk_problem()
+        forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
+        calls = {"forward": 0, "levels": 0}
+
+        def counted_forward(*args, **kwargs):
+            calls["forward"] += 1
+            return forward(*args, **kwargs)
+
+        def counted_levels(*args, **kwargs):
+            calls["levels"] += 1
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "propagate_forward", counted_forward)
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted_levels)
+        config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)
+        result = solve(problem, part, config, grid)
+        assert result.converged and result.iterations == 4
+        # one propagation per iteration, one level generation per interval
+        assert calls == {"forward": 4, "levels": 800}
+
+
+class TestConditionNumbers:
+    def test_newton_correction_records_condition(self):
+        # inert problem, no ridge: the correction matrix is -I
+        config = ShootingConfig(p0_initial=np.array([3.0]), gamma=1.0, ridge=0.0)
+        result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 3), config, GridParams(3, 16))
+        assert result.condition_numbers == (1.0,)
+
+    def test_refused_matrix_records_nan(self, monkeypatch, tmp_path):
+        def singular(*args, **kwargs):
+            raise SingularCorrection("forced")
+
+        monkeypatch.setattr(shooting, "update_initial_costate", singular)
+        config = ShootingConfig(p0_initial=np.array([2.0]), gamma=0.5, epsilon=1e-3)
+        result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 2), config, GridParams(3, 16))
+        assert len(result.condition_numbers) == result.iterations - 1 > 0
+        assert all(np.isnan(c) for c in result.condition_numbers)
+        export_convergence(result, tmp_path / "convergence.json")
+        written = json.loads((tmp_path / "convergence.json").read_text())
+        assert written["condition_numbers"] == [None] * (result.iterations - 1)
+
+    def test_condition_of_the_first_correction(self):
+        problem, part = drift_only_problem(), TimePartition.uniform(1.0, 10)
+        p0 = np.ones(2)
+        config = ShootingConfig(p0_initial=p0, max_iterations=2, epsilon=1e-15)
+        result = solve(problem, part, config, GridParams(3, 16))
+        nominal = propagate_forward(problem, part, p0, GridParams(3, 16))
+        sens = tangent_sensitivities(problem, part, nominal)
+        # no terminal cost: the matrix is ridge * I - P_p
+        expected = np.linalg.cond(config.ridge * np.eye(2) - sens.P_p)
+        assert result.condition_numbers[0] == expected
+        closed_form = (1.1**10 - config.ridge) / (0.95**10 - config.ridge)
+        assert expected == pytest.approx(closed_form, rel=1e-9)
+
+
 class TestStepKinds:
     def test_newton_steps_recorded(self):
         config = ShootingConfig(
-            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3, ridge=0.0, delta_p=0.25
+            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3, ridge=0.0
         )
         result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 3), config, GridParams(3, 16))
         assert result.step_kinds == ("newton",)
