@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import (
     Array,
     ControlProblem,
+    eval_drift,
     eval_dynamics_batch,
 )
 
@@ -240,11 +241,10 @@ def _coarsen_counts(problem: ControlProblem, k_per_dim: int, cap: int) -> np.nda
             return counts
 
 
-def _feasible_from_dynamics(
-    problem: ControlProblem, x: Array, dt: float, f: Array
-) -> np.ndarray:
-    x_next = x + dt * f
-    ok = np.ones(f.shape[0], dtype=bool)
+def _in_box(problem: ControlProblem, x_next: Array) -> np.ndarray:
+    """Which rows of ``x_next`` lie inside the state box within
+    STEP_FEASIBILITY_TOL."""
+    ok = np.ones(x_next.shape[0], dtype=bool)
     if problem.state_lower is not None:
         ok &= np.all(x_next >= problem.state_lower - STEP_FEASIBILITY_TOL, axis=1)
     if problem.state_upper is not None:
@@ -252,13 +252,65 @@ def _feasible_from_dynamics(
     return ok
 
 
-def _step_feasible(
-    problem: ControlProblem, t: float, x: Array, dt: float, controls: Array
-) -> np.ndarray:
-    """Which rows of ``controls`` keep x + dt * f(t, x, u) inside the state
-    box (within STEP_FEASIBILITY_TOL)."""
-    f = eval_dynamics_batch(problem, t, x, controls)
-    return _feasible_from_dynamics(problem, x, dt, f)
+def _bisect_ends(
+    problem: ControlProblem,
+    step: Callable[[Array], Array],
+    anchor: Array,
+    cols: Array,
+    a: Array,
+    b: Array,
+) -> Array:
+    """Bisect each control dimension ``cols[r]`` between its feasible point
+    ``a[r]`` and its infeasible end ``b[r]``, the other controls held at
+    ``anchor``; returns the last feasible points."""
+    rows = np.arange(cols.size)
+    probe = np.tile(anchor, (cols.size, 1))
+    for _ in range(BOUND_SEARCH_ITERATIONS):
+        mid_ab = 0.5 * (a + b)
+        probe[rows, cols] = mid_ab
+        ok = _in_box(problem, step(probe))
+        a = np.where(ok, mid_ab, a)
+        b = np.where(ok, b, mid_ab)
+    return a
+
+
+def _affine_ends(
+    problem: ControlProblem,
+    dt: float,
+    x_start: Array,
+    cols: Array,
+    a: Array,
+    b: Array,
+) -> Array:
+    """Closed-form twin of ``_bisect_ends`` for control-affine dynamics.
+
+    Moving control ``cols[r]`` a distance w from ``a[r]`` toward ``b[r]``
+    moves the next state from its feasible value ``x_start[r]`` along
+    ``+-dt * control_matrix[cols[r]]``, so the distance at which the first
+    state bound binds is one division per state coordinate (zero rates bind
+    nothing).  The end returned is the bisection's: the last point of its
+    grid ``a + k (b - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance,
+    so it stays inside the bound by less than one bracket, as the
+    bisection's does.  The margin matters: an end exactly on a bound can
+    round outside it once several dimensions move together in the product
+    filter, which drops a level that the bisection keeps.
+    """
+    sign = np.sign(b - a)
+    rate = sign[:, None] * (dt * problem.control_matrix[cols])
+    reach = np.full(rate.shape, np.inf)
+    # the slack at x_start is >= 0: it passed the same comparison in _in_box
+    if problem.state_lower is not None:
+        slack = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
+        falling = rate < 0.0
+        reach[falling] = slack[falling] / -rate[falling]
+    if problem.state_upper is not None:
+        slack = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
+        rising = rate > 0.0
+        reach[rising] = np.minimum(reach[rising], slack[rising] / rate[rising])
+    bracket = np.abs(b - a) * 2.0 ** -BOUND_SEARCH_ITERATIONS
+    # b itself is infeasible and never a bisection point
+    steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
+    return a + sign * (steps * bracket)
 
 
 def level_bound_search(
@@ -270,10 +322,12 @@ def level_bound_search(
 
     The other dimensions are held at an anchor: the midpoint of the control
     box, then (for dimensions whose whole slice was infeasible) the lower
-    bound, then the upper bound.  On the first anchor with a feasible point
-    (the lower end if it passes, else the upper end, else the midpoint) each
-    infeasible end is found by bisection from that point, which assumes the
-    violation is monotone toward that end.  Without state bounds the full
+    bound, then the upper bound.  A dimension is found at the first anchor
+    where its lower end, upper end or midpoint is feasible (the start point,
+    in that order of preference); each infeasible end is then found from the
+    start point, which assumes the violation is monotone toward that end.
+    Control-affine problems get that end in closed form (``_affine_ends``)
+    from one drift evaluation; others bisect.  Without state bounds the full
     control intervals come back unchanged.  Raises ``InfeasibleLevels`` when
     some dimension has no feasible point at any anchor.
     """
@@ -288,6 +342,18 @@ def level_bound_search(
     lo_out, hi_out = np.array(lower), np.array(upper)
     pending = np.asarray(dims, dtype=np.intp)
     x = np.asarray(x, dtype=float)
+    affine = problem.drift is not None
+    if affine:
+        drift = eval_drift(problem, t, x)
+
+        def step(probe: Array) -> Array:
+            return x + dt * (drift + probe @ problem.control_matrix)
+
+    else:
+
+        def step(probe: Array) -> Array:
+            return x + dt * eval_dynamics_batch(problem, t, x, probe)
+
     for anchor in (0.5 * (lower + upper), lower, upper):
         if pending.size == 0:
             break
@@ -297,29 +363,30 @@ def level_bound_search(
         probe = np.tile(anchor, (2 * pending.size, 1))
         probe[0::2][rows, pending] = lo
         probe[1::2][rows, pending] = hi
-        ends_ok = _step_feasible(problem, t, x, dt, probe).reshape(-1, 2)
+        ends = step(probe)
+        ends_ok = _in_box(problem, ends).reshape(-1, 2)
         lo_ok, hi_ok = ends_ok[:, 0], ends_ok[:, 1]
         found = lo_ok | hi_ok
+        # the next state at each dimension's start point
+        x_start = np.where(lo_ok[:, None], ends[0::2], ends[1::2])
         both_bad = ~found
         if np.any(both_bad):
             probe = np.tile(anchor, (int(both_bad.sum()), 1))
             probe[np.arange(probe.shape[0]), pending[both_bad]] = mid[both_bad]
-            found[both_bad] = _step_feasible(problem, t, x, dt, probe)
-        # one bisection row per (dimension, infeasible end), lower end first
-        bisect = np.stack([found & ~lo_ok, found & ~hi_ok], axis=1)
-        which, side = np.nonzero(bisect)
+            mids = step(probe)
+            found[both_bad] = _in_box(problem, mids)
+            x_start[both_bad] = mids
+        # one search row per (dimension, infeasible end), lower end first
+        search = np.stack([found & ~lo_ok, found & ~hi_ok], axis=1)
+        which, side = np.nonzero(search)
         if which.size:
             cols = pending[which]
             a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]  # feasible
             b = np.where(side == 0, lo[which], hi[which])  # infeasible
-            rows = np.arange(which.size)
-            probe = np.tile(anchor, (which.size, 1))
-            for _ in range(BOUND_SEARCH_ITERATIONS):
-                mid_ab = 0.5 * (a + b)
-                probe[rows, cols] = mid_ab
-                ok = _step_feasible(problem, t, x, dt, probe)
-                a = np.where(ok, mid_ab, a)
-                b = np.where(ok, b, mid_ab)
+            if affine:
+                a = _affine_ends(problem, dt, x_start[which], cols, a, b)
+            else:
+                a = _bisect_ends(problem, step, anchor, cols, a, b)
             lo_out[cols[side == 0]] = a[side == 0]
             hi_out[cols[side == 1]] = a[side == 1]
         pending = pending[~found]
@@ -425,7 +492,7 @@ def generate_levels_with_dynamics(
     f_kept: Optional[Array] = None
     if problem.has_state_bounds:
         f = eval_dynamics_batch(problem, t, x_i, levels)
-        keep = _feasible_from_dynamics(problem, x_i, dt, f)
+        keep = _in_box(problem, x_i + dt * f)
         if not np.any(keep):
             raise InfeasibleLevels(
                 f"no product level satisfies the one-step state bounds at t={t}"

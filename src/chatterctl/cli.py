@@ -8,7 +8,8 @@ validate         run oracle comparisons (lqr | lp | gradients | tables |
                  sensitivities)
 export-fixtures  write the grocer parameter tables as CSV
 
-Exit codes: 0 success/converged, 2 iteration budget exhausted, 1 error.
+Exit codes: 0 success/converged, 2 not converged (iteration budget exhausted
+or a cycle of iterates detected), 1 error.
 Verbosity comes from the CHATTER_LOG env var (quiet | info | debug).
 """
 
@@ -33,6 +34,9 @@ from .model import (
     ControlProblem,
     HamiltonianContext,
     NonFiniteEvaluation,
+    _central_difference,
+    eval_drift,
+    eval_drift_jacobian,
     eval_dynamics,
     grad_h_costate,
     grad_h_state,
@@ -333,7 +337,10 @@ def _fd_reference(problem: ControlProblem, ctx: HamiltonianContext, u) -> np.nda
 
 def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tuple[bool, List[str]]:
     """Analytic dH/dx against central differences, and dH/dp against the
-    dynamics, on random evaluation points for both built-in problems."""
+    dynamics, on random evaluation points for both built-in problems; also
+    their control-affine hooks: ``drift + u @ control_matrix`` must equal the
+    dynamics exactly and ``drift_jacobian`` a central difference of the
+    drift."""
     rng = np.random.default_rng(seed)
     lines: List[str] = []
     ok = True
@@ -364,10 +371,21 @@ def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tupl
                 grad_h_costate(problem, ctx, u), eval_dynamics(problem, t, x, u)
             ):
                 bad += 1
+            affine = eval_drift(problem, t, x) + u @ problem.control_matrix
+            if not np.array_equal(affine, eval_dynamics(problem, t, x, u)):
+                bad += 1
+            jacobian = eval_drift_jacobian(problem, t, x)
+            fd = _central_difference(lambda y: eval_drift(problem, t, y), x).T
+            tol = max(1e-6, 1e-4 * float(np.linalg.norm(jacobian)))
+            err = float(np.max(np.abs(jacobian - fd)))
+            worst = max(worst, err / tol)
+            if err > tol:
+                bad += 1
         ok = ok and bad == 0
         lines.append(
             f"{name}: {points_per_problem - bad}/{points_per_problem} points within "
-            f"tolerance (worst err/tol {worst:.2e}); dH/dp identical to dynamics"
+            f"tolerance (worst err/tol {worst:.2e}); dH/dp identical to dynamics, "
+            "and drift + u @ control_matrix identical to dynamics"
         )
     return ok, lines
 

@@ -52,6 +52,16 @@ class ControlProblem:
     (off) or confined to an active range ``[low, high]``; level generation
     lays out ``{0} + grid(low, high)`` for them instead of a plain uniform
     grid.
+
+    ``drift``, ``control_matrix`` and ``drift_jacobian`` describe
+    control-affine dynamics ``f(t, x, u) = drift(t, x) + u @ control_matrix``
+    with a constant ``(m, n)`` control matrix and the ``(n, n)`` Jacobian
+    ``d drift_i / d x_j``.  When given, they must agree with ``dynamics``;
+    the batch dynamics then cost one drift evaluation and one product (and
+    ``dynamics_batch`` is not consulted), level ranges come in closed form,
+    and the shooting tangent is analytic.
+    ``drift`` and ``control_matrix`` come together; ``drift_jacobian`` needs
+    both.
     """
 
     state_dim: int
@@ -71,6 +81,9 @@ class ControlProblem:
     dynamics_batch: Optional[Callable[[float, Array, Array], Array]] = None
     running_cost_batch: Optional[Callable[[float, Array, Array], Array]] = None
     gated_dims: Optional[Mapping[int, Tuple[float, float]]] = None
+    drift: Optional[Callable[[float, Array], Array]] = None
+    control_matrix: Optional[Array] = None
+    drift_jacobian: Optional[Callable[[float, Array], Array]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -105,6 +118,16 @@ class ControlProblem:
                     raise ValueError(f"gated dim {dim} out of range")
                 if not lo <= hi:
                     raise ValueError(f"gated dim {dim} has empty active range")
+        if (self.drift is None) != (self.control_matrix is None):
+            raise ValueError("drift and control_matrix must be given together")
+        if self.drift_jacobian is not None and self.drift is None:
+            raise ValueError("drift_jacobian needs drift and control_matrix")
+        if self.control_matrix is not None:
+            object.__setattr__(self, "control_matrix", _readonly(self.control_matrix))
+            if self.control_matrix.shape != (m, n):
+                raise ValueError(f"control_matrix must have shape ({m}, {n})")
+            if not np.all(np.isfinite(self.control_matrix)):
+                raise ValueError("control_matrix must be finite")
 
     @property
     def has_state_bounds(self) -> bool:
@@ -142,10 +165,34 @@ def eval_running_cost(problem: ControlProblem, t: float, x: Array, u: Array) -> 
     return g
 
 
+def eval_drift(problem: ControlProblem, t: float, x: Array) -> Array:
+    """The control-free part ``drift(t, x)`` of control-affine dynamics."""
+    d = np.asarray(problem.drift(t, x), dtype=float)
+    if d.shape != (problem.state_dim,):
+        raise ValueError("drift returned the wrong shape")
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteEvaluation(f"drift returned a non-finite value at t={t}")
+    return d
+
+
+def eval_drift_jacobian(problem: ControlProblem, t: float, x: Array) -> Array:
+    """``d drift_i / d x_j`` at (t, x), shape (n, n)."""
+    n = problem.state_dim
+    jac = np.asarray(problem.drift_jacobian(t, x), dtype=float)
+    if jac.shape != (n, n):
+        raise ValueError("drift_jacobian returned the wrong shape")
+    if not np.all(np.isfinite(jac)):
+        raise NonFiniteEvaluation(f"drift_jacobian returned a non-finite value at t={t}")
+    return jac
+
+
 def eval_dynamics_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:
-    """Dynamics at one (t, x) for a (K, m) block of controls, shape (K, n)."""
+    """Dynamics at one (t, x) for a (K, m) block of controls, shape (K, n);
+    one drift evaluation and one product for control-affine problems."""
     controls = np.asarray(controls, dtype=float)
-    if problem.dynamics_batch is not None:
+    if problem.drift is not None:
+        f = eval_drift(problem, t, x) + controls @ problem.control_matrix
+    elif problem.dynamics_batch is not None:
         f = np.asarray(problem.dynamics_batch(t, x, controls), dtype=float)
     else:
         f = np.stack([np.asarray(problem.dynamics(t, x, u), dtype=float) for u in controls])
@@ -198,8 +245,9 @@ def _fd_state_step(x: Array, j: int) -> float:
 
 
 def _central_difference(fn: Callable[[Array], object], x: Array) -> Array:
-    """Entry j is (fn(x + h e_j) - fn(x - h e_j)) / (2h) with
-    h = ``_fd_state_step(x, j)``; a vector-valued ``fn`` gives one row per j."""
+    """Entry j is (fn(x + h e_j) - fn(x - h e_j)) divided by the realised step
+    between the two points (2h up to rounding), with h =
+    ``_fd_state_step(x, j)``; a vector-valued ``fn`` gives one row per j."""
     diffs = []
     for j in range(x.size):
         h = _fd_state_step(x, j)
@@ -207,7 +255,7 @@ def _central_difference(fn: Callable[[Array], object], x: Array) -> Array:
         xm = np.array(x)
         xp[j] += h
         xm[j] -= h
-        diffs.append((fn(xp) - fn(xm)) / (2.0 * h))
+        diffs.append((fn(xp) - fn(xm)) / (xp[j] - xm[j]))
     return np.array(diffs)
 
 

@@ -52,9 +52,6 @@ def build_lqr() -> ControlProblem:
     def running_cost_batch(t, x, U):
         return x[0] ** 2 + U[:, 0] ** 2
 
-    def dynamics_batch(t, x, U):
-        return (x[0] + U[:, 0])[:, None]
-
     def h_x_gradient(t, x, p, u):
         return np.array([2.0 * x[0] + p[0]])
 
@@ -69,7 +66,9 @@ def build_lqr() -> ControlProblem:
         control_upper=np.array([LQR_CONTROL_BOUNDS[1]]),
         hamiltonian_x_gradient=h_x_gradient,
         running_cost_batch=running_cost_batch,
-        dynamics_batch=dynamics_batch,
+        drift=lambda t, x: np.asarray(x, dtype=float),
+        control_matrix=np.ones((1, 1)),
+        drift_jacobian=lambda t, x: np.ones((1, 1)),
         name="lqr",
     )
 
@@ -254,21 +253,6 @@ def synthetic_demand(profile: str, amplitude: float, period: float = 1.0) -> Dem
 # ---------------------------------------------------------------------------
 
 
-def _memoized_matrix(build: Callable[[float], Array]) -> Callable[[float], Array]:
-    """Single-slot memoization; interval solves hammer the same t."""
-    cache: Dict[float, Array] = {}
-
-    def lookup(t: float) -> Array:
-        hit = cache.get(t)
-        if hit is None:
-            hit = build(t)
-            cache.clear()
-            cache[t] = hit
-        return hit
-
-    return lookup
-
-
 def build_supply_chain(
     demand: DemandModel,
     horizon: float,
@@ -348,7 +332,7 @@ def build_supply_chain(
                 rate[rec.item_id] += float(rec.supply_rate(t))
         return rate
 
-    supply_vec = _memoized_matrix(build_supply) if has_supply else (lambda t: 0.0)
+    supply_vec = build_supply if has_supply else (lambda t: 0.0)
 
     default_revenue = revenue_factor * alpha_env
 
@@ -377,19 +361,12 @@ def build_supply_chain(
             col = n_sup + c * n_items + j
             B[col, j] = -1.0  # inventory drain
             B[col, n_items + j * n_cust + c] = -1.0  # unmet-demand drain
-    # theta laid out like the Z state block (item-major)
-    theta_state = _memoized_matrix(lambda t: build_theta(t).T.ravel())
 
     def state_drift(t: float, x: Array) -> Array:
-        return np.concatenate([-x[:n_items] + supply_vec(t), -x[n_items:] + theta_state(t)])
-
-    def dynamics_batch(t: float, x: Array, U: Array) -> Array:
-        U = np.asarray(U, dtype=float)
         x = np.asarray(x, dtype=float)
-        return state_drift(t, x) + U @ B
-
-    # unit revenue per delivery column, customer-major like the control layout
-    revenue_cols = _memoized_matrix(lambda t: build_revenue(t).ravel())
+        # theta laid out like the Z state block (item-major)
+        theta_state = build_theta(t).T.ravel()
+        return np.concatenate([-x[:n_items] + supply_vec(t), -x[n_items:] + theta_state])
 
     def net_cost_rate_batch(t: float, x: Array, U: Array) -> Array:
         U = np.asarray(U, dtype=float)
@@ -397,7 +374,8 @@ def build_supply_chain(
         X, Z_ci = split_state(x)
         mu_hat = U[:, :n_sup] @ agg
         ordering = mu_hat @ alpha_env
-        revenue = U[:, n_sup:] @ revenue_cols(t)
+        # unit revenue per delivery column, customer-major like the control layout
+        revenue = U[:, n_sup:] @ build_revenue(t).ravel()
         if fixed_cost_mode == "on-order":
             fixed = (mu_hat > 0.0) @ beta_env
         else:
@@ -410,7 +388,7 @@ def build_supply_chain(
         return J * np.abs(J)
 
     def dynamics(t: float, x: Array, u: Array) -> Array:
-        return dynamics_batch(t, x, np.asarray(u, dtype=float)[None, :])[0]
+        return state_drift(t, x) + np.asarray(u, dtype=float) @ B
 
     def running_cost(t: float, x: Array, u: Array) -> float:
         return float(running_cost_batch(t, x, np.asarray(u, dtype=float)[None, :])[0])
@@ -440,9 +418,11 @@ def build_supply_chain(
         control_upper=control_upper,
         hamiltonian_x_gradient=h_x_gradient,
         state_lower=np.zeros(n),
-        dynamics_batch=dynamics_batch,
         running_cost_batch=running_cost_batch,
         gated_dims=gated,
+        drift=state_drift,
+        control_matrix=B,
+        drift_jacobian=lambda t, x: -np.eye(n),
         name="supply-chain",
     )
 

@@ -23,7 +23,7 @@ generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .model import (
     ControlProblem,
     NonFiniteEvaluation,
     _central_difference,
+    eval_drift_jacobian,
     eval_dynamics_batch,
     terminal_costate,
     terminal_hessian,
@@ -173,9 +174,11 @@ def tangent_sensitivities(
     Each interval's measure (the point's support levels and weights) is held
     fixed.  Then the state path does not depend on p0 and x_0 is fixed, so
     ``P_x`` is exactly 0.  H is affine in p, so the costate step's
-    derivative in p is ``I - dt F_x^T`` with ``F_x = sum_k a_k df/dx``, a
-    central difference of the dynamics at the support levels; the tangent
-    starts at I and ``P_p`` is its terminal value.
+    derivative in p is ``I - dt F_x^T`` with ``F_x = sum_k a_k df/dx``; the
+    tangent starts at I and ``P_p`` is its terminal value.  With a
+    ``drift_jacobian`` hook ``F_x`` is that Jacobian, whatever the measure;
+    otherwise it is a central difference of the dynamics at the support
+    levels.
 
     The tangent does not see level switches: a change of p0 that moves an
     interval's argmin changes the terminal pair in a way it misses.
@@ -187,11 +190,14 @@ def tangent_sensitivities(
     n = problem.state_dim
     dp = np.eye(n)
     for point, dt in zip(nominal.points, partition.deltas.tolist()):
-        levels, weights = point.grid.levels, point.measure.weights
-        # row j is d/dx_j of the measure-weighted dynamics: F_x^T
-        F_xT = _central_difference(
-            lambda x: weights @ eval_dynamics_batch(problem, point.t, x, levels), point.x
-        )
+        if problem.drift_jacobian is not None:
+            F_xT = eval_drift_jacobian(problem, point.t, point.x).T
+        else:
+            levels, weights = point.grid.levels, point.measure.weights
+            # row j is d/dx_j of the measure-weighted dynamics: F_x^T
+            F_xT = _central_difference(
+                lambda x: weights @ eval_dynamics_batch(problem, point.t, x, levels), point.x
+            )
         dp = dp - dt * (F_xT @ dp)
     return SensitivityEstimate(np.zeros((n, n)), dp)
 
@@ -247,6 +253,11 @@ def solve(
     matches the terminal cost gradient within ``config.epsilon`` or the
     iteration budget runs out.  Returns the best-residual iterate either way.
 
+    The loop is deterministic, so a guess equal, bit for bit, to an earlier
+    iterate's would repeat the same cycle of iterates forever: the run stops
+    before propagating it, with ``converged=False`` and a message naming
+    the repeated iteration and the cycle length.
+
     Infeasible level generation ends the run with ``converged=False`` and a
     diagnostic message instead of raising; non-finite evaluations propagate.
     """
@@ -261,7 +272,18 @@ def solve(
     best_p0 = np.array(p0)
     converged = False
     message = ""
+    # the iteration that propagated each guess, by the guess's bytes
+    seen: Dict[bytes, int] = {}
     for _ in range(config.max_iterations):
+        iteration = len(history) + 1
+        earlier = seen.get(p0.tobytes())
+        if earlier is not None:
+            message = (
+                f"the guess for iteration {iteration} repeats iteration {earlier}: "
+                f"the iterates cycle with length {iteration - earlier}"
+            )
+            break
+        seen[p0.tobytes()] = iteration
         try:
             trajectory = propagate_forward(problem, partition, p0, grid_params)
         except InfeasibleLevels as err:

@@ -1,11 +1,12 @@
 """Independent oracles the tests compare the solver against.
 
 None of these run in the solver itself: closed forms, per-table envelopes,
-a single-row reference step, a signal average, and the one-propagation-per-
+a single-row reference step, a signal average, the one-propagation-per-
 coordinate finite-difference loop that the lockstep sensitivities must
-reproduce bit for bit.
+reproduce bit for bit, and a control-affine problem stripped of its hooks.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,3 +82,17 @@ def sequential_sensitivities(problem, partition, p0, delta_p, grid_params) -> Se
         P_x[:, j] = (perturbed.x - nominal.x) / delta_p
         P_p[:, j] = (perturbed.p - nominal.p) / delta_p
     return SensitivityEstimate(P_x, P_p)
+
+
+def without_hooks(problem):
+    """The same problem without its control-affine hooks, so the solver takes
+    the generic path (bisection level ranges, central-difference tangent);
+    the batch dynamics stay vectorized."""
+    drift, B = problem.drift, problem.control_matrix
+    return dataclasses.replace(
+        problem,
+        drift=None,
+        control_matrix=None,
+        drift_jacobian=None,
+        dynamics_batch=lambda t, x, U: drift(t, x) + U @ B,
+    )

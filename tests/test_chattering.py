@@ -11,18 +11,24 @@ from chatterctl import (
     GridParams,
     InfeasibleLevels,
     LevelGrid,
+    TimePartition,
+    build_supply_chain,
     control_from_measure,
     level_bound_search,
+    propagate_forward,
     realize_signal,
+    replay_measurement_source,
     solve_measure_lp,
+    synthetic_demand,
 )
+from chatterctl import chattering
 from chatterctl.chattering import (
     BOUND_SEARCH_ITERATIONS,
     STEP_FEASIBILITY_TOL,
     _coarsen_counts,
     generate_levels_with_dynamics,
 )
-from oracles import signal_time_average
+from oracles import signal_time_average, without_hooks
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
@@ -336,6 +342,98 @@ class TestLevelBoundSearch:
             assert level_bound_search(problem, 0.0, x, dt, dims) == expected
         assert fallbacks > 0
         assert infeasible > 0
+
+
+def random_affine_problem(rng):
+    """x' = A u + c - 0.5 x on the state box [-0.4, 0.4]^n, with the
+    control-affine hooks: drift c - 0.5 x and control matrix A^T."""
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    a = rng.normal(size=(n, m))
+    a[rng.uniform(size=(n, m)) < 0.2] = 0.0  # zero entries bind nothing
+    c = 0.5 * rng.normal(size=n)
+    lower = rng.uniform(-2.0, 0.0, m)
+    return ControlProblem(
+        state_dim=n,
+        control_dim=m,
+        horizon=1.0,
+        initial_state=rng.uniform(-0.4, 0.4, n),
+        running_cost=lambda t, x, u: 0.0,
+        dynamics=lambda t, x, u: a @ u + c - 0.5 * x,
+        control_lower=lower,
+        control_upper=lower + rng.uniform(0.0, 3.0, m),
+        state_lower=np.full(n, -0.4),
+        state_upper=np.full(n, 0.4),
+        drift=lambda t, x: c - 0.5 * x,
+        control_matrix=a.T,
+        drift_jacobian=lambda t, x: -0.5 * np.eye(n),
+    )
+
+
+def feedback_replay(seed):
+    """The desk problem, a replay table of every second interval and p0 as
+    the feedback benchmark draws them for ``seed``."""
+    problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+    rng = np.random.default_rng(seed)
+    scale = np.concatenate([np.full(5, 1e5), np.full(15, 1e2)])
+    p0 = scale * rng.uniform(0.5, 2.0, 20)
+    table = {
+        i: np.concatenate([rng.uniform(0.0, 10.0, 5), rng.uniform(0.0, 1.0, 15)])
+        for i in range(2, 200, 2)
+    }
+    return problem, p0, replay_measurement_source(table)
+
+
+class TestClosedFormLevelRanges:
+    def test_matches_bisection(self):
+        rng = np.random.default_rng(20172)
+        fallbacks = infeasible = 0
+        for _ in range(300):
+            problem = random_affine_problem(rng)
+            stripped = without_hooks(problem)
+            x = problem.initial_state
+            dt = float(rng.uniform(0.05, 0.5))
+            dims = list(range(problem.control_dim))
+            try:
+                bisected = level_bound_search(stripped, 0.0, x, dt, dims)
+            except InfeasibleLevels:
+                infeasible += 1
+                with pytest.raises(InfeasibleLevels):
+                    level_bound_search(problem, 0.0, x, dt, dims)
+                continue
+            closed = level_bound_search(problem, 0.0, x, dt, dims)
+            _, anchors_used = reference_bound_search(stripped, 0.0, x, dt, dims)
+            fallbacks += sum(k > 0 for k in anchors_used)
+            lower, upper = problem.control_lower, problem.control_upper
+            bracket = (upper - lower) * 2.0**-BOUND_SEARCH_ITERATIONS
+            assert np.all(np.abs(np.subtract(closed, bisected)) <= bracket[:, None])
+            anchors = (0.5 * (lower + upper), lower, upper)
+            for d, ends, k in zip(dims, closed, anchors_used):
+                for end in ends:
+                    u = np.array(anchors[k])
+                    u[d] = end
+                    x_next = x + dt * problem.dynamics(0.0, x, u)
+                    assert np.all(np.abs(x_next) <= 0.4 + STEP_FEASIBILITY_TOL)
+        assert fallbacks > 0
+        assert infeasible > 0
+
+    def test_search_makes_no_dynamics_calls(self, monkeypatch):
+        problem = random_affine_problem(np.random.default_rng(3))
+        # a call would raise TypeError
+        monkeypatch.setattr(chattering, "eval_dynamics_batch", None)
+        level_bound_search(problem, 0.0, problem.initial_state, 0.1, range(problem.control_dim))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replayed_desk_grids_match_bisection(self, seed):
+        problem, p0, source = feedback_replay(seed)
+        stripped = without_hooks(problem)
+        partition = TimePartition.uniform(1.0, 200)
+        params = GridParams(101, 4096)
+        trajectory = propagate_forward(problem, partition, p0, params, source)
+        for pt, dt in zip(trajectory.points, partition.deltas.tolist()):
+            closed, _ = generate_levels_with_dynamics(problem, pt.t, pt.x, dt, params)
+            bisected, _ = generate_levels_with_dynamics(stripped, pt.t, pt.x, dt, params)
+            assert closed.K == bisected.K, f"interval at t={pt.t}"
+            assert np.max(np.abs(closed.levels - bisected.levels)) <= 1e-8
 
 
 class TestGenerateLevels:

@@ -192,6 +192,14 @@ class TestSolveCommand:
         payload = json.loads((tmp_path / "convergence.json").read_text())
         assert payload["converged"] is False
 
+    def test_detected_cycle_exits_two(self, tmp_path):
+        code = main(["solve", "--problem", "lqr", "--intervals", "20", "--out-dir", str(tmp_path)])
+        assert code == 2
+        payload = json.loads((tmp_path / "convergence.json").read_text())
+        assert payload["converged"] is False
+        assert "cycle" in payload["message"]
+        assert payload["iterations"] < 500
+
     def test_two_runs_are_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["solve", "--problem", "lqr", "--intervals", "60"]
@@ -250,7 +258,9 @@ class TestValidateCommand:
 
     def test_gradients(self, capsys):
         assert main(["validate", "gradients"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("drift + u @ control_matrix identical to dynamics") == 2
+        assert "PASS" in out
 
     def test_sensitivities(self, capsys):
         assert main(["validate", "sensitivities"]) == 0

@@ -15,6 +15,7 @@ from chatterctl import (
     terminal_costate,
     terminal_hessian,
 )
+from chatterctl.model import eval_dynamics_batch
 
 
 def ctx(t=0.0, x=(10.0,), p=(0.0,)):
@@ -105,6 +106,28 @@ class TestGradHCostate:
         assert grad_h_costate(problem, ctx(x=(3.0,)), np.array([-3.0]))[0] == 0.0
 
 
+class TestControlAffineHooks:
+    def test_batch_dynamics_from_drift_and_matrix(self):
+        B = np.array([[1.0, -2.0], [0.5, 0.0]])
+        problem = make_problem(
+            state_dim=2,
+            control_dim=2,
+            initial_state=np.zeros(2),
+            control_lower=np.full(2, -1.0),
+            control_upper=np.full(2, 1.0),
+            drift=lambda t, x: np.array([t, -x[1]]),
+            control_matrix=B,
+        )
+        controls = np.array([[0.25, -1.0], [1.0, 0.5]])
+        f = eval_dynamics_batch(problem, 2.0, np.array([0.0, 3.0]), controls)
+        assert np.array_equal(f, np.array([2.0, -3.0]) + controls @ B)
+
+    def test_non_finite_drift_raises(self):
+        problem = make_problem(drift=lambda t, x: np.array([np.inf]), control_matrix=np.ones((1, 1)))
+        with pytest.raises(NonFiniteEvaluation):
+            eval_dynamics_batch(problem, 0.0, np.zeros(1), np.zeros((2, 1)))
+
+
 class TestGradHState:
     def test_analytic_lqr(self):
         problem = build_lqr()
@@ -182,6 +205,29 @@ class TestProblemValidation:
     def test_positive_horizon_required(self):
         with pytest.raises(ValueError):
             make_problem(horizon=0.0)
+
+    @pytest.mark.parametrize(
+        "hooks",
+        [
+            dict(drift=lambda t, x: x, control_matrix=np.array([[np.nan]])),
+            dict(drift=lambda t, x: x, control_matrix=np.ones((1, 2))),
+            dict(drift=lambda t, x: x),
+            dict(control_matrix=np.ones((1, 1))),
+            dict(drift_jacobian=lambda t, x: np.ones((1, 1))),
+            dict(drift=lambda t, x: x, drift_jacobian=lambda t, x: np.ones((1, 1))),
+        ],
+        ids=[
+            "non-finite-matrix",
+            "matrix-shape",
+            "drift-without-matrix",
+            "matrix-without-drift",
+            "jacobian-alone",
+            "jacobian-without-matrix",
+        ],
+    )
+    def test_control_affine_hooks_rejected(self, hooks):
+        with pytest.raises(ValueError):
+            make_problem(**hooks)
 
     def test_context_requires_finite_entries(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from chatterctl import (
 from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
 from chatterctl.shooting import tangent_sensitivities
-from oracles import lqr_hamiltonian_flow, sequential_sensitivities
+from oracles import lqr_hamiltonian_flow, sequential_sensitivities, without_hooks
 
 
 def inert_problem(n=2, horizon=1.0):
@@ -264,6 +264,17 @@ class TestSolve:
         assert result.iterations == 2
         assert "budget" in result.message
 
+    def test_repeated_guess_stops_the_cycle(self):
+        # at 20 intervals the lqr iterates hop across the root by one level
+        # switch and repeat with period 3
+        config = ShootingConfig(p0_initial=np.zeros(1), max_iterations=500)
+        result = solve(build_lqr(), TimePartition.uniform(1.0, 20), config, GridParams(101, 4096))
+        assert not result.converged
+        assert result.iterations < 60
+        assert "repeats iteration" in result.message
+        assert "cycle with length 3" in result.message
+        assert result.residual == np.min(result.residual_history)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShootingConfig(p0_initial=np.zeros(1), gamma=0.0)
@@ -397,11 +408,10 @@ def desk_problem():
     return problem, TimePartition.uniform(1.0, 200), GridParams(101, 4096)
 
 
-#: a central difference with step 1e-6 * max(1, |x_j|) of dynamics affine in
-#: x is exact up to rounding of about eps / 1e-6 = 2e-10 relative per
-#: interval, which largely cancels over the run (lqr and drift-only measure
-#: 5e-12 and 6e-12)
-AFFINE_RTOL = 1e-10
+#: lqr's drift Jacobian is analytic, and a central difference divided by its
+#: realised step is exact on the drift-only problem's exactly evaluated
+#: dynamics, so the closed forms hold to rounding (both measure 9e-16)
+AFFINE_RTOL = 1e-13
 
 
 class TestTangentSensitivities:
@@ -447,6 +457,21 @@ class TestTangentSensitivities:
             coupled_problem(), TimePartition.uniform(1.0, 10), np.zeros(2), 1e-3, GridParams(3, 16)
         )
         assert np.max(np.abs(sens.P_p - reference.P_p)) <= 1e-6
+
+    @pytest.mark.parametrize("case", ["grocer", "lqr"])
+    def test_drift_jacobian_matches_central_differences(self, case):
+        if case == "grocer":
+            problem, part, grid = grocer_10()
+            p0 = np.zeros(20)
+        else:
+            problem, part, grid = build_lqr(), TimePartition.uniform(1.0, 100), GridParams(101, 4096)
+            p0 = np.array([lqr_analytic_solution(0.0)[1]])
+        nominal = propagate_forward(problem, part, p0, grid)
+        analytic = tangent_sensitivities(problem, part, nominal)
+        reference = tangent_sensitivities(without_hooks(problem), part, nominal)
+        assert np.array_equal(analytic.P_x, reference.P_x)
+        scale = np.max(np.abs(reference.P_p))
+        assert np.max(np.abs(analytic.P_p - reference.P_p)) <= 1e-9 * scale
 
     def test_partition_must_match_nominal(self):
         problem = inert_problem()
