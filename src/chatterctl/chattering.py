@@ -241,14 +241,15 @@ def _coarsen_counts(problem: ControlProblem, k_per_dim: int, cap: int) -> np.nda
             return counts
 
 
-def _in_box(problem: ControlProblem, x_next: Array) -> np.ndarray:
+def _in_box(problem: ControlProblem, x_next: Array, coords=slice(None)) -> np.ndarray:
     """Which rows of ``x_next`` lie inside the state box within
-    STEP_FEASIBILITY_TOL."""
+    STEP_FEASIBILITY_TOL; the columns of ``x_next`` are the state
+    coordinates ``coords`` (all of them by default)."""
     ok = np.ones(x_next.shape[0], dtype=bool)
     if problem.state_lower is not None:
-        ok &= np.all(x_next >= problem.state_lower - STEP_FEASIBILITY_TOL, axis=1)
+        ok &= np.all(x_next >= problem.state_lower[coords] - STEP_FEASIBILITY_TOL, axis=1)
     if problem.state_upper is not None:
-        ok &= np.all(x_next <= problem.state_upper + STEP_FEASIBILITY_TOL, axis=1)
+        ok &= np.all(x_next <= problem.state_upper[coords] + STEP_FEASIBILITY_TOL, axis=1)
     return ok
 
 
@@ -438,23 +439,50 @@ def _scalar_grid(
         raise InfeasibleLevels(
             f"gated control dimension {dim} admits neither zero nor its active range"
         )
-    return np.unique(np.asarray(values, dtype=float))
+    vals = np.asarray(values, dtype=float)
+    # the active grid ascends, so only a zero placed before it can be out of order
+    if vals.size > 1 and vals[0] > vals[1]:
+        vals.sort()
+    return _dedupe_sorted(vals)
 
 
 @functools.lru_cache(maxsize=64)
-def _product_indices(sizes: Tuple[int, ...]) -> Array:
-    """Read-only index matrix enumerating the Cartesian product of
-    per-dimension grids in lexicographic order; cached because interval
-    after interval reuses the same per-dimension counts."""
+def _product_indices(sizes: Tuple[int, ...]) -> Tuple[Array, Array]:
+    """Positions into the concatenated per-dimension grids that enumerate
+    their Cartesian product in lexicographic order, as a read-only
+    ``(prod(sizes), len(sizes))`` matrix, and the read-only indices of the
+    varying dimensions (size > 1).  Cached because interval after interval
+    reuses the same per-dimension counts."""
     total = int(np.prod(sizes))
-    idx = np.empty((total, len(sizes)), dtype=np.intp)
+    pos = np.empty((total, len(sizes)), dtype=np.intp)
     stride = total
+    offset = 0
     rows = np.arange(total)
     for j, size in enumerate(sizes):
         stride //= size
-        idx[:, j] = rows // stride % size
-    idx.setflags(write=False)
-    return idx
+        pos[:, j] = rows // stride % size + offset
+        offset += size
+    varying = np.flatnonzero(np.asarray(sizes) > 1)
+    pos.setflags(write=False)
+    varying.setflags(write=False)
+    return pos, varying
+
+
+def _affine_in_box(
+    problem: ControlProblem, x_i: Array, dt: float, f: Array, varying: Array
+) -> np.ndarray:
+    """``_in_box`` of the product rows' next states ``x_i + dt * f`` for
+    control-affine dynamics.  A state coordinate that no varying control
+    dimension moves (its ``control_matrix`` column is zero on ``varying``)
+    has the same next value on every row, so it is tested on row 0 alone;
+    the others are tested on every row."""
+    moved = np.any(problem.control_matrix[varying] != 0.0, axis=0)
+    if not _in_box(problem, (x_i + dt * f[0])[None, ~moved], ~moved)[0]:
+        return np.zeros(f.shape[0], dtype=bool)
+    x_next = f[:, moved]
+    x_next *= dt
+    x_next += x_i[moved]
+    return _in_box(problem, x_next, moved)
 
 
 def generate_levels_with_dynamics(
@@ -467,8 +495,9 @@ def generate_levels_with_dynamics(
     state box).  The multidimensional grid is the Cartesian product with
     per-dimension counts coarsened uniformly so the total stays within
     ``params.cap``; when state bounds are present, product vectors whose
-    joint one-step prediction leaves the box are dropped.  Rows come back
-    sorted lexicographically.
+    joint one-step prediction leaves the box are dropped (for control-affine
+    problems, by ``_affine_in_box``).  Rows come back sorted
+    lexicographically.
 
     Also returns the dynamics at the surviving levels when the admissibility
     filter already computed them (None otherwise), so the propagation loop
@@ -482,17 +511,18 @@ def generate_levels_with_dynamics(
         _scalar_grid(problem, j, ranges[j][0], ranges[j][1], int(counts[j]))
         for j in range(m)
     ]
-    sizes = tuple(int(g.size) for g in grids)
-    # lexicographic Cartesian product via index arithmetic (dimension count
-    # is not limited the way np.meshgrid is); one flat gather fills the grid
-    idx = _product_indices(sizes)
-    flat = np.concatenate(grids)
-    offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
-    levels = flat[idx + offsets]
+    # lexicographic Cartesian product by one gather from the concatenated
+    # grids (dimension count is not limited the way np.meshgrid is); an
+    # index, not ndarray.take, which copies a read-only ``pos`` every call
+    pos, varying = _product_indices(tuple(int(g.size) for g in grids))
+    levels = np.concatenate(grids)[pos]
     f_kept: Optional[Array] = None
     if problem.has_state_bounds:
         f = eval_dynamics_batch(problem, t, x_i, levels)
-        keep = _in_box(problem, x_i + dt * f)
+        if problem.control_matrix is None:
+            keep = _in_box(problem, x_i + dt * f)
+        else:
+            keep = _affine_in_box(problem, x_i, dt, f, varying)
         if not np.any(keep):
             raise InfeasibleLevels(
                 f"no product level satisfies the one-step state bounds at t={t}"

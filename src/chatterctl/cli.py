@@ -64,7 +64,6 @@ class SolveConfig:
     gamma: float = 0.5
     eps: float = 1e-3
     max_iters: int = 500
-    ridge: float = 1e-8
     p0: Optional[List[float]] = None
     demand: str = "seasonal"
     amplitude: float = 5.0
@@ -87,8 +86,6 @@ class SolveConfig:
             raise ConfigError("eps must be positive")
         if self.max_iters < 1:
             raise ConfigError("max-iters must be >= 1")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be >= 0")
         if self.demand not in problems.DEMAND_PROFILES:
             raise ConfigError(f"demand must be one of {problems.DEMAND_PROFILES}")
         if self.fixed_cost_mode not in ("on-order", "always"):
@@ -240,7 +237,6 @@ def run_solve(config: SolveConfig) -> int:
             gamma=config.gamma,
             epsilon=config.eps,
             max_iterations=config.max_iters,
-            ridge=config.ridge,
         )
         grid_params = GridParams(config.levels, config.level_cap)
 
@@ -489,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float)
     sp.add_argument("--eps", type=float)
     sp.add_argument("--max-iters", type=int, dest="max_iters")
-    sp.add_argument("--ridge", type=float)
     sp.add_argument("--p0", type=str, help="comma-separated initial costate guess")
     sp.add_argument("--demand", choices=problems.DEMAND_PROFILES)
     sp.add_argument("--amplitude", type=float)

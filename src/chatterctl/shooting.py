@@ -40,8 +40,8 @@ from .model import (
 )
 from .propagation import TimePartition, Trajectory, propagate_forward, propagate_terminals
 
-#: refuse the linear correction when the regularized matrix is worse
-#: conditioned than this
+#: refuse the linear correction when its matrix is worse conditioned than
+#: this
 CONDITION_LIMIT = 1e14
 
 #: per-iteration progress callback: (iteration, residual, cost)
@@ -49,8 +49,8 @@ ProgressSink = Callable[[int, float, float], None]
 
 
 class SingularCorrection(RuntimeError):
-    """The sensitivity correction matrix is numerically singular even after
-    regularization; callers fall back to a plain residual gradient step."""
+    """The sensitivity correction matrix is numerically singular; callers
+    fall back to a plain residual gradient step."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class ShootingConfig:
     gamma: float = 0.5
     epsilon: float = 1e-3
     max_iterations: int = 500
-    ridge: float = 1e-8
 
     def __post_init__(self):
         p0 = np.array(self.p0_initial, dtype=float)
@@ -81,8 +80,6 @@ class ShootingConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,8 @@ class ShootingResult:
     message: str = ""
     #: one per correction: "newton", or "gradient" after a SingularCorrection
     step_kinds: Tuple[str, ...] = ()
-    #: one per correction: the condition number of the regularized
-    #: correction matrix, nan where the matrix was refused
+    #: one per correction: the condition number of the correction matrix,
+    #: nan where the matrix was refused and the gradient step taken
     condition_numbers: Tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -203,17 +200,16 @@ def tangent_sensitivities(
 
 
 def _correction_matrix(
-    problem: ControlProblem, sens: SensitivityEstimate, x_T: Array, ridge: float
+    problem: ControlProblem, sens: SensitivityEstimate, x_T: Array
 ) -> Tuple[Array, float]:
-    """The regularized correction matrix Hess(psi)(x_T) P_x - P_p + ridge I
-    and its condition number."""
+    """The correction matrix Hess(psi)(x_T) P_x - P_p and its condition
+    number (inf when the estimate fails)."""
     M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
-    M_reg = M + ridge * np.eye(M.shape[0])
     try:
-        cond = float(np.linalg.cond(M_reg))
-    except np.linalg.LinAlgError as err:  # pragma: no cover - cond rarely fails
-        raise SingularCorrection("condition estimate failed") from err
-    return M_reg, cond
+        cond = float(np.linalg.cond(M))
+    except np.linalg.LinAlgError:  # pragma: no cover - cond rarely fails
+        cond = np.inf
+    return M, cond
 
 
 def update_initial_costate(
@@ -223,22 +219,25 @@ def update_initial_costate(
     x_T: Array,
     problem: ControlProblem,
     gamma: float,
-    ridge: float,
+    correction: Optional[Tuple[Array, float]] = None,
 ) -> Array:
     """One correction of the initial costate guess:
 
         p0 <- p0 + gamma * (Hess(psi)(x_T) P_x - P_p)^-1 (p_T - dpsi/dx(x_T))
 
-    solved densely with a ridge on the diagonal.
+    solved densely and unregularized.  ``correction`` is the matrix and its
+    condition number from ``_correction_matrix``, built here when omitted.
+    Raises ``SingularCorrection`` when the condition number is not finite
+    or exceeds ``CONDITION_LIMIT``.
     """
     p0 = np.asarray(p0, dtype=float)
     residual = p_T - terminal_costate(problem, x_T)
-    M_reg, cond = _correction_matrix(problem, sens, x_T, ridge)
+    M, cond = correction if correction is not None else _correction_matrix(problem, sens, x_T)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularCorrection(
             f"correction matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    step = np.linalg.solve(M_reg, residual)
+    step = np.linalg.solve(M, residual)
     return p0 + gamma * step
 
 
@@ -305,12 +304,13 @@ def solve(
         if len(history) >= config.max_iterations:
             break
         sens = tangent_sensitivities(problem, partition, trajectory)
+        correction = _correction_matrix(problem, sens, x_T)
         try:
             p0 = update_initial_costate(
-                p0, sens, p_T, x_T, problem, config.gamma, config.ridge
+                p0, sens, p_T, x_T, problem, config.gamma, correction
             )
             step_kinds.append("newton")
-            condition_numbers.append(_correction_matrix(problem, sens, x_T, config.ridge)[1])
+            condition_numbers.append(correction[1])
         except SingularCorrection:
             # plain residual gradient step keeps the loop alive
             p0 = p0 - config.gamma * (p_T - terminal_costate(problem, x_T))

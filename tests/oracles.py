@@ -3,7 +3,9 @@
 None of these run in the solver itself: closed forms, per-table envelopes,
 a single-row reference step, a signal average, the one-propagation-per-
 coordinate finite-difference loop that the lockstep sensitivities must
-reproduce bit for bit, and a control-affine problem stripped of its hooks.
+reproduce bit for bit, a control-affine problem stripped of its hooks, and
+the full-width product grid and filter that the level generator must
+reproduce bit for bit.
 """
 
 import dataclasses
@@ -11,8 +13,9 @@ import math
 
 import numpy as np
 
-from chatterctl import SensitivityEstimate, propagate_forward
-from chatterctl.chattering import ChatteringSignal, LevelGrid
+from chatterctl import SensitivityEstimate, chattering, propagate_forward
+from chatterctl.chattering import ChatteringSignal, InfeasibleLevels, LevelGrid
+from chatterctl.model import eval_drift
 from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
 
 
@@ -96,3 +99,43 @@ def without_hooks(problem):
         drift_jacobian=None,
         dynamics_batch=lambda t, x, U: drift(t, x) + U @ B,
     )
+
+
+def reference_scalar_grid(problem, dim, lo, hi, count):
+    """One control dimension's level values as ``np.unique`` of the
+    candidates: zero when a gated dimension's range holds it, then the
+    uniform grid of the (active) range on the slots left."""
+    values = []
+    gated = problem.gated_dims.get(dim) if problem.gated_dims else None
+    if gated is not None:
+        if lo <= 0.0 <= hi:
+            values.append(0.0)
+        lo, hi = max(gated[0], lo), min(gated[1], hi)
+    if lo <= hi and count > len(values):
+        values.extend(chattering._uniform_grid(lo, hi, count - len(values)))
+    if not values:
+        raise InfeasibleLevels(f"control dimension {dim} has no level")
+    return np.unique(values)
+
+
+def full_width_levels(problem, t, x, dt, grid_params):
+    """The level generator's grid and dynamics rows for a control-affine
+    problem, built the long way: the whole lexicographic product
+    (``np.meshgrid``) of the ``reference_scalar_grid`` values, kept where
+    ``_in_box`` passes on every state coordinate of
+    ``x + dt * (drift + levels @ B)``.  Returns the kept ``(levels, f)``
+    and the keep mask over the whole product; raises ``InfeasibleLevels``
+    when no row is kept."""
+    m = problem.control_dim
+    ranges = chattering.level_bound_search(problem, t, x, dt, range(m))
+    counts = chattering._coarsen_counts(problem, grid_params.k_per_dim, grid_params.cap)
+    grids = [
+        reference_scalar_grid(problem, j, lo, hi, int(count))
+        for j, ((lo, hi), count) in enumerate(zip(ranges, counts))
+    ]
+    levels = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1)
+    f = eval_drift(problem, t, x) + levels @ problem.control_matrix
+    keep = chattering._in_box(problem, x + dt * f)
+    if not keep.any():
+        raise InfeasibleLevels("no product level satisfies the one-step state bounds")
+    return levels[keep], f[keep], keep

@@ -178,7 +178,7 @@ class TestAcceptance:
         partition = TimePartition.uniform(1.0, 5)
         p0 = np.array([3.0, -4.0])
         config = ShootingConfig(
-            p0_initial=p0, gamma=0.5, epsilon=1e-9, ridge=0.0,
+            p0_initial=p0, gamma=0.5, epsilon=1e-9,
             max_iterations=60,
         )
         result = solve(problem, partition, config, GridParams(3, 16))

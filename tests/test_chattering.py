@@ -28,7 +28,7 @@ from chatterctl.chattering import (
     _coarsen_counts,
     generate_levels_with_dynamics,
 )
-from oracles import signal_time_average, without_hooks
+from oracles import full_width_levels, signal_time_average, without_hooks
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
@@ -434,6 +434,115 @@ class TestClosedFormLevelRanges:
             bisected, _ = generate_levels_with_dynamics(stripped, pt.t, pt.x, dt, params)
             assert closed.K == bisected.K, f"interval at t={pt.t}"
             assert np.max(np.abs(closed.levels - bisected.levels)) <= 1e-8
+
+
+def random_product_problem(rng):
+    """x' = c - 0.5 x + u @ B on the state box [-0.4, 0.4]^n, with the
+    control-affine hooks.  Controls 0 and 1 are the narrowest, so a tight
+    cap leaves them one level each, and they alone move state 0, both the
+    same way: state 0 is then moved by no varying control, and can be
+    infeasible at every product level although each control alone keeps it
+    feasible.  Control 0 is sometimes fixed at a nonzero value, and the last
+    control is sometimes gated with an active range around zero."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(3, 6))
+    b = rng.normal(size=(m, n))
+    b[rng.uniform(size=(m, n)) < 0.3] = 0.0
+    b[:2, 0] = rng.uniform(0.5, 1.5, 2)
+    b[2:, 0] = 0.0
+    c = 0.2 * rng.normal(size=n)
+    lower = rng.uniform(-1.0, -0.1, m)
+    width = np.concatenate([rng.uniform(0.1, 0.5, 2), rng.uniform(1.0, 2.0, m - 2)])
+    if rng.uniform() < 0.3:
+        width[0] = 0.0
+    gated = None
+    if rng.uniform() < 0.5:
+        gated = {m - 1: (float(rng.uniform(lower[-1], 0.0)), float(rng.uniform(0.0, 1.0)))}
+    return ControlProblem(
+        state_dim=n,
+        control_dim=m,
+        horizon=1.0,
+        initial_state=rng.uniform(-0.4, 0.4, n),
+        running_cost=lambda t, x, u: 0.0,
+        dynamics=lambda t, x, u: c - 0.5 * x + u @ b,
+        control_lower=lower,
+        control_upper=lower + width,
+        state_lower=np.full(n, -0.4),
+        state_upper=np.full(n, 0.4),
+        gated_dims=gated,
+        drift=lambda t, x: c - 0.5 * x,
+        control_matrix=b,
+        drift_jacobian=lambda t, x: -0.5 * np.eye(n),
+    )
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestLeanProductFilter:
+    """The generator tests the box on every row only for the state
+    coordinates that a varying control moves, and the rest on row 0; the
+    full-width oracle tests every coordinate on every row."""
+
+    @staticmethod
+    def compare(problem, t, x, dt, params):
+        """Checks the generator against the oracle; returns the oracle's
+        keep mask over the whole product, or None when both raise."""
+        try:
+            levels, f, keep = full_width_levels(problem, t, x, dt, params)
+        except InfeasibleLevels:
+            with pytest.raises(InfeasibleLevels):
+                generate_levels_with_dynamics(problem, t, x, dt, params)
+            return None
+        grid, f_kept = generate_levels_with_dynamics(problem, t, x, dt, params)
+        assert_bitwise(grid.levels, levels)
+        assert_bitwise(f_kept, f)
+        return keep
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replayed_desk_states(self, seed):
+        problem, p0, source = feedback_replay(seed)
+        partition = TimePartition.uniform(1.0, 200)
+        params = GridParams(101, 4096)
+        trajectory = propagate_forward(problem, partition, p0, params, source)
+        for pt, dt in zip(trajectory.points, partition.deltas.tolist()):
+            assert self.compare(problem, pt.t, pt.x, dt, params) is not None
+
+    def test_random_control_affine_problems(self):
+        rng = np.random.default_rng(2017)
+        raised = dropped = 0
+        for _ in range(300):
+            problem = random_product_problem(rng)
+            dt = float(rng.uniform(0.05, 0.5))
+            params = GridParams(3, int(rng.integers(1, 3 ** (problem.control_dim - 1) + 1)))
+            keep = self.compare(problem, 0.0, problem.initial_state, dt, params)
+            raised += keep is None
+            dropped += keep is not None and not keep.all()
+        assert raised > 0 and dropped > 0
+
+    def test_unmoved_coordinate_infeasible_at_every_level(self):
+        # controls 0 and 1 (one level each under the cap) alone move state 0;
+        # each keeps it feasible with the other at its midpoint, but their
+        # lower ends together give -0.8 on every row
+        problem = ControlProblem(
+            state_dim=2,
+            control_dim=3,
+            horizon=1.0,
+            initial_state=np.zeros(2),
+            running_cost=lambda t, x, u: 0.0,
+            dynamics=lambda t, x, u: np.array([u[0] + u[1], u[2]]),
+            control_lower=np.array([-0.5, -0.5, -1.0]),
+            control_upper=np.array([0.5, 0.5, 1.0]),
+            state_lower=np.full(2, -0.4),
+            state_upper=np.full(2, 0.4),
+            drift=lambda t, x: np.zeros(2),
+            control_matrix=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            drift_jacobian=lambda t, x: np.zeros((2, 2)),
+        )
+        params = GridParams(3, 3)
+        assert list(_coarsen_counts(problem, 3, 3)) == [1, 1, 3]
+        assert self.compare(problem, 0.0, np.zeros(2), 1.0, params) is None
 
 
 class TestGenerateLevels:

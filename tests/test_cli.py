@@ -54,6 +54,12 @@ class TestConfig:
         assert main(["solve", "--delta-p", "0.25", "--out-dir", str(tmp_path)]) == 1
         assert "--delta-p" in capsys.readouterr().err
 
+    def test_removed_ridge_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"ridge": 1e-8}), encoding="utf-8")
+        assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "unknown config key 'ridge'" in capsys.readouterr().err
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "config.json"
         serialize_config(SolveConfig(intervals=40, gamma=0.25), path)

@@ -90,7 +90,7 @@ class TestUpdateInitialCostate:
         problem = inert_problem(n=1)
         sens = SensitivityEstimate(np.zeros((1, 1)), np.array([[2.0]]))
         new_p0 = update_initial_costate(
-            np.array([4.0]), sens, np.array([1.0]), np.zeros(1), problem, 1.0, 0.0
+            np.array([4.0]), sens, np.array([1.0]), np.zeros(1), problem, 1.0
         )
         assert new_p0[0] == pytest.approx(3.5, abs=1e-15)
 
@@ -98,7 +98,7 @@ class TestUpdateInitialCostate:
         problem = inert_problem(n=1)
         sens = SensitivityEstimate(np.zeros((1, 1)), np.array([[1.0]]))
         new_p0 = update_initial_costate(
-            np.array([2.0]), sens, np.zeros(1), np.zeros(1), problem, 0.7, 0.0
+            np.array([2.0]), sens, np.zeros(1), np.zeros(1), problem, 0.7
         )
         assert new_p0[0] == 2.0
 
@@ -107,7 +107,7 @@ class TestUpdateInitialCostate:
         sens = SensitivityEstimate(np.zeros((1, 1)), np.eye(1))
         p0 = np.array([8.0])
         for _ in range(4):
-            p0 = update_initial_costate(p0, sens, p0, np.zeros(1), problem, 0.5, 0.0)
+            p0 = update_initial_costate(p0, sens, p0, np.zeros(1), problem, 0.5)
         assert p0[0] == 0.5**4 * 8.0
 
     def test_singular_matrix_raises(self):
@@ -115,7 +115,7 @@ class TestUpdateInitialCostate:
         sens = SensitivityEstimate(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(SingularCorrection):
             update_initial_costate(
-                np.zeros(2), sens, np.ones(2), np.zeros(2), problem, 0.5, 0.0
+                np.zeros(2), sens, np.ones(2), np.zeros(2), problem, 0.5
             )
 
 
@@ -124,7 +124,7 @@ class TestSolve:
         problem = inert_problem(n=1)
         part = TimePartition.uniform(1.0, 3)
         config = ShootingConfig(
-            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3, ridge=0.0
+            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3
         )
         result = solve(problem, part, config, GridParams(3, 16))
         assert result.converged
@@ -137,7 +137,7 @@ class TestSolve:
         part = TimePartition.uniform(1.0, 4)
         p0 = np.array([3.0, -4.0])
         config = ShootingConfig(
-            p0_initial=p0, gamma=0.5, epsilon=1e-9, ridge=0.0, max_iterations=40
+            p0_initial=p0, gamma=0.5, epsilon=1e-9, max_iterations=40
         )
         result = solve(problem, part, config, GridParams(3, 16))
         assert result.converged
@@ -197,11 +197,11 @@ class TestSolve:
         sens = SensitivityEstimate(P_x=np.array([[1.0]]), P_p=np.array([[1.0]]))
         with pytest.raises(SingularCorrection):
             update_initial_costate(
-                np.array([1.0]), sens, np.array([2.0]), np.array([1.0]), problem, 0.5, 0.0
+                np.array([1.0]), sens, np.array([2.0]), np.array([1.0]), problem, 0.5
             )
         # the outer loop absorbs the singularity via the gradient fallback
         part = TimePartition.uniform(1.0, 2)
-        config = ShootingConfig(p0_initial=np.array([5.0]), gamma=0.5, ridge=0.0)
+        config = ShootingConfig(p0_initial=np.array([5.0]), gamma=0.5)
         result = solve(problem, part, config, GridParams(3, 16))
         assert result.converged
 
@@ -287,7 +287,7 @@ class TestSolve:
         problem = inert_problem(n=1)
         part = TimePartition.uniform(1.0, 2)
         seen = []
-        config = ShootingConfig(p0_initial=np.array([2.0]), gamma=0.5, ridge=0.0, epsilon=1e-6)
+        config = ShootingConfig(p0_initial=np.array([2.0]), gamma=0.5, epsilon=1e-6)
         solve(
             problem,
             part,
@@ -497,15 +497,17 @@ class TestTangentSensitivities:
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted_levels)
         config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)
         result = solve(problem, part, config, grid)
-        assert result.converged and result.iterations == 4
+        assert result.converged and result.iterations == 3
+        # the unregularized Newton step lands on the root of the affine map
+        assert result.residual_history[-1] < 1e-6
         # one propagation per iteration, one level generation per interval
-        assert calls == {"forward": 4, "levels": 800}
+        assert calls == {"forward": 3, "levels": 600}
 
 
 class TestConditionNumbers:
     def test_newton_correction_records_condition(self):
-        # inert problem, no ridge: the correction matrix is -I
-        config = ShootingConfig(p0_initial=np.array([3.0]), gamma=1.0, ridge=0.0)
+        # inert problem: the correction matrix is -I
+        config = ShootingConfig(p0_initial=np.array([3.0]), gamma=1.0)
         result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 3), config, GridParams(3, 16))
         assert result.condition_numbers == (1.0,)
 
@@ -529,17 +531,17 @@ class TestConditionNumbers:
         result = solve(problem, part, config, GridParams(3, 16))
         nominal = propagate_forward(problem, part, p0, GridParams(3, 16))
         sens = tangent_sensitivities(problem, part, nominal)
-        # no terminal cost: the matrix is ridge * I - P_p
-        expected = np.linalg.cond(config.ridge * np.eye(2) - sens.P_p)
+        # no terminal cost: the matrix is -P_p
+        expected = np.linalg.cond(-sens.P_p)
         assert result.condition_numbers[0] == expected
-        closed_form = (1.1**10 - config.ridge) / (0.95**10 - config.ridge)
+        closed_form = 1.1**10 / 0.95**10
         assert expected == pytest.approx(closed_form, rel=1e-9)
 
 
 class TestStepKinds:
     def test_newton_steps_recorded(self):
         config = ShootingConfig(
-            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3, ridge=0.0
+            p0_initial=np.array([3.0]), gamma=1.0, epsilon=1e-3
         )
         result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 3), config, GridParams(3, 16))
         assert result.step_kinds == ("newton",)
