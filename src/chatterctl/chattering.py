@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,18 +214,27 @@ def realize_signal(
 
 
 def _coarsen_counts(problem: ControlProblem, k_per_dim: int, cap: int) -> np.ndarray:
-    """Per-dimension level counts, as uniform as possible, with product <= cap.
+    """Per-dimension level counts, as uniform as possible, with product <= cap
+    (read-only, shared between equal calls: see ``_counts_for_widths``)."""
+    widths = problem.control_upper - problem.control_lower
+    return _counts_for_widths(widths.tobytes(), k_per_dim, cap)
+
+
+@functools.lru_cache(maxsize=64)
+def _counts_for_widths(widths: bytes, k_per_dim: int, cap: int) -> np.ndarray:
+    """``_coarsen_counts`` for the control widths given as float64 bytes.
 
     Counts are raised round-robin from 1 toward ``k_per_dim``, stopping as
     soon as another increment would bust the cap.  Within a round, dimensions
     with a wider control range come first (ties by index): under heavy cap
     pressure only some dimensions can afford a second point, and an extra
-    point buys the most where the range it discretizes is widest.
+    point buys the most where the range it discretizes is widest.  A
+    zero-width dimension holds one value and is never raised.  Cached because
+    the counts depend on nothing that changes between intervals.
     """
-    m = problem.control_dim
-    widths = problem.control_upper - problem.control_lower
-    order = sorted(range(m), key=lambda j: (-widths[j], j))
-    counts = np.ones(m, dtype=int)
+    w = np.frombuffer(widths)
+    order = sorted(np.flatnonzero(w > 0.0).tolist(), key=lambda j: (-w[j], j))
+    counts = np.ones(w.size, dtype=int)
     product = 1
     while True:
         bumped = False
@@ -238,6 +247,7 @@ def _coarsen_counts(problem: ControlProblem, k_per_dim: int, cap: int) -> np.nda
                 product = trial
                 bumped = True
         if not bumped:
+            counts.setflags(write=False)
             return counts
 
 
@@ -421,10 +431,10 @@ def _dedupe_sorted(vals: Array) -> Array:
 
 
 def _scalar_grid(
-    problem: ControlProblem, dim: int, c_lo: float, c_hi: float, count: int
+    gated: Optional[Tuple[float, float]], dim: int, c_lo: float, c_hi: float, count: int
 ) -> Array:
-    """Distinct ascending level values for one control dimension."""
-    gated = problem.gated_dims.get(dim) if problem.gated_dims else None
+    """Distinct ascending level values for control dimension ``dim``, whose
+    active range is ``gated`` if it is a gated dimension (None otherwise)."""
     if gated is None:
         return _dedupe_sorted(_uniform_grid(c_lo, c_hi, count))
     active_lo = max(gated[0], c_lo)
@@ -485,6 +495,42 @@ def _affine_in_box(
     return _in_box(problem, x_next, moved)
 
 
+def _product_levels(
+    gated_dims: Optional[Mapping[int, Tuple[float, float]]],
+    ranges: Sequence[Tuple[float, float]],
+    counts: Array,
+) -> Tuple[Array, Array]:
+    """The lexicographic Cartesian product of the per-dimension grids over
+    ``ranges`` with ``counts`` points, and its varying dimensions."""
+    gated_dims = gated_dims or {}
+    grids = [
+        _scalar_grid(gated_dims.get(j), j, lo, hi, int(count))
+        for j, ((lo, hi), count) in enumerate(zip(ranges, counts))
+    ]
+    # one gather from the concatenated grids (dimension count is not limited
+    # the way np.meshgrid is); an index, not ndarray.take, which copies a
+    # read-only ``pos`` every call
+    pos, varying = _product_indices(tuple(int(g.size) for g in grids))
+    return np.concatenate(grids)[pos], varying
+
+
+@functools.lru_cache(maxsize=16)
+def _unbounded_grid(
+    lower: bytes,
+    upper: bytes,
+    gates: Tuple[Tuple[int, float, float], ...],
+    params: GridParams,
+) -> LevelGrid:
+    """The level grid of every interval of a problem without state bounds,
+    whose ranges are the control bounds (given as float64 bytes); ``gates``
+    lists the gated dimensions as ``(dim, low, high)``."""
+    lo, hi = np.frombuffer(lower), np.frombuffer(upper)
+    counts = _counts_for_widths((hi - lo).tobytes(), params.k_per_dim, params.cap)
+    gated_dims = {dim: (g_lo, g_hi) for dim, g_lo, g_hi in gates}
+    levels, _ = _product_levels(gated_dims, list(zip(lo.tolist(), hi.tolist())), counts)
+    return LevelGrid(levels)
+
+
 def generate_levels_with_dynamics(
     problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams
 ) -> Tuple[LevelGrid, Optional[Array]]:
@@ -497,40 +543,36 @@ def generate_levels_with_dynamics(
     ``params.cap``; when state bounds are present, product vectors whose
     joint one-step prediction leaves the box are dropped (for control-affine
     problems, by ``_affine_in_box``).  Rows come back sorted
-    lexicographically.
+    lexicographically.  Without state bounds the grid is built once per
+    distinct control bounds, gated dimensions and ``params``, and shared
+    read-only.
 
     Also returns the dynamics at the surviving levels when the admissibility
     filter already computed them (None otherwise), so the propagation loop
     skips a second sweep.
     """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not problem.has_state_bounds:
+        gates = tuple(
+            (int(dim), float(g_lo), float(g_hi))
+            for dim, (g_lo, g_hi) in sorted((problem.gated_dims or {}).items())
+        )
+        lower, upper = problem.control_lower.tobytes(), problem.control_upper.tobytes()
+        return _unbounded_grid(lower, upper, gates, params), None
     x_i = np.asarray(x_i, dtype=float)
-    m = problem.control_dim
-    ranges = level_bound_search(problem, t, x_i, dt, range(m))
+    ranges = level_bound_search(problem, t, x_i, dt, range(problem.control_dim))
     counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
-    grids = [
-        _scalar_grid(problem, j, ranges[j][0], ranges[j][1], int(counts[j]))
-        for j in range(m)
-    ]
-    # lexicographic Cartesian product by one gather from the concatenated
-    # grids (dimension count is not limited the way np.meshgrid is); an
-    # index, not ndarray.take, which copies a read-only ``pos`` every call
-    pos, varying = _product_indices(tuple(int(g.size) for g in grids))
-    levels = np.concatenate(grids)[pos]
-    f_kept: Optional[Array] = None
-    if problem.has_state_bounds:
-        f = eval_dynamics_batch(problem, t, x_i, levels)
-        if problem.control_matrix is None:
-            keep = _in_box(problem, x_i + dt * f)
-        else:
-            keep = _affine_in_box(problem, x_i, dt, f, varying)
-        if not np.any(keep):
-            raise InfeasibleLevels(
-                f"no product level satisfies the one-step state bounds at t={t}"
-            )
-        if not np.all(keep):
-            levels = levels[keep]
-            f_kept = f[keep]
-        else:
-            f_kept = f
-    return LevelGrid(levels), f_kept
-
+    levels, varying = _product_levels(problem.gated_dims, ranges, counts)
+    f = eval_dynamics_batch(problem, t, x_i, levels)
+    if problem.control_matrix is None:
+        keep = _in_box(problem, x_i + dt * f)
+    else:
+        keep = _affine_in_box(problem, x_i, dt, f, varying)
+    if not np.any(keep):
+        raise InfeasibleLevels(
+            f"no product level satisfies the one-step state bounds at t={t}"
+        )
+    if not np.all(keep):
+        return LevelGrid(levels[keep]), f[keep]
+    return LevelGrid(levels), f

@@ -12,6 +12,7 @@ from chatterctl import (
     InfeasibleLevels,
     LevelGrid,
     TimePartition,
+    build_lqr,
     build_supply_chain,
     control_from_measure,
     level_bound_search,
@@ -659,3 +660,99 @@ class TestGenerateLevels:
         assert list(_coarsen_counts(one, 101, 4096)) == [101]
         two = box_problem(m=2, control_lower=[-1.0, -1.0], control_upper=[1.0, 1.0])
         assert list(_coarsen_counts(two, 5, 4096)) == [5, 5]
+
+    def test_coarsen_counts_skip_zero_width_dimension(self):
+        # a fixed dimension holds one value, so it must not take cap share
+        problem = box_problem(m=2, control_lower=[-1.0, 0.5], control_upper=[1.0, 0.5])
+        assert list(_coarsen_counts(problem, 101, 101)) == [101, 1]
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, np.zeros(1), 0.1, GridParams(101, 101)
+        )
+        assert grid.K == 101
+        assert np.all(grid.levels[:, 1] == 0.5)
+
+
+class TestLevelMemos:
+    """The state-independent level work is done once and shared."""
+
+    def test_lqr_propagation_builds_one_grid(self, monkeypatch):
+        problem = build_lqr()
+        calls = {"scalar": 0, "levels": 0}
+        scalar_grid, generate = chattering._scalar_grid, chattering.generate_levels_with_dynamics
+
+        def counted_scalar(*args):
+            calls["scalar"] += 1
+            return scalar_grid(*args)
+
+        def counted_levels(*args):
+            calls["levels"] += 1
+            return generate(*args)
+
+        monkeypatch.setattr(chattering, "_scalar_grid", counted_scalar)
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted_levels)
+        chattering._unbounded_grid.cache_clear()
+        partition = TimePartition.uniform(problem.horizon, 100)
+        traj = propagate_forward(problem, partition, np.zeros(1), GridParams())
+        assert len(traj.points) == 101
+        assert calls == {"scalar": 1, "levels": 100}
+
+    def test_unbounded_grid_is_shared_and_read_only(self):
+        problem = build_lqr()
+        params = GridParams()
+        first, f_first = generate_levels_with_dynamics(problem, 0.0, np.array([10.0]), 0.01, params)
+        second, f_second = generate_levels_with_dynamics(problem, 0.7, np.array([-3.0]), 0.02, params)
+        assert f_first is None and f_second is None
+        assert second is first
+        assert not first.levels.flags.writeable
+        with pytest.raises(ValueError):
+            first.levels[0, 0] = 0.0
+        chattering._unbounded_grid.cache_clear()
+        fresh, _ = generate_levels_with_dynamics(problem, 0.0, np.array([10.0]), 0.01, params)
+        assert fresh is not first
+        assert fresh.levels.tobytes() == first.levels.tobytes()
+
+    def test_unbounded_grid_keyed_by_value(self):
+        base = dict(m=2, control_lower=[-1.0, 0.0], control_upper=[1.0, 4.0])
+        x = np.zeros(1)
+
+        def levels(params=GridParams(5, 4096), **changes):
+            problem = box_problem(**{**base, **changes})
+            return generate_levels_with_dynamics(problem, 0.0, x, 0.1, params)[0]
+
+        plain = levels()
+        assert levels() is plain  # a distinct but equal problem shares the grid
+        others = [
+            levels(gated_dims={1: (2.0, 4.0)}),
+            levels(control_upper=[1.0, 3.0]),
+            levels(params=GridParams(4, 4096)),
+            levels(params=GridParams(5, 16)),
+        ]
+        for other in others:
+            assert other is not plain
+            assert other.levels.tobytes() != plain.levels.tobytes()
+        assert not np.any(others[0].levels[:, 1] == 1.0)  # gated: {0} + [2, 4]
+
+    def test_nonpositive_dt_raises_on_warm_memo(self):
+        problem = box_problem()
+        generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams())
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), dt, GridParams())
+
+    def test_inadmissible_gated_dimension_raises_every_call(self):
+        # active range above the control bounds, and zero outside them
+        problem = box_problem(
+            control_lower=[0.5], control_upper=[1.0], gated_dims={0: (2.0, 3.0)}
+        )
+        for _ in range(3):
+            with pytest.raises(InfeasibleLevels):
+                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams())
+
+    def test_coarsen_counts_read_only_and_keyed_by_value(self):
+        one = box_problem(m=3, control_lower=[0.0, -1.0, 2.0], control_upper=[1.0, 1.0, 4.0])
+        two = box_problem(m=3, control_lower=[5.0, 0.0, -2.0], control_upper=[6.0, 2.0, 0.0])
+        counts = _coarsen_counts(one, 101, 4096)
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = 7
+        assert np.array_equal(_coarsen_counts(two, 101, 4096), counts)
