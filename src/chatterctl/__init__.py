@@ -15,7 +15,6 @@ from .chattering import (
     InfeasibleLevels,
     LevelGrid,
     control_from_measure,
-    level_bound_search,
     realize_signal,
     solve_measure_lp,
 )
@@ -32,10 +31,7 @@ from .model import (
 )
 from .problems import (
     ConfigError,
-    CustomerRecord,
     DemandModel,
-    ItemRecord,
-    SupplierRecord,
     build_lqr,
     build_supply_chain,
     lqr_analytic_solution,
@@ -48,7 +44,6 @@ from .propagation import (
     accumulate_cost,
     load_replay_file,
     propagate_forward,
-    propagate_terminals,
     replay_measurement_source,
     step_costate,
     step_state,
@@ -60,7 +55,6 @@ from .shooting import (
     SingularCorrection,
     finite_diff_sensitivities,
     solve,
-    update_initial_costate,
 )
 
 __version__ = "0.1.0"
@@ -70,21 +64,18 @@ __all__ = [
     "ChatteringSignal",
     "ConfigError",
     "ControlProblem",
-    "CustomerRecord",
     "DemandModel",
     "DimensionMismatch",
     "EmptyGrid",
     "GridParams",
     "HamiltonianContext",
     "InfeasibleLevels",
-    "ItemRecord",
     "LevelGrid",
     "NonFiniteEvaluation",
     "SensitivityEstimate",
     "ShootingConfig",
     "ShootingResult",
     "SingularCorrection",
-    "SupplierRecord",
     "TimePartition",
     "Trajectory",
     "TrajectoryPoint",
@@ -97,11 +88,9 @@ __all__ = [
     "finite_diff_sensitivities",
     "grad_h_costate",
     "grad_h_state",
-    "level_bound_search",
     "load_replay_file",
     "lqr_analytic_solution",
     "propagate_forward",
-    "propagate_terminals",
     "realize_signal",
     "replay_measurement_source",
     "solve",
@@ -111,5 +100,4 @@ __all__ = [
     "synthetic_demand",
     "terminal_costate",
     "terminal_hessian",
-    "update_initial_costate",
 ]

@@ -5,12 +5,6 @@ the state moves along the measure-weighted dynamics and the costate against
 the measure-weighted Hamiltonian state-gradient, both evaluated at the
 interval start.  The recorded trajectory, one point per interval start plus a
 terminal point, is the control law the solver ultimately returns.
-
-Runs are sequential in the interval index by data dependence.  Several runs
-(a nominal's finite-difference perturbations) march in lockstep, one interval
-at a time: the level grid depends on (t, x, dt) and not on the costate, so
-runs whose states are bitwise equal share one level generation and differ
-only in their measure LP and steps.
 """
 
 from __future__ import annotations
@@ -221,100 +215,6 @@ def _annotate(err: Exception, interval: int, t: float) -> Exception:
     return tagged
 
 
-class _Run:
-    """One propagation of a march: its current (x, p) and cost and, when it
-    records a trajectory, its points, stage costs and clamp count."""
-
-    def __init__(self, problem: ControlProblem, p0: Array, record: bool):
-        p0 = np.asarray(p0, dtype=float)
-        if not np.all(np.isfinite(p0)):
-            raise ValueError("p0 must be finite")
-        self.x, self.p, self.cost = np.array(problem.initial_state), np.array(p0), 0.0
-        self.points: Optional[List[TrajectoryPoint]] = [] if record else None
-        self.stage_costs: List[float] = []
-        self.clamp_count = 0
-
-
-def _march(
-    problem: ControlProblem,
-    partition: TimePartition,
-    p0s: Sequence[Array],
-    grid_params: GridParams,
-    measurement_source: Optional[MeasurementSource] = None,
-    record: bool = False,
-) -> List[_Run]:
-    """Propagate one run per initial costate in ``p0s``, all in lockstep.
-
-    The level grid and its dynamics and running-cost rows depend on
-    (t, x, dt) alone, so per interval the live runs are grouped by the bytes
-    of their state and each group's grid is generated once.  Each run then
-    solves its own measure LP on that grid and steps as it would alone.
-    A failed run stops and drops the runs after it; the march raises the
-    error of the lowest-index failed run, with its ``run_index``, which is
-    the error that running the propagations one by one would raise first.
-    """
-    runs = [_Run(problem, p0, record) for p0 in p0s]
-    failed = {}
-    live = list(range(len(runs)))
-    for i, (t, dt) in enumerate(zip(partition.times.tolist(), partition.deltas.tolist())):
-        groups = {}
-        for r in live:
-            if measurement_source is not None:
-                measured = measurement_source(i, t, runs[r].x)
-                if measured is not None:
-                    x = np.asarray(measured, dtype=float)
-                    if x.shape != (problem.state_dim,) or not np.all(np.isfinite(x)):
-                        msg = f"measured state must be {problem.state_dim} finite values, got {x.tolist()}"
-                        raise _annotate(ValueError(msg), i, t)
-                    runs[r].x, _ = _clamp(problem, x)
-            groups.setdefault(runs[r].x.tobytes(), []).append(r)
-        for members in groups.values():
-            x = runs[members[0]].x
-            try:
-                grid, f_vals = chattering.generate_levels_with_dynamics(problem, t, x, dt, grid_params)
-                if f_vals is None:
-                    f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
-                g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
-            except (NonFiniteEvaluation, InfeasibleLevels) as err:
-                failed.update((r, _annotate(err, i, t)) for r in members)
-                continue
-            for r in members:
-                run, x, p = runs[r], runs[r].x, runs[r].p
-                ctx = HamiltonianContext(t, x, p)
-                try:
-                    h_vals = g_vals + f_vals @ p
-                    if not np.all(np.isfinite(h_vals)):
-                        raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
-                    measure = solve_measure_lp(h_vals)
-                    u = control_from_measure(grid, measure)
-                    stage = eval_running_cost(problem, t, x, u) * dt
-                    run.x, clamped = step_state(problem, x, measure, f_vals, dt)
-                    run.p = step_costate(problem, ctx, grid, measure, dt)
-                except (NonFiniteEvaluation, InfeasibleLevels) as err:
-                    failed[r] = _annotate(err, i, t)
-                    continue
-                run.cost += stage
-                if run.points is not None:
-                    grid_s, measure_s = _support_pair(grid, measure)
-                    h_value = float(measure.weights @ h_vals)
-                    run.points.append(TrajectoryPoint(t, x, p, u, measure_s, grid_s, h_value))
-                    run.stage_costs.append(stage)
-                    run.clamp_count += clamped
-        if failed:
-            live = [r for r in live if r < min(failed)]
-    for r in live:
-        try:
-            runs[r].cost += eval_terminal_cost(problem, runs[r].x)
-        except NonFiniteEvaluation as err:
-            failed[r] = err
-            break
-    if failed:
-        first = min(failed)
-        failed[first].run_index = first
-        raise failed[first]
-    return runs
-
-
 def propagate_forward(
     problem: ControlProblem,
     partition: TimePartition,
@@ -332,20 +232,50 @@ def propagate_forward(
     With a ``measurement_source`` the predicted state may be replaced by an
     injected measurement before each interval solve (open-loop feedback).
     """
-    (run,) = _march(problem, partition, [p0], grid_params, measurement_source, record=True)
-    points = run.points + [TrajectoryPoint(float(partition.times[-1]), run.x, run.p)]
-    return Trajectory(tuple(points), run.cost, np.asarray(run.stage_costs), run.clamp_count)
-
-
-def propagate_terminals(
-    problem: ControlProblem,
-    partition: TimePartition,
-    p0s: Sequence[Array],
-    grid_params: GridParams = GridParams(),
-) -> List[Tuple[Array, Array]]:
-    """The terminal (x_T, p_T) that ``propagate_forward`` gives from each
-    initial costate in ``p0s``, bit for bit; the runs march in lockstep."""
-    return [(run.x, run.p) for run in _march(problem, partition, p0s, grid_params)]
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (problem.state_dim,):
+        raise ValueError(f"p0 must have shape ({problem.state_dim},), got {p0.shape}")
+    if not np.all(np.isfinite(p0)):
+        raise ValueError("p0 must be finite")
+    x, p, cost = np.array(problem.initial_state), np.array(p0), 0.0
+    points: List[TrajectoryPoint] = []
+    stage_costs: List[float] = []
+    clamp_count = 0
+    for i, (t, dt) in enumerate(zip(partition.times.tolist(), partition.deltas.tolist())):
+        if measurement_source is not None:
+            measured = measurement_source(i, t, x)
+            if measured is not None:
+                measured = np.asarray(measured, dtype=float)
+                if measured.shape != (problem.state_dim,) or not np.all(np.isfinite(measured)):
+                    msg = f"measured state must be {problem.state_dim} finite values, got {measured.tolist()}"
+                    raise _annotate(ValueError(msg), i, t)
+                x, _ = _clamp(problem, measured)
+        try:
+            grid, f_vals = chattering.generate_levels_with_dynamics(problem, t, x, dt, grid_params)
+            if f_vals is None:
+                f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
+            g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
+            ctx = HamiltonianContext(t, x, p)
+            h_vals = g_vals + f_vals @ p
+            if not np.all(np.isfinite(h_vals)):
+                raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
+            measure = solve_measure_lp(h_vals)
+            u = control_from_measure(grid, measure)
+            stage = eval_running_cost(problem, t, x, u) * dt
+            x_next, clamped = step_state(problem, x, measure, f_vals, dt)
+            p_next = step_costate(problem, ctx, grid, measure, dt)
+        except (NonFiniteEvaluation, InfeasibleLevels) as err:
+            raise _annotate(err, i, t)
+        cost += stage
+        grid_s, measure_s = _support_pair(grid, measure)
+        h_value = float(measure.weights @ h_vals)
+        points.append(TrajectoryPoint(t, x, p, u, measure_s, grid_s, h_value))
+        stage_costs.append(stage)
+        clamp_count += clamped
+        x, p = x_next, p_next
+    cost += eval_terminal_cost(problem, x)
+    points.append(TrajectoryPoint(float(partition.times[-1]), x, p))
+    return Trajectory(tuple(points), cost, np.asarray(stage_costs), clamp_count)
 
 
 def accumulate_cost(problem: ControlProblem, trajectory: Trajectory) -> float:

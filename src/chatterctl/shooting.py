@@ -15,9 +15,7 @@ switching pattern and blind to level switches; the damping factor and
 best-iterate tracking absorb that.
 
 ``finite_diff_sensitivities`` is the reference the tangent is checked
-against: n perturbed propagations that march in lockstep
-(``propagate_terminals``), runs at bitwise-equal states sharing each level
-generation.
+against: n sequential propagations, one per perturbed costate coordinate.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .model import (
     terminal_costate,
     terminal_hessian,
 )
-from .propagation import TimePartition, Trajectory, propagate_forward, propagate_terminals
+from .propagation import TimePartition, Trajectory, propagate_forward
 
 #: refuse the linear correction when its matrix is worse conditioned than
 #: this
@@ -137,8 +135,8 @@ def finite_diff_sensitivities(
     nominal: Optional[Trajectory] = None,
 ) -> SensitivityEstimate:
     """One-sided difference Jacobians from n perturbed propagations, one per
-    costate coordinate, plus the nominal run (reused when supplied).  The
-    lowest-index failing perturbation raises, with its ``perturbation_index``."""
+    costate coordinate in order, plus the nominal run (reused when supplied).
+    The first failing perturbation raises, with its ``perturbation_index``."""
     if not delta_p > 0:
         raise ValueError("delta_p must be positive")
     p0 = np.asarray(p0, dtype=float)
@@ -147,17 +145,19 @@ def finite_diff_sensitivities(
         nominal = propagate_forward(problem, partition, p0, grid_params)
     x_T = nominal.terminal.x
     p_T = nominal.terminal.p
-    perturbed = np.tile(p0, (n, 1))
-    perturbed[np.diag_indices(n)] += delta_p
-    try:
-        terminals = propagate_terminals(problem, partition, perturbed, grid_params)
-    except (NonFiniteEvaluation, InfeasibleLevels) as err:
-        j = err.run_index
-        tagged = type(err)(f"{err} [perturbation {j}]")
-        tagged.perturbation_index = j
-        raise tagged from err
-    P_x = np.stack([x_j - x_T for x_j, _ in terminals], axis=1) / delta_p
-    P_p = np.stack([p_j - p_T for _, p_j in terminals], axis=1) / delta_p
+    P_x = np.empty((n, n))
+    P_p = np.empty((n, n))
+    for j in range(n):
+        p0_j = np.array(p0)
+        p0_j[j] += delta_p
+        try:
+            terminal = propagate_forward(problem, partition, p0_j, grid_params).terminal
+        except (NonFiniteEvaluation, InfeasibleLevels) as err:
+            tagged = type(err)(f"{err} [perturbation {j}]")
+            tagged.perturbation_index = j
+            raise tagged from err
+        P_x[:, j] = (terminal.x - x_T) / delta_p
+        P_p[:, j] = (terminal.p - p_T) / delta_p
     return SensitivityEstimate(P_x, P_p)
 
 
@@ -261,8 +261,6 @@ def solve(
     diagnostic message instead of raising; non-finite evaluations propagate.
     """
     p0 = np.array(config.p0_initial, dtype=float)
-    if p0.shape != (problem.state_dim,):
-        raise ValueError(f"p0_initial must have shape ({problem.state_dim},)")
     history: List[float] = []
     step_kinds: List[str] = []
     condition_numbers: List[float] = []

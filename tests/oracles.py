@@ -1,11 +1,9 @@
 """Independent oracles the tests compare the solver against.
 
 None of these run in the solver itself: closed forms, per-table envelopes,
-a single-row reference step, a signal average, the one-propagation-per-
-coordinate finite-difference loop that the lockstep sensitivities must
-reproduce bit for bit, a control-affine problem stripped of its hooks, and
-the full-width product grid and filter that the level generator must
-reproduce bit for bit.
+a single-row reference step, a signal average, a control-affine problem
+stripped of its hooks, and the full-width product grid and filter that the
+level generator must reproduce bit for bit.
 """
 
 import dataclasses
@@ -13,7 +11,7 @@ import math
 
 import numpy as np
 
-from chatterctl import SensitivityEstimate, chattering, propagate_forward
+from chatterctl import chattering
 from chatterctl.chattering import ChatteringSignal, InfeasibleLevels, LevelGrid
 from chatterctl.model import eval_drift
 from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
@@ -67,24 +65,6 @@ def signal_time_average(signal: ChatteringSignal, grid: LevelGrid) -> np.ndarray
     for s, e, k in signal.segments:
         acc += (e - s) * grid.levels[k]
     return acc / total
-
-
-def sequential_sensitivities(problem, partition, p0, delta_p, grid_params) -> SensitivityEstimate:
-    """Finite-difference Jacobians from n + 1 separate ``propagate_forward``
-    runs: the nominal, then one per costate coordinate perturbed by
-    ``delta_p``."""
-    p0 = np.asarray(p0, dtype=float)
-    n = problem.state_dim
-    nominal = propagate_forward(problem, partition, p0, grid_params).terminal
-    P_x = np.empty((n, n))
-    P_p = np.empty((n, n))
-    for j in range(n):
-        p0_j = np.array(p0)
-        p0_j[j] += delta_p
-        perturbed = propagate_forward(problem, partition, p0_j, grid_params).terminal
-        P_x[:, j] = (perturbed.x - nominal.x) / delta_p
-        P_p[:, j] = (perturbed.p - nominal.p) / delta_p
-    return SensitivityEstimate(P_x, P_p)
 
 
 def without_hooks(problem):

@@ -15,7 +15,6 @@ from chatterctl import (
     build_lqr,
     build_supply_chain,
     control_from_measure,
-    level_bound_search,
     propagate_forward,
     realize_signal,
     replay_measurement_source,
@@ -28,6 +27,7 @@ from chatterctl.chattering import (
     STEP_FEASIBILITY_TOL,
     _coarsen_counts,
     generate_levels_with_dynamics,
+    level_bound_search,
 )
 from oracles import full_width_levels, signal_time_average, without_hooks
 

@@ -18,12 +18,11 @@ from chatterctl import (
     propagate_forward,
     solve,
     synthetic_demand,
-    update_initial_costate,
 )
 from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
-from chatterctl.shooting import tangent_sensitivities
-from oracles import lqr_hamiltonian_flow, sequential_sensitivities, without_hooks
+from chatterctl.shooting import tangent_sensitivities, update_initial_costate
+from oracles import lqr_hamiltonian_flow, without_hooks
 
 
 def inert_problem(n=2, horizon=1.0):
@@ -83,6 +82,72 @@ class TestFiniteDiffSensitivities:
             finite_diff_sensitivities(
                 inert_problem(), TimePartition.uniform(1.0, 2), np.zeros(2), 0.0
             )
+
+    def test_nominal_run_is_reused(self, monkeypatch):
+        problem, part, grid = grocer_10()
+        p0 = np.zeros(20)
+        nominal = propagate_forward(problem, part, p0, grid)
+        forward = shooting.propagate_forward
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "propagate_forward", counted)
+        reused = finite_diff_sensitivities(problem, part, p0, 1e-3, grid, nominal=nominal)
+        assert len(calls) == 20
+        calls.clear()
+        fresh = finite_diff_sensitivities(problem, part, p0, 1e-3, grid)
+        assert len(calls) == 21
+        assert np.array_equal(reused.P_x, fresh.P_x)
+        assert np.array_equal(reused.P_p, fresh.P_p)
+
+    def test_lowest_failing_perturbation_reported(self):
+        problem = two_rest_point_problem()
+        part = TimePartition.uniform(1.0, 10)
+        grid = GridParams(3, 16)
+        intervals = []
+        for j in range(2):
+            p0_j = np.zeros(2)
+            p0_j[j] += 0.2
+            with pytest.raises(InfeasibleLevels) as alone:
+                propagate_forward(problem, part, p0_j, grid)
+            intervals.append(alone.value.interval_index)
+        assert intervals[1] < intervals[0]
+        with pytest.raises(InfeasibleLevels) as excinfo:
+            finite_diff_sensitivities(problem, part, np.zeros(2), 0.2, grid)
+        assert excinfo.value.perturbation_index == 0
+        assert excinfo.value.__cause__.interval_index == intervals[0]
+        assert f"[interval {intervals[0]}," in str(excinfo.value)
+
+
+@pytest.mark.parametrize("shape", ["n+1", "n,1", "scalar"])
+@pytest.mark.parametrize("entry", ["propagate_forward", "finite_diff_sensitivities", "solve"])
+@pytest.mark.parametrize("case", ["lqr", "grocer"])
+def test_malformed_p0_rejected_before_first_interval(case, entry, shape, monkeypatch):
+    if case == "lqr":
+        problem, part, grid = build_lqr(), TimePartition.uniform(1.0, 100), GridParams(101, 4096)
+    else:
+        problem, part, grid = grocer_10()
+    n = problem.state_dim
+    p0 = {"n+1": np.zeros(n + 1), "n,1": np.zeros((n, 1)), "scalar": np.zeros(())}[shape]
+    generated = []
+    monkeypatch.setattr(
+        chattering, "generate_levels_with_dynamics", lambda *args: generated.append(args)
+    )
+    expected = "p0 must have shape"
+    if entry == "solve" and p0.ndim != 1:
+        # a guess that is not 1-d is already refused by the solver's config
+        expected = "p0_initial must be a 1-d array"
+    with pytest.raises(ValueError, match=expected):
+        if entry == "propagate_forward":
+            propagate_forward(problem, part, p0, grid)
+        elif entry == "finite_diff_sensitivities":
+            finite_diff_sensitivities(problem, part, p0, 1e-3, grid)
+        else:
+            solve(problem, part, ShootingConfig(p0_initial=p0), grid)
+    assert generated == []
 
 
 class TestUpdateInitialCostate:
@@ -322,70 +387,6 @@ def two_rest_point_problem():
         control_upper=np.ones(2),
         state_lower=np.zeros(2),
     )
-
-
-#: p0 near the converged grocer costate (1e5 on inventory, 1e2 on unmet
-#: demand); a 3e4 perturbation switches orders on for a few coordinates only
-GROCER_P0 = np.concatenate([np.full(5, 1e5), np.full(15, 1e2)])
-
-
-class TestLockstepSensitivities:
-    @pytest.mark.parametrize("case", ["grocer-shared", "lqr-divergent", "grocer-partial"])
-    def test_matches_sequential_oracle(self, case):
-        if case == "lqr-divergent":
-            problem, part, grid = build_lqr(), TimePartition.uniform(1.0, 100), GridParams(101, 4096)
-            p0, delta = np.array([lqr_analytic_solution(0.0)[1]]), 4.0
-        elif case == "grocer-shared":
-            (problem, part, grid), p0, delta = grocer_10(), np.zeros(20), 1e-3
-        else:
-            (problem, part, grid), p0, delta = grocer_10(), GROCER_P0, 3e4
-        sens = finite_diff_sensitivities(problem, part, p0, delta, grid)
-        reference = sequential_sensitivities(problem, part, p0, delta, grid)
-        assert np.array_equal(sens.P_x, reference.P_x)
-        assert np.array_equal(sens.P_p, reference.P_p)
-        # the case holds what its name says: a perturbed run that leaves the
-        # nominal states has a nonzero P_x column
-        diverged = int(np.count_nonzero(np.any(sens.P_x != 0.0, axis=0)))
-        if case == "grocer-shared":
-            assert diverged == 0
-        elif case == "lqr-divergent":
-            assert diverged == 1
-        else:
-            assert 0 < diverged < problem.state_dim
-
-    def test_one_level_generation_per_distinct_state(self, monkeypatch):
-        problem, part, grid = grocer_10()
-        nominal = propagate_forward(problem, part, np.zeros(20), grid)
-        generate = chattering.generate_levels_with_dynamics
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return generate(*args, **kwargs)
-
-        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted)
-        finite_diff_sensitivities(problem, part, np.zeros(20), 1e-3, grid, nominal=nominal)
-        # all 20 perturbed runs stay on the nominal states: one grid per interval
-        assert len(calls) == 10
-        assert calls == part.times[:-1].tolist()
-
-    def test_lowest_failing_perturbation_reported(self):
-        problem = two_rest_point_problem()
-        part = TimePartition.uniform(1.0, 10)
-        grid = GridParams(3, 16)
-        intervals = []
-        for j in range(2):
-            p0_j = np.zeros(2)
-            p0_j[j] += 0.2
-            with pytest.raises(InfeasibleLevels) as alone:
-                propagate_forward(problem, part, p0_j, grid)
-            intervals.append(alone.value.interval_index)
-        assert intervals[1] < intervals[0]
-        with pytest.raises(InfeasibleLevels) as excinfo:
-            finite_diff_sensitivities(problem, part, np.zeros(2), 0.2, grid)
-        assert excinfo.value.perturbation_index == 0
-        assert excinfo.value.__cause__.interval_index == intervals[0]
-        assert f"[interval {intervals[0]}," in str(excinfo.value)
 
 
 def coupled_problem():
