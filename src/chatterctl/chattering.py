@@ -347,23 +347,25 @@ def level_bound_search(
     dims = list(dims)
     if any(not 0 <= d < problem.control_dim for d in dims):
         raise ValueError(f"control dimensions {dims} out of range")
-    lower, upper = problem.control_lower, problem.control_upper
     if not problem.has_state_bounds:
-        return [(float(lower[d]), float(upper[d])) for d in dims]
+        return [(float(problem.control_lower[d]), float(problem.control_upper[d])) for d in dims]
+    x = np.asarray(x, dtype=float)
+    drift = None if problem.drift is None else eval_drift(problem, t, x)
+    return _search_ranges(problem, t, x, dt, dims, drift)
+
+
+def _search_ranges(
+    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int], drift: Optional[Array]
+) -> List[Tuple[float, float]]:
+    """``level_bound_search`` with state bounds; ``drift`` is None without the hooks."""
+    lower, upper = problem.control_lower, problem.control_upper
     lo_out, hi_out = np.array(lower), np.array(upper)
     pending = np.asarray(dims, dtype=np.intp)
-    x = np.asarray(x, dtype=float)
-    affine = problem.drift is not None
-    if affine:
-        drift = eval_drift(problem, t, x)
 
-        def step(probe: Array) -> Array:
+    def step(probe: Array) -> Array:
+        if drift is not None:
             return x + dt * (drift + probe @ problem.control_matrix)
-
-    else:
-
-        def step(probe: Array) -> Array:
-            return x + dt * eval_dynamics_batch(problem, t, x, probe)
+        return x + dt * eval_dynamics_batch(problem, t, x, probe)
 
     for anchor in (0.5 * (lower + upper), lower, upper):
         if pending.size == 0:
@@ -394,7 +396,7 @@ def level_bound_search(
             cols = pending[which]
             a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]  # feasible
             b = np.where(side == 0, lo[which], hi[which])  # infeasible
-            if affine:
+            if drift is not None:
                 a = _affine_ends(problem, dt, x_start[which], cols, a, b)
             else:
                 a = _bisect_ends(problem, step, anchor, cols, a, b)
@@ -457,12 +459,11 @@ def _scalar_grid(
 
 
 @functools.lru_cache(maxsize=64)
-def _product_indices(sizes: Tuple[int, ...]) -> Tuple[Array, Array]:
+def _product_indices(sizes: Tuple[int, ...]) -> Array:
     """Positions into the concatenated per-dimension grids that enumerate
     their Cartesian product in lexicographic order, as a read-only
-    ``(prod(sizes), len(sizes))`` matrix, and the read-only indices of the
-    varying dimensions (size > 1).  Cached because interval after interval
-    reuses the same per-dimension counts."""
+    ``(prod(sizes), len(sizes))`` matrix.  Cached because interval after
+    interval reuses the same per-dimension counts."""
     total = int(np.prod(sizes))
     pos = np.empty((total, len(sizes)), dtype=np.intp)
     stride = total
@@ -472,36 +473,45 @@ def _product_indices(sizes: Tuple[int, ...]) -> Tuple[Array, Array]:
         stride //= size
         pos[:, j] = rows // stride % size + offset
         offset += size
-    varying = np.flatnonzero(np.asarray(sizes) > 1)
     pos.setflags(write=False)
-    varying.setflags(write=False)
-    return pos, varying
+    return pos
 
 
 def _affine_in_box(
-    problem: ControlProblem, x_i: Array, dt: float, f: Array, varying: Array
+    problem: ControlProblem, x_i: Array, dt: float, drift: Array, levels: Array, grids: List[Array]
 ) -> np.ndarray:
-    """``_in_box`` of the product rows' next states ``x_i + dt * f`` for
-    control-affine dynamics.  A state coordinate that no varying control
-    dimension moves (its ``control_matrix`` column is zero on ``varying``)
-    has the same next value on every row, so it is tested on row 0 alone;
-    the others are tested on every row."""
-    moved = np.any(problem.control_matrix[varying] != 0.0, axis=0)
-    if not _in_box(problem, (x_i + dt * f[0])[None, ~moved], ~moved)[0]:
-        return np.zeros(f.shape[0], dtype=bool)
-    x_next = f[:, moved]
-    x_next *= dt
-    x_next += x_i[moved]
-    return _in_box(problem, x_next, moved)
+    """``_in_box`` of the next states ``x_i + dt * (drift + levels @ B)`` of
+    the product of the scalar ``grids``, for control-affine dynamics.  Next
+    state i spans ``x_i + dt * (drift_i + sum_j [min, max] of v * B[j, i]
+    over grid j)``; a coordinate whose span, widened by a margin for the
+    rounding of the rows and of these sums (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 3.1), lies in the box needs no row test.  The
+    rest are tested on every row as the rows compute, so the mask is exact."""
+    B = problem.control_matrix
+    sizes = [g.size for g in grids]
+    starts = np.cumsum([0] + sizes[:-1])
+    terms = np.concatenate(grids)[:, None] * np.repeat(B, sizes, axis=0)
+    scale = np.abs(x_i) + dt * (np.abs(drift) + np.maximum.reduceat(np.abs(terms), starts).sum(axis=0))
+    margin = 2 * (B.shape[0] + 4) * np.finfo(float).eps * scale
+    open_ = np.zeros(x_i.size, dtype=bool)
+    if problem.state_lower is not None:
+        low = x_i + dt * (drift + np.minimum.reduceat(terms, starts).sum(axis=0)) - margin
+        open_ |= low < problem.state_lower - STEP_FEASIBILITY_TOL
+    if problem.state_upper is not None:
+        high = x_i + dt * (drift + np.maximum.reduceat(terms, starts).sum(axis=0)) + margin
+        open_ |= high > problem.state_upper + STEP_FEASIBILITY_TOL
+    if not open_.any():
+        return np.ones(levels.shape[0], dtype=bool)
+    return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
 
 
 def _product_levels(
     gated_dims: Optional[Mapping[int, Tuple[float, float]]],
     ranges: Sequence[Tuple[float, float]],
     counts: Array,
-) -> Tuple[Array, Array]:
+) -> Tuple[Array, List[Array]]:
     """The lexicographic Cartesian product of the per-dimension grids over
-    ``ranges`` with ``counts`` points, and its varying dimensions."""
+    ``ranges`` with ``counts`` points, and those grids."""
     gated_dims = gated_dims or {}
     grids = [
         _scalar_grid(gated_dims.get(j), j, lo, hi, int(count))
@@ -510,8 +520,8 @@ def _product_levels(
     # one gather from the concatenated grids (dimension count is not limited
     # the way np.meshgrid is); an index, not ndarray.take, which copies a
     # read-only ``pos`` every call
-    pos, varying = _product_indices(tuple(int(g.size) for g in grids))
-    return np.concatenate(grids)[pos], varying
+    pos = _product_indices(tuple(int(g.size) for g in grids))
+    return np.concatenate(grids)[pos], grids
 
 
 @functools.lru_cache(maxsize=16)
@@ -542,14 +552,15 @@ def generate_levels_with_dynamics(
     per-dimension counts coarsened uniformly so the total stays within
     ``params.cap``; when state bounds are present, product vectors whose
     joint one-step prediction leaves the box are dropped (for control-affine
-    problems, by ``_affine_in_box``).  Rows come back sorted
-    lexicographically.  Without state bounds the grid is built once per
-    distinct control bounds, gated dimensions and ``params``, and shared
+    problems, by the separable bound of ``_affine_in_box``).  Rows come back
+    sorted lexicographically.  Without state bounds the grid is built once
+    per distinct control bounds, gated dimensions and ``params``, and shared
     read-only.
 
-    Also returns the dynamics at the surviving levels when the admissibility
-    filter already computed them (None otherwise), so the propagation loop
-    skips a second sweep.
+    Also returns the dynamics rows at the kept levels when the problem has
+    state bounds and no control-affine hooks (the filter evaluated them, so
+    the propagation loop skips a second sweep), None otherwise: the loop
+    sweeps a control-affine Hamiltonian in factored form.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -561,18 +572,19 @@ def generate_levels_with_dynamics(
         lower, upper = problem.control_lower.tobytes(), problem.control_upper.tobytes()
         return _unbounded_grid(lower, upper, gates, params), None
     x_i = np.asarray(x_i, dtype=float)
-    ranges = level_bound_search(problem, t, x_i, dt, range(problem.control_dim))
+    drift = None if problem.drift is None else eval_drift(problem, t, x_i)
+    ranges = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift)
     counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
-    levels, varying = _product_levels(problem.gated_dims, ranges, counts)
-    f = eval_dynamics_batch(problem, t, x_i, levels)
-    if problem.control_matrix is None:
+    levels, grids = _product_levels(problem.gated_dims, ranges, counts)
+    if drift is None:
+        f = eval_dynamics_batch(problem, t, x_i, levels)
         keep = _in_box(problem, x_i + dt * f)
     else:
-        keep = _affine_in_box(problem, x_i, dt, f, varying)
+        f, keep = None, _affine_in_box(problem, x_i, dt, drift, levels, grids)
     if not np.any(keep):
         raise InfeasibleLevels(
             f"no product level satisfies the one-step state bounds at t={t}"
         )
     if not np.all(keep):
-        return LevelGrid(levels[keep]), f[keep]
+        return LevelGrid(levels[keep]), None if f is None else f[keep]
     return LevelGrid(levels), f

@@ -99,6 +99,8 @@ class ControlProblem:
             raise ValueError(f"initial_state must have shape ({n},)")
         if self.control_lower.shape != (m,) or self.control_upper.shape != (m,):
             raise ValueError(f"control bounds must have shape ({m},)")
+        if not (np.all(np.isfinite(self.control_lower)) and np.all(np.isfinite(self.control_upper))):
+            raise ValueError("control bounds must be finite")
         if np.any(self.control_lower > self.control_upper):
             raise ValueError("control_lower must be <= control_upper componentwise")
         for attr in ("state_lower", "state_upper"):
@@ -106,8 +108,8 @@ class ControlProblem:
             if bound is not None:
                 bound = _readonly(bound)
                 object.__setattr__(self, attr, bound)
-                if bound.shape != (n,):
-                    raise ValueError(f"{attr} must have shape ({n},)")
+                if bound.shape != (n,) or np.any(np.isnan(bound)):
+                    raise ValueError(f"{attr} must have shape ({n},) and no NaN")
         if self.state_lower is not None and np.any(self.initial_state < self.state_lower):
             raise ValueError("initial_state violates state_lower")
         if self.state_upper is not None and np.any(self.initial_state > self.state_upper):
@@ -210,6 +212,13 @@ def eval_running_cost_batch(problem: ControlProblem, t: float, x: Array, control
     if not np.all(np.isfinite(g)):
         raise NonFiniteEvaluation(f"running cost returned a non-finite value at t={t}")
     return g
+
+
+def affine_p_dot_f(problem: ControlProblem, drift: Array, p: Array, controls: Array) -> Array:
+    """``p . f(t, x, c)`` at every row of ``controls`` for control-affine
+    dynamics whose drift at (t, x) is ``drift``: one (K,) matvec, no (K, n)
+    dynamics block.  Equals ``eval_dynamics_batch(...) @ p`` up to rounding."""
+    return controls @ (problem.control_matrix @ p) + drift @ p
 
 
 def eval_hamiltonian(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -> float:

@@ -30,6 +30,8 @@ from .model import (
     ControlProblem,
     HamiltonianContext,
     NonFiniteEvaluation,
+    affine_p_dot_f,
+    eval_drift,
     eval_dynamics_batch,
     eval_running_cost,
     eval_running_cost_batch,
@@ -199,10 +201,11 @@ def step_costate(
     return ctx.costate - dt * acc
 
 
-def _support_pair(grid: LevelGrid, measure: ChatteringMeasure) -> Tuple[LevelGrid, ChatteringMeasure]:
-    """Shrink a grid/measure pair to the measure's support (the zero-weight
+def _support_pair(
+    grid: LevelGrid, measure: ChatteringMeasure, support: Array
+) -> Tuple[LevelGrid, ChatteringMeasure]:
+    """Shrink a grid/measure pair to the measure's ``support`` (the zero-weight
     levels contribute nothing and recording all of them is wasteful)."""
-    support = measure.support()
     if support.size == measure.K:
         return grid, measure
     return LevelGrid(grid.levels[support]), ChatteringMeasure(measure.weights[support])
@@ -252,22 +255,28 @@ def propagate_forward(
                 x, _ = _clamp(problem, measured)
         try:
             grid, f_vals = chattering.generate_levels_with_dynamics(problem, t, x, dt, grid_params)
-            if f_vals is None:
-                f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
             g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
             ctx = HamiltonianContext(t, x, p)
-            h_vals = g_vals + f_vals @ p
+            affine = problem.drift is not None
+            if affine:
+                drift = eval_drift(problem, t, x)
+                h_vals = g_vals + affine_p_dot_f(problem, drift, p, grid.levels)
+            else:
+                f_vals = eval_dynamics_batch(problem, t, x, grid.levels) if f_vals is None else f_vals
+                h_vals = g_vals + f_vals @ p
             if not np.all(np.isfinite(h_vals)):
                 raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
             measure = solve_measure_lp(h_vals)
+            support = measure.support()
+            grid_s, measure_s = _support_pair(grid, measure, support)
             u = control_from_measure(grid, measure)
             stage = eval_running_cost(problem, t, x, u) * dt
-            x_next, clamped = step_state(problem, x, measure, f_vals, dt)
-            p_next = step_costate(problem, ctx, grid, measure, dt)
+            f_support = drift + grid_s.levels @ problem.control_matrix if affine else f_vals[support]
+            x_next, clamped = step_state(problem, x, measure_s, f_support, dt)
+            p_next = step_costate(problem, ctx, grid_s, measure_s, dt)
         except (NonFiniteEvaluation, InfeasibleLevels) as err:
             raise _annotate(err, i, t)
         cost += stage
-        grid_s, measure_s = _support_pair(grid, measure)
         h_value = float(measure.weights @ h_vals)
         points.append(TrajectoryPoint(t, x, p, u, measure_s, grid_s, h_value))
         stage_costs.append(stage)

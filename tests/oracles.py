@@ -99,8 +99,9 @@ def reference_scalar_grid(problem, dim, lo, hi, count):
 
 
 def full_width_levels(problem, t, x, dt, grid_params):
-    """The level generator's grid and dynamics rows for a control-affine
-    problem, built the long way: the whole lexicographic product
+    """The level generator's grid for a control-affine problem, and the
+    dynamics rows that the factored sweep is checked against, built the
+    long way: the whole lexicographic product
     (``np.meshgrid``) of the ``reference_scalar_grid`` values, kept where
     ``_in_box`` passes on every state coordinate of
     ``x + dt * (drift + levels @ B)``.  Returns the kept ``(levels, f)``

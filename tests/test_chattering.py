@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from chatterctl.chattering import (
     generate_levels_with_dynamics,
     level_bound_search,
 )
+from chatterctl.model import affine_p_dot_f, eval_drift, eval_running_cost_batch
 from oracles import full_width_levels, signal_time_average, without_hooks
 
 
@@ -481,25 +484,54 @@ def assert_bitwise(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def assert_factored_sweep(problem, t, x, p, levels, f):
+    """The factored sweep that ``propagate_forward`` runs, ``g +
+    affine_p_dot_f(...)``, against the full form ``g + f @ p`` on the
+    oracle's dynamics rows ``f``.  Each form lies within ``(m + n + 2) u``
+    (u = eps / 2) times the sum of the absolute terms of the exact value, so
+    they differ by at most ``(m + n + 3) eps`` times that sum (one eps of
+    slack for second-order terms).  Where the full form's best row leads
+    the second best by more than twice that bound, both forms pick it.
+    Returns whether the argmin was compared."""
+    m, n = problem.control_dim, problem.state_dim
+    g = eval_running_cost_batch(problem, t, x, levels)
+    drift = eval_drift(problem, t, x)
+    full = g + f @ p
+    factored = g + affine_p_dot_f(problem, drift, p, levels)
+    terms = np.abs(g) + (np.abs(levels) @ np.abs(problem.control_matrix) + np.abs(drift)) @ np.abs(p)
+    bound = (m + n + 3) * np.finfo(float).eps * terms
+    assert np.all(np.abs(factored - full) <= bound)
+    if full.size < 2:
+        return False
+    best, second = np.partition(full, 1)[:2]
+    if second - best <= 2.0 * bound.max():
+        return False
+    assert np.argmin(factored) == np.argmin(full)
+    return True
+
+
 class TestLeanProductFilter:
-    """The generator tests the box on every row only for the state
-    coordinates that a varying control moves, and the rest on row 0; the
-    full-width oracle tests every coordinate on every row."""
+    """The generator clears state coordinates by a separable bound and tests
+    only the others on every row; the full-width oracle tests every
+    coordinate on every row.  Control-affine problems get no dynamics rows
+    back: ``propagate_forward`` sweeps their Hamiltonian in factored form."""
 
     @staticmethod
-    def compare(problem, t, x, dt, params):
-        """Checks the generator against the oracle; returns the oracle's
-        keep mask over the whole product, or None when both raise."""
+    def compare(problem, t, x, dt, params, p):
+        """Checks the generator against the oracle, and the factored sweep at
+        costate ``p`` against the full form on the oracle's rows; returns the
+        oracle's keep mask over the whole product and whether the argmin was
+        compared, or None when both raise."""
         try:
             levels, f, keep = full_width_levels(problem, t, x, dt, params)
         except InfeasibleLevels:
             with pytest.raises(InfeasibleLevels):
                 generate_levels_with_dynamics(problem, t, x, dt, params)
             return None
-        grid, f_kept = generate_levels_with_dynamics(problem, t, x, dt, params)
+        grid, rows = generate_levels_with_dynamics(problem, t, x, dt, params)
         assert_bitwise(grid.levels, levels)
-        assert_bitwise(f_kept, f)
-        return keep
+        assert rows is None
+        return keep, assert_factored_sweep(problem, t, x, p, levels, f)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_replayed_desk_states(self, seed):
@@ -507,20 +539,30 @@ class TestLeanProductFilter:
         partition = TimePartition.uniform(1.0, 200)
         params = GridParams(101, 4096)
         trajectory = propagate_forward(problem, partition, p0, params, source)
+        argmins = 0
         for pt, dt in zip(trajectory.points, partition.deltas.tolist()):
-            assert self.compare(problem, pt.t, pt.x, dt, params) is not None
+            result = self.compare(problem, pt.t, pt.x, dt, params, pt.p)
+            assert result is not None
+            argmins += result[1]
+        assert argmins >= 190
 
     def test_random_control_affine_problems(self):
         rng = np.random.default_rng(2017)
-        raised = dropped = 0
+        # the costates come from their own stream, so the problems are the
+        # ones the level checks always drew
+        costates = np.random.default_rng(2018)
+        raised = dropped = argmins = 0
         for _ in range(300):
             problem = random_product_problem(rng)
             dt = float(rng.uniform(0.05, 0.5))
             params = GridParams(3, int(rng.integers(1, 3 ** (problem.control_dim - 1) + 1)))
-            keep = self.compare(problem, 0.0, problem.initial_state, dt, params)
-            raised += keep is None
-            dropped += keep is not None and not keep.all()
-        assert raised > 0 and dropped > 0
+            p = costates.normal(size=problem.state_dim) * 10.0 ** costates.uniform(-2, 2)
+            result = self.compare(problem, 0.0, problem.initial_state, dt, params, p)
+            raised += result is None
+            if result is not None:
+                dropped += not result[0].all()
+                argmins += result[1]
+        assert raised > 0 and dropped > 0 and argmins > 100
 
     def test_unmoved_coordinate_infeasible_at_every_level(self):
         # controls 0 and 1 (one level each under the cap) alone move state 0;
@@ -543,7 +585,104 @@ class TestLeanProductFilter:
         )
         params = GridParams(3, 3)
         assert list(_coarsen_counts(problem, 3, 3)) == [1, 1, 3]
-        assert self.compare(problem, 0.0, np.zeros(2), 1.0, params) is None
+        assert self.compare(problem, 0.0, np.zeros(2), 1.0, params, np.ones(2)) is None
+
+
+def count_row_tests(monkeypatch, size):
+    """Records how often ``_in_box`` sees ``size`` rows, the product's size
+    (the range search probes at most two rows per control dimension)."""
+    seen = []
+    in_box = chattering._in_box
+
+    def counted(problem, x_next, *coords):
+        seen.append(x_next.shape[0] == size)
+        return in_box(problem, x_next, *coords)
+
+    monkeypatch.setattr(chattering, "_in_box", counted)
+    return seen
+
+
+def lower_bound_for(threshold):
+    """A state bound ``s`` with ``s - STEP_FEASIBILITY_TOL == threshold`` in
+    floating point, as ``_in_box`` computes it (the closest when none is)."""
+    s = threshold + STEP_FEASIBILITY_TOL
+    for _ in range(8):
+        if s - STEP_FEASIBILITY_TOL < threshold:
+            s = np.nextafter(s, np.inf)
+        elif s - STEP_FEASIBILITY_TOL > threshold:
+            s = np.nextafter(s, -np.inf)
+    return s
+
+
+class TestSeparableBound:
+    """Both branches of the box filter's bound: a coordinate the bound
+    clears gets no row test, and one it cannot clear is tested on every row,
+    down to the last bit of the threshold."""
+
+    def test_rows_on_the_threshold_and_one_ulp_beyond(self, monkeypatch):
+        # x' = u0 + d u1 from x = 0 with dt = 1, where d is one ulp at the
+        # threshold T = state_lower - STEP_FEASIBILITY_TOL and u0 starts one
+        # ulp below T: u1 in {0, 1, 2} puts rows at T - d, T and T + d (exact
+        # arithmetic), and the range search keeps both control ranges whole
+        threshold = -0.5 - STEP_FEASIBILITY_TOL
+        d = threshold - np.nextafter(threshold, -np.inf)
+        problem = ControlProblem(
+            state_dim=1,
+            control_dim=2,
+            horizon=1.0,
+            initial_state=np.zeros(1),
+            running_cost=lambda t, x, u: 0.0,
+            dynamics=lambda t, x, u: np.array([u[0] + d * u[1]]),
+            control_lower=np.array([threshold - d, 0.0]),
+            control_upper=np.array([0.25, 2.0]),
+            state_lower=np.array([-0.5]),
+            drift=lambda t, x: np.zeros(1),
+            control_matrix=np.array([[1.0], [d]]),
+            drift_jacobian=lambda t, x: np.zeros((1, 1)),
+        )
+        assert problem.state_lower[0] - STEP_FEASIBILITY_TOL == threshold
+        params = GridParams(3, 9)
+        seen = count_row_tests(monkeypatch, 9)
+        keep, _ = TestLeanProductFilter.compare(problem, 0.0, np.zeros(1), 1.0, params, np.ones(1))
+        assert sum(seen) == 2  # the oracle's and the generator's
+        # rows (u0 = threshold - d, u1 = 0, 1, 2) are the first three
+        assert keep.tolist() == [False, True, True] + [True] * 6
+
+    def test_desk_initial_state_needs_no_row_test(self, monkeypatch):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        seen = count_row_tests(monkeypatch, 4096)
+        grid, rows = generate_levels_with_dynamics(
+            problem, 0.0, problem.initial_state, problem.horizon / 200, GridParams(101, 4096)
+        )
+        assert grid.K == 4096 and rows is None
+        assert seen and not any(seen)
+
+    def test_state_bounds_on_the_extreme_rows(self):
+        # bounds placed as the rows compute them, one ulp inside the lowest
+        # and the highest next value of each coordinate: the extreme rows
+        # must go, as the full row test drops them, although the bound's own
+        # sums (in another order than the rows' product) may put the extreme
+        # a last bit inside the box
+        rng = np.random.default_rng(41)
+        costates = np.random.default_rng(42)
+        dropped = 0
+        for _ in range(300):
+            base = random_product_problem(rng)
+            dt = float(rng.uniform(0.05, 0.5))
+            params = GridParams(3, 3 ** base.control_dim)
+            x = base.initial_state
+            free = dataclasses.replace(base, state_lower=None, state_upper=None)
+            levels = generate_levels_with_dynamics(free, 0.0, x, dt, params)[0].levels
+            x_next = x + dt * (eval_drift(base, 0.0, x) + levels @ base.control_matrix)
+            low = np.nextafter(x_next.min(axis=0), np.inf)
+            high = np.nextafter(x_next.max(axis=0), -np.inf)
+            lower = np.where(low < x - 1e-8, [lower_bound_for(v) for v in low], -1.0)
+            upper = np.where(high > x + 1e-8, [-lower_bound_for(-v) for v in high], 1.0)
+            problem = dataclasses.replace(base, state_lower=lower, state_upper=upper)
+            p = costates.normal(size=problem.state_dim)
+            result = TestLeanProductFilter.compare(problem, 0.0, x, dt, params, p)
+            dropped += result is not None and not result[0].all()
+        assert dropped > 150
 
 
 class TestGenerateLevels:

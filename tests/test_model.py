@@ -194,6 +194,32 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             make_problem(control_lower=np.array([1.0]), control_upper=np.array([-1.0]))
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            dict(control_upper=np.array([np.nan])),
+            dict(control_lower=np.array([np.nan])),
+            dict(control_lower=np.array([-np.inf])),
+            dict(control_upper=np.array([np.inf])),
+        ],
+        ids=["nan-upper", "nan-lower", "minus-inf-lower", "inf-upper"],
+    )
+    def test_non_finite_control_bounds_rejected(self, bounds):
+        # a NaN upper bound passes an order check (NaN < x is False), and an
+        # infinite one fails only inside the first interval
+        with pytest.raises(ValueError, match="control bounds must be finite"):
+            make_problem(**bounds)
+
+    @pytest.mark.parametrize("attr", ["state_lower", "state_upper"])
+    def test_nan_state_bound_rejected(self, attr):
+        with pytest.raises(ValueError, match=f"{attr} must have shape \\(1,\\) and no NaN"):
+            make_problem(**{attr: np.array([np.nan])})
+
+    def test_infinite_state_bounds_accepted(self):
+        # an infinite state bound leaves that side of the coordinate free
+        problem = make_problem(state_lower=np.array([-np.inf]), state_upper=np.array([np.inf]))
+        assert problem.has_state_bounds
+
     def test_initial_state_outside_bounds(self):
         with pytest.raises(ValueError):
             make_problem(

@@ -23,6 +23,7 @@ from chatterctl import (
 )
 from chatterctl.chattering import generate_levels_with_dynamics
 from chatterctl.model import eval_dynamics_batch
+from oracles import without_hooks
 
 
 def lqr_ctx(x, p, t=0.0):
@@ -398,8 +399,11 @@ class TestProductionPath:
 
     def test_level_generator_dynamics_match_a_fresh_sweep(self):
         # propagate_forward skips its own dynamics sweep when the level
-        # generator hands back the rows it already evaluated
+        # generator hands back the rows it already evaluated; only a problem
+        # without the control-affine hooks gets them, since the hooked one
+        # sweeps its Hamiltonian in factored form
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        stripped = without_hooks(problem)
         rng = np.random.default_rng(6)
         for _ in range(3):
             t = float(rng.uniform(0.0, 1.0))
@@ -407,7 +411,9 @@ class TestProductionPath:
             # states on the zero floor make the admissibility filter drop levels
             x[rng.integers(0, 20, 6)] = 0.0
             grid, f_vals = generate_levels_with_dynamics(problem, t, x, 0.005, GridParams())
+            assert f_vals is None and grid.K < GridParams().cap
+            grid, f_vals = generate_levels_with_dynamics(stripped, t, x, 0.005, GridParams())
             assert f_vals is not None and grid.K < GridParams().cap
-            fresh = eval_dynamics_batch(problem, t, x, grid.levels)
+            fresh = eval_dynamics_batch(stripped, t, x, grid.levels)
             assert f_vals.shape == fresh.shape
             assert np.max(np.abs(f_vals - fresh)) <= 1e-12
