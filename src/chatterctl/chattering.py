@@ -69,13 +69,19 @@ class LevelGrid:
     """The ordered control levels for one interval, as a (K, m) array.
 
     Rows are distinct and sorted lexicographically; within each control
-    dimension the distinct scalar values form an ascending grid.
+    dimension the distinct scalar values form an ascending grid.  A read-only
+    float64 array that owns its data is shared (the level generator hands
+    over such arrays); anything else is copied, so no caller's array aliases
+    a grid.
     """
 
     levels: Array
 
     def __post_init__(self):
-        levels = np.array(self.levels, dtype=float)
+        levels = self.levels
+        owned = isinstance(levels, np.ndarray) and levels.flags.owndata
+        if not (owned and levels.dtype == np.float64 and not levels.flags.writeable):
+            levels = np.array(levels, dtype=float)
         if levels.ndim != 2 or levels.shape[0] < 1:
             raise ValueError("levels must be a non-empty (K, m) array")
         levels.setflags(write=False)
@@ -542,7 +548,8 @@ def _unbounded_grid(
 
 
 def generate_levels_with_dynamics(
-    problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams
+    problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams,
+    drift: Optional[Array] = None,
 ) -> Tuple[LevelGrid, Optional[Array]]:
     """Build the level grid for one interval at state ``x_i``.
 
@@ -553,9 +560,11 @@ def generate_levels_with_dynamics(
     ``params.cap``; when state bounds are present, product vectors whose
     joint one-step prediction leaves the box are dropped (for control-affine
     problems, by the separable bound of ``_affine_in_box``).  Rows come back
-    sorted lexicographically.  Without state bounds the grid is built once
-    per distinct control bounds, gated dimensions and ``params``, and shared
-    read-only.
+    sorted lexicographically, in a read-only array that the grid shares.
+    Without state bounds the grid is built once per distinct control bounds,
+    gated dimensions and ``params``, and shared read-only.  ``drift`` is the
+    control-affine drift at (t, x_i) when the caller has it already; it is
+    evaluated here otherwise.
 
     Also returns the dynamics rows at the kept levels when the problem has
     state bounds and no control-affine hooks (the filter evaluated them, so
@@ -572,7 +581,8 @@ def generate_levels_with_dynamics(
         lower, upper = problem.control_lower.tobytes(), problem.control_upper.tobytes()
         return _unbounded_grid(lower, upper, gates, params), None
     x_i = np.asarray(x_i, dtype=float)
-    drift = None if problem.drift is None else eval_drift(problem, t, x_i)
+    if drift is None and problem.drift is not None:
+        drift = eval_drift(problem, t, x_i)
     ranges = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift)
     counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
     levels, grids = _product_levels(problem.gated_dims, ranges, counts)
@@ -586,5 +596,6 @@ def generate_levels_with_dynamics(
             f"no product level satisfies the one-step state bounds at t={t}"
         )
     if not np.all(keep):
-        return LevelGrid(levels[keep]), None if f is None else f[keep]
+        levels, f = levels[keep], None if f is None else f[keep]
+    levels.setflags(write=False)
     return LevelGrid(levels), f

@@ -343,7 +343,12 @@ def build_supply_chain(
                 rows.append(default_revenue)
             else:
                 rows.append(np.array([float(c.revenue(t, iid)) for iid in item_ids]))
-        return np.stack(rows)
+        return np.stack(rows).ravel()
+
+    # without a revenue callable the table is constant: stack it once
+    has_revenue = any(c.revenue is not None for c in customers)
+    constant_revenue = None if has_revenue else build_revenue(0.0)
+    revenue_vec = build_revenue if has_revenue else (lambda t: constant_revenue)
 
     def split_state(x: Array) -> Tuple[Array, Array]:
         X = x[:n_items]
@@ -375,7 +380,7 @@ def build_supply_chain(
         mu_hat = U[:, :n_sup] @ agg
         ordering = mu_hat @ alpha_env
         # unit revenue per delivery column, customer-major like the control layout
-        revenue = U[:, n_sup:] @ build_revenue(t).ravel()
+        revenue = U[:, n_sup:] @ revenue_vec(t)
         if fixed_cost_mode == "on-order":
             fixed = (mu_hat > 0.0) @ beta_env
         else:

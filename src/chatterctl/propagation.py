@@ -22,7 +22,6 @@ from .chattering import (
     GridParams,
     InfeasibleLevels,
     LevelGrid,
-    control_from_measure,
     solve_measure_lp,
 )
 from .model import (
@@ -120,7 +119,7 @@ class Trajectory:
 
     points: Tuple[TrajectoryPoint, ...]
     accumulated_cost: float
-    stage_costs: Array  # g(t_i, x_i, u_i) * dt_i per interval
+    stage_costs: Array  # sum_k a_k g(t_i, x_i, c_k) * dt_i per interval (relaxed cost)
     clamp_count: int = 0
 
     def __post_init__(self):
@@ -230,7 +229,8 @@ def propagate_forward(
     Per interval: build the level grid at the current state, evaluate the
     Hamiltonian at every level, solve the measure LP, reconstruct the
     interval control, then advance state and costate.  The running cost is
-    accumulated as a left-endpoint sum, plus the terminal cost at x_T.
+    the relaxed one, ``sum_k a_k g(t_i, x_i, c_k)``, accumulated as a
+    left-endpoint sum, plus the terminal cost at x_T.
 
     With a ``measurement_source`` the predicted state may be replaced by an
     injected measurement before each interval solve (open-loop feedback).
@@ -254,12 +254,13 @@ def propagate_forward(
                     raise _annotate(ValueError(msg), i, t)
                 x, _ = _clamp(problem, measured)
         try:
-            grid, f_vals = chattering.generate_levels_with_dynamics(problem, t, x, dt, grid_params)
+            # one drift evaluation serves level search, filter, sweep and step
+            affine = problem.drift is not None
+            drift = eval_drift(problem, t, x) if affine else None
+            grid, f_vals = chattering.generate_levels_with_dynamics(problem, t, x, dt, grid_params, drift)
             g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
             ctx = HamiltonianContext(t, x, p)
-            affine = problem.drift is not None
             if affine:
-                drift = eval_drift(problem, t, x)
                 h_vals = g_vals + affine_p_dot_f(problem, drift, p, grid.levels)
             else:
                 f_vals = eval_dynamics_batch(problem, t, x, grid.levels) if f_vals is None else f_vals
@@ -269,15 +270,16 @@ def propagate_forward(
             measure = solve_measure_lp(h_vals)
             support = measure.support()
             grid_s, measure_s = _support_pair(grid, measure, support)
-            u = control_from_measure(grid, measure)
-            stage = eval_running_cost(problem, t, x, u) * dt
+            # the zero-weight levels add nothing: reduce over the support only
+            u = measure_s.weights @ grid_s.levels
+            stage = float(measure_s.weights @ g_vals[support]) * dt
+            h_value = float(measure_s.weights @ h_vals[support])
             f_support = drift + grid_s.levels @ problem.control_matrix if affine else f_vals[support]
             x_next, clamped = step_state(problem, x, measure_s, f_support, dt)
             p_next = step_costate(problem, ctx, grid_s, measure_s, dt)
         except (NonFiniteEvaluation, InfeasibleLevels) as err:
             raise _annotate(err, i, t)
         cost += stage
-        h_value = float(measure.weights @ h_vals)
         points.append(TrajectoryPoint(t, x, p, u, measure_s, grid_s, h_value))
         stage_costs.append(stage)
         clamp_count += clamped
@@ -289,11 +291,13 @@ def propagate_forward(
 
 def accumulate_cost(problem: ControlProblem, trajectory: Trajectory) -> float:
     """Recompute the discretized cost from the stored points: left-endpoint
-    sum of the running cost plus the terminal cost."""
+    sum of the relaxed running cost ``sum_k a_k g(t, x, c_k)`` over each
+    point's support levels, plus the terminal cost."""
     total = 0.0
     pts = trajectory.points
     for a, b in zip(pts[:-1], pts[1:]):
-        total += eval_running_cost(problem, a.t, a.x, a.u) * (b.t - a.t)
+        g = [eval_running_cost(problem, a.t, a.x, c) for c in a.grid.levels]
+        total += float(a.measure.weights @ g) * (b.t - a.t)
     return total + eval_terminal_cost(problem, pts[-1].x)
 
 

@@ -2,18 +2,20 @@
 
 None of these run in the solver itself: closed forms, per-table envelopes,
 a single-row reference step, a signal average, a control-affine problem
-stripped of its hooks, and the full-width product grid and filter that the
-level generator must reproduce bit for bit.
+stripped of its hooks, the full-width product grid and filter that the
+level generator must reproduce bit for bit, a problem whose relaxed optimum
+chatters, and a fingerprint of a whole run.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 
 from chatterctl import chattering
 from chatterctl.chattering import ChatteringSignal, InfeasibleLevels, LevelGrid
-from chatterctl.model import eval_drift
+from chatterctl.model import ControlProblem, eval_drift
 from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
 
 
@@ -120,3 +122,43 @@ def full_width_levels(problem, t, x, dt, grid_params):
     if not keep.any():
         raise InfeasibleLevels("no product level satisfies the one-step state bounds")
     return levels[keep], f[keep], keep
+
+
+def bolza_problem(x0: float = 0.0) -> ControlProblem:
+    """The Bolza-Young example on [0, 1]: minimize the integral of
+    x^2 + (u^2 - 1)^2 with x' = u, |u| <= 1, x(0) = x0, no terminal cost,
+    with the control-affine hooks.  At x = 0 no ordinary control is
+    optimal; the relaxed optimum spends half of every interval at u = -1 and
+    half at u = 1 and costs 0 (L. C. Young, *Lectures on the Calculus of
+    Variations and Optimal Control Theory*, 1969)."""
+    return ControlProblem(
+        state_dim=1,
+        control_dim=1,
+        horizon=1.0,
+        initial_state=np.array([x0]),
+        running_cost=lambda t, x, u: float(x[0] ** 2 + (u[0] ** 2 - 1.0) ** 2),
+        dynamics=lambda t, x, u: np.array([u[0]]),
+        control_lower=np.array([-1.0]),
+        control_upper=np.array([1.0]),
+        hamiltonian_x_gradient=lambda t, x, p, u: np.array([2.0 * x[0]]),
+        running_cost_batch=lambda t, x, U: x[0] ** 2 + (U[:, 0] ** 2 - 1.0) ** 2,
+        drift=lambda t, x: np.zeros(1),
+        control_matrix=np.ones((1, 1)),
+        drift_jacobian=lambda t, x: np.zeros((1, 1)),
+        name="bolza",
+    )
+
+
+def fingerprint(trajectory) -> str:
+    """SHA-256 over the bytes of a trajectory's states, costates, controls,
+    and every interval's support levels and weights: equal fingerprints mean
+    bit-identical runs."""
+    digest = hashlib.sha256()
+    parts = [trajectory.states(), trajectory.costates(), trajectory.controls()]
+    for point in trajectory.points[:-1]:
+        parts += [point.grid.levels, point.measure.weights]
+    for part in parts:
+        part = np.ascontiguousarray(part, dtype=float)
+        digest.update(repr(part.shape).encode())
+        digest.update(part.tobytes())
+    return digest.hexdigest()

@@ -26,7 +26,7 @@ from chatterctl import (
     synthetic_demand,
 )
 from chatterctl.cli import check_gradients, check_lp, check_tables, main
-from oracles import signal_time_average
+from oracles import fingerprint, signal_time_average
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -196,3 +196,30 @@ class TestAcceptance:
     def test_table_fidelity(self):
         ok, lines = check_tables()
         report("table-fidelity", ok, "; ".join(lines))
+
+
+class TestReferenceRuns:
+    """The two reference runs, pinned: iteration count and cost bits (within
+    1e-12 relative, which leaves room for another BLAS's rounding), and a
+    rerun that reproduces the whole trajectory bit for bit."""
+
+    @staticmethod
+    def solve_twice(problem, intervals, gamma):
+        partition = TimePartition.uniform(problem.horizon, intervals)
+        config = ShootingConfig(p0_initial=np.zeros(problem.state_dim), gamma=gamma)
+        first, second = (solve(problem, partition, config, GridParams(101, 4096)) for _ in "ab")
+        assert fingerprint(first.trajectory) == fingerprint(second.trajectory)
+        return first
+
+    def test_desk(self):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        result = self.solve_twice(problem, 200, 1.0)
+        assert result.converged and result.iterations == 3
+        expected = float.fromhex("0x1.1f78d8930ea28p+20")
+        assert abs(result.trajectory.accumulated_cost - expected) <= 1e-12 * expected
+
+    def test_lqr(self):
+        result = self.solve_twice(build_lqr(), 100, 0.5)
+        assert result.converged and result.iterations == 8
+        expected = float.fromhex("0x1.51a136a084e88p+7")
+        assert abs(result.trajectory.accumulated_cost - expected) <= 1e-12 * expected

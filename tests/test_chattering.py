@@ -895,3 +895,45 @@ class TestLevelMemos:
         with pytest.raises(ValueError):
             counts[0] = 7
         assert np.array_equal(_coarsen_counts(two, 101, 4096), counts)
+
+
+class TestLevelGridSharing:
+    """A grid shares a read-only float64 array that owns its data, which is
+    what the level generator hands it, and copies anything else, so no
+    caller's array aliases a grid."""
+
+    def test_shares_a_read_only_owner(self):
+        levels = np.array([[0.0, 1.0], [2.0, 3.0]])
+        levels.setflags(write=False)
+        assert LevelGrid(levels).levels is levels
+
+    @pytest.mark.parametrize("kind", ["writable", "read-only view", "int"])
+    def test_copies_anything_else(self, kind):
+        source = np.array([[0, 1], [2, 3]], dtype=int if kind == "int" else float)
+        given = source
+        if kind == "read-only view":
+            given = source[:, :]
+            given.setflags(write=False)
+        grid = LevelGrid(given)
+        assert grid.levels is not given and grid.levels.dtype == np.float64
+        assert not grid.levels.flags.writeable and source.flags.writeable
+        source[0, 0] = 7
+        assert grid.levels.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("hooks", [True, False])
+    def test_generator_hands_over_read_only_levels(self, hooks):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        problem = problem if hooks else without_hooks(problem)
+        rng = np.random.default_rng(6)
+        t = float(rng.uniform(0.0, 1.0))
+        x_floor = rng.uniform(0.0, 2.0, 20)
+        # states on the zero floor make the admissibility filter drop levels
+        x_floor[rng.integers(0, 20, 6)] = 0.0
+        params = GridParams()
+        full, _ = generate_levels_with_dynamics(problem, 0.0, problem.initial_state, 0.005, params)
+        kept, _ = generate_levels_with_dynamics(problem, t, x_floor, 0.005, params)
+        assert full.K == 4096 and kept.K < 4096
+        for grid in (full, kept):
+            assert grid.levels.flags.owndata and not grid.levels.flags.writeable
+            with pytest.raises(ValueError):
+                grid.levels[0, 0] = 1.0

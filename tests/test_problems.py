@@ -299,6 +299,21 @@ class TestSupplyChainProblem:
         v[0] = 7.0
         assert problem.running_cost(0.0, x, v) > 0.0
 
+    def test_revenue_table(self):
+        # without a revenue callable every customer pays revenue_factor times
+        # the item's unit-cost envelope at every t; a callable is read at t
+        import dataclasses
+
+        x, u = np.zeros(20), np.zeros(29)
+        u[14] = 1.0  # customer 0 takes one unit rate of item 0, nothing else moves
+        default = 2.0 * item_unit_cost_envelope()[0]
+        priced = (dataclasses.replace(CUSTOMERS[0], revenue=lambda t, iid: 1.0 + t),)
+        problem = build_supply_chain(SEASONAL, 1.0, 200)
+        timed = build_supply_chain(SEASONAL, 1.0, 200, customers=priced + CUSTOMERS[1:])
+        for t in (0.0, 0.5, 1.0):
+            assert problem.running_cost(t, x, u) == -(default**2)
+            assert timed.running_cost(t, x, u) == pytest.approx(-((1.0 + t) ** 2), rel=1e-15)
+
     def test_signed_square_is_monotone_and_vanishes_at_zero(self):
         problem = build_supply_chain(SEASONAL, 1.0, 200)
         x = np.zeros(20)

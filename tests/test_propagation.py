@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,21 +10,25 @@ from chatterctl import (
     GridParams,
     HamiltonianContext,
     LevelGrid,
+    ShootingConfig,
     TimePartition,
     accumulate_cost,
     build_lqr,
     build_supply_chain,
+    control_from_measure,
     load_replay_file,
     lqr_analytic_solution,
     propagate_forward,
     replay_measurement_source,
+    solve,
+    solve_measure_lp,
     step_costate,
     step_state,
     synthetic_demand,
 )
 from chatterctl.chattering import generate_levels_with_dynamics
-from chatterctl.model import eval_dynamics_batch
-from oracles import without_hooks
+from chatterctl.model import affine_p_dot_f, eval_drift, eval_dynamics_batch, eval_running_cost_batch
+from oracles import bolza_problem, without_hooks
 
 
 def lqr_ctx(x, p, t=0.0):
@@ -417,3 +422,72 @@ class TestProductionPath:
             fresh = eval_dynamics_batch(stripped, t, x, grid.levels)
             assert f_vals.shape == fresh.shape
             assert np.max(np.abs(f_vals - fresh)) <= 1e-12
+
+
+class TestRelaxedStageCost:
+    """The stage cost is the measure-weighted running cost sum_k a_k g(c_k),
+    not g at the averaged control: on Bolza at x0 = 0 every interval mixes
+    u = -1 and u = 1 half and half, where g is 0, while g at their average
+    u = 0 is 1."""
+
+    @staticmethod
+    def bolza_run():
+        problem = bolza_problem(0.0)
+        partition = TimePartition.uniform(1.0, 100)
+        result = solve(problem, partition, ShootingConfig(p0_initial=np.zeros(1)), GridParams())
+        return problem, partition, result
+
+    def test_bolza_chatters_at_zero_cost(self):
+        problem, _, result = self.bolza_run()
+        assert result.converged and result.iterations == 1
+        traj = result.trajectory
+        for point in traj.points[:-1]:
+            assert point.grid.levels.tolist() == [[-1.0], [1.0]]
+            assert point.measure.weights.tolist() == [0.5, 0.5]
+            assert point.u.tolist() == [0.0]
+        assert np.all(traj.states() == 0.0)
+        assert np.all(traj.stage_costs == 0.0)
+        assert traj.accumulated_cost == 0.0
+        assert accumulate_cost(problem, traj) == 0.0
+
+    def test_support_reductions_match_the_full_grid(self):
+        # u and h_value come from the support alone; the zero-weight levels
+        # of the full grid must add nothing to either
+        problem, partition, result = self.bolza_run()
+        for point, dt in zip(result.trajectory.points, partition.deltas.tolist()):
+            grid, _ = generate_levels_with_dynamics(problem, point.t, point.x, dt, GridParams())
+            drift = eval_drift(problem, point.t, point.x)
+            h_vals = eval_running_cost_batch(problem, point.t, point.x, grid.levels)
+            h_vals = h_vals + affine_p_dot_f(problem, drift, point.p, grid.levels)
+            measure = solve_measure_lp(h_vals)
+            assert grid.K == 101 and np.count_nonzero(measure.weights) == 2
+            assert np.array_equal(point.u, control_from_measure(grid, measure))
+            assert point.h_value == float(measure.weights @ h_vals)
+
+
+def count_drift_calls(problem):
+    """The problem with its drift wrapped to count calls, and the counter."""
+    calls = {"drift": 0}
+
+    def drift(t, x):
+        calls["drift"] += 1
+        return problem.drift(t, x)
+
+    return dataclasses.replace(problem, drift=drift), calls
+
+
+class TestOneDriftPerInterval:
+    """The interval step evaluates the drift once and shares it between the
+    level search, the filter, the factored sweep and the state step."""
+
+    def test_grocer(self):
+        problem, calls = count_drift_calls(
+            build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 10)
+        )
+        propagate_forward(problem, TimePartition.uniform(1.0, 10), np.zeros(20), GridParams())
+        assert calls["drift"] == 10
+
+    def test_lqr(self):
+        problem, calls = count_drift_calls(build_lqr())
+        propagate_forward(problem, TimePartition.uniform(1.0, 100), np.zeros(1), GridParams())
+        assert calls["drift"] == 100
