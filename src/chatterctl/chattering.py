@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,13 @@ class DimensionMismatch(ValueError):
     """Grid and measure disagree on the number of levels."""
 
 
+#: per-interval level work kept across the propagations of one solve:
+#: ``(t, dt) -> (x bytes, concatenated scalar grids, their sizes, keep mask
+#: or None when every level is kept)``; never levels or dynamics rows, whose
+#: size would grow the peak memory by megabytes
+LevelMemo = Dict[Tuple[float, float], Tuple[bytes, Array, Tuple[int, ...], Optional[np.ndarray]]]
+
+
 @dataclass(frozen=True)
 class GridParams:
     """Level generation knobs: requested points per control dimension and the
@@ -70,9 +77,10 @@ class LevelGrid:
 
     Rows are distinct and sorted lexicographically; within each control
     dimension the distinct scalar values form an ascending grid.  A read-only
-    float64 array that owns its data is shared (the level generator hands
-    over such arrays); anything else is copied, so no caller's array aliases
-    a grid.
+    float64 array that owns its data is shared, not copied (the level
+    generator hands over such arrays); anything else is copied.  Passing
+    such an array hands it over: numpy lets its owner turn writing back on,
+    and a write through it then changes ``levels``.
     """
 
     levels: Array
@@ -484,19 +492,25 @@ def _product_indices(sizes: Tuple[int, ...]) -> Array:
 
 
 def _affine_in_box(
-    problem: ControlProblem, x_i: Array, dt: float, drift: Array, levels: Array, grids: List[Array]
+    problem: ControlProblem,
+    x_i: Array,
+    dt: float,
+    drift: Array,
+    levels: Array,
+    values: Array,
+    sizes: Tuple[int, ...],
 ) -> np.ndarray:
     """``_in_box`` of the next states ``x_i + dt * (drift + levels @ B)`` of
-    the product of the scalar ``grids``, for control-affine dynamics.  Next
+    the product of the scalar grids (concatenated in ``values``, with
+    ``sizes`` values each), for control-affine dynamics.  Next
     state i spans ``x_i + dt * (drift_i + sum_j [min, max] of v * B[j, i]
     over grid j)``; a coordinate whose span, widened by a margin for the
     rounding of the rows and of these sums (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 3.1), lies in the box needs no row test.  The
     rest are tested on every row as the rows compute, so the mask is exact."""
     B = problem.control_matrix
-    sizes = [g.size for g in grids]
-    starts = np.cumsum([0] + sizes[:-1])
-    terms = np.concatenate(grids)[:, None] * np.repeat(B, sizes, axis=0)
+    starts = np.cumsum((0,) + sizes[:-1])
+    terms = values[:, None] * np.repeat(B, sizes, axis=0)
     scale = np.abs(x_i) + dt * (np.abs(drift) + np.maximum.reduceat(np.abs(terms), starts).sum(axis=0))
     margin = 2 * (B.shape[0] + 4) * np.finfo(float).eps * scale
     open_ = np.zeros(x_i.size, dtype=bool)
@@ -511,23 +525,27 @@ def _affine_in_box(
     return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
 
 
-def _product_levels(
+def _grid_values(
     gated_dims: Optional[Mapping[int, Tuple[float, float]]],
     ranges: Sequence[Tuple[float, float]],
     counts: Array,
-) -> Tuple[Array, List[Array]]:
-    """The lexicographic Cartesian product of the per-dimension grids over
-    ``ranges`` with ``counts`` points, and those grids."""
+) -> Tuple[Array, Tuple[int, ...]]:
+    """The per-dimension grids over ``ranges`` with ``counts`` points,
+    concatenated, and their sizes."""
     gated_dims = gated_dims or {}
     grids = [
         _scalar_grid(gated_dims.get(j), j, lo, hi, int(count))
         for j, ((lo, hi), count) in enumerate(zip(ranges, counts))
     ]
-    # one gather from the concatenated grids (dimension count is not limited
-    # the way np.meshgrid is); an index, not ndarray.take, which copies a
-    # read-only ``pos`` every call
-    pos = _product_indices(tuple(int(g.size) for g in grids))
-    return np.concatenate(grids)[pos], grids
+    return np.concatenate(grids), tuple(int(g.size) for g in grids)
+
+
+def _product_levels(values: Array, sizes: Tuple[int, ...]) -> Array:
+    """The lexicographic Cartesian product of the grids that ``_grid_values``
+    returned: one gather (dimension count is not limited the way np.meshgrid
+    is); an index, not ndarray.take, which copies a read-only
+    ``_product_indices`` matrix every call."""
+    return values[_product_indices(sizes)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -543,13 +561,13 @@ def _unbounded_grid(
     lo, hi = np.frombuffer(lower), np.frombuffer(upper)
     counts = _counts_for_widths((hi - lo).tobytes(), params.k_per_dim, params.cap)
     gated_dims = {dim: (g_lo, g_hi) for dim, g_lo, g_hi in gates}
-    levels, _ = _product_levels(gated_dims, list(zip(lo.tolist(), hi.tolist())), counts)
-    return LevelGrid(levels)
+    values, sizes = _grid_values(gated_dims, list(zip(lo.tolist(), hi.tolist())), counts)
+    return LevelGrid(_product_levels(values, sizes))
 
 
 def generate_levels_with_dynamics(
     problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams,
-    drift: Optional[Array] = None,
+    drift: Optional[Array] = None, memo: Optional[LevelMemo] = None,
 ) -> Tuple[LevelGrid, Optional[Array]]:
     """Build the level grid for one interval at state ``x_i``.
 
@@ -566,6 +584,13 @@ def generate_levels_with_dynamics(
     control-affine drift at (t, x_i) when the caller has it already; it is
     evaluated here otherwise.
 
+    ``memo`` (see ``LevelMemo``) keeps, per interval ``(t, dt)``, the state
+    and the scalar grids and keep mask built there.  When ``x_i`` equals that
+    state bit for bit, the range search, the scalar grids and the box test
+    are skipped and the same levels are gathered again; a miss replaces the
+    entry, and a failed build leaves none.  One memo serves one problem and
+    one ``params``.
+
     Also returns the dynamics rows at the kept levels when the problem has
     state bounds and no control-affine hooks (the filter evaluated them, so
     the propagation loop skips a second sweep), None otherwise: the loop
@@ -581,21 +606,34 @@ def generate_levels_with_dynamics(
         lower, upper = problem.control_lower.tobytes(), problem.control_upper.tobytes()
         return _unbounded_grid(lower, upper, gates, params), None
     x_i = np.asarray(x_i, dtype=float)
-    if drift is None and problem.drift is not None:
-        drift = eval_drift(problem, t, x_i)
-    ranges = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift)
-    counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
-    levels, grids = _product_levels(problem.gated_dims, ranges, counts)
-    if drift is None:
-        f = eval_dynamics_batch(problem, t, x_i, levels)
-        keep = _in_box(problem, x_i + dt * f)
+    state = x_i.tobytes()
+    entry = None if memo is None else memo.pop((t, dt), None)
+    if entry is not None and entry[0] == state:
+        _, values, sizes, keep = entry
+        levels = _product_levels(values, sizes)
+        # the rows of the whole product, as on the first build: a batch
+        # evaluator need not give a row the same bits in a smaller batch
+        f = eval_dynamics_batch(problem, t, x_i, levels) if problem.drift is None else None
     else:
-        f, keep = None, _affine_in_box(problem, x_i, dt, drift, levels, grids)
-    if not np.any(keep):
-        raise InfeasibleLevels(
-            f"no product level satisfies the one-step state bounds at t={t}"
-        )
-    if not np.all(keep):
+        if drift is None and problem.drift is not None:
+            drift = eval_drift(problem, t, x_i)
+        ranges = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift)
+        counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
+        values, sizes = _grid_values(problem.gated_dims, ranges, counts)
+        levels = _product_levels(values, sizes)
+        if drift is None:
+            f = eval_dynamics_batch(problem, t, x_i, levels)
+            keep = _in_box(problem, x_i + dt * f)
+        else:
+            f, keep = None, _affine_in_box(problem, x_i, dt, drift, levels, values, sizes)
+        if not np.any(keep):
+            raise InfeasibleLevels(
+                f"no product level satisfies the one-step state bounds at t={t}"
+            )
+        keep = None if np.all(keep) else keep
+    if memo is not None:
+        memo[(t, dt)] = (state, values, sizes, keep)
+    if keep is not None:
         levels, f = levels[keep], None if f is None else f[keep]
     levels.setflags(write=False)
     return LevelGrid(levels), f

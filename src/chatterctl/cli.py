@@ -52,6 +52,15 @@ SUPPLY_CHAIN_HORIZON = 1.0
 PROBLEM_CHOICES = ("lqr", "supply-chain")
 VALIDATE_CHOICES = ("lqr", "lp", "gradients", "tables", "sensitivities")
 
+#: SolveConfig fields that a config file must give as JSON integers or
+#: numbers; bool is an int subclass in Python and is refused for both
+INT_FIELDS = ("intervals", "levels", "level_cap", "max_iters")
+FLOAT_FIELDS = ("gamma", "eps", "amplitude", "period")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 @dataclass
 class SolveConfig:
@@ -72,6 +81,20 @@ class SolveConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name.replace('_', '-')} must be an integer, got {value!r}")
+        for name in FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{name.replace('_', '-')} must be a number, got {value!r}")
+        if self.p0 is not None and not (
+            isinstance(self.p0, list) and all(_is_number(v) for v in self.p0)
+        ):
+            raise ConfigError(f"p0 must be null or a list of numbers, got {self.p0!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out-dir must be a string, got {self.out_dir!r}")
         if self.problem not in PROBLEM_CHOICES:
             raise ConfigError(f"problem must be one of {PROBLEM_CHOICES}")
         if self.intervals < 1:

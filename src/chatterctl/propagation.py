@@ -22,6 +22,7 @@ from .chattering import (
     GridParams,
     InfeasibleLevels,
     LevelGrid,
+    LevelMemo,
     solve_measure_lp,
 )
 from .model import (
@@ -223,6 +224,7 @@ def propagate_forward(
     p0: Array,
     grid_params: GridParams = GridParams(),
     measurement_source: Optional[MeasurementSource] = None,
+    memo: Optional[LevelMemo] = None,
 ) -> Trajectory:
     """Run the full per-interval pipeline from (x_0, p0) to the horizon.
 
@@ -234,6 +236,10 @@ def propagate_forward(
 
     With a ``measurement_source`` the predicted state may be replaced by an
     injected measurement before each interval solve (open-loop feedback).
+
+    ``memo`` is handed to every level generation: propagations that share
+    one reuse an interval's level work when they start it from the same
+    state (see ``chattering.generate_levels_with_dynamics``).
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (problem.state_dim,):
@@ -257,7 +263,9 @@ def propagate_forward(
             # one drift evaluation serves level search, filter, sweep and step
             affine = problem.drift is not None
             drift = eval_drift(problem, t, x) if affine else None
-            grid, f_vals = chattering.generate_levels_with_dynamics(problem, t, x, dt, grid_params, drift)
+            grid, f_vals = chattering.generate_levels_with_dynamics(
+                problem, t, x, dt, grid_params, drift, memo
+            )
             g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
             ctx = HamiltonianContext(t, x, p)
             if affine:

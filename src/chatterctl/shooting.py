@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .chattering import GridParams, InfeasibleLevels
+from .chattering import GridParams, InfeasibleLevels, LevelMemo
 from .model import (
     Array,
     ControlProblem,
@@ -259,6 +259,12 @@ def solve(
 
     Infeasible level generation ends the run with ``converged=False`` and a
     diagnostic message instead of raising; non-finite evaluations propagate.
+
+    Within one switching pattern the state path does not depend on the
+    guess, so later iterations start interval after interval from the same
+    states: the propagations share one level memo, which lives as long as
+    this call, and skip the level work that an earlier iteration did at the
+    same interval and state.
     """
     p0 = np.array(config.p0_initial, dtype=float)
     history: List[float] = []
@@ -271,6 +277,7 @@ def solve(
     message = ""
     # the iteration that propagated each guess, by the guess's bytes
     seen: Dict[bytes, int] = {}
+    memo: LevelMemo = {}
     for _ in range(config.max_iterations):
         iteration = len(history) + 1
         earlier = seen.get(p0.tobytes())
@@ -282,7 +289,7 @@ def solve(
             break
         seen[p0.tobytes()] = iteration
         try:
-            trajectory = propagate_forward(problem, partition, p0, grid_params)
+            trajectory = propagate_forward(problem, partition, p0, grid_params, memo=memo)
         except InfeasibleLevels as err:
             message = f"level generation became infeasible: {err}"
             break

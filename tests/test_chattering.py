@@ -897,15 +897,84 @@ class TestLevelMemos:
         assert np.array_equal(_coarsen_counts(two, 101, 4096), counts)
 
 
+class TestIntervalMemo:
+    """A memo handed to the generator keeps, per interval, the state and the
+    level work done there; the same interval from the same state, bit for
+    bit, skips the range search and gives the same grid and rows."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        search = chattering._search_ranges
+
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(chattering, "_search_ranges", counted)
+        return calls
+
+    @pytest.mark.parametrize("hooks", [True, False])
+    def test_same_state_hits_and_one_ulp_misses(self, hooks, monkeypatch):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        problem = problem if hooks else without_hooks(problem)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 2.0, 20)
+        # states on the zero floor make the admissibility filter drop levels
+        x[rng.integers(0, 20, 6)] = 0.0
+        t, dt, params = 0.3, 0.005, GridParams()
+        plain, plain_rows = generate_levels_with_dynamics(problem, t, x, dt, params)
+        assert plain.K < params.cap
+        nudged = x.copy()
+        nudged[3] = np.nextafter(nudged[3], np.inf)
+        plain_nudged, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params)
+        searches = self.count_searches(monkeypatch)
+        memo = {}
+        for expected_searches in (1, 1):
+            grid, rows = generate_levels_with_dynamics(problem, t, x.copy(), dt, params, None, memo)
+            assert len(searches) == expected_searches and len(memo) == 1
+            assert_bitwise(grid.levels, plain.levels)
+            assert not grid.levels.flags.writeable
+            if hooks:
+                assert rows is None
+            else:
+                assert_bitwise(rows, plain_rows)
+        grid, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params, None, memo)
+        assert len(searches) == 2 and len(memo) == 1
+        assert memo[(t, dt)][0] == nudged.tobytes()
+        assert_bitwise(grid.levels, plain_nudged.levels)
+        # another interval from the same state is another entry
+        generate_levels_with_dynamics(problem, t + dt, nudged, dt, params, None, memo)
+        assert len(searches) == 3 and len(memo) == 2
+
+    def test_infeasible_build_leaves_no_entry(self):
+        # x' = 1 against the upper bound 0: from x = 0 no level is admissible
+        problem = box_problem(dynamics=lambda t, x, u: np.ones(1), state_upper=np.zeros(1))
+        memo = {}
+        generate_levels_with_dynamics(problem, 0.0, np.array([-1.0]), 0.1, GridParams(), None, memo)
+        assert len(memo) == 1
+        with pytest.raises(InfeasibleLevels):
+            generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, memo)
+        assert memo == {}
+
+
 class TestLevelGridSharing:
     """A grid shares a read-only float64 array that owns its data, which is
-    what the level generator hands it, and copies anything else, so no
-    caller's array aliases a grid."""
+    what the level generator hands it, and copies anything else."""
 
     def test_shares_a_read_only_owner(self):
         levels = np.array([[0.0, 1.0], [2.0, 3.0]])
         levels.setflags(write=False)
         assert LevelGrid(levels).levels is levels
+
+    def test_shared_owner_is_handed_over(self):
+        # the owner can turn writing back on, and the grid sees the write
+        levels = np.array([[0.0, 1.0], [2.0, 3.0]])
+        levels.setflags(write=False)
+        grid = LevelGrid(levels)
+        levels.setflags(write=True)
+        levels[0, 0] = 5.0
+        assert grid.levels[0, 0] == 5.0
 
     @pytest.mark.parametrize("kind", ["writable", "read-only view", "int"])
     def test_copies_anything_else(self, kind):

@@ -80,6 +80,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="problem"):
             SolveConfig(problem="rocket").validate()
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"intervals": "100"}, "intervals"),
+            ({"gamma": None}, "gamma"),
+            ({"intervals": True}, "intervals"),
+            ({"levels": 2.5}, "levels"),
+            ({"max-iters": 1e2}, "max-iters"),
+            ({"eps": "1e-3"}, "eps"),
+            ({"gamma": True}, "gamma"),
+            ({"p0": 0.5}, "p0"),
+            ({"p0": [0.5, "1"]}, "p0"),
+            ({"p0": [False]}, "p0"),
+            ({"out-dir": 5}, "out-dir"),
+        ],
+    )
+    def test_file_values_of_the_wrong_type_rejected(self, raw, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"out-dir": str(out), **raw}), encoding="utf-8")
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_file_numbers_accepted(self):
+        # JSON integers are numbers; p0 takes integers and floats
+        SolveConfig(gamma=1, eps=1, amplitude=0, period=1, p0=[0, 1.5]).validate()
+
     def test_build_problem_selects_builtins(self):
         assert build_problem(SolveConfig(problem="lqr")).name == "lqr"
         assert build_problem(SolveConfig(problem="supply-chain", intervals=64)).name == (

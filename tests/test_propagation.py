@@ -450,6 +450,32 @@ class TestRelaxedStageCost:
         assert traj.accumulated_cost == 0.0
         assert accumulate_cost(problem, traj) == 0.0
 
+    @staticmethod
+    def bolza_half(intervals, p0):
+        """Bolza at x0 = 0.5 from the discrete root ``p0``: u = -1 until x
+        reaches 0 at t = 0.5, then every interval chatters."""
+        problem = bolza_problem(0.5)
+        partition = TimePartition.uniform(1.0, intervals)
+        traj = propagate_forward(problem, partition, np.array([p0]), GridParams())
+        return problem, traj
+
+    def test_bolza_cost_is_first_order_in_dt(self):
+        # the relaxed optimum costs |x0|^3 / 3 = 1/24; the left-endpoint sum
+        # over the arrival at x = 0 adds an O(dt) excess
+        problem, traj = self.bolza_half(100, 0.255)
+        mixed = [pt for pt in traj.points[:-1] if pt.measure.K > 1]
+        assert len(mixed) == 50 and all(pt.t >= 0.5 for pt in mixed)
+        assert abs(traj.terminal.x[0]) <= 1e-15
+        excess = traj.accumulated_cost - 1.0 / 24.0
+        assert 0.0 < excess <= 0.01 / 4
+        assert excess == pytest.approx(1.2583e-3, rel=1e-4)
+        assert accumulate_cost(problem, traj) == traj.accumulated_cost
+        # doubling the intervals halves the excess
+        _, finer = self.bolza_half(200, 0.2525)
+        assert abs(finer.terminal.x[0]) <= 1e-15
+        ratio = (finer.accumulated_cost - 1.0 / 24.0) / excess
+        assert 0.45 <= ratio <= 0.55
+
     def test_support_reductions_match_the_full_grid(self):
         # u and h_value come from the support alone; the zero-weight levels
         # of the full grid must add nothing to either

@@ -22,7 +22,7 @@ from chatterctl import (
 from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
 from chatterctl.shooting import tangent_sensitivities, update_initial_costate
-from oracles import lqr_hamiltonian_flow, without_hooks
+from oracles import fingerprint, lqr_hamiltonian_flow, without_hooks
 
 
 def inert_problem(n=2, horizon=1.0):
@@ -484,7 +484,8 @@ class TestTangentSensitivities:
     def test_desk_solve_runs_no_perturbed_propagation(self, monkeypatch):
         problem, part, grid = desk_problem()
         forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
-        calls = {"forward": 0, "levels": 0}
+        search = chattering._search_ranges
+        calls = {"forward": 0, "levels": 0, "searches": 0}
 
         def counted_forward(*args, **kwargs):
             calls["forward"] += 1
@@ -494,15 +495,86 @@ class TestTangentSensitivities:
             calls["levels"] += 1
             return generate(*args, **kwargs)
 
+        def counted_search(*args):
+            calls["searches"] += 1
+            return search(*args)
+
         monkeypatch.setattr(shooting, "propagate_forward", counted_forward)
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted_levels)
+        monkeypatch.setattr(chattering, "_search_ranges", counted_search)
         config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)
         result = solve(problem, part, config, grid)
         assert result.converged and result.iterations == 3
         # the unregularized Newton step lands on the root of the affine map
         assert result.residual_history[-1] < 1e-6
-        # one propagation per iteration, one level generation per interval
-        assert calls == {"forward": 3, "levels": 600}
+        # one propagation per iteration, one level generation per interval;
+        # 222 of them start an interval from the state an earlier iteration
+        # started it from, and skip the range search
+        assert calls == {"forward": 3, "levels": 600, "searches": 378}
+
+
+def filtered_grocer(intervals):
+    """The grocer at constant demand 20: stock runs down to the zero floor,
+    so the admissibility filter drops levels at many intervals."""
+    problem = build_supply_chain(synthetic_demand("constant", 20.0), 1.0, intervals)
+    return problem, TimePartition.uniform(1.0, intervals), GridParams()
+
+
+class TestLevelMemo:
+    """``solve`` hands one level memo to all its propagations, and nothing
+    else: an interval that a later iteration starts from the same state
+    reuses the level work, and the run is the one that plain propagations
+    of the same guesses give."""
+
+    @pytest.mark.parametrize(
+        "case, intervals, repeats, filtered_repeats",
+        [("hooks", 50, 62, 40), ("no-hooks", 20, 25, 17)],
+    )
+    def test_solve_matches_plain_propagations(
+        self, case, intervals, repeats, filtered_repeats, monkeypatch
+    ):
+        problem, part, grid = filtered_grocer(intervals)
+        problem = problem if case == "hooks" else without_hooks(problem)
+        forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
+        search = chattering._search_ranges
+        runs, memos, skipped = [], [], []
+        searches = [0]
+
+        def recorded_forward(problem, partition, p0, grid_params, **kwargs):
+            memo = kwargs["memo"]
+            memos.append((memo, len(memo)))
+            trajectory = forward(problem, partition, p0, grid_params, **kwargs)
+            runs.append((np.array(p0), fingerprint(trajectory)))
+            return trajectory
+
+        def recorded_levels(*args):
+            before = searches[0]
+            grid_out = generate(*args)
+            if searches[0] == before:
+                skipped.append(grid_out[0].K)
+            return grid_out
+
+        def counted_search(*args):
+            searches[0] += 1
+            return search(*args)
+
+        monkeypatch.setattr(shooting, "propagate_forward", recorded_forward)
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded_levels)
+        monkeypatch.setattr(chattering, "_search_ranges", counted_search)
+        config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)
+        for _ in range(2):
+            result = solve(problem, part, config, grid)
+            assert result.converged and result.iterations == 3
+        assert len(skipped) == 2 * repeats
+        assert sum(k < grid.cap for k in skipped) == 2 * filtered_repeats
+        # one memo per solve, empty when the solve starts, one entry per interval
+        assert [size for _, size in memos] == [0, intervals, intervals] * 2
+        assert memos[0][0] is memos[2][0] and memos[3][0] is not memos[0][0]
+        assert all(len(memo) == intervals for memo, _ in memos)
+        monkeypatch.undo()
+        for p0, digest in runs:
+            assert fingerprint(propagate_forward(problem, part, p0, grid)) == digest
+        assert fingerprint(result.trajectory) == runs[-1][1]
 
 
 class TestConditionNumbers:
