@@ -20,11 +20,8 @@ from .chattering import (
 )
 from .model import (
     ControlProblem,
-    HamiltonianContext,
     NonFiniteEvaluation,
     eval_hamiltonian,
-    eval_hamiltonian_batch,
-    grad_h_costate,
     grad_h_state,
     terminal_costate,
     terminal_hessian,
@@ -68,7 +65,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyGrid",
     "GridParams",
-    "HamiltonianContext",
     "InfeasibleLevels",
     "LevelGrid",
     "NonFiniteEvaluation",
@@ -84,9 +80,7 @@ __all__ = [
     "build_supply_chain",
     "control_from_measure",
     "eval_hamiltonian",
-    "eval_hamiltonian_batch",
     "finite_diff_sensitivities",
-    "grad_h_costate",
     "grad_h_state",
     "load_replay_file",
     "lqr_analytic_solution",

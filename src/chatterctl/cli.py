@@ -32,13 +32,11 @@ from . import problems, shooting
 from .chattering import GridParams, InfeasibleLevels, realize_signal, solve_measure_lp
 from .model import (
     ControlProblem,
-    HamiltonianContext,
     NonFiniteEvaluation,
     _central_difference,
     eval_drift,
     eval_drift_jacobian,
     eval_dynamics,
-    grad_h_costate,
     grad_h_state,
 )
 from .problems import ConfigError
@@ -105,8 +103,8 @@ class SolveConfig:
             raise ConfigError("level-cap must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
-        if not self.eps > 0:
-            raise ConfigError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
         if self.max_iters < 1:
             raise ConfigError("max-iters must be >= 1")
         if self.demand not in problems.DEMAND_PROFILES:
@@ -349,17 +347,11 @@ def check_lp(instances: int = 1000, seed: int = 20250810) -> Tuple[bool, List[st
     return ok, [f"{instances - failures}/{instances} instances match the vertex oracle exactly"]
 
 
-def _fd_reference(problem: ControlProblem, ctx: HamiltonianContext, u) -> np.ndarray:
-    stripped = dataclasses.replace(problem, hamiltonian_x_gradient=None)
-    return grad_h_state(stripped, ctx, u)
-
-
 def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tuple[bool, List[str]]:
-    """Analytic dH/dx against central differences, and dH/dp against the
-    dynamics, on random evaluation points for both built-in problems; also
-    their control-affine hooks: ``drift + u @ control_matrix`` must equal the
-    dynamics exactly and ``drift_jacobian`` a central difference of the
-    drift."""
+    """Analytic dH/dx against central differences on random evaluation
+    points for both built-in problems; also their control-affine hooks:
+    ``drift + u @ control_matrix`` must equal the dynamics exactly and
+    ``drift_jacobian`` a central difference of the drift."""
     rng = np.random.default_rng(seed)
     lines: List[str] = []
     ok = True
@@ -369,6 +361,7 @@ def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tupl
         ("supply-chain", problems.build_supply_chain(demand, 1.0, 200), 20.0, 100.0),
     ]
     for name, problem, x_scale, p_scale in cases:
+        stripped = dataclasses.replace(problem, hamiltonian_x_gradient=None)
         worst = 0.0
         bad = 0
         for _ in range(points_per_problem):
@@ -378,17 +371,12 @@ def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tupl
                 x = x - 0.5 * x_scale
             p = rng.uniform(-p_scale, p_scale, size=problem.state_dim)
             u = rng.uniform(problem.control_lower, problem.control_upper)
-            ctx = HamiltonianContext(t, x, p)
-            analytic = grad_h_state(problem, ctx, u)
-            fd = _fd_reference(problem, ctx, u)
+            analytic = grad_h_state(problem, t, x, p, u)
+            fd = grad_h_state(stripped, t, x, p, u)
             tol = max(1e-6, 1e-4 * float(np.linalg.norm(analytic)))
             err = float(np.max(np.abs(analytic - fd)))
             worst = max(worst, err / tol)
             if err > tol:
-                bad += 1
-            if not np.array_equal(
-                grad_h_costate(problem, ctx, u), eval_dynamics(problem, t, x, u)
-            ):
                 bad += 1
             affine = eval_drift(problem, t, x) + u @ problem.control_matrix
             if not np.array_equal(affine, eval_dynamics(problem, t, x, u)):
@@ -403,8 +391,8 @@ def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tupl
         ok = ok and bad == 0
         lines.append(
             f"{name}: {points_per_problem - bad}/{points_per_problem} points within "
-            f"tolerance (worst err/tol {worst:.2e}); dH/dp identical to dynamics, "
-            "and drift + u @ control_matrix identical to dynamics"
+            f"tolerance (worst err/tol {worst:.2e}); "
+            "drift + u @ control_matrix identical to dynamics"
         )
     return ok, lines
 

@@ -18,7 +18,6 @@ solver runs as long as its evaluators are reentrant.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -136,23 +135,6 @@ class ControlProblem:
         return self.state_lower is not None or self.state_upper is not None
 
 
-@dataclass(frozen=True)
-class HamiltonianContext:
-    """The (t, x, p) triple at which Hamiltonians are evaluated."""
-
-    time: float
-    state: Array
-    costate: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", _readonly(self.state))
-        object.__setattr__(self, "costate", _readonly(self.costate))
-        if not np.isfinite(self.time):
-            raise ValueError("time must be finite")
-        if not (np.all(np.isfinite(self.state)) and np.all(np.isfinite(self.costate))):
-            raise ValueError("state and costate must be finite")
-
-
 def eval_dynamics(problem: ControlProblem, t: float, x: Array, u: Array) -> Array:
     f = np.asarray(problem.dynamics(t, x, u), dtype=float)
     if not np.all(np.isfinite(f)):
@@ -221,31 +203,15 @@ def affine_p_dot_f(problem: ControlProblem, drift: Array, p: Array, controls: Ar
     return controls @ (problem.control_matrix @ p) + drift @ p
 
 
-def eval_hamiltonian(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -> float:
+def eval_hamiltonian(problem: ControlProblem, t: float, x: Array, p: Array, u: Array) -> float:
     """H(t, x, p, u) = g(t, x, u) + p . f(t, x, u)."""
     u = np.asarray(u, dtype=float)
-    g = eval_running_cost(problem, ctx.time, ctx.state, u)
-    f = eval_dynamics(problem, ctx.time, ctx.state, u)
-    h = g + float(ctx.costate @ f)
+    g = eval_running_cost(problem, t, x, u)
+    f = eval_dynamics(problem, t, x, u)
+    h = g + float(p @ f)
     if not np.isfinite(h):
-        raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={ctx.time}")
+        raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
     return h
-
-
-def eval_hamiltonian_batch(problem: ControlProblem, ctx: HamiltonianContext, controls: Array) -> Array:
-    """Hamiltonian at every row of ``controls``; shape (K,)."""
-    g = eval_running_cost_batch(problem, ctx.time, ctx.state, controls)
-    f = eval_dynamics_batch(problem, ctx.time, ctx.state, controls)
-    h = g + f @ ctx.costate
-    if not np.all(np.isfinite(h)):
-        raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={ctx.time}")
-    return h
-
-
-def grad_h_costate(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -> Array:
-    """dH/dp.  H is affine in p, so this is exactly f(t, x, u), never an
-    approximation."""
-    return eval_dynamics(problem, ctx.time, ctx.state, np.asarray(u, dtype=float))
 
 
 def _fd_state_step(x: Array, j: int) -> float:
@@ -268,23 +234,19 @@ def _central_difference(fn: Callable[[Array], object], x: Array) -> Array:
     return np.array(diffs)
 
 
-def grad_h_state(problem: ControlProblem, ctx: HamiltonianContext, u: Array) -> Array:
+def grad_h_state(problem: ControlProblem, t: float, x: Array, p: Array, u: Array) -> Array:
     """dH/dx, analytic when the problem supplies it, otherwise a central
     finite difference per state coordinate (step 1e-6 * max(1, |x_j|)).
     """
     u = np.asarray(u, dtype=float)
     if problem.hamiltonian_x_gradient is not None:
-        grad = np.asarray(
-            problem.hamiltonian_x_gradient(ctx.time, ctx.state, ctx.costate, u), dtype=float
-        )
+        grad = np.asarray(problem.hamiltonian_x_gradient(t, x, p, u), dtype=float)
         if grad.shape != (problem.state_dim,):
             raise ValueError("hamiltonian_x_gradient returned the wrong shape")
         if not np.all(np.isfinite(grad)):
-            raise NonFiniteEvaluation(f"analytic dH/dx is non-finite at t={ctx.time}")
+            raise NonFiniteEvaluation(f"analytic dH/dx is non-finite at t={t}")
         return grad
-    return _central_difference(
-        lambda x: eval_hamiltonian(problem, dataclasses.replace(ctx, state=x), u), ctx.state
-    )
+    return _central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
 
 
 def eval_terminal_cost(problem: ControlProblem, x_final: Array) -> float:

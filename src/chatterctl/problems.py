@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class SupplierRecord:
     fixed_cost: float
     min_qty: float
     max_qty: float
-    supply_rate: Optional[Callable[[float], float]] = None  # in-transit rate, default 0
 
     def __post_init__(self):
         if not 0 <= self.min_qty <= self.max_qty:
@@ -148,7 +147,6 @@ class SupplierRecord:
 class CustomerRecord:
     customer_id: int
     importance: float
-    revenue: Optional[Callable[[float, int], float]] = None  # (t, item_id) -> unit revenue
 
     def __post_init__(self):
         if not 0.0 < self.importance <= 1.0:
@@ -195,12 +193,12 @@ SUPPLIERS: Tuple[SupplierRecord, ...] = (
 )
 
 N_ITEMS = len(ITEMS)
-N_CUSTOMERS = len(CUSTOMERS)
-N_SUPPLIER_ROWS = len(SUPPLIERS)
-SUPPLY_CHAIN_STATE_DIM = N_ITEMS + N_CUSTOMERS * N_ITEMS  # inventory then unmet demand
-SUPPLY_CHAIN_CONTROL_DIM = N_SUPPLIER_ROWS + N_CUSTOMERS * N_ITEMS  # orders then deliveries
 #: bound on per-(customer, item) delivery rates
 DELIVERY_RATE_MAX = 20.0
+#: every customer pays this multiple of the item's unit-cost envelope
+REVENUE_FACTOR = 2.0
+#: starting stock of every item
+INITIAL_INVENTORY = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +256,6 @@ def build_supply_chain(
     horizon: float,
     intervals: int,
     fixed_cost_mode: str = "on-order",
-    revenue_factor: float = 2.0,
-    initial_inventory: float = 10.0,
     suppliers: Sequence[SupplierRecord] = SUPPLIERS,
     customers: Sequence[CustomerRecord] = CUSTOMERS,
     items: Sequence[ItemRecord] = ITEMS,
@@ -283,10 +279,6 @@ def build_supply_chain(
         raise ConfigError("horizon must be positive")
     if intervals < 1:
         raise ConfigError("intervals must be >= 1")
-    if revenue_factor < 0:
-        raise ConfigError("revenue_factor must be nonnegative")
-    if initial_inventory < 0:
-        raise ConfigError("initial_inventory must be nonnegative")
     dt = horizon / intervals
     if dt > 1.0:
         raise ConfigError(
@@ -323,32 +315,8 @@ def build_supply_chain(
             raise ConfigError(f"demand model produced a negative or non-finite rate at t={t}")
         return table
 
-    has_supply = any(rec.supply_rate is not None for rec in suppliers)
-
-    def build_supply(t: float) -> Array:
-        rate = np.zeros(n_items)
-        for rec in suppliers:
-            if rec.supply_rate is not None:
-                rate[rec.item_id] += float(rec.supply_rate(t))
-        return rate
-
-    supply_vec = build_supply if has_supply else (lambda t: 0.0)
-
-    default_revenue = revenue_factor * alpha_env
-
-    def build_revenue(t: float) -> Array:
-        rows = []
-        for c in customers:
-            if c.revenue is None:
-                rows.append(default_revenue)
-            else:
-                rows.append(np.array([float(c.revenue(t, iid)) for iid in item_ids]))
-        return np.stack(rows).ravel()
-
-    # without a revenue callable the table is constant: stack it once
-    has_revenue = any(c.revenue is not None for c in customers)
-    constant_revenue = None if has_revenue else build_revenue(0.0)
-    revenue_vec = build_revenue if has_revenue else (lambda t: constant_revenue)
+    # unit revenue per delivery column, customer-major like the control layout
+    revenue_vec = np.tile(REVENUE_FACTOR * alpha_env, n_cust)
 
     def split_state(x: Array) -> Tuple[Array, Array]:
         X = x[:n_items]
@@ -371,7 +339,7 @@ def build_supply_chain(
         x = np.asarray(x, dtype=float)
         # theta laid out like the Z state block (item-major)
         theta_state = build_theta(t).T.ravel()
-        return np.concatenate([-x[:n_items] + supply_vec(t), -x[n_items:] + theta_state])
+        return np.concatenate([-x[:n_items], -x[n_items:] + theta_state])
 
     def net_cost_rate_batch(t: float, x: Array, U: Array) -> Array:
         U = np.asarray(U, dtype=float)
@@ -379,8 +347,7 @@ def build_supply_chain(
         X, Z_ci = split_state(x)
         mu_hat = U[:, :n_sup] @ agg
         ordering = mu_hat @ alpha_env
-        # unit revenue per delivery column, customer-major like the control layout
-        revenue = U[:, n_sup:] @ revenue_vec(t)
+        revenue = U[:, n_sup:] @ revenue_vec
         if fixed_cost_mode == "on-order":
             fixed = (mu_hat > 0.0) @ beta_env
         else:
@@ -410,7 +377,7 @@ def build_supply_chain(
         [np.array([rec.max_qty for rec in suppliers]), np.full(n_cust * n_items, DELIVERY_RATE_MAX)]
     )
     gated = {row: (rec.min_qty, rec.max_qty) for row, rec in enumerate(suppliers)}
-    x0 = np.concatenate([np.full(n_items, initial_inventory), np.zeros(n_cust * n_items)])
+    x0 = np.concatenate([np.full(n_items, INITIAL_INVENTORY), np.zeros(n_cust * n_items)])
 
     return ControlProblem(
         state_dim=n,

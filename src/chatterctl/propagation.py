@@ -28,7 +28,6 @@ from .chattering import (
 from .model import (
     Array,
     ControlProblem,
-    HamiltonianContext,
     NonFiniteEvaluation,
     affine_p_dot_f,
     eval_drift,
@@ -186,7 +185,9 @@ def step_state(
 
 def step_costate(
     problem: ControlProblem,
-    ctx: HamiltonianContext,
+    t: float,
+    x: Array,
+    p: Array,
     grid: LevelGrid,
     measure: ChatteringMeasure,
     dt: float,
@@ -196,9 +197,9 @@ def step_costate(
         raise ValueError("dt must be positive")
     acc = np.zeros(problem.state_dim)
     for k in measure.support():
-        grad = grad_h_state(problem, ctx, grid.levels[k])
+        grad = grad_h_state(problem, t, x, p, grid.levels[k])
         acc = acc + measure.weights[k] * grad
-    return ctx.costate - dt * acc
+    return p - dt * acc
 
 
 def _support_pair(
@@ -237,6 +238,9 @@ def propagate_forward(
     With a ``measurement_source`` the predicted state may be replaced by an
     injected measurement before each interval solve (open-loop feedback).
 
+    A non-finite evaluation, or a state or costate step that overflows,
+    raises ``NonFiniteEvaluation`` tagged with the ``interval_index``.
+
     ``memo`` is handed to every level generation: propagations that share
     one reuse an interval's level work when they start it from the same
     state (see ``chattering.generate_levels_with_dynamics``).
@@ -267,7 +271,6 @@ def propagate_forward(
                 problem, t, x, dt, grid_params, drift, memo
             )
             g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
-            ctx = HamiltonianContext(t, x, p)
             if affine:
                 h_vals = g_vals + affine_p_dot_f(problem, drift, p, grid.levels)
             else:
@@ -284,7 +287,9 @@ def propagate_forward(
             h_value = float(measure_s.weights @ h_vals[support])
             f_support = drift + grid_s.levels @ problem.control_matrix if affine else f_vals[support]
             x_next, clamped = step_state(problem, x, measure_s, f_support, dt)
-            p_next = step_costate(problem, ctx, grid_s, measure_s, dt)
+            p_next = step_costate(problem, t, x, p, grid_s, measure_s, dt)
+            if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
+                raise NonFiniteEvaluation(f"state or costate step is non-finite at t={t}")
         except (NonFiniteEvaluation, InfeasibleLevels) as err:
             raise _annotate(err, i, t)
         cost += stage

@@ -74,8 +74,8 @@ class ShootingConfig:
         object.__setattr__(self, "p0_initial", p0)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -199,19 +199,6 @@ def tangent_sensitivities(
     return SensitivityEstimate(np.zeros((n, n)), dp)
 
 
-def _correction_matrix(
-    problem: ControlProblem, sens: SensitivityEstimate, x_T: Array
-) -> Tuple[Array, float]:
-    """The correction matrix Hess(psi)(x_T) P_x - P_p and its condition
-    number (inf when the estimate fails)."""
-    M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
-    try:
-        cond = float(np.linalg.cond(M))
-    except np.linalg.LinAlgError:  # pragma: no cover - cond rarely fails
-        cond = np.inf
-    return M, cond
-
-
 def update_initial_costate(
     p0: Array,
     sens: SensitivityEstimate,
@@ -219,26 +206,29 @@ def update_initial_costate(
     x_T: Array,
     problem: ControlProblem,
     gamma: float,
-    correction: Optional[Tuple[Array, float]] = None,
-) -> Array:
+) -> Tuple[Array, float]:
     """One correction of the initial costate guess:
 
         p0 <- p0 + gamma * (Hess(psi)(x_T) P_x - P_p)^-1 (p_T - dpsi/dx(x_T))
 
-    solved densely and unregularized.  ``correction`` is the matrix and its
-    condition number from ``_correction_matrix``, built here when omitted.
-    Raises ``SingularCorrection`` when the condition number is not finite
-    or exceeds ``CONDITION_LIMIT``.
+    solved densely and unregularized.  Returns the new guess and the
+    condition number of the correction matrix.  Raises
+    ``SingularCorrection`` when the condition number is not finite or
+    exceeds ``CONDITION_LIMIT``.
     """
     p0 = np.asarray(p0, dtype=float)
     residual = p_T - terminal_costate(problem, x_T)
-    M, cond = correction if correction is not None else _correction_matrix(problem, sens, x_T)
+    M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
+    try:
+        cond = float(np.linalg.cond(M))
+    except np.linalg.LinAlgError:  # pragma: no cover - cond rarely fails
+        cond = np.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularCorrection(
             f"correction matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
     step = np.linalg.solve(M, residual)
-    return p0 + gamma * step
+    return p0 + gamma * step, cond
 
 
 def solve(
@@ -309,13 +299,10 @@ def solve(
         if len(history) >= config.max_iterations:
             break
         sens = tangent_sensitivities(problem, partition, trajectory)
-        correction = _correction_matrix(problem, sens, x_T)
         try:
-            p0 = update_initial_costate(
-                p0, sens, p_T, x_T, problem, config.gamma, correction
-            )
+            p0, cond = update_initial_costate(p0, sens, p_T, x_T, problem, config.gamma)
             step_kinds.append("newton")
-            condition_numbers.append(correction[1])
+            condition_numbers.append(cond)
         except SingularCorrection:
             # plain residual gradient step keeps the loop alive
             p0 = p0 - config.gamma * (p_T - terminal_costate(problem, x_T))

@@ -105,6 +105,17 @@ class TestConfig:
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_infinite_eps_rejected(self, source, tmp_path, capsys):
+        # an infinite eps would accept the first iterate, whatever its residual
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"eps": float("inf"), "out-dir": str(out)}), encoding="utf-8")
+        args = ["--config", str(path)] if source == "file" else ["--eps", "inf", "--out-dir", str(out)]
+        assert main(["solve", "--problem", "lqr", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: eps must be positive and finite")
+        assert not out.exists()
+
     def test_file_numbers_accepted(self):
         # JSON integers are numbers; p0 takes integers and floats
         SolveConfig(gamma=1, eps=1, amplitude=0, period=1, p0=[0, 1.5]).validate()

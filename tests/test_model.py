@@ -5,21 +5,19 @@ import pytest
 
 from chatterctl import (
     ControlProblem,
-    HamiltonianContext,
     NonFiniteEvaluation,
     build_lqr,
     eval_hamiltonian,
-    eval_hamiltonian_batch,
-    grad_h_costate,
     grad_h_state,
     terminal_costate,
     terminal_hessian,
 )
-from chatterctl.model import eval_dynamics_batch
+from chatterctl.model import eval_dynamics, eval_dynamics_batch
 
 
-def ctx(t=0.0, x=(10.0,), p=(0.0,)):
-    return HamiltonianContext(t, np.asarray(x, float), np.asarray(p, float))
+def at(t=0.0, x=(10.0,), p=(0.0,)):
+    """The (t, x, p) triple the Hamiltonian evaluators take."""
+    return t, np.asarray(x, float), np.asarray(p, float)
 
 
 def make_problem(**overrides):
@@ -40,34 +38,26 @@ def make_problem(**overrides):
 class TestEvalHamiltonian:
     def test_lqr_at_start(self):
         problem = build_lqr()
-        assert eval_hamiltonian(problem, ctx(), np.array([0.0])) == 100.0
+        assert eval_hamiltonian(problem, *at(), np.array([0.0])) == 100.0
 
     def test_zero_cost_zero_costate(self):
         problem = make_problem(dynamics=lambda t, x, u: np.array([x[0] + u[0]]))
-        assert eval_hamiltonian(problem, ctx(x=(3.0,), p=(0.0,)), np.array([0.5])) == 0.0
+        assert eval_hamiltonian(problem, *at(x=(3.0,), p=(0.0,)), np.array([0.5])) == 0.0
 
     def test_direct_substitution(self):
         problem = build_lqr()
-        h = eval_hamiltonian(problem, ctx(x=(1.0,), p=(2.0,)), np.array([-1.0]))
+        h = eval_hamiltonian(problem, *at(x=(1.0,), p=(2.0,)), np.array([-1.0]))
         assert h == pytest.approx(2.0, abs=1e-14)
 
     def test_non_finite_dynamics_raises(self):
         problem = make_problem(dynamics=lambda t, x, u: np.array([np.inf]))
         with pytest.raises(NonFiniteEvaluation):
-            eval_hamiltonian(problem, ctx(), np.array([0.0]))
+            eval_hamiltonian(problem, *at(), np.array([0.0]))
 
     def test_non_finite_cost_raises(self):
         problem = make_problem(running_cost=lambda t, x, u: float("nan"))
         with pytest.raises(NonFiniteEvaluation):
-            eval_hamiltonian(problem, ctx(), np.array([0.0]))
-
-    def test_batch_matches_scalar(self):
-        problem = build_lqr()
-        c = ctx(x=(2.0,), p=(1.5,))
-        controls = np.linspace(-30.0, 5.0, 7)[:, None]
-        batch = eval_hamiltonian_batch(problem, c, controls)
-        single = [eval_hamiltonian(problem, c, u) for u in controls]
-        assert np.allclose(batch, single, rtol=0, atol=1e-12)
+            eval_hamiltonian(problem, *at(), np.array([0.0]))
 
     def test_linear_in_costate(self):
         problem = build_lqr()
@@ -79,10 +69,10 @@ class TestEvalHamiltonian:
             a, b = rng.uniform(-2, 2, 2)
             u = rng.uniform(-30, 5, 1)
             g = problem.running_cost(0.0, x, u)
-            lhs = eval_hamiltonian(problem, ctx(x=x, p=a * p1 + b * p2), u)
+            lhs = eval_hamiltonian(problem, *at(x=x, p=a * p1 + b * p2), u)
             rhs = (
-                a * eval_hamiltonian(problem, ctx(x=x, p=p1), u)
-                + b * eval_hamiltonian(problem, ctx(x=x, p=p2), u)
+                a * eval_hamiltonian(problem, *at(x=x, p=p1), u)
+                + b * eval_hamiltonian(problem, *at(x=x, p=p2), u)
                 - (a + b - 1.0) * g
             )
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
@@ -95,15 +85,12 @@ class TestGradHCostate:
         for _ in range(20):
             x = rng.uniform(-10, 10, 1)
             u = rng.uniform(-30, 5, 1)
-            c = ctx(x=x, p=rng.uniform(-5, 5, 1))
-            assert np.array_equal(
-                grad_h_costate(problem, c, u), problem.dynamics(0.0, x, u)
-            )
+            assert np.array_equal(eval_dynamics(problem, 0.0, x, u), problem.dynamics(0.0, x, u))
 
     def test_lqr_values(self):
         problem = build_lqr()
-        assert grad_h_costate(problem, ctx(x=(10.0,)), np.array([0.0]))[0] == 10.0
-        assert grad_h_costate(problem, ctx(x=(3.0,)), np.array([-3.0]))[0] == 0.0
+        assert eval_dynamics(problem, 0.0, np.array([10.0]), np.array([0.0]))[0] == 10.0
+        assert eval_dynamics(problem, 0.0, np.array([3.0]), np.array([-3.0]))[0] == 0.0
 
 
 class TestControlAffineHooks:
@@ -131,12 +118,12 @@ class TestControlAffineHooks:
 class TestGradHState:
     def test_analytic_lqr(self):
         problem = build_lqr()
-        assert grad_h_state(problem, ctx(x=(10.0,), p=(0.0,)), np.array([0.0]))[0] == 20.0
-        assert grad_h_state(problem, ctx(x=(0.0,), p=(0.0,)), np.array([0.0]))[0] == 0.0
+        assert grad_h_state(problem, *at(x=(10.0,), p=(0.0,)), np.array([0.0]))[0] == 20.0
+        assert grad_h_state(problem, *at(x=(0.0,), p=(0.0,)), np.array([0.0]))[0] == 0.0
 
     def test_fd_matches_analytic(self):
         problem = dataclasses.replace(build_lqr(), hamiltonian_x_gradient=None)
-        fd = grad_h_state(problem, ctx(x=(10.0,), p=(1.0,)), np.array([0.0]))
+        fd = grad_h_state(problem, *at(x=(10.0,), p=(1.0,)), np.array([0.0]))
         assert abs(fd[0] - 21.0) <= 1e-8
 
     def test_default_step_scales_with_state(self):
@@ -144,10 +131,10 @@ class TestGradHState:
         analytic = build_lqr()
         rng = np.random.default_rng(11)
         for _ in range(50):
-            c = ctx(x=rng.uniform(-100, 100, 1), p=rng.uniform(-50, 50, 1))
+            c = at(x=rng.uniform(-100, 100, 1), p=rng.uniform(-50, 50, 1))
             u = rng.uniform(-30, 5, 1)
-            want = grad_h_state(analytic, c, u)
-            got = grad_h_state(problem, c, u)
+            want = grad_h_state(analytic, *c, u)
+            got = grad_h_state(problem, *c, u)
             tol = max(1e-6, 1e-4 * float(np.linalg.norm(want)))
             assert abs(got[0] - want[0]) <= tol
 
@@ -254,7 +241,3 @@ class TestProblemValidation:
     def test_control_affine_hooks_rejected(self, hooks):
         with pytest.raises(ValueError):
             make_problem(**hooks)
-
-    def test_context_requires_finite_entries(self):
-        with pytest.raises(ValueError):
-            HamiltonianContext(0.0, np.array([np.nan]), np.array([0.0]))

@@ -4,12 +4,10 @@ import pytest
 from chatterctl import (
     ConfigError,
     GridParams,
-    HamiltonianContext,
     TimePartition,
     build_lqr,
     build_supply_chain,
     eval_hamiltonian,
-    grad_h_costate,
     grad_h_state,
     lqr_analytic_solution,
     propagate_forward,
@@ -18,7 +16,7 @@ from chatterctl import (
     terminal_costate,
 )
 from chatterctl.chattering import ChatteringMeasure
-from chatterctl.model import eval_dynamics_batch
+from chatterctl.model import eval_dynamics, eval_dynamics_batch
 from chatterctl.problems import (
     CUSTOMERS,
     ITEMS,
@@ -76,8 +74,8 @@ def rk4_shooting_oracle():
 class TestLqrProblem:
     def test_hamiltonian_at_start(self):
         problem = build_lqr()
-        ctx = HamiltonianContext(0.0, np.array([10.0]), np.array([0.0]))
-        assert eval_hamiltonian(problem, ctx, np.array([0.0])) == 100.0
+        x, p = np.array([10.0]), np.array([0.0])
+        assert eval_hamiltonian(problem, 0.0, x, p, np.array([0.0])) == 100.0
 
     def test_dynamics_cancel(self):
         problem = build_lqr()
@@ -218,8 +216,7 @@ class TestSupplyChainProblem:
         x[5] = 5.0  # item 0, customer 1
         u = np.zeros(29)
         u[14] = 1.0  # delivery (customer 1, item 0)
-        ctx = HamiltonianContext(0.0, x, np.zeros(20))
-        zdot = grad_h_costate(problem, ctx, u)[5]
+        zdot = eval_dynamics(problem, 0.0, x, u)[5]
         assert zdot == pytest.approx(-4.0, abs=1e-14)
 
     def test_market_row_dynamics_time_varying_demand(self):
@@ -229,8 +226,7 @@ class TestSupplyChainProblem:
         u = np.zeros(29)
         u[14] = 1.0
         theta = SEASONAL.theta(0.3, 1, 0)
-        ctx = HamiltonianContext(0.3, x, np.zeros(20))
-        zdot = grad_h_costate(problem, ctx, u)[5]
+        zdot = eval_dynamics(problem, 0.3, x, u)[5]
         assert zdot == pytest.approx(-5.0 + theta - 1.0, rel=1e-14)
 
     def test_market_oracle_examples(self):
@@ -265,8 +261,7 @@ class TestSupplyChainProblem:
         u[1] = 4.0  # Colorado apples
         u[14] = 1.5  # customer 1 apples
         u[19] = 0.5  # customer 2 apples
-        ctx = HamiltonianContext(0.0, x, np.zeros(20))
-        xdot = grad_h_costate(problem, ctx, u)[0]
+        xdot = eval_dynamics(problem, 0.0, x, u)[0]
         assert xdot == pytest.approx(-2.0 + 11.0 - 2.0, rel=1e-14)
 
     def test_analytic_gradient_matches_fd(self):
@@ -280,9 +275,8 @@ class TestSupplyChainProblem:
             p = rng.uniform(-50.0, 50.0, 20)
             u = rng.uniform(problem.control_lower, problem.control_upper)
             t = float(rng.uniform(0.0, 1.0))
-            ctx = HamiltonianContext(t, x, p)
-            analytic = grad_h_state(problem, ctx, u)
-            fd = grad_h_state(stripped, ctx, u)
+            analytic = grad_h_state(problem, t, x, p, u)
+            fd = grad_h_state(stripped, t, x, p, u)
             tol = max(1e-6, 1e-4 * float(np.linalg.norm(analytic)))
             assert np.max(np.abs(analytic - fd)) <= tol
 
@@ -300,19 +294,13 @@ class TestSupplyChainProblem:
         assert problem.running_cost(0.0, x, v) > 0.0
 
     def test_revenue_table(self):
-        # without a revenue callable every customer pays revenue_factor times
-        # the item's unit-cost envelope at every t; a callable is read at t
-        import dataclasses
-
+        # every customer pays twice the item's unit-cost envelope at every t
         x, u = np.zeros(20), np.zeros(29)
         u[14] = 1.0  # customer 0 takes one unit rate of item 0, nothing else moves
         default = 2.0 * item_unit_cost_envelope()[0]
-        priced = (dataclasses.replace(CUSTOMERS[0], revenue=lambda t, iid: 1.0 + t),)
         problem = build_supply_chain(SEASONAL, 1.0, 200)
-        timed = build_supply_chain(SEASONAL, 1.0, 200, customers=priced + CUSTOMERS[1:])
         for t in (0.0, 0.5, 1.0):
             assert problem.running_cost(t, x, u) == -(default**2)
-            assert timed.running_cost(t, x, u) == pytest.approx(-((1.0 + t) ** 2), rel=1e-15)
 
     def test_signed_square_is_monotone_and_vanishes_at_zero(self):
         problem = build_supply_chain(SEASONAL, 1.0, 200)

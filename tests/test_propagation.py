@@ -8,7 +8,6 @@ from chatterctl import (
     ChatteringMeasure,
     ControlProblem,
     GridParams,
-    HamiltonianContext,
     LevelGrid,
     ShootingConfig,
     TimePartition,
@@ -31,15 +30,16 @@ from chatterctl.model import affine_p_dot_f, eval_drift, eval_dynamics_batch, ev
 from oracles import bolza_problem, without_hooks
 
 
-def lqr_ctx(x, p, t=0.0):
-    return HamiltonianContext(t, np.array([x]), np.array([p]))
+def lqr_point(x, p, t=0.0):
+    """The (t, x, p) triple of a scalar problem."""
+    return t, np.array([x]), np.array([p])
 
 
-def state_step(problem, ctx, grid, measure, dt):
+def state_step(problem, t, x, p, grid, measure, dt):
     """``step_state`` on the dynamics rows at the grid's levels, as
     ``propagate_forward`` calls it."""
-    f_vals = eval_dynamics_batch(problem, ctx.time, ctx.state, grid.levels)
-    return step_state(problem, ctx.state, measure, f_vals, dt)
+    f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
+    return step_state(problem, x, measure, f_vals, dt)
 
 
 class TestTimePartition:
@@ -67,7 +67,7 @@ class TestSteps:
         problem = build_lqr()
         grid = LevelGrid(np.array([[0.0]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        x_next, clamped = state_step(problem, lqr_ctx(10.0, 0.0), grid, measure, 0.01)
+        x_next, clamped = state_step(problem, *lqr_point(10.0, 0.0), grid, measure, 0.01)
         assert x_next[0] == pytest.approx(10.1, abs=1e-15)
         assert not clamped
 
@@ -84,23 +84,23 @@ class TestSteps:
         )
         grid = LevelGrid(np.array([[0.5]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        x_next, _ = state_step(problem, lqr_ctx(2.0, 0.0), grid, measure, 0.3)
+        x_next, _ = state_step(problem, *lqr_point(2.0, 0.0), grid, measure, 0.3)
         assert x_next[0] == 2.0
 
     def test_state_step_convex_combination(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[-2.0], [0.0]]))
         measure = ChatteringMeasure(np.array([0.5, 0.5]))
-        x_next, _ = state_step(problem, lqr_ctx(10.0, 0.0), grid, measure, 0.01)
+        x_next, _ = state_step(problem, *lqr_point(10.0, 0.0), grid, measure, 0.01)
         assert x_next[0] == pytest.approx(10.09, abs=1e-15)
 
     def test_costate_step_lqr(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[1.0]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        p_next = step_costate(problem, lqr_ctx(10.0, 0.0), grid, measure, 0.01)
+        p_next = step_costate(problem, *lqr_point(10.0, 0.0), grid, measure, 0.01)
         assert p_next[0] == pytest.approx(-0.2, abs=1e-15)
-        p_next = step_costate(problem, lqr_ctx(0.0, 1.0), grid, measure, 0.1)
+        p_next = step_costate(problem, *lqr_point(0.0, 1.0), grid, measure, 0.1)
         assert p_next[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_costate_unchanged_when_cost_and_dynamics_ignore_state(self):
@@ -116,7 +116,7 @@ class TestSteps:
         )
         grid = LevelGrid(np.array([[0.7]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        p_next = step_costate(problem, lqr_ctx(3.0, 2.5), grid, measure, 0.25)
+        p_next = step_costate(problem, *lqr_point(3.0, 2.5), grid, measure, 0.25)
         assert p_next[0] == pytest.approx(2.5, abs=1e-9)
 
     def test_increments_homogeneous_in_dt(self):
@@ -125,22 +125,22 @@ class TestSteps:
         problem = build_lqr()
         grid = LevelGrid(np.array([[-1.5], [2.0]]))
         measure = ChatteringMeasure(np.array([0.25, 0.75]))
-        ctx = lqr_ctx(3.5, -1.25)
-        dx_full = state_step(problem, ctx, grid, measure, 0.25)[0] - ctx.state
-        dx_half = state_step(problem, ctx, grid, measure, 0.125)[0] - ctx.state
+        t, x, p = lqr_point(3.5, -1.25)
+        dx_full = state_step(problem, t, x, p, grid, measure, 0.25)[0] - x
+        dx_half = state_step(problem, t, x, p, grid, measure, 0.125)[0] - x
         assert dx_half[0] == 0.5 * dx_full[0]
-        dp_full = step_costate(problem, ctx, grid, measure, 0.25) - ctx.costate
-        dp_half = step_costate(problem, ctx, grid, measure, 0.125) - ctx.costate
+        dp_full = step_costate(problem, t, x, p, grid, measure, 0.25) - p
+        dp_half = step_costate(problem, t, x, p, grid, measure, 0.125) - p
         assert dp_half[0] == 0.5 * dp_full[0]
 
     def test_increments_scale_with_dt_generic_values(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[-1.5], [2.0]]))
         measure = ChatteringMeasure(np.array([0.25, 0.75]))
-        ctx = lqr_ctx(3.7, -1.3)
+        t, x, p = lqr_point(3.7, -1.3)
         steps = (
-            (ctx.state, lambda dt: state_step(problem, ctx, grid, measure, dt)[0]),
-            (ctx.costate, lambda dt: step_costate(problem, ctx, grid, measure, dt)),
+            (x, lambda dt: state_step(problem, t, x, p, grid, measure, dt)[0]),
+            (p, lambda dt: step_costate(problem, t, x, p, grid, measure, dt)),
         )
         for base, step in steps:
             full = step(0.02) - base
@@ -167,7 +167,7 @@ class TestSteps:
         )
         grid = LevelGrid(np.array([[level]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        x_next, clamped = state_step(problem, lqr_ctx(x, 0.0), grid, measure, dt)
+        x_next, clamped = state_step(problem, *lqr_point(x, 0.0), grid, measure, dt)
         assert x_next[0] == 0.0
         assert clamped == beyond_tolerance
 
@@ -315,6 +315,29 @@ class TestPropagateForward:
         assert excinfo.value.interval_index == 2
         assert "interval 2" in str(excinfo.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("intervals", [10, 1])
+    def test_overflowing_costate_step_reports_interval(self, intervals):
+        # every evaluation is finite, but p - dt * dH/dx overflows to inf
+        problem = ControlProblem(
+            state_dim=1,
+            control_dim=1,
+            horizon=1.0,
+            initial_state=np.zeros(1),
+            running_cost=lambda t, x, u: 0.0,
+            dynamics=lambda t, x, u: np.zeros(1),
+            control_lower=np.array([0.0]),
+            control_upper=np.array([1.0]),
+            hamiltonian_x_gradient=lambda t, x, p, u: np.array([-1.7e308]),
+        )
+        part = TimePartition.uniform(1.0, intervals)
+        from chatterctl import NonFiniteEvaluation
+
+        with pytest.raises(NonFiniteEvaluation) as excinfo:
+            propagate_forward(problem, part, np.array([1.7e308]), GridParams(3, 16))
+        assert excinfo.value.interval_index == 0
+        assert "interval 0" in str(excinfo.value)
+
 
 class TestFeedbackHook:
     def test_measurement_overrides_prediction(self):
@@ -394,8 +417,7 @@ class TestProductionPath:
         assert np.array_equal(traj.points[self.REPLAYED].x, replayed)
         for i, (pt, nxt) in enumerate(zip(traj.points[:-1], traj.points[1:])):
             dt_i = nxt.t - pt.t
-            ctx = HamiltonianContext(pt.t, pt.x, pt.p)
-            p_next = step_costate(problem, ctx, pt.grid, pt.measure, dt_i)
+            p_next = step_costate(problem, pt.t, pt.x, pt.p, pt.grid, pt.measure, dt_i)
             assert np.array_equal(p_next, nxt.p)
             if i + 1 != self.REPLAYED:
                 f_vals = eval_dynamics_batch(problem, pt.t, pt.x, pt.grid.levels)

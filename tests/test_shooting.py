@@ -154,7 +154,7 @@ class TestUpdateInitialCostate:
     def test_scalar_substitution(self):
         problem = inert_problem(n=1)
         sens = SensitivityEstimate(np.zeros((1, 1)), np.array([[2.0]]))
-        new_p0 = update_initial_costate(
+        new_p0, _ = update_initial_costate(
             np.array([4.0]), sens, np.array([1.0]), np.zeros(1), problem, 1.0
         )
         assert new_p0[0] == pytest.approx(3.5, abs=1e-15)
@@ -162,7 +162,7 @@ class TestUpdateInitialCostate:
     def test_zero_residual_is_fixed_point(self):
         problem = inert_problem(n=1)
         sens = SensitivityEstimate(np.zeros((1, 1)), np.array([[1.0]]))
-        new_p0 = update_initial_costate(
+        new_p0, _ = update_initial_costate(
             np.array([2.0]), sens, np.zeros(1), np.zeros(1), problem, 0.7
         )
         assert new_p0[0] == 2.0
@@ -172,7 +172,7 @@ class TestUpdateInitialCostate:
         sens = SensitivityEstimate(np.zeros((1, 1)), np.eye(1))
         p0 = np.array([8.0])
         for _ in range(4):
-            p0 = update_initial_costate(p0, sens, p0, np.zeros(1), problem, 0.5)
+            p0, _ = update_initial_costate(p0, sens, p0, np.zeros(1), problem, 0.5)
         assert p0[0] == 0.5**4 * 8.0
 
     def test_singular_matrix_raises(self):
@@ -347,6 +347,12 @@ class TestSolve:
             ShootingConfig(p0_initial=np.zeros(1), max_iterations=0)
         with pytest.raises(ValueError):
             ShootingConfig(p0_initial=np.zeros(1), epsilon=0.0)
+
+    def test_non_finite_epsilon_rejected(self):
+        # an infinite epsilon would accept the first iterate, whatever its residual
+        for eps in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                ShootingConfig(p0_initial=np.zeros(1), epsilon=eps)
 
     def test_progress_sink_sees_every_iteration(self):
         problem = inert_problem(n=1)
