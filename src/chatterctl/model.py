@@ -8,7 +8,8 @@ derivatives, and box bounds on controls and states.  The control Hamiltonian
 
 is the single quantity every downstream stage (level generation, the
 per-interval measure LP, state/costate stepping, shooting) evaluates, so all
-of those evaluations live here.
+of those evaluations live here.  ``g`` and ``f`` are evaluated on blocks of
+control levels only, and :func:`_checked` checks every hook's output.
 
 Evaluators must be deterministic functions of their arguments; the solver is
 free to call them in any order and any number of times.  All operations in
@@ -31,6 +32,19 @@ class NonFiniteEvaluation(RuntimeError):
     this point."""
 
 
+def _checked(value, shape: Tuple[int, ...], hook: str, t: Optional[float] = None) -> Array:
+    """A hook's output as a float array of ``shape``.  A wrong shape raises
+    ``ValueError`` and a NaN or inf ``NonFiniteEvaluation``, both naming the
+    hook (and ``t`` for the hooks that take one)."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{hook} returned shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        where = "" if t is None else f" at t={t}"
+        raise NonFiniteEvaluation(f"{hook} returned a non-finite value{where}")
+    return arr
+
+
 def _readonly(a: Array) -> Array:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -41,11 +55,12 @@ def _readonly(a: Array) -> Array:
 class ControlProblem:
     """A continuous-time optimal control problem on a fixed horizon.
 
-    ``running_cost``, ``dynamics`` and the optional terminal evaluators take
-    plain floats / 1-d float arrays.  ``dynamics_batch`` / ``running_cost_batch``
-    are optional vectorized twins taking a ``(K, m)`` block of controls at one
-    ``(t, x)`` and returning ``(K, n)`` / ``(K,)``; they exist purely so the
-    per-interval level sweep does not pay a Python call per level.
+    Each quantity comes in one form: the running cost as ``running_cost(t, x,
+    u)`` (a float) or ``running_cost_batch(t, x, U)`` over a ``(K, m)`` block
+    of controls (shape ``(K,)``); the dynamics as ``dynamics(t, x, u)`` (shape
+    ``(n,)``), ``dynamics_batch(t, x, U)`` (shape ``(K, n)``) or the
+    control-affine hooks below.  The solver evaluates blocks, calling a
+    scalar form once per row.  Terminal evaluators take a 1-d float array.
 
     ``gated_dims`` marks control dimensions that are either exactly zero
     (off) or confined to an active range ``[low, high]``; level generation
@@ -55,10 +70,10 @@ class ControlProblem:
     ``drift``, ``control_matrix`` and ``drift_jacobian`` describe
     control-affine dynamics ``f(t, x, u) = drift(t, x) + u @ control_matrix``
     with a constant ``(m, n)`` control matrix and the ``(n, n)`` Jacobian
-    ``d drift_i / d x_j``.  When given, they must agree with ``dynamics``;
-    the batch dynamics then cost one drift evaluation and one product (and
-    ``dynamics_batch`` is not consulted), level ranges come in closed form,
-    and the shooting tangent is analytic.
+    ``d drift_i / d x_j``.  When given, the batch dynamics cost one drift
+    evaluation and one product (``dynamics`` and ``dynamics_batch`` are not
+    consulted), level ranges come in closed form, and the shooting tangent
+    is analytic.
     ``drift`` and ``control_matrix`` come together; ``drift_jacobian`` needs
     both.
     """
@@ -67,10 +82,10 @@ class ControlProblem:
     control_dim: int
     horizon: float
     initial_state: Array
-    running_cost: Callable[[float, Array, Array], float]
-    dynamics: Callable[[float, Array, Array], Array]
     control_lower: Array
     control_upper: Array
+    running_cost: Optional[Callable[[float, Array, Array], float]] = None
+    dynamics: Optional[Callable[[float, Array, Array], Array]] = None
     terminal_cost: Optional[Callable[[Array], float]] = None
     terminal_gradient: Optional[Callable[[Array], Array]] = None
     terminal_hessian: Optional[Callable[[Array], Array]] = None
@@ -96,6 +111,8 @@ class ControlProblem:
         object.__setattr__(self, "control_upper", _readonly(self.control_upper))
         if self.initial_state.shape != (n,):
             raise ValueError(f"initial_state must have shape ({n},)")
+        if not np.all(np.isfinite(self.initial_state)):
+            raise ValueError("initial_state must be finite")
         if self.control_lower.shape != (m,) or self.control_upper.shape != (m,):
             raise ValueError(f"control bounds must have shape ({m},)")
         if not (np.all(np.isfinite(self.control_lower)) and np.all(np.isfinite(self.control_upper))):
@@ -129,71 +146,51 @@ class ControlProblem:
                 raise ValueError(f"control_matrix must have shape ({m}, {n})")
             if not np.all(np.isfinite(self.control_matrix)):
                 raise ValueError("control_matrix must be finite")
+        if self.running_cost is None and self.running_cost_batch is None:
+            raise ValueError("a problem needs running_cost or running_cost_batch")
+        if self.dynamics is None and self.dynamics_batch is None and self.drift is None:
+            raise ValueError("a problem needs dynamics, dynamics_batch or drift and control_matrix")
 
     @property
     def has_state_bounds(self) -> bool:
         return self.state_lower is not None or self.state_upper is not None
 
 
-def eval_dynamics(problem: ControlProblem, t: float, x: Array, u: Array) -> Array:
-    f = np.asarray(problem.dynamics(t, x, u), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteEvaluation(f"dynamics returned a non-finite value at t={t}")
-    return f
-
-
-def eval_running_cost(problem: ControlProblem, t: float, x: Array, u: Array) -> float:
-    g = float(problem.running_cost(t, x, u))
-    if not np.isfinite(g):
-        raise NonFiniteEvaluation(f"running cost returned a non-finite value at t={t}")
-    return g
-
-
 def eval_drift(problem: ControlProblem, t: float, x: Array) -> Array:
     """The control-free part ``drift(t, x)`` of control-affine dynamics."""
-    d = np.asarray(problem.drift(t, x), dtype=float)
-    if d.shape != (problem.state_dim,):
-        raise ValueError("drift returned the wrong shape")
-    if not np.all(np.isfinite(d)):
-        raise NonFiniteEvaluation(f"drift returned a non-finite value at t={t}")
-    return d
+    return _checked(problem.drift(t, x), (problem.state_dim,), "drift", t)
 
 
 def eval_drift_jacobian(problem: ControlProblem, t: float, x: Array) -> Array:
     """``d drift_i / d x_j`` at (t, x), shape (n, n)."""
     n = problem.state_dim
-    jac = np.asarray(problem.drift_jacobian(t, x), dtype=float)
-    if jac.shape != (n, n):
-        raise ValueError("drift_jacobian returned the wrong shape")
-    if not np.all(np.isfinite(jac)):
-        raise NonFiniteEvaluation(f"drift_jacobian returned a non-finite value at t={t}")
-    return jac
+    return _checked(problem.drift_jacobian(t, x), (n, n), "drift_jacobian", t)
 
 
 def eval_dynamics_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:
     """Dynamics at one (t, x) for a (K, m) block of controls, shape (K, n);
     one drift evaluation and one product for control-affine problems."""
     controls = np.asarray(controls, dtype=float)
+    n = problem.state_dim
     if problem.drift is not None:
         f = eval_drift(problem, t, x) + controls @ problem.control_matrix
+        hook = "drift + u @ control_matrix"
     elif problem.dynamics_batch is not None:
-        f = np.asarray(problem.dynamics_batch(t, x, controls), dtype=float)
+        f, hook = problem.dynamics_batch(t, x, controls), "dynamics_batch"
     else:
-        f = np.stack([np.asarray(problem.dynamics(t, x, u), dtype=float) for u in controls])
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteEvaluation(f"dynamics returned a non-finite value at t={t}")
-    return f
+        rows = [_checked(problem.dynamics(t, x, u), (n,), "dynamics", t) for u in controls]
+        return np.stack(rows)
+    return _checked(f, (len(controls), n), hook, t)
 
 
 def eval_running_cost_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:
+    """Running cost at one (t, x) for a (K, m) block of controls, shape (K,)."""
     controls = np.asarray(controls, dtype=float)
-    if problem.running_cost_batch is not None:
-        g = np.asarray(problem.running_cost_batch(t, x, controls), dtype=float)
-    else:
-        g = np.array([float(problem.running_cost(t, x, u)) for u in controls])
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteEvaluation(f"running cost returned a non-finite value at t={t}")
-    return g
+    if problem.running_cost_batch is None:
+        rows = [_checked(problem.running_cost(t, x, u), (), "running_cost", t) for u in controls]
+        return np.array(rows)
+    g = problem.running_cost_batch(t, x, controls)
+    return _checked(g, (len(controls),), "running_cost_batch", t)
 
 
 def affine_p_dot_f(problem: ControlProblem, drift: Array, p: Array, controls: Array) -> Array:
@@ -204,10 +201,10 @@ def affine_p_dot_f(problem: ControlProblem, drift: Array, p: Array, controls: Ar
 
 
 def eval_hamiltonian(problem: ControlProblem, t: float, x: Array, p: Array, u: Array) -> float:
-    """H(t, x, p, u) = g(t, x, u) + p . f(t, x, u)."""
-    u = np.asarray(u, dtype=float)
-    g = eval_running_cost(problem, t, x, u)
-    f = eval_dynamics(problem, t, x, u)
+    """H(t, x, p, u) = g(t, x, u) + p . f(t, x, u), as a one-row batch."""
+    row = np.asarray(u, dtype=float)[None, :]
+    g = float(eval_running_cost_batch(problem, t, x, row)[0])
+    f = eval_dynamics_batch(problem, t, x, row)[0]
     h = g + float(p @ f)
     if not np.isfinite(h):
         raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
@@ -240,22 +237,16 @@ def grad_h_state(problem: ControlProblem, t: float, x: Array, p: Array, u: Array
     """
     u = np.asarray(u, dtype=float)
     if problem.hamiltonian_x_gradient is not None:
-        grad = np.asarray(problem.hamiltonian_x_gradient(t, x, p, u), dtype=float)
-        if grad.shape != (problem.state_dim,):
-            raise ValueError("hamiltonian_x_gradient returned the wrong shape")
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteEvaluation(f"analytic dH/dx is non-finite at t={t}")
-        return grad
+        grad = problem.hamiltonian_x_gradient(t, x, p, u)
+        return _checked(grad, (problem.state_dim,), "hamiltonian_x_gradient", t)
     return _central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
 
 
 def eval_terminal_cost(problem: ControlProblem, x_final: Array) -> float:
     if problem.terminal_cost is None:
         return 0.0
-    psi = float(problem.terminal_cost(np.asarray(x_final, dtype=float)))
-    if not np.isfinite(psi):
-        raise NonFiniteEvaluation("terminal cost is non-finite")
-    return psi
+    psi = problem.terminal_cost(np.asarray(x_final, dtype=float))
+    return float(_checked(psi, (), "terminal_cost"))
 
 
 def terminal_costate(problem: ControlProblem, x_final: Array) -> Array:
@@ -270,12 +261,7 @@ def terminal_costate(problem: ControlProblem, x_final: Array) -> Array:
         raise NonFiniteEvaluation("terminal state is non-finite")
     n = problem.state_dim
     if problem.terminal_gradient is not None:
-        grad = np.asarray(problem.terminal_gradient(x_final), dtype=float)
-        if grad.shape != (n,):
-            raise ValueError("terminal_gradient returned the wrong shape")
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteEvaluation("terminal gradient is non-finite")
-        return grad
+        return _checked(problem.terminal_gradient(x_final), (n,), "terminal_gradient")
     if problem.terminal_cost is None:
         return np.zeros(n)
     grad = _central_difference(lambda x: eval_terminal_cost(problem, x), x_final)
@@ -289,12 +275,7 @@ def terminal_hessian(problem: ControlProblem, x_final: Array) -> Array:
     x_final = np.asarray(x_final, dtype=float)
     n = problem.state_dim
     if problem.terminal_hessian is not None:
-        hess = np.asarray(problem.terminal_hessian(x_final), dtype=float)
-        if hess.shape != (n, n):
-            raise ValueError("terminal_hessian returned the wrong shape")
-        if not np.all(np.isfinite(hess)):
-            raise NonFiniteEvaluation("terminal Hessian is non-finite")
-        return hess
+        return _checked(problem.terminal_hessian(x_final), (n, n), "terminal_hessian")
     if problem.terminal_cost is None:
         return np.zeros((n, n))
     # central differences of the terminal gradient (column j is the

@@ -43,12 +43,6 @@ def build_lqr() -> ControlProblem:
     """Scalar regulator: minimize the integral of x^2 + u^2 subject to
     xdot = x + u, x(0) = 10, over a unit horizon, no terminal cost."""
 
-    def running_cost(t, x, u):
-        return x[0] ** 2 + u[0] ** 2
-
-    def dynamics(t, x, u):
-        return np.array([x[0] + u[0]])
-
     def running_cost_batch(t, x, U):
         return x[0] ** 2 + U[:, 0] ** 2
 
@@ -60,8 +54,6 @@ def build_lqr() -> ControlProblem:
         control_dim=1,
         horizon=LQR_HORIZON,
         initial_state=np.array([LQR_X0]),
-        running_cost=running_cost,
-        dynamics=dynamics,
         control_lower=np.array([LQR_CONTROL_BOUNDS[0]]),
         control_upper=np.array([LQR_CONTROL_BOUNDS[1]]),
         hamiltonian_x_gradient=h_x_gradient,
@@ -359,12 +351,6 @@ def build_supply_chain(
         J = net_cost_rate_batch(t, x, U)
         return J * np.abs(J)
 
-    def dynamics(t: float, x: Array, u: Array) -> Array:
-        return state_drift(t, x) + np.asarray(u, dtype=float) @ B
-
-    def running_cost(t: float, x: Array, u: Array) -> float:
-        return float(running_cost_batch(t, x, np.asarray(u, dtype=float)[None, :])[0])
-
     cost_state_gradient = np.concatenate([gamma_carry, wbar.T.ravel()])
 
     def h_x_gradient(t: float, x: Array, p: Array, u: Array) -> Array:
@@ -384,8 +370,6 @@ def build_supply_chain(
         control_dim=m,
         horizon=horizon,
         initial_state=x0,
-        running_cost=running_cost,
-        dynamics=dynamics,
         control_lower=control_lower,
         control_upper=control_upper,
         hamiltonian_x_gradient=h_x_gradient,

@@ -11,9 +11,8 @@ from chatterctl.cli import (
     export_trajectory,
     main,
     parse_config_file,
-    serialize_config,
 )
-from chatterctl.model import eval_running_cost, eval_terminal_cost
+from chatterctl.model import eval_running_cost_batch, eval_terminal_cost
 from chatterctl.problems import FIXTURE_FILES, fixture_text
 
 
@@ -26,16 +25,6 @@ def small_lqr_trajectory(intervals=4):
 
 
 class TestConfig:
-    def test_round_trip_is_idempotent(self, tmp_path):
-        path = tmp_path / "config.json"
-        config = SolveConfig(problem="supply-chain", intervals=32, gamma=0.75, p0=[1.0, 2.0])
-        serialize_config(config, path)
-        parsed = parse_config_file(path)
-        assert parsed == config
-        second = tmp_path / "again.json"
-        serialize_config(parsed, second)
-        assert path.read_text() == second.read_text()
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"problemo": "lqr"}), encoding="utf-8")
@@ -62,7 +51,7 @@ class TestConfig:
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "config.json"
-        serialize_config(SolveConfig(intervals=40, gamma=0.25), path)
+        path.write_text(json.dumps({"intervals": 40, "gamma": 0.25}), encoding="utf-8")
         from chatterctl.cli import build_parser, config_from_args
 
         args = build_parser().parse_args(
@@ -167,8 +156,8 @@ class TestExportTrajectory:
         for row, nxt in zip(rows[:-1], rows[1:]):
             t = float(row["t"])
             x = np.array([float(row["x_0"])])
-            u = np.array([float(row["u_0"])])
-            total += eval_running_cost(problem, t, x, u) * (float(nxt["t"]) - t)
+            u = np.array([[float(row["u_0"])]])
+            total += eval_running_cost_batch(problem, t, x, u)[0] * (float(nxt["t"]) - t)
         total += eval_terminal_cost(problem, np.array([float(rows[-1]["x_0"])]))
         assert abs(total - float(rows[-1]["J_cum"])) <= 1e-10
 
@@ -305,7 +294,7 @@ class TestValidateCommand:
     def test_gradients(self, capsys):
         assert main(["validate", "gradients"]) == 0
         out = capsys.readouterr().out
-        assert out.count("drift + u @ control_matrix identical to dynamics") == 2
+        assert out.count("500/500 points within tolerance") == 2
         assert "PASS" in out
 
     def test_sensitivities(self, capsys):

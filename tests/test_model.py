@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from chatterctl import (
     terminal_costate,
     terminal_hessian,
 )
-from chatterctl.model import eval_dynamics, eval_dynamics_batch
+from chatterctl.model import (
+    eval_drift,
+    eval_drift_jacobian,
+    eval_dynamics_batch,
+    eval_running_cost_batch,
+    eval_terminal_cost,
+)
 
 
 def at(t=0.0, x=(10.0,), p=(0.0,)):
@@ -68,7 +75,7 @@ class TestEvalHamiltonian:
             p2 = rng.uniform(-5, 5, 1)
             a, b = rng.uniform(-2, 2, 2)
             u = rng.uniform(-30, 5, 1)
-            g = problem.running_cost(0.0, x, u)
+            g = eval_running_cost_batch(problem, 0.0, x, u[None, :])[0]
             lhs = eval_hamiltonian(problem, *at(x=x, p=a * p1 + b * p2), u)
             rhs = (
                 a * eval_hamiltonian(problem, *at(x=x, p=p1), u)
@@ -79,18 +86,10 @@ class TestEvalHamiltonian:
 
 
 class TestGradHCostate:
-    def test_is_dynamics_bitwise(self):
-        problem = build_lqr()
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = rng.uniform(-10, 10, 1)
-            u = rng.uniform(-30, 5, 1)
-            assert np.array_equal(eval_dynamics(problem, 0.0, x, u), problem.dynamics(0.0, x, u))
-
     def test_lqr_values(self):
         problem = build_lqr()
-        assert eval_dynamics(problem, 0.0, np.array([10.0]), np.array([0.0]))[0] == 10.0
-        assert eval_dynamics(problem, 0.0, np.array([3.0]), np.array([-3.0]))[0] == 0.0
+        assert eval_dynamics_batch(problem, 0.0, np.array([10.0]), np.array([[0.0]]))[0, 0] == 10.0
+        assert eval_dynamics_batch(problem, 0.0, np.array([3.0]), np.array([[-3.0]]))[0, 0] == 0.0
 
 
 class TestControlAffineHooks:
@@ -241,3 +240,85 @@ class TestProblemValidation:
     def test_control_affine_hooks_rejected(self, hooks):
         with pytest.raises(ValueError):
             make_problem(**hooks)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_state_rejected(self, value):
+        # NaN < bound is False, so the state-bound checks let a NaN start through
+        with pytest.raises(ValueError, match="initial_state must be finite"):
+            make_problem(initial_state=np.array([value]))
+
+    def test_running_cost_form_required(self):
+        with pytest.raises(ValueError, match="running_cost or running_cost_batch"):
+            make_problem(running_cost=None)
+        make_problem(running_cost=None, running_cost_batch=lambda t, x, U: np.zeros(len(U)))
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            dict(dynamics_batch=lambda t, x, U: np.zeros((len(U), 1))),
+            dict(drift=lambda t, x: np.zeros(1), control_matrix=np.ones((1, 1))),
+        ],
+        ids=["batch", "control-affine"],
+    )
+    def test_dynamics_form_required(self, form):
+        with pytest.raises(ValueError, match="dynamics, dynamics_batch or drift"):
+            make_problem(dynamics=None)
+        make_problem(dynamics=None, **form)
+
+
+N, K = 2, 3
+X = np.array([1.0, -2.0])
+U = np.zeros((K, 1))
+
+#: every problem hook: the shape its output must have, and an evaluation
+#: that calls it
+HOOKS = {
+    "drift": ((N,), lambda pr: eval_drift(pr, 0.5, X)),
+    "drift_jacobian": ((N, N), lambda pr: eval_drift_jacobian(pr, 0.5, X)),
+    "dynamics_batch": ((K, N), lambda pr: eval_dynamics_batch(pr, 0.5, X, U)),
+    "dynamics": ((N,), lambda pr: eval_dynamics_batch(pr, 0.5, X, U)),
+    "running_cost_batch": ((K,), lambda pr: eval_running_cost_batch(pr, 0.5, X, U)),
+    "running_cost": ((), lambda pr: eval_running_cost_batch(pr, 0.5, X, U)),
+    "hamiltonian_x_gradient": ((N,), lambda pr: grad_h_state(pr, 0.5, X, X, U[0])),
+    "terminal_cost": ((), lambda pr: eval_terminal_cost(pr, X)),
+    "terminal_gradient": ((N,), lambda pr: terminal_costate(pr, X)),
+    "terminal_hessian": ((N, N), lambda pr: terminal_hessian(pr, X)),
+}
+TIMELESS = ("terminal_cost", "terminal_gradient", "terminal_hessian")
+
+
+def hook_problem(hook, value):
+    """A two-state problem whose ``hook`` returns ``value`` at every call."""
+    fields = dict(
+        state_dim=2,
+        initial_state=np.zeros(2),
+        dynamics=lambda t, x, u: np.zeros(2),
+    )
+    if hook.startswith("drift"):
+        fields.update(drift=lambda t, x: np.zeros(2), control_matrix=np.ones((1, 2)))
+    fields[hook] = lambda *args: value
+    return make_problem(**fields)
+
+
+class TestHookOutputChecks:
+    @pytest.mark.parametrize("hook", sorted(HOOKS))
+    def test_wrong_shape_names_hook(self, hook):
+        shape, evaluate = HOOKS[hook]
+        bad = np.zeros(shape + (1,))
+        expected = f"{hook} returned shape {bad.shape}, expected {shape}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            evaluate(hook_problem(hook, bad))
+
+    @pytest.mark.parametrize("hook", sorted(HOOKS))
+    def test_nan_names_hook(self, hook):
+        shape, evaluate = HOOKS[hook]
+        where = "" if hook in TIMELESS else " at t=0.5"
+        expected = "^" + re.escape(f"{hook} returned a non-finite value{where}") + "$"
+        with pytest.raises(NonFiniteEvaluation, match=expected):
+            evaluate(hook_problem(hook, np.full(shape, np.nan)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_affine_rows_name_both_hooks(self):
+        problem = hook_problem("drift", np.full(2, 1e308))
+        with pytest.raises(NonFiniteEvaluation, match="drift \\+ u @ control_matrix returned"):
+            eval_dynamics_batch(problem, 0.5, X, np.full((K, 1), 1e308))

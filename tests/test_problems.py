@@ -16,7 +16,7 @@ from chatterctl import (
     terminal_costate,
 )
 from chatterctl.chattering import ChatteringMeasure
-from chatterctl.model import eval_dynamics, eval_dynamics_batch
+from chatterctl.model import eval_dynamics_batch, eval_running_cost_batch
 from chatterctl.problems import (
     CUSTOMERS,
     ITEMS,
@@ -31,6 +31,16 @@ from oracles import (
 )
 
 SEASONAL = synthetic_demand("seasonal", 5.0, 0.5)
+
+
+def cost_at(problem, t, x, u):
+    """The running cost at one control, evaluated as a one-row batch."""
+    return eval_running_cost_batch(problem, t, x, np.asarray(u)[None, :])[0]
+
+
+def dynamics_at(problem, t, x, u):
+    """The dynamics at one control, evaluated as a one-row batch."""
+    return eval_dynamics_batch(problem, t, x, np.asarray(u)[None, :])[0]
 
 
 def rk4(f, y0, t0, t1, steps):
@@ -79,7 +89,7 @@ class TestLqrProblem:
 
     def test_dynamics_cancel(self):
         problem = build_lqr()
-        assert problem.dynamics(0.0, np.array([1.0]), np.array([-1.0]))[0] == 0.0
+        assert dynamics_at(problem, 0.0, np.array([1.0]), np.array([-1.0]))[0] == 0.0
 
     def test_terminal_costate_is_zero(self):
         problem = build_lqr()
@@ -200,12 +210,12 @@ class TestSupplyChainProblem:
         problem = build_supply_chain(demand, 1.0, 100)
         x = np.zeros(20)
         u = np.zeros(29)
-        assert problem.running_cost(0.0, x, u) == 0.0
+        assert cost_at(problem, 0.0, x, u) == 0.0
 
     def test_always_mode_charges_fixed_costs_at_rest(self):
         demand = synthetic_demand("constant", 0.0)
         problem = build_supply_chain(demand, 1.0, 100, fixed_cost_mode="always")
-        g = problem.running_cost(0.0, np.zeros(20), np.zeros(29))
+        g = cost_at(problem, 0.0, np.zeros(20), np.zeros(29))
         assert g == pytest.approx(222.0**2, rel=1e-12)
 
     def test_market_row_dynamics(self):
@@ -216,7 +226,7 @@ class TestSupplyChainProblem:
         x[5] = 5.0  # item 0, customer 1
         u = np.zeros(29)
         u[14] = 1.0  # delivery (customer 1, item 0)
-        zdot = eval_dynamics(problem, 0.0, x, u)[5]
+        zdot = dynamics_at(problem, 0.0, x, u)[5]
         assert zdot == pytest.approx(-4.0, abs=1e-14)
 
     def test_market_row_dynamics_time_varying_demand(self):
@@ -226,7 +236,7 @@ class TestSupplyChainProblem:
         u = np.zeros(29)
         u[14] = 1.0
         theta = SEASONAL.theta(0.3, 1, 0)
-        zdot = eval_dynamics(problem, 0.3, x, u)[5]
+        zdot = dynamics_at(problem, 0.3, x, u)[5]
         assert zdot == pytest.approx(-5.0 + theta - 1.0, rel=1e-14)
 
     def test_market_oracle_examples(self):
@@ -261,7 +271,7 @@ class TestSupplyChainProblem:
         u[1] = 4.0  # Colorado apples
         u[14] = 1.5  # customer 1 apples
         u[19] = 0.5  # customer 2 apples
-        xdot = eval_dynamics(problem, 0.0, x, u)[0]
+        xdot = dynamics_at(problem, 0.0, x, u)[0]
         assert xdot == pytest.approx(-2.0 + 11.0 - 2.0, rel=1e-14)
 
     def test_analytic_gradient_matches_fd(self):
@@ -286,12 +296,12 @@ class TestSupplyChainProblem:
         # revenue with no stock cost: negative net rate, cost negative
         u = np.zeros(29)
         u[14:] = 1.0
-        g = problem.running_cost(0.0, x, u)
+        g = cost_at(problem, 0.0, x, u)
         assert g < 0.0
         # pure ordering: positive net rate, cost positive
         v = np.zeros(29)
         v[0] = 7.0
-        assert problem.running_cost(0.0, x, v) > 0.0
+        assert cost_at(problem, 0.0, x, v) > 0.0
 
     def test_revenue_table(self):
         # every customer pays twice the item's unit-cost envelope at every t
@@ -300,7 +310,7 @@ class TestSupplyChainProblem:
         default = 2.0 * item_unit_cost_envelope()[0]
         problem = build_supply_chain(SEASONAL, 1.0, 200)
         for t in (0.0, 0.5, 1.0):
-            assert problem.running_cost(t, x, u) == -(default**2)
+            assert cost_at(problem, t, x, u) == -(default**2)
 
     def test_signed_square_is_monotone_and_vanishes_at_zero(self):
         problem = build_supply_chain(SEASONAL, 1.0, 200)
@@ -310,7 +320,7 @@ class TestSupplyChainProblem:
         for scale in np.linspace(0.0, 2.0, 9):
             u = np.zeros(29)
             u[14:] = scale
-            g = problem.running_cost(0.0, x, u)
+            g = cost_at(problem, 0.0, x, u)
             if scale == 0.0:
                 assert g == 0.0
             if previous is not None:
@@ -353,7 +363,7 @@ class TestSupplyChainProblem:
         bad = DemandModel(lambda t, c, i: -1.0, "negative")
         problem = build_supply_chain(bad, 1.0, 100)
         with pytest.raises(ConfigError):
-            problem.dynamics(0.0, np.zeros(20), np.zeros(29))
+            dynamics_at(problem, 0.0, np.zeros(20), np.zeros(29))
 
     def test_gated_dims_cover_supplier_rows(self):
         problem = build_supply_chain(SEASONAL, 1.0, 200)

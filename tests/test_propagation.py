@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,27 @@ class TestTimePartition:
     def test_nonuniform_accepted(self):
         part = TimePartition(np.array([0.0, 0.1, 0.5, 2.0]))
         assert np.allclose(part.deltas, [0.1, 0.4, 1.5])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TimePartition(np.array([0.0, np.inf])),
+            lambda: TimePartition(np.array([0.0, 1.0, np.nan])),
+            lambda: TimePartition.uniform(np.inf, 4),
+        ],
+        ids=["inf-end", "nan-end", "uniform-inf"],
+    )
+    def test_non_finite_times_rejected(self, make):
+        # inf - inf is NaN, so a check on the sum of the lengths lets inf through
+        with pytest.raises(ValueError, match="partition times must be finite"):
+            make()
+
+    def test_large_horizon_accepted(self):
+        # the interval lengths sum to 4e8 + 0.3 only up to rounding
+        times = np.array([0.0, 1e8 + 0.1, 4e8 + 0.3])
+        part = TimePartition(times)
+        assert part.horizon == 4e8 + 0.3
+        assert np.array_equal(part.deltas, np.diff(times))
 
 
 class TestSteps:
@@ -337,6 +359,37 @@ class TestPropagateForward:
             propagate_forward(problem, part, np.array([1.7e308]), GridParams(3, 16))
         assert excinfo.value.interval_index == 0
         assert "interval 0" in str(excinfo.value)
+
+
+class TestMalformedHookOutput:
+    """A hook output of the wrong shape is refused by name before it reaches
+    the sweep, where it failed as a broadcast or indexing error."""
+
+    @pytest.mark.parametrize(
+        "cost, got",
+        [
+            (lambda t, x, U: (x[0] ** 2 + U[:, 0] ** 2)[:, None], "(5, 1)"),
+            (lambda t, x, U: x[0] ** 2 + U[:3, 0] ** 2, "(3,)"),
+            (lambda t, x, U: x[0] ** 2, "()"),
+        ],
+        ids=["column", "three-rows", "scalar"],
+    )
+    def test_running_cost_batch_shape(self, cost, got):
+        problem = dataclasses.replace(build_lqr(), running_cost_batch=cost)
+        part = TimePartition.uniform(1.0, 4)
+        expected = f"running_cost_batch returned shape {got}, expected (5,)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            propagate_forward(problem, part, np.zeros(1), GridParams(5, 16))
+
+    def test_transposed_dynamics_batch(self):
+        demand = synthetic_demand("seasonal", 5.0, 0.5)
+        problem = without_hooks(build_supply_chain(demand, 1.0, 4))
+        rows = problem.dynamics_batch
+        problem = dataclasses.replace(problem, dynamics_batch=lambda t, x, U: rows(t, x, U).T)
+        part = TimePartition.uniform(1.0, 4)
+        expected = r"dynamics_batch returned shape \(20, (\d+)\), expected \(\1, 20\)"
+        with pytest.raises(ValueError, match=expected):
+            propagate_forward(problem, part, np.zeros(20), GridParams(3, 64))
 
 
 class TestFeedbackHook:
