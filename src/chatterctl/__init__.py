@@ -8,14 +8,12 @@ a variation-of-extremals shooting loop.
 
 from .chattering import (
     ChatteringMeasure,
-    ChatteringSignal,
     DimensionMismatch,
     EmptyGrid,
     GridParams,
     InfeasibleLevels,
     LevelGrid,
     control_from_measure,
-    realize_signal,
     solve_measure_lp,
 )
 from .model import (
@@ -37,7 +35,6 @@ from .problems import (
 from .propagation import (
     TimePartition,
     Trajectory,
-    TrajectoryPoint,
     accumulate_cost,
     load_replay_file,
     propagate_forward,
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChatteringMeasure",
-    "ChatteringSignal",
     "ConfigError",
     "ControlProblem",
     "DemandModel",
@@ -74,7 +70,6 @@ __all__ = [
     "SingularCorrection",
     "TimePartition",
     "Trajectory",
-    "TrajectoryPoint",
     "accumulate_cost",
     "build_lqr",
     "build_supply_chain",
@@ -85,7 +80,6 @@ __all__ = [
     "load_replay_file",
     "lqr_analytic_solution",
     "propagate_forward",
-    "realize_signal",
     "replay_measurement_source",
     "solve",
     "solve_measure_lp",

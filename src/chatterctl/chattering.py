@@ -1,4 +1,5 @@
-"""Chattering level grids, the per-interval measure LP, and signal realization.
+"""Chattering level grids, the per-interval measure LP, and the duty-cycle
+schedule.
 
 On each time interval the control set is discretized into a finite set of
 *levels* (constant control vectors).  A *chattering measure* assigns each
@@ -8,8 +9,8 @@ convex hull.  Minimizing the interval Hamiltonian over measures is a linear
 program on the probability simplex whose optimum is analytic: put all weight
 on the level(s) with the smallest Hamiltonian value.
 
-Everything here is a pure function of its inputs; grids, measures and signals
-are immutable once built.
+Everything here is a pure function of its inputs; grids and measures are
+immutable once built.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class EmptyGrid(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """Grid and measure disagree on the number of levels."""
+    """Levels, weights or dynamics rows disagree in number."""
 
 
 #: per-interval level work kept across the propagations of one solve:
@@ -99,10 +100,6 @@ class LevelGrid:
     def K(self) -> int:
         return int(self.levels.shape[0])
 
-    @property
-    def control_dim(self) -> int:
-        return int(self.levels.shape[1])
-
 
 @dataclass(frozen=True)
 class ChatteringMeasure:
@@ -122,50 +119,8 @@ class ChatteringMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def K(self) -> int:
-        return int(self.weights.size)
 
-    def support(self) -> Array:
-        return np.flatnonzero(self.weights)
-
-
-@dataclass(frozen=True)
-class ChatteringSignal:
-    """A duty-cycle switching schedule: (start, end, level_index) segments
-    tiling one interval without gaps or overlaps."""
-
-    segments: Tuple[Tuple[float, float, int], ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("signal must contain at least one segment")
-        prev_end = None
-        for start, end, _ in self.segments:
-            if end < start:
-                raise ValueError("segment ends before it starts")
-            if prev_end is not None and start != prev_end:
-                raise ValueError("segments must tile the interval contiguously")
-            prev_end = end
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    @property
-    def start(self) -> float:
-        return self.segments[0][0]
-
-    @property
-    def end(self) -> float:
-        return self.segments[-1][1]
-
-    def occupation_times(self, num_levels: int) -> Array:
-        """Total dwell time per level index."""
-        occ = np.zeros(num_levels)
-        for s, e, k in self.segments:
-            occ[k] += e - s
-        return occ
-
-
-def solve_measure_lp(h_values: Array) -> ChatteringMeasure:
+def solve_measure_lp(h_values: Array) -> Tuple[Array, Array]:
     """Analytic minimizer of sum_k h_k * a_k over the probability simplex.
 
     The optimum of a linear objective over the simplex sits at a vertex, so
@@ -173,53 +128,56 @@ def solve_measure_lp(h_values: Array) -> ChatteringMeasure:
     of the minimum share the weight uniformly, which is what produces genuine
     chattering mixtures on symmetric problems and keeps the result
     deterministic.
+
+    Returns the optimum in sparse form: the ascending indices of the tied
+    levels (the measure's support) and their weights; every other level
+    has weight 0.
     """
     h = np.asarray(h_values, dtype=float)
     if h.ndim != 1:
         raise ValueError("h_values must be 1-d")
     if h.size == 0:
         raise EmptyGrid("cannot solve the measure LP over zero levels")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("h_values must be finite")
-    h_min = float(h.min())
-    tied = np.flatnonzero(h <= h_min + TIE_TOL)
-    weights = np.zeros(h.size)
-    weights[tied] = 1.0 / tied.size
-    return ChatteringMeasure(weights)
+    tied = np.flatnonzero(h <= float(h.min()) + TIE_TOL)
+    return tied, np.full(tied.size, 1.0 / tied.size)
+
+
+def schedule_segments(times: Array, offsets: Array, weights: Array) -> Tuple[Array, Array]:
+    """Start and end times of the duty-cycle segments of a run in CSR form:
+    interval i is ``[times[i], times[i + 1]]`` and its support weights are
+    ``weights[offsets[i]:offsets[i + 1]]``.
+
+    Each support level gets one segment of length ``weight * dt``, in level
+    order, starting where the one before it ends (a cumulative sum from the
+    interval start).  The last segment of an interval ends at
+    ``times[i] + dt`` exactly, so the segments tile it despite rounding.
+    """
+    times = np.asarray(times, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    dts = np.diff(times)
+    counts = np.diff(offsets)
+    owner = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(owner.size) - offsets[owner]
+    # row i: the interval start, then its segment lengths, zero-padded
+    table = np.zeros((counts.size, int(counts.max()) + 1))
+    table[:, 0] = times[:-1]
+    table[owner, rank + 1] = np.asarray(weights, dtype=float) * dts[owner]
+    cum = np.cumsum(table, axis=1)
+    starts, ends = cum[owner, rank], cum[owner, rank + 1]
+    ends[offsets[1:] - 1] = times[:-1] + dts
+    return starts, ends
 
 
 def control_from_measure(grid: LevelGrid, measure: ChatteringMeasure) -> Array:
     """Convex combination sum_k a_k c_k; lies in the hull of the levels and
     hence inside the control box."""
-    if grid.K != measure.K:
+    if grid.K != measure.weights.size:
         raise DimensionMismatch(
-            f"grid has {grid.K} levels but measure has {measure.K} weights"
+            f"grid has {grid.K} levels but measure has {measure.weights.size} weights"
         )
     return measure.weights @ grid.levels
-
-
-def realize_signal(
-    grid: LevelGrid, measure: ChatteringMeasure, t_start: float, dt: float
-) -> ChatteringSignal:
-    """Lay out one segment per nonzero weight, in level order, with duration
-    ``weights[k] * dt``; the segments tile [t_start, t_start + dt] exactly."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if grid.K != measure.K:
-        raise DimensionMismatch(
-            f"grid has {grid.K} levels but measure has {measure.K} weights"
-        )
-    support = measure.support()
-    segments: List[Tuple[float, float, int]] = []
-    t = float(t_start)
-    for k in support:
-        end = t + float(measure.weights[k]) * dt
-        segments.append((t, end, int(k)))
-        t = end
-    # pin the final endpoint so the tiling is exact despite rounding
-    last_start, _, last_k = segments[-1]
-    segments[-1] = (last_start, t_start + dt, last_k)
-    return ChatteringSignal(tuple(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +507,11 @@ def _product_levels(values: Array, sizes: Tuple[int, ...]) -> Array:
 
 
 @functools.lru_cache(maxsize=16)
-def _unbounded_grid(
-    lower: bytes,
-    upper: bytes,
-    gates: Tuple[Tuple[int, float, float], ...],
-    params: GridParams,
-) -> LevelGrid:
+def _unbounded_grid(control_key: tuple, params: GridParams) -> LevelGrid:
     """The level grid of every interval of a problem without state bounds,
-    whose ranges are the control bounds (given as float64 bytes); ``gates``
-    lists the gated dimensions as ``(dim, low, high)``."""
+    whose ranges are the control bounds; ``control_key`` is the problem's
+    (see ``ControlProblem.control_key``)."""
+    lower, upper, gates = control_key
     lo, hi = np.frombuffer(lower), np.frombuffer(upper)
     counts = _counts_for_widths((hi - lo).tobytes(), params.k_per_dim, params.cap)
     gated_dims = {dim: (g_lo, g_hi) for dim, g_lo, g_hi in gates}
@@ -599,12 +553,7 @@ def generate_levels_with_dynamics(
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not problem.has_state_bounds:
-        gates = tuple(
-            (int(dim), float(g_lo), float(g_hi))
-            for dim, (g_lo, g_hi) in sorted((problem.gated_dims or {}).items())
-        )
-        lower, upper = problem.control_lower.tobytes(), problem.control_upper.tobytes()
-        return _unbounded_grid(lower, upper, gates, params), None
+        return _unbounded_grid(problem.control_key, params), None
     x_i = np.asarray(x_i, dtype=float)
     state = x_i.tobytes()
     entry = None if memo is None else memo.pop((t, dt), None)

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import problems, shooting
-from .chattering import GridParams, InfeasibleLevels, realize_signal, solve_measure_lp
+from .chattering import GridParams, InfeasibleLevels, schedule_segments, solve_measure_lp
 from .model import (
     ControlProblem,
     NonFiniteEvaluation,
@@ -163,9 +163,7 @@ def export_trajectory(trajectory: Trajectory, path) -> None:
     """CSV of the control law: one row per interval start plus a terminal row
     with empty control/Hamiltonian cells.  Numbers carry 17 significant
     digits so parsing them back reproduces the exact doubles."""
-    pts = trajectory.points
-    n = pts[0].x.size
-    m = pts[0].u.size if pts[0].u is not None else 0
+    n, m = trajectory.x.shape[1], trajectory.u.shape[1]
     header = (
         ["t"]
         + [f"x_{j}" for j in range(n)]
@@ -173,56 +171,65 @@ def export_trajectory(trajectory: Trajectory, path) -> None:
         + [f"u_{j}" for j in range(m)]
         + ["H", "J_cum"]
     )
+    times, xs, ps = trajectory.times.tolist(), trajectory.x.tolist(), trajectory.p.tolist()
     cum = 0.0
     lines = [",".join(header)]
-    for i, pt in enumerate(pts):
-        cells = [_num(pt.t)]
-        cells += [_num(v) for v in pt.x]
-        cells += [_num(v) for v in pt.p]
-        if pt.u is not None:
-            cells += [_num(v) for v in pt.u]
-            cells += [_num(pt.h_value), _num(cum)]
-            cum += float(trajectory.stage_costs[i])
-        else:
-            cells += ["" for _ in range(m)]
-            cells += ["", _num(trajectory.accumulated_cost)]
+    for i, (u, h, stage) in enumerate(
+        zip(trajectory.u.tolist(), trajectory.h_values.tolist(), trajectory.stage_costs.tolist())
+    ):
+        cells = [_num(v) for v in [times[i], *xs[i], *ps[i], *u, h, cum]]
+        cum += stage
         lines.append(",".join(cells))
+    cells = [_num(v) for v in [times[-1], *xs[-1], *ps[-1]]]
+    lines.append(",".join(cells + [""] * (m + 1) + [_num(trajectory.accumulated_cost)]))
     _write_text(path, "\n".join(lines) + "\n", "trajectory CSV")
 
 
 def export_schedule(trajectory: Trajectory, path) -> None:
     """CSV of the realized chattering schedule: the duty-cycle segments of
-    every interval with their level vectors."""
-    pts = trajectory.points
-    m = pts[0].u.size if pts[0].u is not None else 0
+    every interval (see ``chattering.schedule_segments``) with their level
+    vectors; ``level_index`` counts the interval's support levels from 0."""
+    m = trajectory.u.shape[1]
     header = ["interval", "start", "end", "level_index"] + [f"u_{j}" for j in range(m)]
+    offsets = trajectory.offsets
+    starts, ends = schedule_segments(trajectory.times, offsets, trajectory.support_weights)
+    owner = np.repeat(np.arange(trajectory.intervals), np.diff(offsets))
+    rank = np.arange(owner.size) - offsets[owner]
     lines = [",".join(header)]
-    for i in range(len(pts) - 1):
-        pt = pts[i]
-        dt = pts[i + 1].t - pt.t
-        signal = realize_signal(pt.grid, pt.measure, pt.t, dt)
-        for start, end, k in signal.segments:
-            cells = [str(i), _num(start), _num(end), str(k)]
-            cells += [_num(v) for v in pt.grid.levels[k]]
-            lines.append(",".join(cells))
+    for i, k, start, end, level in zip(
+        owner.tolist(), rank.tolist(), starts.tolist(), ends.tolist(),
+        trajectory.support_levels.tolist(),
+    ):
+        lines.append(",".join([str(i), _num(start), _num(end), str(k)] + [_num(v) for v in level]))
     _write_text(path, "\n".join(lines) + "\n", "schedule CSV")
 
 
+def _json_number(value: float) -> Optional[float]:
+    """``value`` as a float, or None (JSON null) when it is inf or nan,
+    which JSON cannot represent."""
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 def export_convergence(result: shooting.ShootingResult, path) -> None:
+    """JSON summary of a solve, strict JSON: a non-finite residual (also in
+    the history), cost or condition number is written as null, such as the
+    residual of a run in which no iteration completed or the condition
+    number of a refused correction matrix."""
+    trajectory = result.trajectory
     payload = {
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
-        "residual": float(result.residual),
-        "residual_history": [float(r) for r in result.residual_history],
-        "cost": float(result.trajectory.accumulated_cost) if result.trajectory else None,
+        "residual": _json_number(result.residual),
+        "residual_history": [_json_number(r) for r in result.residual_history],
+        "cost": _json_number(trajectory.accumulated_cost) if trajectory else None,
         "p0": [float(v) for v in result.p0_final],
-        "p_T": [float(v) for v in result.trajectory.terminal.p] if result.trajectory else None,
+        "p_T": [float(v) for v in trajectory.p[-1]] if trajectory else None,
         "message": result.message,
         "step_kinds": list(result.step_kinds),
-        # JSON has no nan: a refused correction matrix is written as null
-        "condition_numbers": [None if np.isnan(c) else c for c in result.condition_numbers],
+        "condition_numbers": [_json_number(c) for c in result.condition_numbers],
     }
-    _write_text(path, json.dumps(payload, indent=2) + "\n", "convergence JSON")
+    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n", "convergence JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +326,8 @@ def check_lp(instances: int = 1000, seed: int = 20250810) -> Tuple[bool, List[st
     for _ in range(instances):
         k = int(rng.integers(1, 9))
         h = rng.uniform(-10.0, 10.0, size=k)
-        measure = solve_measure_lp(h)
-        w = measure.weights
-        objective = float(w @ h)
+        support, w = solve_measure_lp(h)
+        objective = float(w @ h[support])
         vertex_best = min(float(h[j]) for j in range(k))
         simplex_ok = (
             abs(float(w.sum()) - 1.0) <= 1e-12

@@ -19,6 +19,7 @@ solver runs as long as its evaluators are reentrant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -39,7 +40,7 @@ def _checked(value, shape: Tuple[int, ...], hook: str, t: Optional[float] = None
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{hook} returned shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         where = "" if t is None else f" at t={t}"
         raise NonFiniteEvaluation(f"{hook} returned a non-finite value{where}")
     return arr
@@ -154,6 +155,17 @@ class ControlProblem:
     @property
     def has_state_bounds(self) -> bool:
         return self.state_lower is not None or self.state_upper is not None
+
+    @functools.cached_property
+    def control_key(self) -> Tuple[bytes, bytes, Tuple[Tuple[int, float, float], ...]]:
+        """The control set as one hashable value, built on first use: the
+        float64 bytes of the control bounds and the gated dimensions as
+        sorted ``(dim, low, high)``."""
+        gates = tuple(
+            (int(dim), float(lo), float(hi))
+            for dim, (lo, hi) in sorted((self.gated_dims or {}).items())
+        )
+        return self.control_lower.tobytes(), self.control_upper.tobytes(), gates
 
 
 def eval_drift(problem: ControlProblem, t: float, x: Array) -> Array:

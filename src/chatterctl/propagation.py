@@ -3,12 +3,13 @@
 Each interval is one explicit Euler step driven by the chattering measure:
 the state moves along the measure-weighted dynamics and the costate against
 the measure-weighted Hamiltonian state-gradient, both evaluated at the
-interval start.  The recorded trajectory, one point per interval start plus a
-terminal point, is the control law the solver ultimately returns.
+interval start.  The recorded trajectory, one row per interval start plus a
+terminal row, is the control law the solver ultimately returns.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
@@ -18,10 +19,8 @@ import numpy as np
 from . import chattering, model
 from .chattering import (
     STEP_FEASIBILITY_TOL,
-    ChatteringMeasure,
     GridParams,
     InfeasibleLevels,
-    LevelGrid,
     LevelMemo,
     solve_measure_lp,
 )
@@ -29,6 +28,7 @@ from .model import (
     Array,
     ControlProblem,
     NonFiniteEvaluation,
+    _readonly,
     affine_p_dot_f,
     eval_drift,
     eval_dynamics_batch,
@@ -86,101 +86,125 @@ class TimePartition:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """One record of the control law: (t_i, x_i, p_i, u_i) plus the measure,
-    grid support and Hamiltonian value behind u_i.  The terminal point
-    carries no control."""
+    """One row (t_i, x_i, p_i, u_i) of a ``Trajectory``, as
+    ``Trajectory.points`` hands it out.  The terminal point carries no
+    control."""
 
     t: float
     x: Array
     p: Array
     u: Optional[Array] = None
-    measure: Optional[ChatteringMeasure] = None
-    grid: Optional[LevelGrid] = None
-    h_value: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("x", "p"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"trajectory point has non-finite {name}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.u is not None:
-            u = np.array(self.u, dtype=float)
-            u.setflags(write=False)
-            object.__setattr__(self, "u", u)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Points at every interval start plus the terminal state/costate, with
-    the accumulated discretized cost and the number of state steps that the
-    state-box clamp moved by more than ``STEP_FEASIBILITY_TOL``."""
+    """The control law of one run over N intervals, one read-only array per
+    quantity: ``times (N+1,)``, states ``x`` and costates ``p (N+1, n)``
+    (every interval start plus the terminal pair), controls ``u (N, m)``,
+    the Hamiltonian value ``h_values (N,)`` and the relaxed stage cost
+    ``stage_costs (N,)`` (``sum_k a_k g(t_i, x_i, c_k) * dt_i``) of every
+    interval.
 
-    points: Tuple[TrajectoryPoint, ...]
+    The measures are stored by their supports in CSR form: interval i spends
+    ``support_weights[offsets[i]:offsets[i + 1]]`` of its time at the levels
+    in the same rows of ``support_levels (S, m)``.  Also kept: the
+    accumulated discretized cost and the number of state steps that the
+    state-box clamp moved by more than ``STEP_FEASIBILITY_TOL``.
+    """
+
+    times: Array
+    x: Array
+    p: Array
+    u: Array
+    h_values: Array
+    stage_costs: Array
+    offsets: Array
+    support_levels: Array
+    support_weights: Array
     accumulated_cost: float
-    stage_costs: Array  # sum_k a_k g(t_i, x_i, c_k) * dt_i per interval (relaxed cost)
     clamp_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        stage = np.array(self.stage_costs, dtype=float)
-        stage.setflags(write=False)
-        object.__setattr__(self, "stage_costs", stage)
-        ts = [pt.t for pt in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("trajectory points must be ordered by time")
+        for name in ("times", "x", "p", "u", "h_values", "stage_costs", "support_levels",
+                     "support_weights"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        offsets = np.array(self.offsets, dtype=np.intp)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "offsets", offsets)
+        times, x, u, off, w = self.times, self.x, self.u, self.offsets, self.support_weights
+        N, S = times.size - 1, w.size
+        if times.ndim != 1 or N < 1 or np.any(np.diff(times) <= 0.0):
+            raise ValueError("a trajectory needs two or more strictly increasing times")
+        if x.ndim != 2 or x.shape[0] != N + 1 or self.p.shape != x.shape:
+            raise ValueError(f"x and p must both have shape ({N + 1}, n)")
+        if u.ndim != 2 or u.shape[0] != N or self.h_values.shape != (N,):
+            raise ValueError(f"u must have shape ({N}, m) and h_values ({N},)")
+        if self.stage_costs.shape != (N,):
+            raise ValueError(f"stage_costs must have shape ({N},)")
+        if not (np.isfinite(x).all() and np.isfinite(self.p).all()):
+            raise ValueError("trajectory has non-finite x or p")
+        if off.shape != (N + 1,) or off[0] != 0 or off[-1] != S or np.any(np.diff(off) < 1):
+            raise ValueError("offsets must rise from 0 to the support size, by >= 1 per interval")
+        if w.ndim != 1 or self.support_levels.shape != (S, u.shape[1]):
+            raise ValueError(f"support_weights must have shape ({S},), support_levels ({S}, m)")
+        if not np.all((w >= 0.0) & (w <= 1.0)):
+            raise ValueError("support weights must lie in [0, 1]")
+        if not np.all(np.abs(np.add.reduceat(w, off[:-1]) - 1.0) <= 1e-12):
+            raise ValueError("the support weights of every interval must sum to 1 within 1e-12")
 
     @property
     def intervals(self) -> int:
-        return len(self.points) - 1
-
-    @property
-    def terminal(self) -> TrajectoryPoint:
-        return self.points[-1]
-
-    @property
-    def times(self) -> Array:
-        return np.array([pt.t for pt in self.points])
+        return int(self.times.size - 1)
 
     def states(self) -> Array:
-        return np.stack([pt.x for pt in self.points])
+        return self.x
 
     def costates(self) -> Array:
-        return np.stack([pt.p for pt in self.points])
+        return self.p
 
     def controls(self) -> Array:
-        return np.stack([pt.u for pt in self.points[:-1]])
+        return self.u
+
+    @functools.cached_property
+    def points(self) -> Tuple[TrajectoryPoint, ...]:
+        """The rows as points, one per interval start plus the terminal one;
+        built on first access, from views of the columns."""
+        rows = [TrajectoryPoint(*row) for row in zip(self.times.tolist(), self.x, self.p, self.u)]
+        rows.append(TrajectoryPoint(float(self.times[-1]), self.x[-1], self.p[-1]))
+        return tuple(rows)
 
 
 def _clamp(problem: ControlProblem, x: Array) -> Tuple[Array, bool]:
     """Clamp ``x`` to the state box; the flag says whether that moved it by
     more than ``STEP_FEASIBILITY_TOL`` (smaller moves are rounding)."""
+    if not problem.has_state_bounds:
+        return x, False
     clamped = x
     if problem.state_lower is not None:
         clamped = np.maximum(clamped, problem.state_lower)
     if problem.state_upper is not None:
         clamped = np.minimum(clamped, problem.state_upper)
-    return clamped, bool(np.any(np.abs(clamped - x) > STEP_FEASIBILITY_TOL))
+    return clamped, bool((np.abs(clamped - x) > STEP_FEASIBILITY_TOL).any())
 
 
 def step_state(
-    problem: ControlProblem, x: Array, measure: ChatteringMeasure, f_vals: Array, dt: float
+    problem: ControlProblem, x: Array, weights: Array, f_vals: Array, dt: float
 ) -> Tuple[Array, bool]:
     """x_{i+1} = x_i + dt * sum_k a_k f(t_i, x_i, c_k), clamped to the state
     box when bounds exist.
 
-    ``f_vals`` holds the dynamics rows f(t_i, x_i, c_k), one per level of the
-    measure.  Returns the next state and whether the clamp moved it by more
-    than ``STEP_FEASIBILITY_TOL``.
+    ``weights`` are the measure's weights a_k on its support levels c_k and
+    ``f_vals`` the dynamics rows f(t_i, x_i, c_k), one per weight.  Returns
+    the next state and whether the clamp moved it by more than
+    ``STEP_FEASIBILITY_TOL``.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if f_vals.shape[0] != measure.K:
+    if f_vals.shape[0] != weights.size:
         raise chattering.DimensionMismatch(
-            f"dynamics have {f_vals.shape[0]} rows but measure has {measure.K} weights"
+            f"dynamics have {f_vals.shape[0]} rows but the measure has {weights.size} weights"
         )
-    return _clamp(problem, x + dt * (measure.weights @ f_vals))
+    return _clamp(problem, x + dt * (weights @ f_vals))
 
 
 def step_costate(
@@ -188,34 +212,33 @@ def step_costate(
     t: float,
     x: Array,
     p: Array,
-    grid: LevelGrid,
-    measure: ChatteringMeasure,
+    levels: Array,
+    weights: Array,
     dt: float,
 ) -> Array:
-    """p_{i+1} = p_i - dt * sum_k a_k dH/dx(t_i, x_i, p_i, c_k)."""
+    """p_{i+1} = p_i - dt * sum_k a_k dH/dx(t_i, x_i, p_i, c_k) over the
+    support ``levels`` c_k and their ``weights`` a_k (as many of each, or
+    ``ValueError``)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     acc = np.zeros(problem.state_dim)
-    for k in measure.support():
-        grad = grad_h_state(problem, t, x, p, grid.levels[k])
-        acc = acc + measure.weights[k] * grad
+    for level, weight in zip(levels, weights.tolist(), strict=True):
+        acc = acc + weight * grad_h_state(problem, t, x, p, level)
     return p - dt * acc
 
 
-def _support_pair(
-    grid: LevelGrid, measure: ChatteringMeasure, support: Array
-) -> Tuple[LevelGrid, ChatteringMeasure]:
-    """Shrink a grid/measure pair to the measure's ``support`` (the zero-weight
-    levels contribute nothing and recording all of them is wasteful)."""
-    if support.size == measure.K:
-        return grid, measure
-    return LevelGrid(grid.levels[support]), ChatteringMeasure(measure.weights[support])
-
-
 def _annotate(err: Exception, interval: int, t: float) -> Exception:
-    tagged = type(err)(f"{err} [interval {interval}, t={t}]")
+    """``err`` with the interval appended to its message and as
+    ``interval_index``: a new error of its type caused by ``err``, or
+    ``err`` itself when its type takes other constructor arguments."""
+    message = f"{err} [interval {interval}, t={t}]"
+    try:
+        tagged = type(err)(message)
+        tagged.__cause__ = err
+    except TypeError:
+        err.args = (message,)
+        tagged = err
     tagged.interval_index = interval
-    tagged.__cause__ = err
     return tagged
 
 
@@ -233,39 +256,46 @@ def propagate_forward(
     Hamiltonian at every level, solve the measure LP, reconstruct the
     interval control, then advance state and costate.  The running cost is
     the relaxed one, ``sum_k a_k g(t_i, x_i, c_k)``, accumulated as a
-    left-endpoint sum, plus the terminal cost at x_T.
+    left-endpoint sum, plus the terminal cost at x_T.  Each interval writes
+    one row of the returned ``Trajectory``.
 
     With a ``measurement_source`` the predicted state may be replaced by an
     injected measurement before each interval solve (open-loop feedback).
 
     A non-finite evaluation, or a state or costate step that overflows,
-    raises ``NonFiniteEvaluation`` tagged with the ``interval_index``.
+    raises ``NonFiniteEvaluation``; that, ``InfeasibleLevels`` and a hook's
+    ``ValueError`` (an output of the wrong shape) are tagged with the
+    ``interval_index``.
 
     ``memo`` is handed to every level generation: propagations that share
     one reuse an interval's level work when they start it from the same
     state (see ``chattering.generate_levels_with_dynamics``).
     """
     p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (problem.state_dim,):
-        raise ValueError(f"p0 must have shape ({problem.state_dim},), got {p0.shape}")
+    n, N = problem.state_dim, partition.intervals
+    if p0.shape != (n,):
+        raise ValueError(f"p0 must have shape ({n},), got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ValueError("p0 must be finite")
-    x, p, cost = np.array(problem.initial_state), np.array(p0), 0.0
-    points: List[TrajectoryPoint] = []
-    stage_costs: List[float] = []
-    clamp_count = 0
+    xs, ps = np.empty((N + 1, n)), np.empty((N + 1, n))
+    us, h_values, stage_costs = np.empty((N, problem.control_dim)), np.empty(N), np.empty(N)
+    offsets = np.zeros(N + 1, dtype=np.intp)
+    support_levels: List[Array] = []
+    support_weights: List[Array] = []
+    # one drift evaluation per interval serves level search, filter, sweep and step
+    affine = problem.drift is not None
+    B = problem.control_matrix
+    x, p, cost, clamp_count = np.array(problem.initial_state), np.array(p0), 0.0, 0
     for i, (t, dt) in enumerate(zip(partition.times.tolist(), partition.deltas.tolist())):
         if measurement_source is not None:
             measured = measurement_source(i, t, x)
             if measured is not None:
                 measured = np.asarray(measured, dtype=float)
-                if measured.shape != (problem.state_dim,) or not np.all(np.isfinite(measured)):
-                    msg = f"measured state must be {problem.state_dim} finite values, got {measured.tolist()}"
+                if measured.shape != (n,) or not np.all(np.isfinite(measured)):
+                    msg = f"measured state must be {n} finite values, got {measured.tolist()}"
                     raise _annotate(ValueError(msg), i, t)
                 x, _ = _clamp(problem, measured)
         try:
-            # one drift evaluation serves level search, filter, sweep and step
-            affine = problem.drift is not None
             drift = eval_drift(problem, t, x) if affine else None
             grid, f_vals = chattering.generate_levels_with_dynamics(
                 problem, t, x, dt, grid_params, drift, memo
@@ -276,43 +306,48 @@ def propagate_forward(
             else:
                 f_vals = eval_dynamics_batch(problem, t, x, grid.levels) if f_vals is None else f_vals
                 h_vals = g_vals + f_vals @ p
-            if not np.all(np.isfinite(h_vals)):
+            if not np.isfinite(h_vals).all():
                 raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
-            measure = solve_measure_lp(h_vals)
-            support = measure.support()
-            grid_s, measure_s = _support_pair(grid, measure, support)
+            support, weights = solve_measure_lp(h_vals)
             # the zero-weight levels add nothing: reduce over the support only
-            u = measure_s.weights @ grid_s.levels
-            stage = float(measure_s.weights @ g_vals[support]) * dt
-            h_value = float(measure_s.weights @ h_vals[support])
-            f_support = drift + grid_s.levels @ problem.control_matrix if affine else f_vals[support]
-            x_next, clamped = step_state(problem, x, measure_s, f_support, dt)
-            p_next = step_costate(problem, t, x, p, grid_s, measure_s, dt)
-            if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
+            levels = grid.levels[support]
+            stage = float(weights @ g_vals[support]) * dt
+            h_values[i] = weights @ h_vals[support]
+            x_next, clamped = step_state(
+                problem, x, weights, drift + levels @ B if affine else f_vals[support], dt
+            )
+            p_next = step_costate(problem, t, x, p, levels, weights, dt)
+            if not (np.isfinite(x_next).all() and np.isfinite(p_next).all()):
                 raise NonFiniteEvaluation(f"state or costate step is non-finite at t={t}")
-        except (NonFiniteEvaluation, InfeasibleLevels) as err:
+        except (NonFiniteEvaluation, InfeasibleLevels, ValueError) as err:
             raise _annotate(err, i, t)
+        xs[i], ps[i], us[i], stage_costs[i] = x, p, weights @ levels, stage
+        offsets[i + 1] = offsets[i] + support.size
+        support_levels.append(levels)
+        support_weights.append(weights)
         cost += stage
-        points.append(TrajectoryPoint(t, x, p, u, measure_s, grid_s, h_value))
-        stage_costs.append(stage)
         clamp_count += clamped
         x, p = x_next, p_next
+    xs[N], ps[N] = x, p
     cost += eval_terminal_cost(problem, x)
-    points.append(TrajectoryPoint(float(partition.times[-1]), x, p))
-    return Trajectory(tuple(points), cost, np.asarray(stage_costs), clamp_count)
+    return Trajectory(
+        partition.times, xs, ps, us, h_values, stage_costs, offsets,
+        np.concatenate(support_levels), np.concatenate(support_weights), cost, clamp_count,
+    )
 
 
 def accumulate_cost(problem: ControlProblem, trajectory: Trajectory) -> float:
-    """Recompute the discretized cost from the stored points: left-endpoint
+    """Recompute the discretized cost from the stored columns: left-endpoint
     sum of the relaxed running cost ``sum_k a_k g(t, x, c_k)`` over each
-    point's support levels, plus the terminal cost."""
+    interval's support levels, plus the terminal cost."""
     total = 0.0
-    pts = trajectory.points
-    for a, b in zip(pts[:-1], pts[1:]):
+    times, off = trajectory.times.tolist(), trajectory.offsets.tolist()
+    for i, (a, b) in enumerate(zip(off, off[1:])):
         # model's binding: a wrapper of this module's one sees only the sweeps
-        g = model.eval_running_cost_batch(problem, a.t, a.x, a.grid.levels)
-        total += float(a.measure.weights @ g) * (b.t - a.t)
-    return total + eval_terminal_cost(problem, pts[-1].x)
+        levels = trajectory.support_levels[a:b]
+        g = model.eval_running_cost_batch(problem, times[i], trajectory.x[i], levels)
+        total += float(trajectory.support_weights[a:b] @ g) * (times[i + 1] - times[i])
+    return total + eval_terminal_cost(problem, trajectory.x[-1])
 
 
 def replay_measurement_source(replacements: Mapping[int, Sequence[float]]) -> MeasurementSource:

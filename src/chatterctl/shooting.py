@@ -143,21 +143,20 @@ def finite_diff_sensitivities(
     n = problem.state_dim
     if nominal is None:
         nominal = propagate_forward(problem, partition, p0, grid_params)
-    x_T = nominal.terminal.x
-    p_T = nominal.terminal.p
+    x_T, p_T = nominal.x[-1], nominal.p[-1]
     P_x = np.empty((n, n))
     P_p = np.empty((n, n))
     for j in range(n):
         p0_j = np.array(p0)
         p0_j[j] += delta_p
         try:
-            terminal = propagate_forward(problem, partition, p0_j, grid_params).terminal
+            perturbed = propagate_forward(problem, partition, p0_j, grid_params)
         except (NonFiniteEvaluation, InfeasibleLevels) as err:
             tagged = type(err)(f"{err} [perturbation {j}]")
             tagged.perturbation_index = j
             raise tagged from err
-        P_x[:, j] = (terminal.x - x_T) / delta_p
-        P_p[:, j] = (terminal.p - p_T) / delta_p
+        P_x[:, j] = (perturbed.x[-1] - x_T) / delta_p
+        P_p[:, j] = (perturbed.p[-1] - p_T) / delta_p
     return SensitivityEstimate(P_x, P_p)
 
 
@@ -165,11 +164,11 @@ def tangent_sensitivities(
     problem: ControlProblem, partition: TimePartition, nominal: Trajectory
 ) -> SensitivityEstimate:
     """Jacobians of the terminal pair from the variational equations along
-    ``nominal``, in one pass over its recorded points: no level generation,
+    ``nominal``, in one pass over its recorded rows: no level generation,
     no measure LP, no propagation.
 
-    Each interval's measure (the point's support levels and weights) is held
-    fixed.  Then the state path does not depend on p0 and x_0 is fixed, so
+    Each interval's measure (its recorded support levels and weights) is
+    held fixed.  Then the state path does not depend on p0 and x_0 is fixed, so
     ``P_x`` is exactly 0.  H is affine in p, so the costate step's
     derivative in p is ``I - dt F_x^T`` with ``F_x = sum_k a_k df/dx``; the
     tangent starts at I and ``P_p`` is its terminal value.  With a
@@ -186,14 +185,16 @@ def tangent_sensitivities(
         )
     n = problem.state_dim
     dp = np.eye(n)
-    for point, dt in zip(nominal.points, partition.deltas.tolist()):
+    off = nominal.offsets.tolist()
+    for i, (t, dt) in enumerate(zip(nominal.times.tolist(), partition.deltas.tolist())):
         if problem.drift_jacobian is not None:
-            F_xT = eval_drift_jacobian(problem, point.t, point.x).T
+            F_xT = eval_drift_jacobian(problem, t, nominal.x[i]).T
         else:
-            levels, weights = point.grid.levels, point.measure.weights
+            levels = nominal.support_levels[off[i]:off[i + 1]]
+            weights = nominal.support_weights[off[i]:off[i + 1]]
             # row j is d/dx_j of the measure-weighted dynamics: F_x^T
             F_xT = _central_difference(
-                lambda x: weights @ eval_dynamics_batch(problem, point.t, x, levels), point.x
+                lambda x: weights @ eval_dynamics_batch(problem, t, x, levels), nominal.x[i]
             )
         dp = dp - dt * (F_xT @ dp)
     return SensitivityEstimate(np.zeros((n, n)), dp)
@@ -283,8 +284,7 @@ def solve(
         except InfeasibleLevels as err:
             message = f"level generation became infeasible: {err}"
             break
-        x_T = trajectory.terminal.x
-        p_T = trajectory.terminal.p
+        x_T, p_T = trajectory.x[-1], trajectory.p[-1]
         residual = float(np.linalg.norm(p_T - terminal_costate(problem, x_T)))
         history.append(residual)
         if residual < best_residual:

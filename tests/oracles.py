@@ -1,7 +1,7 @@
 """Independent oracles the tests compare the solver against.
 
 None of these run in the solver itself: closed forms, per-table envelopes,
-a single-row reference step, a signal average, a control-affine problem
+a single-row reference step, a schedule's time average, a control-affine problem
 stripped of its hooks, the full-width product grid and filter that the
 level generator must reproduce bit for bit, a problem whose relaxed optimum
 chatters, and a fingerprint of a whole run.
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from chatterctl import chattering
-from chatterctl.chattering import ChatteringSignal, InfeasibleLevels, LevelGrid
+from chatterctl.chattering import InfeasibleLevels
 from chatterctl.model import ControlProblem, eval_drift
 from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
 
@@ -59,13 +59,13 @@ def market_step_oracle(Z: float, theta: float, v: float, dt: float) -> float:
     return Z + dt * (-Z + theta - v)
 
 
-def signal_time_average(signal: ChatteringSignal, grid: LevelGrid) -> np.ndarray:
-    """Time average of the realized control over its interval, one value per
-    control dimension."""
-    total = signal.end - signal.start
-    acc = np.zeros(grid.control_dim)
-    for s, e, k in signal.segments:
-        acc += (e - s) * grid.levels[k]
+def schedule_time_average(starts, ends, levels) -> np.ndarray:
+    """Time average of the control that a one-interval schedule realizes:
+    segment r holds ``levels[r]`` from ``starts[r]`` to ``ends[r]``."""
+    total = ends[-1] - starts[0]
+    acc = np.zeros(levels.shape[1])
+    for s, e, level in zip(starts, ends, levels):
+        acc += (e - s) * level
     return acc / total
 
 
@@ -155,8 +155,9 @@ def fingerprint(trajectory) -> str:
     bit-identical runs."""
     digest = hashlib.sha256()
     parts = [trajectory.states(), trajectory.costates(), trajectory.controls()]
-    for point in trajectory.points[:-1]:
-        parts += [point.grid.levels, point.measure.weights]
+    off = trajectory.offsets.tolist()
+    for a, b in zip(off, off[1:]):
+        parts += [trajectory.support_levels[a:b], trajectory.support_weights[a:b]]
     for part in parts:
         part = np.ascontiguousarray(part, dtype=float)
         digest.update(repr(part.shape).encode())

@@ -21,12 +21,12 @@ from chatterctl import (
     control_from_measure,
     lqr_analytic_solution,
     propagate_forward,
-    realize_signal,
     solve,
     synthetic_demand,
 )
+from chatterctl.chattering import schedule_segments
 from chatterctl.cli import check_gradients, check_lp, check_tables, main
-from oracles import fingerprint, signal_time_average
+from oracles import fingerprint, schedule_time_average
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -128,12 +128,12 @@ class TestAcceptance:
             measure = ChatteringMeasure(weights)
             t_start = float(rng.uniform(0.0, 5.0))
             dt = float(rng.uniform(0.01, 2.0))
-            signal = realize_signal(grid, measure, t_start, dt)
-            occupation = signal.occupation_times(K)
+            starts, ends = schedule_segments([t_start, t_start + dt], [0, K], weights)
+            occupation = ends - starts
             worst_occupation = max(
                 worst_occupation, float(np.max(np.abs(occupation - weights * dt))) / dt
             )
-            mean = signal_time_average(signal, grid)
+            mean = schedule_time_average(starts, ends, levels)
             expected = control_from_measure(grid, measure)
             worst_mean = max(worst_mean, float(np.max(np.abs(mean - expected))))
         ok = worst_mean <= 1e-12 and worst_occupation <= 1e-12

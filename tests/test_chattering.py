@@ -18,7 +18,6 @@ from chatterctl import (
     build_supply_chain,
     control_from_measure,
     propagate_forward,
-    realize_signal,
     replay_measurement_source,
     solve_measure_lp,
     synthetic_demand,
@@ -30,9 +29,10 @@ from chatterctl.chattering import (
     _coarsen_counts,
     generate_levels_with_dynamics,
     level_bound_search,
+    schedule_segments,
 )
 from chatterctl.model import affine_p_dot_f, eval_drift, eval_running_cost_batch
-from oracles import full_width_levels, signal_time_average, without_hooks
+from oracles import full_width_levels, schedule_time_average, without_hooks
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
@@ -56,16 +56,16 @@ def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
 
 class TestMeasureLP:
     def test_unique_argmin(self):
-        measure = solve_measure_lp(np.array([5.0, 2.0, 9.0]))
-        assert np.array_equal(measure.weights, [0.0, 1.0, 0.0])
+        support, weights = solve_measure_lp(np.array([5.0, 2.0, 9.0]))
+        assert support.tolist() == [1] and weights.tolist() == [1.0]
 
     def test_two_way_tie_splits_uniformly(self):
-        measure = solve_measure_lp(np.array([3.0, 3.0, 7.0]))
-        assert np.array_equal(measure.weights, [0.5, 0.5, 0.0])
+        support, weights = solve_measure_lp(np.array([3.0, 3.0, 7.0]))
+        assert support.tolist() == [0, 1] and weights.tolist() == [0.5, 0.5]
 
     def test_single_level_is_forced(self):
-        measure = solve_measure_lp(np.array([4.2]))
-        assert np.array_equal(measure.weights, [1.0])
+        support, weights = solve_measure_lp(np.array([4.2]))
+        assert support.tolist() == [0] and weights.tolist() == [1.0]
 
     def test_empty_grid_raises(self):
         with pytest.raises(EmptyGrid):
@@ -85,20 +85,19 @@ class TestMeasureLP:
     @settings(max_examples=300, deadline=None)
     def test_matches_vertex_enumeration(self, values):
         h = np.asarray(values)
-        measure = solve_measure_lp(h)
-        w = measure.weights
+        support, w = solve_measure_lp(h)
         assert abs(float(w.sum()) - 1.0) <= 1e-12
-        assert np.all(w >= 0.0) and np.all(w <= 1.0)
+        assert np.all(w > 0.0) and np.all(w <= 1.0)
         # the optimum of a linear objective over the simplex is a vertex
         vertex_best = min(float(v) for v in h)
-        assert float(w @ h) <= vertex_best + 1e-9
-        assert np.all(h[measure.support()] <= h.min() + 1e-9)
+        assert float(w @ h[support]) <= vertex_best + 1e-9
+        assert np.all(h[support] <= h.min() + 1e-9)
 
     def test_exact_tie_objective_equals_minimum(self):
         # powers of two split exactly
         h = np.array([0.75, 2.0, 0.75, 0.75, 0.75])
-        measure = solve_measure_lp(h)
-        assert float(measure.weights @ h) == 0.75
+        support, weights = solve_measure_lp(h)
+        assert float(weights @ h[support]) == 0.75
 
 
 class TestMeasureInvariants:
@@ -134,25 +133,20 @@ class TestControlFromMeasure:
 
 
 class TestRealizeSignal:
+    """The duty-cycle schedule that ``schedule_segments`` lays out."""
+
     def test_point_mass_single_segment(self):
-        grid = LevelGrid(np.array([[0.0], [1.0]]))
-        measure = ChatteringMeasure(np.array([1.0, 0.0]))
-        signal = realize_signal(grid, measure, 0.0, 1.0)
-        assert signal.segments == ((0.0, 1.0, 0),)
+        starts, ends = schedule_segments([0.0, 1.0], [0, 1], [1.0])
+        assert starts.tolist() == [0.0] and ends.tolist() == [1.0]
 
     def test_duty_cycle_arithmetic(self):
-        grid = LevelGrid(np.array([[0.0], [1.0]]))
-        measure = ChatteringMeasure(np.array([0.25, 0.75]))
-        signal = realize_signal(grid, measure, 0.0, 4.0)
-        assert signal.segments == ((0.0, 1.0, 0), (1.0, 4.0, 1))
+        starts, ends = schedule_segments([0.0, 4.0], [0, 2], [0.25, 0.75])
+        assert starts.tolist() == [0.0, 1.0] and ends.tolist() == [1.0, 4.0]
 
     def test_three_equal_segments(self):
-        grid = LevelGrid(np.array([[0.0], [1.0], [2.0]]))
-        measure = ChatteringMeasure(np.array([1.0, 1.0, 1.0]) / 3.0)
-        signal = realize_signal(grid, measure, 0.0, 3.0)
-        occupation = signal.occupation_times(3)
-        assert np.allclose(occupation, 1.0, atol=1e-12)
-        assert signal.end == 3.0
+        starts, ends = schedule_segments([0.0, 3.0], [0, 3], np.array([1.0, 1.0, 1.0]) / 3.0)
+        assert np.allclose(ends - starts, 1.0, atol=1e-12)
+        assert ends[-1] == 3.0
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -167,35 +161,46 @@ class TestRealizeSignal:
         weights = raw / raw.sum()
         grid = LevelGrid(levels)
         measure = ChatteringMeasure(weights)
-        t_start = float(rng.uniform(0.0, 5.0))
-        dt = float(rng.uniform(0.01, 10.0))
-        signal = realize_signal(grid, measure, t_start, dt)
-        assert signal.start == t_start
-        assert signal.end == t_start + dt
-        occupation = signal.occupation_times(K)
+        times = np.array([rng.uniform(0.0, 5.0), 0.0])
+        times[1] = times[0] + rng.uniform(0.01, 10.0)
+        t_start, dt = times[0], times[1] - times[0]
+        starts, ends = schedule_segments(times, [0, K], weights)
+        assert starts[0] == t_start
+        assert ends[-1] == t_start + dt
+        assert np.array_equal(starts[1:], ends[:-1])
+        occupation = ends - starts
         assert np.all(np.abs(occupation - weights * dt) <= 1e-12 * dt)
-        mean = signal_time_average(signal, grid)
+        mean = schedule_time_average(starts, ends, levels)
         expected = control_from_measure(grid, measure)
         assert np.all(np.abs(mean - expected) <= 1e-12 * max(1.0, np.abs(expected).max()))
 
     def test_hamiltonian_sum_equals_frozen_integral(self):
         # with x, p frozen on the interval, integrating H along the realized
-        # signal is exactly the duty-cycle weighted sum of per-level values
+        # schedule is exactly the duty-cycle weighted sum of per-level values
         rng = np.random.default_rng(42)
         for _ in range(100):
             K = int(rng.integers(1, 7))
             h_values = rng.uniform(-5.0, 5.0, size=K)
-            levels = np.sort(rng.uniform(-1.0, 1.0, size=K))[:, None]
             raw = rng.uniform(0.0, 1.0, size=K) + 1e-6
             weights = raw / raw.sum()
-            grid = LevelGrid(levels)
-            measure = ChatteringMeasure(weights)
             dt = float(rng.uniform(0.1, 2.0))
-            signal = realize_signal(grid, measure, 0.0, dt)
-            level_of_segment = {k: h_values[k] for k in range(K)}
-            integral = sum((e - s) * level_of_segment[k] for s, e, k in signal.segments)
+            starts, ends = schedule_segments([0.0, dt], [0, K], weights)
+            integral = sum((e - s) * h for s, e, h in zip(starts, ends, h_values))
             duty_sum = float(np.sum(h_values * weights)) * dt
             assert integral == pytest.approx(duty_sum, abs=1e-12 * max(1.0, abs(duty_sum)))
+
+    def test_intervals_laid_out_independently(self):
+        # several intervals in one call: each tiles its own interval, and
+        # matches the one-interval layout of the same weights
+        times = np.array([0.0, 0.1, 0.35, 1.0])
+        offsets = np.array([0, 1, 3, 6])
+        weights = np.array([1.0, 0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
+        starts, ends = schedule_segments(times, offsets, weights)
+        for i in range(3):
+            a, b = offsets[i], offsets[i + 1]
+            alone = schedule_segments(times[i:i + 2], [0, b - a], weights[a:b])
+            assert np.array_equal(starts[a:b], alone[0]) and np.array_equal(ends[a:b], alone[1])
+            assert starts[a] == times[i] and ends[b - 1] == times[i] + (times[i + 1] - times[i])
 
 
 def reference_bound_search(problem, t, x, dt, dims):

@@ -1,13 +1,15 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from chatterctl import GridParams, ShootingConfig, TimePartition, build_lqr, solve
+from chatterctl import ControlProblem, GridParams, ShootingConfig, TimePartition, build_lqr, solve
 from chatterctl.cli import (
     SolveConfig,
     build_problem,
+    export_convergence,
     export_trajectory,
     main,
     parse_config_file,
@@ -167,6 +169,57 @@ class TestExportTrajectory:
         export_trajectory(trajectory, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+class TestExportBytes:
+    """The exports of ``chatterctl solve --problem lqr`` at the CLI defaults,
+    pinned byte for byte.  The problem has one state and one control, so no
+    BLAS summation order enters these bytes."""
+
+    DIGESTS = {
+        "trajectory.csv": "f6485c62bafb07d199ad9ce84318a5b7f4cf3a4bd606e65edabd65577d4d6afa",
+        "schedule.csv": "5a4d87711864cf43a62daa2b92393e7fce538611ed509e081bacdc31837ee2d0",
+        "convergence.json": "92630ee26fdbad5099d31a16fc1184dd8ed0652da29f99d138ae0473f25b9d56",
+    }
+
+    def test_lqr_defaults(self, tmp_path):
+        assert main(["solve", "--problem", "lqr", "--out-dir", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS
+
+
+class TestConvergenceJson:
+    def test_run_without_an_iteration_is_strict_json(self, tmp_path):
+        # drift -5 and u <= 1 push the state below its floor at 0 from x0 = 0,
+        # so interval 0 is infeasible and no iteration completes: the
+        # residual is inf, which JSON cannot carry
+        problem = ControlProblem(
+            state_dim=1,
+            control_dim=1,
+            horizon=1.0,
+            initial_state=np.zeros(1),
+            running_cost=lambda t, x, u: 0.0,
+            drift=lambda t, x: np.array([-5.0]),
+            control_matrix=np.ones((1, 1)),
+            control_lower=np.array([0.0]),
+            control_upper=np.array([1.0]),
+            state_lower=np.array([0.0]),
+        )
+        config = ShootingConfig(p0_initial=np.zeros(1))
+        result = solve(problem, TimePartition.uniform(1.0, 10), config, GridParams(3, 16))
+        assert result.iterations == 0 and result.residual == np.inf
+        path = tmp_path / "convergence.json"
+        export_convergence(result, path)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(path.read_text(), parse_constant=refuse)
+        assert payload["residual"] is None and payload["cost"] is None
+        assert payload["residual_history"] == [] and payload["converged"] is False
 
 
 class TestSolveCommand:

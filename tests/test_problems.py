@@ -253,7 +253,7 @@ class TestSupplyChainProblem:
             t = float(rng.uniform(0.0, 1.0))
             measure = ChatteringMeasure(np.array([1.0]))
             f_vals = eval_dynamics_batch(problem, t, x, u[None, :])
-            stepped, _ = step_state(problem, x, measure, f_vals, dt)
+            stepped, _ = step_state(problem, x, measure.weights, f_vals, dt)
             for j in range(5):
                 for c in range(3):
                     idx = 5 + j * 3 + c

@@ -40,7 +40,7 @@ def state_step(problem, t, x, p, grid, measure, dt):
     """``step_state`` on the dynamics rows at the grid's levels, as
     ``propagate_forward`` calls it."""
     f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
-    return step_state(problem, x, measure, f_vals, dt)
+    return step_state(problem, x, measure.weights, f_vals, dt)
 
 
 class TestTimePartition:
@@ -120,9 +120,9 @@ class TestSteps:
         problem = build_lqr()
         grid = LevelGrid(np.array([[1.0]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        p_next = step_costate(problem, *lqr_point(10.0, 0.0), grid, measure, 0.01)
+        p_next = step_costate(problem, *lqr_point(10.0, 0.0), grid.levels, measure.weights, 0.01)
         assert p_next[0] == pytest.approx(-0.2, abs=1e-15)
-        p_next = step_costate(problem, *lqr_point(0.0, 1.0), grid, measure, 0.1)
+        p_next = step_costate(problem, *lqr_point(0.0, 1.0), grid.levels, measure.weights, 0.1)
         assert p_next[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_costate_unchanged_when_cost_and_dynamics_ignore_state(self):
@@ -138,7 +138,7 @@ class TestSteps:
         )
         grid = LevelGrid(np.array([[0.7]]))
         measure = ChatteringMeasure(np.array([1.0]))
-        p_next = step_costate(problem, *lqr_point(3.0, 2.5), grid, measure, 0.25)
+        p_next = step_costate(problem, *lqr_point(3.0, 2.5), grid.levels, measure.weights, 0.25)
         assert p_next[0] == pytest.approx(2.5, abs=1e-9)
 
     def test_increments_homogeneous_in_dt(self):
@@ -151,8 +151,8 @@ class TestSteps:
         dx_full = state_step(problem, t, x, p, grid, measure, 0.25)[0] - x
         dx_half = state_step(problem, t, x, p, grid, measure, 0.125)[0] - x
         assert dx_half[0] == 0.5 * dx_full[0]
-        dp_full = step_costate(problem, t, x, p, grid, measure, 0.25) - p
-        dp_half = step_costate(problem, t, x, p, grid, measure, 0.125) - p
+        dp_full = step_costate(problem, t, x, p, grid.levels, measure.weights, 0.25) - p
+        dp_half = step_costate(problem, t, x, p, grid.levels, measure.weights, 0.125) - p
         assert dp_half[0] == 0.5 * dp_full[0]
 
     def test_increments_scale_with_dt_generic_values(self):
@@ -162,7 +162,7 @@ class TestSteps:
         t, x, p = lqr_point(3.7, -1.3)
         steps = (
             (x, lambda dt: state_step(problem, t, x, p, grid, measure, dt)[0]),
-            (p, lambda dt: step_costate(problem, t, x, p, grid, measure, dt)),
+            (p, lambda dt: step_costate(problem, t, x, p, grid.levels, measure.weights, dt)),
         )
         for base, step in steps:
             full = step(0.02) - base
@@ -212,11 +212,10 @@ class TestPropagateForward:
         problem = trivial_problem()
         part = TimePartition.uniform(2.0, 1)
         traj = propagate_forward(problem, part, np.array([3.0]), GridParams(3, 16))
-        assert len(traj.points) == 2
+        assert traj.intervals == 1 and len(traj.points) == 2
         assert traj.accumulated_cost == 0.0
-        assert traj.points[0].x[0] == 1.5 and traj.points[0].p[0] == 3.0
-        assert traj.terminal.x[0] == 1.5 and traj.terminal.p[0] == 3.0
-        assert traj.terminal.u is None
+        assert traj.x.tolist() == [[1.5], [1.5]] and traj.p.tolist() == [[3.0], [3.0]]
+        assert traj.points[-1].u is None
 
     def test_lqr_with_analytic_costate_is_near_optimal(self):
         problem = build_lqr()
@@ -230,19 +229,19 @@ class TestPropagateForward:
         problem = build_lqr()
         part = TimePartition.uniform(1.0, 100)
         traj = propagate_forward(problem, part, np.zeros(1), GridParams(101, 4096))
-        first = traj.points[0]
         levels = np.linspace(-30.0, 5.0, 101)
         expected = levels[np.argmin(levels**2)]
-        assert first.u[0] == expected
-        assert np.array_equal(first.measure.weights, [1.0])
+        assert traj.u[0, 0] == expected
+        assert traj.offsets[1] == 1 and traj.support_weights[0] == 1.0
 
     def test_trajectory_point_consistency(self):
         problem = build_lqr()
         part = TimePartition.uniform(1.0, 20)
         traj = propagate_forward(problem, part, np.array([10.0]), GridParams(21, 4096))
-        for pt in traj.points[:-1]:
-            u = pt.measure.weights @ pt.grid.levels
-            assert np.array_equal(u, pt.u)
+        off = traj.offsets
+        for i in range(traj.intervals):
+            u = traj.support_weights[off[i]:off[i + 1]] @ traj.support_levels[off[i]:off[i + 1]]
+            assert np.array_equal(u, traj.u[i])
 
     def test_refinement_shrinks_cost_differences(self):
         problem = build_lqr()
@@ -381,6 +380,25 @@ class TestMalformedHookOutput:
         with pytest.raises(ValueError, match=re.escape(expected)):
             propagate_forward(problem, part, np.zeros(1), GridParams(5, 16))
 
+    def test_shape_error_tagged_with_interval(self):
+        problem = dataclasses.replace(build_lqr(), running_cost_batch=lambda t, x, U: np.zeros(3))
+        part = TimePartition.uniform(1.0, 4)
+        with pytest.raises(ValueError) as excinfo:
+            propagate_forward(problem, part, np.zeros(1), GridParams(5, 16))
+        assert excinfo.value.interval_index == 0
+        assert str(excinfo.value).endswith("expected (5,) [interval 0, t=0.0]")
+
+    def test_hook_error_with_other_constructor_keeps_its_type(self):
+        # JSONDecodeError takes (msg, doc, pos): it is tagged in place
+        def cost(t, x, U):
+            raise json.JSONDecodeError("table unreadable", "", 0)
+
+        problem = dataclasses.replace(build_lqr(), running_cost_batch=cost)
+        with pytest.raises(json.JSONDecodeError) as excinfo:
+            propagate_forward(problem, TimePartition.uniform(1.0, 4), np.zeros(1), GridParams(5, 16))
+        assert excinfo.value.interval_index == 0
+        assert str(excinfo.value).endswith("(char 0) [interval 0, t=0.0]")
+
     def test_transposed_dynamics_batch(self):
         demand = synthetic_demand("seasonal", 5.0, 0.5)
         problem = without_hooks(build_supply_chain(demand, 1.0, 4))
@@ -390,6 +408,54 @@ class TestMalformedHookOutput:
         expected = r"dynamics_batch returned shape \(20, (\d+)\), expected \(\1, 20\)"
         with pytest.raises(ValueError, match=expected):
             propagate_forward(problem, part, np.zeros(20), GridParams(3, 64))
+
+
+class TestTrajectoryRecord:
+    """The columnar record: read-only arrays, checked once when built."""
+
+    @staticmethod
+    def bolza_record():
+        # every interval chatters between u = -1 and u = 1, so the supports
+        # have two rows each
+        problem = bolza_problem(0.0)
+        return propagate_forward(problem, TimePartition.uniform(1.0, 4), np.zeros(1), GridParams())
+
+    def test_columns_and_points(self):
+        traj = self.bolza_record()
+        assert traj.intervals == 4
+        assert traj.x.shape == traj.p.shape == (5, 1) and traj.u.shape == (4, 1)
+        assert traj.offsets.tolist() == [0, 2, 4, 6, 8]
+        assert traj.support_levels.shape == (8, 1) and traj.support_weights.shape == (8,)
+        assert traj.states() is traj.x and traj.controls() is traj.u
+        for name in ("times", "x", "p", "u", "h_values", "stage_costs", "offsets",
+                     "support_levels", "support_weights"):
+            assert not getattr(traj, name).flags.writeable, name
+        assert traj.points is traj.points
+        assert [pt.t for pt in traj.points] == traj.times.tolist()
+        assert all(np.array_equal(pt.u, u) for pt, u in zip(traj.points, traj.u))
+        assert traj.points[-1].u is None and np.array_equal(traj.points[-1].x, traj.x[-1])
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(times=[0.0, 0.5, 0.5, 0.75, 1.0]), "strictly increasing"),
+            (dict(x=np.full((5, 1), np.nan)), "non-finite"),
+            (dict(p=np.zeros((4, 1))), "x and p"),
+            (dict(u=np.zeros((4, 2))), None),
+            (dict(stage_costs=np.zeros(3)), "stage_costs"),
+            (dict(offsets=[0, 2, 2, 6, 8]), "offsets"),
+            (dict(offsets=[0, 2, 4, 6, 7]), "offsets"),
+            (dict(support_weights=[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.4]), "sum to 1"),
+            (dict(support_weights=[1.5, -0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]), r"\[0, 1\]"),
+            (dict(support_weights=[np.nan, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]), r"\[0, 1\]"),
+        ],
+        ids=["times", "x", "p", "u", "stage-costs", "empty-support", "offsets-end",
+             "weight-sum", "weight-range", "weight-nan"],
+    )
+    def test_inconsistent_columns_rejected(self, changes, message):
+        traj = self.bolza_record()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(traj, **changes)
 
 
 class TestFeedbackHook:
@@ -468,13 +534,16 @@ class TestProductionPath:
         source = replay_measurement_source({self.REPLAYED: replayed})
         traj = propagate_forward(problem, part, p0, GridParams(), measurement_source=source)
         assert np.array_equal(traj.points[self.REPLAYED].x, replayed)
+        off = traj.offsets
         for i, (pt, nxt) in enumerate(zip(traj.points[:-1], traj.points[1:])):
             dt_i = nxt.t - pt.t
-            p_next = step_costate(problem, pt.t, pt.x, pt.p, pt.grid, pt.measure, dt_i)
+            levels = traj.support_levels[off[i]:off[i + 1]]
+            weights = traj.support_weights[off[i]:off[i + 1]]
+            p_next = step_costate(problem, pt.t, pt.x, pt.p, levels, weights, dt_i)
             assert np.array_equal(p_next, nxt.p)
             if i + 1 != self.REPLAYED:
-                f_vals = eval_dynamics_batch(problem, pt.t, pt.x, pt.grid.levels)
-                x_next, _ = step_state(problem, pt.x, pt.measure, f_vals, dt_i)
+                f_vals = eval_dynamics_batch(problem, pt.t, pt.x, levels)
+                x_next, _ = step_state(problem, pt.x, weights, f_vals, dt_i)
                 assert np.max(np.abs(x_next - nxt.x)) <= 1e-12
 
     def test_level_generator_dynamics_match_a_fresh_sweep(self):
@@ -516,10 +585,10 @@ class TestRelaxedStageCost:
         problem, _, result = self.bolza_run()
         assert result.converged and result.iterations == 1
         traj = result.trajectory
-        for point in traj.points[:-1]:
-            assert point.grid.levels.tolist() == [[-1.0], [1.0]]
-            assert point.measure.weights.tolist() == [0.5, 0.5]
-            assert point.u.tolist() == [0.0]
+        assert np.array_equal(traj.offsets, np.arange(0, 201, 2))
+        assert traj.support_levels.tolist() == [[-1.0], [1.0]] * 100
+        assert traj.support_weights.tolist() == [0.5] * 200
+        assert np.all(traj.u == 0.0)
         assert np.all(traj.states() == 0.0)
         assert np.all(traj.stage_costs == 0.0)
         assert traj.accumulated_cost == 0.0
@@ -538,16 +607,16 @@ class TestRelaxedStageCost:
         # the relaxed optimum costs |x0|^3 / 3 = 1/24; the left-endpoint sum
         # over the arrival at x = 0 adds an O(dt) excess
         problem, traj = self.bolza_half(100, 0.255)
-        mixed = [pt for pt in traj.points[:-1] if pt.measure.K > 1]
-        assert len(mixed) == 50 and all(pt.t >= 0.5 for pt in mixed)
-        assert abs(traj.terminal.x[0]) <= 1e-15
+        mixed = np.flatnonzero(np.diff(traj.offsets) > 1)
+        assert len(mixed) == 50 and np.all(traj.times[mixed] >= 0.5)
+        assert abs(traj.x[-1, 0]) <= 1e-15
         excess = traj.accumulated_cost - 1.0 / 24.0
         assert 0.0 < excess <= 0.01 / 4
         assert excess == pytest.approx(1.2583e-3, rel=1e-4)
         assert accumulate_cost(problem, traj) == traj.accumulated_cost
         # doubling the intervals halves the excess
         _, finer = self.bolza_half(200, 0.2525)
-        assert abs(finer.terminal.x[0]) <= 1e-15
+        assert abs(finer.x[-1, 0]) <= 1e-15
         ratio = (finer.accumulated_cost - 1.0 / 24.0) / excess
         assert 0.45 <= ratio <= 0.55
 
@@ -555,15 +624,19 @@ class TestRelaxedStageCost:
         # u and h_value come from the support alone; the zero-weight levels
         # of the full grid must add nothing to either
         problem, partition, result = self.bolza_run()
-        for point, dt in zip(result.trajectory.points, partition.deltas.tolist()):
+        h_values = result.trajectory.h_values
+        for i, (point, dt) in enumerate(zip(result.trajectory.points, partition.deltas.tolist())):
             grid, _ = generate_levels_with_dynamics(problem, point.t, point.x, dt, GridParams())
             drift = eval_drift(problem, point.t, point.x)
             h_vals = eval_running_cost_batch(problem, point.t, point.x, grid.levels)
             h_vals = h_vals + affine_p_dot_f(problem, drift, point.p, grid.levels)
-            measure = solve_measure_lp(h_vals)
+            support, weights = solve_measure_lp(h_vals)
+            full = np.zeros(grid.K)
+            full[support] = weights
+            measure = ChatteringMeasure(full)
             assert grid.K == 101 and np.count_nonzero(measure.weights) == 2
             assert np.array_equal(point.u, control_from_measure(grid, measure))
-            assert point.h_value == float(measure.weights @ h_vals)
+            assert h_values[i] == float(measure.weights @ h_vals)
 
 
 def count_drift_calls(problem):
