@@ -144,13 +144,13 @@ def solve_measure_lp(h_values: Array) -> Tuple[Array, Array]:
     return tied, np.full(tied.size, 1.0 / tied.size)
 
 
-def schedule_segments(times: Array, offsets: Array, weights: Array) -> Tuple[Array, Array]:
-    """Start and end times of the duty-cycle segments of a run in CSR form:
-    interval i is ``[times[i], times[i + 1]]`` and its support weights are
-    ``weights[offsets[i]:offsets[i + 1]]``.
+def schedule_segments(times: Array, offsets: Array, weights: Array) -> Tuple[Array, ...]:
+    """Start, end, interval and rank within the support of the duty-cycle
+    segment of every support row of a run in CSR form: interval i spans
+    ``times[i:i + 2]`` with weights ``weights[offsets[i]:offsets[i + 1]]``.
 
     Each support level gets one segment of length ``weight * dt``, in level
-    order, starting where the one before it ends (a cumulative sum from the
+    order, starting where the one before it ends (a running sum from the
     interval start).  The last segment of an interval ends at
     ``times[i] + dt`` exactly, so the segments tile it despite rounding.
     """
@@ -158,16 +158,19 @@ def schedule_segments(times: Array, offsets: Array, weights: Array) -> Tuple[Arr
     offsets = np.asarray(offsets, dtype=np.intp)
     dts = np.diff(times)
     counts = np.diff(offsets)
-    owner = np.repeat(np.arange(counts.size), counts)
-    rank = np.arange(owner.size) - offsets[owner]
-    # row i: the interval start, then its segment lengths, zero-padded
-    table = np.zeros((counts.size, int(counts.max()) + 1))
-    table[:, 0] = times[:-1]
-    table[owner, rank + 1] = np.asarray(weights, dtype=float) * dts[owner]
-    cum = np.cumsum(table, axis=1)
-    starts, ends = cum[owner, rank], cum[owner, rank + 1]
+    interval = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(interval.size) - offsets[interval]
+    lengths = np.asarray(weights, dtype=float) * dts[interval]
+    ends, edge = np.empty(interval.size), times[:-1].copy()
+    active = np.arange(counts.size)
+    for r in range(int(counts.max(initial=0))):
+        # rank r of every interval at once: O(S) work and memory in all
+        active = active[counts[active] > r]
+        edge[active] += lengths[offsets[active] + r]
+        ends[offsets[active] + r] = edge[active]
+    starts = np.where(rank == 0, times[interval], np.roll(ends, 1))
     ends[offsets[1:] - 1] = times[:-1] + dts
-    return starts, ends
+    return starts, ends, interval, rank
 
 
 def control_from_measure(grid: LevelGrid, measure: ChatteringMeasure) -> Array:

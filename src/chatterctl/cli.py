@@ -191,13 +191,12 @@ def export_schedule(trajectory: Trajectory, path) -> None:
     vectors; ``level_index`` counts the interval's support levels from 0."""
     m = trajectory.u.shape[1]
     header = ["interval", "start", "end", "level_index"] + [f"u_{j}" for j in range(m)]
-    offsets = trajectory.offsets
-    starts, ends = schedule_segments(trajectory.times, offsets, trajectory.support_weights)
-    owner = np.repeat(np.arange(trajectory.intervals), np.diff(offsets))
-    rank = np.arange(owner.size) - offsets[owner]
+    starts, ends, interval, rank = schedule_segments(
+        trajectory.times, trajectory.offsets, trajectory.support_weights
+    )
     lines = [",".join(header)]
     for i, k, start, end, level in zip(
-        owner.tolist(), rank.tolist(), starts.tolist(), ends.tolist(),
+        interval.tolist(), rank.tolist(), starts.tolist(), ends.tolist(),
         trajectory.support_levels.tolist(),
     ):
         lines.append(",".join([str(i), _num(start), _num(end), str(k)] + [_num(v) for v in level]))

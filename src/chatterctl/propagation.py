@@ -311,6 +311,7 @@ def propagate_forward(
             support, weights = solve_measure_lp(h_vals)
             # the zero-weight levels add nothing: reduce over the support only
             levels = grid.levels[support]
+            levels.setflags(write=False)  # handed to the hooks, then recorded
             stage = float(weights @ g_vals[support]) * dt
             h_values[i] = weights @ h_vals[support]
             x_next, clamped = step_state(

@@ -128,7 +128,7 @@ class TestAcceptance:
             measure = ChatteringMeasure(weights)
             t_start = float(rng.uniform(0.0, 5.0))
             dt = float(rng.uniform(0.01, 2.0))
-            starts, ends = schedule_segments([t_start, t_start + dt], [0, K], weights)
+            starts, ends, _, _ = schedule_segments([t_start, t_start + dt], [0, K], weights)
             occupation = ends - starts
             worst_occupation = max(
                 worst_occupation, float(np.max(np.abs(occupation - weights * dt))) / dt

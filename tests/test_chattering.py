@@ -136,15 +136,18 @@ class TestRealizeSignal:
     """The duty-cycle schedule that ``schedule_segments`` lays out."""
 
     def test_point_mass_single_segment(self):
-        starts, ends = schedule_segments([0.0, 1.0], [0, 1], [1.0])
-        assert starts.tolist() == [0.0] and ends.tolist() == [1.0]
+        starts, ends, interval, rank = schedule_segments([0.0, 1.0], [0, 1], [1.0])
+        segments = list(zip(starts.tolist(), ends.tolist(), rank.tolist()))
+        assert segments == [(0.0, 1.0, 0)] and interval.tolist() == [0]
 
     def test_duty_cycle_arithmetic(self):
-        starts, ends = schedule_segments([0.0, 4.0], [0, 2], [0.25, 0.75])
-        assert starts.tolist() == [0.0, 1.0] and ends.tolist() == [1.0, 4.0]
+        starts, ends, interval, rank = schedule_segments([0.0, 4.0], [0, 2], [0.25, 0.75])
+        segments = list(zip(starts.tolist(), ends.tolist(), rank.tolist()))
+        assert segments == [(0.0, 1.0, 0), (1.0, 4.0, 1)] and interval.tolist() == [0, 0]
 
     def test_three_equal_segments(self):
-        starts, ends = schedule_segments([0.0, 3.0], [0, 3], np.array([1.0, 1.0, 1.0]) / 3.0)
+        starts, ends, _, rank = schedule_segments([0.0, 3.0], [0, 3], np.array([1.0, 1.0, 1.0]) / 3.0)
+        assert rank.tolist() == [0, 1, 2]
         assert np.allclose(ends - starts, 1.0, atol=1e-12)
         assert ends[-1] == 3.0
 
@@ -164,7 +167,8 @@ class TestRealizeSignal:
         times = np.array([rng.uniform(0.0, 5.0), 0.0])
         times[1] = times[0] + rng.uniform(0.01, 10.0)
         t_start, dt = times[0], times[1] - times[0]
-        starts, ends = schedule_segments(times, [0, K], weights)
+        starts, ends, _, rank = schedule_segments(times, [0, K], weights)
+        assert rank.tolist() == list(range(K))
         assert starts[0] == t_start
         assert ends[-1] == t_start + dt
         assert np.array_equal(starts[1:], ends[:-1])
@@ -184,8 +188,8 @@ class TestRealizeSignal:
             raw = rng.uniform(0.0, 1.0, size=K) + 1e-6
             weights = raw / raw.sum()
             dt = float(rng.uniform(0.1, 2.0))
-            starts, ends = schedule_segments([0.0, dt], [0, K], weights)
-            integral = sum((e - s) * h for s, e, h in zip(starts, ends, h_values))
+            starts, ends, _, rank = schedule_segments([0.0, dt], [0, K], weights)
+            integral = sum((e - s) * h_values[k] for s, e, k in zip(starts, ends, rank))
             duty_sum = float(np.sum(h_values * weights)) * dt
             assert integral == pytest.approx(duty_sum, abs=1e-12 * max(1.0, abs(duty_sum)))
 
@@ -193,9 +197,11 @@ class TestRealizeSignal:
         # several intervals in one call: each tiles its own interval, and
         # matches the one-interval layout of the same weights
         times = np.array([0.0, 0.1, 0.35, 1.0])
-        offsets = np.array([0, 1, 3, 6])
-        weights = np.array([1.0, 0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
-        starts, ends = schedule_segments(times, offsets, weights)
+        offsets = np.array([0, 2, 3, 6])
+        weights = np.array([0.5, 0.5, 1.0, 1 / 3, 1 / 3, 1 / 3])
+        starts, ends, interval, rank = schedule_segments(times, offsets, weights)
+        assert interval.tolist() == [0, 0, 1, 2, 2, 2]
+        assert rank.tolist() == [0, 1, 0, 0, 1, 2]
         for i in range(3):
             a, b = offsets[i], offsets[i + 1]
             alone = schedule_segments(times[i:i + 2], [0, b - a], weights[a:b])

@@ -5,17 +5,27 @@ import json
 import numpy as np
 import pytest
 
-from chatterctl import ControlProblem, GridParams, ShootingConfig, TimePartition, build_lqr, solve
+from chatterctl import (
+    ControlProblem,
+    GridParams,
+    ShootingConfig,
+    TimePartition,
+    build_lqr,
+    propagate_forward,
+    solve,
+)
 from chatterctl.cli import (
     SolveConfig,
     build_problem,
     export_convergence,
+    export_schedule,
     export_trajectory,
     main,
     parse_config_file,
 )
 from chatterctl.model import eval_running_cost_batch, eval_terminal_cost
 from chatterctl.problems import FIXTURE_FILES, fixture_text
+from oracles import bolza_problem
 
 
 def small_lqr_trajectory(intervals=4):
@@ -189,6 +199,24 @@ class TestExportBytes:
             for name in self.DIGESTS
         }
         assert digests == self.DIGESTS
+
+
+class TestExportSchedule:
+    def test_level_index_counts_each_interval_support(self, tmp_path):
+        # every Bolza interval at x0 = 0 chatters between u = -1 and u = 1
+        trajectory = propagate_forward(
+            bolza_problem(0.0), TimePartition.uniform(1.0, 4), np.zeros(1), GridParams()
+        )
+        path = tmp_path / "schedule.csv"
+        export_schedule(trajectory, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["interval"], r["level_index"], r["u_0"]) for r in rows] == [
+            (str(i), str(k), u) for i in range(4) for k, u in ((0, "-1"), (1, "1"))
+        ]
+        assert [(float(r["start"]), float(r["end"])) for r in rows] == [
+            (t, t + 0.125) for t in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+        ]
 
 
 class TestConvergenceJson:

@@ -435,6 +435,17 @@ class TestTrajectoryRecord:
         assert all(np.array_equal(pt.u, u) for pt, u in zip(traj.points, traj.u))
         assert traj.points[-1].u is None and np.array_equal(traj.points[-1].x, traj.x[-1])
 
+    def test_hooks_cannot_write_the_recorded_support(self):
+        # the support rows reach the hooks before they are recorded
+        def gradient(t, x, p, u):
+            u[0] = 0.0
+            return np.array([2.0 * x[0]])
+
+        problem = dataclasses.replace(bolza_problem(0.0), hamiltonian_x_gradient=gradient)
+        with pytest.raises(ValueError, match="read-only") as excinfo:
+            propagate_forward(problem, TimePartition.uniform(1.0, 4), np.zeros(1), GridParams())
+        assert excinfo.value.interval_index == 0
+
     @pytest.mark.parametrize(
         "changes, message",
         [
