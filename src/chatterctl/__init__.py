@@ -7,13 +7,11 @@ a variation-of-extremals shooting loop.
 """
 
 from .chattering import (
-    ChatteringMeasure,
     DimensionMismatch,
     EmptyGrid,
     GridParams,
     InfeasibleLevels,
     LevelGrid,
-    control_from_measure,
     solve_measure_lp,
 )
 from .model import (
@@ -54,7 +52,6 @@ from .shooting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChatteringMeasure",
     "ConfigError",
     "ControlProblem",
     "DemandModel",
@@ -73,7 +70,6 @@ __all__ = [
     "accumulate_cost",
     "build_lqr",
     "build_supply_chain",
-    "control_from_measure",
     "eval_hamiltonian",
     "finite_diff_sensitivities",
     "grad_h_state",

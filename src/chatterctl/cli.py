@@ -123,8 +123,11 @@ class SolveConfig:
 
 
 def parse_config_file(path: str) -> SolveConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {err.reason} at byte {err.start}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
     return SolveConfig.from_json_dict(raw)

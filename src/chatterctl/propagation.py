@@ -269,7 +269,9 @@ def propagate_forward(
 
     ``memo`` is handed to every level generation: propagations that share
     one reuse an interval's level work when they start it from the same
-    state (see ``chattering.generate_levels_with_dynamics``).
+    state (see ``chattering.generate_levels_with_dynamics``).  Each level
+    generation also starts from the one before it in this propagation (a
+    ``chattering.LevelBuild``, dropped when the propagation returns).
     """
     p0 = np.asarray(p0, dtype=float)
     n, N = problem.state_dim, partition.intervals
@@ -285,6 +287,7 @@ def propagate_forward(
     # one drift evaluation per interval serves level search, filter, sweep and step
     affine = problem.drift is not None
     B = problem.control_matrix
+    previous = chattering.LevelBuild()
     x, p, cost, clamp_count = np.array(problem.initial_state), np.array(p0), 0.0, 0
     for i, (t, dt) in enumerate(zip(partition.times.tolist(), partition.deltas.tolist())):
         if measurement_source is not None:
@@ -298,7 +301,7 @@ def propagate_forward(
         try:
             drift = eval_drift(problem, t, x) if affine else None
             grid, f_vals = chattering.generate_levels_with_dynamics(
-                problem, t, x, dt, grid_params, drift, memo
+                problem, t, x, dt, grid_params, drift, memo, previous
             )
             g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
             if affine:
@@ -329,6 +332,10 @@ def propagate_forward(
         cost += stage
         clamp_count += clamped
         x, p = x_next, p_next
+        # ``previous`` keeps the product for the next build: drop this
+        # interval's grid and rows now, so that a filtered grid is not a
+        # second array alive through that build
+        grid = f_vals = None
     xs[N], ps[N] = x, p
     cost += eval_terminal_cost(problem, x)
     return Trajectory(
@@ -363,7 +370,19 @@ def replay_measurement_source(replacements: Mapping[int, Sequence[float]]) -> Me
 
 
 def load_replay_file(path) -> MeasurementSource:
-    """Load a JSON replay file mapping interval index to a state vector."""
+    """Load a JSON replay file mapping interval index to a state vector; a
+    file that holds no such object raises ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return replay_measurement_source({int(k): v for k, v in raw.items()})
+    if not isinstance(raw, dict):
+        raise ValueError(
+            f"replay file {path} must hold a JSON object mapping interval index to state, "
+            f"not a {type(raw).__name__}"
+        )
+    table = {}
+    for key, state in raw.items():
+        try:
+            table[int(key)] = state
+        except ValueError:
+            raise ValueError(f"replay file {path}: key {key!r} is not an interval index") from None
+    return replay_measurement_source(table)

@@ -1,10 +1,12 @@
 """Independent oracles the tests compare the solver against.
 
 None of these run in the solver itself: closed forms, per-table envelopes,
-a single-row reference step, a schedule's time average, a control-affine problem
+a single-row reference step, a schedule's time average, the control of a
+measure given by a weight on every level, a control-affine problem
 stripped of its hooks, the full-width product grid and filter that the
 level generator must reproduce bit for bit, a problem whose relaxed optimum
-chatters, and a fingerprint of a whole run.
+chatters, the feedback benchmark's replayed states, and a fingerprint of a
+whole run.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from chatterctl import chattering
+from chatterctl import build_supply_chain, chattering, replay_measurement_source, synthetic_demand
 from chatterctl.chattering import InfeasibleLevels
 from chatterctl.model import ControlProblem, eval_drift
 from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
@@ -67,6 +69,14 @@ def schedule_time_average(starts, ends, levels) -> np.ndarray:
     for s, e, level in zip(starts, ends, levels):
         acc += (e - s) * level
     return acc / total
+
+
+def dense_control(levels, weights):
+    """The control that a measure with ``weights`` over every row of
+    ``levels`` (a weight per level, zeros included) realizes in time
+    average: the convex combination ``sum_k a_k c_k``.  The solver keeps
+    only the support; this is the dense form it is checked against."""
+    return np.asarray(weights, dtype=float) @ np.asarray(levels, dtype=float)
 
 
 def without_hooks(problem):
@@ -147,6 +157,20 @@ def bolza_problem(x0: float = 0.0) -> ControlProblem:
         drift_jacobian=lambda t, x: np.zeros((1, 1)),
         name="bolza",
     )
+
+
+def feedback_replay(seed):
+    """The desk problem, a replay table of every second interval and p0 as
+    the feedback benchmark draws them for ``seed``."""
+    problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+    rng = np.random.default_rng(seed)
+    scale = np.concatenate([np.full(5, 1e5), np.full(15, 1e2)])
+    p0 = scale * rng.uniform(0.5, 2.0, 20)
+    table = {
+        i: np.concatenate([rng.uniform(0.0, 10.0, 5), rng.uniform(0.0, 1.0, 15)])
+        for i in range(2, 200, 2)
+    }
+    return problem, p0, replay_measurement_source(table)
 
 
 def fingerprint(trajectory) -> str:

@@ -11,22 +11,20 @@ import time
 import numpy as np
 
 from chatterctl import (
-    ChatteringMeasure,
     GridParams,
-    LevelGrid,
     ShootingConfig,
     TimePartition,
     build_lqr,
     build_supply_chain,
-    control_from_measure,
     lqr_analytic_solution,
     propagate_forward,
     solve,
     synthetic_demand,
 )
+from chatterctl import chattering
 from chatterctl.chattering import schedule_segments
 from chatterctl.cli import check_gradients, check_lp, check_tables, main
-from oracles import fingerprint, schedule_time_average
+from oracles import dense_control, feedback_replay, fingerprint, schedule_time_average
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -124,8 +122,6 @@ class TestAcceptance:
             levels = rng.uniform(-10.0, 10.0, size=(K, m))
             raw = rng.uniform(0.0, 1.0, size=K) + 1e-3
             weights = raw / raw.sum()
-            grid = LevelGrid(levels)
-            measure = ChatteringMeasure(weights)
             t_start = float(rng.uniform(0.0, 5.0))
             dt = float(rng.uniform(0.01, 2.0))
             starts, ends, _, _ = schedule_segments([t_start, t_start + dt], [0, K], weights)
@@ -134,7 +130,7 @@ class TestAcceptance:
                 worst_occupation, float(np.max(np.abs(occupation - weights * dt))) / dt
             )
             mean = schedule_time_average(starts, ends, levels)
-            expected = control_from_measure(grid, measure)
+            expected = dense_control(levels, weights)
             worst_mean = max(worst_mean, float(np.max(np.abs(mean - expected))))
         ok = worst_mean <= 1e-12 and worst_occupation <= 1e-12
         report(
@@ -199,7 +195,7 @@ class TestAcceptance:
 
 
 class TestReferenceRuns:
-    """The two reference runs, pinned: iteration count and cost bits (within
+    """The reference runs, pinned: iteration count and cost bits (within
     1e-12 relative, which leaves room for another BLAS's rounding), and a
     rerun that reproduces the whole trajectory bit for bit."""
 
@@ -217,6 +213,25 @@ class TestReferenceRuns:
         assert result.converged and result.iterations == 3
         expected = float.fromhex("0x1.1f78d8930ea28p+20")
         assert abs(result.trajectory.accumulated_cost - expected) <= 1e-12 * expected
+
+    def test_feedback(self, monkeypatch):
+        # the feedback benchmark's seed 0: one propagation through replayed
+        # states, where each level build starts from the one before; a run of
+        # fresh builds must give the same trajectory bit for bit
+        problem, p0, source = feedback_replay(0)
+        partition, params = TimePartition.uniform(1.0, 200), GridParams(101, 4096)
+        trajectory = propagate_forward(problem, partition, p0, params, source)
+        expected = float.fromhex("-0x1.181f0fecfdd22p+27")
+        assert abs(trajectory.accumulated_cost - expected) <= 1e-12 * abs(expected)
+        generate = chattering.generate_levels_with_dynamics
+
+        def fresh(problem, t, x, dt, params, drift, memo, previous):
+            return generate(problem, t, x, dt, params, drift, memo)
+
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", fresh)
+        assert fingerprint(propagate_forward(problem, partition, p0, params, source)) == fingerprint(
+            trajectory
+        )
 
     def test_lqr(self):
         result = self.solve_twice(build_lqr(), 100, 0.5)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -6,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatterctl import (
-    ChatteringMeasure,
     ControlProblem,
-    DimensionMismatch,
     EmptyGrid,
     GridParams,
     InfeasibleLevels,
@@ -16,9 +15,7 @@ from chatterctl import (
     TimePartition,
     build_lqr,
     build_supply_chain,
-    control_from_measure,
     propagate_forward,
-    replay_measurement_source,
     solve_measure_lp,
     synthetic_demand,
 )
@@ -32,7 +29,13 @@ from chatterctl.chattering import (
     schedule_segments,
 )
 from chatterctl.model import affine_p_dot_f, eval_drift, eval_running_cost_batch
-from oracles import full_width_levels, schedule_time_average, without_hooks
+from oracles import (
+    dense_control,
+    feedback_replay,
+    full_width_levels,
+    schedule_time_average,
+    without_hooks,
+)
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
@@ -100,36 +103,24 @@ class TestMeasureLP:
         assert float(weights @ h[support]) == 0.75
 
 
-class TestMeasureInvariants:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ChatteringMeasure(np.array([0.5, 0.4]))
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
-            ChatteringMeasure(np.array([1.5, -0.5]))
-
-
 class TestControlFromMeasure:
+    """The dense reference ``oracles.dense_control``: a weight on every
+    level, zeros included."""
+
     def test_point_mass(self):
-        grid = LevelGrid(np.array([[-1.0], [0.0], [1.0]]))
-        measure = ChatteringMeasure(np.array([0.0, 1.0, 0.0]))
-        assert control_from_measure(grid, measure)[0] == 0.0
+        levels = np.array([[-1.0], [0.0], [1.0]])
+        assert dense_control(levels, np.array([0.0, 1.0, 0.0]))[0] == 0.0
 
     def test_midpoint(self):
-        grid = LevelGrid(np.array([[2.0], [4.0], [6.0]]))
-        measure = ChatteringMeasure(np.array([0.5, 0.5, 0.0]))
-        assert control_from_measure(grid, measure)[0] == 3.0
+        levels = np.array([[2.0], [4.0], [6.0]])
+        assert dense_control(levels, np.array([0.5, 0.5, 0.0]))[0] == 3.0
 
     def test_degenerate_grid(self):
-        grid = LevelGrid(np.array([[7.5, -2.0]]))
-        measure = ChatteringMeasure(np.array([1.0]))
-        assert np.array_equal(control_from_measure(grid, measure), [7.5, -2.0])
+        assert np.array_equal(dense_control(np.array([[7.5, -2.0]]), np.array([1.0])), [7.5, -2.0])
 
     def test_dimension_mismatch(self):
-        grid = LevelGrid(np.array([[0.0], [1.0]]))
-        with pytest.raises(DimensionMismatch):
-            control_from_measure(grid, ChatteringMeasure(np.array([1.0])))
+        with pytest.raises(ValueError):
+            dense_control(np.array([[0.0], [1.0]]), np.array([1.0]))
 
 
 class TestRealizeSignal:
@@ -162,8 +153,6 @@ class TestRealizeSignal:
         levels = rng.uniform(-10.0, 10.0, size=(K, m))
         raw = rng.uniform(0.0, 1.0, size=K) + 1e-3
         weights = raw / raw.sum()
-        grid = LevelGrid(levels)
-        measure = ChatteringMeasure(weights)
         times = np.array([rng.uniform(0.0, 5.0), 0.0])
         times[1] = times[0] + rng.uniform(0.01, 10.0)
         t_start, dt = times[0], times[1] - times[0]
@@ -175,7 +164,7 @@ class TestRealizeSignal:
         occupation = ends - starts
         assert np.all(np.abs(occupation - weights * dt) <= 1e-12 * dt)
         mean = schedule_time_average(starts, ends, levels)
-        expected = control_from_measure(grid, measure)
+        expected = dense_control(levels, weights)
         assert np.all(np.abs(mean - expected) <= 1e-12 * max(1.0, np.abs(expected).max()))
 
     def test_hamiltonian_sum_equals_frozen_integral(self):
@@ -382,20 +371,6 @@ def random_affine_problem(rng):
         control_matrix=a.T,
         drift_jacobian=lambda t, x: -0.5 * np.eye(n),
     )
-
-
-def feedback_replay(seed):
-    """The desk problem, a replay table of every second interval and p0 as
-    the feedback benchmark draws them for ``seed``."""
-    problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-    rng = np.random.default_rng(seed)
-    scale = np.concatenate([np.full(5, 1e5), np.full(15, 1e2)])
-    p0 = scale * rng.uniform(0.5, 2.0, 20)
-    table = {
-        i: np.concatenate([rng.uniform(0.0, 10.0, 5), rng.uniform(0.0, 1.0, 15)])
-        for i in range(2, 200, 2)
-    }
-    return problem, p0, replay_measurement_source(table)
 
 
 class TestClosedFormLevelRanges:
@@ -967,6 +942,176 @@ class TestIntervalMemo:
         with pytest.raises(InfeasibleLevels):
             generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, memo)
         assert memo == {}
+
+
+def zero_gated_problem(rng):
+    """``random_product_problem`` with its last control gated from zero to
+    its upper bound: the zero level merges into the active range while the
+    searched range holds zero and stands apart once it does not, so the
+    grid sizes change from state to state."""
+    problem = random_product_problem(rng)
+    m = problem.control_dim
+    return dataclasses.replace(problem, gated_dims={m - 1: (0.0, float(problem.control_upper[m - 1]))})
+
+
+def next_chain_state(rng, problem, x):
+    """The next state of a chain of builds: the same state again, one
+    coordinate moved, a fresh draw, or a draw with coordinates on a bound."""
+    n = problem.state_dim
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return x.copy()
+    if kind == 1:
+        moved = x.copy()
+        moved[rng.integers(n)] = rng.uniform(-0.4, 0.4)
+        return moved
+    drawn = rng.uniform(-0.4, 0.4, n)
+    if kind == 3:
+        drawn[rng.uniform(size=n) < 0.5] = -0.4
+        drawn[rng.uniform(size=n) < 0.2] = 0.4
+    return drawn
+
+
+def chain_path(before, previous, grid, shared):
+    """Which way a build handed ``previous`` made its grid, from
+    ``previous``'s ``(sizes, values, levels)`` before the build and
+    ``previous`` after it."""
+    sizes, values, levels = before
+    if grid is shared:
+        return "whole box"
+    if sizes is None:
+        return "first"
+    if sizes != previous.sizes:
+        return "sizes changed"
+    starts = np.cumsum((0,) + sizes[:-1])
+    differs = previous.values.view(np.int64) != values.view(np.int64)
+    changed = int(np.logical_or.reduceat(differs, starts).sum())
+    assert (previous.levels is levels) == (changed == 0)
+    if changed == 0:
+        return "reused"
+    return "rewritten" if changed <= chattering.REWRITE_COLUMNS else "gathered"
+
+
+def run_chain(rng, paths):
+    """Builds a chain of eight states on a random problem twice, handing
+    each build the one before (``LevelBuild``) and afresh, and checks that
+    both give the same grid bit for bit, raise together, and share the
+    whole-box grid together.  Counts in ``paths`` which way the chained
+    grid was made (``chain_path``)."""
+    problem = zero_gated_problem(rng)
+    dt = float(rng.uniform(0.05, 0.5))
+    params = GridParams(3, int(rng.integers(1, 3 ** problem.control_dim + 1)))
+    shared = chattering._unbounded_grid(problem.control_key, params)
+    previous = chattering.LevelBuild()
+    x = problem.initial_state
+    for k in range(8):
+        x = next_chain_state(rng, problem, x)
+        t = 0.1 * k
+        before = (previous.sizes, previous.values, previous.levels)
+        try:
+            fresh, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
+        except InfeasibleLevels:
+            with pytest.raises(InfeasibleLevels):
+                generate_levels_with_dynamics(problem, t, x, dt, params, None, None, previous)
+            paths["raised"] += 1
+            continue
+        chained, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, None, previous)
+        assert_bitwise(chained.levels, fresh.levels)
+        assert (chained is shared) == (fresh is shared)
+        paths[chain_path(before, previous, chained, shared)] += 1
+
+
+class TestIncrementalBuild:
+    """A build handed the one before it (``LevelBuild``) keeps the scalar
+    grids whose ranges did not move and the product columns whose grids did
+    not change, and gives the fresh build's grid bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_chained_builds_match_fresh_builds(self, seed):
+        run_chain(np.random.default_rng(seed), collections.Counter())
+
+    def test_chains_take_every_path(self):
+        # at most five controls: a gather needs more changed columns
+        rng = np.random.default_rng(2017)
+        paths = collections.Counter()
+        for _ in range(60):
+            run_chain(rng, paths)
+        expected = {"raised", "whole box", "first", "sizes changed", "reused", "rewritten"}
+        assert set(paths) == expected and min(paths.values()) >= 3, paths
+
+    def test_replayed_feedback_builds_match_fresh_builds(self, monkeypatch):
+        problem, p0, source = feedback_replay(0)
+        params = GridParams(101, 4096)
+        shared = chattering._unbounded_grid(problem.control_key, params)
+        generate, built = chattering.generate_levels_with_dynamics, []
+        paths = collections.Counter()
+
+        def recorded(problem, t, x, dt, params, drift, memo, previous):
+            before = (previous.sizes, previous.values, previous.levels)
+            grid_out = generate(problem, t, x, dt, params, drift, memo, previous)
+            paths[chain_path(before, previous, grid_out[0], shared)] += 1
+            built.append((t, np.array(x), dt, grid_out[0]))
+            return grid_out
+
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
+        propagate_forward(problem, TimePartition.uniform(1.0, 200), p0, params, source)
+        monkeypatch.undo()
+        assert len(built) == 200
+        assert {"whole box", "reused", "rewritten", "gathered"} <= set(paths), paths
+        for t, x, dt, grid in built:
+            fresh, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
+            assert (grid is shared) == (fresh is shared)
+            assert_bitwise(grid.levels, fresh.levels)
+
+
+class TestWholeBoxGrid:
+    """Where the separable bound clears every state coordinate over the
+    whole control box, the generator returns the shared unbounded grid."""
+
+    def test_shared_exactly_when_the_box_steps_inside(self):
+        rng = np.random.default_rng(7)
+        inside = outside = 0
+        for _ in range(300):
+            problem = random_affine_problem(rng)
+            # a wider state box, so that some whole control boxes step inside
+            problem = dataclasses.replace(
+                problem, state_lower=np.full(problem.state_dim, -1.5),
+                state_upper=np.full(problem.state_dim, 1.5),
+            )
+            x = problem.initial_state
+            dt = float(rng.uniform(0.05, 0.5))
+            params = GridParams(5, 64)
+            shared = chattering._unbounded_grid(problem.control_key, params)
+            steps_inside = chattering._box_steps_inside(problem, x, dt, eval_drift(problem, 0.0, x))
+            try:
+                stripped, _ = generate_levels_with_dynamics(without_hooks(problem), 0.0, x, dt, params)
+            except InfeasibleLevels:
+                assert not steps_inside
+                continue
+            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params)
+            assert (grid is shared) == steps_inside
+            if steps_inside:
+                # elsewhere the closed-form ranges may differ from the
+                # bisection's by less than a bracket
+                assert_bitwise(grid.levels, stripped.levels)
+            inside += steps_inside
+            outside += not steps_inside
+        assert inside > 30 and outside > 30
+
+    def test_memo_keeps_the_whole_box_entry(self):
+        problem = random_affine_problem(np.random.default_rng(1))
+        problem = dataclasses.replace(
+            problem, state_lower=np.full(problem.state_dim, -100.0),
+            state_upper=np.full(problem.state_dim, 100.0),
+        )
+        params, memo = GridParams(5, 64), {}
+        x = problem.initial_state
+        shared = chattering._unbounded_grid(problem.control_key, params)
+        for _ in range(2):
+            grid, rows = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, memo)
+            assert grid is shared and rows is None
+            assert memo == {(0.0, 0.1): (x.tobytes(), None, None, None)}
 
 
 class TestLevelGridSharing:

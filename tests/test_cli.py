@@ -55,6 +55,15 @@ class TestConfig:
         assert main(["solve", "--delta-p", "0.25", "--out-dir", str(tmp_path)]) == 1
         assert "--delta-p" in capsys.readouterr().err
 
+    def test_non_utf8_file_rejected_by_name(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"problem": "lqr\xff"}')
+        assert main(["solve", "--config", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path} is not UTF-8 text")
+        assert "Traceback" not in err and not out.exists()
+
     def test_removed_ridge_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"ridge": 1e-8}), encoding="utf-8")

@@ -15,7 +15,6 @@ from chatterctl import (
     synthetic_demand,
     terminal_costate,
 )
-from chatterctl.chattering import ChatteringMeasure
 from chatterctl.model import eval_dynamics_batch, eval_running_cost_batch
 from chatterctl.problems import (
     CUSTOMERS,
@@ -251,9 +250,8 @@ class TestSupplyChainProblem:
             u = rng.uniform(problem.control_lower, problem.control_upper)
             dt = float(rng.uniform(0.001, 0.004))
             t = float(rng.uniform(0.0, 1.0))
-            measure = ChatteringMeasure(np.array([1.0]))
             f_vals = eval_dynamics_batch(problem, t, x, u[None, :])
-            stepped, _ = step_state(problem, x, measure.weights, f_vals, dt)
+            stepped, _ = step_state(problem, x, np.array([1.0]), f_vals, dt)
             for j in range(5):
                 for c in range(3):
                     idx = 5 + j * 3 + c

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chatterctl import (
-    ChatteringMeasure,
     ControlProblem,
     GridParams,
     LevelGrid,
@@ -15,7 +14,6 @@ from chatterctl import (
     accumulate_cost,
     build_lqr,
     build_supply_chain,
-    control_from_measure,
     load_replay_file,
     lqr_analytic_solution,
     propagate_forward,
@@ -28,7 +26,7 @@ from chatterctl import (
 )
 from chatterctl.chattering import generate_levels_with_dynamics
 from chatterctl.model import affine_p_dot_f, eval_drift, eval_dynamics_batch, eval_running_cost_batch
-from oracles import bolza_problem, without_hooks
+from oracles import bolza_problem, dense_control, without_hooks
 
 
 def lqr_point(x, p, t=0.0):
@@ -36,11 +34,11 @@ def lqr_point(x, p, t=0.0):
     return t, np.array([x]), np.array([p])
 
 
-def state_step(problem, t, x, p, grid, measure, dt):
+def state_step(problem, t, x, p, grid, weights, dt):
     """``step_state`` on the dynamics rows at the grid's levels, as
     ``propagate_forward`` calls it."""
     f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
-    return step_state(problem, x, measure.weights, f_vals, dt)
+    return step_state(problem, x, weights, f_vals, dt)
 
 
 class TestTimePartition:
@@ -88,8 +86,8 @@ class TestSteps:
     def test_state_step_point_mass(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[0.0]]))
-        measure = ChatteringMeasure(np.array([1.0]))
-        x_next, clamped = state_step(problem, *lqr_point(10.0, 0.0), grid, measure, 0.01)
+        weights = np.array([1.0])
+        x_next, clamped = state_step(problem, *lqr_point(10.0, 0.0), grid, weights, 0.01)
         assert x_next[0] == pytest.approx(10.1, abs=1e-15)
         assert not clamped
 
@@ -105,24 +103,24 @@ class TestSteps:
             control_upper=np.array([1.0]),
         )
         grid = LevelGrid(np.array([[0.5]]))
-        measure = ChatteringMeasure(np.array([1.0]))
-        x_next, _ = state_step(problem, *lqr_point(2.0, 0.0), grid, measure, 0.3)
+        weights = np.array([1.0])
+        x_next, _ = state_step(problem, *lqr_point(2.0, 0.0), grid, weights, 0.3)
         assert x_next[0] == 2.0
 
     def test_state_step_convex_combination(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[-2.0], [0.0]]))
-        measure = ChatteringMeasure(np.array([0.5, 0.5]))
-        x_next, _ = state_step(problem, *lqr_point(10.0, 0.0), grid, measure, 0.01)
+        weights = np.array([0.5, 0.5])
+        x_next, _ = state_step(problem, *lqr_point(10.0, 0.0), grid, weights, 0.01)
         assert x_next[0] == pytest.approx(10.09, abs=1e-15)
 
     def test_costate_step_lqr(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[1.0]]))
-        measure = ChatteringMeasure(np.array([1.0]))
-        p_next = step_costate(problem, *lqr_point(10.0, 0.0), grid.levels, measure.weights, 0.01)
+        weights = np.array([1.0])
+        p_next = step_costate(problem, *lqr_point(10.0, 0.0), grid.levels, weights, 0.01)
         assert p_next[0] == pytest.approx(-0.2, abs=1e-15)
-        p_next = step_costate(problem, *lqr_point(0.0, 1.0), grid.levels, measure.weights, 0.1)
+        p_next = step_costate(problem, *lqr_point(0.0, 1.0), grid.levels, weights, 0.1)
         assert p_next[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_costate_unchanged_when_cost_and_dynamics_ignore_state(self):
@@ -137,8 +135,8 @@ class TestSteps:
             control_upper=np.array([1.0]),
         )
         grid = LevelGrid(np.array([[0.7]]))
-        measure = ChatteringMeasure(np.array([1.0]))
-        p_next = step_costate(problem, *lqr_point(3.0, 2.5), grid.levels, measure.weights, 0.25)
+        weights = np.array([1.0])
+        p_next = step_costate(problem, *lqr_point(3.0, 2.5), grid.levels, weights, 0.25)
         assert p_next[0] == pytest.approx(2.5, abs=1e-9)
 
     def test_increments_homogeneous_in_dt(self):
@@ -146,23 +144,23 @@ class TestSteps:
         # halving identity can be asserted bitwise
         problem = build_lqr()
         grid = LevelGrid(np.array([[-1.5], [2.0]]))
-        measure = ChatteringMeasure(np.array([0.25, 0.75]))
+        weights = np.array([0.25, 0.75])
         t, x, p = lqr_point(3.5, -1.25)
-        dx_full = state_step(problem, t, x, p, grid, measure, 0.25)[0] - x
-        dx_half = state_step(problem, t, x, p, grid, measure, 0.125)[0] - x
+        dx_full = state_step(problem, t, x, p, grid, weights, 0.25)[0] - x
+        dx_half = state_step(problem, t, x, p, grid, weights, 0.125)[0] - x
         assert dx_half[0] == 0.5 * dx_full[0]
-        dp_full = step_costate(problem, t, x, p, grid.levels, measure.weights, 0.25) - p
-        dp_half = step_costate(problem, t, x, p, grid.levels, measure.weights, 0.125) - p
+        dp_full = step_costate(problem, t, x, p, grid.levels, weights, 0.25) - p
+        dp_half = step_costate(problem, t, x, p, grid.levels, weights, 0.125) - p
         assert dp_half[0] == 0.5 * dp_full[0]
 
     def test_increments_scale_with_dt_generic_values(self):
         problem = build_lqr()
         grid = LevelGrid(np.array([[-1.5], [2.0]]))
-        measure = ChatteringMeasure(np.array([0.25, 0.75]))
+        weights = np.array([0.25, 0.75])
         t, x, p = lqr_point(3.7, -1.3)
         steps = (
-            (x, lambda dt: state_step(problem, t, x, p, grid, measure, dt)[0]),
-            (p, lambda dt: step_costate(problem, t, x, p, grid.levels, measure.weights, dt)),
+            (x, lambda dt: state_step(problem, t, x, p, grid, weights, dt)[0]),
+            (p, lambda dt: step_costate(problem, t, x, p, grid.levels, weights, dt)),
         )
         for base, step in steps:
             full = step(0.02) - base
@@ -188,8 +186,8 @@ class TestSteps:
             state_upper=np.array([1.0]),
         )
         grid = LevelGrid(np.array([[level]]))
-        measure = ChatteringMeasure(np.array([1.0]))
-        x_next, clamped = state_step(problem, *lqr_point(x, 0.0), grid, measure, dt)
+        weights = np.array([1.0])
+        x_next, clamped = state_step(problem, *lqr_point(x, 0.0), grid, weights, dt)
         assert x_next[0] == 0.0
         assert clamped == beyond_tolerance
 
@@ -495,6 +493,18 @@ class TestFeedbackHook:
         assert source(1, 0.0, np.zeros(1)) is None
 
     @pytest.mark.parametrize(
+        "raw, message",
+        [([[7.5]], "must hold a JSON object"), ({"2.5": [7.5]}, "key '2.5' is not an interval index")],
+        ids=["list", "non-integer-key"],
+    )
+    def test_bad_replay_file_refused_by_name(self, tmp_path, raw, message):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as excinfo:
+            load_replay_file(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
         "state",
         [[5.0], [1.0] * 19, [float("nan")] * 20],
         ids=["length-1", "length-19", "nan"],
@@ -644,10 +654,9 @@ class TestRelaxedStageCost:
             support, weights = solve_measure_lp(h_vals)
             full = np.zeros(grid.K)
             full[support] = weights
-            measure = ChatteringMeasure(full)
-            assert grid.K == 101 and np.count_nonzero(measure.weights) == 2
-            assert np.array_equal(point.u, control_from_measure(grid, measure))
-            assert h_values[i] == float(measure.weights @ h_vals)
+            assert grid.K == 101 and np.count_nonzero(full) == 2
+            assert np.array_equal(point.u, dense_control(grid.levels, full))
+            assert h_values[i] == float(full @ h_vals)
 
 
 def count_drift_calls(problem):

@@ -542,9 +542,7 @@ class TestLevelMemo:
         problem, part, grid = filtered_grocer(intervals)
         problem = problem if case == "hooks" else without_hooks(problem)
         forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
-        search = chattering._search_ranges
-        runs, memos, skipped = [], [], []
-        searches = [0]
+        runs, memos, reused = [], [], []
 
         def recorded_forward(problem, partition, p0, grid_params, **kwargs):
             memo = kwargs["memo"]
@@ -553,26 +551,23 @@ class TestLevelMemo:
             runs.append((np.array(p0), fingerprint(trajectory)))
             return trajectory
 
-        def recorded_levels(*args):
-            before = searches[0]
-            grid_out = generate(*args)
-            if searches[0] == before:
-                skipped.append(grid_out[0].K)
+        def recorded_levels(problem, t, x, dt, params, drift, memo, *rest):
+            # a reuse: the memo holds this interval from this state, bit for bit
+            entry = memo.get((t, dt))
+            hit = entry is not None and entry[0] == np.asarray(x, dtype=float).tobytes()
+            grid_out = generate(problem, t, x, dt, params, drift, memo, *rest)
+            if hit:
+                reused.append(grid_out[0].K)
             return grid_out
-
-        def counted_search(*args):
-            searches[0] += 1
-            return search(*args)
 
         monkeypatch.setattr(shooting, "propagate_forward", recorded_forward)
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded_levels)
-        monkeypatch.setattr(chattering, "_search_ranges", counted_search)
         config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)
         for _ in range(2):
             result = solve(problem, part, config, grid)
             assert result.converged and result.iterations == 3
-        assert len(skipped) == 2 * repeats
-        assert sum(k < grid.cap for k in skipped) == 2 * filtered_repeats
+        assert len(reused) == 2 * repeats
+        assert sum(k < grid.cap for k in reused) == 2 * filtered_repeats
         # one memo per solve, empty when the solve starts, one entry per interval
         assert [size for _, size in memos] == [0, intervals, intervals] * 2
         assert memos[0][0] is memos[2][0] and memos[3][0] is not memos[0][0]
