@@ -11,7 +11,8 @@ on the level(s) with the smallest Hamiltonian value.
 
 Everything here is a pure function of its inputs, apart from the level
 memo and the previous build that a caller may hand the level generator to
-fill; grids are immutable once built.
+fill; grids are read-only, and immutable unless they share the product
+buffer of such a previous build (see ``LevelBuild``).
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ class LevelGrid:
     float64 array that owns its data is shared, not copied (the level
     generator hands over such arrays); anything else is copied.  Passing
     such an array hands it over: numpy lets its owner turn writing back on,
-    and a write through it then changes ``levels``.
+    and a write through it then changes ``levels``.  The level generator
+    does so with a ``LevelBuild``'s column-major product buffer, so a grid
+    built with one is valid only until that ``LevelBuild``'s next build.
     """
 
     levels: Array
@@ -423,29 +426,10 @@ def _scalar_grid(
 
 
 @functools.lru_cache(maxsize=64)
-def _product_indices(sizes: Tuple[int, ...]) -> Array:
-    """Positions into the concatenated per-dimension grids that enumerate
-    their Cartesian product in lexicographic order, as a read-only
-    ``(prod(sizes), len(sizes))`` matrix.  Cached because interval after
-    interval reuses the same per-dimension counts."""
-    total = int(np.prod(sizes))
-    pos = np.empty((total, len(sizes)), dtype=np.intp)
-    stride = total
-    offset = 0
-    rows = np.arange(total)
-    for j, size in enumerate(sizes):
-        stride //= size
-        pos[:, j] = rows // stride % size + offset
-        offset += size
-    pos.setflags(write=False)
-    return pos
-
-
-@functools.lru_cache(maxsize=64)
 def _segments(sizes: Tuple[int, ...]) -> Tuple[Array, Array]:
     """Where each grid starts in the concatenated grids, and the dimension
     of every concatenated value (``np.repeat(arange, sizes)``), read-only;
-    cached beside ``_product_indices``."""
+    cached because interval after interval reuses the same sizes."""
     starts = np.cumsum((0,) + sizes[:-1])
     dims = np.repeat(np.arange(len(sizes)), sizes)
     starts.setflags(write=False)
@@ -456,21 +440,21 @@ def _segments(sizes: Tuple[int, ...]) -> Tuple[Array, Array]:
 def _open_coords(
     problem: ControlProblem, x_i: Array, dt: float, drift: Array, low: Array, high: Array, largest: Array
 ) -> np.ndarray:
-    """The state coordinates that the separable bound cannot clear.  Row j
-    of ``low`` and ``high`` holds the least and the greatest ``v * B[j, i]``
-    over the values v of control j, and ``largest`` the greatest
-    ``|v * B[j, i]|``, so next state i spans ``x_i + dt * (drift_i + sum_j
-    [low, high][j, i])``.  The span is widened by a margin for the rounding
-    of the rows and of these sums (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 3.1); a coordinate whose widened span lies in the
-    box needs no row test."""
-    scale = np.abs(x_i) + dt * (np.abs(drift) + largest.sum(axis=0))
+    """The state coordinates that the separable bound cannot clear.  Entry i
+    of ``low`` and ``high`` holds the sum over controls j of the least and
+    the greatest ``v * B[j, i]`` over the values v of control j, and
+    ``largest`` the sum of the greatest ``|v * B[j, i]|``, so next state i
+    spans ``x_i + dt * (drift_i + [low_i, high_i])``.  The span is widened
+    by a margin for the rounding of the rows and of these sums (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.1); a coordinate
+    whose widened span lies in the box needs no row test."""
+    scale = np.abs(x_i) + dt * (np.abs(drift) + largest)
     margin = 2 * (problem.control_dim + 4) * np.finfo(float).eps * scale
     open_ = np.zeros(x_i.size, dtype=bool)
     if problem.state_lower is not None:
-        open_ |= x_i + dt * (drift + low.sum(axis=0)) - margin < problem.state_lower - STEP_FEASIBILITY_TOL
+        open_ |= x_i + dt * (drift + low) - margin < problem.state_lower - STEP_FEASIBILITY_TOL
     if problem.state_upper is not None:
-        open_ |= x_i + dt * (drift + high.sum(axis=0)) + margin > problem.state_upper + STEP_FEASIBILITY_TOL
+        open_ |= x_i + dt * (drift + high) + margin > problem.state_upper + STEP_FEASIBILITY_TOL
     return open_
 
 
@@ -492,12 +476,29 @@ def _affine_in_box(
     starts, dims = _segments(sizes)
     terms = values[:, None] * B[dims]
     open_ = _open_coords(
-        problem, x_i, dt, drift, np.minimum.reduceat(terms, starts),
-        np.maximum.reduceat(terms, starts), np.maximum.reduceat(np.abs(terms), starts),
+        problem, x_i, dt, drift, np.minimum.reduceat(terms, starts).sum(axis=0),
+        np.maximum.reduceat(terms, starts).sum(axis=0),
+        np.maximum.reduceat(np.abs(terms), starts).sum(axis=0),
     )
     if not open_.any():
         return np.ones(levels.shape[0], dtype=bool)
     return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
+
+
+@functools.lru_cache(maxsize=16)
+def _box_sums(lower: bytes, upper: bytes, matrix: bytes) -> Array:
+    """``_open_coords``'s ``low``, ``high`` and ``largest`` over the whole
+    control box (control j takes the values of its bounds) as the rows of
+    a read-only array, for the control bounds and control matrix given as
+    float64 bytes; cached because they depend on the problem alone."""
+    lo, hi = np.frombuffer(lower), np.frombuffer(upper)
+    B = np.frombuffer(matrix).reshape(lo.size, -1)
+    at_lower, at_upper = lo[:, None] * B, hi[:, None] * B
+    ends = (np.minimum(at_lower, at_upper), np.maximum(at_lower, at_upper),
+            np.maximum(np.abs(at_lower), np.abs(at_upper)))
+    sums = np.stack([e.sum(axis=0) for e in ends])
+    sums.setflags(write=False)
+    return sums
 
 
 def _box_steps_inside(problem: ControlProblem, x_i: Array, dt: float, drift: Array) -> bool:
@@ -506,34 +507,28 @@ def _box_steps_inside(problem: ControlProblem, x_i: Array, dt: float, drift: Arr
     value lies within the bounds and rounding is monotone, so the box filter
     then keeps every level, and the range search, whose probes stay inside
     the box, keeps every range whole: the level grid is the unbounded one."""
-    B = problem.control_matrix
-    at_lower, at_upper = problem.control_lower[:, None] * B, problem.control_upper[:, None] * B
-    return not _open_coords(
-        problem, x_i, dt, drift, np.minimum(at_lower, at_upper), np.maximum(at_lower, at_upper),
-        np.maximum(np.abs(at_lower), np.abs(at_upper)),
-    ).any()
+    sums = _box_sums(*problem.control_key[:2], problem.control_matrix.tobytes())
+    return not _open_coords(problem, x_i, dt, drift, *sums).any()
 
 
 class LevelBuild:
     """The level work of the last build with state bounds in one
     propagation, which the next build starts from: ``lo`` and ``hi``, the
     searched range ends, with ``grids``, the scalar grid of each control
-    dimension over them; and ``values``, ``sizes`` and ``levels``, the last
-    concatenated grids, their sizes and their whole product before the box
-    filter (read-only).  Empty (all None) until the first build.  One serves
-    one problem and one ``GridParams``."""
+    dimension over them; and ``values`` and ``sizes``, the last
+    concatenated grids and their sizes, with ``levels``, the buffer that
+    holds their whole product before the box filter.  Empty (all None)
+    until the first build.  One serves one problem and one ``GridParams``.
+
+    The build owns ``levels``: a column-major ``(K, m)`` array, read-only
+    to everyone else, that each build with this ``LevelBuild`` writes over
+    in place (``_product_levels``).  A grid or a batch-hook block that
+    shares it is valid only until the next such build."""
 
     __slots__ = ("lo", "hi", "grids", "values", "sizes", "levels")
 
     def __init__(self):
         self.lo = self.hi = self.grids = self.values = self.sizes = self.levels = None
-
-
-#: the most changed control dimensions for which a copy of the previous
-#: product with their columns rewritten beats a fresh gather (on the
-#: grocer's (4096, 29) product: 0.09 ms for four columns, 0.11 for six,
-#: 0.13 for eight, against 0.20 ms for the gather)
-REWRITE_COLUMNS = 6
 
 
 def _grid_values(
@@ -567,30 +562,30 @@ def _grid_values(
 
 def _product_levels(values: Array, sizes: Tuple[int, ...], previous: Optional[LevelBuild] = None) -> Array:
     """The lexicographic Cartesian product of the grids that ``_grid_values``
-    returned, read-only: one gather (dimension count is not limited the way
-    np.meshgrid is); an index, not ndarray.take, which copies a read-only
-    ``_product_indices`` matrix every call.
+    returned, as a read-only column-major ``(K, m)`` array (dimension count
+    is not limited the way np.meshgrid is), written one column at a time:
+    column j runs through grid j in blocks of ``prod(sizes[j + 1:])`` equal
+    rows.
 
-    When ``previous`` holds a product of the same sizes, its columns serve
-    where the grids are equal bit for bit: with none changed it is
-    ``previous.levels`` itself, with up to ``REWRITE_COLUMNS`` changed a copy
-    with those columns written over.  ``previous`` then takes this
-    product."""
-    levels = None
-    if previous is not None and previous.sizes == sizes:
-        starts = _segments(sizes)[0]
+    With ``previous`` the product is written into its buffer in place: only
+    the columns whose grids differ from ``previous.values`` bit for bit, or
+    every column when the sizes changed; a new buffer is allocated only
+    when K changes.  ``previous`` then holds these grids and the buffer.
+    Without it every call writes a new array."""
+    K, m = math.prod(sizes), len(sizes)
+    starts = _segments(sizes)[0]
+    levels = None if previous is None else previous.levels
+    if levels is None or levels.shape[0] != K:
+        levels, changed = np.empty((K, m), order="F"), range(m)
+    elif previous.sizes != sizes:
+        changed = range(m)
+    else:
         differs = values.view(np.int64) != previous.values.view(np.int64)
         changed = np.flatnonzero(np.logical_or.reduceat(differs, starts)).tolist()
-        if not changed:
-            levels = previous.levels
-        elif len(changed) <= REWRITE_COLUMNS:
-            levels = previous.levels.copy()
-            for j in changed:
-                # column j runs through its grid in blocks of prod(sizes[j + 1:]) rows
-                blocks = levels.reshape(-1, sizes[j], math.prod(sizes[j + 1:]), len(sizes))
-                blocks[..., j] = values[starts[j]:starts[j] + sizes[j], None]
-    if levels is None:
-        levels = values[_product_indices(sizes)]
+    levels.setflags(write=True)
+    for j in changed:
+        blocks = levels[:, j].reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
+        blocks[...] = values[starts[j]:starts[j] + sizes[j], None]
     levels.setflags(write=False)
     if previous is not None:
         previous.values, previous.sizes, previous.levels = values, sizes, levels
@@ -625,7 +620,9 @@ def generate_levels_with_dynamics(
     ``params.cap``; when state bounds are present, product vectors whose
     joint one-step prediction leaves the box are dropped (for control-affine
     problems, by the separable bound of ``_affine_in_box``).  Rows come back
-    sorted lexicographically, in a read-only array that the grid shares.
+    sorted lexicographically, in a read-only array that the grid shares:
+    the column-major product itself when every level is kept, a row-major
+    copy (``levels[keep]``) otherwise.
     Without state bounds the grid is built once per distinct control bounds,
     gated dimensions and ``params``, and shared read-only; so is it for a
     control-affine problem where the separable bound clears every state
@@ -638,15 +635,19 @@ def generate_levels_with_dynamics(
     and the scalar grids and keep mask built there (no grids when the
     shared grid was returned).  When ``x_i`` equals that state bit for bit,
     the range search, the scalar grids and the box test are skipped and the
-    same levels are gathered again; a miss replaces the entry, and a failed
-    build leaves none.  One memo serves one problem and one ``params``.
+    same levels are written again; a miss replaces the entry, and a failed
+    build leaves none.  The memo keeps no levels.  One memo serves one
+    problem and one ``params``.
 
     ``previous`` (see ``LevelBuild``) is the build of the interval before,
     which this one starts from and then replaces: a range whose ends did not
-    move keeps its scalar grid, and the product is the previous one with
-    only the changed columns rewritten (``_product_levels``).  The result is
-    bit for bit the fresh build's; without ``previous`` everything is built
-    afresh.
+    move keeps its scalar grid, and the product is written into the buffer
+    that ``previous`` owns, only the changed columns (``_product_levels``).
+    The result is bit for bit the fresh build's, but a grid returned by a
+    build handed ``previous`` is valid only until the next build handed the
+    same ``previous``, which may write over its levels; a batch hook gets
+    them read-only, valid only during the call.  Without ``previous``
+    everything is built afresh.
 
     Also returns the dynamics rows at the kept levels when the problem has
     state bounds and no control-affine hooks (the filter evaluated them, so

@@ -332,9 +332,9 @@ def propagate_forward(
         cost += stage
         clamp_count += clamped
         x, p = x_next, p_next
-        # ``previous`` keeps the product for the next build: drop this
-        # interval's grid and rows now, so that a filtered grid is not a
-        # second array alive through that build
+        # the next build writes over ``previous``'s product, which this grid
+        # may share: drop the grid and rows now (a filtered grid would also
+        # be a second array alive through that build)
         grid = f_vals = None
     xs[N], ps[N] = x, p
     cost += eval_terminal_cost(problem, x)

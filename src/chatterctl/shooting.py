@@ -178,11 +178,10 @@ def tangent_sensitivities(
 
     The tangent does not see level switches: a change of p0 that moves an
     interval's argmin changes the terminal pair in a way it misses.
+    ``ValueError`` unless ``nominal`` ran on ``partition``'s times, bit for bit.
     """
-    if nominal.intervals != partition.intervals:
-        raise ValueError(
-            f"nominal has {nominal.intervals} intervals, partition {partition.intervals}"
-        )
+    if nominal.times.tobytes() != partition.times.tobytes():
+        raise ValueError("nominal was run on another partition: its times differ")
     n = problem.state_dim
     dp = np.eye(n)
     off = nominal.offsets.tolist()

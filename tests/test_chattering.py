@@ -975,21 +975,18 @@ def next_chain_state(rng, problem, x):
 def chain_path(before, previous, grid, shared):
     """Which way a build handed ``previous`` made its grid, from
     ``previous``'s ``(sizes, values, levels)`` before the build and
-    ``previous`` after it."""
+    ``previous`` after it.  Checks that the product buffer is the one
+    before exactly when the level count K did not change."""
     sizes, values, levels = before
     if grid is shared:
         return "whole box"
     if sizes is None:
         return "first"
+    assert (previous.levels is levels) == (previous.levels.shape == levels.shape)
     if sizes != previous.sizes:
         return "sizes changed"
-    starts = np.cumsum((0,) + sizes[:-1])
     differs = previous.values.view(np.int64) != values.view(np.int64)
-    changed = int(np.logical_or.reduceat(differs, starts).sum())
-    assert (previous.levels is levels) == (changed == 0)
-    if changed == 0:
-        return "reused"
-    return "rewritten" if changed <= chattering.REWRITE_COLUMNS else "gathered"
+    return "rewritten" if differs.any() else "reused"
 
 
 def run_chain(rng, paths):
@@ -1032,7 +1029,6 @@ class TestIncrementalBuild:
         run_chain(np.random.default_rng(seed), collections.Counter())
 
     def test_chains_take_every_path(self):
-        # at most five controls: a gather needs more changed columns
         rng = np.random.default_rng(2017)
         paths = collections.Counter()
         for _ in range(60):
@@ -1051,18 +1047,67 @@ class TestIncrementalBuild:
             before = (previous.sizes, previous.values, previous.levels)
             grid_out = generate(problem, t, x, dt, params, drift, memo, previous)
             paths[chain_path(before, previous, grid_out[0], shared)] += 1
-            built.append((t, np.array(x), dt, grid_out[0]))
+            # compare now: the next build may write over this grid
+            fresh, _ = generate(problem, t, x, dt, params)
+            assert (grid_out[0] is shared) == (fresh is shared)
+            assert_bitwise(grid_out[0].levels, fresh.levels)
+            built.append(t)
             return grid_out
 
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
         propagate_forward(problem, TimePartition.uniform(1.0, 200), p0, params, source)
         monkeypatch.undo()
         assert len(built) == 200
-        assert {"whole box", "reused", "rewritten", "gathered"} <= set(paths), paths
-        for t, x, dt, grid in built:
-            fresh, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
-            assert (grid is shared) == (fresh is shared)
-            assert_bitwise(grid.levels, fresh.levels)
+        assert {"whole box", "reused", "rewritten"} <= set(paths), paths
+
+    def test_builds_of_equal_size_share_one_buffer(self, monkeypatch):
+        problem, p0, source = feedback_replay(1)
+        generate, buffers = chattering.generate_levels_with_dynamics, []
+
+        def recorded(problem, t, x, dt, params, drift, memo, previous):
+            grid_out = generate(problem, t, x, dt, params, drift, memo, previous)
+            if previous.levels is not None:
+                assert previous.levels.shape == (4096, problem.control_dim)
+                buffers.append(previous.levels)
+            return grid_out
+
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
+        propagate_forward(problem, TimePartition.uniform(1.0, 200), p0, GridParams(), source)
+        assert len(buffers) > 100
+        assert all(buffer is buffers[0] for buffer in buffers)
+
+    def test_batch_hook_gets_the_read_only_column_major_buffer(self):
+        problem = without_hooks(build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200))
+        dynamics, seen = problem.dynamics_batch, []
+
+        def hook(t, x, controls):
+            seen.append((controls.shape[0], controls.flags.f_contiguous, controls.flags.writeable))
+            return dynamics(t, x, controls)
+
+        problem, previous = dataclasses.replace(problem, dynamics_batch=hook), chattering.LevelBuild()
+        grid, _ = generate_levels_with_dynamics(
+            problem, 0.0, problem.initial_state, 0.005, GridParams(), None, None, previous
+        )
+        # the filter's batch comes last; every level is kept
+        assert grid.K == 4096 and grid.levels is previous.levels
+        assert seen[-1] == (4096, True, False)
+        assert grid.levels.flags.f_contiguous and not grid.levels.flags.writeable
+
+    def test_grid_kept_past_the_next_build_is_overwritten(self):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        params, previous = GridParams(), chattering.LevelBuild()
+        x_floor = problem.initial_state.copy()
+        x_floor[[0, 3, 7]] = 0.0
+        first, _ = generate_levels_with_dynamics(
+            problem, 0.0, problem.initial_state, 0.005, params, None, None, previous
+        )
+        assert first.K == 4096 and first.levels is previous.levels
+        as_built = first.levels.copy()
+        second, _ = generate_levels_with_dynamics(problem, 0.5, x_floor, 0.005, params, None, None, previous)
+        fresh, _ = generate_levels_with_dynamics(problem, 0.5, x_floor, 0.005, params)
+        assert_bitwise(second.levels, fresh.levels)
+        assert previous.levels is first.levels
+        assert not np.array_equal(first.levels, as_built)
 
 
 class TestWholeBoxGrid:

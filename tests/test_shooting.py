@@ -487,6 +487,17 @@ class TestTangentSensitivities:
         with pytest.raises(ValueError):
             tangent_sensitivities(problem, TimePartition.uniform(1.0, 4), nominal)
 
+    def test_partition_times_must_match_nominal(self):
+        # as many intervals, other times: dt would come from the wrong partition
+        problem = build_lqr()
+        p0 = np.array([lqr_analytic_solution(0.0)[1]])
+        part = TimePartition.uniform(problem.horizon, 4)
+        nominal = propagate_forward(problem, part, p0, GridParams(101, 4096))
+        other = TimePartition(np.array([0.0, 0.1, 0.2, 0.3, problem.horizon]))
+        with pytest.raises(ValueError, match="another partition"):
+            tangent_sensitivities(problem, other, nominal)
+        assert tangent_sensitivities(problem, part, nominal).P_p[0, 0] == (1.0 - problem.horizon / 4) ** 4
+
     def test_desk_solve_runs_no_perturbed_propagation(self, monkeypatch):
         problem, part, grid = desk_problem()
         forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
