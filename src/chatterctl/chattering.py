@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,45 +240,6 @@ def _bisect_ends(
     return a
 
 
-def _affine_ends(
-    problem: ControlProblem,
-    dt: float,
-    x_start: Array,
-    cols: Array,
-    a: Array,
-    b: Array,
-) -> Array:
-    """Closed-form twin of ``_bisect_ends`` for control-affine dynamics.
-
-    Moving control ``cols[r]`` a distance w from ``a[r]`` toward ``b[r]``
-    moves the next state from its feasible value ``x_start[r]`` along
-    ``+-dt * control_matrix[cols[r]]``, so the distance at which the first
-    state bound binds is one division per state coordinate (zero rates bind
-    nothing).  The end returned is the bisection's: the last point of its
-    grid ``a + k (b - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance,
-    so it stays inside the bound by less than one bracket, as the
-    bisection's does.  The margin matters: an end exactly on a bound can
-    round outside it once several dimensions move together in the product
-    filter, which drops a level that the bisection keeps.
-    """
-    sign = np.sign(b - a)
-    rate = sign[:, None] * (dt * problem.control_matrix[cols])
-    reach = np.full(rate.shape, np.inf)
-    # the slack at x_start is >= 0: it passed the same comparison in _in_box
-    if problem.state_lower is not None:
-        slack = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
-        falling = rate < 0.0
-        reach[falling] = slack[falling] / -rate[falling]
-    if problem.state_upper is not None:
-        slack = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
-        rising = rate > 0.0
-        reach[rising] = np.minimum(reach[rising], slack[rising] / rate[rising])
-    bracket = np.abs(b - a) * 2.0 ** -BOUND_SEARCH_ITERATIONS
-    # b itself is infeasible and never a bisection point
-    steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
-    return a + sign * (steps * bracket)
-
-
 def level_bound_search(
     problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int]
 ) -> List[Tuple[float, float]]:
@@ -292,10 +253,13 @@ def level_bound_search(
     where its lower end, upper end or midpoint is feasible (the start point,
     in that order of preference); each infeasible end is then found from the
     start point, which assumes the violation is monotone toward that end.
-    Control-affine problems get that end in closed form (``_affine_ends``)
-    from one drift evaluation; others bisect.  Without state bounds the full
-    control intervals come back unchanged.  Raises ``InfeasibleLevels`` when
-    some dimension has no feasible point at any anchor.
+    Each dimension's range depends on that dimension alone, so a call on a
+    subset of the dimensions returns the full call's entries for them.
+    Control-affine problems get every range in one pass from one drift
+    evaluation, each infeasible end in closed form (see ``_search_ranges``);
+    others bisect.  Without state bounds the full control intervals come
+    back unchanged.  Raises ``InfeasibleLevels`` when some dimension has no
+    feasible point at any anchor.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -317,24 +281,40 @@ def _search_ranges(
     ends of every control dimension (its control bounds where it is not in
     ``dims``); ``drift`` is None without the hooks.
 
-    With the hooks no probe batch is built: moving control d from the
-    anchor to v moves the next state from ``base = x + dt * (drift + anchor
-    @ B)``, computed once per anchor, by ``dt * (v - anchor_d) * B[d]``.
-    Without them every probe row goes through ``eval_dynamics_batch``.
+    With the hooks the search is one fixed-shape pass (``_affine_ranges``)
+    over every anchor, probe point and control dimension, with no dynamics
+    call; without them each anchor in turn sends its probe rows and
+    bisection steps through ``eval_dynamics_batch`` (``_bisect_ranges``).
     """
+    dims = np.asarray(dims, dtype=np.intp)
+    if drift is None:
+        lo, hi, missing = _bisect_ranges(problem, t, x, dt, dims)
+    else:
+        lo, hi, missing = _affine_ranges(problem, x, dt, dims, drift)
+    if missing.size:
+        raise InfeasibleLevels(
+            f"no admissible control level found for dimension(s) {missing.tolist()} "
+            f"at t={t}: state bounds and step size are incompatible here"
+        )
+    return lo, hi
+
+
+def _bisect_ranges(
+    problem: ControlProblem, t: float, x: Array, dt: float, dims: Array
+) -> Tuple[Array, Array, Array]:
+    """``_search_ranges`` without the hooks, anchor by anchor over the
+    dimensions not yet found; also returns the dimensions of ``dims``
+    found at no anchor."""
     lower, upper = problem.control_lower, problem.control_upper
-    B = problem.control_matrix
     lo_out, hi_out = np.array(lower), np.array(upper)
-    pending = np.asarray(dims, dtype=np.intp)
+    pending = dims
 
     def step(probe: Array) -> Array:
         return x + dt * eval_dynamics_batch(problem, t, x, probe)
 
-    def next_states(anchor: Array, base: Optional[Array], cols: Array, v: Array) -> Array:
+    def next_states(anchor: Array, cols: Array, v: Array) -> Array:
         """The next states with control ``cols[r]`` at ``v[r]``, the others
         at ``anchor``."""
-        if base is not None:
-            return base + dt * ((v - anchor[cols])[:, None] * B[cols])
         probe = np.tile(anchor, (cols.size, 1))
         probe[np.arange(cols.size), cols] = v
         return step(probe)
@@ -342,20 +322,16 @@ def _search_ranges(
     for anchor in (0.5 * (lower + upper), lower, upper):
         if pending.size == 0:
             break
-        base = None if drift is None else x + dt * (drift + anchor @ B)
         lo, hi, mid = lower[pending], upper[pending], 0.5 * (lower[pending] + upper[pending])
         # both ends of every pending dimension in one batch, interleaved lo/hi
-        ends = next_states(anchor, base, np.repeat(pending, 2), np.stack([lo, hi], axis=1).ravel())
+        ends = next_states(anchor, np.repeat(pending, 2), np.stack([lo, hi], axis=1).ravel())
         ends_ok = _in_box(problem, ends).reshape(-1, 2)
         lo_ok, hi_ok = ends_ok[:, 0], ends_ok[:, 1]
         found = lo_ok | hi_ok
-        # the next state at each dimension's start point
-        x_start = np.where(lo_ok[:, None], ends[0::2], ends[1::2])
         both_bad = ~found
         if np.any(both_bad):
-            mids = next_states(anchor, base, pending[both_bad], mid[both_bad])
+            mids = next_states(anchor, pending[both_bad], mid[both_bad])
             found[both_bad] = _in_box(problem, mids)
-            x_start[both_bad] = mids
         # one search row per (dimension, infeasible end), lower end first
         search = np.stack([found & ~lo_ok, found & ~hi_ok], axis=1)
         which, side = np.nonzero(search)
@@ -363,19 +339,120 @@ def _search_ranges(
             cols = pending[which]
             a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]  # feasible
             b = np.where(side == 0, lo[which], hi[which])  # infeasible
-            if drift is not None:
-                a = _affine_ends(problem, dt, x_start[which], cols, a, b)
-            else:
-                a = _bisect_ends(problem, step, anchor, cols, a, b)
+            a = _bisect_ends(problem, step, anchor, cols, a, b)
             lo_out[cols[side == 0]] = a[side == 0]
             hi_out[cols[side == 1]] = a[side == 1]
         pending = pending[~found]
-    if pending.size:
-        raise InfeasibleLevels(
-            f"no admissible control level found for dimension(s) {pending.tolist()} "
-            f"at t={t}: state bounds and step size are incompatible here"
-        )
-    return lo_out, hi_out
+    return lo_out, hi_out, pending
+
+
+class _AffineTerms(NamedTuple):
+    """What the control-affine range search and box filter need of a
+    problem alone (see ``_affine_terms``).  The anchors are the midpoint,
+    the lower and the upper corner of the control box; the probe points of
+    a control dimension, which are also the start points an infeasible end
+    is searched from, are its lower end, upper end and midpoint."""
+
+    #: ``(3, m)``: the probe points, lower end, upper end, midpoint
+    points: Array
+    #: ``(3, n)``: ``anchor @ B`` of each anchor
+    anchor_steps: Array
+    #: ``(3, 3, m, n)``: ``(v - anchor_d) * B[d]`` for anchor, probe point
+    #: v and dimension d
+    shifts: Array
+    #: ``(3, m, 2)``: ``sign(b - a)`` for start point a, dimension, and the
+    #: end b searched for (lower, upper)
+    signs: Array
+    #: ``(3, m, 2)``: the bisection bracket ``|b - a| * 2**-BOUND_SEARCH_ITERATIONS``
+    brackets: Array
+    #: ``(3, n)``: ``_open_coords``'s ``low``, ``high`` and ``largest`` over
+    #: the whole control box
+    box_sums: Array
+
+
+@functools.lru_cache(maxsize=16)
+def _affine_terms(key: Tuple[bytes, bytes, bytes]) -> _AffineTerms:
+    """The ``_AffineTerms`` of a problem with the given ``affine_key``, as
+    read-only arrays; cached because they depend on the problem alone."""
+    lo, hi, B = (np.frombuffer(k).copy() for k in key)
+    B = B.reshape(lo.size, -1)
+    points = np.stack([lo, hi, 0.5 * (lo + hi)])
+    anchors = (points[2], lo, hi)
+    gaps = np.stack([np.stack([lo - a, hi - a], axis=1) for a in points])
+    terms = _AffineTerms(
+        points,
+        np.stack([a @ B for a in anchors]),
+        np.stack([(points - a)[:, :, None] * B for a in anchors]),
+        np.sign(gaps),
+        np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS,
+        np.stack(_separable_sums(lo, hi, B)),
+    )
+    for a in terms:
+        a.setflags(write=False)
+    return terms
+
+
+def _affine_ranges(
+    problem: ControlProblem, x: Array, dt: float, dims: Array, drift: Array
+) -> Tuple[Array, Array, Array]:
+    """``_search_ranges`` with the hooks in one pass; also returns the
+    dimensions of ``dims`` found at no anchor.
+
+    Moving control d from an anchor to v moves the next state from ``x +
+    dt * (drift + anchor @ B)`` by ``dt * (v - anchor_d) * B[d]``, so the
+    probe states of every anchor, probe point and dimension are one
+    ``(3, 3, m, n)`` block with one ``_in_box``.  Each dimension takes the
+    first anchor where a probe is feasible; every dimension is computed and
+    those of ``dims`` are kept, since none depends on another.
+
+    From the start point a, moving toward the infeasible end b a distance
+    w moves the next state along ``+-dt * B[d]``, so the distance at which
+    the first state bound binds is one division per state coordinate (zero
+    rates bind nothing), for every dimension and end at once.  The end
+    returned is the bisection's: the last point of its grid ``a + k (b - a)
+    2**-BOUND_SEARCH_ITERATIONS`` within that distance, so it stays inside
+    the bound by less than one bracket, as the bisection's does.  The
+    margin matters: an end exactly on a bound can round outside it once
+    several dimensions move together in the product filter, which drops a
+    level that the bisection keeps.
+    """
+    terms = _affine_terms(problem.affine_key)
+    m, n = problem.control_dim, problem.state_dim
+    cols = np.arange(m)
+    probes = (x + dt * (drift + terms.anchor_steps))[:, None, None] + dt * terms.shifts
+    ok = _in_box(problem, probes.reshape(-1, n)).reshape(3, 3, m)
+    found = ok.any(axis=1)
+    anchor = found.argmax(axis=0)
+    feasible = found[anchor, cols]
+    ok = ok[anchor, :, cols]
+    start = ok.argmax(axis=1)  # the lower end, else the upper end, else the midpoint
+    x_start = probes[anchor, start, cols]
+    # one search per (dimension, infeasible end), lower end first
+    search = ~ok[:, :2] & feasible[:, None]
+    sign = terms.signs[start, cols]
+    rate = sign[:, :, None] * (dt * problem.control_matrix)[:, None]
+    # where a search starts, the slack at x_start is >= 0: it passed the
+    # same comparison in _in_box
+    slack = np.full((2, m, 1, n), np.inf)
+    if problem.state_lower is not None:
+        slack[0, :, 0] = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
+    if problem.state_upper is not None:
+        slack[1, :, 0] = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
+    reach = np.divide(
+        np.where(rate < 0.0, slack[0], slack[1]), np.abs(rate),
+        out=np.full(rate.shape, np.inf), where=search[:, :, None] & (rate != 0.0),
+    )
+    bracket = terms.brackets[start, cols]
+    steps = np.divide(reach.min(axis=2), bracket, out=np.zeros((m, 2)), where=search)
+    # b itself is infeasible and never a bisection point
+    steps = np.minimum(np.floor(steps), 2.0**BOUND_SEARCH_ITERATIONS - 1)
+    ends = terms.points[start, cols][:, None] + sign * (steps * bracket)
+    wanted = np.zeros(m, dtype=bool)
+    wanted[dims] = True
+    search &= wanted[:, None]
+    lo = np.where(search[:, 0], ends[:, 0], problem.control_lower)
+    hi = np.where(search[:, 1], ends[:, 1], problem.control_upper)
+    return lo, hi, dims[~feasible[dims]]
 
 
 def _uniform_grid(lo: float, hi: float, count: int) -> Array:
@@ -427,14 +504,14 @@ def _scalar_grid(
 
 @functools.lru_cache(maxsize=64)
 def _segments(sizes: Tuple[int, ...]) -> Tuple[Array, Array]:
-    """Where each grid starts in the concatenated grids, and the dimension
-    of every concatenated value (``np.repeat(arange, sizes)``), read-only;
-    cached because interval after interval reuses the same sizes."""
-    starts = np.cumsum((0,) + sizes[:-1])
-    dims = np.repeat(np.arange(len(sizes)), sizes)
+    """Where each grid starts and where it ends (its last value) in the
+    concatenated grids, read-only; cached because interval after interval
+    reuses the same sizes."""
+    lasts = np.cumsum(sizes) - 1
+    starts = lasts - sizes + 1
     starts.setflags(write=False)
-    dims.setflags(write=False)
-    return starts, dims
+    lasts.setflags(write=False)
+    return starts, lasts
 
 
 def _open_coords(
@@ -458,6 +535,19 @@ def _open_coords(
     return open_
 
 
+def _separable_sums(first: Array, last: Array, B: Array) -> Tuple[Array, Array, Array]:
+    """``_open_coords``'s ``low``, ``high`` and ``largest`` for controls
+    whose values ascend from ``first`` to ``last``.  ``v * B[j, i]`` is
+    monotone in v, rounding included, so over control j's values its least,
+    its greatest and its largest magnitude are taken at the two ends."""
+    at_first, at_last = first[:, None] * B, last[:, None] * B
+    return (
+        np.minimum(at_first, at_last).sum(axis=0),
+        np.maximum(at_first, at_last).sum(axis=0),
+        np.maximum(np.abs(at_first), np.abs(at_last)).sum(axis=0),
+    )
+
+
 def _affine_in_box(
     problem: ControlProblem,
     x_i: Array,
@@ -469,36 +559,17 @@ def _affine_in_box(
 ) -> np.ndarray:
     """``_in_box`` of the next states ``x_i + dt * (drift + levels @ B)`` of
     the product of the scalar grids (concatenated in ``values``, with
-    ``sizes`` values each), for control-affine dynamics.  The coordinates
-    that ``_open_coords`` clears get no row test; the rest are tested on
-    every row as the rows compute, so the mask is exact."""
+    ``sizes`` values each), for control-affine dynamics.  The separable
+    bound takes each grid's first and last value, the same elements that
+    bound ``v * B[j, i]`` over the whole grid.  The coordinates that
+    ``_open_coords`` clears get no row test; the rest are tested on every
+    row as the rows compute, so the mask is exact."""
     B = problem.control_matrix
-    starts, dims = _segments(sizes)
-    terms = values[:, None] * B[dims]
-    open_ = _open_coords(
-        problem, x_i, dt, drift, np.minimum.reduceat(terms, starts).sum(axis=0),
-        np.maximum.reduceat(terms, starts).sum(axis=0),
-        np.maximum.reduceat(np.abs(terms), starts).sum(axis=0),
-    )
+    starts, lasts = _segments(sizes)
+    open_ = _open_coords(problem, x_i, dt, drift, *_separable_sums(values[starts], values[lasts], B))
     if not open_.any():
         return np.ones(levels.shape[0], dtype=bool)
     return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
-
-
-@functools.lru_cache(maxsize=16)
-def _box_sums(lower: bytes, upper: bytes, matrix: bytes) -> Array:
-    """``_open_coords``'s ``low``, ``high`` and ``largest`` over the whole
-    control box (control j takes the values of its bounds) as the rows of
-    a read-only array, for the control bounds and control matrix given as
-    float64 bytes; cached because they depend on the problem alone."""
-    lo, hi = np.frombuffer(lower), np.frombuffer(upper)
-    B = np.frombuffer(matrix).reshape(lo.size, -1)
-    at_lower, at_upper = lo[:, None] * B, hi[:, None] * B
-    ends = (np.minimum(at_lower, at_upper), np.maximum(at_lower, at_upper),
-            np.maximum(np.abs(at_lower), np.abs(at_upper)))
-    sums = np.stack([e.sum(axis=0) for e in ends])
-    sums.setflags(write=False)
-    return sums
 
 
 def _box_steps_inside(problem: ControlProblem, x_i: Array, dt: float, drift: Array) -> bool:
@@ -507,7 +578,7 @@ def _box_steps_inside(problem: ControlProblem, x_i: Array, dt: float, drift: Arr
     value lies within the bounds and rounding is monotone, so the box filter
     then keeps every level, and the range search, whose probes stay inside
     the box, keeps every range whole: the level grid is the unbounded one."""
-    sums = _box_sums(*problem.control_key[:2], problem.control_matrix.tobytes())
+    sums = _affine_terms(problem.affine_key).box_sums
     return not _open_coords(problem, x_i, dt, drift, *sums).any()
 
 

@@ -167,6 +167,14 @@ class ControlProblem:
         )
         return self.control_lower.tobytes(), self.control_upper.tobytes(), gates
 
+    @functools.cached_property
+    def affine_key(self) -> Tuple[bytes, bytes, bytes]:
+        """The control bounds and the control matrix as one hashable value,
+        built on first use: ``control_key``'s bound bytes and the float64
+        bytes of the control matrix.  Only for problems with the
+        control-affine hooks."""
+        return self.control_key[:2] + (self.control_matrix.tobytes(),)
+
 
 def eval_drift(problem: ControlProblem, t: float, x: Array) -> Array:
     """The control-free part ``drift(t, x)`` of control-affine dynamics."""

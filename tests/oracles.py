@@ -4,7 +4,9 @@ None of these run in the solver itself: closed forms, per-table envelopes,
 a single-row reference step, a schedule's time average, the control of a
 measure given by a weight on every level, a control-affine problem
 stripped of its hooks, the full-width product grid and filter that the
-level generator must reproduce bit for bit, a problem whose relaxed optimum
+level generator must reproduce bit for bit, the anchor-by-anchor range
+search and the per-value separable sums that the control-affine search and
+filter must reproduce bit for bit, a problem whose relaxed optimum
 chatters, the feedback benchmark's replayed states, and a fingerprint of a
 whole run.
 """
@@ -132,6 +134,94 @@ def full_width_levels(problem, t, x, dt, grid_params):
     if not keep.any():
         raise InfeasibleLevels("no product level satisfies the one-step state bounds")
     return levels[keep], f[keep], keep
+
+
+def reference_affine_ranges(problem, t, x, dt, dims, drift):
+    """The level range search of a control-affine problem with state
+    bounds, anchor by anchor: at the midpoint, the lower and the upper
+    corner of the control box in turn, the dimensions not yet found probe
+    their lower end, upper end and (when both fail) midpoint from one
+    ``base = x + dt * (drift + anchor @ B)``; each infeasible end is then
+    the last point of the bisection's grid that stays within the distance
+    at which the first state bound binds, from the first feasible probe.
+    Returns the lower and upper ends of every control dimension (its
+    control bounds where it is not in ``dims``) and the anchor at which
+    each dimension was found (0 midpoint, 1 lower, 2 upper; -1 where not
+    searched); raises ``InfeasibleLevels`` as ``_search_ranges`` does."""
+    lower, upper = problem.control_lower, problem.control_upper
+    B = problem.control_matrix
+    tol = chattering.STEP_FEASIBILITY_TOL
+    iterations = chattering.BOUND_SEARCH_ITERATIONS
+    lo_out, hi_out = np.array(lower), np.array(upper)
+    found_at = np.full(problem.control_dim, -1)
+    pending = np.asarray(dims, dtype=np.intp)
+
+    def closed_form_ends(x_start, cols, a, b):
+        sign = np.sign(b - a)
+        rate = sign[:, None] * (dt * B[cols])
+        reach = np.full(rate.shape, np.inf)
+        if problem.state_lower is not None:
+            slack = x_start - (problem.state_lower - tol)
+            falling = rate < 0.0
+            reach[falling] = slack[falling] / -rate[falling]
+        if problem.state_upper is not None:
+            slack = (problem.state_upper + tol) - x_start
+            rising = rate > 0.0
+            reach[rising] = np.minimum(reach[rising], slack[rising] / rate[rising])
+        bracket = np.abs(b - a) * 2.0**-iterations
+        steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**iterations - 1)
+        return a + sign * (steps * bracket)
+
+    for index, anchor in enumerate((0.5 * (lower + upper), lower, upper)):
+        if pending.size == 0:
+            break
+        base = x + dt * (drift + anchor @ B)
+
+        def next_states(cols, v):
+            return base + dt * ((v - anchor[cols])[:, None] * B[cols])
+
+        lo, hi, mid = lower[pending], upper[pending], 0.5 * (lower[pending] + upper[pending])
+        ends = next_states(np.repeat(pending, 2), np.stack([lo, hi], axis=1).ravel())
+        ends_ok = chattering._in_box(problem, ends).reshape(-1, 2)
+        lo_ok, hi_ok = ends_ok[:, 0], ends_ok[:, 1]
+        found = lo_ok | hi_ok
+        x_start = np.where(lo_ok[:, None], ends[0::2], ends[1::2])
+        both_bad = ~found
+        if np.any(both_bad):
+            mids = next_states(pending[both_bad], mid[both_bad])
+            found[both_bad] = chattering._in_box(problem, mids)
+            x_start[both_bad] = mids
+        search = np.stack([found & ~lo_ok, found & ~hi_ok], axis=1)
+        which, side = np.nonzero(search)
+        if which.size:
+            cols = pending[which]
+            a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]
+            b = np.where(side == 0, lo[which], hi[which])
+            a = closed_form_ends(x_start[which], cols, a, b)
+            lo_out[cols[side == 0]] = a[side == 0]
+            hi_out[cols[side == 1]] = a[side == 1]
+        found_at[pending[found]] = index
+        pending = pending[~found]
+    if pending.size:
+        raise InfeasibleLevels(
+            f"no admissible control level found for dimension(s) {pending.tolist()} "
+            f"at t={t}: state bounds and step size are incompatible here"
+        )
+    return lo_out, hi_out, found_at
+
+
+def reference_separable_sums(values, sizes, B):
+    """The separable bound's ``low``, ``high`` and ``largest`` over every
+    value of every scalar grid (concatenated in ``values``, ``sizes`` values
+    each): ``v * B[j, i]`` for each value, reduced per grid by
+    ``np.minimum/maximum.reduceat`` and summed over the grids."""
+    starts = np.cumsum((0,) + tuple(sizes[:-1]))
+    terms = values[:, None] * B[np.repeat(np.arange(len(sizes)), sizes)]
+    return (
+        np.minimum.reduceat(terms, starts).sum(axis=0),
+        np.maximum.reduceat(terms, starts).sum(axis=0),
+        np.maximum.reduceat(np.abs(terms), starts).sum(axis=0),
+    )
 
 
 def bolza_problem(x0: float = 0.0) -> ControlProblem:

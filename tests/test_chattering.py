@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from oracles import (
     dense_control,
     feedback_replay,
     full_width_levels,
+    reference_affine_ranges,
+    reference_separable_sums,
     schedule_time_average,
     without_hooks,
 )
@@ -426,6 +429,136 @@ class TestClosedFormLevelRanges:
             assert np.max(np.abs(closed.levels - bisected.levels)) <= 1e-8
 
 
+def bounded_affine_case(rng):
+    """A control-affine problem whose state bounds are lower only, upper
+    only or both (some entries infinite), with control matrix entries of
+    either sign and some zero, some zero-width controls, and a state
+    inside the box; returns the problem, the state and a drift there."""
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    b = rng.normal(size=(m, n))
+    b[rng.uniform(size=(m, n)) < 0.25] = 0.0
+    lower = rng.uniform(-2.0, 0.5, m)
+    width = rng.uniform(0.0, 3.0, m)
+    width[rng.uniform(size=m) < 0.1] = 0.0
+    x = rng.uniform(-1.0, 1.0, n)
+    sides = int(rng.integers(3))  # 0 lower only, 1 upper only, 2 both
+    state_lower = state_upper = None
+    if sides != 1:
+        state_lower = x - rng.exponential(0.5, n)
+        state_lower[rng.uniform(size=n) < 0.2] = -np.inf
+    if sides != 0:
+        state_upper = x + rng.exponential(0.5, n)
+        state_upper[rng.uniform(size=n) < 0.2] = np.inf
+    drift = 0.5 * rng.normal(size=n)
+    problem = ControlProblem(
+        state_dim=n,
+        control_dim=m,
+        horizon=1.0,
+        initial_state=x,
+        running_cost=lambda t, x, u: 0.0,
+        control_lower=lower,
+        control_upper=lower + width,
+        state_lower=state_lower,
+        state_upper=state_upper,
+        drift=lambda t, x: drift,
+        control_matrix=b,
+        drift_jacobian=lambda t, x: np.zeros((n, n)),
+    )
+    return problem, x, drift
+
+
+def random_dims(rng, m):
+    """All control dimensions in order, or a shuffled subset of them."""
+    if rng.uniform() < 0.5:
+        return list(range(m))
+    return rng.permutation(m)[: int(rng.integers(1, m + 1))].tolist()
+
+
+class TestOnePassSearch:
+    """The control-affine range search computes every anchor, probe point
+    and dimension in one pass; it must return what the anchor-by-anchor
+    search of ``oracles.reference_affine_ranges`` returns, bit for bit."""
+
+    def test_matches_the_anchor_loop_bit_for_bit(self):
+        rng = np.random.default_rng(1902)
+        same = raised = 0
+        anchors = collections.Counter()
+        sides = collections.Counter()
+        for _ in range(3000):
+            problem, x, drift = bounded_affine_case(rng)
+            t, dt = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0))
+            dims = random_dims(rng, problem.control_dim)
+            sides[(problem.state_lower is not None, problem.state_upper is not None)] += 1
+            try:
+                lo, hi, found_at = reference_affine_ranges(problem, t, x, dt, dims, drift)
+            except InfeasibleLevels as error:
+                with pytest.raises(InfeasibleLevels) as raised_here:
+                    chattering._search_ranges(problem, t, x, dt, dims, drift)
+                assert str(raised_here.value) == str(error)
+                raised += 1
+                continue
+            one_pass = chattering._search_ranges(problem, t, x, dt, dims, drift)
+            assert_bitwise(one_pass[0], lo)
+            assert_bitwise(one_pass[1], hi)
+            anchors.update(found_at[found_at >= 0].tolist())
+            same += 1
+        assert same > 1500 and raised > 200
+        # fallbacks to the lower and to the upper corner both occur
+        assert anchors[1] > 20 and anchors[2] > 20
+        assert set(sides) == {(True, False), (False, True), (True, True)}
+
+    def test_subset_returns_the_full_entries(self):
+        rng = np.random.default_rng(1903)
+        checked = 0
+        for _ in range(500):
+            problem, x, _ = bounded_affine_case(rng)
+            dt = float(rng.uniform(0.05, 1.0))
+            m = problem.control_dim
+            try:
+                full = level_bound_search(problem, 0.0, x, dt, range(m))
+            except InfeasibleLevels:
+                continue
+            dims = random_dims(rng, m)
+            subset = level_bound_search(problem, 0.0, x, dt, dims)
+            assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
+            checked += 1
+        assert checked > 250
+
+    def test_subset_returns_the_full_entries_on_replayed_desk_states(self):
+        problem, _, source = feedback_replay(0)
+        rng = np.random.default_rng(5)
+        dt, m = problem.horizon / 200, problem.control_dim
+        for i in range(2, 200, 20):
+            x = source(i, i * dt, problem.initial_state)
+            full = level_bound_search(problem, i * dt, x, dt, range(m))
+            dims = random_dims(rng, m)
+            subset = level_bound_search(problem, i * dt, x, dt, dims)
+            assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
+
+    def test_subset_without_the_infeasible_dimensions(self):
+        # a full call that raises names the dimensions whose own calls
+        # raise; a call on the others returns what their own calls return
+        rng = np.random.default_rng(1904)
+        checked = 0
+        for _ in range(1000):
+            problem, x, _ = bounded_affine_case(rng)
+            dt = float(rng.uniform(0.05, 1.0))
+            alone, missing = {}, []
+            for d in range(problem.control_dim):
+                try:
+                    alone[d] = level_bound_search(problem, 0.0, x, dt, [d])[0]
+                except InfeasibleLevels:
+                    missing.append(d)
+            if not (missing and alone):
+                continue
+            with pytest.raises(InfeasibleLevels, match=re.escape(f"dimension(s) {missing} at")):
+                level_bound_search(problem, 0.0, x, dt, range(problem.control_dim))
+            ranges = level_bound_search(problem, 0.0, x, dt, list(alone))
+            assert np.array(ranges).tobytes() == np.array(list(alone.values())).tobytes()
+            checked += 1
+        assert checked > 50
+
+
 def random_product_problem(rng):
     """x' = c - 0.5 x + u @ B on the state box [-0.4, 0.4]^n, with the
     control-affine hooks.  Controls 0 and 1 are the narrowest, so a tight
@@ -576,7 +709,9 @@ class TestLeanProductFilter:
 
 def count_row_tests(monkeypatch, size):
     """Records how often ``_in_box`` sees ``size`` rows, the product's size
-    (the range search probes at most two rows per control dimension)."""
+    (the control-affine range search tests all its probes in one call of
+    nine rows per control dimension: three anchors by three probe points;
+    ``size`` must differ from that)."""
     seen = []
     in_box = chattering._in_box
 
@@ -669,6 +804,78 @@ class TestSeparableBound:
             result = TestLeanProductFilter.compare(problem, 0.0, x, dt, params, p)
             dropped += result is not None and not result[0].all()
         assert dropped > 150
+
+    def test_grid_ends_give_the_per_value_sums(self, monkeypatch):
+        # the bound's three sums, taken from each scalar grid's first and
+        # last value, are the per-value reduceat sums bit for bit, signs of
+        # zeros included: gated grids hold 0, entries of B are negative,
+        # 0.0 or -0.0, and grids of one or two values may start at -0.0.
+        # No product here underflows to zero: there a zero inside a grid
+        # could tie with one of the other sign at its end, which only the
+        # sign of a zero sum could show, and no comparison sees that
+        rng = np.random.default_rng(1905)
+        seen = []
+        open_coords = chattering._open_coords
+
+        def recorded(problem, x_i, dt, drift, *sums):
+            seen.append(sums)
+            return open_coords(problem, x_i, dt, drift, *sums)
+
+        monkeypatch.setattr(chattering, "_open_coords", recorded)
+        signed_zeros = collections.Counter()
+        for _ in range(1000):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            b = rng.normal(size=(m, n))
+            zero = rng.uniform(size=(m, n))
+            b[zero < 0.4] = 0.0
+            b[zero < 0.2] = -0.0
+            lower = rng.uniform(-2.0, 1.0, m)
+            lower[rng.uniform(size=m) < 0.2] = -0.0
+            upper = lower + rng.uniform(0.0, 2.0, m) * (rng.uniform(size=m) > 0.1)
+            gated = {
+                j: (float(rng.uniform(lower[j], 0.0)), float(rng.uniform(0.0, upper[j])))
+                for j in range(m) if lower[j] <= 0.0 <= upper[j] and rng.uniform() < 0.5
+            }
+            counts = rng.integers(1, 6, m)
+            values, sizes = chattering._grid_values(gated, lower, upper, counts)
+            problem = ControlProblem(
+                state_dim=n, control_dim=m, horizon=1.0, initial_state=np.zeros(n),
+                running_cost=lambda t, x, u: 0.0, control_lower=lower, control_upper=upper,
+                state_lower=np.full(n, -1.0), state_upper=np.full(n, 1.0), gated_dims=gated,
+                drift=lambda t, x: np.zeros(n), control_matrix=b,
+                drift_jacobian=lambda t, x: np.zeros((n, n)),
+            )
+            levels = chattering._product_levels(values, sizes)
+            seen.clear()
+            chattering._affine_in_box(problem, np.zeros(n), 0.1, np.zeros(n), levels, values, sizes)
+            (sums,) = seen
+            for got, expected in zip(sums, reference_separable_sums(values, sizes, b)):
+                assert_bitwise(got, expected)
+            products = values[:, None] * b[np.repeat(np.arange(m), sizes)]
+            signed_zeros.update(np.signbit(products[products == 0.0]).tolist())
+        assert signed_zeros[True] > 500 and signed_zeros[False] > 500
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replayed_feedback_keep_masks(self, seed, monkeypatch):
+        # every filter of a replayed feedback run keeps the levels that the
+        # bound from the per-value sums keeps
+        problem, p0, source = feedback_replay(seed)
+        B = problem.control_matrix
+        affine_in_box = chattering._affine_in_box
+        masks = []
+
+        def checked(problem, x_i, dt, drift, levels, values, sizes):
+            keep = affine_in_box(problem, x_i, dt, drift, levels, values, sizes)
+            sums = reference_separable_sums(values, sizes, B)
+            open_ = chattering._open_coords(problem, x_i, dt, drift, *sums)
+            expected = chattering._in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
+            assert_bitwise(keep, expected)
+            masks.append(keep)
+            return keep
+
+        monkeypatch.setattr(chattering, "_affine_in_box", checked)
+        propagate_forward(problem, TimePartition.uniform(1.0, 200), p0, GridParams(101, 4096), source)
+        assert len(masks) > 100 and any(not keep.all() for keep in masks)
 
 
 class TestGenerateLevels:
