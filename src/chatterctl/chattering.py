@@ -9,10 +9,10 @@ convex hull.  Minimizing the interval Hamiltonian over measures is a linear
 program on the probability simplex whose optimum is analytic: put all weight
 on the level(s) with the smallest Hamiltonian value.
 
-Everything here is a pure function of its inputs, apart from the level
-memo and the previous build that a caller may hand the level generator to
-fill; grids are read-only, and immutable unless they share the product
-buffer of such a previous build (see ``LevelBuild``).
+Everything here is a pure function of its inputs, apart from the
+``LevelCache`` that the level generator fills with the work it reuses;
+grids are read-only, and immutable unless they share the cache's product
+buffer.
 """
 
 from __future__ import annotations
@@ -53,17 +53,6 @@ class DimensionMismatch(ValueError):
     """Levels, weights or dynamics rows disagree in number."""
 
 
-#: per-interval level work kept across the propagations of one solve:
-#: ``(t, dt) -> (x bytes, concatenated scalar grids, their sizes, keep mask
-#: or None when every level is kept)``, with no grids, sizes or mask where
-#: the shared whole-box grid was returned; never levels or dynamics rows,
-#: whose size would grow the peak memory by megabytes
-LevelMemo = Dict[
-    Tuple[float, float],
-    Tuple[bytes, Optional[Array], Optional[Tuple[int, ...]], Optional[np.ndarray]],
-]
-
-
 @dataclass(frozen=True)
 class GridParams:
     """Level generation knobs: requested points per control dimension and the
@@ -89,8 +78,8 @@ class LevelGrid:
     generator hands over such arrays); anything else is copied.  Passing
     such an array hands it over: numpy lets its owner turn writing back on,
     and a write through it then changes ``levels``.  The level generator
-    does so with a ``LevelBuild``'s column-major product buffer, so a grid
-    built with one is valid only until that ``LevelBuild``'s next build.
+    does so with a ``LevelCache``'s column-major product buffer, so a grid
+    built with one is valid only until that cache's next build.
     """
 
     levels: Array
@@ -169,25 +158,17 @@ def schedule_segments(times: Array, offsets: Array, weights: Array) -> Tuple[Arr
 
 
 def _coarsen_counts(problem: ControlProblem, k_per_dim: int, cap: int) -> np.ndarray:
-    """Per-dimension level counts, as uniform as possible, with product <= cap
-    (read-only, shared between equal calls: see ``_counts_for_widths``)."""
-    widths = problem.control_upper - problem.control_lower
-    return _counts_for_widths(widths.tobytes(), k_per_dim, cap)
-
-
-@functools.lru_cache(maxsize=64)
-def _counts_for_widths(widths: bytes, k_per_dim: int, cap: int) -> np.ndarray:
-    """``_coarsen_counts`` for the control widths given as float64 bytes.
+    """Per-dimension level counts, as uniform as possible, with product <= cap,
+    read-only.
 
     Counts are raised round-robin from 1 toward ``k_per_dim``, stopping as
     soon as another increment would bust the cap.  Within a round, dimensions
     with a wider control range come first (ties by index): under heavy cap
     pressure only some dimensions can afford a second point, and an extra
     point buys the most where the range it discretizes is widest.  A
-    zero-width dimension holds one value and is never raised.  Cached because
-    the counts depend on nothing that changes between intervals.
+    zero-width dimension holds one value and is never raised.
     """
-    w = np.frombuffer(widths)
+    w = problem.control_upper - problem.control_lower
     order = sorted(np.flatnonzero(w > 0.0).tolist(), key=lambda j: (-w[j], j))
     counts = np.ones(w.size, dtype=int)
     product = 1
@@ -269,17 +250,21 @@ def level_bound_search(
     if not problem.has_state_bounds:
         return [(float(problem.control_lower[d]), float(problem.control_upper[d])) for d in dims]
     x = np.asarray(x, dtype=float)
-    drift = None if problem.drift is None else eval_drift(problem, t, x)
-    lo, hi = _search_ranges(problem, t, x, dt, dims, drift)
+    drift = terms = None
+    if problem.drift is not None:
+        drift, terms = eval_drift(problem, t, x), _affine_terms(problem)
+    lo, hi = _search_ranges(problem, t, x, dt, dims, drift, terms)
     return [(float(lo[d]), float(hi[d])) for d in dims]
 
 
 def _search_ranges(
-    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int], drift: Optional[Array]
+    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int],
+    drift: Optional[Array], terms: Optional[_AffineTerms],
 ) -> Tuple[Array, Array]:
     """``level_bound_search`` with state bounds, as the lower and the upper
     ends of every control dimension (its control bounds where it is not in
-    ``dims``); ``drift`` is None without the hooks.
+    ``dims``); ``drift`` and the problem's ``_AffineTerms`` are None without
+    the hooks.
 
     With the hooks the search is one fixed-shape pass (``_affine_ranges``)
     over every anchor, probe point and control dimension, with no dynamics
@@ -290,7 +275,7 @@ def _search_ranges(
     if drift is None:
         lo, hi, missing = _bisect_ranges(problem, t, x, dt, dims)
     else:
-        lo, hi, missing = _affine_ranges(problem, x, dt, dims, drift)
+        lo, hi, missing = _affine_ranges(problem, x, dt, dims, drift, terms)
     if missing.size:
         raise InfeasibleLevels(
             f"no admissible control level found for dimension(s) {missing.tolist()} "
@@ -348,10 +333,11 @@ def _bisect_ranges(
 
 class _AffineTerms(NamedTuple):
     """What the control-affine range search and box filter need of a
-    problem alone (see ``_affine_terms``).  The anchors are the midpoint,
-    the lower and the upper corner of the control box; the probe points of
-    a control dimension, which are also the start points an infeasible end
-    is searched from, are its lower end, upper end and midpoint."""
+    problem alone, built once per ``LevelCache`` (see ``_affine_terms``).
+    The anchors are the midpoint, the lower and the upper corner of the
+    control box; the probe points of a control dimension, which are also
+    the start points an infeasible end is searched from, are its lower end,
+    upper end and midpoint."""
 
     #: ``(3, m)``: the probe points, lower end, upper end, midpoint
     points: Array
@@ -370,12 +356,10 @@ class _AffineTerms(NamedTuple):
     box_sums: Array
 
 
-@functools.lru_cache(maxsize=16)
-def _affine_terms(key: Tuple[bytes, bytes, bytes]) -> _AffineTerms:
-    """The ``_AffineTerms`` of a problem with the given ``affine_key``, as
-    read-only arrays; cached because they depend on the problem alone."""
-    lo, hi, B = (np.frombuffer(k).copy() for k in key)
-    B = B.reshape(lo.size, -1)
+def _affine_terms(problem: ControlProblem) -> _AffineTerms:
+    """The ``_AffineTerms`` of a problem with the control-affine hooks, as
+    read-only arrays."""
+    lo, hi, B = problem.control_lower, problem.control_upper, problem.control_matrix
     points = np.stack([lo, hi, 0.5 * (lo + hi)])
     anchors = (points[2], lo, hi)
     gaps = np.stack([np.stack([lo - a, hi - a], axis=1) for a in points])
@@ -393,7 +377,7 @@ def _affine_terms(key: Tuple[bytes, bytes, bytes]) -> _AffineTerms:
 
 
 def _affine_ranges(
-    problem: ControlProblem, x: Array, dt: float, dims: Array, drift: Array
+    problem: ControlProblem, x: Array, dt: float, dims: Array, drift: Array, terms: _AffineTerms
 ) -> Tuple[Array, Array, Array]:
     """``_search_ranges`` with the hooks in one pass; also returns the
     dimensions of ``dims`` found at no anchor.
@@ -416,7 +400,6 @@ def _affine_ranges(
     several dimensions move together in the product filter, which drops a
     level that the bisection keeps.
     """
-    terms = _affine_terms(problem.affine_key)
     m, n = problem.control_dim, problem.state_dim
     cols = np.arange(m)
     probes = (x + dt * (drift + terms.anchor_steps))[:, None, None] + dt * terms.shifts
@@ -572,34 +555,65 @@ def _affine_in_box(
     return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
 
 
-def _box_steps_inside(problem: ControlProblem, x_i: Array, dt: float, drift: Array) -> bool:
+def _box_steps_inside(
+    problem: ControlProblem, x_i: Array, dt: float, drift: Array, terms: _AffineTerms
+) -> bool:
     """Whether ``_open_coords`` clears every state coordinate over the whole
     control box (each control's values spanning its bounds).  Every grid
     value lies within the bounds and rounding is monotone, so the box filter
     then keeps every level, and the range search, whose probes stay inside
-    the box, keeps every range whole: the level grid is the unbounded one."""
-    sums = _affine_terms(problem.affine_key).box_sums
-    return not _open_coords(problem, x_i, dt, drift, *sums).any()
+    the box, keeps every range whole: the level grid is the whole-box one."""
+    return not _open_coords(problem, x_i, dt, drift, *terms.box_sums).any()
 
 
-class LevelBuild:
-    """The level work of the last build with state bounds in one
-    propagation, which the next build starts from: ``lo`` and ``hi``, the
-    searched range ends, with ``grids``, the scalar grid of each control
-    dimension over them; and ``values`` and ``sizes``, the last
-    concatenated grids and their sizes, with ``levels``, the buffer that
-    holds their whole product before the box filter.  Empty (all None)
-    until the first build.  One serves one problem and one ``GridParams``.
+class LevelCache:
+    """What level generation reuses for one problem and one ``GridParams``;
+    ``generate_levels_with_dynamics`` refuses it for any other.
 
-    The build owns ``levels``: a column-major ``(K, m)`` array, read-only
-    to everyone else, that each build with this ``LevelBuild`` writes over
-    in place (``_product_levels``).  A grid or a batch-hook block that
-    shares it is valid only until the next such build."""
+    Computed from the problem's arrays when the cache is built: ``counts``,
+    the level count of each control dimension (``_coarsen_counts``), and
+    ``terms``, the ``_AffineTerms`` of a problem with the control-affine
+    hooks and state bounds (None otherwise).  Built on first use:
+    ``box_grid``, the grid over the whole control box, which is the grid of
+    every interval without state bounds and of every interval whose whole
+    control box steps inside the state box (``_box_steps_inside``).
 
-    __slots__ = ("lo", "hi", "grids", "values", "sizes", "levels")
+    Kept from the builds before, which the next build starts from: ``lo``
+    and ``hi``, the range ends of the last search, with ``grids``, the
+    scalar grid of each control dimension over them; and ``values`` and
+    ``sizes``, the concatenated grids of the last product and their sizes,
+    with ``levels``, the buffer that holds that whole product before the
+    box filter; all None until the first such build.  The cache owns
+    ``levels``: a column-major ``(K, m)`` array, read-only to everyone
+    else, that each build writes over in place (``_product_levels``), so a
+    grid or a batch-hook block that shares it is valid only until the next
+    build with this cache.
 
-    def __init__(self):
+    ``memo`` is None, or a dict that keeps per interval ``(t, dt)`` the
+    start state's bytes, the concatenated scalar grids, their sizes and
+    the keep mask (None when every level is kept) of the last build there,
+    with no grids, sizes or mask where ``box_grid`` was returned; never
+    levels or dynamics rows, whose size would grow the peak memory by
+    megabytes.  ``solve`` gives its cache one, because its propagations
+    start intervals again from the same states; a lone propagation never
+    does.
+    """
+
+    def __init__(self, problem: ControlProblem, params: GridParams):
+        self.problem, self.params = problem, params
+        self.counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
+        affine = problem.drift is not None and problem.has_state_bounds
+        self.terms = _affine_terms(problem) if affine else None
         self.lo = self.hi = self.grids = self.values = self.sizes = self.levels = None
+        self.memo: Optional[Dict[Tuple[float, float], tuple]] = None
+
+    @functools.cached_property
+    def box_grid(self) -> LevelGrid:
+        problem = self.problem
+        values, sizes = _grid_values(
+            problem.gated_dims, problem.control_lower, problem.control_upper, self.counts
+        )
+        return LevelGrid(_product_levels(values, sizes))
 
 
 def _grid_values(
@@ -607,80 +621,65 @@ def _grid_values(
     lo: Array,
     hi: Array,
     counts: Array,
-    previous: Optional[LevelBuild] = None,
+    cache: Optional[LevelCache] = None,
 ) -> Tuple[Array, Tuple[int, ...]]:
     """The per-dimension grids from ``lo`` to ``hi`` with ``counts``
     points, concatenated, and their sizes.  A dimension whose range ends
-    equal ``previous``'s bit for bit keeps its grid; ``previous`` then
-    takes these ranges and grids."""
+    equal ``cache``'s bit for bit keeps its grid; ``cache`` then takes
+    these ranges and grids."""
     gated_dims = gated_dims or {}
     lo_list, hi_list = lo.tolist(), hi.tolist()
-    if previous is None or previous.grids is None:
+    if cache is None or cache.grids is None:
         grids = [None] * len(lo_list)
         redo = range(len(lo_list))
     else:
-        grids = list(previous.grids)
-        moved = (lo.view(np.int64) != previous.lo.view(np.int64)) | (
-            hi.view(np.int64) != previous.hi.view(np.int64)
+        grids = list(cache.grids)
+        moved = (lo.view(np.int64) != cache.lo.view(np.int64)) | (
+            hi.view(np.int64) != cache.hi.view(np.int64)
         )
         redo = np.flatnonzero(moved).tolist()
     for j in redo:
         grids[j] = _scalar_grid(gated_dims.get(j), j, lo_list[j], hi_list[j], int(counts[j]))
-    if previous is not None:
-        previous.lo, previous.hi, previous.grids = lo, hi, grids
+    if cache is not None:
+        cache.lo, cache.hi, cache.grids = lo, hi, grids
     return np.concatenate(grids), tuple(g.size for g in grids)
 
 
-def _product_levels(values: Array, sizes: Tuple[int, ...], previous: Optional[LevelBuild] = None) -> Array:
+def _product_levels(values: Array, sizes: Tuple[int, ...], cache: Optional[LevelCache] = None) -> Array:
     """The lexicographic Cartesian product of the grids that ``_grid_values``
     returned, as a read-only column-major ``(K, m)`` array (dimension count
     is not limited the way np.meshgrid is), written one column at a time:
     column j runs through grid j in blocks of ``prod(sizes[j + 1:])`` equal
     rows.
 
-    With ``previous`` the product is written into its buffer in place: only
-    the columns whose grids differ from ``previous.values`` bit for bit, or
+    With ``cache`` the product is written into its buffer in place: only
+    the columns whose grids differ from ``cache.values`` bit for bit, or
     every column when the sizes changed; a new buffer is allocated only
-    when K changes.  ``previous`` then holds these grids and the buffer.
+    when K changes.  ``cache`` then holds these grids and the buffer.
     Without it every call writes a new array."""
     K, m = math.prod(sizes), len(sizes)
     starts = _segments(sizes)[0]
-    levels = None if previous is None else previous.levels
+    levels = None if cache is None else cache.levels
     if levels is None or levels.shape[0] != K:
         levels, changed = np.empty((K, m), order="F"), range(m)
-    elif previous.sizes != sizes:
+    elif cache.sizes != sizes:
         changed = range(m)
     else:
-        differs = values.view(np.int64) != previous.values.view(np.int64)
+        differs = values.view(np.int64) != cache.values.view(np.int64)
         changed = np.flatnonzero(np.logical_or.reduceat(differs, starts)).tolist()
     levels.setflags(write=True)
     for j in changed:
         blocks = levels[:, j].reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
         blocks[...] = values[starts[j]:starts[j] + sizes[j], None]
     levels.setflags(write=False)
-    if previous is not None:
-        previous.values, previous.sizes, previous.levels = values, sizes, levels
+    if cache is not None:
+        cache.values, cache.sizes, cache.levels = values, sizes, levels
     return levels
-
-
-@functools.lru_cache(maxsize=16)
-def _unbounded_grid(control_key: tuple, params: GridParams) -> LevelGrid:
-    """The level grid of every interval of a problem without state bounds,
-    whose ranges are the control bounds, and of every interval where the
-    whole control box steps inside the state box; ``control_key`` is the
-    problem's (see ``ControlProblem.control_key``)."""
-    lower, upper, gates = control_key
-    lo, hi = np.frombuffer(lower), np.frombuffer(upper)
-    counts = _counts_for_widths((hi - lo).tobytes(), params.k_per_dim, params.cap)
-    gated_dims = {dim: (g_lo, g_hi) for dim, g_lo, g_hi in gates}
-    values, sizes = _grid_values(gated_dims, lo, hi, counts)
-    return LevelGrid(_product_levels(values, sizes))
 
 
 def generate_levels_with_dynamics(
     problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams,
-    drift: Optional[Array] = None, memo: Optional[LevelMemo] = None,
-    previous: Optional[LevelBuild] = None,
+    drift: Optional[Array] = None, cache: Optional[LevelCache] = None,
 ) -> Tuple[LevelGrid, Optional[Array]]:
     """Build the level grid for one interval at state ``x_i``.
 
@@ -694,31 +693,26 @@ def generate_levels_with_dynamics(
     sorted lexicographically, in a read-only array that the grid shares:
     the column-major product itself when every level is kept, a row-major
     copy (``levels[keep]``) otherwise.
-    Without state bounds the grid is built once per distinct control bounds,
-    gated dimensions and ``params``, and shared read-only; so is it for a
-    control-affine problem where the separable bound clears every state
-    coordinate over the whole control box (``_box_steps_inside``), since
-    the search then keeps every range whole and the filter every level.
-    ``drift`` is the control-affine drift at (t, x_i) when the caller has it
-    already; it is evaluated here otherwise.
+    Without state bounds the grid is the cache's shared ``box_grid``; so is
+    it for a control-affine problem where the separable bound clears every
+    state coordinate over the whole control box (``_box_steps_inside``),
+    since the search then keeps every range whole and the filter every
+    level.  ``drift`` is the control-affine drift at (t, x_i) when the
+    caller has it already; it is evaluated here otherwise.
 
-    ``memo`` (see ``LevelMemo``) keeps, per interval ``(t, dt)``, the state
-    and the scalar grids and keep mask built there (no grids when the
-    shared grid was returned).  When ``x_i`` equals that state bit for bit,
-    the range search, the scalar grids and the box test are skipped and the
-    same levels are written again; a miss replaces the entry, and a failed
-    build leaves none.  The memo keeps no levels.  One memo serves one
-    problem and one ``params``.
-
-    ``previous`` (see ``LevelBuild``) is the build of the interval before,
-    which this one starts from and then replaces: a range whose ends did not
-    move keeps its scalar grid, and the product is written into the buffer
-    that ``previous`` owns, only the changed columns (``_product_levels``).
-    The result is bit for bit the fresh build's, but a grid returned by a
-    build handed ``previous`` is valid only until the next build handed the
-    same ``previous``, which may write over its levels; a batch hook gets
-    them read-only, valid only during the call.  Without ``previous``
-    everything is built afresh.
+    ``cache`` (see ``LevelCache``) holds the level work that this build
+    reuses and then replaces; a fresh one is built when none is given, and
+    one built for another problem (by identity) or other ``params`` (by
+    equality) raises ``ValueError``.  Each build starts from the one before
+    it: a range whose ends did not move keeps its scalar grid, and the
+    product is written into the cache's buffer, only the changed columns
+    (``_product_levels``).  When the cache's memo holds this interval
+    ``(t, dt)`` from ``x_i``, bit for bit, the range search, the scalar
+    grids and the box test are skipped and the same levels are written
+    again; a miss replaces the entry, and a failed build leaves none.  The
+    result is bit for bit the fresh build's, but a grid is valid only until
+    the next build with the same cache, which may write over its levels; a
+    batch hook gets them read-only, valid only during the call.
 
     Also returns the dynamics rows at the kept levels when the problem has
     state bounds and no control-affine hooks (the filter evaluated them, so
@@ -727,10 +721,15 @@ def generate_levels_with_dynamics(
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if cache is None:
+        cache = LevelCache(problem, params)
+    elif cache.problem is not problem or cache.params != params:
+        raise ValueError("the LevelCache was built for another problem or other GridParams")
     if not problem.has_state_bounds:
-        return _unbounded_grid(problem.control_key, params), None
+        return cache.box_grid, None
     x_i = np.asarray(x_i, dtype=float)
     state = x_i.tobytes()
+    memo = cache.memo
     entry = None if memo is None else memo.pop((t, dt), None)
     hit = entry is not None and entry[0] == state
     values = sizes = keep = f = None
@@ -739,14 +738,14 @@ def generate_levels_with_dynamics(
     else:
         if drift is None and problem.drift is not None:
             drift = eval_drift(problem, t, x_i)
-        if drift is None or not _box_steps_inside(problem, x_i, dt, drift):
-            lo, hi = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift)
-            counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
-            values, sizes = _grid_values(problem.gated_dims, lo, hi, counts, previous)
+        if drift is None or not _box_steps_inside(problem, x_i, dt, drift, cache.terms):
+            dims = range(problem.control_dim)
+            lo, hi = _search_ranges(problem, t, x_i, dt, dims, drift, cache.terms)
+            values, sizes = _grid_values(problem.gated_dims, lo, hi, cache.counts, cache)
     if values is None:
-        grid = _unbounded_grid(problem.control_key, params)
+        grid = cache.box_grid
     else:
-        levels = _product_levels(values, sizes, previous)
+        levels = _product_levels(values, sizes, cache)
         if not hit:
             if drift is None:
                 f = eval_dynamics_batch(problem, t, x_i, levels)

@@ -19,7 +19,6 @@ solver runs as long as its evaluators are reentrant.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -46,10 +45,14 @@ def _checked(value, shape: Tuple[int, ...], hook: str, t: Optional[float] = None
     return arr
 
 
-def _readonly(a: Array) -> Array:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _readonly(a, dtype=float) -> Array:
+    """A read-only copy of ``a``, as a view of a private read-only owner:
+    numpy refuses to turn writing back on for a view whose base is
+    read-only, so a caller cannot change the array through it after it was
+    checked."""
+    owner = np.array(a, dtype=dtype)
+    owner.setflags(write=False)
+    return owner.view()
 
 
 @dataclass(frozen=True)
@@ -155,25 +158,6 @@ class ControlProblem:
     @property
     def has_state_bounds(self) -> bool:
         return self.state_lower is not None or self.state_upper is not None
-
-    @functools.cached_property
-    def control_key(self) -> Tuple[bytes, bytes, Tuple[Tuple[int, float, float], ...]]:
-        """The control set as one hashable value, built on first use: the
-        float64 bytes of the control bounds and the gated dimensions as
-        sorted ``(dim, low, high)``."""
-        gates = tuple(
-            (int(dim), float(lo), float(hi))
-            for dim, (lo, hi) in sorted((self.gated_dims or {}).items())
-        )
-        return self.control_lower.tobytes(), self.control_upper.tobytes(), gates
-
-    @functools.cached_property
-    def affine_key(self) -> Tuple[bytes, bytes, bytes]:
-        """The control bounds and the control matrix as one hashable value,
-        built on first use: ``control_key``'s bound bytes and the float64
-        bytes of the control matrix.  Only for problems with the
-        control-affine hooks."""
-        return self.control_key[:2] + (self.control_matrix.tobytes(),)
 
 
 def eval_drift(problem: ControlProblem, t: float, x: Array) -> Array:

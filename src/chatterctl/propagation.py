@@ -21,7 +21,7 @@ from .chattering import (
     STEP_FEASIBILITY_TOL,
     GridParams,
     InfeasibleLevels,
-    LevelMemo,
+    LevelCache,
     solve_measure_lp,
 )
 from .model import (
@@ -49,7 +49,7 @@ class TimePartition:
     times: Array
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
+        times = _readonly(self.times)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("a partition needs at least two time points")
         if not np.all(np.isfinite(times)):
@@ -58,7 +58,6 @@ class TimePartition:
             raise ValueError("partition must start at t=0")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("partition times must be strictly increasing")
-        times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
     @classmethod
@@ -128,9 +127,7 @@ class Trajectory:
         for name in ("times", "x", "p", "u", "h_values", "stage_costs", "support_levels",
                      "support_weights"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        offsets = np.array(self.offsets, dtype=np.intp)
-        offsets.setflags(write=False)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "offsets", _readonly(self.offsets, np.intp))
         times, x, u, off, w = self.times, self.x, self.u, self.offsets, self.support_weights
         N, S = times.size - 1, w.size
         if times.ndim != 1 or N < 1 or np.any(np.diff(times) <= 0.0):
@@ -248,7 +245,7 @@ def propagate_forward(
     p0: Array,
     grid_params: GridParams = GridParams(),
     measurement_source: Optional[MeasurementSource] = None,
-    memo: Optional[LevelMemo] = None,
+    cache: Optional[LevelCache] = None,
 ) -> Trajectory:
     """Run the full per-interval pipeline from (x_0, p0) to the horizon.
 
@@ -267,11 +264,11 @@ def propagate_forward(
     ``ValueError`` (an output of the wrong shape) are tagged with the
     ``interval_index``.
 
-    ``memo`` is handed to every level generation: propagations that share
-    one reuse an interval's level work when they start it from the same
-    state (see ``chattering.generate_levels_with_dynamics``).  Each level
-    generation also starts from the one before it in this propagation (a
-    ``chattering.LevelBuild``, dropped when the propagation returns).
+    Every level generation gets ``cache`` (a ``chattering.LevelCache`` for
+    ``problem`` and ``grid_params``; one is built when none is given) and
+    starts from the one before it.  Propagations that share a cache with a
+    memo reuse an interval's level work when they start it from the same
+    state (see ``chattering.generate_levels_with_dynamics``).
     """
     p0 = np.asarray(p0, dtype=float)
     n, N = problem.state_dim, partition.intervals
@@ -287,7 +284,8 @@ def propagate_forward(
     # one drift evaluation per interval serves level search, filter, sweep and step
     affine = problem.drift is not None
     B = problem.control_matrix
-    previous = chattering.LevelBuild()
+    if cache is None:
+        cache = LevelCache(problem, grid_params)
     x, p, cost, clamp_count = np.array(problem.initial_state), np.array(p0), 0.0, 0
     for i, (t, dt) in enumerate(zip(partition.times.tolist(), partition.deltas.tolist())):
         if measurement_source is not None:
@@ -301,7 +299,7 @@ def propagate_forward(
         try:
             drift = eval_drift(problem, t, x) if affine else None
             grid, f_vals = chattering.generate_levels_with_dynamics(
-                problem, t, x, dt, grid_params, drift, memo, previous
+                problem, t, x, dt, grid_params, drift, cache
             )
             g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
             if affine:
@@ -332,7 +330,7 @@ def propagate_forward(
         cost += stage
         clamp_count += clamped
         x, p = x_next, p_next
-        # the next build writes over ``previous``'s product, which this grid
+        # the next build writes over the cache's product, which this grid
         # may share: drop the grid and rows now (a filtered grid would also
         # be a second array alive through that build)
         grid = f_vals = None
@@ -371,7 +369,9 @@ def replay_measurement_source(replacements: Mapping[int, Sequence[float]]) -> Me
 
 def load_replay_file(path) -> MeasurementSource:
     """Load a JSON replay file mapping interval index to a state vector; a
-    file that holds no such object raises ``ValueError`` naming it."""
+    file that holds no such object, a key that is not an integer and a
+    state that is not a rectangular array of numbers raise ``ValueError``
+    naming the file (and the key)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -382,7 +382,13 @@ def load_replay_file(path) -> MeasurementSource:
     table = {}
     for key, state in raw.items():
         try:
-            table[int(key)] = state
+            index = int(key)
         except ValueError:
             raise ValueError(f"replay file {path}: key {key!r} is not an interval index") from None
+        try:
+            table[index] = np.asarray(state, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValueError(
+                f"replay file {path}: the state at key {key!r} is not an array of numbers: {err}"
+            ) from None
     return replay_measurement_source(table)

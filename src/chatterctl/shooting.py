@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .chattering import GridParams, InfeasibleLevels, LevelMemo
+from .chattering import GridParams, InfeasibleLevels, LevelCache
 from .model import (
     Array,
     ControlProblem,
@@ -252,9 +252,9 @@ def solve(
 
     Within one switching pattern the state path does not depend on the
     guess, so later iterations start interval after interval from the same
-    states: the propagations share one level memo, which lives as long as
-    this call, and skip the level work that an earlier iteration did at the
-    same interval and state.
+    states: the propagations share one ``chattering.LevelCache`` with a
+    memo, which lives as long as this call, and skip the level work that an
+    earlier iteration did at the same interval and state.
     """
     p0 = np.array(config.p0_initial, dtype=float)
     history: List[float] = []
@@ -267,7 +267,8 @@ def solve(
     message = ""
     # the iteration that propagated each guess, by the guess's bytes
     seen: Dict[bytes, int] = {}
-    memo: LevelMemo = {}
+    cache = LevelCache(problem, grid_params)
+    cache.memo = {}
     for _ in range(config.max_iterations):
         iteration = len(history) + 1
         earlier = seen.get(p0.tobytes())
@@ -279,7 +280,7 @@ def solve(
             break
         seen[p0.tobytes()] = iteration
         try:
-            trajectory = propagate_forward(problem, partition, p0, grid_params, memo=memo)
+            trajectory = propagate_forward(problem, partition, p0, grid_params, cache=cache)
         except InfeasibleLevels as err:
             message = f"level generation became infeasible: {err}"
             break

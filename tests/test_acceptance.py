@@ -225,8 +225,8 @@ class TestReferenceRuns:
         assert abs(trajectory.accumulated_cost - expected) <= 1e-12 * abs(expected)
         generate = chattering.generate_levels_with_dynamics
 
-        def fresh(problem, t, x, dt, params, drift, memo, previous):
-            return generate(problem, t, x, dt, params, drift, memo)
+        def fresh(problem, t, x, dt, params, drift, cache):
+            return generate(problem, t, x, dt, params, drift)
 
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", fresh)
         assert fingerprint(propagate_forward(problem, partition, p0, params, source)) == fingerprint(

@@ -486,6 +486,7 @@ class TestOnePassSearch:
         sides = collections.Counter()
         for _ in range(3000):
             problem, x, drift = bounded_affine_case(rng)
+            terms = chattering.LevelCache(problem, GridParams()).terms
             t, dt = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0))
             dims = random_dims(rng, problem.control_dim)
             sides[(problem.state_lower is not None, problem.state_upper is not None)] += 1
@@ -493,11 +494,11 @@ class TestOnePassSearch:
                 lo, hi, found_at = reference_affine_ranges(problem, t, x, dt, dims, drift)
             except InfeasibleLevels as error:
                 with pytest.raises(InfeasibleLevels) as raised_here:
-                    chattering._search_ranges(problem, t, x, dt, dims, drift)
+                    chattering._search_ranges(problem, t, x, dt, dims, drift, terms)
                 assert str(raised_here.value) == str(error)
                 raised += 1
                 continue
-            one_pass = chattering._search_ranges(problem, t, x, dt, dims, drift)
+            one_pass = chattering._search_ranges(problem, t, x, dt, dims, drift, terms)
             assert_bitwise(one_pass[0], lo)
             assert_bitwise(one_pass[1], hi)
             anchors.update(found_at[found_at >= 0].tolist())
@@ -1005,7 +1006,8 @@ class TestGenerateLevels:
 
 
 class TestLevelMemos:
-    """The state-independent level work is done once and shared."""
+    """The state-independent level work is done once per ``LevelCache`` and
+    shared by its builds."""
 
     def test_lqr_propagation_builds_one_grid(self, monkeypatch):
         problem = build_lqr()
@@ -1022,7 +1024,6 @@ class TestLevelMemos:
 
         monkeypatch.setattr(chattering, "_scalar_grid", counted_scalar)
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted_levels)
-        chattering._unbounded_grid.cache_clear()
         partition = TimePartition.uniform(problem.horizon, 100)
         traj = propagate_forward(problem, partition, np.zeros(1), GridParams())
         assert len(traj.points) == 101
@@ -1031,28 +1032,35 @@ class TestLevelMemos:
     def test_unbounded_grid_is_shared_and_read_only(self):
         problem = build_lqr()
         params = GridParams()
-        first, f_first = generate_levels_with_dynamics(problem, 0.0, np.array([10.0]), 0.01, params)
-        second, f_second = generate_levels_with_dynamics(problem, 0.7, np.array([-3.0]), 0.02, params)
+        cache = chattering.LevelCache(problem, params)
+        first, f_first = generate_levels_with_dynamics(problem, 0.0, np.array([10.0]), 0.01, params,
+                                                       cache=cache)
+        second, f_second = generate_levels_with_dynamics(problem, 0.7, np.array([-3.0]), 0.02, params,
+                                                         cache=cache)
         assert f_first is None and f_second is None
-        assert second is first
+        assert second is first is cache.box_grid
         assert not first.levels.flags.writeable
         with pytest.raises(ValueError):
             first.levels[0, 0] = 0.0
-        chattering._unbounded_grid.cache_clear()
         fresh, _ = generate_levels_with_dynamics(problem, 0.0, np.array([10.0]), 0.01, params)
         assert fresh is not first
         assert fresh.levels.tobytes() == first.levels.tobytes()
 
-    def test_unbounded_grid_keyed_by_value(self):
+    def test_unbounded_grid_shared_within_one_cache(self):
         base = dict(m=2, control_lower=[-1.0, 0.0], control_upper=[1.0, 4.0])
         x = np.zeros(1)
 
         def levels(params=GridParams(5, 4096), **changes):
             problem = box_problem(**{**base, **changes})
-            return generate_levels_with_dynamics(problem, 0.0, x, 0.1, params)[0]
+            cache = chattering.LevelCache(problem, params)
+            grid = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, cache)[0]
+            assert generate_levels_with_dynamics(problem, 0.5, x, 0.2, params, None, cache)[0] is grid
+            return grid
 
         plain = levels()
-        assert levels() is plain  # a distinct but equal problem shares the grid
+        # a distinct but equal problem gets an equal grid of its own
+        again = levels()
+        assert again is not plain and again.levels.tobytes() == plain.levels.tobytes()
         others = [
             levels(gated_dims={1: (2.0, 4.0)}),
             levels(control_upper=[1.0, 3.0]),
@@ -1060,40 +1068,71 @@ class TestLevelMemos:
             levels(params=GridParams(5, 16)),
         ]
         for other in others:
-            assert other is not plain
             assert other.levels.tobytes() != plain.levels.tobytes()
         assert not np.any(others[0].levels[:, 1] == 1.0)  # gated: {0} + [2, 4]
 
     def test_nonpositive_dt_raises_on_warm_memo(self):
         problem = box_problem()
-        generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams())
+        cache = chattering.LevelCache(problem, GridParams())
+        cache.memo = {}
+        generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, cache)
         for dt in (0.0, -0.1):
             with pytest.raises(ValueError):
-                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), dt, GridParams())
+                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), dt, GridParams(), None, cache)
 
     def test_inadmissible_gated_dimension_raises_every_call(self):
         # active range above the control bounds, and zero outside them
         problem = box_problem(
             control_lower=[0.5], control_upper=[1.0], gated_dims={0: (2.0, 3.0)}
         )
-        for _ in range(3):
+        cache = chattering.LevelCache(problem, GridParams())
+        for shared in (None, cache, cache):
             with pytest.raises(InfeasibleLevels):
-                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams())
+                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, shared)
 
-    def test_coarsen_counts_read_only_and_keyed_by_value(self):
-        one = box_problem(m=3, control_lower=[0.0, -1.0, 2.0], control_upper=[1.0, 1.0, 4.0])
-        two = box_problem(m=3, control_lower=[5.0, 0.0, -2.0], control_upper=[6.0, 2.0, 0.0])
-        counts = _coarsen_counts(one, 101, 4096)
-        assert not counts.flags.writeable
+    def test_counts_read_only_and_computed_once_per_cache(self, monkeypatch):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 20)
+        params = GridParams()
+        calls = []
+        coarsen = chattering._coarsen_counts
+
+        def counted(*args):
+            calls.append(args)
+            return coarsen(*args)
+
+        monkeypatch.setattr(chattering, "_coarsen_counts", counted)
+        cache = chattering.LevelCache(problem, params)
+        assert not cache.counts.flags.writeable
         with pytest.raises(ValueError):
-            counts[0] = 7
-        assert np.array_equal(_coarsen_counts(two, 101, 4096), counts)
+            cache.counts[0] = 7
+        propagate_forward(problem, TimePartition.uniform(1.0, 20), np.zeros(20), params, cache=cache)
+        assert calls == [(problem, params.k_per_dim, params.cap)]
+        # a propagation without a cache builds one
+        propagate_forward(problem, TimePartition.uniform(1.0, 20), np.zeros(20), params)
+        assert len(calls) == 2
+
+    def test_mismatched_cache_refused(self):
+        problem, params = box_problem(state_upper=np.ones(1)), GridParams(5, 64)
+        cache = chattering.LevelCache(problem, params)
+        equal_problem = dataclasses.replace(problem)
+        for other, other_params in ((equal_problem, params), (problem, GridParams(5, 32))):
+            with pytest.raises(ValueError, match="LevelCache was built for another problem"):
+                generate_levels_with_dynamics(other, 0.0, np.zeros(1), 0.1, other_params, None, cache)
+        # an equal GridParams is accepted
+        generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(5, 64), None, cache)
+
+
+def memo_cache(problem, params):
+    """A ``LevelCache`` with a memo, as ``solve`` builds it."""
+    cache = chattering.LevelCache(problem, params)
+    cache.memo = {}
+    return cache
 
 
 class TestIntervalMemo:
-    """A memo handed to the generator keeps, per interval, the state and the
-    level work done there; the same interval from the same state, bit for
-    bit, skips the range search and gives the same grid and rows."""
+    """A cache with a memo keeps, per interval, the state and the level work
+    done there; the same interval from the same state, bit for bit, skips
+    the range search and gives the same grid and rows."""
 
     @staticmethod
     def count_searches(monkeypatch):
@@ -1122,9 +1161,10 @@ class TestIntervalMemo:
         nudged[3] = np.nextafter(nudged[3], np.inf)
         plain_nudged, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params)
         searches = self.count_searches(monkeypatch)
-        memo = {}
+        cache = memo_cache(problem, params)
+        memo = cache.memo
         for expected_searches in (1, 1):
-            grid, rows = generate_levels_with_dynamics(problem, t, x.copy(), dt, params, None, memo)
+            grid, rows = generate_levels_with_dynamics(problem, t, x.copy(), dt, params, None, cache)
             assert len(searches) == expected_searches and len(memo) == 1
             assert_bitwise(grid.levels, plain.levels)
             assert not grid.levels.flags.writeable
@@ -1132,23 +1172,23 @@ class TestIntervalMemo:
                 assert rows is None
             else:
                 assert_bitwise(rows, plain_rows)
-        grid, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params, None, memo)
+        grid, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params, None, cache)
         assert len(searches) == 2 and len(memo) == 1
         assert memo[(t, dt)][0] == nudged.tobytes()
         assert_bitwise(grid.levels, plain_nudged.levels)
         # another interval from the same state is another entry
-        generate_levels_with_dynamics(problem, t + dt, nudged, dt, params, None, memo)
+        generate_levels_with_dynamics(problem, t + dt, nudged, dt, params, None, cache)
         assert len(searches) == 3 and len(memo) == 2
 
     def test_infeasible_build_leaves_no_entry(self):
         # x' = 1 against the upper bound 0: from x = 0 no level is admissible
         problem = box_problem(dynamics=lambda t, x, u: np.ones(1), state_upper=np.zeros(1))
-        memo = {}
-        generate_levels_with_dynamics(problem, 0.0, np.array([-1.0]), 0.1, GridParams(), None, memo)
-        assert len(memo) == 1
+        cache = memo_cache(problem, GridParams())
+        generate_levels_with_dynamics(problem, 0.0, np.array([-1.0]), 0.1, GridParams(), None, cache)
+        assert len(cache.memo) == 1
         with pytest.raises(InfeasibleLevels):
-            generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, memo)
-        assert memo == {}
+            generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, cache)
+        assert cache.memo == {}
 
 
 def zero_gated_problem(rng):
@@ -1179,56 +1219,63 @@ def next_chain_state(rng, problem, x):
     return drawn
 
 
-def chain_path(before, previous, grid, shared):
-    """Which way a build handed ``previous`` made its grid, from
-    ``previous``'s ``(sizes, values, levels)`` before the build and
-    ``previous`` after it.  Checks that the product buffer is the one
-    before exactly when the level count K did not change."""
+def chain_path(before, cache, grid):
+    """Which way a build with ``cache`` made its grid, from the cache's
+    ``(sizes, values, levels)`` before the build and the cache after it.
+    Checks that the product buffer is the one before exactly when the level
+    count K did not change."""
     sizes, values, levels = before
-    if grid is shared:
+    if grid is cache.box_grid:
         return "whole box"
     if sizes is None:
         return "first"
-    assert (previous.levels is levels) == (previous.levels.shape == levels.shape)
-    if sizes != previous.sizes:
+    assert (cache.levels is levels) == (cache.levels.shape == levels.shape)
+    if sizes != cache.sizes:
         return "sizes changed"
-    differs = previous.values.view(np.int64) != values.view(np.int64)
+    differs = cache.values.view(np.int64) != values.view(np.int64)
     return "rewritten" if differs.any() else "reused"
 
 
+def fresh_build(problem, t, x, dt, params):
+    """A build with a fresh cache, and whether it returned the whole-box
+    grid."""
+    cache = chattering.LevelCache(problem, params)
+    grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+    return grid, grid is cache.box_grid
+
+
 def run_chain(rng, paths):
-    """Builds a chain of eight states on a random problem twice, handing
-    each build the one before (``LevelBuild``) and afresh, and checks that
-    both give the same grid bit for bit, raise together, and share the
-    whole-box grid together.  Counts in ``paths`` which way the chained
+    """Builds a chain of eight states on a random problem twice, with one
+    ``LevelCache`` for the chain and with a fresh one per build, and checks
+    that both give the same grid bit for bit, raise together, and return
+    the whole-box grid together.  Counts in ``paths`` which way the chained
     grid was made (``chain_path``)."""
     problem = zero_gated_problem(rng)
     dt = float(rng.uniform(0.05, 0.5))
     params = GridParams(3, int(rng.integers(1, 3 ** problem.control_dim + 1)))
-    shared = chattering._unbounded_grid(problem.control_key, params)
-    previous = chattering.LevelBuild()
+    cache = chattering.LevelCache(problem, params)
     x = problem.initial_state
     for k in range(8):
         x = next_chain_state(rng, problem, x)
         t = 0.1 * k
-        before = (previous.sizes, previous.values, previous.levels)
+        before = (cache.sizes, cache.values, cache.levels)
         try:
-            fresh, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
+            fresh, fresh_whole_box = fresh_build(problem, t, x, dt, params)
         except InfeasibleLevels:
             with pytest.raises(InfeasibleLevels):
-                generate_levels_with_dynamics(problem, t, x, dt, params, None, None, previous)
+                generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
             paths["raised"] += 1
             continue
-        chained, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, None, previous)
+        chained, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
         assert_bitwise(chained.levels, fresh.levels)
-        assert (chained is shared) == (fresh is shared)
-        paths[chain_path(before, previous, chained, shared)] += 1
+        assert (chained is cache.box_grid) == fresh_whole_box
+        paths[chain_path(before, cache, chained)] += 1
 
 
 class TestIncrementalBuild:
-    """A build handed the one before it (``LevelBuild``) keeps the scalar
-    grids whose ranges did not move and the product columns whose grids did
-    not change, and gives the fresh build's grid bit for bit."""
+    """A build with a ``LevelCache`` keeps the scalar grids whose ranges did
+    not move since the cache's last build and the product columns whose
+    grids did not change, and gives the fresh build's grid bit for bit."""
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -1246,17 +1293,16 @@ class TestIncrementalBuild:
     def test_replayed_feedback_builds_match_fresh_builds(self, monkeypatch):
         problem, p0, source = feedback_replay(0)
         params = GridParams(101, 4096)
-        shared = chattering._unbounded_grid(problem.control_key, params)
         generate, built = chattering.generate_levels_with_dynamics, []
         paths = collections.Counter()
 
-        def recorded(problem, t, x, dt, params, drift, memo, previous):
-            before = (previous.sizes, previous.values, previous.levels)
-            grid_out = generate(problem, t, x, dt, params, drift, memo, previous)
-            paths[chain_path(before, previous, grid_out[0], shared)] += 1
+        def recorded(problem, t, x, dt, params, drift, cache):
+            before = (cache.sizes, cache.values, cache.levels)
+            grid_out = generate(problem, t, x, dt, params, drift, cache)
+            paths[chain_path(before, cache, grid_out[0])] += 1
             # compare now: the next build may write over this grid
-            fresh, _ = generate(problem, t, x, dt, params)
-            assert (grid_out[0] is shared) == (fresh is shared)
+            fresh, fresh_whole_box = fresh_build(problem, t, x, dt, params)
+            assert (grid_out[0] is cache.box_grid) == fresh_whole_box
             assert_bitwise(grid_out[0].levels, fresh.levels)
             built.append(t)
             return grid_out
@@ -1271,11 +1317,11 @@ class TestIncrementalBuild:
         problem, p0, source = feedback_replay(1)
         generate, buffers = chattering.generate_levels_with_dynamics, []
 
-        def recorded(problem, t, x, dt, params, drift, memo, previous):
-            grid_out = generate(problem, t, x, dt, params, drift, memo, previous)
-            if previous.levels is not None:
-                assert previous.levels.shape == (4096, problem.control_dim)
-                buffers.append(previous.levels)
+        def recorded(problem, t, x, dt, params, drift, cache):
+            grid_out = generate(problem, t, x, dt, params, drift, cache)
+            if cache.levels is not None:
+                assert cache.levels.shape == (4096, problem.control_dim)
+                buffers.append(cache.levels)
             return grid_out
 
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
@@ -1291,35 +1337,37 @@ class TestIncrementalBuild:
             seen.append((controls.shape[0], controls.flags.f_contiguous, controls.flags.writeable))
             return dynamics(t, x, controls)
 
-        problem, previous = dataclasses.replace(problem, dynamics_batch=hook), chattering.LevelBuild()
+        problem = dataclasses.replace(problem, dynamics_batch=hook)
+        cache = chattering.LevelCache(problem, GridParams())
         grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, problem.initial_state, 0.005, GridParams(), None, None, previous
+            problem, 0.0, problem.initial_state, 0.005, GridParams(), None, cache
         )
         # the filter's batch comes last; every level is kept
-        assert grid.K == 4096 and grid.levels is previous.levels
+        assert grid.K == 4096 and grid.levels is cache.levels
         assert seen[-1] == (4096, True, False)
         assert grid.levels.flags.f_contiguous and not grid.levels.flags.writeable
 
     def test_grid_kept_past_the_next_build_is_overwritten(self):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-        params, previous = GridParams(), chattering.LevelBuild()
+        params = GridParams()
+        cache = chattering.LevelCache(problem, params)
         x_floor = problem.initial_state.copy()
         x_floor[[0, 3, 7]] = 0.0
         first, _ = generate_levels_with_dynamics(
-            problem, 0.0, problem.initial_state, 0.005, params, None, None, previous
+            problem, 0.0, problem.initial_state, 0.005, params, None, cache
         )
-        assert first.K == 4096 and first.levels is previous.levels
+        assert first.K == 4096 and first.levels is cache.levels
         as_built = first.levels.copy()
-        second, _ = generate_levels_with_dynamics(problem, 0.5, x_floor, 0.005, params, None, None, previous)
+        second, _ = generate_levels_with_dynamics(problem, 0.5, x_floor, 0.005, params, None, cache)
         fresh, _ = generate_levels_with_dynamics(problem, 0.5, x_floor, 0.005, params)
         assert_bitwise(second.levels, fresh.levels)
-        assert previous.levels is first.levels
+        assert cache.levels is first.levels
         assert not np.array_equal(first.levels, as_built)
 
 
 class TestWholeBoxGrid:
     """Where the separable bound clears every state coordinate over the
-    whole control box, the generator returns the shared unbounded grid."""
+    whole control box, the generator returns the cache's whole-box grid."""
 
     def test_shared_exactly_when_the_box_steps_inside(self):
         rng = np.random.default_rng(7)
@@ -1334,15 +1382,16 @@ class TestWholeBoxGrid:
             x = problem.initial_state
             dt = float(rng.uniform(0.05, 0.5))
             params = GridParams(5, 64)
-            shared = chattering._unbounded_grid(problem.control_key, params)
-            steps_inside = chattering._box_steps_inside(problem, x, dt, eval_drift(problem, 0.0, x))
+            cache = chattering.LevelCache(problem, params)
+            drift = eval_drift(problem, 0.0, x)
+            steps_inside = chattering._box_steps_inside(problem, x, dt, drift, cache.terms)
             try:
                 stripped, _ = generate_levels_with_dynamics(without_hooks(problem), 0.0, x, dt, params)
             except InfeasibleLevels:
                 assert not steps_inside
                 continue
-            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params)
-            assert (grid is shared) == steps_inside
+            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params, None, cache)
+            assert (grid is cache.box_grid) == steps_inside
             if steps_inside:
                 # elsewhere the closed-form ranges may differ from the
                 # bisection's by less than a bracket
@@ -1357,13 +1406,13 @@ class TestWholeBoxGrid:
             problem, state_lower=np.full(problem.state_dim, -100.0),
             state_upper=np.full(problem.state_dim, 100.0),
         )
-        params, memo = GridParams(5, 64), {}
+        params = GridParams(5, 64)
+        cache = memo_cache(problem, params)
         x = problem.initial_state
-        shared = chattering._unbounded_grid(problem.control_key, params)
         for _ in range(2):
-            grid, rows = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, memo)
-            assert grid is shared and rows is None
-            assert memo == {(0.0, 0.1): (x.tobytes(), None, None, None)}
+            grid, rows = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, cache)
+            assert grid is cache.box_grid and rows is None
+            assert cache.memo == {(0.0, 0.1): (x.tobytes(), None, None, None)}
 
 
 class TestLevelGridSharing:

@@ -176,6 +176,20 @@ class TestTerminal:
 
 
 class TestProblemValidation:
+    def test_arrays_cannot_be_made_writable(self):
+        # a caller that turns writing back on could change the problem after
+        # its arrays were checked
+        problem = make_problem(
+            state_dim=2, initial_state=np.zeros(2), state_lower=np.full(2, -1.0),
+            state_upper=np.ones(2), drift=lambda t, x: np.zeros(2), control_matrix=np.ones((1, 2)),
+        )
+        for name in ("initial_state", "control_lower", "control_upper", "state_lower",
+                     "state_upper", "control_matrix"):
+            array = getattr(problem, name)
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+            assert not array.flags.writeable, name
+
     def test_control_bounds_order(self):
         with pytest.raises(ValueError):
             make_problem(control_lower=np.array([1.0]), control_upper=np.array([-1.0]))

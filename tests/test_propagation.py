@@ -60,6 +60,11 @@ class TestTimePartition:
         part = TimePartition(np.array([0.0, 0.1, 0.5, 2.0]))
         assert np.allclose(part.deltas, [0.1, 0.4, 1.5])
 
+    def test_times_cannot_be_made_writable(self):
+        part = TimePartition.uniform(1.0, 4)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            part.times.setflags(write=True)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -428,6 +433,8 @@ class TestTrajectoryRecord:
         for name in ("times", "x", "p", "u", "h_values", "stage_costs", "offsets",
                      "support_levels", "support_weights"):
             assert not getattr(traj, name).flags.writeable, name
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                getattr(traj, name).setflags(write=True)
         assert traj.points is traj.points
         assert [pt.t for pt in traj.points] == traj.times.tolist()
         assert all(np.array_equal(pt.u, u) for pt, u in zip(traj.points, traj.u))
@@ -494,8 +501,13 @@ class TestFeedbackHook:
 
     @pytest.mark.parametrize(
         "raw, message",
-        [([[7.5]], "must hold a JSON object"), ({"2.5": [7.5]}, "key '2.5' is not an interval index")],
-        ids=["list", "non-integer-key"],
+        [
+            ([[7.5]], "must hold a JSON object"),
+            ({"2.5": [7.5]}, "key '2.5' is not an interval index"),
+            ({"0": ["a", 1]}, "state at key '0' is not an array of numbers"),
+            ({"0": [[1, 2], [3]]}, "state at key '0' is not an array of numbers"),
+        ],
+        ids=["list", "non-integer-key", "non-numeric-state", "ragged-state"],
     )
     def test_bad_replay_file_refused_by_name(self, tmp_path, raw, message):
         path = tmp_path / "replay.json"

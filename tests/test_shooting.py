@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -538,10 +540,10 @@ def filtered_grocer(intervals):
 
 
 class TestLevelMemo:
-    """``solve`` hands one level memo to all its propagations, and nothing
-    else: an interval that a later iteration starts from the same state
-    reuses the level work, and the run is the one that plain propagations
-    of the same guesses give."""
+    """``solve`` hands one ``LevelCache`` with a memo to all its
+    propagations, and nothing else: an interval that a later iteration
+    starts from the same state reuses the level work, and the run is the
+    one that plain propagations of the same guesses give."""
 
     @pytest.mark.parametrize(
         "case, intervals, repeats, filtered_repeats",
@@ -553,20 +555,20 @@ class TestLevelMemo:
         problem, part, grid = filtered_grocer(intervals)
         problem = problem if case == "hooks" else without_hooks(problem)
         forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
-        runs, memos, reused = [], [], []
+        runs, caches, reused = [], [], []
 
         def recorded_forward(problem, partition, p0, grid_params, **kwargs):
-            memo = kwargs["memo"]
-            memos.append((memo, len(memo)))
+            cache = kwargs["cache"]
+            caches.append((cache, len(cache.memo)))
             trajectory = forward(problem, partition, p0, grid_params, **kwargs)
             runs.append((np.array(p0), fingerprint(trajectory)))
             return trajectory
 
-        def recorded_levels(problem, t, x, dt, params, drift, memo, *rest):
+        def recorded_levels(problem, t, x, dt, params, drift, cache):
             # a reuse: the memo holds this interval from this state, bit for bit
-            entry = memo.get((t, dt))
+            entry = cache.memo.get((t, dt))
             hit = entry is not None and entry[0] == np.asarray(x, dtype=float).tobytes()
-            grid_out = generate(problem, t, x, dt, params, drift, memo, *rest)
+            grid_out = generate(problem, t, x, dt, params, drift, cache)
             if hit:
                 reused.append(grid_out[0].K)
             return grid_out
@@ -579,14 +581,56 @@ class TestLevelMemo:
             assert result.converged and result.iterations == 3
         assert len(reused) == 2 * repeats
         assert sum(k < grid.cap for k in reused) == 2 * filtered_repeats
-        # one memo per solve, empty when the solve starts, one entry per interval
-        assert [size for _, size in memos] == [0, intervals, intervals] * 2
-        assert memos[0][0] is memos[2][0] and memos[3][0] is not memos[0][0]
-        assert all(len(memo) == intervals for memo, _ in memos)
+        # one cache per solve, its memo empty when the solve starts, one
+        # entry per interval
+        assert [size for _, size in caches] == [0, intervals, intervals] * 2
+        assert caches[0][0] is caches[2][0] and caches[3][0] is not caches[0][0]
+        assert all(len(cache.memo) == intervals for cache, _ in caches)
         monkeypatch.undo()
         for p0, digest in runs:
             assert fingerprint(propagate_forward(problem, part, p0, grid)) == digest
         assert fingerprint(result.trajectory) == runs[-1][1]
+
+
+    def test_lone_propagation_keeps_no_memo(self, monkeypatch):
+        # a lone propagation starts each interval once, so a memo would
+        # only hold memory
+        problem, part, grid = filtered_grocer(20)
+        generate, memos = chattering.generate_levels_with_dynamics, []
+
+        def recorded(problem, t, x, dt, params, drift, cache):
+            memos.append(cache.memo)
+            return generate(problem, t, x, dt, params, drift, cache)
+
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
+        propagate_forward(problem, part, np.zeros(20), grid)
+        assert memos == [None] * 20
+
+
+class TestLevelWorkLifetime:
+    @pytest.mark.parametrize("case", ["lqr", "filtered grocer"])
+    def test_no_level_work_outlives_a_solve(self, case, monkeypatch):
+        # the solve's LevelCache holds the level work, the shared whole-box
+        # grid and the product buffer included, and goes with the solve
+        if case == "lqr":
+            problem = build_lqr()
+            partition, grid = TimePartition.uniform(problem.horizon, 100), GridParams()
+            config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
+        else:
+            problem, partition, grid = filtered_grocer(20)
+            config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)
+        generate, handed_out = chattering.generate_levels_with_dynamics, []
+
+        def recorded(*args):
+            grid_out = generate(*args)
+            handed_out.append(weakref.ref(grid_out[0].levels))
+            return grid_out
+
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
+        result = solve(problem, partition, config, grid)
+        gc.collect()
+        assert result.converged and len(handed_out) == result.iterations * partition.intervals
+        assert all(ref() is None for ref in handed_out)
 
 
 class TestConditionNumbers:
