@@ -80,9 +80,16 @@ class LevelGrid:
     and a write through it then changes ``levels``.  The level generator
     does so with a ``LevelCache``'s column-major product buffer, so a grid
     built with one is valid only until that cache's next build.
+
+    ``lo`` and ``hi`` are the per-dimension control ranges the grid spans,
+    when its builder keeps them: the ranges in which
+    ``ControlProblem.hamiltonian_argmin`` prices (see
+    ``generate_levels_with_dynamics``).
     """
 
     levels: Array
+    lo: Optional[Array] = None
+    hi: Optional[Array] = None
 
     def __post_init__(self):
         levels = self.levels
@@ -117,9 +124,11 @@ def solve_measure_lp(h_values: Array) -> Tuple[Array, Array]:
         raise ValueError("h_values must be 1-d")
     if h.size == 0:
         raise EmptyGrid("cannot solve the measure LP over zero levels")
-    if not np.isfinite(h).all():
+    # ufunc reduce, argmin and nonzero skip numpy's Python-level wrappers
+    # (ndarray.all, min, flatnonzero): half the cost on a short h
+    if not np.logical_and.reduce(np.isfinite(h)):
         raise ValueError("h_values must be finite")
-    tied = np.flatnonzero(h <= float(h.min()) + TIE_TOL)
+    tied = (h <= h[h.argmin()] + TIE_TOL).nonzero()[0]
     return tied, np.full(tied.size, 1.0 / tied.size)
 
 
@@ -590,13 +599,14 @@ class LevelCache:
     build with this cache.
 
     ``memo`` is None, or a dict that keeps per interval ``(t, dt)`` the
-    start state's bytes, the concatenated scalar grids, their sizes and
-    the keep mask (None when every level is kept) of the last build there,
-    with no grids, sizes or mask where ``box_grid`` was returned; never
-    levels or dynamics rows, whose size would grow the peak memory by
-    megabytes.  ``solve`` gives its cache one, because its propagations
-    start intervals again from the same states; a lone propagation never
-    does.
+    start state's bytes, the searched ranges (None without a
+    ``hamiltonian_argmin``, their one reader), the concatenated scalar
+    grids, their sizes and the keep mask (None when every level is kept)
+    of the last build there, with none of these but the state where
+    ``box_grid`` was returned; never levels or dynamics rows, whose size
+    would grow the peak memory by megabytes.  ``solve`` gives its cache
+    one, because its propagations start intervals again from the same
+    states; a lone propagation never does.
     """
 
     def __init__(self, problem: ControlProblem, params: GridParams):
@@ -610,10 +620,9 @@ class LevelCache:
     @functools.cached_property
     def box_grid(self) -> LevelGrid:
         problem = self.problem
-        values, sizes = _grid_values(
-            problem.gated_dims, problem.control_lower, problem.control_upper, self.counts
-        )
-        return LevelGrid(_product_levels(values, sizes))
+        lo, hi = problem.control_lower, problem.control_upper
+        values, sizes = _grid_values(problem.gated_dims, lo, hi, self.counts)
+        return LevelGrid(_product_levels(values, sizes), lo, hi)
 
 
 def _grid_values(
@@ -698,7 +707,11 @@ def generate_levels_with_dynamics(
     state coordinate over the whole control box (``_box_steps_inside``),
     since the search then keeps every range whole and the filter every
     level.  ``drift`` is the control-affine drift at (t, x_i) when the
-    caller has it already; it is evaluated here otherwise.
+    caller has it already; it is evaluated here otherwise.  The grid's
+    ``lo`` and ``hi`` are the ranges it spans: the control bounds for
+    ``box_grid``; the searched ranges otherwise, for a problem with a
+    ``hamiltonian_argmin`` (the one reader of them), and None for one
+    without, so a memo keeps no ranges that nothing reads.
 
     ``cache`` (see ``LevelCache``) holds the level work that this build
     reuses and then replaces; a fresh one is built when none is given, and
@@ -732,9 +745,9 @@ def generate_levels_with_dynamics(
     memo = cache.memo
     entry = None if memo is None else memo.pop((t, dt), None)
     hit = entry is not None and entry[0] == state
-    values = sizes = keep = f = None
+    lo = hi = values = sizes = keep = f = None
     if hit:
-        _, values, sizes, keep = entry
+        _, lo, hi, values, sizes, keep = entry
     else:
         if drift is None and problem.drift is not None:
             drift = eval_drift(problem, t, x_i)
@@ -742,6 +755,11 @@ def generate_levels_with_dynamics(
             dims = range(problem.control_dim)
             lo, hi = _search_ranges(problem, t, x_i, dt, dims, drift, cache.terms)
             values, sizes = _grid_values(problem.gated_dims, lo, hi, cache.counts, cache)
+            if problem.hamiltonian_argmin is None:
+                lo = hi = None
+            else:
+                lo.setflags(write=False)
+                hi.setflags(write=False)
     if values is None:
         grid = cache.box_grid
     else:
@@ -764,7 +782,7 @@ def generate_levels_with_dynamics(
         if keep is not None:
             levels, f = levels[keep], None if f is None else f[keep]
             levels.setflags(write=False)
-        grid = LevelGrid(levels)
+        grid = LevelGrid(levels, lo, hi)
     if memo is not None:
-        memo[(t, dt)] = (state, values, sizes, keep)
+        memo[(t, dt)] = (state, lo, hi, values, sizes, keep)
     return grid, f

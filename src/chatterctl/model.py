@@ -19,6 +19,7 @@ solver runs as long as its evaluators are reentrant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -80,6 +81,15 @@ class ControlProblem:
     is analytic.
     ``drift`` and ``control_matrix`` come together; ``drift_jacobian`` needs
     both.
+
+    ``hamiltonian_argmin(t, x, p, lo, hi)`` prices controls outside the
+    level grid: it returns a ``(k, m)`` block of candidate minimizers of
+    ``H(t, x, p, .)`` over the box ``[lo, hi]`` that the interval's grid
+    spans, a gated dimension at 0 or in its active range (see
+    ``eval_hamiltonian_argmin``).  The candidates whose one-step state
+    stays in the state box replace the grid in the interval's measure LP
+    when the best of them beats the grid minimum by more than
+    ``chattering.TIE_TOL``.
     """
 
     state_dim: int
@@ -102,6 +112,7 @@ class ControlProblem:
     drift: Optional[Callable[[float, Array], Array]] = None
     control_matrix: Optional[Array] = None
     drift_jacobian: Optional[Callable[[float, Array], Array]] = None
+    hamiltonian_argmin: Optional[Callable[[float, Array, Array, Array, Array], Array]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -171,6 +182,42 @@ def eval_drift_jacobian(problem: ControlProblem, t: float, x: Array) -> Array:
     return _checked(problem.drift_jacobian(t, x), (n, n), "drift_jacobian", t)
 
 
+def eval_hamiltonian_argmin(
+    problem: ControlProblem, t: float, x: Array, p: Array, lo: Array, hi: Array
+) -> Array:
+    """The candidate rows of ``hamiltonian_argmin`` at (t, x, p) over the
+    control ranges ``[lo, hi]``, shape ``(k, m)``.  A block of another shape
+    raises ``ValueError``, a NaN or inf ``NonFiniteEvaluation``, and a row
+    outside ``[lo, hi]`` or, on a gated dimension, neither 0 nor inside its
+    active range ``ValueError``, each naming the hook."""
+    rows = np.asarray(problem.hamiltonian_argmin(t, x, p, lo, hi), dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != problem.control_dim:
+        raise ValueError(
+            f"hamiltonian_argmin returned shape {rows.shape}, expected (k, {problem.control_dim})"
+        )
+    # a few candidate rows: scalar tests cost less than array calls here.
+    # NaN and inf fail them too, since lo and hi are finite
+    ranges = list(zip(lo.tolist(), hi.tolist()))
+    gated = (problem.gated_dims or {}).items()
+    for row in rows.tolist():
+        for v, (a, b) in zip(row, ranges):
+            if not a <= v <= b:
+                if not math.isfinite(v):
+                    raise NonFiniteEvaluation(f"hamiltonian_argmin returned a non-finite value at t={t}")
+                raise ValueError(
+                    f"hamiltonian_argmin returned a row outside the control ranges "
+                    f"[{lo.tolist()}, {hi.tolist()}] at t={t}"
+                )
+        # inside [lo, hi], a gated value is admissible at 0 or in its active range
+        for j, (low, high) in gated:
+            if row[j] != 0.0 and not low <= row[j] <= high:
+                raise ValueError(
+                    f"hamiltonian_argmin returned {row[j]} on gated control dimension {j}, "
+                    f"which admits only 0 and [{low}, {high}], at t={t}"
+                )
+    return rows
+
+
 def eval_dynamics_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:
     """Dynamics at one (t, x) for a (K, m) block of controls, shape (K, n);
     one drift evaluation and one product for control-affine problems."""
@@ -195,13 +242,6 @@ def eval_running_cost_batch(problem: ControlProblem, t: float, x: Array, control
         return np.array(rows)
     g = problem.running_cost_batch(t, x, controls)
     return _checked(g, (len(controls),), "running_cost_batch", t)
-
-
-def affine_p_dot_f(problem: ControlProblem, drift: Array, p: Array, controls: Array) -> Array:
-    """``p . f(t, x, c)`` at every row of ``controls`` for control-affine
-    dynamics whose drift at (t, x) is ``drift``: one (K,) matvec, no (K, n)
-    dynamics block.  Equals ``eval_dynamics_batch(...) @ p`` up to rounding."""
-    return controls @ (problem.control_matrix @ p) + drift @ p
 
 
 def eval_hamiltonian(problem: ControlProblem, t: float, x: Array, p: Array, u: Array) -> float:

@@ -41,13 +41,20 @@ LQR_CONTROL_BOUNDS = (-30.0, 5.0)
 
 def build_lqr() -> ControlProblem:
     """Scalar regulator: minimize the integral of x^2 + u^2 subject to
-    xdot = x + u, x(0) = 10, over a unit horizon, no terminal cost."""
+    xdot = x + u, x(0) = 10, over a unit horizon, no terminal cost.
+
+    H = x^2 + u^2 + p (x + u) is least at u = -p/2 (B = 1), clipped to the
+    ranges, which ``hamiltonian_argmin`` returns in scalar arithmetic
+    (``0.0 -`` gives p = 0 the control +0.0, not -0.0)."""
 
     def running_cost_batch(t, x, U):
         return x[0] ** 2 + U[:, 0] ** 2
 
     def h_x_gradient(t, x, p, u):
         return np.array([2.0 * x[0] + p[0]])
+
+    def hamiltonian_argmin(t, x, p, lo, hi):
+        return [[min(max(0.0 - 0.5 * float(p[0]), float(lo[0])), float(hi[0]))]]
 
     return ControlProblem(
         state_dim=1,
@@ -61,6 +68,7 @@ def build_lqr() -> ControlProblem:
         drift=lambda t, x: np.asarray(x, dtype=float),
         control_matrix=np.ones((1, 1)),
         drift_jacobian=lambda t, x: np.ones((1, 1)),
+        hamiltonian_argmin=hamiltonian_argmin,
         name="lqr",
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
@@ -19,9 +20,12 @@ import numpy as np
 from . import chattering, model
 from .chattering import (
     STEP_FEASIBILITY_TOL,
+    TIE_TOL,
     GridParams,
     InfeasibleLevels,
     LevelCache,
+    LevelGrid,
+    _in_box,
     solve_measure_lp,
 )
 from .model import (
@@ -29,9 +33,9 @@ from .model import (
     ControlProblem,
     NonFiniteEvaluation,
     _readonly,
-    affine_p_dot_f,
     eval_drift,
     eval_dynamics_batch,
+    eval_hamiltonian_argmin,
     eval_running_cost_batch,
     eval_terminal_cost,
     grad_h_state,
@@ -239,6 +243,60 @@ def _annotate(err: Exception, interval: int, t: float) -> Exception:
     return tagged
 
 
+def _sweep(
+    problem: ControlProblem, t: float, x: Array, p: Array, levels: Array,
+    p_terms: Optional[Tuple[Array, Array]], f: Optional[Array],
+) -> Tuple[Array, Array]:
+    """The running cost and H at every row of ``levels``.  With the
+    control-affine hooks ``p . f(t, x, c) = c @ (B p) + drift . p`` from the
+    interval's ``p_terms = (B @ p, drift @ p)``: one (K,) matvec and no
+    (K, n) block; without them ``f @ p`` on the dynamics rows ``f``."""
+    g = eval_running_cost_batch(problem, t, x, levels)
+    return g, g + (levels @ p_terms[0] + p_terms[1] if p_terms else f @ p)
+
+
+def _price(
+    problem: ControlProblem, t: float, x: Array, p: Array, dt: float,
+    drift: Optional[Array], p_terms: Optional[Tuple[Array, Array]], grid: LevelGrid,
+    h_min: float,
+) -> Optional[Tuple[Array, Array, Array, Optional[Array]]]:
+    """The pricing step of one interval: the rows of the problem's
+    ``hamiltonian_argmin`` over the grid's ranges that keep the one-step
+    state in the state box, with their running costs, Hamiltonian values
+    and (without the control-affine hooks) dynamics rows, when the best of
+    them beats the grid minimum ``h_min`` by more than ``TIE_TOL``; None
+    otherwise.  With the hooks, ``drift`` and ``p_terms = (B @ p, drift @
+    p)`` are the interval's; without them both are None.
+
+    The rows go through the grid's checks and ``_sweep``.  They never
+    join the grid: every grid row is then more than ``TIE_TOL`` above the
+    best row, so the measure LP over the priced rows alone is the LP over
+    both, in which a priced row within ``TIE_TOL`` of the best shares the
+    weight.  A best row that only ties the grid returns None, so a grid
+    level within ``TIE_TOL`` of the minimum never gets a twin that shifts
+    the weights.
+    """
+    rows = eval_hamiltonian_argmin(problem, t, x, p, grid.lo, grid.hi)
+    if rows.shape[0] == 0:
+        return None
+    f = None if drift is not None else eval_dynamics_batch(problem, t, x, rows)
+    if problem.has_state_bounds:
+        step = drift + rows @ problem.control_matrix if f is None else f
+        inside = _in_box(problem, x + dt * step)
+        if not inside.any():
+            return None
+        rows, f = rows[inside], None if f is None else f[inside]
+    g, h = _sweep(problem, t, x, p, rows, p_terms, f)
+    # k values: scalar tests cost less than array calls here
+    values = h.tolist()
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
+    # the LP's tie threshold is this same sum, so it stays below every grid row
+    if not min(values) + TIE_TOL < h_min:
+        return None
+    return rows, g, h, f
+
+
 def propagate_forward(
     problem: ControlProblem,
     partition: TimePartition,
@@ -250,19 +308,22 @@ def propagate_forward(
     """Run the full per-interval pipeline from (x_0, p0) to the horizon.
 
     Per interval: build the level grid at the current state, evaluate the
-    Hamiltonian at every level, solve the measure LP, reconstruct the
-    interval control, then advance state and costate.  The running cost is
-    the relaxed one, ``sum_k a_k g(t_i, x_i, c_k)``, accumulated as a
-    left-endpoint sum, plus the terminal cost at x_T.  Each interval writes
-    one row of the returned ``Trajectory``.
+    Hamiltonian at every level, price the problem's ``hamiltonian_argmin``
+    rows against the grid minimum when it has that hook (``_price``), solve
+    the measure LP over the priced rows when the best wins, else over the grid,
+    reconstruct the interval control, then advance state and costate.  The
+    running cost is the relaxed one, ``sum_k a_k g(t_i, x_i, c_k)``,
+    accumulated as a left-endpoint sum, plus the terminal cost at x_T.  Each
+    interval writes one row of the returned ``Trajectory``.
 
     With a ``measurement_source`` the predicted state may be replaced by an
     injected measurement before each interval solve (open-loop feedback).
 
     A non-finite evaluation, or a state or costate step that overflows,
     raises ``NonFiniteEvaluation``; that, ``InfeasibleLevels`` and a hook's
-    ``ValueError`` (an output of the wrong shape) are tagged with the
-    ``interval_index``.
+    ``ValueError`` (an output of the wrong shape, or a priced row outside
+    the grid's ranges or its gated dimensions' admissible values) are
+    tagged with the ``interval_index``.
 
     Every level generation gets ``cache`` (a ``chattering.LevelCache`` for
     ``problem`` and ``grid_params``; one is built when none is given) and
@@ -283,6 +344,7 @@ def propagate_forward(
     support_weights: List[Array] = []
     # one drift evaluation per interval serves level search, filter, sweep and step
     affine = problem.drift is not None
+    priced = problem.hamiltonian_argmin is not None
     B = problem.control_matrix
     if cache is None:
         cache = LevelCache(problem, grid_params)
@@ -301,17 +363,21 @@ def propagate_forward(
             grid, f_vals = chattering.generate_levels_with_dynamics(
                 problem, t, x, dt, grid_params, drift, cache
             )
-            g_vals = eval_running_cost_batch(problem, t, x, grid.levels)
-            if affine:
-                h_vals = g_vals + affine_p_dot_f(problem, drift, p, grid.levels)
-            else:
-                f_vals = eval_dynamics_batch(problem, t, x, grid.levels) if f_vals is None else f_vals
-                h_vals = g_vals + f_vals @ p
+            # the two products also serve the pricing step
+            p_terms = (B @ p, drift @ p) if affine else None
+            if not affine and f_vals is None:
+                f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
+            g_vals, h_vals = _sweep(problem, t, x, p, grid.levels, p_terms, f_vals)
             if not np.isfinite(h_vals).all():
                 raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
+            levels = grid.levels
+            if priced:
+                won = _price(problem, t, x, p, dt, drift, p_terms, grid, float(h_vals.min()))
+                if won is not None:
+                    levels, g_vals, h_vals, f_vals = won
             support, weights = solve_measure_lp(h_vals)
             # the zero-weight levels add nothing: reduce over the support only
-            levels = grid.levels[support]
+            levels = levels[support]
             levels.setflags(write=False)  # handed to the hooks, then recorded
             stage = float(weights @ g_vals[support]) * dt
             h_values[i] = weights @ h_vals[support]

@@ -2,13 +2,15 @@
 
 None of these run in the solver itself: closed forms, per-table envelopes,
 a single-row reference step, a schedule's time average, the control of a
-measure given by a weight on every level, a control-affine problem
-stripped of its hooks, the full-width product grid and filter that the
-level generator must reproduce bit for bit, the anchor-by-anchor range
+measure given by a weight on every level, the factored ``p . f`` sweep of a
+control-affine problem, the problem stripped of its hooks, the full-width
+product grid and filter that the level generator must reproduce bit for
+bit, the anchor-by-anchor range
 search and the per-value separable sums that the control-affine search and
 filter must reproduce bit for bit, a problem whose relaxed optimum
-chatters, the feedback benchmark's replayed states, and a fingerprint of a
-whole run.
+chatters (with and without an exact pricing hook), the optimum of the
+discretized regulator, the feedback benchmark's replayed states, and a
+fingerprint of a whole run.
 """
 
 import dataclasses
@@ -20,7 +22,21 @@ import numpy as np
 from chatterctl import build_supply_chain, chattering, replay_measurement_source, synthetic_demand
 from chatterctl.chattering import InfeasibleLevels
 from chatterctl.model import ControlProblem, eval_drift
-from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
+from chatterctl.problems import CUSTOMERS, ITEMS, LQR_HORIZON, LQR_X0, N_ITEMS, SUPPLIERS
+
+
+def lqr_discrete_optimum(intervals: int) -> float:
+    """Least cost of the regulator as the solver discretizes it on a uniform
+    partition: explicit Euler ``x' = (1 + dt) x + dt u`` and the
+    left-endpoint sum of ``dt (x^2 + u^2)``, by the scalar Riccati recursion
+    ``P_i = dt + a^2 P' - (a b P')^2 / (dt + b^2 P')`` from ``P_N = 0``
+    (a = 1 + dt, b = dt, P' = P_{i+1}); the cost is ``P_0 x0^2``.  The
+    optimal controls lie inside the control bounds, so they do not bind."""
+    dt = LQR_HORIZON / intervals
+    a, b, P = 1.0 + dt, dt, 0.0
+    for _ in range(intervals):
+        P = dt + a * a * P - (a * b * P) ** 2 / (dt + b * b * P)
+    return P * LQR_X0**2
 
 
 def lqr_hamiltonian_flow(t: float) -> np.ndarray:
@@ -79,6 +95,15 @@ def dense_control(levels, weights):
     average: the convex combination ``sum_k a_k c_k``.  The solver keeps
     only the support; this is the dense form it is checked against."""
     return np.asarray(weights, dtype=float) @ np.asarray(levels, dtype=float)
+
+
+def affine_p_dot_f(problem, drift, p, controls):
+    """``p . f(t, x, c)`` at every row of ``controls`` for control-affine
+    dynamics whose drift at (t, x) is ``drift``, in the factored form that
+    ``propagate_forward`` sweeps: ``controls @ (B @ p) + drift @ p``, one
+    (K,) matvec and no (K, n) dynamics block.  Equals
+    ``eval_dynamics_batch(...) @ p`` up to rounding."""
+    return controls @ (problem.control_matrix @ p) + drift @ p
 
 
 def without_hooks(problem):
@@ -247,6 +272,22 @@ def bolza_problem(x0: float = 0.0) -> ControlProblem:
         drift_jacobian=lambda t, x: np.zeros((1, 1)),
         name="bolza",
     )
+
+
+def priced_bolza_problem(x0: float = 0.0) -> ControlProblem:
+    """``bolza_problem(x0)`` with an exact ``hamiltonian_argmin``.  Over u,
+    H = (u^2 - 1)^2 + p u + x^2 is least at a real root of its derivative
+    ``4u^3 - 4u + p`` inside ``[lo, hi]`` or at an end of the range; the
+    ends come first, so a tie goes to an end."""
+
+    def argmin(t, x, p, lo, hi):
+        roots = np.roots([4.0, 0.0, -4.0, p[0]])
+        real = roots.real[np.abs(roots.imag) <= 1e-12]
+        candidates = np.concatenate([lo, hi, real[(real >= lo[0]) & (real <= hi[0])]])
+        h = (candidates**2 - 1.0) ** 2 + p[0] * candidates
+        return candidates[[np.argmin(h)], None]
+
+    return dataclasses.replace(bolza_problem(x0), hamiltonian_argmin=argmin)
 
 
 def feedback_replay(seed):

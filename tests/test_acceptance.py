@@ -235,6 +235,6 @@ class TestReferenceRuns:
 
     def test_lqr(self):
         result = self.solve_twice(build_lqr(), 100, 0.5)
-        assert result.converged and result.iterations == 8
-        expected = float.fromhex("0x1.51a136a084e88p+7")
+        assert result.converged and result.iterations == 6
+        expected = float.fromhex("0x1.519b95e71dd5ap+7")
         assert abs(result.trajectory.accumulated_cost - expected) <= 1e-12 * expected

@@ -29,8 +29,9 @@ from chatterctl.chattering import (
     level_bound_search,
     schedule_segments,
 )
-from chatterctl.model import affine_p_dot_f, eval_drift, eval_running_cost_batch
+from chatterctl.model import eval_drift, eval_running_cost_batch
 from oracles import (
+    affine_p_dot_f,
     dense_control,
     feedback_replay,
     full_width_levels,
@@ -1191,6 +1192,69 @@ class TestIntervalMemo:
         assert cache.memo == {}
 
 
+class TestGridRanges:
+    """The grids that ``generate_levels_with_dynamics`` returns carry the
+    ranges they span, which a pricing hook searches: the control bounds for
+    the whole-box grid; for a problem with a hook the searched ranges
+    otherwise, and on a memo hit those of the entry."""
+
+    def test_unbounded_grid_spans_the_control_bounds(self):
+        problem = build_lqr()
+        grid, _ = generate_levels_with_dynamics(problem, 0.0, problem.initial_state, 0.01, GridParams())
+        assert_bitwise(grid.lo, problem.control_lower)
+        assert_bitwise(grid.hi, problem.control_upper)
+
+    def test_whole_box_grid_spans_the_control_bounds(self):
+        problem = random_affine_problem(np.random.default_rng(1))
+        problem = dataclasses.replace(
+            problem, state_lower=np.full(problem.state_dim, -100.0),
+            state_upper=np.full(problem.state_dim, 100.0),
+        )
+        cache = memo_cache(problem, GridParams(5, 64))
+        for _ in range(2):
+            grid, _ = generate_levels_with_dynamics(
+                problem, 0.0, problem.initial_state, 0.1, GridParams(5, 64), None, cache
+            )
+            assert grid is cache.box_grid
+            assert_bitwise(grid.lo, problem.control_lower)
+            assert_bitwise(grid.hi, problem.control_upper)
+
+    @pytest.mark.parametrize("hooks", [True, False])
+    def test_searched_grid_spans_the_searched_ranges(self, hooks):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        problem = problem if hooks else without_hooks(problem)
+        problem = dataclasses.replace(
+            problem, hamiltonian_argmin=lambda t, x, p, lo, hi: np.empty((0, len(lo)))
+        )
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 2.0, 20)
+        x[rng.integers(0, 20, 6)] = 0.0
+        t, dt, params = 0.3, 0.005, GridParams()
+        ranges = np.array(level_bound_search(problem, t, x, dt, range(problem.control_dim)))
+        assert np.any(ranges[:, 1] < problem.control_upper)
+        cache = memo_cache(problem, params)
+        first, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+        assert_bitwise(first.lo, ranges[:, 0])
+        assert_bitwise(first.hi, ranges[:, 1])
+        assert not (first.lo.flags.writeable or first.hi.flags.writeable)
+        assert np.all(first.levels >= first.lo) and np.all(first.levels <= first.hi)
+        lo, hi = first.lo, first.hi
+        hit, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+        assert hit.lo is lo and hit.hi is hi
+
+    def test_no_ranges_kept_without_a_hook(self):
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 2.0, 20)
+        x[rng.integers(0, 20, 6)] = 0.0
+        t, dt, params = 0.3, 0.005, GridParams()
+        cache = memo_cache(problem, params)
+        for _ in range(2):  # a miss, then a hit
+            grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+            assert grid.lo is None and grid.hi is None
+            assert cache.memo[(t, dt)][1:3] == (None, None)
+
+
 def zero_gated_problem(rng):
     """``random_product_problem`` with its last control gated from zero to
     its upper bound: the zero level merges into the active range while the
@@ -1412,7 +1476,7 @@ class TestWholeBoxGrid:
         for _ in range(2):
             grid, rows = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, cache)
             assert grid is cache.box_grid and rows is None
-            assert cache.memo == {(0.0, 0.1): (x.tobytes(), None, None, None)}
+            assert cache.memo == {(0.0, 0.1): (x.tobytes(), None, None, None, None, None)}
 
 
 class TestLevelGridSharing:

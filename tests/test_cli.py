@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from chatterctl import (
     propagate_forward,
     solve,
 )
+from chatterctl import problems
 from chatterctl.cli import (
     SolveConfig,
     build_problem,
@@ -196,9 +198,9 @@ class TestExportBytes:
     BLAS summation order enters these bytes."""
 
     DIGESTS = {
-        "trajectory.csv": "f6485c62bafb07d199ad9ce84318a5b7f4cf3a4bd606e65edabd65577d4d6afa",
-        "schedule.csv": "5a4d87711864cf43a62daa2b92393e7fce538611ed509e081bacdc31837ee2d0",
-        "convergence.json": "92630ee26fdbad5099d31a16fc1184dd8ed0652da29f99d138ae0473f25b9d56",
+        "trajectory.csv": "03dc671084e3b6a0bc64a42b5268bda134b4f0e6153c938601a03544441fa8e8",
+        "schedule.csv": "a7694916eace7ac57a7bea16de93845dbecac187770e399f017774328a41137a",
+        "convergence.json": "1577011afde7121794ae9cd710fa16431e7b306470ff006615de1b9ec6b2987a",
     }
 
     def test_lqr_defaults(self, tmp_path):
@@ -317,7 +319,10 @@ class TestSolveCommand:
         payload = json.loads((tmp_path / "convergence.json").read_text())
         assert payload["converged"] is False
 
-    def test_detected_cycle_exits_two(self, tmp_path):
+    def test_detected_cycle_exits_two(self, tmp_path, monkeypatch):
+        # the grid-only lqr cycles at 20 intervals; the priced one converges
+        grid_only = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        monkeypatch.setattr(problems, "build_lqr", lambda: grid_only)
         code = main(["solve", "--problem", "lqr", "--intervals", "20", "--out-dir", str(tmp_path)])
         assert code == 2
         payload = json.loads((tmp_path / "convergence.json").read_text())

@@ -24,9 +24,10 @@ from chatterctl import (
     step_state,
     synthetic_demand,
 )
-from chatterctl.chattering import generate_levels_with_dynamics
-from chatterctl.model import affine_p_dot_f, eval_drift, eval_dynamics_batch, eval_running_cost_batch
-from oracles import bolza_problem, dense_control, without_hooks
+from chatterctl import NonFiniteEvaluation, chattering
+from chatterctl.chattering import TIE_TOL, LevelCache, generate_levels_with_dynamics
+from chatterctl.model import eval_drift, eval_dynamics_batch, eval_running_cost_batch
+from oracles import affine_p_dot_f, bolza_problem, dense_control, fingerprint, without_hooks
 
 
 def lqr_point(x, p, t=0.0):
@@ -229,13 +230,25 @@ class TestPropagateForward:
         assert abs(traj.accumulated_cost - j_star) / j_star < 0.05
 
     def test_lqr_zero_costate_picks_level_nearest_zero(self):
-        problem = build_lqr()
+        # the grid alone: no level sits at 0, the nearest is 0.1
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
         part = TimePartition.uniform(1.0, 100)
         traj = propagate_forward(problem, part, np.zeros(1), GridParams(101, 4096))
         levels = np.linspace(-30.0, 5.0, 101)
         expected = levels[np.argmin(levels**2)]
         assert traj.u[0, 0] == expected
         assert traj.offsets[1] == 1 and traj.support_weights[0] == 1.0
+
+    def test_lqr_zero_costate_prices_positive_zero(self):
+        # the hook's u = -p/2 beats the grid's 0.1 by 0.01 and takes the
+        # whole weight, as +0.0: -0.0 would print as "-0" in the exports
+        traj = propagate_forward(
+            build_lqr(), TimePartition.uniform(1.0, 100), np.zeros(1), GridParams(101, 4096)
+        )
+        assert traj.u[0, 0] == 0.0 and np.copysign(1.0, traj.u[0, 0]) == 1.0
+        assert traj.offsets[1] == 1 and traj.support_weights[0] == 1.0
+        assert traj.support_levels[0, 0] == 0.0 and np.copysign(1.0, traj.support_levels[0, 0]) == 1.0
+        assert traj.h_values[0] == 100.0  # x0^2 + 0^2 + 0 * (x0 + 0)
 
     def test_trajectory_point_consistency(self):
         problem = build_lqr()
@@ -411,6 +424,171 @@ class TestMalformedHookOutput:
         expected = r"dynamics_batch returned shape \(20, (\d+)\), expected \(\1, 20\)"
         with pytest.raises(ValueError, match=expected):
             propagate_forward(problem, part, np.zeros(20), GridParams(3, 64))
+
+
+def priced_lqr(argmin):
+    """The regulator with ``argmin`` as its ``hamiltonian_argmin``."""
+    return dataclasses.replace(build_lqr(), hamiltonian_argmin=argmin)
+
+
+def two_control_box():
+    """x' = u1 + u2 with u in [-1, 1]^2, x0 = 0, x <= 0.15 and one interval
+    of dt = 0.1, with the control-affine hooks.  Each control alone may
+    take its whole range (the other at the box midpoint 0), so the searched
+    ranges are the control bounds, but the product filter drops the levels
+    with u1 + u2 > 1.5.  g = |u - (1, 1)|^2 and p = 0: on the grid
+    (1, 0.5) and (0.5, 1) tie at H = 0.25."""
+    return ControlProblem(
+        state_dim=1,
+        control_dim=2,
+        horizon=0.1,
+        initial_state=np.zeros(1),
+        control_lower=np.full(2, -1.0),
+        control_upper=np.full(2, 1.0),
+        running_cost_batch=lambda t, x, U: ((U - 1.0) ** 2).sum(axis=1),
+        hamiltonian_x_gradient=lambda t, x, p, u: np.zeros(1),
+        state_upper=np.array([0.15]),
+        drift=lambda t, x: np.zeros(1),
+        control_matrix=np.ones((2, 1)),
+        drift_jacobian=lambda t, x: np.zeros((1, 1)),
+    )
+
+
+class TestPricingHook:
+    """The rows of ``hamiltonian_argmin`` are checked like any hook output,
+    box-tested like any level and priced through the same paths; they
+    replace the grid in the measure LP only when the best of them beats the
+    grid minimum by more than ``TIE_TOL``."""
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            (lambda lo, hi: [0.0], ValueError, "hamiltonian_argmin returned shape (1,), expected (k, 1)"),
+            (lambda lo, hi: [[0.0, 0.0]], ValueError, "returned shape (1, 2), expected (k, 1)"),
+            (lambda lo, hi: [[np.nan]], NonFiniteEvaluation, "hamiltonian_argmin returned a non-finite value"),
+            (lambda lo, hi: [[0.0], [-np.inf]], NonFiniteEvaluation, "returned a non-finite value"),
+            (lambda lo, hi: hi[None] + 1e-12, ValueError, "hamiltonian_argmin returned a row outside"),
+            (lambda lo, hi: [[0.0], lo - 1.0], ValueError, "returned a row outside the control ranges"),
+        ],
+        ids=["flat", "wide", "nan", "inf", "above", "below"],
+    )
+    def test_bad_rows_refused_with_their_interval(self, rows, error, message):
+        # the hook goes wrong from t = 0.5 on: interval 2 of 4
+        exact = build_lqr().hamiltonian_argmin
+
+        def argmin(t, x, p, lo, hi):
+            return rows(lo, hi) if t >= 0.5 else exact(t, x, p, lo, hi)
+
+        part = TimePartition.uniform(1.0, 4)
+        with pytest.raises(error, match=re.escape(message)) as excinfo:
+            propagate_forward(priced_lqr(argmin), part, np.zeros(1), GridParams(5, 16))
+        assert excinfo.value.interval_index == 2
+        assert "[interval 2, t=0.5]" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [0.5, -3.0], ids=["gap", "below"])
+    def test_gated_value_outside_zero_and_active_range_refused(self, value):
+        # u gated to {0} + [1, 5] inside the bounds [-30, 5]; the hook goes
+        # wrong from t = 0.5 on: interval 2 of 4
+        def argmin(t, x, p, lo, hi):
+            return [[value]] if t >= 0.5 else [[0.0], [1.0], [3.0]]
+
+        problem = dataclasses.replace(priced_lqr(argmin), gated_dims={0: (1.0, 5.0)})
+        part = TimePartition.uniform(1.0, 4)
+        message = (
+            f"hamiltonian_argmin returned {value} on gated control dimension 0, "
+            "which admits only 0 and [1.0, 5.0]"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+            propagate_forward(problem, part, np.zeros(1), GridParams(5, 16))
+        assert excinfo.value.interval_index == 2
+        assert "[interval 2, t=0.5]" in str(excinfo.value)
+
+    def test_no_candidate_leaves_the_grid_measure(self):
+        part, params = TimePartition.uniform(1.0, 20), GridParams(101, 4096)
+        grid_only = propagate_forward(priced_lqr(None), part, np.zeros(1), params)
+        empty = priced_lqr(lambda t, x, p, lo, hi: np.empty((0, 1)))
+        assert fingerprint(propagate_forward(empty, part, np.zeros(1), params)) == fingerprint(
+            grid_only
+        )
+
+    @pytest.mark.parametrize("hooks", [True, False], ids=["affine", "batch"])
+    def test_row_leaving_the_box_is_dropped(self, hooks):
+        problem = two_control_box() if hooks else without_hooks(two_control_box())
+        seen = []
+
+        def corner(t, x, p, lo, hi):
+            seen.append((lo.tolist(), hi.tolist()))
+            return hi[None]  # (1, 1): one step to 0.2
+
+        part, params = TimePartition.uniform(0.1, 1), GridParams(5, 64)
+        grid_only = propagate_forward(problem, part, np.zeros(1), params)
+        assert grid_only.support_levels.tolist() == [[0.5, 1.0], [1.0, 0.5]]
+        priced = propagate_forward(
+            dataclasses.replace(problem, hamiltonian_argmin=corner), part, np.zeros(1), params
+        )
+        assert seen == [([-1.0, -1.0], [1.0, 1.0])]
+        assert fingerprint(priced) == fingerprint(grid_only)
+
+    @pytest.mark.parametrize("hooks", [True, False], ids=["affine", "batch"])
+    def test_only_rows_inside_the_box_that_beat_the_grid_are_kept(self, hooks):
+        # (1, 1) leaves the box, (1, 0.5) ties the grid minimum and
+        # (0.75, 0.75) beats it by 0.125: that one row takes the weight
+        problem = two_control_box() if hooks else without_hooks(two_control_box())
+        rows = [[1.0, 1.0], [0.75, 0.75], [1.0, 0.5]]
+        problem = dataclasses.replace(problem, hamiltonian_argmin=lambda t, x, p, lo, hi: rows)
+        traj = propagate_forward(problem, TimePartition.uniform(0.1, 1), np.zeros(1), GridParams(5, 64))
+        assert traj.support_levels.tolist() == [[0.75, 0.75]]
+        assert traj.support_weights.tolist() == [1.0]
+        assert traj.h_values.tolist() == [0.125] and traj.stage_costs.tolist() == [0.0125]
+        assert traj.x[-1, 0] == 0.15
+
+    def test_priced_row_tied_with_the_best_shares_the_weight(self):
+        # at p = 0 the grid's best level is u = 0.1, H = 100.01; the first
+        # row is 1.5e-9 below that and the second 0.8e-9: not a winner on
+        # its own, but within TIE_TOL of the first, as in the LP over the
+        # grid and both rows
+        grid_only = propagate_forward(
+            priced_lqr(None), TimePartition.uniform(1.0, 4), np.zeros(1), GridParams(101, 4096)
+        )
+        u, h_min = grid_only.u[0, 0], grid_only.h_values[0]
+        rows = [[u - 7.5e-9], [u - 4e-9]]
+
+        def argmin(t, x, p, lo, hi):
+            return rows if t == 0.0 else np.empty((0, 1))
+
+        traj = propagate_forward(
+            priced_lqr(argmin), TimePartition.uniform(1.0, 4), np.zeros(1), GridParams(101, 4096)
+        )
+        h = [100.0 + r[0] ** 2 for r in rows]
+        assert h[0] + TIE_TOL < h_min <= h[1] + TIE_TOL and h[1] <= h[0] + TIE_TOL
+        assert traj.offsets[1] == 2
+        assert traj.support_levels[:2].tolist() == rows
+        assert traj.support_weights[:2].tolist() == [0.5, 0.5]
+
+    def test_memo_hit_prices_at_the_new_costate(self):
+        # x <= 10.1 from x0 = 10 over dt = 0.01 caps u near 0, so interval 0
+        # has searched ranges; the second run starts it from the same state
+        # and reuses its level work, but must price at its own p0
+        problem = dataclasses.replace(build_lqr(), state_upper=np.array([10.1]))
+        exact, seen = problem.hamiltonian_argmin, []
+
+        def argmin(t, x, p, lo, hi):
+            if t == 0.0:
+                seen.append((p.tolist(), lo.tolist(), hi.tolist()))
+            return exact(t, x, p, lo, hi)
+
+        problem = dataclasses.replace(problem, hamiltonian_argmin=argmin)
+        part, params = TimePartition.uniform(1.0, 100), GridParams(101, 4096)
+        cache = LevelCache(problem, params)
+        cache.memo = {}
+        propagate_forward(problem, part, np.array([4.0]), params, cache=cache)
+        state, lo, hi = cache.memo[(0.0, 0.01)][:3]
+        assert state == problem.initial_state.tobytes() and abs(hi[0]) < 1e-6
+        reused = propagate_forward(problem, part, np.array([20.0]), params, cache=cache)
+        assert seen == [([4.0], [-30.0], hi.tolist()), ([20.0], [-30.0], hi.tolist())]
+        assert reused.u[0, 0] == -10.0 and reused.support_weights[0] == 1.0
+        fresh = propagate_forward(problem, part, np.array([20.0]), params)
+        assert fingerprint(reused) == fingerprint(fresh)
 
 
 class TestTrajectoryRecord:

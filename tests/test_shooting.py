@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import weakref
@@ -24,7 +25,13 @@ from chatterctl import (
 from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
 from chatterctl.shooting import tangent_sensitivities, update_initial_costate
-from oracles import fingerprint, lqr_hamiltonian_flow, without_hooks
+from oracles import (
+    fingerprint,
+    lqr_discrete_optimum,
+    lqr_hamiltonian_flow,
+    priced_bolza_problem,
+    without_hooks,
+)
 
 
 def inert_problem(n=2, horizon=1.0):
@@ -332,10 +339,11 @@ class TestSolve:
         assert "budget" in result.message
 
     def test_repeated_guess_stops_the_cycle(self):
-        # at 20 intervals the lqr iterates hop across the root by one level
-        # switch and repeat with period 3
+        # at 20 intervals the grid-only lqr iterates hop across the root by
+        # one level switch and repeat with period 3 (the priced lqr converges)
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
         config = ShootingConfig(p0_initial=np.zeros(1), max_iterations=500)
-        result = solve(build_lqr(), TimePartition.uniform(1.0, 20), config, GridParams(101, 4096))
+        result = solve(problem, TimePartition.uniform(1.0, 20), config, GridParams(101, 4096))
         assert not result.converged
         assert result.iterations < 60
         assert "repeats iteration" in result.message
@@ -370,6 +378,52 @@ class TestSolve:
         )
         assert [it for it, _, _ in seen] == list(range(1, len(seen) + 1))
         assert all(cost == 0.0 for _, _, cost in seen)
+
+
+class TestExactPricing:
+    """Solves with a ``hamiltonian_argmin`` hook, against the optimum of the
+    discretized problem and against the grid alone."""
+
+    @pytest.mark.parametrize("intervals", [10, 20, 50, 100])
+    def test_priced_lqr_converges_near_the_discrete_optimum(self, intervals):
+        # the grid alone cycles at 10, 20 and 50 intervals on level
+        # quantization; a run is a feasible control of the discretized
+        # problem, so it cannot cost less than its optimum
+        part = TimePartition.uniform(1.0, intervals)
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
+        result = solve(build_lqr(), part, config, GridParams(101, 4096))
+        assert result.converged and result.iterations <= 6
+        excess = result.trajectory.accumulated_cost - lqr_discrete_optimum(intervals)
+        assert excess >= 0.0
+        if intervals == 100:
+            grid_only = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+            reference = solve(grid_only, part, config, GridParams(101, 4096))
+            grid_excess = reference.trajectory.accumulated_cost - lqr_discrete_optimum(intervals)
+            assert excess < grid_excess and grid_excess == pytest.approx(0.0558, abs=1e-4)
+            assert excess == pytest.approx(0.0448, abs=1e-4)
+
+    def test_priced_bolza_at_zero_adds_nothing_the_grid_attains(self):
+        # the hook's minimizer at p = 0 is the grid's u = -1, which ties:
+        # the tie rule keeps it out, so the grid's half-and-half measure on
+        # u = -1 and u = 1 stands and the run costs 0 in one iteration
+        problem = priced_bolza_problem(0.0)
+        calls = []
+
+        def argmin(t, x, p, lo, hi):
+            rows = problem.hamiltonian_argmin(t, x, p, lo, hi)
+            calls.append(rows.tolist())
+            return rows
+
+        priced = dataclasses.replace(problem, hamiltonian_argmin=argmin)
+        config = ShootingConfig(p0_initial=np.zeros(1))
+        result = solve(priced, TimePartition.uniform(1.0, 100), config, GridParams())
+        assert result.converged and result.iterations == 1
+        assert calls == [[[-1.0]]] * 100
+        traj = result.trajectory
+        assert traj.accumulated_cost == 0.0
+        assert np.array_equal(traj.offsets, np.arange(0, 201, 2))
+        assert traj.support_levels.tolist() == [[-1.0], [1.0]] * 100
+        assert traj.support_weights.tolist() == [0.5] * 200
 
 
 def grocer_10():
