@@ -220,8 +220,10 @@ def synthetic_demand(profile: str, amplitude: float, period: float = 1.0) -> Dem
     """
     if profile not in DEMAND_PROFILES:
         raise ConfigError(f"unknown demand profile {profile!r}; pick from {DEMAND_PROFILES}")
-    if amplitude < 0:
-        raise ConfigError("demand amplitude must be nonnegative")
+    if not 0 <= amplitude < math.inf:  # NaN fails too
+        raise ConfigError(f"demand amplitude must be nonnegative and finite, got {amplitude!r}")
+    if not math.isfinite(period):
+        raise ConfigError(f"demand period must be finite, got {period!r}")
     if profile in ("seasonal", "pulse") and not period > 0:
         raise ConfigError(f"{profile} demand needs a positive period")
 
@@ -304,24 +306,8 @@ def build_supply_chain(
     delta_pen = np.array([it.penalty for it in items])
     wbar = np.outer(w, delta_pen)
     wbar = wbar / wbar.sum()  # (customers, items)
-    item_ids = [it.item_id for it in items]
-    cust_ids = [c.customer_id for c in customers]
-
-    def build_theta(t: float) -> Array:
-        table = np.array(
-            [[demand.theta(t, cid, iid) for iid in item_ids] for cid in cust_ids]
-        )
-        if not np.all(np.isfinite(table)) or np.any(table < 0):
-            raise ConfigError(f"demand model produced a negative or non-finite rate at t={t}")
-        return table
-
-    # unit revenue per delivery column, customer-major like the control layout
-    revenue_vec = np.tile(REVENUE_FACTOR * alpha_env, n_cust)
-
-    def split_state(x: Array) -> Tuple[Array, Array]:
-        X = x[:n_items]
-        Z_ci = x[n_items:].reshape(n_items, n_cust).T  # (customers, items)
-        return X, Z_ci
+    # (customer, item) of each market row: the Z block is item-major
+    market_rows = [(c.customer_id, it.item_id) for it in items for c in customers]
 
     # The dynamics are affine in the control: f(t, x, u) = drift(t, x) + u @ B
     # with B constant.  B routes each order column into its item's inventory
@@ -336,35 +322,40 @@ def build_supply_chain(
             B[col, n_items + j * n_cust + c] = -1.0  # unmet-demand drain
 
     def state_drift(t: float, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        # theta laid out like the Z state block (item-major)
-        theta_state = build_theta(t).T.ravel()
-        return np.concatenate([-x[:n_items], -x[n_items:] + theta_state])
+        rates = [demand.theta(t, cid, iid) for cid, iid in market_rows]
+        if not all(0.0 <= r < math.inf for r in rates):  # NaN fails too
+            raise ConfigError(f"demand model produced a negative or non-finite rate at t={t}")
+        out = -np.asarray(x, dtype=float)
+        out[n_items:] += rates
+        return out
+
+    # The net cost rate is J = U @ rate + fixed + cost_state_gradient @ x.
+    # An order column costs its item's unit-cost envelope, a delivery column
+    # earns REVENUE_FACTOR times it (customer-major like the control layout).
+    rate = np.concatenate([agg @ alpha_env, np.tile(-REVENUE_FACTOR * alpha_env, n_cust)])
+    cost_state_gradient = np.concatenate([gamma_carry, wbar.T.ravel()])
 
     def net_cost_rate_batch(t: float, x: Array, U: Array) -> Array:
         U = np.asarray(U, dtype=float)
-        x = np.asarray(x, dtype=float)
-        X, Z_ci = split_state(x)
-        mu_hat = U[:, :n_sup] @ agg
-        ordering = mu_hat @ alpha_env
-        revenue = U[:, n_sup:] @ revenue_vec
         if fixed_cost_mode == "on-order":
-            fixed = (mu_hat > 0.0) @ beta_env
+            # item totals of the transposed order block, a contiguous read of
+            # the solver's column-major level block
+            fixed = beta_env @ (agg.T @ U[:, :n_sup].T > 0.0)
         else:
             fixed = float(beta_env.sum())
-        holding = float(gamma_carry @ X + (wbar * Z_ci).sum())
-        return -revenue + ordering + fixed + holding
+        return U @ rate + (fixed + cost_state_gradient @ np.asarray(x, dtype=float))
 
     def running_cost_batch(t: float, x: Array, U: Array) -> Array:
         J = net_cost_rate_batch(t, x, U)
         return J * np.abs(J)
 
-    cost_state_gradient = np.concatenate([gamma_carry, wbar.T.ravel()])
-
     def h_x_gradient(t: float, x: Array, p: Array, u: Array) -> Array:
         J = float(net_cost_rate_batch(t, x, np.asarray(u, dtype=float)[None, :])[0])
         # d(J|J|)/dx = 2|J| dJ/dx; the dynamics are -identity in the state
         return 2.0 * abs(J) * cost_state_gradient - p
+
+    minus_identity = -np.eye(n)
+    minus_identity.setflags(write=False)
 
     control_lower = np.zeros(m)
     control_upper = np.concatenate(
@@ -386,7 +377,7 @@ def build_supply_chain(
         gated_dims=gated,
         drift=state_drift,
         control_matrix=B,
-        drift_jacobian=lambda t, x: -np.eye(n),
+        drift_jacobian=lambda t, x: minus_identity,
         name="supply-chain",
     )
 

@@ -1,7 +1,8 @@
 """Independent oracles the tests compare the solver against.
 
 None of these run in the solver itself: closed forms, per-table envelopes,
-a single-row reference step, a schedule's time average, the control of a
+the grocer's net cost rate and drift in their table form, a single-row
+reference step, a schedule's time average, the control of a
 measure given by a weight on every level, the factored ``p . f`` sweep of a
 control-affine problem, the problem stripped of its hooks, the full-width
 product grid and filter that the level generator must reproduce bit for
@@ -71,6 +72,48 @@ def unmet_demand_weights() -> np.ndarray:
     delta = np.array([it.penalty for it in ITEMS])
     table = np.outer(w, delta)
     return table / table.sum()
+
+
+def reference_net_cost_rate(U, x, fixed_cost_mode="on-order", suppliers=SUPPLIERS,
+                            customers=CUSTOMERS, items=ITEMS):
+    """The grocer's net cost rate J at every row of ``U`` in its table form:
+    the item totals ``mu = U[:, :S] @ agg`` of the S order columns, the
+    ordering cost ``mu @ alpha``, the revenue ``U[:, S:] @ tile(2 alpha)``
+    over the customer-major delivery columns, the fixed cost ``(mu > 0) @
+    beta`` (every item's with ``always``) and the holding cost ``gamma @ X +
+    sum(wbar * Z)`` with Z read as a (customers, items) table.  Returns J,
+    the fixed-cost indicator ``mu > 0`` and the sum of the absolute values
+    of J's terms, which scales its rounding error."""
+    U, x = np.asarray(U, dtype=float), np.asarray(x, dtype=float)
+    S, n_items, n_cust = len(suppliers), len(items), len(customers)
+    agg = np.zeros((S, n_items))
+    for row, rec in enumerate(suppliers):
+        agg[row, rec.item_id] = 1.0
+    alpha = np.array([rec.unit_cost for rec in suppliers]) @ agg
+    beta = np.array([rec.fixed_cost for rec in suppliers]) @ agg
+    gamma = np.array([it.inv_carry_cost for it in items])
+    wbar = np.outer([c.importance for c in customers], [it.penalty for it in items])
+    wbar = wbar / wbar.sum()
+    X, Z = x[:n_items], x[n_items:].reshape(n_items, n_cust).T
+    mu = U[:, :S] @ agg
+    revenue_rate = np.tile(2.0 * alpha, n_cust)
+    on = mu > 0.0
+    fixed = on @ beta if fixed_cost_mode == "on-order" else np.full(len(U), beta.sum())
+    holding = gamma @ X + (wbar * Z).sum()
+    J = -(U[:, S:] @ revenue_rate) + mu @ alpha + fixed + holding
+    magnitude = (np.abs(U[:, S:]) @ revenue_rate + np.abs(U[:, :S]) @ (agg @ alpha) + fixed
+                 + gamma @ np.abs(X) + (wbar * np.abs(Z)).sum())
+    return J, on, magnitude
+
+
+def reference_drift(demand, t, x, customers=CUSTOMERS, items=ITEMS):
+    """The grocer's control-free dynamics from a (customers, items) table of
+    demand rates: ``-x``, plus the table laid out item-major (item outer,
+    customer inner) on the market rows."""
+    table = np.array([[demand.theta(t, c.customer_id, it.item_id) for it in items]
+                      for c in customers])
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([-x[:len(items)], -x[len(items):] + table.T.ravel()])
 
 
 def market_step_oracle(Z: float, theta: float, v: float, dt: float) -> float:

@@ -128,6 +128,15 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: eps must be positive and finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("period", "inf"), ("amplitude", "nan")])
+    def test_non_finite_demand_rejected_before_solving(self, flag, value, tmp_path, capsys):
+        # an infinite pulse period used to run with zero demand and converge
+        out = tmp_path / "out"
+        args = ["--problem", "supply-chain", "--demand", "pulse", f"--{flag}", value]
+        assert main(["solve", *args, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: demand {flag} must be")
+        assert not out.exists()
+
     def test_file_numbers_accepted(self):
         # JSON integers are numbers; p0 takes integers and floats
         SolveConfig(gamma=1, eps=1, amplitude=0, period=1, p0=[0, 1.5]).validate()

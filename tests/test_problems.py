@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chatterctl import (
     ConfigError,
+    DemandModel,
     GridParams,
     TimePartition,
     build_lqr,
@@ -18,6 +21,7 @@ from chatterctl import (
 from chatterctl.model import eval_dynamics_batch, eval_running_cost_batch
 from chatterctl.problems import (
     CUSTOMERS,
+    DEMAND_PROFILES,
     ITEMS,
     SUPPLIERS,
 )
@@ -26,6 +30,8 @@ from oracles import (
     item_unit_cost_envelope,
     lqr_hamiltonian_flow,
     market_step_oracle,
+    reference_drift,
+    reference_net_cost_rate,
     unmet_demand_weights,
 )
 
@@ -196,6 +202,14 @@ class TestSyntheticDemand:
             synthetic_demand("seasonal", 1.0, 0.0)
         with pytest.raises(ConfigError):
             synthetic_demand("weekly", 1.0)
+        # non-finite values are refused by name; an infinite pulse period
+        # would be a demand that never starts
+        for profile in DEMAND_PROFILES:
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigError, match="amplitude"):
+                    synthetic_demand(profile, value, 0.5)
+                with pytest.raises(ConfigError, match="period"):
+                    synthetic_demand(profile, 1.0, value)
 
 
 class TestSupplyChainProblem:
@@ -369,3 +383,92 @@ class TestSupplyChainProblem:
         assert problem.gated_dims[0] == (7.0, 14.0)
         assert problem.control_upper[0] == 14.0
         assert problem.control_upper[14] == 20.0
+
+
+#: both forms of J sum at most 50 terms (29 control columns, the fixed cost,
+#: 20 state terms), in different orders, so each lies within 50 eps of the
+#: exact rate and they differ by at most 100 eps, relative to the sum of the
+#: terms' magnitudes; reading J back from J|J| adds about 2 eps |J|.  128 eps
+#: of that magnitude covers both (the blocks below reach about 1.4 eps).
+NET_RATE_TOL = 128 * np.finfo(float).eps
+
+
+def grocer_blocks(rng, rows=64):
+    """Control blocks with negative entries, exact cancellations and every
+    supplier column of an item at zero, in C and in F order."""
+    U = rng.normal(0.0, 10.0, (rows, 29))
+    for row in range(0, rows, 2):
+        # every supplier of one item off: mu_i = 0, no fixed cost
+        item = rng.integers(5)
+        U[row, [s for s, rec in enumerate(SUPPLIERS) if rec.item_id == item]] = 0.0
+    U[1::4, 1] = -U[1::4, 0]  # Colorado cancels New Hampshire; apples' total is 0
+    U[3::4, 14:] = rng.uniform(0.0, 20.0, (len(U[3::4]), 15))
+    return [np.ascontiguousarray(U), np.asfortranarray(U)]
+
+
+def signed_root(g):
+    """J from the running cost J|J|."""
+    return np.copysign(np.sqrt(np.abs(g)), g)
+
+
+class TestGrocerKernels:
+    """The grocer's hooks are array kernels shaped for the solver's
+    column-major level block; ``oracles`` keeps their table form."""
+
+    @pytest.mark.parametrize("mode", ["on-order", "always"])
+    def test_net_rate_matches_table_form(self, mode):
+        problem = build_supply_chain(SEASONAL, 1.0, 200, fixed_cost_mode=mode)
+        rng = np.random.default_rng(22)
+        for _ in range(8):
+            x = rng.normal(0.0, 5.0, 20)
+            t = float(rng.uniform(0.0, 1.0))
+            for U in grocer_blocks(rng):
+                J = signed_root(problem.running_cost_batch(t, x, U))
+                J_ref, _, magnitude = reference_net_cost_rate(U, x, mode)
+                assert np.all(np.abs(J - J_ref) <= NET_RATE_TOL * magnitude)
+
+    @pytest.mark.parametrize("mode", ["on-order", "always"])
+    def test_fixed_cost_indicator_matches_exactly(self, mode):
+        # no unit cost and item i's fixed costs summing to 2**i: at x = 0 the
+        # net rate is the indicator's bit pattern, in exact arithmetic
+        first = {}
+        suppliers = [
+            dataclasses.replace(
+                rec, unit_cost=0.0,
+                fixed_cost=2.0 ** rec.item_id if first.setdefault(rec.item_id, s) == s else 0.0,
+            )
+            for s, rec in enumerate(SUPPLIERS)
+        ]
+        problem = build_supply_chain(SEASONAL, 1.0, 200, fixed_cost_mode=mode, suppliers=suppliers)
+        x = np.zeros(20)
+        for U in grocer_blocks(np.random.default_rng(5)):
+            J = np.sqrt(problem.running_cost_batch(0.3, x, U))
+            J_ref, on, _ = reference_net_cost_rate(U, x, mode, suppliers)
+            bits = on @ 2.0 ** np.arange(5) if mode == "on-order" else 31.0
+            assert np.array_equal(J, np.broadcast_to(bits, J.shape))
+            assert np.array_equal(J, J_ref)
+        # the blocks hold both off and on items
+        assert 0 < on.sum() < on.size
+
+    @pytest.mark.parametrize(
+        "demand",
+        [SEASONAL, synthetic_demand("constant", 2.5), synthetic_demand("pulse", 4.0, 0.25)],
+    )
+    def test_drift_matches_table_form(self, demand):
+        problem = build_supply_chain(demand, 1.0, 200)
+        rng = np.random.default_rng(3)
+        for t in (0.0, 0.2, 0.3, 0.55, 1.0):
+            x = rng.normal(0.0, 5.0, 20)
+            assert np.array_equal(problem.drift(t, x), reference_drift(demand, t, x))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-300])
+    def test_drift_rejects_bad_rates(self, rate):
+        problem = build_supply_chain(DemandModel(lambda t, c, i: rate, "bad"), 1.0, 100)
+        with pytest.raises(ConfigError, match="negative or non-finite rate at t=0.5"):
+            problem.drift(0.5, np.zeros(20))
+
+    def test_drift_jacobian_is_one_read_only_minus_identity(self):
+        problem = build_supply_chain(SEASONAL, 1.0, 200)
+        jac = problem.drift_jacobian(0.1, np.zeros(20))
+        assert jac is problem.drift_jacobian(0.7, np.ones(20))
+        assert np.array_equal(jac, -np.eye(20)) and not jac.flags.writeable
