@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,33 +201,12 @@ def _in_box(problem: ControlProblem, x_next: Array, coords=slice(None)) -> np.nd
     STEP_FEASIBILITY_TOL; the columns of ``x_next`` are the state
     coordinates ``coords`` (all of them by default)."""
     ok = np.ones(x_next.shape[0], dtype=bool)
+    all_ = np.logical_and.reduce  # skips np.all's Python-level wrapper
     if problem.state_lower is not None:
-        ok &= np.all(x_next >= problem.state_lower[coords] - STEP_FEASIBILITY_TOL, axis=1)
+        ok &= all_(x_next >= problem.state_lower[coords] - STEP_FEASIBILITY_TOL, axis=1)
     if problem.state_upper is not None:
-        ok &= np.all(x_next <= problem.state_upper[coords] + STEP_FEASIBILITY_TOL, axis=1)
+        ok &= all_(x_next <= problem.state_upper[coords] + STEP_FEASIBILITY_TOL, axis=1)
     return ok
-
-
-def _bisect_ends(
-    problem: ControlProblem,
-    step: Callable[[Array], Array],
-    anchor: Array,
-    cols: Array,
-    a: Array,
-    b: Array,
-) -> Array:
-    """Bisect each control dimension ``cols[r]`` between its feasible point
-    ``a[r]`` and its infeasible end ``b[r]``, the other controls held at
-    ``anchor``; returns the last feasible points."""
-    rows = np.arange(cols.size)
-    probe = np.tile(anchor, (cols.size, 1))
-    for _ in range(BOUND_SEARCH_ITERATIONS):
-        mid_ab = 0.5 * (a + b)
-        probe[rows, cols] = mid_ab
-        ok = _in_box(problem, step(probe))
-        a = np.where(ok, mid_ab, a)
-        b = np.where(ok, b, mid_ab)
-    return a
 
 
 def level_bound_search(
@@ -303,15 +282,12 @@ def _bisect_ranges(
     lo_out, hi_out = np.array(lower), np.array(upper)
     pending = dims
 
-    def step(probe: Array) -> Array:
-        return x + dt * eval_dynamics_batch(problem, t, x, probe)
-
     def next_states(anchor: Array, cols: Array, v: Array) -> Array:
         """The next states with control ``cols[r]`` at ``v[r]``, the others
         at ``anchor``."""
         probe = np.tile(anchor, (cols.size, 1))
         probe[np.arange(cols.size), cols] = v
-        return step(probe)
+        return x + dt * eval_dynamics_batch(problem, t, x, probe)
 
     for anchor in (0.5 * (lower + upper), lower, upper):
         if pending.size == 0:
@@ -333,7 +309,10 @@ def _bisect_ranges(
             cols = pending[which]
             a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]  # feasible
             b = np.where(side == 0, lo[which], hi[which])  # infeasible
-            a = _bisect_ends(problem, step, anchor, cols, a, b)
+            for _ in range(BOUND_SEARCH_ITERATIONS):  # a stays feasible, b not
+                mid_ab = 0.5 * (a + b)
+                ok = _in_box(problem, next_states(anchor, cols, mid_ab))
+                a, b = np.where(ok, mid_ab, a), np.where(ok, b, mid_ab)
             lo_out[cols[side == 0]] = a[side == 0]
             hi_out[cols[side == 1]] = a[side == 1]
         pending = pending[~found]
@@ -352,8 +331,8 @@ class _AffineTerms(NamedTuple):
     points: Array
     #: ``(3, n)``: ``anchor @ B`` of each anchor
     anchor_steps: Array
-    #: ``(3, 3, m, n)``: ``(v - anchor_d) * B[d]`` for anchor, probe point
-    #: v and dimension d
+    #: ``(n, 3, 3, m)``: ``(v - anchor_d) * B[d]`` for anchor, probe point
+    #: v and dimension d, state coordinate first
     shifts: Array
     #: ``(3, m, 2)``: ``sign(b - a)`` for start point a, dimension, and the
     #: end b searched for (lower, upper)
@@ -375,7 +354,7 @@ def _affine_terms(problem: ControlProblem) -> _AffineTerms:
     terms = _AffineTerms(
         points,
         np.stack([a @ B for a in anchors]),
-        np.stack([(points - a)[:, :, None] * B for a in anchors]),
+        np.stack([(points - a)[:, :, None] * B for a in anchors]).transpose(3, 0, 1, 2).copy(),
         np.sign(gaps),
         np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS,
         np.stack(_separable_sums(lo, hi, B)),
@@ -394,83 +373,84 @@ def _affine_ranges(
     Moving control d from an anchor to v moves the next state from ``x +
     dt * (drift + anchor @ B)`` by ``dt * (v - anchor_d) * B[d]``, so the
     probe states of every anchor, probe point and dimension are one
-    ``(3, 3, m, n)`` block with one ``_in_box``.  Each dimension takes the
+    ``(n, 3, 3, m)`` block with one ``_in_box`` (coordinate first, so that
+    its test reduces over long contiguous rows).  Each dimension takes the
     first anchor where a probe is feasible; every dimension is computed and
     those of ``dims`` are kept, since none depends on another.
 
     From the start point a, moving toward the infeasible end b a distance
     w moves the next state along ``+-dt * B[d]``, so the distance at which
     the first state bound binds is one division per state coordinate (zero
-    rates bind nothing), for every dimension and end at once.  The end
-    returned is the bisection's: the last point of its grid ``a + k (b - a)
-    2**-BOUND_SEARCH_ITERATIONS`` within that distance, so it stays inside
-    the bound by less than one bracket, as the bisection's does.  The
-    margin matters: an end exactly on a bound can round outside it once
-    several dimensions move together in the product filter, which drops a
-    level that the bisection keeps.
+    rates bind nothing), for every (dimension, end) that searches at once.
+    The end returned is the bisection's: the last point of its grid ``a +
+    k (b - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance, so it
+    stays inside the bound by less than one bracket, as the bisection's
+    does.  The margin matters: an end exactly on a bound can round outside
+    it once several dimensions move together in the product filter, which
+    drops a level that the bisection keeps.
     """
     m, n = problem.control_dim, problem.state_dim
     cols = np.arange(m)
-    probes = (x + dt * (drift + terms.anchor_steps))[:, None, None] + dt * terms.shifts
-    ok = _in_box(problem, probes.reshape(-1, n)).reshape(3, 3, m)
-    found = ok.any(axis=1)
+    probes = (x + dt * (drift + terms.anchor_steps)).T[:, :, None, None] + dt * terms.shifts
+    ok = _in_box(problem, probes.reshape(n, -1).T).reshape(3, 3, m)
+    found = np.logical_or.reduce(ok, axis=1)
     anchor = found.argmax(axis=0)
     feasible = found[anchor, cols]
     ok = ok[anchor, :, cols]
     start = ok.argmax(axis=1)  # the lower end, else the upper end, else the midpoint
-    x_start = probes[anchor, start, cols]
-    # one search per (dimension, infeasible end), lower end first
-    search = ~ok[:, :2] & feasible[:, None]
-    sign = terms.signs[start, cols]
-    rate = sign[:, :, None] * (dt * problem.control_matrix)[:, None]
-    # where a search starts, the slack at x_start is >= 0: it passed the
-    # same comparison in _in_box
-    slack = np.full((2, m, 1, n), np.inf)
-    if problem.state_lower is not None:
-        slack[0, :, 0] = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
-    if problem.state_upper is not None:
-        slack[1, :, 0] = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
-    reach = np.divide(
-        np.where(rate < 0.0, slack[0], slack[1]), np.abs(rate),
-        out=np.full(rate.shape, np.inf), where=search[:, :, None] & (rate != 0.0),
-    )
-    bracket = terms.brackets[start, cols]
-    steps = np.divide(reach.min(axis=2), bracket, out=np.zeros((m, 2)), where=search)
-    # b itself is infeasible and never a bisection point
-    steps = np.minimum(np.floor(steps), 2.0**BOUND_SEARCH_ITERATIONS - 1)
-    ends = terms.points[start, cols][:, None] + sign * (steps * bracket)
     wanted = np.zeros(m, dtype=bool)
     wanted[dims] = True
-    search &= wanted[:, None]
-    lo = np.where(search[:, 0], ends[:, 0], problem.control_lower)
-    hi = np.where(search[:, 1], ends[:, 1], problem.control_upper)
+    # one search row per wanted (dimension, infeasible end), lower end first
+    search = ~ok[:, :2] & (feasible & wanted)[:, None]
+    lo, hi = problem.control_lower.copy(), problem.control_upper.copy()
+    which, side = search.nonzero()
+    if which.size:
+        begin = start[which]
+        x_start = probes[:, anchor[which], begin, which].T
+        sign = terms.signs[begin, which, side]
+        rate = sign[:, None] * (dt * problem.control_matrix[which])
+        # where a search starts, the slack at x_start is >= 0: it passed the
+        # same comparison in _in_box
+        slack = np.full((2,) + x_start.shape, np.inf)
+        if problem.state_lower is not None:
+            slack[0] = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
+        if problem.state_upper is not None:
+            slack[1] = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
+        reach = np.divide(
+            np.where(rate < 0.0, slack[0], slack[1]), np.abs(rate),
+            out=np.full(rate.shape, np.inf), where=rate != 0.0,
+        )
+        bracket = terms.brackets[begin, which, side]
+        # b itself is infeasible and never a bisection point
+        steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
+        ends = terms.points[begin, which] + sign * (steps * bracket)
+        lower = side == 0
+        lo[which[lower]] = ends[lower]
+        hi[which[~lower]] = ends[~lower]
     return lo, hi, dims[~feasible[dims]]
 
 
-def _uniform_grid(lo: float, hi: float, count: int) -> Array:
-    # np.linspace semantics with exact endpoints, without its overhead (this
-    # runs per dimension per interval)
+def _uniform_grid(lo: float, hi: float, count: int) -> List[float]:
+    # np.linspace semantics with exact endpoints, in Python floats: the
+    # IEEE operations of lo + step * np.arange(count), the last value hi
     if count == 1 or lo == hi:
-        return np.array([lo])
+        return [lo]
     if count == 2:
-        return np.array([lo, hi])
-    vals = lo + (hi - lo) / (count - 1) * np.arange(count)
-    vals[-1] = hi
+        return [lo, hi]
+    step = (hi - lo) / (count - 1)
+    vals = [lo + step * k for k in range(count - 1)]
+    vals.append(hi)
     return vals
 
 
-def _dedupe_sorted(vals: Array) -> Array:
-    if vals.size <= 1:
-        return vals
-    keep = np.empty(vals.size, dtype=bool)
-    keep[0] = True
-    np.greater(vals[1:], vals[:-1], out=keep[1:])
-    return vals if keep.all() else vals[keep]
+def _dedupe_sorted(vals: List[float]) -> List[float]:
+    # each value kept when it exceeds the one before it (0.0 and -0.0 tie)
+    return vals[:1] + [b for a, b in zip(vals, vals[1:]) if b > a]
 
 
 def _scalar_grid(
     gated: Optional[Tuple[float, float]], dim: int, c_lo: float, c_hi: float, count: int
-) -> Array:
+) -> List[float]:
     """Distinct ascending level values for control dimension ``dim``, whose
     active range is ``gated`` if it is a gated dimension (None otherwise)."""
     if gated is None:
@@ -487,23 +467,15 @@ def _scalar_grid(
         raise InfeasibleLevels(
             f"gated control dimension {dim} admits neither zero nor its active range"
         )
-    vals = np.asarray(values, dtype=float)
     # the active grid ascends, so only a zero placed before it can be out of order
-    if vals.size > 1 and vals[0] > vals[1]:
-        vals.sort()
-    return _dedupe_sorted(vals)
+    if len(values) > 1 and values[0] > values[1]:
+        values.sort()
+    return _dedupe_sorted(values)
 
 
-@functools.lru_cache(maxsize=64)
-def _segments(sizes: Tuple[int, ...]) -> Tuple[Array, Array]:
-    """Where each grid starts and where it ends (its last value) in the
-    concatenated grids, read-only; cached because interval after interval
-    reuses the same sizes."""
-    lasts = np.cumsum(sizes) - 1
-    starts = lasts - sizes + 1
-    starts.setflags(write=False)
-    lasts.setflags(write=False)
-    return starts, lasts
+def _same_bits(a: List[float], b: Optional[List[float]]) -> bool:
+    # == alone equates 0.0 and -0.0; the signs tell them apart
+    return a == b and [math.copysign(1.0, v) for v in a] == [math.copysign(1.0, v) for v in b]
 
 
 def _open_coords(
@@ -541,26 +513,21 @@ def _separable_sums(first: Array, last: Array, B: Array) -> Tuple[Array, Array, 
 
 
 def _affine_in_box(
-    problem: ControlProblem,
-    x_i: Array,
-    dt: float,
-    drift: Array,
-    levels: Array,
-    values: Array,
-    sizes: Tuple[int, ...],
-) -> np.ndarray:
+    problem: ControlProblem, x_i: Array, dt: float, drift: Array, levels: Array,
+    grids: Sequence[List[float]],
+) -> Optional[np.ndarray]:
     """``_in_box`` of the next states ``x_i + dt * (drift + levels @ B)`` of
-    the product of the scalar grids (concatenated in ``values``, with
-    ``sizes`` values each), for control-affine dynamics.  The separable
-    bound takes each grid's first and last value, the same elements that
-    bound ``v * B[j, i]`` over the whole grid.  The coordinates that
-    ``_open_coords`` clears get no row test; the rest are tested on every
-    row as the rows compute, so the mask is exact."""
+    the product of the scalar ``grids``, for control-affine dynamics, or
+    None when the separable bound keeps every level.  The bound takes each
+    grid's first and last value, the same elements that bound ``v * B[j,
+    i]`` over the whole grid.  The coordinates that ``_open_coords`` clears
+    get no row test; the rest are tested on every row as the rows compute,
+    so the mask is exact."""
     B = problem.control_matrix
-    starts, lasts = _segments(sizes)
-    open_ = _open_coords(problem, x_i, dt, drift, *_separable_sums(values[starts], values[lasts], B))
+    first, last = np.array([g[0] for g in grids]), np.array([g[-1] for g in grids])
+    open_ = _open_coords(problem, x_i, dt, drift, *_separable_sums(first, last, B))
     if not open_.any():
-        return np.ones(levels.shape[0], dtype=bool)
+        return None
     return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
 
 
@@ -575,6 +542,30 @@ def _box_steps_inside(
     return not _open_coords(problem, x_i, dt, drift, *terms.box_sums).any()
 
 
+def _write_columns(levels: Array, grids: Sequence[List[float]], cols: Sequence[int]) -> None:
+    """Writes columns ``cols`` of the lexicographic Cartesian product of
+    ``grids`` into the column-major ``(K, m)`` array ``levels``: column j
+    runs through grid j in blocks of ``prod(sizes[j + 1:])`` equal rows.
+    The write follows the column's shape: a one-value grid fills it; a
+    column that repeats a pattern of at most 4 rows gets one strided fill
+    per pattern row; any other gets its values broadcast over its blocks
+    (numpy's per-call cost, not the 4096 stores, sets the time here)."""
+    sizes = [len(g) for g in grids]
+    for j in cols:
+        grid, column = grids[j], levels[:, j]
+        size = sizes[j]
+        if size == 1:
+            column.fill(grid[0])
+            continue
+        inner = math.prod(sizes[j + 1:])
+        period = size * inner
+        if period <= 4:
+            for r in range(period):
+                column[r::period] = grid[r // inner]
+        else:
+            column.reshape(-1, size, inner)[...] = np.array(grid)[:, None]
+
+
 class LevelCache:
     """What level generation reuses for one problem and one ``GridParams``;
     ``generate_levels_with_dynamics`` refuses it for any other.
@@ -587,26 +578,23 @@ class LevelCache:
     every interval without state bounds and of every interval whose whole
     control box steps inside the state box (``_box_steps_inside``).
 
-    Kept from the builds before, which the next build starts from: ``lo``
-    and ``hi``, the range ends of the last search, with ``grids``, the
-    scalar grid of each control dimension over them; and ``values`` and
-    ``sizes``, the concatenated grids of the last product and their sizes,
-    with ``levels``, the buffer that holds that whole product before the
-    box filter; all None until the first such build.  The cache owns
+    Kept from the searched build before, which the next one starts from
+    (``_product``): ``lo`` and ``hi``, its range ends, ``grids``, the scalar
+    grid of each control dimension over them in Python floats, and
+    ``levels``, the buffer that holds their whole product before the box
+    filter; all None until the first such build.  The cache owns
     ``levels``: a column-major ``(K, m)`` array, read-only to everyone
-    else, that each build writes over in place (``_product_levels``), so a
-    grid or a batch-hook block that shares it is valid only until the next
-    build with this cache.
+    else, that each searched build writes over in place, so a grid or a
+    batch-hook block that shares it is valid only until the next build
+    with this cache.
 
     ``memo`` is None, or a dict that keeps per interval ``(t, dt)`` the
-    start state's bytes, the searched ranges (None without a
-    ``hamiltonian_argmin``, their one reader), the concatenated scalar
-    grids, their sizes and the keep mask (None when every level is kept)
-    of the last build there, with none of these but the state where
-    ``box_grid`` was returned; never levels or dynamics rows, whose size
-    would grow the peak memory by megabytes.  ``solve`` gives its cache
-    one, because its propagations start intervals again from the same
-    states; a lone propagation never does.
+    start state's bytes, the searched range ends (None where ``box_grid``
+    was returned) and the keep mask (None when every level is kept) of the
+    last build there; never levels or dynamics rows, whose size would grow
+    the peak memory by megabytes.  ``solve`` gives its cache one, because
+    its propagations start intervals again from the same states; a lone
+    propagation never does.
     """
 
     def __init__(self, problem: ControlProblem, params: GridParams):
@@ -614,75 +602,52 @@ class LevelCache:
         self.counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
         affine = problem.drift is not None and problem.has_state_bounds
         self.terms = _affine_terms(problem) if affine else None
-        self.lo = self.hi = self.grids = self.values = self.sizes = self.levels = None
+        self.lo = self.hi = self.grids = self.levels = None
         self.memo: Optional[Dict[Tuple[float, float], tuple]] = None
 
     @functools.cached_property
     def box_grid(self) -> LevelGrid:
-        problem = self.problem
-        lo, hi = problem.control_lower, problem.control_upper
-        values, sizes = _grid_values(problem.gated_dims, lo, hi, self.counts)
-        return LevelGrid(_product_levels(values, sizes), lo, hi)
+        lo, hi = self.problem.control_lower, self.problem.control_upper
+        return LevelGrid(_product(self.problem, lo, hi, self.counts), lo, hi)
 
 
-def _grid_values(
-    gated_dims: Optional[Mapping[int, Tuple[float, float]]],
-    lo: Array,
-    hi: Array,
-    counts: Array,
-    cache: Optional[LevelCache] = None,
-) -> Tuple[Array, Tuple[int, ...]]:
-    """The per-dimension grids from ``lo`` to ``hi`` with ``counts``
-    points, concatenated, and their sizes.  A dimension whose range ends
-    equal ``cache``'s bit for bit keeps its grid; ``cache`` then takes
-    these ranges and grids."""
-    gated_dims = gated_dims or {}
-    lo_list, hi_list = lo.tolist(), hi.tolist()
+def _product(
+    problem: ControlProblem, lo: Array, hi: Array, counts: Array, cache: Optional[LevelCache] = None
+) -> Array:
+    """The lexicographic Cartesian product of the scalar grids from ``lo``
+    to ``hi`` with ``counts`` points, as a read-only column-major ``(K,
+    m)`` array (the dimension count is not limited the way np.meshgrid
+    is).  Without ``cache`` it is a new array.  With one it is written in
+    place into the cache's buffer, which then holds it: only the dimensions
+    whose range ends differ from the cache's bit for bit get a new grid,
+    and only the columns whose grid changed bit for bit are written (every
+    column when a grid size changed); a new buffer is allocated only when K
+    changes."""
+    m = len(counts)
     if cache is None or cache.grids is None:
-        grids = [None] * len(lo_list)
-        redo = range(len(lo_list))
+        grids, levels, moved = [None] * m, None, range(m)
     else:
-        grids = list(cache.grids)
-        moved = (lo.view(np.int64) != cache.lo.view(np.int64)) | (
-            hi.view(np.int64) != cache.hi.view(np.int64)
-        )
-        redo = np.flatnonzero(moved).tolist()
-    for j in redo:
-        grids[j] = _scalar_grid(gated_dims.get(j), j, lo_list[j], hi_list[j], int(counts[j]))
-    if cache is not None:
-        cache.lo, cache.hi, cache.grids = lo, hi, grids
-    return np.concatenate(grids), tuple(g.size for g in grids)
-
-
-def _product_levels(values: Array, sizes: Tuple[int, ...], cache: Optional[LevelCache] = None) -> Array:
-    """The lexicographic Cartesian product of the grids that ``_grid_values``
-    returned, as a read-only column-major ``(K, m)`` array (dimension count
-    is not limited the way np.meshgrid is), written one column at a time:
-    column j runs through grid j in blocks of ``prod(sizes[j + 1:])`` equal
-    rows.
-
-    With ``cache`` the product is written into its buffer in place: only
-    the columns whose grids differ from ``cache.values`` bit for bit, or
-    every column when the sizes changed; a new buffer is allocated only
-    when K changes.  ``cache`` then holds these grids and the buffer.
-    Without it every call writes a new array."""
-    K, m = math.prod(sizes), len(sizes)
-    starts = _segments(sizes)[0]
-    levels = None if cache is None else cache.levels
-    if levels is None or levels.shape[0] != K:
-        levels, changed = np.empty((K, m), order="F"), range(m)
-    elif cache.sizes != sizes:
-        changed = range(m)
-    else:
-        differs = values.view(np.int64) != cache.values.view(np.int64)
-        changed = np.flatnonzero(np.logical_or.reduceat(differs, starts)).tolist()
+        grids, levels = list(cache.grids), cache.levels
+        moved = ((lo.view(np.int64) != cache.lo.view(np.int64))
+                 | (hi.view(np.int64) != cache.hi.view(np.int64))).nonzero()[0].tolist()
+    gated_dims = problem.gated_dims or {}
+    lo_list, hi_list, count_list = lo.tolist(), hi.tolist(), counts.tolist()
+    changed, resized = [], False
+    for j in moved:
+        grid = _scalar_grid(gated_dims.get(j), j, lo_list[j], hi_list[j], count_list[j])
+        if not _same_bits(grid, grids[j]):
+            resized |= grids[j] is None or len(grid) != len(grids[j])
+            grids[j] = grid
+            changed.append(j)
+    if resized:
+        changed, K = range(m), math.prod(len(g) for g in grids)
+        if levels is None or levels.shape[0] != K:
+            levels = np.empty((K, m), order="F")
     levels.setflags(write=True)
-    for j in changed:
-        blocks = levels[:, j].reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
-        blocks[...] = values[starts[j]:starts[j] + sizes[j], None]
+    _write_columns(levels, grids, changed)
     levels.setflags(write=False)
     if cache is not None:
-        cache.values, cache.sizes, cache.levels = values, sizes, levels
+        cache.lo, cache.hi, cache.grids, cache.levels = lo, hi, grids, levels
     return levels
 
 
@@ -711,21 +676,21 @@ def generate_levels_with_dynamics(
     ``lo`` and ``hi`` are the ranges it spans: the control bounds for
     ``box_grid``; the searched ranges otherwise, for a problem with a
     ``hamiltonian_argmin`` (the one reader of them), and None for one
-    without, so a memo keeps no ranges that nothing reads.
+    without.
 
     ``cache`` (see ``LevelCache``) holds the level work that this build
     reuses and then replaces; a fresh one is built when none is given, and
     one built for another problem (by identity) or other ``params`` (by
-    equality) raises ``ValueError``.  Each build starts from the one before
-    it: a range whose ends did not move keeps its scalar grid, and the
-    product is written into the cache's buffer, only the changed columns
-    (``_product_levels``).  When the cache's memo holds this interval
-    ``(t, dt)`` from ``x_i``, bit for bit, the range search, the scalar
-    grids and the box test are skipped and the same levels are written
-    again; a miss replaces the entry, and a failed build leaves none.  The
-    result is bit for bit the fresh build's, but a grid is valid only until
-    the next build with the same cache, which may write over its levels; a
-    batch hook gets them read-only, valid only during the call.
+    equality) raises ``ValueError``.  Each searched build starts from the
+    one before it: a range whose ends did not move keeps its scalar grid,
+    and the product is written into the cache's buffer, only the changed
+    columns (``_product``).  When the cache's memo holds this
+    interval ``(t, dt)`` from ``x_i``, bit for bit, the range search and
+    the box test are skipped and the entry's ranges are built again; a miss
+    replaces the entry, and a failed build leaves none.  The result is bit
+    for bit the fresh build's, but a grid is valid only until the next
+    build with the same cache, which may write over its levels; a batch
+    hook gets them read-only, valid only during the call.
 
     Also returns the dynamics rows at the kept levels when the problem has
     state bounds and no control-affine hooks (the filter evaluated them, so
@@ -745,36 +710,32 @@ def generate_levels_with_dynamics(
     memo = cache.memo
     entry = None if memo is None else memo.pop((t, dt), None)
     hit = entry is not None and entry[0] == state
-    lo = hi = values = sizes = keep = f = None
+    lo = hi = keep = f = None
     if hit:
-        _, lo, hi, values, sizes, keep = entry
+        _, lo, hi, keep = entry
     else:
         if drift is None and problem.drift is not None:
             drift = eval_drift(problem, t, x_i)
         if drift is None or not _box_steps_inside(problem, x_i, dt, drift, cache.terms):
-            dims = range(problem.control_dim)
-            lo, hi = _search_ranges(problem, t, x_i, dt, dims, drift, cache.terms)
-            values, sizes = _grid_values(problem.gated_dims, lo, hi, cache.counts, cache)
-            if problem.hamiltonian_argmin is None:
-                lo = hi = None
-            else:
-                lo.setflags(write=False)
-                hi.setflags(write=False)
-    if values is None:
+            lo, hi = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift, cache.terms)
+            lo.setflags(write=False)
+            hi.setflags(write=False)
+    if lo is None:
         grid = cache.box_grid
     else:
-        levels = _product_levels(values, sizes, cache)
+        levels = _product(problem, lo, hi, cache.counts, cache)
         if not hit:
             if drift is None:
                 f = eval_dynamics_batch(problem, t, x_i, levels)
                 keep = _in_box(problem, x_i + dt * f)
             else:
-                keep = _affine_in_box(problem, x_i, dt, drift, levels, values, sizes)
-            if not np.any(keep):
-                raise InfeasibleLevels(
-                    f"no product level satisfies the one-step state bounds at t={t}"
-                )
-            keep = None if np.all(keep) else keep
+                keep = _affine_in_box(problem, x_i, dt, drift, levels, cache.grids)
+            if keep is not None:
+                if not keep.any():
+                    raise InfeasibleLevels(
+                        f"no product level satisfies the one-step state bounds at t={t}"
+                    )
+                keep = None if keep.all() else keep
         elif problem.drift is None:
             # the rows of the whole product, as on the first build: a batch
             # evaluator need not give a row the same bits in a smaller batch
@@ -782,7 +743,10 @@ def generate_levels_with_dynamics(
         if keep is not None:
             levels, f = levels[keep], None if f is None else f[keep]
             levels.setflags(write=False)
-        grid = LevelGrid(levels, lo, hi)
+        if problem.hamiltonian_argmin is None:
+            grid = LevelGrid(levels)
+        else:
+            grid = LevelGrid(levels, lo, hi)
     if memo is not None:
-        memo[(t, dt)] = (state, lo, hi, values, sizes, keep)
+        memo[(t, dt)] = (state, lo, hi, keep)
     return grid, f

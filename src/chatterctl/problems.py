@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -210,12 +210,20 @@ _IMPORTANCE_BY_ID: Dict[int, float] = {c.customer_id: c.importance for c in CUST
 DEMAND_PROFILES = ("constant", "seasonal", "pulse")
 
 
+@dataclass(frozen=True)
+class _SeasonalDemand(DemandModel):
+    """``synthetic_demand``'s seasonal model, with its parameters."""
+
+    amplitude: float = 0.0
+    period: float = 1.0
+
+
 def synthetic_demand(profile: str, amplitude: float, period: float = 1.0) -> DemandModel:
     """Deterministic demand curves standing in for the historical data.
 
     * ``constant``: amplitude for every customer and item.
     * ``seasonal``: amplitude * (1 + sin(2 pi t / period)) / 2, scaled per
-      customer by its importance.
+      customer by its importance (``theta`` reads it from ``CUSTOMERS``).
     * ``pulse``: amplitude on [period, 2 * period), zero elsewhere.
     """
     if profile not in DEMAND_PROFILES:
@@ -227,6 +235,7 @@ def synthetic_demand(profile: str, amplitude: float, period: float = 1.0) -> Dem
     if profile in ("seasonal", "pulse") and not period > 0:
         raise ConfigError(f"{profile} demand needs a positive period")
 
+    description = f"{profile}(amplitude={amplitude:g}, period={period:g})"
     if profile == "constant":
 
         def theta(t: float, customer: int, item: int) -> float:
@@ -240,12 +249,14 @@ def synthetic_demand(profile: str, amplitude: float, period: float = 1.0) -> Dem
                 raise ConfigError(f"unknown customer id {customer}")
             return w * amplitude * (1.0 + math.sin(2.0 * math.pi * t / period)) / 2.0
 
+        return _SeasonalDemand(theta, description, amplitude, period)
+
     else:  # pulse
 
         def theta(t: float, customer: int, item: int) -> float:
             return amplitude if period <= t < 2.0 * period else 0.0
 
-    return DemandModel(theta, f"{profile}(amplitude={amplitude:g}, period={period:g})")
+    return DemandModel(theta, description)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +285,10 @@ def build_supply_chain(
     (revenue negative; ordering, carrying and unmet-demand penalties
     positive).  Fixed ordering costs are charged per item whenever its total
     order rate is positive (``on-order``) or unconditionally (``always``).
+
+    Seasonal demand is scaled by the importance of the records in
+    ``customers``.  Another model's ``theta`` must rate every (customer,
+    item) at t = 0 without ``LookupError`` or ``ValueError``.
     """
     if fixed_cost_mode not in ("on-order", "always"):
         raise ConfigError("fixed_cost_mode must be 'on-order' or 'always'")
@@ -321,12 +336,31 @@ def build_supply_chain(
             B[col, j] = -1.0  # inventory drain
             B[col, n_items + j * n_cust + c] = -1.0  # unmet-demand drain
 
+    if isinstance(demand, _SeasonalDemand):
+        # importance times amplitude, the seasonal rate's first product:
+        # the same bits, with one sine per drift call
+        scale = [c.importance * demand.amplitude for _ in items for c in customers]
+
+        def market_rates(t: float) -> List[float]:
+            wave = 1.0 + math.sin(2.0 * math.pi * t / demand.period)
+            return [w * wave / 2.0 for w in scale]
+
+    else:
+        for cid, iid in market_rows:
+            try:
+                demand.theta(0.0, cid, iid)
+            except (LookupError, ValueError) as exc:
+                raise ConfigError(f"demand model cannot rate customer id {cid}: {exc}") from exc
+
+        def market_rates(t: float) -> List[float]:
+            rates = [demand.theta(t, cid, iid) for cid, iid in market_rows]
+            if not all(0.0 <= r < math.inf for r in rates):  # NaN fails too
+                raise ConfigError(f"demand model produced a negative or non-finite rate at t={t}")
+            return rates
+
     def state_drift(t: float, x: Array) -> Array:
-        rates = [demand.theta(t, cid, iid) for cid, iid in market_rows]
-        if not all(0.0 <= r < math.inf for r in rates):  # NaN fails too
-            raise ConfigError(f"demand model produced a negative or non-finite rate at t={t}")
         out = -np.asarray(x, dtype=float)
-        out[n_items:] += rates
+        out[n_items:] += market_rates(t)
         return out
 
     # The net cost rate is J = U @ rate + fixed + cost_state_gradient @ x.

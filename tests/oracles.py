@@ -163,21 +163,39 @@ def without_hooks(problem):
     )
 
 
-def reference_scalar_grid(problem, dim, lo, hi, count):
-    """One control dimension's level values as ``np.unique`` of the
-    candidates: zero when a gated dimension's range holds it, then the
-    uniform grid of the (active) range on the slots left."""
+def reference_uniform_grid(lo, hi, count):
+    """``count`` evenly spaced values from ``lo`` to ``hi``: np.linspace's
+    ``k * step + lo`` with the endpoint pinned to ``hi``, written out so
+    that a step which underflows to zero keeps the formula (np.linspace
+    then scales ``k / (count - 1)`` instead).  A range of one point or of
+    zero width holds ``lo``, and one of two points its ends."""
+    if count == 1 or lo == hi:
+        return [lo]
+    if count == 2:
+        return [lo, hi]
+    grid = np.arange(count) * ((hi - lo) / (count - 1)) + lo
+    grid[-1] = hi
+    return grid.tolist()
+
+
+def reference_scalar_grid(gated, dim, lo, hi, count):
+    """One control dimension's level values, with active range ``gated`` on
+    a gated dimension (None otherwise): the candidates are zero when a
+    gated dimension's range holds it, then the uniform grid of the (active)
+    range on the slots left; they come back sorted, each value kept once
+    (the first of equal values in a stable sort, so a zero candidate beats
+    a -0.0 of the active grid)."""
     values = []
-    gated = problem.gated_dims.get(dim) if problem.gated_dims else None
     if gated is not None:
         if lo <= 0.0 <= hi:
             values.append(0.0)
         lo, hi = max(gated[0], lo), min(gated[1], hi)
     if lo <= hi and count > len(values):
-        values.extend(chattering._uniform_grid(lo, hi, count - len(values)))
+        values.extend(reference_uniform_grid(lo, hi, count - len(values)))
     if not values:
         raise InfeasibleLevels(f"control dimension {dim} has no level")
-    return np.unique(values)
+    ordered = np.sort(np.array(values), kind="stable")
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 def full_width_levels(problem, t, x, dt, grid_params):
@@ -193,7 +211,7 @@ def full_width_levels(problem, t, x, dt, grid_params):
     ranges = chattering.level_bound_search(problem, t, x, dt, range(m))
     counts = chattering._coarsen_counts(problem, grid_params.k_per_dim, grid_params.cap)
     grids = [
-        reference_scalar_grid(problem, j, lo, hi, int(count))
+        reference_scalar_grid((problem.gated_dims or {}).get(j), j, lo, hi, int(count))
         for j, ((lo, hi), count) in enumerate(zip(ranges, counts))
     ]
     levels = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chatterctl import (
@@ -36,6 +36,7 @@ from oracles import (
     feedback_replay,
     full_width_levels,
     reference_affine_ranges,
+    reference_scalar_grid,
     reference_separable_sums,
     schedule_time_average,
     without_hooks,
@@ -605,6 +606,11 @@ def assert_bitwise(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def concatenated(grids):
+    """The scalar grids laid end to end as one array, and their sizes."""
+    return np.array([v for grid in grids for v in grid]), [len(grid) for grid in grids]
+
+
 def assert_factored_sweep(problem, t, x, p, levels, f):
     """The factored sweep that ``propagate_forward`` runs, ``g +
     affine_p_dot_f(...)``, against the full form ``g + f @ p`` on the
@@ -839,7 +845,6 @@ class TestSeparableBound:
                 for j in range(m) if lower[j] <= 0.0 <= upper[j] and rng.uniform() < 0.5
             }
             counts = rng.integers(1, 6, m)
-            values, sizes = chattering._grid_values(gated, lower, upper, counts)
             problem = ControlProblem(
                 state_dim=n, control_dim=m, horizon=1.0, initial_state=np.zeros(n),
                 running_cost=lambda t, x, u: 0.0, control_lower=lower, control_upper=upper,
@@ -847,9 +852,12 @@ class TestSeparableBound:
                 drift=lambda t, x: np.zeros(n), control_matrix=b,
                 drift_jacobian=lambda t, x: np.zeros((n, n)),
             )
-            levels = chattering._product_levels(values, sizes)
+            grids = [chattering._scalar_grid(gated.get(j), j, lower[j], upper[j], counts[j])
+                     for j in range(m)]
+            values, sizes = concatenated(grids)
+            levels = chattering._product(problem, lower, upper, counts)
             seen.clear()
-            chattering._affine_in_box(problem, np.zeros(n), 0.1, np.zeros(n), levels, values, sizes)
+            chattering._affine_in_box(problem, np.zeros(n), 0.1, np.zeros(n), levels, grids)
             (sums,) = seen
             for got, expected in zip(sums, reference_separable_sums(values, sizes, b)):
                 assert_bitwise(got, expected)
@@ -866,18 +874,66 @@ class TestSeparableBound:
         affine_in_box = chattering._affine_in_box
         masks = []
 
-        def checked(problem, x_i, dt, drift, levels, values, sizes):
-            keep = affine_in_box(problem, x_i, dt, drift, levels, values, sizes)
-            sums = reference_separable_sums(values, sizes, B)
+        def checked(problem, x_i, dt, drift, levels, grids):
+            keep = affine_in_box(problem, x_i, dt, drift, levels, grids)
+            sums = reference_separable_sums(*concatenated(grids), B)
             open_ = chattering._open_coords(problem, x_i, dt, drift, *sums)
             expected = chattering._in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
-            assert_bitwise(keep, expected)
-            masks.append(keep)
+            if keep is None:  # the bound keeps every level without a row test
+                assert not open_.any() and expected.all()
+            else:
+                assert_bitwise(keep, expected)
+            masks.append(expected)
             return keep
 
         monkeypatch.setattr(chattering, "_affine_in_box", checked)
         propagate_forward(problem, TimePartition.uniform(1.0, 200), p0, GridParams(101, 4096), source)
         assert len(masks) > 100 and any(not keep.all() for keep in masks)
+
+
+#: range ends: signed zeros, or any finite value of moderate size
+GRID_ENDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def scalar_grid_cases(draw):
+    """A scalar grid's gate (None, or an active range that straddles, touches
+    or misses 0), its range ends (maybe equal, maybe -0.0) and its count."""
+    lo, hi = sorted([draw(GRID_ENDS), draw(GRID_ENDS)])
+    if draw(st.booleans()):
+        hi = lo
+    gated = tuple(sorted([draw(GRID_ENDS), draw(GRID_ENDS)])) if draw(st.booleans()) else None
+    return gated, lo, hi, draw(st.integers(1, 101))
+
+
+class TestScalarGrids:
+    """Each dimension's grid, in Python floats, is the oracle's numpy grid
+    bit for bit."""
+
+    @given(scalar_grid_cases())
+    @settings(max_examples=400, deadline=None)
+    @example((None, -0.0, -0.0, 5))
+    @example((None, -0.0, 3.0, 1))
+    @example((None, -0.0, 3.0, 2))
+    @example((None, -0.0, 3.0, 101))
+    @example((None, 0.0, 5e-324, 4))  # the step underflows to zero
+    @example(((-2.0, 3.0), -1.0, 5.0, 7))  # straddles 0
+    @example(((-2.0, -0.0), -1.0, 1.0, 40))  # touches 0 from below at -0.0
+    @example(((-0.0, 3.0), -1.0, 5.0, 3))  # touches 0 from above at -0.0
+    @example(((0.0, 3.0), -0.0, 5.0, 1))
+    @example(((2.0, 3.0), 0.0, 5.0, 4))  # misses 0
+    @example(((2.0, 3.0), 0.5, 1.0, 3))  # admits nothing
+    def test_matches_the_oracle_bit_for_bit(self, case):
+        gated, lo, hi, count = case
+        try:
+            expected = reference_scalar_grid(gated, 0, lo, hi, count)
+        except InfeasibleLevels:
+            with pytest.raises(InfeasibleLevels):
+                chattering._scalar_grid(gated, 0, lo, hi, count)
+            return
+        grid = chattering._scalar_grid(gated, 0, lo, hi, count)
+        assert all(type(v) is float for v in grid)
+        assert_bitwise(np.array(grid), expected)
 
 
 class TestGenerateLevels:
@@ -1248,11 +1304,15 @@ class TestGridRanges:
         x = rng.uniform(0.0, 2.0, 20)
         x[rng.integers(0, 20, 6)] = 0.0
         t, dt, params = 0.3, 0.005, GridParams()
+        ranges = np.array(level_bound_search(problem, t, x, dt, range(problem.control_dim)))
         cache = memo_cache(problem, params)
         for _ in range(2):  # a miss, then a hit
             grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
             assert grid.lo is None and grid.hi is None
-            assert cache.memo[(t, dt)][1:3] == (None, None)
+            # the memo keeps the ends, which a hit builds its grids from
+            _, lo, hi, _ = cache.memo[(t, dt)]
+            assert_bitwise(lo, ranges[:, 0])
+            assert_bitwise(hi, ranges[:, 1])
 
 
 def zero_gated_problem(rng):
@@ -1285,18 +1345,20 @@ def next_chain_state(rng, problem, x):
 
 def chain_path(before, cache, grid):
     """Which way a build with ``cache`` made its grid, from the cache's
-    ``(sizes, values, levels)`` before the build and the cache after it.
-    Checks that the product buffer is the one before exactly when the level
-    count K did not change."""
-    sizes, values, levels = before
+    ``(grids, levels)`` before the build and the cache after it.  Checks
+    that the product buffer is the one before exactly when the level count
+    K did not change."""
+    grids, levels = before
     if grid is cache.box_grid:
         return "whole box"
-    if sizes is None:
+    if grids is None:
         return "first"
     assert (cache.levels is levels) == (cache.levels.shape == levels.shape)
-    if sizes != cache.sizes:
+    values, sizes = concatenated(grids)
+    cache_values, cache_sizes = concatenated(cache.grids)
+    if sizes != cache_sizes:
         return "sizes changed"
-    differs = cache.values.view(np.int64) != values.view(np.int64)
+    differs = cache_values.view(np.int64) != values.view(np.int64)
     return "rewritten" if differs.any() else "reused"
 
 
@@ -1310,30 +1372,50 @@ def fresh_build(problem, t, x, dt, params):
 
 def run_chain(rng, paths):
     """Builds a chain of eight states on a random problem twice, with one
-    ``LevelCache`` for the chain and with a fresh one per build, and checks
-    that both give the same grid bit for bit, raise together, and return
-    the whole-box grid together.  Counts in ``paths`` which way the chained
-    grid was made (``chain_path``)."""
+    ``LevelCache`` with a memo for the chain and with a fresh one per build,
+    and checks that both give the same grid bit for bit, raise together,
+    and return the whole-box grid together.  Then builds the chain's
+    intervals again from the same states in a shuffled order: memo hits
+    taken after builds at other intervals, some of them after a whole-box
+    build, each checked against the fresh build the same way.  Counts in
+    ``paths`` which way each chained grid was made (``chain_path``, with
+    "hit, " before it on a hit), and as "hit after whole box" a searched
+    hit right after a whole-box build."""
     problem = zero_gated_problem(rng)
     dt = float(rng.uniform(0.05, 0.5))
     params = GridParams(3, int(rng.integers(1, 3 ** problem.control_dim + 1)))
-    cache = chattering.LevelCache(problem, params)
+    cache = memo_cache(problem, params)
     x = problem.initial_state
+    built, whole_box = [], False
+
+    def build(t, x, fresh, label):
+        fresh, fresh_whole_box = fresh
+        before = (cache.grids, cache.levels)
+        chained, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+        assert_bitwise(chained.levels, fresh.levels)
+        assert (chained is cache.box_grid) == fresh_whole_box
+        path = chain_path(before, cache, chained)
+        paths[label + path] += 1
+        return path == "whole box"
+
     for k in range(8):
         x = next_chain_state(rng, problem, x)
         t = 0.1 * k
-        before = (cache.sizes, cache.values, cache.levels)
         try:
-            fresh, fresh_whole_box = fresh_build(problem, t, x, dt, params)
+            fresh = fresh_build(problem, t, x, dt, params)
         except InfeasibleLevels:
             with pytest.raises(InfeasibleLevels):
                 generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
             paths["raised"] += 1
             continue
-        chained, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
-        assert_bitwise(chained.levels, fresh.levels)
-        assert (chained is cache.box_grid) == fresh_whole_box
-        paths[chain_path(before, cache, chained)] += 1
+        whole_box = build(t, x, fresh, "")
+        built.append((t, x))
+    for i in rng.permutation(len(built)):
+        t, x = built[i]
+        assert cache.memo[(t, dt)][0] == x.tobytes()
+        after_whole_box = whole_box
+        whole_box = build(t, x, fresh_build(problem, t, x, dt, params), "hit, ")
+        paths["hit after whole box"] += after_whole_box and not whole_box
 
 
 class TestIncrementalBuild:
@@ -1352,7 +1434,18 @@ class TestIncrementalBuild:
         for _ in range(60):
             run_chain(rng, paths)
         expected = {"raised", "whole box", "first", "sizes changed", "reused", "rewritten"}
+        expected |= {"hit, " + path for path in expected - {"raised", "first"}}
+        expected.add("hit after whole box")
         assert set(paths) == expected and min(paths.values()) >= 3, paths
+
+    def test_a_signed_zero_end_rewrites_its_column(self):
+        # 0.0 == -0.0, but a one-value grid at -0.0 is another grid bit for bit
+        problem = box_problem(m=2)
+        cache = chattering.LevelCache(problem, GridParams(2, 2))
+        hi, counts = np.array([1.0, 1.0]), np.array([1, 2])
+        chattering._product(problem, np.array([0.0, -1.0]), hi, counts, cache)
+        levels = chattering._product(problem, np.array([-0.0, -1.0]), hi, counts, cache)
+        assert np.signbit(levels[:, 0]).all() and levels[:, 1].tolist() == [-1.0, 1.0]
 
     def test_replayed_feedback_builds_match_fresh_builds(self, monkeypatch):
         problem, p0, source = feedback_replay(0)
@@ -1361,7 +1454,7 @@ class TestIncrementalBuild:
         paths = collections.Counter()
 
         def recorded(problem, t, x, dt, params, drift, cache):
-            before = (cache.sizes, cache.values, cache.levels)
+            before = (cache.grids, cache.levels)
             grid_out = generate(problem, t, x, dt, params, drift, cache)
             paths[chain_path(before, cache, grid_out[0])] += 1
             # compare now: the next build may write over this grid
@@ -1476,7 +1569,7 @@ class TestWholeBoxGrid:
         for _ in range(2):
             grid, rows = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, cache)
             assert grid is cache.box_grid and rows is None
-            assert cache.memo == {(0.0, 0.1): (x.tobytes(), None, None, None, None, None)}
+            assert cache.memo == {(0.0, 0.1): (x.tobytes(), None, None, None)}
 
 
 class TestLevelGridSharing:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from chatterctl.model import eval_dynamics_batch, eval_running_cost_batch
 from chatterctl.problems import (
     CUSTOMERS,
     DEMAND_PROFILES,
+    CustomerRecord,
     ITEMS,
     SUPPLIERS,
 )
@@ -210,6 +212,70 @@ class TestSyntheticDemand:
                     synthetic_demand(profile, value, 0.5)
                 with pytest.raises(ConfigError, match="period"):
                     synthetic_demand(profile, 1.0, value)
+
+
+def market_rates(problem, t):
+    """The demand rates on the market rows of the drift (item-major), at
+    x = 0."""
+    return problem.drift(t, np.zeros(problem.state_dim))[N_ITEMS:]
+
+
+N_ITEMS = len(ITEMS)
+
+
+class TestDemandAndCustomerTable:
+    """The seasonal model scales its curve by the importance of the records
+    the problem is built with; a model that cannot rate a customer of the
+    table is refused when the problem is built."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.125, 0.3, 0.61])
+    def test_seasonal_rates_use_the_given_importance(self, t):
+        customers = [CustomerRecord(1, 0.1), CustomerRecord(7, 0.5), CustomerRecord(3, 0.25)]
+        problem = build_supply_chain(SEASONAL, 1.0, 200, customers=customers)
+        curve = (1.0 + math.sin(2.0 * math.pi * t / 0.5)) / 2.0
+        expected = [c.importance * 5.0 * (1.0 + math.sin(2.0 * math.pi * t / 0.5)) / 2.0
+                    for _ in ITEMS for c in customers]
+        assert market_rates(problem, t).tolist() == expected
+        if t == 0.125:  # the peak: the importances themselves, times the amplitude
+            assert curve == 1.0 and expected[:3] == [0.5, 2.5, 1.25]
+
+    def test_default_tables_keep_the_theta_bits(self):
+        problem = build_supply_chain(SEASONAL, 1.0, 200)
+        for t in np.linspace(0.0, 1.0, 41).tolist():
+            expected = [SEASONAL.theta(t, c.customer_id, it.item_id) for it in ITEMS for c in CUSTOMERS]
+            assert market_rates(problem, t).tolist() == expected
+
+    def test_seasonal_curve_evaluated_once_per_drift_call(self, monkeypatch):
+        problem = build_supply_chain(SEASONAL, 1.0, 200)
+        calls, sin = [], math.sin
+
+        def counted(value):
+            calls.append(value)
+            return sin(value)
+
+        monkeypatch.setattr(math, "sin", counted)
+        problem.drift(0.3, np.zeros(20))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["built-in table", "dict"])
+    def test_model_that_cannot_rate_an_id_refused_at_build(self, kind):
+        customers = [CustomerRecord(1, 1.0), CustomerRecord(7, 0.5)]
+        if kind == "built-in table":
+            # the seasonal theta on its own knows only the built-in ids
+            demand = DemandModel(SEASONAL.theta, "seasonal theta")
+        else:
+            table = {1: 2.0, 2: 1.0, 3: 0.5}
+            demand = DemandModel(lambda t, c, i: table[c], "table")
+        with pytest.raises(ConfigError, match="cannot rate customer id 7"):
+            build_supply_chain(demand, 1.0, 200, customers=customers)
+        build_supply_chain(demand, 1.0, 200)
+
+    def test_custom_models_keep_working(self):
+        demand = DemandModel(lambda t, c, i: float(c) + 0.1 * i + t, "linear")
+        problem = build_supply_chain(demand, 1.0, 200)
+        t = 0.4
+        expected = [float(c.customer_id) + 0.1 * it.item_id + t for it in ITEMS for c in CUSTOMERS]
+        assert market_rates(problem, t).tolist() == expected
 
 
 class TestSupplyChainProblem:
