@@ -27,6 +27,7 @@ import numpy as np
 from .model import (
     Array,
     ControlProblem,
+    _check_count,
     eval_drift,
     eval_dynamics_batch,
 )
@@ -62,10 +63,8 @@ class GridParams:
     cap: int = 4096
 
     def __post_init__(self):
-        if self.k_per_dim < 2:
-            raise ValueError("k_per_dim must be >= 2")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
+        _check_count("k_per_dim", self.k_per_dim, 2)
+        _check_count("cap", self.cap, 1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ class LevelGrid:
     built with one is valid only until that cache's next build.
 
     ``lo`` and ``hi`` are the per-dimension control ranges the grid spans,
-    when its builder keeps them: the ranges in which
-    ``ControlProblem.hamiltonian_argmin`` prices (see
+    which every grid of the level generator carries (None otherwise): the
+    ranges in which ``ControlProblem.hamiltonian_argmin`` prices (see
     ``generate_levels_with_dynamics``).
     """
 
@@ -339,9 +338,6 @@ class _AffineTerms(NamedTuple):
     signs: Array
     #: ``(3, m, 2)``: the bisection bracket ``|b - a| * 2**-BOUND_SEARCH_ITERATIONS``
     brackets: Array
-    #: ``(3, n)``: ``_open_coords``'s ``low``, ``high`` and ``largest`` over
-    #: the whole control box
-    box_sums: Array
 
 
 def _affine_terms(problem: ControlProblem) -> _AffineTerms:
@@ -357,7 +353,6 @@ def _affine_terms(problem: ControlProblem) -> _AffineTerms:
         np.stack([(points - a)[:, :, None] * B for a in anchors]).transpose(3, 0, 1, 2).copy(),
         np.sign(gaps),
         np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS,
-        np.stack(_separable_sums(lo, hi, B)),
     )
     for a in terms:
         a.setflags(write=False)
@@ -499,19 +494,6 @@ def _open_coords(
     return open_
 
 
-def _separable_sums(first: Array, last: Array, B: Array) -> Tuple[Array, Array, Array]:
-    """``_open_coords``'s ``low``, ``high`` and ``largest`` for controls
-    whose values ascend from ``first`` to ``last``.  ``v * B[j, i]`` is
-    monotone in v, rounding included, so over control j's values its least,
-    its greatest and its largest magnitude are taken at the two ends."""
-    at_first, at_last = first[:, None] * B, last[:, None] * B
-    return (
-        np.minimum(at_first, at_last).sum(axis=0),
-        np.maximum(at_first, at_last).sum(axis=0),
-        np.maximum(np.abs(at_first), np.abs(at_last)).sum(axis=0),
-    )
-
-
 def _affine_in_box(
     problem: ControlProblem, x_i: Array, dt: float, drift: Array, levels: Array,
     grids: Sequence[List[float]],
@@ -519,27 +501,22 @@ def _affine_in_box(
     """``_in_box`` of the next states ``x_i + dt * (drift + levels @ B)`` of
     the product of the scalar ``grids``, for control-affine dynamics, or
     None when the separable bound keeps every level.  The bound takes each
-    grid's first and last value, the same elements that bound ``v * B[j,
-    i]`` over the whole grid.  The coordinates that ``_open_coords`` clears
-    get no row test; the rest are tested on every row as the rows compute,
-    so the mask is exact."""
+    grid's first and last value: ``v * B[j, i]`` is monotone in v, rounding
+    included, so over grid j its least, its greatest and its largest
+    magnitude are taken at the two ends.  The coordinates that
+    ``_open_coords`` clears get no row test; the rest are tested on every
+    row as the rows compute, so the mask is exact."""
     B = problem.control_matrix
-    first, last = np.array([g[0] for g in grids]), np.array([g[-1] for g in grids])
-    open_ = _open_coords(problem, x_i, dt, drift, *_separable_sums(first, last, B))
+    at_first = np.array([g[0] for g in grids])[:, None] * B
+    at_last = np.array([g[-1] for g in grids])[:, None] * B
+    open_ = _open_coords(
+        problem, x_i, dt, drift, np.minimum(at_first, at_last).sum(axis=0),
+        np.maximum(at_first, at_last).sum(axis=0),
+        np.maximum(np.abs(at_first), np.abs(at_last)).sum(axis=0),
+    )
     if not open_.any():
         return None
     return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
-
-
-def _box_steps_inside(
-    problem: ControlProblem, x_i: Array, dt: float, drift: Array, terms: _AffineTerms
-) -> bool:
-    """Whether ``_open_coords`` clears every state coordinate over the whole
-    control box (each control's values spanning its bounds).  Every grid
-    value lies within the bounds and rounding is monotone, so the box filter
-    then keeps every level, and the range search, whose probes stay inside
-    the box, keeps every range whole: the level grid is the whole-box one."""
-    return not _open_coords(problem, x_i, dt, drift, *terms.box_sums).any()
 
 
 def _write_columns(levels: Array, grids: Sequence[List[float]], cols: Sequence[int]) -> None:
@@ -575,8 +552,7 @@ class LevelCache:
     ``terms``, the ``_AffineTerms`` of a problem with the control-affine
     hooks and state bounds (None otherwise).  Built on first use:
     ``box_grid``, the grid over the whole control box, which is the grid of
-    every interval without state bounds and of every interval whose whole
-    control box steps inside the state box (``_box_steps_inside``).
+    every interval of a problem without state bounds.
 
     Kept from the searched build before, which the next one starts from
     (``_product``): ``lo`` and ``hi``, its range ends, ``grids``, the scalar
@@ -589,12 +565,11 @@ class LevelCache:
     with this cache.
 
     ``memo`` is None, or a dict that keeps per interval ``(t, dt)`` the
-    start state's bytes, the searched range ends (None where ``box_grid``
-    was returned) and the keep mask (None when every level is kept) of the
-    last build there; never levels or dynamics rows, whose size would grow
-    the peak memory by megabytes.  ``solve`` gives its cache one, because
-    its propagations start intervals again from the same states; a lone
-    propagation never does.
+    start state's bytes, the searched range ends and the keep mask (None
+    when every level is kept) of the last build there; never levels or
+    dynamics rows, whose size would grow the peak memory by megabytes.
+    ``solve`` gives its cache one, because its propagations start intervals
+    again from the same states; a lone propagation never does.
     """
 
     def __init__(self, problem: ControlProblem, params: GridParams):
@@ -667,16 +642,11 @@ def generate_levels_with_dynamics(
     sorted lexicographically, in a read-only array that the grid shares:
     the column-major product itself when every level is kept, a row-major
     copy (``levels[keep]``) otherwise.
-    Without state bounds the grid is the cache's shared ``box_grid``; so is
-    it for a control-affine problem where the separable bound clears every
-    state coordinate over the whole control box (``_box_steps_inside``),
-    since the search then keeps every range whole and the filter every
-    level.  ``drift`` is the control-affine drift at (t, x_i) when the
-    caller has it already; it is evaluated here otherwise.  The grid's
-    ``lo`` and ``hi`` are the ranges it spans: the control bounds for
-    ``box_grid``; the searched ranges otherwise, for a problem with a
-    ``hamiltonian_argmin`` (the one reader of them), and None for one
-    without.
+    Without state bounds the grid is the cache's shared ``box_grid``.
+    ``drift`` is the control-affine drift at (t, x_i) when the caller has
+    it already; it is evaluated here otherwise.  The grid's ``lo`` and
+    ``hi`` are the ranges it spans: the control bounds for ``box_grid``,
+    the searched ranges otherwise.
 
     ``cache`` (see ``LevelCache``) holds the level work that this build
     reuses and then replaces; a fresh one is built when none is given, and
@@ -710,43 +680,35 @@ def generate_levels_with_dynamics(
     memo = cache.memo
     entry = None if memo is None else memo.pop((t, dt), None)
     hit = entry is not None and entry[0] == state
-    lo = hi = keep = f = None
+    f = None
     if hit:
         _, lo, hi, keep = entry
     else:
         if drift is None and problem.drift is not None:
             drift = eval_drift(problem, t, x_i)
-        if drift is None or not _box_steps_inside(problem, x_i, dt, drift, cache.terms):
-            lo, hi = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift, cache.terms)
-            lo.setflags(write=False)
-            hi.setflags(write=False)
-    if lo is None:
-        grid = cache.box_grid
-    else:
-        levels = _product(problem, lo, hi, cache.counts, cache)
-        if not hit:
-            if drift is None:
-                f = eval_dynamics_batch(problem, t, x_i, levels)
-                keep = _in_box(problem, x_i + dt * f)
-            else:
-                keep = _affine_in_box(problem, x_i, dt, drift, levels, cache.grids)
-            if keep is not None:
-                if not keep.any():
-                    raise InfeasibleLevels(
-                        f"no product level satisfies the one-step state bounds at t={t}"
-                    )
-                keep = None if keep.all() else keep
-        elif problem.drift is None:
-            # the rows of the whole product, as on the first build: a batch
-            # evaluator need not give a row the same bits in a smaller batch
+        lo, hi = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift, cache.terms)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+    levels = _product(problem, lo, hi, cache.counts, cache)
+    if not hit:
+        if drift is None:
             f = eval_dynamics_batch(problem, t, x_i, levels)
-        if keep is not None:
-            levels, f = levels[keep], None if f is None else f[keep]
-            levels.setflags(write=False)
-        if problem.hamiltonian_argmin is None:
-            grid = LevelGrid(levels)
+            keep = _in_box(problem, x_i + dt * f)
         else:
-            grid = LevelGrid(levels, lo, hi)
+            keep = _affine_in_box(problem, x_i, dt, drift, levels, cache.grids)
+        if keep is not None:
+            if not keep.any():
+                raise InfeasibleLevels(
+                    f"no product level satisfies the one-step state bounds at t={t}"
+                )
+            keep = None if keep.all() else keep
+    elif problem.drift is None:
+        # the rows of the whole product, as on the first build: a batch
+        # evaluator need not give a row the same bits in a smaller batch
+        f = eval_dynamics_batch(problem, t, x_i, levels)
+    if keep is not None:
+        levels, f = levels[keep], None if f is None else f[keep]
+        levels.setflags(write=False)
     if memo is not None:
         memo[(t, dt)] = (state, lo, hi, keep)
-    return grid, f
+    return LevelGrid(levels, lo, hi), f

@@ -20,6 +20,7 @@ solver runs as long as its evaluators are reentrant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -44,6 +45,13 @@ def _checked(value, shape: Tuple[int, ...], hook: str, t: Optional[float] = None
         where = "" if t is None else f" at t={t}"
         raise NonFiniteEvaluation(f"{hook} returned a non-finite value{where}")
     return arr
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Refuses, by ``name``, a count that is not an integer (bool included;
+    numpy integers pass) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _readonly(a, dtype=float) -> Array:

@@ -32,6 +32,7 @@ from .model import (
     Array,
     ControlProblem,
     NonFiniteEvaluation,
+    _check_count,
     _readonly,
     eval_drift,
     eval_dynamics_batch,
@@ -66,8 +67,7 @@ class TimePartition:
 
     @classmethod
     def uniform(cls, horizon: float, intervals: int) -> "TimePartition":
-        if intervals < 1:
-            raise ValueError("intervals must be >= 1")
+        _check_count("intervals", intervals, 1)
         if not np.isfinite(horizon):
             raise ValueError("partition times must be finite")
         if not horizon > 0:

@@ -31,6 +31,7 @@ from .model import (
     ControlProblem,
     NonFiniteEvaluation,
     _central_difference,
+    _check_count,
     eval_drift_jacobian,
     eval_dynamics_batch,
     terminal_costate,
@@ -76,8 +77,7 @@ class ShootingConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_count("max_iterations", self.max_iterations, 1)
 
 
 @dataclass(frozen=True)

@@ -1251,8 +1251,8 @@ class TestIntervalMemo:
 class TestGridRanges:
     """The grids that ``generate_levels_with_dynamics`` returns carry the
     ranges they span, which a pricing hook searches: the control bounds for
-    the whole-box grid; for a problem with a hook the searched ranges
-    otherwise, and on a memo hit those of the entry."""
+    the whole-box grid; the searched ranges otherwise, with or without a
+    hook, and on a memo hit those of the entry."""
 
     def test_unbounded_grid_spans_the_control_bounds(self):
         problem = build_lqr()
@@ -1271,7 +1271,7 @@ class TestGridRanges:
             grid, _ = generate_levels_with_dynamics(
                 problem, 0.0, problem.initial_state, 0.1, GridParams(5, 64), None, cache
             )
-            assert grid is cache.box_grid
+            assert grid.levels is cache.levels
             assert_bitwise(grid.lo, problem.control_lower)
             assert_bitwise(grid.hi, problem.control_upper)
 
@@ -1298,21 +1298,23 @@ class TestGridRanges:
         hit, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
         assert hit.lo is lo and hit.hi is hi
 
-    def test_no_ranges_kept_without_a_hook(self):
+    def test_ranges_kept_without_a_hook(self):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        assert problem.hamiltonian_argmin is None
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 2.0, 20)
         x[rng.integers(0, 20, 6)] = 0.0
         t, dt, params = 0.3, 0.005, GridParams()
         ranges = np.array(level_bound_search(problem, t, x, dt, range(problem.control_dim)))
+        assert np.any(ranges[:, 1] < problem.control_upper)
         cache = memo_cache(problem, params)
         for _ in range(2):  # a miss, then a hit
             grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
-            assert grid.lo is None and grid.hi is None
-            # the memo keeps the ends, which a hit builds its grids from
+            assert_bitwise(grid.lo, ranges[:, 0])
+            assert_bitwise(grid.hi, ranges[:, 1])
+            # the memo keeps the grid's ends, which a hit builds its grids from
             _, lo, hi, _ = cache.memo[(t, dt)]
-            assert_bitwise(lo, ranges[:, 0])
-            assert_bitwise(hi, ranges[:, 1])
+            assert grid.lo is lo and grid.hi is hi
 
 
 def zero_gated_problem(rng):
@@ -1343,14 +1345,38 @@ def next_chain_state(rng, problem, x):
     return drawn
 
 
-def chain_path(before, cache, grid):
+def box_steps_inside(problem, t, x, dt):
+    """Whether the separable bound over each control's bounds
+    (``reference_separable_sums``) clears every state coordinate: the whole
+    control box steps inside the state box, so the search keeps every range
+    whole and the filter every level."""
+    lo, hi = problem.control_lower, problem.control_upper
+    sums = reference_separable_sums(np.stack([lo, hi], axis=1).ravel(), [2] * lo.size,
+                                    problem.control_matrix)
+    return not chattering._open_coords(problem, x, dt, eval_drift(problem, t, x), *sums).any()
+
+
+def assert_whole_box(problem, grid):
+    """The grid of a box-steps-inside interval spans the control bounds and
+    keeps the whole product; its levels are checked against a fresh build
+    by the caller."""
+    assert_bitwise(grid.lo, problem.control_lower)
+    assert_bitwise(grid.hi, problem.control_upper)
+    sizes = [np.unique(column).size for column in grid.levels.T]
+    assert grid.K == np.prod(sizes)
+
+
+def chain_path(before, cache, grid, steps_inside):
     """Which way a build with ``cache`` made its grid, from the cache's
-    ``(grids, levels)`` before the build and the cache after it.  Checks
-    that the product buffer is the one before exactly when the level count
-    K did not change."""
+    ``(grids, levels)`` before the build, the cache after it and whether
+    the whole control box steps inside the state box there.  Checks that
+    the product buffer is the one before exactly when the level count K
+    did not change, and that every grid shares the buffer or is a row
+    subset of it."""
     grids, levels = before
-    if grid is cache.box_grid:
-        return "whole box"
+    assert grid.levels is cache.levels or grid.levels.base is None
+    if steps_inside:
+        return "box steps inside"
     if grids is None:
         return "first"
     assert (cache.levels is levels) == (cache.levels.shape == levels.shape)
@@ -1363,24 +1389,24 @@ def chain_path(before, cache, grid):
 
 
 def fresh_build(problem, t, x, dt, params):
-    """A build with a fresh cache, and whether it returned the whole-box
-    grid."""
-    cache = chattering.LevelCache(problem, params)
-    grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
-    return grid, grid is cache.box_grid
+    """A build with a fresh cache, and whether the whole control box steps
+    inside the state box there (``box_steps_inside``)."""
+    grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
+    return grid, box_steps_inside(problem, t, x, dt)
 
 
 def run_chain(rng, paths):
     """Builds a chain of eight states on a random problem twice, with one
     ``LevelCache`` with a memo for the chain and with a fresh one per build,
-    and checks that both give the same grid bit for bit, raise together,
-    and return the whole-box grid together.  Then builds the chain's
-    intervals again from the same states in a shuffled order: memo hits
-    taken after builds at other intervals, some of them after a whole-box
-    build, each checked against the fresh build the same way.  Counts in
-    ``paths`` which way each chained grid was made (``chain_path``, with
-    "hit, " before it on a hit), and as "hit after whole box" a searched
-    hit right after a whole-box build."""
+    and checks that both give the same grid bit for bit and raise together,
+    and that where the box steps inside the grid spans the control bounds
+    (``assert_whole_box``).  Then builds the chain's intervals again from
+    the same states in a shuffled order: memo hits taken after builds at
+    other intervals, some of them after a box-steps-inside build, each
+    checked against the fresh build the same way.  Counts in ``paths``
+    which way each chained grid was made (``chain_path``, with "hit, "
+    before it on a hit), and as "hit after box steps inside" a hit
+    elsewhere right after a box-steps-inside build."""
     problem = zero_gated_problem(rng)
     dt = float(rng.uniform(0.05, 0.5))
     params = GridParams(3, int(rng.integers(1, 3 ** problem.control_dim + 1)))
@@ -1389,14 +1415,17 @@ def run_chain(rng, paths):
     built, whole_box = [], False
 
     def build(t, x, fresh, label):
-        fresh, fresh_whole_box = fresh
+        fresh, steps_inside = fresh
         before = (cache.grids, cache.levels)
         chained, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
         assert_bitwise(chained.levels, fresh.levels)
-        assert (chained is cache.box_grid) == fresh_whole_box
-        path = chain_path(before, cache, chained)
+        assert_bitwise(chained.lo, fresh.lo)
+        assert_bitwise(chained.hi, fresh.hi)
+        if steps_inside:
+            assert_whole_box(problem, chained)
+        path = chain_path(before, cache, chained, steps_inside)
         paths[label + path] += 1
-        return path == "whole box"
+        return steps_inside
 
     for k in range(8):
         x = next_chain_state(rng, problem, x)
@@ -1415,7 +1444,7 @@ def run_chain(rng, paths):
         assert cache.memo[(t, dt)][0] == x.tobytes()
         after_whole_box = whole_box
         whole_box = build(t, x, fresh_build(problem, t, x, dt, params), "hit, ")
-        paths["hit after whole box"] += after_whole_box and not whole_box
+        paths["hit after box steps inside"] += after_whole_box and not whole_box
 
 
 class TestIncrementalBuild:
@@ -1433,9 +1462,9 @@ class TestIncrementalBuild:
         paths = collections.Counter()
         for _ in range(60):
             run_chain(rng, paths)
-        expected = {"raised", "whole box", "first", "sizes changed", "reused", "rewritten"}
+        expected = {"raised", "box steps inside", "first", "sizes changed", "reused", "rewritten"}
         expected |= {"hit, " + path for path in expected - {"raised", "first"}}
-        expected.add("hit after whole box")
+        expected.add("hit after box steps inside")
         assert set(paths) == expected and min(paths.values()) >= 3, paths
 
     def test_a_signed_zero_end_rewrites_its_column(self):
@@ -1456,10 +1485,11 @@ class TestIncrementalBuild:
         def recorded(problem, t, x, dt, params, drift, cache):
             before = (cache.grids, cache.levels)
             grid_out = generate(problem, t, x, dt, params, drift, cache)
-            paths[chain_path(before, cache, grid_out[0])] += 1
             # compare now: the next build may write over this grid
-            fresh, fresh_whole_box = fresh_build(problem, t, x, dt, params)
-            assert (grid_out[0] is cache.box_grid) == fresh_whole_box
+            fresh, steps_inside = fresh_build(problem, t, x, dt, params)
+            paths[chain_path(before, cache, grid_out[0], steps_inside)] += 1
+            if steps_inside:
+                assert_whole_box(problem, grid_out[0])
             assert_bitwise(grid_out[0].levels, fresh.levels)
             built.append(t)
             return grid_out
@@ -1468,7 +1498,7 @@ class TestIncrementalBuild:
         propagate_forward(problem, TimePartition.uniform(1.0, 200), p0, params, source)
         monkeypatch.undo()
         assert len(built) == 200
-        assert {"whole box", "reused", "rewritten"} <= set(paths), paths
+        assert {"box steps inside", "reused", "rewritten"} <= set(paths), paths
 
     def test_builds_of_equal_size_share_one_buffer(self, monkeypatch):
         problem, p0, source = feedback_replay(1)
@@ -1524,9 +1554,10 @@ class TestIncrementalBuild:
 
 class TestWholeBoxGrid:
     """Where the separable bound clears every state coordinate over the
-    whole control box, the generator returns the cache's whole-box grid."""
+    whole control box, the searched build gives the whole-box grid: the
+    ranges are the control bounds and the filter keeps every level."""
 
-    def test_shared_exactly_when_the_box_steps_inside(self):
+    def test_box_steps_inside_gives_the_whole_box_grid(self):
         rng = np.random.default_rng(7)
         inside = outside = 0
         for _ in range(300):
@@ -1539,20 +1570,19 @@ class TestWholeBoxGrid:
             x = problem.initial_state
             dt = float(rng.uniform(0.05, 0.5))
             params = GridParams(5, 64)
-            cache = chattering.LevelCache(problem, params)
-            drift = eval_drift(problem, 0.0, x)
-            steps_inside = chattering._box_steps_inside(problem, x, dt, drift, cache.terms)
+            steps_inside = box_steps_inside(problem, 0.0, x, dt)
             try:
                 stripped, _ = generate_levels_with_dynamics(without_hooks(problem), 0.0, x, dt, params)
             except InfeasibleLevels:
                 assert not steps_inside
                 continue
-            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params, None, cache)
-            assert (grid is cache.box_grid) == steps_inside
+            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params)
             if steps_inside:
                 # elsewhere the closed-form ranges may differ from the
                 # bisection's by less than a bracket
+                assert_whole_box(problem, grid)
                 assert_bitwise(grid.levels, stripped.levels)
+                assert_bitwise(grid.levels, chattering.LevelCache(problem, params).box_grid.levels)
             inside += steps_inside
             outside += not steps_inside
         assert inside > 30 and outside > 30
@@ -1566,10 +1596,46 @@ class TestWholeBoxGrid:
         params = GridParams(5, 64)
         cache = memo_cache(problem, params)
         x = problem.initial_state
-        for _ in range(2):
+        assert box_steps_inside(problem, 0.0, x, 0.1)
+        for _ in range(2):  # a miss, then a hit
             grid, rows = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, cache)
-            assert grid is cache.box_grid and rows is None
-            assert cache.memo == {(0.0, 0.1): (x.tobytes(), None, None, None)}
+            assert rows is None
+            ((key, (state, lo, hi, keep)),) = cache.memo.items()
+            assert key == (0.0, 0.1) and state == x.tobytes() and keep is None
+            assert_bitwise(lo, problem.control_lower)
+            assert_bitwise(hi, problem.control_upper)
+            assert grid.lo is lo and grid.hi is hi
+
+    def test_lone_feedback_propagation_holds_one_product_array(self, monkeypatch):
+        # whole-box intervals write the box product into the cache's buffer
+        # like any searched build: every grid handed out shares the buffer
+        # or is a filtered row subset of it, and no second (K, m) array is
+        # kept beside it
+        problem, p0, source = feedback_replay(0)
+        params = GridParams(101, 4096)
+        cache = chattering.LevelCache(problem, params)
+        generate, kinds = chattering.generate_levels_with_dynamics, collections.Counter()
+
+        def recorded(problem, t, x, dt, params, drift, cache_):
+            grid, f = generate(problem, t, x, dt, params, drift, cache_)
+            kinds["box steps inside"] += box_steps_inside(problem, t, x, dt)
+            if grid.levels is cache.levels:
+                kinds["shared"] += 1
+            else:
+                assert grid.levels.base is None and grid.K < cache.levels.shape[0]
+                rows = {row.tobytes() for row in np.ascontiguousarray(cache.levels)}
+                assert all(row.tobytes() in rows for row in grid.levels)
+                kinds["filtered"] += 1
+            return grid, f
+
+        monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
+        propagate_forward(problem, TimePartition.uniform(1.0, 200), p0, params, source, cache)
+        monkeypatch.undo()
+        assert cache.memo is None and cache.levels.shape == (4096, problem.control_dim)
+        assert kinds["shared"] + kinds["filtered"] == 200
+        assert min(kinds.values()) > 0, kinds
+        held = [v.levels if isinstance(v, LevelGrid) else v for v in vars(cache).values()]
+        assert [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2] == [cache.levels]
 
 
 class TestLevelGridSharing:

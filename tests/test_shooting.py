@@ -358,6 +358,23 @@ class TestSolve:
         with pytest.raises(ValueError):
             ShootingConfig(p0_initial=np.zeros(1), epsilon=0.0)
 
+    @pytest.mark.parametrize("field, build", [
+        ("k_per_dim", lambda v: GridParams(v)),
+        ("cap", lambda v: GridParams(101, v)),
+        ("max_iterations", lambda v: ShootingConfig(p0_initial=np.zeros(1), max_iterations=v)),
+        ("intervals", lambda v: TimePartition.uniform(1.0, v)),
+    ])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, float("inf"), float("nan"), "3", None])
+    def test_integer_settings_refuse_non_integers(self, field, build, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build(value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integer_settings_accept_numpy_integers(self, value):
+        assert GridParams(value, value).k_per_dim == 3
+        assert ShootingConfig(p0_initial=np.zeros(1), max_iterations=value).max_iterations == 3
+        assert TimePartition.uniform(1.0, value).intervals == 3
+
     def test_non_finite_epsilon_rejected(self):
         # an infinite epsilon would accept the first iterate, whatever its residual
         for eps in (np.inf, np.nan):
