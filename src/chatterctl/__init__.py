@@ -7,7 +7,6 @@ a variation-of-extremals shooting loop.
 """
 
 from .chattering import (
-    DimensionMismatch,
     EmptyGrid,
     GridParams,
     InfeasibleLevels,
@@ -55,7 +54,6 @@ __all__ = [
     "ConfigError",
     "ControlProblem",
     "DemandModel",
-    "DimensionMismatch",
     "EmptyGrid",
     "GridParams",
     "InfeasibleLevels",

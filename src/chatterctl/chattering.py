@@ -50,10 +50,6 @@ class EmptyGrid(ValueError):
     """The measure LP was handed zero levels."""
 
 
-class DimensionMismatch(ValueError):
-    """Levels, weights or dynamics rows disagree in number."""
-
-
 @dataclass(frozen=True)
 class GridParams:
     """Level generation knobs: requested points per control dimension and the
@@ -223,11 +219,11 @@ def level_bound_search(
     start point, which assumes the violation is monotone toward that end.
     Each dimension's range depends on that dimension alone, so a call on a
     subset of the dimensions returns the full call's entries for them.
-    Control-affine problems get every range in one pass from one drift
-    evaluation, each infeasible end in closed form (see ``_search_ranges``);
-    others bisect.  Without state bounds the full control intervals come
-    back unchanged.  Raises ``InfeasibleLevels`` when some dimension has no
-    feasible point at any anchor.
+    Every range comes from one pass over the probe states (see
+    ``_search_ranges``); control-affine problems get each infeasible end in
+    closed form, others bisect.  Without state bounds the full control
+    intervals come back unchanged.  Raises ``InfeasibleLevels`` when some
+    dimension has no feasible point at any anchor.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -237,170 +233,127 @@ def level_bound_search(
     if not problem.has_state_bounds:
         return [(float(problem.control_lower[d]), float(problem.control_upper[d])) for d in dims]
     x = np.asarray(x, dtype=float)
-    drift = terms = None
-    if problem.drift is not None:
-        drift, terms = eval_drift(problem, t, x), _affine_terms(problem)
-    lo, hi = _search_ranges(problem, t, x, dt, dims, drift, terms)
+    drift = None if problem.drift is None else eval_drift(problem, t, x)
+    lo, hi = _search_ranges(problem, t, x, dt, dims, drift, _search_terms(problem))
     return [(float(lo[d]), float(hi[d])) for d in dims]
 
 
-def _search_ranges(
-    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int],
-    drift: Optional[Array], terms: Optional[_AffineTerms],
-) -> Tuple[Array, Array]:
-    """``level_bound_search`` with state bounds, as the lower and the upper
-    ends of every control dimension (its control bounds where it is not in
-    ``dims``); ``drift`` and the problem's ``_AffineTerms`` are None without
-    the hooks.
-
-    With the hooks the search is one fixed-shape pass (``_affine_ranges``)
-    over every anchor, probe point and control dimension, with no dynamics
-    call; without them each anchor in turn sends its probe rows and
-    bisection steps through ``eval_dynamics_batch`` (``_bisect_ranges``).
-    """
-    dims = np.asarray(dims, dtype=np.intp)
-    if drift is None:
-        lo, hi, missing = _bisect_ranges(problem, t, x, dt, dims)
-    else:
-        lo, hi, missing = _affine_ranges(problem, x, dt, dims, drift, terms)
-    if missing.size:
-        raise InfeasibleLevels(
-            f"no admissible control level found for dimension(s) {missing.tolist()} "
-            f"at t={t}: state bounds and step size are incompatible here"
-        )
-    return lo, hi
-
-
-def _bisect_ranges(
-    problem: ControlProblem, t: float, x: Array, dt: float, dims: Array
-) -> Tuple[Array, Array, Array]:
-    """``_search_ranges`` without the hooks, anchor by anchor over the
-    dimensions not yet found; also returns the dimensions of ``dims``
-    found at no anchor."""
-    lower, upper = problem.control_lower, problem.control_upper
-    lo_out, hi_out = np.array(lower), np.array(upper)
-    pending = dims
-
-    def next_states(anchor: Array, cols: Array, v: Array) -> Array:
-        """The next states with control ``cols[r]`` at ``v[r]``, the others
-        at ``anchor``."""
-        probe = np.tile(anchor, (cols.size, 1))
-        probe[np.arange(cols.size), cols] = v
-        return x + dt * eval_dynamics_batch(problem, t, x, probe)
-
-    for anchor in (0.5 * (lower + upper), lower, upper):
-        if pending.size == 0:
-            break
-        lo, hi, mid = lower[pending], upper[pending], 0.5 * (lower[pending] + upper[pending])
-        # both ends of every pending dimension in one batch, interleaved lo/hi
-        ends = next_states(anchor, np.repeat(pending, 2), np.stack([lo, hi], axis=1).ravel())
-        ends_ok = _in_box(problem, ends).reshape(-1, 2)
-        lo_ok, hi_ok = ends_ok[:, 0], ends_ok[:, 1]
-        found = lo_ok | hi_ok
-        both_bad = ~found
-        if np.any(both_bad):
-            mids = next_states(anchor, pending[both_bad], mid[both_bad])
-            found[both_bad] = _in_box(problem, mids)
-        # one search row per (dimension, infeasible end), lower end first
-        search = np.stack([found & ~lo_ok, found & ~hi_ok], axis=1)
-        which, side = np.nonzero(search)
-        if which.size:
-            cols = pending[which]
-            a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]  # feasible
-            b = np.where(side == 0, lo[which], hi[which])  # infeasible
-            for _ in range(BOUND_SEARCH_ITERATIONS):  # a stays feasible, b not
-                mid_ab = 0.5 * (a + b)
-                ok = _in_box(problem, next_states(anchor, cols, mid_ab))
-                a, b = np.where(ok, mid_ab, a), np.where(ok, b, mid_ab)
-            lo_out[cols[side == 0]] = a[side == 0]
-            hi_out[cols[side == 1]] = a[side == 1]
-        pending = pending[~found]
-    return lo_out, hi_out, pending
-
-
-class _AffineTerms(NamedTuple):
-    """What the control-affine range search and box filter need of a
-    problem alone, built once per ``LevelCache`` (see ``_affine_terms``).
-    The anchors are the midpoint, the lower and the upper corner of the
-    control box; the probe points of a control dimension, which are also
-    the start points an infeasible end is searched from, are its lower end,
-    upper end and midpoint."""
+class _SearchTerms(NamedTuple):
+    """What the range search needs of a problem with state bounds alone,
+    built once per ``LevelCache`` (see ``_search_terms``).  The probe points of a control dimension, which are
+    also the start points an infeasible end is searched from, are its lower
+    end, upper end and midpoint."""
 
     #: ``(3, m)``: the probe points, lower end, upper end, midpoint
     points: Array
-    #: ``(3, n)``: ``anchor @ B`` of each anchor
-    anchor_steps: Array
-    #: ``(n, 3, 3, m)``: ``(v - anchor_d) * B[d]`` for anchor, probe point
-    #: v and dimension d, state coordinate first
-    shifts: Array
+    #: ``(3, m)``: the anchors, the midpoint, the lower and the upper corner
+    #: of the control box
+    anchors: Array
     #: ``(3, m, 2)``: ``sign(b - a)`` for start point a, dimension, and the
     #: end b searched for (lower, upper)
     signs: Array
     #: ``(3, m, 2)``: the bisection bracket ``|b - a| * 2**-BOUND_SEARCH_ITERATIONS``
     brackets: Array
+    #: ``(3, n)``: ``anchor @ B`` of each anchor (None without the hooks)
+    anchor_steps: Optional[Array]
+    #: ``(n, 3, 3, m)``: ``(v - anchor_d) * B[d]`` for anchor, probe point
+    #: v and dimension d, state coordinate first (None without the hooks)
+    shifts: Optional[Array]
 
 
-def _affine_terms(problem: ControlProblem) -> _AffineTerms:
-    """The ``_AffineTerms`` of a problem with the control-affine hooks, as
-    read-only arrays."""
+def _search_terms(problem: ControlProblem) -> _SearchTerms:
+    """The ``_SearchTerms`` of a problem with state bounds, as read-only
+    arrays."""
     lo, hi, B = problem.control_lower, problem.control_upper, problem.control_matrix
     points = np.stack([lo, hi, 0.5 * (lo + hi)])
-    anchors = (points[2], lo, hi)
+    anchors = np.stack([points[2], lo, hi])
     gaps = np.stack([np.stack([lo - a, hi - a], axis=1) for a in points])
-    terms = _AffineTerms(
-        points,
-        np.stack([a @ B for a in anchors]),
-        np.stack([(points - a)[:, :, None] * B for a in anchors]).transpose(3, 0, 1, 2).copy(),
-        np.sign(gaps),
-        np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS,
+    steps = shifts = None
+    if problem.drift is not None:
+        steps = np.stack([a @ B for a in anchors])
+        shifts = np.stack([(points - a)[:, :, None] * B for a in anchors]).transpose(3, 0, 1, 2).copy()
+    terms = _SearchTerms(
+        points, anchors, np.sign(gaps), np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS, steps, shifts
     )
     for a in terms:
-        a.setflags(write=False)
+        if a is not None:
+            a.setflags(write=False)
     return terms
 
 
-def _affine_ranges(
-    problem: ControlProblem, x: Array, dt: float, dims: Array, drift: Array, terms: _AffineTerms
-) -> Tuple[Array, Array, Array]:
-    """``_search_ranges`` with the hooks in one pass; also returns the
-    dimensions of ``dims`` found at no anchor.
+def _search_ranges(
+    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int],
+    drift: Optional[Array], terms: _SearchTerms,
+) -> Tuple[Array, Array]:
+    """``level_bound_search`` with state bounds, as the lower and the upper
+    ends of every control dimension (its control bounds where it is not in
+    ``dims``); ``drift`` is the control-affine drift at (t, x), None
+    without the hooks, and ``terms`` the problem's ``_SearchTerms``.
 
-    Moving control d from an anchor to v moves the next state from ``x +
-    dt * (drift + anchor @ B)`` by ``dt * (v - anchor_d) * B[d]``, so the
-    probe states of every anchor, probe point and dimension are one
-    ``(n, 3, 3, m)`` block with one ``_in_box`` (coordinate first, so that
-    its test reduces over long contiguous rows).  Each dimension takes the
-    first anchor where a probe is feasible; every dimension is computed and
-    those of ``dims`` are kept, since none depends on another.
+    The probe states of every anchor, probe point and control dimension
+    are one ``(3, 3, m)`` block with one ``_in_box``.  With the hooks they
+    take no dynamics call: moving control d from an anchor to v moves the
+    next state from ``x + dt * (drift + anchor @ B)`` by ``dt * (v -
+    anchor_d) * B[d]``, so the block is built coordinate first, and its
+    test reduces over long contiguous rows.  Without them one
+    ``eval_dynamics_batch`` call gives the ``9 m`` probe rows, the corner
+    anchors included.  Each dimension takes the first anchor where a probe
+    is feasible; every dimension is computed and those of ``dims`` are
+    kept, since none depends on another.
 
-    From the start point a, moving toward the infeasible end b a distance
-    w moves the next state along ``+-dt * B[d]``, so the distance at which
-    the first state bound binds is one division per state coordinate (zero
-    rates bind nothing), for every (dimension, end) that searches at once.
-    The end returned is the bisection's: the last point of its grid ``a +
-    k (b - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance, so it
-    stays inside the bound by less than one bracket, as the bisection's
-    does.  The margin matters: an end exactly on a bound can round outside
-    it once several dimensions move together in the product filter, which
+    Each (dimension, infeasible end) then searches from its start point a
+    toward the infeasible end b, at its own anchor.  Without the hooks all
+    of them bisect at once, one ``eval_dynamics_batch`` call per step.
+    With them, moving a distance w toward b moves the next state along
+    ``+-dt * B[d]``, so the distance at which the first state bound binds
+    is one division per state coordinate (zero rates bind nothing).  The
+    end returned is the bisection's: the last point of its grid ``a + k (b
+    - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance, so it stays
+    inside the bound by less than one bracket, as the bisection's does.
+    The margin matters: an end exactly on a bound can round outside it
+    once several dimensions move together in the product filter, which
     drops a level that the bisection keeps.
     """
     m, n = problem.control_dim, problem.state_dim
-    cols = np.arange(m)
-    probes = (x + dt * (drift + terms.anchor_steps)).T[:, :, None, None] + dt * terms.shifts
-    ok = _in_box(problem, probes.reshape(n, -1).T).reshape(3, 3, m)
+    dims, cols = np.asarray(dims, dtype=np.intp), np.arange(m)
+    if drift is None:
+        controls = np.tile(terms.anchors[:, None, None, :], (1, 3, m, 1))
+        controls[:, :, cols, cols] = terms.points
+        ok = _in_box(problem, x + dt * eval_dynamics_batch(problem, t, x, controls.reshape(-1, m)))
+    else:
+        probes = (x + dt * (drift + terms.anchor_steps)).T[:, :, None, None] + dt * terms.shifts
+        ok = _in_box(problem, probes.reshape(n, -1).T)
+    ok = ok.reshape(3, 3, m)
     found = np.logical_or.reduce(ok, axis=1)
     anchor = found.argmax(axis=0)
     feasible = found[anchor, cols]
+    missing = dims[~feasible[dims]]
+    if missing.size:
+        raise InfeasibleLevels(
+            f"no admissible control level found for dimension(s) {missing.tolist()} "
+            f"at t={t}: state bounds and step size are incompatible here"
+        )
     ok = ok[anchor, :, cols]
     start = ok.argmax(axis=1)  # the lower end, else the upper end, else the midpoint
     wanted = np.zeros(m, dtype=bool)
     wanted[dims] = True
     # one search row per wanted (dimension, infeasible end), lower end first
-    search = ~ok[:, :2] & (feasible & wanted)[:, None]
+    search = ~ok[:, :2] & wanted[:, None]
     lo, hi = problem.control_lower.copy(), problem.control_upper.copy()
     which, side = search.nonzero()
-    if which.size:
-        begin = start[which]
+    if which.size == 0:
+        return lo, hi
+    begin = start[which]
+    if drift is None:
+        a, b = terms.points[begin, which], terms.points[side, which]
+        controls, rows = terms.anchors[anchor[which]], np.arange(which.size)
+        for _ in range(BOUND_SEARCH_ITERATIONS):  # a stays feasible, b not
+            mid = 0.5 * (a + b)
+            controls[rows, which] = mid
+            step_ok = _in_box(problem, x + dt * eval_dynamics_batch(problem, t, x, controls))
+            a, b = np.where(step_ok, mid, a), np.where(step_ok, b, mid)
+        ends = a
+    else:
         x_start = probes[:, anchor[which], begin, which].T
         sign = terms.signs[begin, which, side]
         rate = sign[:, None] * (dt * problem.control_matrix[which])
@@ -419,10 +372,10 @@ def _affine_ranges(
         # b itself is infeasible and never a bisection point
         steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
         ends = terms.points[begin, which] + sign * (steps * bracket)
-        lower = side == 0
-        lo[which[lower]] = ends[lower]
-        hi[which[~lower]] = ends[~lower]
-    return lo, hi, dims[~feasible[dims]]
+    lower = side == 0
+    lo[which[lower]] = ends[lower]
+    hi[which[~lower]] = ends[~lower]
+    return lo, hi
 
 
 def _uniform_grid(lo: float, hi: float, count: int) -> List[float]:
@@ -549,10 +502,10 @@ class LevelCache:
 
     Computed from the problem's arrays when the cache is built: ``counts``,
     the level count of each control dimension (``_coarsen_counts``), and
-    ``terms``, the ``_AffineTerms`` of a problem with the control-affine
-    hooks and state bounds (None otherwise).  Built on first use:
-    ``box_grid``, the grid over the whole control box, which is the grid of
-    every interval of a problem without state bounds.
+    ``terms``, the ``_SearchTerms`` of a problem with state bounds (None
+    otherwise).  Built on first use: ``box_grid``, the grid over the whole
+    control box, which is the grid of every interval of a problem without
+    state bounds.
 
     Kept from the searched build before, which the next one starts from
     (``_product``): ``lo`` and ``hi``, its range ends, ``grids``, the scalar
@@ -575,8 +528,7 @@ class LevelCache:
     def __init__(self, problem: ControlProblem, params: GridParams):
         self.problem, self.params = problem, params
         self.counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
-        affine = problem.drift is not None and problem.has_state_bounds
-        self.terms = _affine_terms(problem) if affine else None
+        self.terms = _search_terms(problem) if problem.has_state_bounds else None
         self.lo = self.hi = self.grids = self.levels = None
         self.memo: Optional[Dict[Tuple[float, float], tuple]] = None
 

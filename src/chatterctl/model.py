@@ -47,11 +47,11 @@ def _checked(value, shape: Tuple[int, ...], hook: str, t: Optional[float] = None
     return arr
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    """Refuses, by ``name``, a count that is not an integer (bool included;
-    numpy integers pass) or is below ``minimum``."""
+def _check_count(name: str, value, minimum: int, error: type = ValueError) -> None:
+    """Refuses, by ``name`` and with ``error``, a count that is not an
+    integer (bool included; numpy integers pass) or is below ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _readonly(a, dtype=float) -> Array:

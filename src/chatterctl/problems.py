@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import Array, ControlProblem
+from .model import Array, ControlProblem, _check_count
 
 
 class ConfigError(ValueError):
@@ -294,8 +294,7 @@ def build_supply_chain(
         raise ConfigError("fixed_cost_mode must be 'on-order' or 'always'")
     if not horizon > 0:
         raise ConfigError("horizon must be positive")
-    if intervals < 1:
-        raise ConfigError("intervals must be >= 1")
+    _check_count("intervals", intervals, 1, ConfigError)
     dt = horizon / intervals
     if dt > 1.0:
         raise ConfigError(

@@ -202,7 +202,7 @@ def step_state(
     if not dt > 0:
         raise ValueError("dt must be positive")
     if f_vals.shape[0] != weights.size:
-        raise chattering.DimensionMismatch(
+        raise ValueError(
             f"dynamics have {f_vals.shape[0]} rows but the measure has {weights.size} weights"
         )
     return _clamp(problem, x + dt * (weights @ f_vals))
@@ -222,8 +222,12 @@ def step_costate(
     ``ValueError``)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if len(levels) != weights.size:
+        raise ValueError(
+            f"the support has {len(levels)} levels but the measure has {weights.size} weights"
+        )
     acc = np.zeros(problem.state_dim)
-    for level, weight in zip(levels, weights.tolist(), strict=True):
+    for level, weight in zip(levels, weights.tolist()):
         acc = acc + weight * grad_h_state(problem, t, x, p, level)
     return p - dt * acc
 

@@ -268,45 +268,69 @@ def random_cubic_problem(rng):
     )
 
 
+#: dynamics, control bounds, step and the ranges that one step inside the
+#: state box [-1, 1] from x = 0 admits
+ANALYTIC_BOUND_CASES = {
+    # both ends infeasible: both sides are bisected from the midpoint
+    "midpoint-start": (lambda t, x, u: np.array([u[0]]), [-10.0], [10.0], 0.5, [(-2.0, 2.0)]),
+    # only the upper end is feasible: the lower side is bisected from it
+    "upper-end-start": (lambda t, x, u: np.array([u[0]]), [-10.0], [1.0], 0.5, [(-2.0, 1.0)]),
+    # dimension 0 has no feasible point with u1 at its midpoint, where
+    # the drift term peaks; the slice with u1 at its lower bound is
+    # tried before the one at its upper bound, which would give (0, 2).
+    # Both ends of dimension 1 are feasible, so it keeps its bounds.
+    "lower-anchor": (lambda t, x, u: np.array([u[0] + np.interp(u[1], [0, 5, 10], [-2, 2, -1])]),
+                     [0.0, 0.0], [3.0, 10.0], 1.0, [(1.0, 3.0), (0.0, 10.0)]),
+    # dimension 0 is infeasible with u1 at its midpoint and its lower
+    # bound; the slice with u1 at its upper bound supplies its range
+    "upper-anchor": (lambda t, x, u: np.array([u[0] + u[1] - 10.0]), [0.0, 0.0], [2.0, 10.0], 1.0,
+                     [(0.0, 1.0), (8.0, 10.0)]),
+}
+
+
+def analytic_bound_problem(dynamics, control_lower, control_upper):
+    return box_problem(
+        m=len(control_lower),
+        dynamics=dynamics,
+        state_lower=np.array([-1.0]),
+        state_upper=np.array([1.0]),
+        control_lower=control_lower,
+        control_upper=control_upper,
+    )
+
+
 class TestLevelBoundSearch:
     def test_no_state_bounds_returns_full_interval(self):
         problem = box_problem(control_lower=[-7.0], control_upper=[3.0])
         assert level_bound_search(problem, 0.0, np.zeros(1), 0.1, [0]) == [(-7.0, 3.0)]
 
-    @pytest.mark.parametrize(
-        "dynamics, control_lower, control_upper, dt, expected",
-        [
-            # both ends infeasible: both sides are bisected from the midpoint
-            (lambda t, x, u: np.array([u[0]]), [-10.0], [10.0], 0.5, [(-2.0, 2.0)]),
-            # only the upper end is feasible: the lower side is bisected from it
-            (lambda t, x, u: np.array([u[0]]), [-10.0], [1.0], 0.5, [(-2.0, 1.0)]),
-            # dimension 0 has no feasible point with u1 at its midpoint, where
-            # the drift term peaks; the slice with u1 at its lower bound is
-            # tried before the one at its upper bound, which would give (0, 2).
-            # Both ends of dimension 1 are feasible, so it keeps its bounds.
-            (lambda t, x, u: np.array([u[0] + np.interp(u[1], [0, 5, 10], [-2, 2, -1])]),
-             [0.0, 0.0], [3.0, 10.0], 1.0, [(1.0, 3.0), (0.0, 10.0)]),
-            # dimension 0 is infeasible with u1 at its midpoint and its lower
-            # bound; the slice with u1 at its upper bound supplies its range
-            (lambda t, x, u: np.array([u[0] + u[1] - 10.0]), [0.0, 0.0], [2.0, 10.0], 1.0,
-             [(0.0, 1.0), (8.0, 10.0)]),
-        ],
-        ids=["midpoint-start", "upper-end-start", "lower-anchor", "upper-anchor"],
-    )
-    def test_bisection_finds_analytic_bounds(
-        self, dynamics, control_lower, control_upper, dt, expected
-    ):
-        problem = box_problem(
-            m=len(control_lower),
-            dynamics=dynamics,
-            state_lower=np.array([-1.0]),
-            state_upper=np.array([1.0]),
-            control_lower=control_lower,
-            control_upper=control_upper,
-        )
+    @pytest.mark.parametrize("case", list(ANALYTIC_BOUND_CASES))
+    def test_bisection_finds_analytic_bounds(self, case):
+        dynamics, control_lower, control_upper, dt, expected = ANALYTIC_BOUND_CASES[case]
+        problem = analytic_bound_problem(dynamics, control_lower, control_upper)
         dims = list(range(problem.control_dim))
         bounds = level_bound_search(problem, 0.0, np.zeros(1), dt, dims)
         assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("case, searching", [("lower-anchor", 1), ("upper-anchor", 2)])
+    def test_fallback_anchors_share_one_probe_batch(self, case, searching, monkeypatch):
+        # the probe rows of every anchor go in one batch, and the ends that
+        # search, at whichever anchor, bisect together: one batch per step
+        dynamics, control_lower, control_upper, dt, expected = ANALYTIC_BOUND_CASES[case]
+        problem = analytic_bound_problem(dynamics, control_lower, control_upper)
+        evaluate, calls = chattering.eval_dynamics_batch, []
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return evaluate(*args)
+
+        monkeypatch.setattr(chattering, "eval_dynamics_batch", counted)
+        bounds = level_bound_search(problem, 0.0, np.zeros(1), dt, [0, 1])
+        assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
+        assert len(calls) == 1 + BOUND_SEARCH_ITERATIONS
+        # nine probe rows per dimension, then the (dimension, end) rows
+        # that search: dimension 0 alone, or both dimensions at two anchors
+        assert calls[0] == 18 and set(calls[1:]) == {searching}
 
     def test_state_pinned_at_upper_bound(self):
         problem = box_problem(
@@ -511,21 +535,24 @@ class TestOnePassSearch:
         assert set(sides) == {(True, False), (False, True), (True, True)}
 
     def test_subset_returns_the_full_entries(self):
-        rng = np.random.default_rng(1903)
-        checked = 0
-        for _ in range(500):
-            problem, x, _ = bounded_affine_case(rng)
-            dt = float(rng.uniform(0.05, 1.0))
-            m = problem.control_dim
-            try:
-                full = level_bound_search(problem, 0.0, x, dt, range(m))
-            except InfeasibleLevels:
-                continue
-            dims = random_dims(rng, m)
-            subset = level_bound_search(problem, 0.0, x, dt, dims)
-            assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
-            checked += 1
-        assert checked > 250
+        # with the hooks and without them: the one search serves both
+        for strip in (lambda p: p, without_hooks):
+            rng = np.random.default_rng(1903)
+            checked = 0
+            for _ in range(500):
+                problem, x, _ = bounded_affine_case(rng)
+                problem = strip(problem)
+                dt = float(rng.uniform(0.05, 1.0))
+                m = problem.control_dim
+                try:
+                    full = level_bound_search(problem, 0.0, x, dt, range(m))
+                except InfeasibleLevels:
+                    continue
+                dims = random_dims(rng, m)
+                subset = level_bound_search(problem, 0.0, x, dt, dims)
+                assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
+                checked += 1
+            assert checked > 250
 
     def test_subset_returns_the_full_entries_on_replayed_desk_states(self):
         problem, _, source = feedback_replay(0)
@@ -540,26 +567,29 @@ class TestOnePassSearch:
 
     def test_subset_without_the_infeasible_dimensions(self):
         # a full call that raises names the dimensions whose own calls
-        # raise; a call on the others returns what their own calls return
-        rng = np.random.default_rng(1904)
-        checked = 0
-        for _ in range(1000):
-            problem, x, _ = bounded_affine_case(rng)
-            dt = float(rng.uniform(0.05, 1.0))
-            alone, missing = {}, []
-            for d in range(problem.control_dim):
-                try:
-                    alone[d] = level_bound_search(problem, 0.0, x, dt, [d])[0]
-                except InfeasibleLevels:
-                    missing.append(d)
-            if not (missing and alone):
-                continue
-            with pytest.raises(InfeasibleLevels, match=re.escape(f"dimension(s) {missing} at")):
-                level_bound_search(problem, 0.0, x, dt, range(problem.control_dim))
-            ranges = level_bound_search(problem, 0.0, x, dt, list(alone))
-            assert np.array(ranges).tobytes() == np.array(list(alone.values())).tobytes()
-            checked += 1
-        assert checked > 50
+        # raise; a call on the others returns what their own calls return,
+        # with the hooks and without them
+        for strip in (lambda p: p, without_hooks):
+            rng = np.random.default_rng(1904)
+            checked = 0
+            for _ in range(1000):
+                problem, x, _ = bounded_affine_case(rng)
+                problem = strip(problem)
+                dt = float(rng.uniform(0.05, 1.0))
+                alone, missing = {}, []
+                for d in range(problem.control_dim):
+                    try:
+                        alone[d] = level_bound_search(problem, 0.0, x, dt, [d])[0]
+                    except InfeasibleLevels:
+                        missing.append(d)
+                if not (missing and alone):
+                    continue
+                with pytest.raises(InfeasibleLevels, match=re.escape(f"dimension(s) {missing} at")):
+                    level_bound_search(problem, 0.0, x, dt, range(problem.control_dim))
+                ranges = level_bound_search(problem, 0.0, x, dt, list(alone))
+                assert np.array(ranges).tobytes() == np.array(list(alone.values())).tobytes()
+                checked += 1
+            assert checked > 50
 
 
 def random_product_problem(rng):

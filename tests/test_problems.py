@@ -435,6 +435,17 @@ class TestSupplyChainProblem:
         with pytest.raises(ConfigError):
             build_supply_chain(SEASONAL, 1.0, 100, fixed_cost_mode="sometimes")
 
+    @pytest.mark.parametrize("intervals", [2.5, True, float("inf")], ids=["fraction", "bool", "inf"])
+    def test_intervals_must_be_a_count(self, intervals):
+        # 2.5 would build dt = 0.4, True one interval and inf dt = 0
+        with pytest.raises(ConfigError, match=f"^intervals must be an integer >= 1, got {intervals!r}$"):
+            build_supply_chain(SEASONAL, 1.0, intervals)
+
+    def test_numpy_integer_intervals_accepted(self):
+        assert build_supply_chain(SEASONAL, 1.0, np.int64(200)).state_dim == 20
+        with pytest.raises(ConfigError, match="step size 2 exceeds 1"):
+            build_supply_chain(SEASONAL, 10.0, np.int32(5))
+
     def test_negative_demand_rejected_at_evaluation(self):
         from chatterctl import DemandModel
 

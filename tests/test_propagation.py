@@ -145,6 +145,22 @@ class TestSteps:
         p_next = step_costate(problem, *lqr_point(3.0, 2.5), grid.levels, weights, 0.25)
         assert p_next[0] == pytest.approx(2.5, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "step, counted",
+        [
+            (lambda problem, t, x, p, levels, weights: step_state(
+                problem, x, weights, eval_dynamics_batch(problem, t, x, levels), 0.1), "1 rows"),
+            (lambda problem, t, x, p, levels, weights: step_costate(
+                problem, t, x, p, levels, weights, 0.1), "1 levels"),
+        ],
+        ids=["state", "costate"],
+    )
+    def test_steps_name_both_counts_when_support_and_weights_differ(self, step, counted):
+        problem = build_lqr()
+        with pytest.raises(ValueError, match=f"{counted} but the measure has 2 weights") as raised:
+            step(problem, *lqr_point(1.0, 0.5), np.array([[1.0]]), np.array([0.5, 0.5]))
+        assert type(raised.value) is ValueError
+
     def test_increments_homogeneous_in_dt(self):
         # dyadic values so the x + dt*drift - x round trip is exact and the
         # halving identity can be asserted bitwise
