@@ -24,20 +24,16 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    Array,
-    ControlProblem,
-    _check_count,
-    eval_drift,
-    eval_dynamics_batch,
-)
+from .model import Array, ControlProblem, _check_count, eval_drift
+from .model import eval_dynamics_batch  # noqa: F401  unused; perfbench/tracer.py wraps this name
 
 #: all ties within this absolute distance of the minimum share weight
 TIE_TOL = 1e-9
 #: a level is admissible if one explicit Euler step stays inside the state
 #: box within this absolute slack
 STEP_FEASIBILITY_TOL = 1e-9
-#: bisection iterations for the per-dimension level bound search
+#: the per-dimension level bound search returns a point of the grid that
+#: splits each search into 2**BOUND_SEARCH_ITERATIONS equal steps
 BOUND_SEARCH_ITERATIONS = 32
 
 
@@ -219,11 +215,11 @@ def level_bound_search(
     start point, which assumes the violation is monotone toward that end.
     Each dimension's range depends on that dimension alone, so a call on a
     subset of the dimensions returns the full call's entries for them.
-    Every range comes from one pass over the probe states (see
-    ``_search_ranges``); control-affine problems get each infeasible end in
-    closed form, others bisect.  Without state bounds the full control
-    intervals come back unchanged.  Raises ``InfeasibleLevels`` when some
-    dimension has no feasible point at any anchor.
+    Every range comes from one pass over the probe states, and each
+    infeasible end in closed form (see ``_search_ranges``).  Without state
+    bounds the full control intervals come back unchanged.  Raises
+    ``InfeasibleLevels`` when some dimension has no feasible point at any
+    anchor.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -233,32 +229,30 @@ def level_bound_search(
     if not problem.has_state_bounds:
         return [(float(problem.control_lower[d]), float(problem.control_upper[d])) for d in dims]
     x = np.asarray(x, dtype=float)
-    drift = None if problem.drift is None else eval_drift(problem, t, x)
-    lo, hi = _search_ranges(problem, t, x, dt, dims, drift, _search_terms(problem))
+    lo, hi = _search_ranges(problem, t, x, dt, dims, eval_drift(problem, t, x), _search_terms(problem))
     return [(float(lo[d]), float(hi[d])) for d in dims]
 
 
 class _SearchTerms(NamedTuple):
     """What the range search needs of a problem with state bounds alone,
-    built once per ``LevelCache`` (see ``_search_terms``).  The probe points of a control dimension, which are
-    also the start points an infeasible end is searched from, are its lower
-    end, upper end and midpoint."""
+    built once per ``LevelCache`` (see ``_search_terms``).  The probe points
+    of a control dimension, which are also the start points an infeasible
+    end is searched from, are its lower end, upper end and midpoint; the
+    anchors are the midpoint, the lower and the upper corner of the control
+    box."""
 
     #: ``(3, m)``: the probe points, lower end, upper end, midpoint
     points: Array
-    #: ``(3, m)``: the anchors, the midpoint, the lower and the upper corner
-    #: of the control box
-    anchors: Array
     #: ``(3, m, 2)``: ``sign(b - a)`` for start point a, dimension, and the
     #: end b searched for (lower, upper)
     signs: Array
-    #: ``(3, m, 2)``: the bisection bracket ``|b - a| * 2**-BOUND_SEARCH_ITERATIONS``
+    #: ``(3, m, 2)``: the search grid's step ``|b - a| * 2**-BOUND_SEARCH_ITERATIONS``
     brackets: Array
-    #: ``(3, n)``: ``anchor @ B`` of each anchor (None without the hooks)
-    anchor_steps: Optional[Array]
+    #: ``(3, n)``: ``anchor @ B`` of each anchor
+    anchor_steps: Array
     #: ``(n, 3, 3, m)``: ``(v - anchor_d) * B[d]`` for anchor, probe point
-    #: v and dimension d, state coordinate first (None without the hooks)
-    shifts: Optional[Array]
+    #: v and dimension d, state coordinate first
+    shifts: Array
 
 
 def _search_terms(problem: ControlProblem) -> _SearchTerms:
@@ -268,62 +262,50 @@ def _search_terms(problem: ControlProblem) -> _SearchTerms:
     points = np.stack([lo, hi, 0.5 * (lo + hi)])
     anchors = np.stack([points[2], lo, hi])
     gaps = np.stack([np.stack([lo - a, hi - a], axis=1) for a in points])
-    steps = shifts = None
-    if problem.drift is not None:
-        steps = np.stack([a @ B for a in anchors])
-        shifts = np.stack([(points - a)[:, :, None] * B for a in anchors]).transpose(3, 0, 1, 2).copy()
     terms = _SearchTerms(
-        points, anchors, np.sign(gaps), np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS, steps, shifts
+        points, np.sign(gaps), np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS,
+        np.stack([a @ B for a in anchors]),
+        np.stack([(points - a)[:, :, None] * B for a in anchors]).transpose(3, 0, 1, 2).copy(),
     )
     for a in terms:
-        if a is not None:
-            a.setflags(write=False)
+        a.setflags(write=False)
     return terms
 
 
 def _search_ranges(
     problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int],
-    drift: Optional[Array], terms: _SearchTerms,
+    drift: Array, terms: _SearchTerms,
 ) -> Tuple[Array, Array]:
     """``level_bound_search`` with state bounds, as the lower and the upper
     ends of every control dimension (its control bounds where it is not in
-    ``dims``); ``drift`` is the control-affine drift at (t, x), None
-    without the hooks, and ``terms`` the problem's ``_SearchTerms``.
+    ``dims``); ``drift`` is the drift at (t, x), and ``terms`` the
+    problem's ``_SearchTerms``.
 
     The probe states of every anchor, probe point and control dimension
-    are one ``(3, 3, m)`` block with one ``_in_box``.  With the hooks they
-    take no dynamics call: moving control d from an anchor to v moves the
-    next state from ``x + dt * (drift + anchor @ B)`` by ``dt * (v -
-    anchor_d) * B[d]``, so the block is built coordinate first, and its
-    test reduces over long contiguous rows.  Without them one
-    ``eval_dynamics_batch`` call gives the ``9 m`` probe rows, the corner
-    anchors included.  Each dimension takes the first anchor where a probe
+    are one ``(3, 3, m)`` block with one ``_in_box``, and take no dynamics
+    call: moving control d from an anchor to v moves the next state from
+    ``x + dt * (drift + anchor @ B)`` by ``dt * (v - anchor_d) * B[d]``, so
+    the block is built coordinate first, and its test reduces over long
+    contiguous rows.  Each dimension takes the first anchor where a probe
     is feasible; every dimension is computed and those of ``dims`` are
     kept, since none depends on another.
 
     Each (dimension, infeasible end) then searches from its start point a
-    toward the infeasible end b, at its own anchor.  Without the hooks all
-    of them bisect at once, one ``eval_dynamics_batch`` call per step.
-    With them, moving a distance w toward b moves the next state along
-    ``+-dt * B[d]``, so the distance at which the first state bound binds
-    is one division per state coordinate (zero rates bind nothing).  The
-    end returned is the bisection's: the last point of its grid ``a + k (b
-    - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance, so it stays
-    inside the bound by less than one bracket, as the bisection's does.
-    The margin matters: an end exactly on a bound can round outside it
-    once several dimensions move together in the product filter, which
-    drops a level that the bisection keeps.
+    toward the infeasible end b, at its own anchor.  Moving a distance w
+    toward b moves the next state along ``+-dt * B[d]``, so the distance at
+    which the first state bound binds is one division per state coordinate
+    (zero rates bind nothing).  The end returned is the last point of the
+    grid ``a + k (b - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance
+    (b itself excluded), so it stays inside the bound by less than one step
+    of that grid, as a bisection's would.  The margin matters: an end
+    exactly on a bound can round outside it once several dimensions move
+    together in the product filter, which drops a level that a bisection
+    keeps.
     """
     m, n = problem.control_dim, problem.state_dim
     dims, cols = np.asarray(dims, dtype=np.intp), np.arange(m)
-    if drift is None:
-        controls = np.tile(terms.anchors[:, None, None, :], (1, 3, m, 1))
-        controls[:, :, cols, cols] = terms.points
-        ok = _in_box(problem, x + dt * eval_dynamics_batch(problem, t, x, controls.reshape(-1, m)))
-    else:
-        probes = (x + dt * (drift + terms.anchor_steps)).T[:, :, None, None] + dt * terms.shifts
-        ok = _in_box(problem, probes.reshape(n, -1).T)
-    ok = ok.reshape(3, 3, m)
+    probes = (x + dt * (drift + terms.anchor_steps)).T[:, :, None, None] + dt * terms.shifts
+    ok = _in_box(problem, probes.reshape(n, -1).T).reshape(3, 3, m)
     found = np.logical_or.reduce(ok, axis=1)
     anchor = found.argmax(axis=0)
     feasible = found[anchor, cols]
@@ -344,34 +326,24 @@ def _search_ranges(
     if which.size == 0:
         return lo, hi
     begin = start[which]
-    if drift is None:
-        a, b = terms.points[begin, which], terms.points[side, which]
-        controls, rows = terms.anchors[anchor[which]], np.arange(which.size)
-        for _ in range(BOUND_SEARCH_ITERATIONS):  # a stays feasible, b not
-            mid = 0.5 * (a + b)
-            controls[rows, which] = mid
-            step_ok = _in_box(problem, x + dt * eval_dynamics_batch(problem, t, x, controls))
-            a, b = np.where(step_ok, mid, a), np.where(step_ok, b, mid)
-        ends = a
-    else:
-        x_start = probes[:, anchor[which], begin, which].T
-        sign = terms.signs[begin, which, side]
-        rate = sign[:, None] * (dt * problem.control_matrix[which])
-        # where a search starts, the slack at x_start is >= 0: it passed the
-        # same comparison in _in_box
-        slack = np.full((2,) + x_start.shape, np.inf)
-        if problem.state_lower is not None:
-            slack[0] = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
-        if problem.state_upper is not None:
-            slack[1] = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
-        reach = np.divide(
-            np.where(rate < 0.0, slack[0], slack[1]), np.abs(rate),
-            out=np.full(rate.shape, np.inf), where=rate != 0.0,
-        )
-        bracket = terms.brackets[begin, which, side]
-        # b itself is infeasible and never a bisection point
-        steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
-        ends = terms.points[begin, which] + sign * (steps * bracket)
+    x_start = probes[:, anchor[which], begin, which].T
+    sign = terms.signs[begin, which, side]
+    rate = sign[:, None] * (dt * problem.control_matrix[which])
+    # where a search starts, the slack at x_start is >= 0: it passed the
+    # same comparison in _in_box
+    slack = np.full((2,) + x_start.shape, np.inf)
+    if problem.state_lower is not None:
+        slack[0] = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
+    if problem.state_upper is not None:
+        slack[1] = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
+    reach = np.divide(
+        np.where(rate < 0.0, slack[0], slack[1]), np.abs(rate),
+        out=np.full(rate.shape, np.inf), where=rate != 0.0,
+    )
+    bracket = terms.brackets[begin, which, side]
+    # b itself is infeasible and never a grid point
+    steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
+    ends = terms.points[begin, which] + sign * (steps * bracket)
     lower = side == 0
     lo[which[lower]] = ends[lower]
     hi[which[~lower]] = ends[~lower]
@@ -452,8 +424,8 @@ def _affine_in_box(
     grids: Sequence[List[float]],
 ) -> Optional[np.ndarray]:
     """``_in_box`` of the next states ``x_i + dt * (drift + levels @ B)`` of
-    the product of the scalar ``grids``, for control-affine dynamics, or
-    None when the separable bound keeps every level.  The bound takes each
+    the product of the scalar ``grids``, or None when the separable bound
+    keeps every level.  The bound takes each
     grid's first and last value: ``v * B[j, i]`` is monotone in v, rounding
     included, so over grid j its least, its greatest and its largest
     magnitude are taken at the two ends.  The coordinates that
@@ -519,8 +491,8 @@ class LevelCache:
 
     ``memo`` is None, or a dict that keeps per interval ``(t, dt)`` the
     start state's bytes, the searched range ends and the keep mask (None
-    when every level is kept) of the last build there; never levels or
-    dynamics rows, whose size would grow the peak memory by megabytes.
+    when every level is kept) of the last build there; never levels, whose
+    size would grow the peak memory by megabytes.
     ``solve`` gives its cache one, because its propagations start intervals
     again from the same states; a lone propagation never does.
     """
@@ -581,7 +553,7 @@ def _product(
 def generate_levels_with_dynamics(
     problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams,
     drift: Optional[Array] = None, cache: Optional[LevelCache] = None,
-) -> Tuple[LevelGrid, Optional[Array]]:
+) -> Tuple[LevelGrid, None]:
     """Build the level grid for one interval at state ``x_i``.
 
     Per control dimension a uniform grid covers the admissible range (the
@@ -589,14 +561,14 @@ def generate_levels_with_dynamics(
     state box).  The multidimensional grid is the Cartesian product with
     per-dimension counts coarsened uniformly so the total stays within
     ``params.cap``; when state bounds are present, product vectors whose
-    joint one-step prediction leaves the box are dropped (for control-affine
-    problems, by the separable bound of ``_affine_in_box``).  Rows come back
+    joint one-step prediction leaves the box are dropped (by the separable
+    bound of ``_affine_in_box``).  Rows come back
     sorted lexicographically, in a read-only array that the grid shares:
     the column-major product itself when every level is kept, a row-major
     copy (``levels[keep]``) otherwise.
     Without state bounds the grid is the cache's shared ``box_grid``.
-    ``drift`` is the control-affine drift at (t, x_i) when the caller has
-    it already; it is evaluated here otherwise.  The grid's ``lo`` and
+    ``drift`` is the drift at (t, x_i) when the caller has it already; it
+    is evaluated here otherwise.  The grid's ``lo`` and
     ``hi`` are the ranges it spans: the control bounds for ``box_grid``,
     the searched ranges otherwise.
 
@@ -614,10 +586,9 @@ def generate_levels_with_dynamics(
     build with the same cache, which may write over its levels; a batch
     hook gets them read-only, valid only during the call.
 
-    Also returns the dynamics rows at the kept levels when the problem has
-    state bounds and no control-affine hooks (the filter evaluated them, so
-    the propagation loop skips a second sweep), None otherwise: the loop
-    sweeps a control-affine Hamiltonian in factored form.
+    Returns the grid and None, a pair that callers and benchmark tracers
+    unpack: no dynamics rows are built, since the propagation loop sweeps
+    the Hamiltonian in factored form.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -632,35 +603,26 @@ def generate_levels_with_dynamics(
     memo = cache.memo
     entry = None if memo is None else memo.pop((t, dt), None)
     hit = entry is not None and entry[0] == state
-    f = None
     if hit:
         _, lo, hi, keep = entry
     else:
-        if drift is None and problem.drift is not None:
+        if drift is None:
             drift = eval_drift(problem, t, x_i)
         lo, hi = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift, cache.terms)
         lo.setflags(write=False)
         hi.setflags(write=False)
     levels = _product(problem, lo, hi, cache.counts, cache)
     if not hit:
-        if drift is None:
-            f = eval_dynamics_batch(problem, t, x_i, levels)
-            keep = _in_box(problem, x_i + dt * f)
-        else:
-            keep = _affine_in_box(problem, x_i, dt, drift, levels, cache.grids)
+        keep = _affine_in_box(problem, x_i, dt, drift, levels, cache.grids)
         if keep is not None:
             if not keep.any():
                 raise InfeasibleLevels(
                     f"no product level satisfies the one-step state bounds at t={t}"
                 )
             keep = None if keep.all() else keep
-    elif problem.drift is None:
-        # the rows of the whole product, as on the first build: a batch
-        # evaluator need not give a row the same bits in a smaller batch
-        f = eval_dynamics_batch(problem, t, x_i, levels)
     if keep is not None:
-        levels, f = levels[keep], None if f is None else f[keep]
+        levels = levels[keep]
         levels.setflags(write=False)
     if memo is not None:
         memo[(t, dt)] = (state, lo, hi, keep)
-    return LevelGrid(levels, lo, hi), f
+    return LevelGrid(levels, lo, hi), None

@@ -345,8 +345,8 @@ def check_lp(instances: int = 1000, seed: int = 20250810) -> Tuple[bool, List[st
 def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tuple[bool, List[str]]:
     """Analytic dH/dx against central differences on random evaluation
     points for both built-in problems, and their ``drift_jacobian`` against a
-    central difference of the drift.  The built-ins give their dynamics only
-    as the control-affine hooks, so there is no second form to compare."""
+    central difference of the drift.  Dynamics come only as the
+    control-affine hooks, so there is no second form to compare."""
     rng = np.random.default_rng(seed)
     lines: List[str] = []
     ok = True

@@ -1,8 +1,9 @@
 """Problem definition and Hamiltonian evaluations.
 
 A :class:`ControlProblem` bundles the running cost ``g(t, x, u)``, the
-dynamics ``f(t, x, u)``, an optional terminal cost ``psi(x)`` with its
-derivatives, and box bounds on controls and states.  The control Hamiltonian
+control-affine dynamics ``f(t, x, u) = drift(t, x) + u @ B``, an optional
+terminal cost ``psi(x)`` with its derivatives, and box bounds on controls
+and states.  The control Hamiltonian
 
     H(t, x, p, u) = g(t, x, u) + p . f(t, x, u)
 
@@ -68,27 +69,23 @@ def _readonly(a, dtype=float) -> Array:
 class ControlProblem:
     """A continuous-time optimal control problem on a fixed horizon.
 
-    Each quantity comes in one form: the running cost as ``running_cost(t, x,
-    u)`` (a float) or ``running_cost_batch(t, x, U)`` over a ``(K, m)`` block
-    of controls (shape ``(K,)``); the dynamics as ``dynamics(t, x, u)`` (shape
-    ``(n,)``), ``dynamics_batch(t, x, U)`` (shape ``(K, n)``) or the
-    control-affine hooks below.  The solver evaluates blocks, calling a
-    scalar form once per row.  Terminal evaluators take a 1-d float array.
+    The running cost comes as ``running_cost(t, x, u)`` (a float) or
+    ``running_cost_batch(t, x, U)`` over a ``(K, m)`` block of controls
+    (shape ``(K,)``); the solver evaluates blocks, calling the scalar form
+    once per row.  Terminal evaluators take a 1-d float array.
 
     ``gated_dims`` marks control dimensions that are either exactly zero
     (off) or confined to an active range ``[low, high]``; level generation
     lays out ``{0} + grid(low, high)`` for them instead of a plain uniform
     grid.
 
-    ``drift``, ``control_matrix`` and ``drift_jacobian`` describe
+    The dynamics come in one form, and all three of its parts are
+    required: ``drift``, ``control_matrix`` and ``drift_jacobian`` describe
     control-affine dynamics ``f(t, x, u) = drift(t, x) + u @ control_matrix``
     with a constant ``(m, n)`` control matrix and the ``(n, n)`` Jacobian
-    ``d drift_i / d x_j``.  When given, the batch dynamics cost one drift
-    evaluation and one product (``dynamics`` and ``dynamics_batch`` are not
-    consulted), level ranges come in closed form, and the shooting tangent
-    is analytic.
-    ``drift`` and ``control_matrix`` come together; ``drift_jacobian`` needs
-    both.
+    ``d drift_i / d x_j``.  So a block of dynamics rows costs one drift
+    evaluation and one product, level ranges come in closed form, and the
+    shooting tangent is analytic.
 
     ``hamiltonian_argmin(t, x, p, lo, hi)`` prices controls outside the
     level grid: it returns a ``(k, m)`` block of candidate minimizers of
@@ -107,14 +104,12 @@ class ControlProblem:
     control_lower: Array
     control_upper: Array
     running_cost: Optional[Callable[[float, Array, Array], float]] = None
-    dynamics: Optional[Callable[[float, Array, Array], Array]] = None
     terminal_cost: Optional[Callable[[Array], float]] = None
     terminal_gradient: Optional[Callable[[Array], Array]] = None
     terminal_hessian: Optional[Callable[[Array], Array]] = None
     hamiltonian_x_gradient: Optional[Callable[[float, Array, Array, Array], Array]] = None
     state_lower: Optional[Array] = None
     state_upper: Optional[Array] = None
-    dynamics_batch: Optional[Callable[[float, Array, Array], Array]] = None
     running_cost_batch: Optional[Callable[[float, Array, Array], Array]] = None
     gated_dims: Optional[Mapping[int, Tuple[float, float]]] = None
     drift: Optional[Callable[[float, Array], Array]] = None
@@ -124,10 +119,10 @@ class ControlProblem:
     name: str = ""
 
     def __post_init__(self):
-        if self.state_dim < 1 or self.control_dim < 1:
-            raise ValueError("state_dim and control_dim must be >= 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        _check_count("state_dim", self.state_dim, 1)
+        _check_count("control_dim", self.control_dim, 1)
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         n, m = self.state_dim, self.control_dim
         object.__setattr__(self, "initial_state", _readonly(self.initial_state))
         object.__setattr__(self, "control_lower", _readonly(self.control_lower))
@@ -159,20 +154,15 @@ class ControlProblem:
                     raise ValueError(f"gated dim {dim} out of range")
                 if not lo <= hi:
                     raise ValueError(f"gated dim {dim} has empty active range")
-        if (self.drift is None) != (self.control_matrix is None):
-            raise ValueError("drift and control_matrix must be given together")
-        if self.drift_jacobian is not None and self.drift is None:
-            raise ValueError("drift_jacobian needs drift and control_matrix")
-        if self.control_matrix is not None:
-            object.__setattr__(self, "control_matrix", _readonly(self.control_matrix))
-            if self.control_matrix.shape != (m, n):
-                raise ValueError(f"control_matrix must have shape ({m}, {n})")
-            if not np.all(np.isfinite(self.control_matrix)):
-                raise ValueError("control_matrix must be finite")
+        if self.drift is None or self.control_matrix is None or self.drift_jacobian is None:
+            raise ValueError("a problem needs drift, control_matrix and drift_jacobian")
+        object.__setattr__(self, "control_matrix", _readonly(self.control_matrix))
+        if self.control_matrix.shape != (m, n):
+            raise ValueError(f"control_matrix must have shape ({m}, {n})")
+        if not np.all(np.isfinite(self.control_matrix)):
+            raise ValueError("control_matrix must be finite")
         if self.running_cost is None and self.running_cost_batch is None:
             raise ValueError("a problem needs running_cost or running_cost_batch")
-        if self.dynamics is None and self.dynamics_batch is None and self.drift is None:
-            raise ValueError("a problem needs dynamics, dynamics_batch or drift and control_matrix")
 
     @property
     def has_state_bounds(self) -> bool:
@@ -227,19 +217,11 @@ def eval_hamiltonian_argmin(
 
 
 def eval_dynamics_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:
-    """Dynamics at one (t, x) for a (K, m) block of controls, shape (K, n);
-    one drift evaluation and one product for control-affine problems."""
+    """Dynamics at one (t, x) for a (K, m) block of controls, shape (K, n):
+    one drift evaluation and one product."""
     controls = np.asarray(controls, dtype=float)
-    n = problem.state_dim
-    if problem.drift is not None:
-        f = eval_drift(problem, t, x) + controls @ problem.control_matrix
-        hook = "drift + u @ control_matrix"
-    elif problem.dynamics_batch is not None:
-        f, hook = problem.dynamics_batch(t, x, controls), "dynamics_batch"
-    else:
-        rows = [_checked(problem.dynamics(t, x, u), (n,), "dynamics", t) for u in controls]
-        return np.stack(rows)
-    return _checked(f, (len(controls), n), hook, t)
+    f = eval_drift(problem, t, x) + controls @ problem.control_matrix
+    return _checked(f, (len(controls), problem.state_dim), "drift + u @ control_matrix", t)
 
 
 def eval_running_cost_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:

@@ -117,6 +117,12 @@ def lqr_analytic_solution(t: float) -> Tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _check_cost(name: str, value: float) -> None:
+    # NaN fails every comparison, so a bare ``< 0`` test would let it through
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ItemRecord:
     item_id: int
@@ -125,8 +131,8 @@ class ItemRecord:
     penalty: float  # per unit unmet demand per unit time
 
     def __post_init__(self):
-        if self.inv_carry_cost < 0 or self.penalty < 0:
-            raise ValueError("item costs must be nonnegative")
+        _check_cost("inv_carry_cost", self.inv_carry_cost)
+        _check_cost("penalty", self.penalty)
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,8 @@ class SupplierRecord:
     max_qty: float
 
     def __post_init__(self):
+        _check_cost("unit_cost", self.unit_cost)
+        _check_cost("fixed_cost", self.fixed_cost)
         if not 0 <= self.min_qty <= self.max_qty:
             raise ValueError("need 0 <= min_qty <= max_qty")
 

@@ -35,12 +35,12 @@ from .model import (
     _check_count,
     _readonly,
     eval_drift,
-    eval_dynamics_batch,
     eval_hamiltonian_argmin,
     eval_running_cost_batch,
     eval_terminal_cost,
     grad_h_state,
 )
+from .model import eval_dynamics_batch  # noqa: F401  unused; perfbench/tracer.py wraps this name
 
 #: an optional measurement source consulted before each interval solve;
 #: returning an array replaces the propagated state (open-loop feedback)
@@ -248,29 +248,25 @@ def _annotate(err: Exception, interval: int, t: float) -> Exception:
 
 
 def _sweep(
-    problem: ControlProblem, t: float, x: Array, p: Array, levels: Array,
-    p_terms: Optional[Tuple[Array, Array]], f: Optional[Array],
+    problem: ControlProblem, t: float, x: Array, levels: Array, p_terms: Tuple[Array, Array]
 ) -> Tuple[Array, Array]:
-    """The running cost and H at every row of ``levels``.  With the
-    control-affine hooks ``p . f(t, x, c) = c @ (B p) + drift . p`` from the
-    interval's ``p_terms = (B @ p, drift @ p)``: one (K,) matvec and no
-    (K, n) block; without them ``f @ p`` on the dynamics rows ``f``."""
+    """The running cost and H at every row of ``levels``, with ``p . f(t, x,
+    c) = c @ (B p) + drift . p`` from the interval's ``p_terms = (B @ p,
+    drift @ p)``: one (K,) matvec and no (K, n) block."""
     g = eval_running_cost_batch(problem, t, x, levels)
-    return g, g + (levels @ p_terms[0] + p_terms[1] if p_terms else f @ p)
+    return g, g + (levels @ p_terms[0] + p_terms[1])
 
 
 def _price(
-    problem: ControlProblem, t: float, x: Array, p: Array, dt: float,
-    drift: Optional[Array], p_terms: Optional[Tuple[Array, Array]], grid: LevelGrid,
-    h_min: float,
-) -> Optional[Tuple[Array, Array, Array, Optional[Array]]]:
+    problem: ControlProblem, t: float, x: Array, p: Array, dt: float, drift: Array,
+    p_terms: Tuple[Array, Array], grid: LevelGrid, h_min: float,
+) -> Optional[Tuple[Array, Array, Array]]:
     """The pricing step of one interval: the rows of the problem's
     ``hamiltonian_argmin`` over the grid's ranges that keep the one-step
-    state in the state box, with their running costs, Hamiltonian values
-    and (without the control-affine hooks) dynamics rows, when the best of
-    them beats the grid minimum ``h_min`` by more than ``TIE_TOL``; None
-    otherwise.  With the hooks, ``drift`` and ``p_terms = (B @ p, drift @
-    p)`` are the interval's; without them both are None.
+    state in the state box, with their running costs and Hamiltonian
+    values, when the best of them beats the grid minimum ``h_min`` by more
+    than ``TIE_TOL``; None otherwise.  ``drift`` and ``p_terms = (B @ p,
+    drift @ p)`` are the interval's.
 
     The rows go through the grid's checks and ``_sweep``.  They never
     join the grid: every grid row is then more than ``TIE_TOL`` above the
@@ -283,14 +279,12 @@ def _price(
     rows = eval_hamiltonian_argmin(problem, t, x, p, grid.lo, grid.hi)
     if rows.shape[0] == 0:
         return None
-    f = None if drift is not None else eval_dynamics_batch(problem, t, x, rows)
     if problem.has_state_bounds:
-        step = drift + rows @ problem.control_matrix if f is None else f
-        inside = _in_box(problem, x + dt * step)
+        inside = _in_box(problem, x + dt * (drift + rows @ problem.control_matrix))
         if not inside.any():
             return None
-        rows, f = rows[inside], None if f is None else f[inside]
-    g, h = _sweep(problem, t, x, p, rows, p_terms, f)
+        rows = rows[inside]
+    g, h = _sweep(problem, t, x, rows, p_terms)
     # k values: scalar tests cost less than array calls here
     values = h.tolist()
     if not all(map(math.isfinite, values)):
@@ -298,7 +292,7 @@ def _price(
     # the LP's tie threshold is this same sum, so it stays below every grid row
     if not min(values) + TIE_TOL < h_min:
         return None
-    return rows, g, h, f
+    return rows, g, h
 
 
 def propagate_forward(
@@ -347,7 +341,6 @@ def propagate_forward(
     support_levels: List[Array] = []
     support_weights: List[Array] = []
     # one drift evaluation per interval serves level search, filter, sweep and step
-    affine = problem.drift is not None
     priced = problem.hamiltonian_argmin is not None
     B = problem.control_matrix
     if cache is None:
@@ -363,31 +356,27 @@ def propagate_forward(
                     raise _annotate(ValueError(msg), i, t)
                 x, _ = _clamp(problem, measured)
         try:
-            drift = eval_drift(problem, t, x) if affine else None
-            grid, f_vals = chattering.generate_levels_with_dynamics(
+            drift = eval_drift(problem, t, x)
+            grid, _ = chattering.generate_levels_with_dynamics(
                 problem, t, x, dt, grid_params, drift, cache
             )
             # the two products also serve the pricing step
-            p_terms = (B @ p, drift @ p) if affine else None
-            if not affine and f_vals is None:
-                f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
-            g_vals, h_vals = _sweep(problem, t, x, p, grid.levels, p_terms, f_vals)
+            p_terms = (B @ p, drift @ p)
+            g_vals, h_vals = _sweep(problem, t, x, grid.levels, p_terms)
             if not np.isfinite(h_vals).all():
                 raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
             levels = grid.levels
             if priced:
                 won = _price(problem, t, x, p, dt, drift, p_terms, grid, float(h_vals.min()))
                 if won is not None:
-                    levels, g_vals, h_vals, f_vals = won
+                    levels, g_vals, h_vals = won
             support, weights = solve_measure_lp(h_vals)
             # the zero-weight levels add nothing: reduce over the support only
             levels = levels[support]
             levels.setflags(write=False)  # handed to the hooks, then recorded
             stage = float(weights @ g_vals[support]) * dt
             h_values[i] = weights @ h_vals[support]
-            x_next, clamped = step_state(
-                problem, x, weights, drift + levels @ B if affine else f_vals[support], dt
-            )
+            x_next, clamped = step_state(problem, x, weights, drift + levels @ B, dt)
             p_next = step_costate(problem, t, x, p, levels, weights, dt)
             if not (np.isfinite(x_next).all() and np.isfinite(p_next).all()):
                 raise NonFiniteEvaluation(f"state or costate step is non-finite at t={t}")
@@ -401,9 +390,9 @@ def propagate_forward(
         clamp_count += clamped
         x, p = x_next, p_next
         # the next build writes over the cache's product, which this grid
-        # may share: drop the grid and rows now (a filtered grid would also
-        # be a second array alive through that build)
-        grid = f_vals = None
+        # may share: drop it now (a filtered grid would also be a second
+        # array alive through that build)
+        grid = None
     xs[N], ps[N] = x, p
     cost += eval_terminal_cost(problem, x)
     return Trajectory(

@@ -8,11 +8,10 @@ to the guess, and apply a damped Newton-style correction.
 The sensitivities are the linearised state/costate flow along the nominal
 run (``tangent_sensitivities``; Bryson & Ho's neighbouring extremals): each
 interval's measure is held at its recorded value, so the state path does not
-depend on the guess and only the costate tangent moves, with the
-measure-weighted dynamics Jacobian.  The per-interval measure LP makes the
-control piecewise constant in the guess, so the tangent is exact within a
-switching pattern and blind to level switches; the damping factor and
-best-iterate tracking absorb that.
+depend on the guess and only the costate tangent moves, with the drift
+Jacobian.  The per-interval measure LP makes the control piecewise constant
+in the guess, so the tangent is exact within a switching pattern and blind
+to level switches; the damping factor and best-iterate tracking absorb that.
 
 ``finite_diff_sensitivities`` is the reference the tangent is checked
 against: n sequential propagations, one per perturbed costate coordinate.
@@ -30,10 +29,8 @@ from .model import (
     Array,
     ControlProblem,
     NonFiniteEvaluation,
-    _central_difference,
     _check_count,
     eval_drift_jacobian,
-    eval_dynamics_batch,
     terminal_costate,
     terminal_hessian,
 )
@@ -170,11 +167,9 @@ def tangent_sensitivities(
     Each interval's measure (its recorded support levels and weights) is
     held fixed.  Then the state path does not depend on p0 and x_0 is fixed, so
     ``P_x`` is exactly 0.  H is affine in p, so the costate step's
-    derivative in p is ``I - dt F_x^T`` with ``F_x = sum_k a_k df/dx``; the
-    tangent starts at I and ``P_p`` is its terminal value.  With a
-    ``drift_jacobian`` hook ``F_x`` is that Jacobian, whatever the measure;
-    otherwise it is a central difference of the dynamics at the support
-    levels.
+    derivative in p is ``I - dt F_x^T`` with ``F_x = sum_k a_k df/dx``,
+    which is the ``drift_jacobian`` whatever the measure; the tangent starts
+    at I and ``P_p`` is its terminal value.
 
     The tangent does not see level switches: a change of p0 that moves an
     interval's argmin changes the terminal pair in a way it misses.
@@ -184,18 +179,8 @@ def tangent_sensitivities(
         raise ValueError("nominal was run on another partition: its times differ")
     n = problem.state_dim
     dp = np.eye(n)
-    off = nominal.offsets.tolist()
     for i, (t, dt) in enumerate(zip(nominal.times.tolist(), partition.deltas.tolist())):
-        if problem.drift_jacobian is not None:
-            F_xT = eval_drift_jacobian(problem, t, nominal.x[i]).T
-        else:
-            levels = nominal.support_levels[off[i]:off[i + 1]]
-            weights = nominal.support_weights[off[i]:off[i + 1]]
-            # row j is d/dx_j of the measure-weighted dynamics: F_x^T
-            F_xT = _central_difference(
-                lambda x: weights @ eval_dynamics_batch(problem, t, x, levels), nominal.x[i]
-            )
-        dp = dp - dt * (F_xT @ dp)
+        dp = dp - dt * (eval_drift_jacobian(problem, t, nominal.x[i]).T @ dp)
     return SensitivityEstimate(np.zeros((n, n)), dp)
 
 

@@ -4,14 +4,14 @@ None of these run in the solver itself: closed forms, per-table envelopes,
 the grocer's net cost rate and drift in their table form, a single-row
 reference step, a schedule's time average, the control of a
 measure given by a weight on every level, the factored ``p . f`` sweep of a
-control-affine problem, the problem stripped of its hooks, the full-width
-product grid and filter that the level generator must reproduce bit for
-bit, the anchor-by-anchor range
-search and the per-value separable sums that the control-affine search and
-filter must reproduce bit for bit, a problem whose relaxed optimum
-chatters (with and without an exact pricing hook), the optimum of the
-discretized regulator, the feedback benchmark's replayed states, and a
-fingerprint of a whole run.
+control-affine problem, the dynamics hooks of linear dynamics, the shooting
+tangent by central differences of the dynamics, the full-width product
+grid and filter that the level generator must reproduce bit for bit, the
+anchor-by-anchor range search and the per-value separable sums that the
+closed-form search and filter must reproduce bit for bit, a problem whose
+relaxed optimum chatters (with and without an exact pricing hook), the
+optimum of the discretized regulator, the feedback benchmark's replayed
+states, and a fingerprint of a whole run.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ import numpy as np
 
 from chatterctl import build_supply_chain, chattering, replay_measurement_source, synthetic_demand
 from chatterctl.chattering import InfeasibleLevels
-from chatterctl.model import ControlProblem, eval_drift
+from chatterctl.model import ControlProblem, eval_drift, eval_dynamics_batch
 from chatterctl.problems import CUSTOMERS, ITEMS, LQR_HORIZON, LQR_X0, N_ITEMS, SUPPLIERS
 
 
@@ -149,18 +149,42 @@ def affine_p_dot_f(problem, drift, p, controls):
     return controls @ (problem.control_matrix @ p) + drift @ p
 
 
-def without_hooks(problem):
-    """The same problem without its control-affine hooks, so the solver takes
-    the generic path (bisection level ranges, central-difference tangent);
-    the batch dynamics stay vectorized."""
-    drift, B = problem.drift, problem.control_matrix
-    return dataclasses.replace(
-        problem,
-        drift=None,
-        control_matrix=None,
-        drift_jacobian=None,
-        dynamics_batch=lambda t, x, U: drift(t, x) + U @ B,
+def linear_dynamics(B, c=0.0, a=0.0):
+    """The three dynamics hooks, as ``ControlProblem`` keywords, of
+    ``f(t, x, u) = c + a x + u @ B`` for an ``(m, n)`` matrix ``B``, a
+    constant drift ``c`` (a scalar or ``(n,)``) and a scalar rate ``a``."""
+    B = np.asarray(B, dtype=float)
+    n = B.shape[1]
+    c = np.broadcast_to(np.asarray(c, dtype=float), (n,))
+    return dict(
+        drift=lambda t, x: c + a * x,
+        control_matrix=B,
+        drift_jacobian=lambda t, x: a * np.eye(n),
     )
+
+
+def central_difference_tangent(problem, partition, nominal):
+    """``P_p`` of the shooting tangent along ``nominal`` with ``F_x`` taken
+    as a central difference (step ``1e-6 max(1, |x_j|)``) of the
+    measure-weighted dynamics ``sum_k a_k f(t_i, x, c_k)`` at each
+    interval's recorded support, instead of the ``drift_jacobian`` hook."""
+    n = problem.state_dim
+    dp = np.eye(n)
+    off = nominal.offsets
+    for i, (t, dt) in enumerate(zip(nominal.times[:-1], partition.deltas)):
+        levels = nominal.support_levels[off[i]:off[i + 1]]
+        weights = nominal.support_weights[off[i]:off[i + 1]]
+        F_xT = np.empty((n, n))  # row j: d/dx_j of the weighted dynamics
+        for j in range(n):
+            h = 1e-6 * max(1.0, abs(nominal.x[i, j]))
+            xp, xm = nominal.x[i].copy(), nominal.x[i].copy()
+            xp[j] += h
+            xm[j] -= h
+            fp = weights @ eval_dynamics_batch(problem, float(t), xp, levels)
+            fm = weights @ eval_dynamics_batch(problem, float(t), xm, levels)
+            F_xT[j] = (fp - fm) / (xp[j] - xm[j])
+        dp = dp - dt * (F_xT @ dp)
+    return dp
 
 
 def reference_uniform_grid(lo, hi, count):
@@ -198,17 +222,18 @@ def reference_scalar_grid(gated, dim, lo, hi, count):
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
-def full_width_levels(problem, t, x, dt, grid_params):
-    """The level generator's grid for a control-affine problem, and the
-    dynamics rows that the factored sweep is checked against, built the
-    long way: the whole lexicographic product
-    (``np.meshgrid``) of the ``reference_scalar_grid`` values, kept where
-    ``_in_box`` passes on every state coordinate of
-    ``x + dt * (drift + levels @ B)``.  Returns the kept ``(levels, f)``
-    and the keep mask over the whole product; raises ``InfeasibleLevels``
-    when no row is kept."""
+def full_width_levels(problem, t, x, dt, grid_params, ranges=None):
+    """The level generator's grid, and the dynamics rows that the factored
+    sweep is checked against, built the long way: the whole lexicographic
+    product (``np.meshgrid``) of the ``reference_scalar_grid`` values over
+    ``ranges`` (one ``(lo, hi)`` per control dimension; the solver's
+    ``level_bound_search`` by default), kept where ``_in_box`` passes on
+    every state coordinate of ``x + dt * (drift + levels @ B)``.  Returns
+    the kept ``(levels, f)`` and the keep mask over the whole product;
+    raises ``InfeasibleLevels`` when no row is kept."""
     m = problem.control_dim
-    ranges = chattering.level_bound_search(problem, t, x, dt, range(m))
+    if ranges is None:
+        ranges = chattering.level_bound_search(problem, t, x, dt, range(m))
     counts = chattering._coarsen_counts(problem, grid_params.k_per_dim, grid_params.cap)
     grids = [
         reference_scalar_grid((problem.gated_dims or {}).get(j), j, lo, hi, int(count))
@@ -323,7 +348,6 @@ def bolza_problem(x0: float = 0.0) -> ControlProblem:
         horizon=1.0,
         initial_state=np.array([x0]),
         running_cost=lambda t, x, u: float(x[0] ** 2 + (u[0] ** 2 - 1.0) ** 2),
-        dynamics=lambda t, x, u: np.array([u[0]]),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
         hamiltonian_x_gradient=lambda t, x, p, u: np.array([2.0 * x[0]]),

@@ -167,7 +167,9 @@ class TestAcceptance:
             horizon=1.0,
             initial_state=np.zeros(2),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.zeros(2),
+            drift=lambda t, x: np.zeros(2),
+            control_matrix=np.zeros((1, 2)),
+            drift_jacobian=lambda t, x: np.zeros((2, 2)),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
         )

@@ -35,25 +35,27 @@ from oracles import (
     dense_control,
     feedback_replay,
     full_width_levels,
+    linear_dynamics,
     reference_affine_ranges,
     reference_scalar_grid,
     reference_separable_sums,
     schedule_time_average,
-    without_hooks,
 )
 
 
 def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
                 control_lower=None, control_upper=None, gated_dims=None, x0=None):
+    """``dynamics`` are the three dynamics hooks as keywords
+    (``linear_dynamics``); zero dynamics by default."""
     if dynamics is None:
-        dynamics = lambda t, x, u: np.zeros(n)
+        dynamics = linear_dynamics(np.zeros((m, n)))
     return ControlProblem(
         state_dim=n,
         control_dim=m,
         horizon=1.0,
         initial_state=np.zeros(n) if x0 is None else np.asarray(x0, float),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=dynamics,
+        **dynamics,
         control_lower=np.full(m, -1.0) if control_lower is None else np.asarray(control_lower, float),
         control_upper=np.full(m, 1.0) if control_upper is None else np.asarray(control_upper, float),
         state_lower=state_lower,
@@ -204,21 +206,23 @@ class TestRealizeSignal:
 
 
 def reference_bound_search(problem, t, x, dt, dims):
-    """Scalar form of the level-range rule, for comparison with the batched
-    search: per dimension, hold the other controls at the midpoint, then the
+    """Scalar form of the level-range rule, for comparison with the closed
+    form: per dimension, hold the other controls at the midpoint, then the
     lower, then the upper control bound; on the first of these slices with a
-    feasible point, bisect from it toward each infeasible end.  Returns the
-    ranges and, per dimension, the index of the anchor that supplied it."""
+    feasible point, bisect from it toward each infeasible end, stepping the
+    state along ``drift + u @ B`` one control at a time.  Returns the ranges
+    and, per dimension, the index of the anchor that supplied it."""
     lower, upper = problem.control_lower, problem.control_upper
+    drift = np.asarray(problem.drift(t, x), dtype=float)
+    # a missing side of the state box bounds nothing
+    floor = -np.inf if problem.state_lower is None else problem.state_lower - STEP_FEASIBILITY_TOL
+    ceiling = np.inf if problem.state_upper is None else problem.state_upper + STEP_FEASIBILITY_TOL
 
     def feasible(anchor, d, value):
         u = np.array(anchor)
         u[d] = value
-        x_next = x + dt * np.asarray(problem.dynamics(t, x, u), dtype=float)
-        return bool(
-            np.all(x_next >= problem.state_lower - STEP_FEASIBILITY_TOL)
-            and np.all(x_next <= problem.state_upper + STEP_FEASIBILITY_TOL)
-        )
+        x_next = x + dt * (drift + u @ problem.control_matrix)
+        return bool(np.all(x_next >= floor) and np.all(x_next <= ceiling))
 
     def bisect(anchor, d, a, b):
         for _ in range(BOUND_SEARCH_ITERATIONS):
@@ -247,43 +251,22 @@ def reference_bound_search(problem, t, x, dt, dims):
     return ranges, anchors_used
 
 
-def random_cubic_problem(rng):
-    """x' = A (u + 0.3 u^3) + c - 0.5 x on the state box [-0.4, 0.4]^n:
-    monotone in every control, so each feasible slice is an interval."""
-    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-    a = rng.normal(size=(n, m))
-    c = 0.5 * rng.normal(size=n)
-    lower = rng.uniform(-2.0, 0.0, m)
-    return ControlProblem(
-        state_dim=n,
-        control_dim=m,
-        horizon=1.0,
-        initial_state=rng.uniform(-0.4, 0.4, n),
-        running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: a @ (u + 0.3 * u**3) + c - 0.5 * x,
-        control_lower=lower,
-        control_upper=lower + rng.uniform(0.0, 3.0, m),
-        state_lower=np.full(n, -0.4),
-        state_upper=np.full(n, 0.4),
-    )
-
-
 #: dynamics, control bounds, step and the ranges that one step inside the
 #: state box [-1, 1] from x = 0 admits
 ANALYTIC_BOUND_CASES = {
-    # both ends infeasible: both sides are bisected from the midpoint
-    "midpoint-start": (lambda t, x, u: np.array([u[0]]), [-10.0], [10.0], 0.5, [(-2.0, 2.0)]),
-    # only the upper end is feasible: the lower side is bisected from it
-    "upper-end-start": (lambda t, x, u: np.array([u[0]]), [-10.0], [1.0], 0.5, [(-2.0, 1.0)]),
-    # dimension 0 has no feasible point with u1 at its midpoint, where
-    # the drift term peaks; the slice with u1 at its lower bound is
-    # tried before the one at its upper bound, which would give (0, 2).
-    # Both ends of dimension 1 are feasible, so it keeps its bounds.
-    "lower-anchor": (lambda t, x, u: np.array([u[0] + np.interp(u[1], [0, 5, 10], [-2, 2, -1])]),
-                     [0.0, 0.0], [3.0, 10.0], 1.0, [(1.0, 3.0), (0.0, 10.0)]),
+    # both ends infeasible: both sides are searched from the midpoint
+    "midpoint-start": (linear_dynamics([[1.0]]), [-10.0], [10.0], 0.5, [(-2.0, 2.0)]),
+    # only the upper end is feasible: the lower side is searched from it
+    "upper-end-start": (linear_dynamics([[1.0]]), [-10.0], [1.0], 0.5, [(-2.0, 1.0)]),
+    # x' = u0 - 0.2 u1 admits u0 within 0.5 of 0.2 u1: with u1 at its
+    # midpoint 5 none of the probes 0, 2 and 4 of dimension 0 is feasible;
+    # the slice with u1 at its lower bound is tried before the one at its
+    # upper bound, which would give (1.5, 2.5)
+    "lower-anchor": (linear_dynamics([[1.0], [-0.2]]), [0.0, 0.0], [4.0, 10.0], 2.0,
+                     [(0.0, 0.5), (7.5, 10.0)]),
     # dimension 0 is infeasible with u1 at its midpoint and its lower
     # bound; the slice with u1 at its upper bound supplies its range
-    "upper-anchor": (lambda t, x, u: np.array([u[0] + u[1] - 10.0]), [0.0, 0.0], [2.0, 10.0], 1.0,
+    "upper-anchor": (linear_dynamics([[1.0], [1.0]], c=-10.0), [0.0, 0.0], [2.0, 10.0], 1.0,
                      [(0.0, 1.0), (8.0, 10.0)]),
 }
 
@@ -312,29 +295,31 @@ class TestLevelBoundSearch:
         bounds = level_bound_search(problem, 0.0, np.zeros(1), dt, dims)
         assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
 
-    @pytest.mark.parametrize("case, searching", [("lower-anchor", 1), ("upper-anchor", 2)])
-    def test_fallback_anchors_share_one_probe_batch(self, case, searching, monkeypatch):
-        # the probe rows of every anchor go in one batch, and the ends that
-        # search, at whichever anchor, bisect together: one batch per step
+    @pytest.mark.parametrize("case, anchor", [("lower-anchor", 1), ("upper-anchor", 2)])
+    def test_fallback_anchors_share_one_probe_batch(self, case, anchor, monkeypatch):
+        # the probe rows of every anchor go in one box test, nine rows per
+        # dimension, and no dynamics block is evaluated; dimension 0 falls
+        # back to the lower (1) or the upper (2) corner of the control box
         dynamics, control_lower, control_upper, dt, expected = ANALYTIC_BOUND_CASES[case]
         problem = analytic_bound_problem(dynamics, control_lower, control_upper)
-        evaluate, calls = chattering.eval_dynamics_batch, []
+        in_box, rows = chattering._in_box, []
 
-        def counted(*args):
-            calls.append(len(args[3]))
-            return evaluate(*args)
+        def counted(problem, x_next, *coords):
+            rows.append(x_next.shape[0])
+            return in_box(problem, x_next, *coords)
 
-        monkeypatch.setattr(chattering, "eval_dynamics_batch", counted)
+        monkeypatch.setattr(chattering, "_in_box", counted)
+        monkeypatch.setattr(chattering, "eval_dynamics_batch", None)  # a call would raise
         bounds = level_bound_search(problem, 0.0, np.zeros(1), dt, [0, 1])
         assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
-        assert len(calls) == 1 + BOUND_SEARCH_ITERATIONS
-        # nine probe rows per dimension, then the (dimension, end) rows
-        # that search: dimension 0 alone, or both dimensions at two anchors
-        assert calls[0] == 18 and set(calls[1:]) == {searching}
+        assert rows == [18]
+        drift = eval_drift(problem, 0.0, np.zeros(1))
+        _, _, found_at = reference_affine_ranges(problem, 0.0, np.zeros(1), dt, [0, 1], drift)
+        assert found_at[0] == anchor
 
     def test_state_pinned_at_upper_bound(self):
         problem = box_problem(
-            dynamics=lambda t, x, u: np.array([u[0]]),
+            dynamics=linear_dynamics([[1.0]]),
             state_lower=np.array([-5.0]),
             state_upper=np.array([1.0]),
             control_lower=[0.0],
@@ -348,7 +333,7 @@ class TestLevelBoundSearch:
     def test_infeasible_raises(self):
         # any control pushes the state below its floor
         problem = box_problem(
-            dynamics=lambda t, x, u: np.array([-1.0]),
+            dynamics=linear_dynamics([[0.0]], c=-1.0),
             state_lower=np.array([0.0]),
             control_lower=[-1.0],
             control_upper=[1.0],
@@ -356,30 +341,11 @@ class TestLevelBoundSearch:
         with pytest.raises(InfeasibleLevels):
             level_bound_search(problem, 0.0, np.zeros(1), 1.0, [0])
 
-    def test_matches_scalar_reference(self):
-        rng = np.random.default_rng(20171)
-        fallbacks = infeasible = 0
-        for _ in range(300):
-            problem = random_cubic_problem(rng)
-            x = problem.initial_state
-            dt = float(rng.uniform(0.05, 0.5))
-            dims = list(range(problem.control_dim))
-            try:
-                expected, anchors_used = reference_bound_search(problem, 0.0, x, dt, dims)
-            except InfeasibleLevels:
-                infeasible += 1
-                with pytest.raises(InfeasibleLevels):
-                    level_bound_search(problem, 0.0, x, dt, dims)
-                continue
-            fallbacks += sum(k > 0 for k in anchors_used)
-            assert level_bound_search(problem, 0.0, x, dt, dims) == expected
-        assert fallbacks > 0
-        assert infeasible > 0
 
 
 def random_affine_problem(rng):
-    """x' = A u + c - 0.5 x on the state box [-0.4, 0.4]^n, with the
-    control-affine hooks: drift c - 0.5 x and control matrix A^T."""
+    """x' = A u + c - 0.5 x on the state box [-0.4, 0.4]^n: drift c - 0.5 x
+    and control matrix A^T."""
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     a = rng.normal(size=(n, m))
     a[rng.uniform(size=(n, m)) < 0.2] = 0.0  # zero entries bind nothing
@@ -391,7 +357,6 @@ def random_affine_problem(rng):
         horizon=1.0,
         initial_state=rng.uniform(-0.4, 0.4, n),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: a @ u + c - 0.5 * x,
         control_lower=lower,
         control_upper=lower + rng.uniform(0.0, 3.0, m),
         state_lower=np.full(n, -0.4),
@@ -408,19 +373,17 @@ class TestClosedFormLevelRanges:
         fallbacks = infeasible = 0
         for _ in range(300):
             problem = random_affine_problem(rng)
-            stripped = without_hooks(problem)
             x = problem.initial_state
             dt = float(rng.uniform(0.05, 0.5))
             dims = list(range(problem.control_dim))
             try:
-                bisected = level_bound_search(stripped, 0.0, x, dt, dims)
+                bisected, anchors_used = reference_bound_search(problem, 0.0, x, dt, dims)
             except InfeasibleLevels:
                 infeasible += 1
                 with pytest.raises(InfeasibleLevels):
                     level_bound_search(problem, 0.0, x, dt, dims)
                 continue
             closed = level_bound_search(problem, 0.0, x, dt, dims)
-            _, anchors_used = reference_bound_search(stripped, 0.0, x, dt, dims)
             fallbacks += sum(k > 0 for k in anchors_used)
             lower, upper = problem.control_lower, problem.control_upper
             bracket = (upper - lower) * 2.0**-BOUND_SEARCH_ITERATIONS
@@ -430,7 +393,7 @@ class TestClosedFormLevelRanges:
                 for end in ends:
                     u = np.array(anchors[k])
                     u[d] = end
-                    x_next = x + dt * problem.dynamics(0.0, x, u)
+                    x_next = x + dt * (eval_drift(problem, 0.0, x) + u @ problem.control_matrix)
                     assert np.all(np.abs(x_next) <= 0.4 + STEP_FEASIBILITY_TOL)
         assert fallbacks > 0
         assert infeasible > 0
@@ -443,16 +406,17 @@ class TestClosedFormLevelRanges:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_replayed_desk_grids_match_bisection(self, seed):
+        # the grid over the scalar bisection's ranges, built the long way
         problem, p0, source = feedback_replay(seed)
-        stripped = without_hooks(problem)
         partition = TimePartition.uniform(1.0, 200)
         params = GridParams(101, 4096)
         trajectory = propagate_forward(problem, partition, p0, params, source)
         for pt, dt in zip(trajectory.points, partition.deltas.tolist()):
             closed, _ = generate_levels_with_dynamics(problem, pt.t, pt.x, dt, params)
-            bisected, _ = generate_levels_with_dynamics(stripped, pt.t, pt.x, dt, params)
-            assert closed.K == bisected.K, f"interval at t={pt.t}"
-            assert np.max(np.abs(closed.levels - bisected.levels)) <= 1e-8
+            ranges, _ = reference_bound_search(problem, pt.t, pt.x, dt, range(problem.control_dim))
+            bisected, _, _ = full_width_levels(problem, pt.t, pt.x, dt, params, ranges)
+            assert closed.K == bisected.shape[0], f"interval at t={pt.t}"
+            assert np.max(np.abs(closed.levels - bisected)) <= 1e-8
 
 
 def bounded_affine_case(rng):
@@ -501,9 +465,9 @@ def random_dims(rng, m):
 
 
 class TestOnePassSearch:
-    """The control-affine range search computes every anchor, probe point
-    and dimension in one pass; it must return what the anchor-by-anchor
-    search of ``oracles.reference_affine_ranges`` returns, bit for bit."""
+    """The range search computes every anchor, probe point and dimension in
+    one pass; it must return what the anchor-by-anchor search of
+    ``oracles.reference_affine_ranges`` returns, bit for bit."""
 
     def test_matches_the_anchor_loop_bit_for_bit(self):
         rng = np.random.default_rng(1902)
@@ -535,24 +499,21 @@ class TestOnePassSearch:
         assert set(sides) == {(True, False), (False, True), (True, True)}
 
     def test_subset_returns_the_full_entries(self):
-        # with the hooks and without them: the one search serves both
-        for strip in (lambda p: p, without_hooks):
-            rng = np.random.default_rng(1903)
-            checked = 0
-            for _ in range(500):
-                problem, x, _ = bounded_affine_case(rng)
-                problem = strip(problem)
-                dt = float(rng.uniform(0.05, 1.0))
-                m = problem.control_dim
-                try:
-                    full = level_bound_search(problem, 0.0, x, dt, range(m))
-                except InfeasibleLevels:
-                    continue
-                dims = random_dims(rng, m)
-                subset = level_bound_search(problem, 0.0, x, dt, dims)
-                assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
-                checked += 1
-            assert checked > 250
+        rng = np.random.default_rng(1903)
+        checked = 0
+        for _ in range(500):
+            problem, x, _ = bounded_affine_case(rng)
+            dt = float(rng.uniform(0.05, 1.0))
+            m = problem.control_dim
+            try:
+                full = level_bound_search(problem, 0.0, x, dt, range(m))
+            except InfeasibleLevels:
+                continue
+            dims = random_dims(rng, m)
+            subset = level_bound_search(problem, 0.0, x, dt, dims)
+            assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
+            checked += 1
+        assert checked > 250
 
     def test_subset_returns_the_full_entries_on_replayed_desk_states(self):
         problem, _, source = feedback_replay(0)
@@ -567,34 +528,30 @@ class TestOnePassSearch:
 
     def test_subset_without_the_infeasible_dimensions(self):
         # a full call that raises names the dimensions whose own calls
-        # raise; a call on the others returns what their own calls return,
-        # with the hooks and without them
-        for strip in (lambda p: p, without_hooks):
-            rng = np.random.default_rng(1904)
-            checked = 0
-            for _ in range(1000):
-                problem, x, _ = bounded_affine_case(rng)
-                problem = strip(problem)
-                dt = float(rng.uniform(0.05, 1.0))
-                alone, missing = {}, []
-                for d in range(problem.control_dim):
-                    try:
-                        alone[d] = level_bound_search(problem, 0.0, x, dt, [d])[0]
-                    except InfeasibleLevels:
-                        missing.append(d)
-                if not (missing and alone):
-                    continue
-                with pytest.raises(InfeasibleLevels, match=re.escape(f"dimension(s) {missing} at")):
-                    level_bound_search(problem, 0.0, x, dt, range(problem.control_dim))
-                ranges = level_bound_search(problem, 0.0, x, dt, list(alone))
-                assert np.array(ranges).tobytes() == np.array(list(alone.values())).tobytes()
-                checked += 1
-            assert checked > 50
+        # raise; a call on the others returns what their own calls return
+        rng = np.random.default_rng(1904)
+        checked = 0
+        for _ in range(1000):
+            problem, x, _ = bounded_affine_case(rng)
+            dt = float(rng.uniform(0.05, 1.0))
+            alone, missing = {}, []
+            for d in range(problem.control_dim):
+                try:
+                    alone[d] = level_bound_search(problem, 0.0, x, dt, [d])[0]
+                except InfeasibleLevels:
+                    missing.append(d)
+            if not (missing and alone):
+                continue
+            with pytest.raises(InfeasibleLevels, match=re.escape(f"dimension(s) {missing} at")):
+                level_bound_search(problem, 0.0, x, dt, range(problem.control_dim))
+            ranges = level_bound_search(problem, 0.0, x, dt, list(alone))
+            assert np.array(ranges).tobytes() == np.array(list(alone.values())).tobytes()
+            checked += 1
+        assert checked > 50
 
 
 def random_product_problem(rng):
-    """x' = c - 0.5 x + u @ B on the state box [-0.4, 0.4]^n, with the
-    control-affine hooks.  Controls 0 and 1 are the narrowest, so a tight
+    """x' = c - 0.5 x + u @ B on the state box [-0.4, 0.4]^n.  Controls 0 and 1 are the narrowest, so a tight
     cap leaves them one level each, and they alone move state 0, both the
     same way: state 0 is then moved by no varying control, and can be
     infeasible at every product level although each control alone keeps it
@@ -619,7 +576,6 @@ def random_product_problem(rng):
         horizon=1.0,
         initial_state=rng.uniform(-0.4, 0.4, n),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: c - 0.5 * x + u @ b,
         control_lower=lower,
         control_upper=lower + width,
         state_lower=np.full(n, -0.4),
@@ -670,8 +626,8 @@ def assert_factored_sweep(problem, t, x, p, levels, f):
 class TestLeanProductFilter:
     """The generator clears state coordinates by a separable bound and tests
     only the others on every row; the full-width oracle tests every
-    coordinate on every row.  Control-affine problems get no dynamics rows
-    back: ``propagate_forward`` sweeps their Hamiltonian in factored form."""
+    coordinate on every row.  The generator gives no dynamics rows back:
+    ``propagate_forward`` sweeps the Hamiltonian in factored form."""
 
     @staticmethod
     def compare(problem, t, x, dt, params, p):
@@ -731,7 +687,6 @@ class TestLeanProductFilter:
             horizon=1.0,
             initial_state=np.zeros(2),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.array([u[0] + u[1], u[2]]),
             control_lower=np.array([-0.5, -0.5, -1.0]),
             control_upper=np.array([0.5, 0.5, 1.0]),
             state_lower=np.full(2, -0.4),
@@ -747,7 +702,7 @@ class TestLeanProductFilter:
 
 def count_row_tests(monkeypatch, size):
     """Records how often ``_in_box`` sees ``size`` rows, the product's size
-    (the control-affine range search tests all its probes in one call of
+    (the range search tests all its probes in one call of
     nine rows per control dimension: three anchors by three probe points;
     ``size`` must differ from that)."""
     seen = []
@@ -791,7 +746,6 @@ class TestSeparableBound:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.array([u[0] + d * u[1]]),
             control_lower=np.array([threshold - d, 0.0]),
             control_upper=np.array([0.25, 2.0]),
             state_lower=np.array([-0.5]),
@@ -976,7 +930,7 @@ class TestGenerateLevels:
 
     def test_degenerate_grid_at_bound(self):
         problem = box_problem(
-            dynamics=lambda t, x, u: np.array([u[0]]),
+            dynamics=linear_dynamics([[1.0]]),
             state_lower=np.array([-5.0]),
             state_upper=np.array([1.0]),
             control_lower=[0.0],
@@ -1027,7 +981,7 @@ class TestGenerateLevels:
             problem = box_problem(
                 n=n,
                 m=m,
-                dynamics=lambda t, x, u, A=A: A @ u - 0.5 * x,
+                dynamics=linear_dynamics(A.T, a=-0.5),
                 state_lower=np.full(n, -0.4),
                 state_upper=np.full(n, 0.4),
                 control_lower=[-3.0, -3.0],
@@ -1038,7 +992,7 @@ class TestGenerateLevels:
             x = np.asarray(problem.initial_state)
             grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, GridParams(7, 4096))
             for level in grid.levels:
-                x_next = x + dt * problem.dynamics(0.0, x, level)
+                x_next = x + dt * (-0.5 * x + A @ level)
                 assert np.all(x_next >= problem.state_lower - 1e-9)
                 assert np.all(x_next <= problem.state_upper + 1e-9)
 
@@ -1219,7 +1173,7 @@ def memo_cache(problem, params):
 class TestIntervalMemo:
     """A cache with a memo keeps, per interval, the state and the level work
     done there; the same interval from the same state, bit for bit, skips
-    the range search and gives the same grid and rows."""
+    the range search and gives the same grid."""
 
     @staticmethod
     def count_searches(monkeypatch):
@@ -1233,17 +1187,20 @@ class TestIntervalMemo:
         monkeypatch.setattr(chattering, "_search_ranges", counted)
         return calls
 
-    @pytest.mark.parametrize("hooks", [True, False])
-    def test_same_state_hits_and_one_ulp_misses(self, hooks, monkeypatch):
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_same_state_hits_and_one_ulp_misses(self, filtered, monkeypatch):
+        # a filtered grid is a row subset kept by the entry's mask; an
+        # unfiltered one is the cache's product buffer itself
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-        problem = problem if hooks else without_hooks(problem)
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 2.0, 20)
         # states on the zero floor make the admissibility filter drop levels
         x[rng.integers(0, 20, 6)] = 0.0
+        if not filtered:
+            x = problem.initial_state.copy()
         t, dt, params = 0.3, 0.005, GridParams()
-        plain, plain_rows = generate_levels_with_dynamics(problem, t, x, dt, params)
-        assert plain.K < params.cap
+        plain, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
+        assert (plain.K < params.cap) == filtered
         nudged = x.copy()
         nudged[3] = np.nextafter(nudged[3], np.inf)
         plain_nudged, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params)
@@ -1254,11 +1211,9 @@ class TestIntervalMemo:
             grid, rows = generate_levels_with_dynamics(problem, t, x.copy(), dt, params, None, cache)
             assert len(searches) == expected_searches and len(memo) == 1
             assert_bitwise(grid.levels, plain.levels)
-            assert not grid.levels.flags.writeable
-            if hooks:
-                assert rows is None
-            else:
-                assert_bitwise(rows, plain_rows)
+            assert not grid.levels.flags.writeable and rows is None
+            assert (grid.levels is cache.levels) != filtered
+            assert (memo[(t, dt)][3] is None) != filtered
         grid, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params, None, cache)
         assert len(searches) == 2 and len(memo) == 1
         assert memo[(t, dt)][0] == nudged.tobytes()
@@ -1269,7 +1224,7 @@ class TestIntervalMemo:
 
     def test_infeasible_build_leaves_no_entry(self):
         # x' = 1 against the upper bound 0: from x = 0 no level is admissible
-        problem = box_problem(dynamics=lambda t, x, u: np.ones(1), state_upper=np.zeros(1))
+        problem = box_problem(dynamics=linear_dynamics([[0.0]], c=1.0), state_upper=np.zeros(1))
         cache = memo_cache(problem, GridParams())
         generate_levels_with_dynamics(problem, 0.0, np.array([-1.0]), 0.1, GridParams(), None, cache)
         assert len(cache.memo) == 1
@@ -1282,7 +1237,7 @@ class TestGridRanges:
     """The grids that ``generate_levels_with_dynamics`` returns carry the
     ranges they span, which a pricing hook searches: the control bounds for
     the whole-box grid; the searched ranges otherwise, with or without a
-    hook, and on a memo hit those of the entry."""
+    pricing hook, and on a memo hit those of the entry."""
 
     def test_unbounded_grid_spans_the_control_bounds(self):
         problem = build_lqr()
@@ -1305,10 +1260,9 @@ class TestGridRanges:
             assert_bitwise(grid.lo, problem.control_lower)
             assert_bitwise(grid.hi, problem.control_upper)
 
-    @pytest.mark.parametrize("hooks", [True, False])
-    def test_searched_grid_spans_the_searched_ranges(self, hooks):
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_searched_grid_spans_the_searched_ranges(self, memo):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-        problem = problem if hooks else without_hooks(problem)
         problem = dataclasses.replace(
             problem, hamiltonian_argmin=lambda t, x, p, lo, hi: np.empty((0, len(lo)))
         )
@@ -1318,15 +1272,19 @@ class TestGridRanges:
         t, dt, params = 0.3, 0.005, GridParams()
         ranges = np.array(level_bound_search(problem, t, x, dt, range(problem.control_dim)))
         assert np.any(ranges[:, 1] < problem.control_upper)
-        cache = memo_cache(problem, params)
+        # with a memo the second build is a hit, which takes the entry's
+        # ends; without one it searches again
+        cache = memo_cache(problem, params) if memo else chattering.LevelCache(problem, params)
         first, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
         assert_bitwise(first.lo, ranges[:, 0])
         assert_bitwise(first.hi, ranges[:, 1])
         assert not (first.lo.flags.writeable or first.hi.flags.writeable)
         assert np.all(first.levels >= first.lo) and np.all(first.levels <= first.hi)
         lo, hi = first.lo, first.hi
-        hit, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
-        assert hit.lo is lo and hit.hi is hi
+        again, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+        assert (again.lo is lo and again.hi is hi) == memo
+        assert_bitwise(again.lo, lo)
+        assert_bitwise(again.hi, hi)
 
     def test_ranges_kept_without_a_hook(self):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
@@ -1547,22 +1505,20 @@ class TestIncrementalBuild:
         assert all(buffer is buffers[0] for buffer in buffers)
 
     def test_batch_hook_gets_the_read_only_column_major_buffer(self):
-        problem = without_hooks(build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200))
-        dynamics, seen = problem.dynamics_batch, []
+        # the sweep hands the running cost the grid's levels, which at the
+        # initial state are the whole product, the cache's buffer itself
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        cost, seen = problem.running_cost_batch, []
 
         def hook(t, x, controls):
             seen.append((controls.shape[0], controls.flags.f_contiguous, controls.flags.writeable))
-            return dynamics(t, x, controls)
+            return cost(t, x, controls)
 
-        problem = dataclasses.replace(problem, dynamics_batch=hook)
+        problem = dataclasses.replace(problem, running_cost_batch=hook)
         cache = chattering.LevelCache(problem, GridParams())
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, problem.initial_state, 0.005, GridParams(), None, cache
-        )
-        # the filter's batch comes last; every level is kept
-        assert grid.K == 4096 and grid.levels is cache.levels
-        assert seen[-1] == (4096, True, False)
-        assert grid.levels.flags.f_contiguous and not grid.levels.flags.writeable
+        propagate_forward(problem, TimePartition.uniform(0.005, 1), np.zeros(20), GridParams(), cache=cache)
+        assert seen == [(4096, True, False)]
+        assert cache.levels.flags.f_contiguous and not cache.levels.flags.writeable
 
     def test_grid_kept_past_the_next_build_is_overwritten(self):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
@@ -1602,16 +1558,12 @@ class TestWholeBoxGrid:
             params = GridParams(5, 64)
             steps_inside = box_steps_inside(problem, 0.0, x, dt)
             try:
-                stripped, _ = generate_levels_with_dynamics(without_hooks(problem), 0.0, x, dt, params)
+                grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params)
             except InfeasibleLevels:
                 assert not steps_inside
                 continue
-            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params)
             if steps_inside:
-                # elsewhere the closed-form ranges may differ from the
-                # bisection's by less than a bracket
                 assert_whole_box(problem, grid)
-                assert_bitwise(grid.levels, stripped.levels)
                 assert_bitwise(grid.levels, chattering.LevelCache(problem, params).box_grid.levels)
             inside += steps_inside
             outside += not steps_inside
@@ -1699,18 +1651,22 @@ class TestLevelGridSharing:
         source[0, 0] = 7
         assert grid.levels.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
-    @pytest.mark.parametrize("hooks", [True, False])
-    def test_generator_hands_over_read_only_levels(self, hooks):
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_generator_hands_over_read_only_levels(self, shared):
+        # with one cache for both builds, the second writes the product into
+        # the buffer that the first grid shares, and must lock it again
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-        problem = problem if hooks else without_hooks(problem)
         rng = np.random.default_rng(6)
         t = float(rng.uniform(0.0, 1.0))
         x_floor = rng.uniform(0.0, 2.0, 20)
         # states on the zero floor make the admissibility filter drop levels
         x_floor[rng.integers(0, 20, 6)] = 0.0
         params = GridParams()
-        full, _ = generate_levels_with_dynamics(problem, 0.0, problem.initial_state, 0.005, params)
-        kept, _ = generate_levels_with_dynamics(problem, t, x_floor, 0.005, params)
+        cache = chattering.LevelCache(problem, params) if shared else None
+        full, _ = generate_levels_with_dynamics(problem, 0.0, problem.initial_state, 0.005, params,
+                                                None, cache)
+        kept, _ = generate_levels_with_dynamics(problem, t, x_floor, 0.005, params, None, cache)
+        assert (cache is not None and full.levels is cache.levels) == shared
         assert full.K == 4096 and kept.K < 4096
         for grid in (full, kept):
             assert grid.levels.flags.owndata and not grid.levels.flags.writeable

@@ -252,6 +252,7 @@ class TestConvergenceJson:
             running_cost=lambda t, x, u: 0.0,
             drift=lambda t, x: np.array([-5.0]),
             control_matrix=np.ones((1, 1)),
+            drift_jacobian=lambda t, x: np.zeros((1, 1)),
             control_lower=np.array([0.0]),
             control_upper=np.array([1.0]),
             state_lower=np.array([0.0]),

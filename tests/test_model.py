@@ -28,17 +28,21 @@ def at(t=0.0, x=(10.0,), p=(0.0,)):
 
 
 def make_problem(**overrides):
+    """A problem with zero dynamics, of the overrides' dimensions."""
     base = dict(
         state_dim=1,
         control_dim=1,
         horizon=1.0,
         initial_state=np.array([0.0]),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: np.zeros(1),
+        drift=lambda t, x: np.zeros(len(x)),
+        drift_jacobian=lambda t, x: np.zeros((len(x), len(x))),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
     )
     base.update(overrides)
+    if "control_matrix" not in base:
+        base["control_matrix"] = np.zeros((base["control_dim"], base["state_dim"]))
     return ControlProblem(**base)
 
 
@@ -48,7 +52,7 @@ class TestEvalHamiltonian:
         assert eval_hamiltonian(problem, *at(), np.array([0.0])) == 100.0
 
     def test_zero_cost_zero_costate(self):
-        problem = make_problem(dynamics=lambda t, x, u: np.array([x[0] + u[0]]))
+        problem = make_problem(drift=lambda t, x: np.array(x), control_matrix=np.ones((1, 1)))
         assert eval_hamiltonian(problem, *at(x=(3.0,), p=(0.0,)), np.array([0.5])) == 0.0
 
     def test_direct_substitution(self):
@@ -57,7 +61,7 @@ class TestEvalHamiltonian:
         assert h == pytest.approx(2.0, abs=1e-14)
 
     def test_non_finite_dynamics_raises(self):
-        problem = make_problem(dynamics=lambda t, x, u: np.array([np.inf]))
+        problem = make_problem(drift=lambda t, x: np.array([np.inf]))
         with pytest.raises(NonFiniteEvaluation):
             eval_hamiltonian(problem, *at(), np.array([0.0]))
 
@@ -150,7 +154,6 @@ class TestTerminal:
         problem = make_problem(
             state_dim=2,
             initial_state=np.zeros(2),
-            dynamics=lambda t, x, u: np.zeros(2),
             terminal_cost=lambda x: 0.5 * float(x @ x),
         )
         x = np.array([3.0, -4.0])
@@ -161,7 +164,6 @@ class TestTerminal:
         problem = make_problem(
             state_dim=3,
             initial_state=np.zeros(3),
-            dynamics=lambda t, x, u: np.zeros(3),
             terminal_cost=lambda x: float(np.sum(x)),
         )
         g = terminal_costate(problem, np.array([1.0, -2.0, 7.0]))
@@ -181,7 +183,7 @@ class TestProblemValidation:
         # its arrays were checked
         problem = make_problem(
             state_dim=2, initial_state=np.zeros(2), state_lower=np.full(2, -1.0),
-            state_upper=np.ones(2), drift=lambda t, x: np.zeros(2), control_matrix=np.ones((1, 2)),
+            state_upper=np.ones(2), control_matrix=np.ones((1, 2)),
         )
         for name in ("initial_state", "control_lower", "control_upper", "state_lower",
                      "state_upper", "control_matrix"):
@@ -232,15 +234,33 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             make_problem(horizon=0.0)
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # an infinite horizon used to build and fail only in the partition
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            make_problem(horizon=horizon)
+
+    @pytest.mark.parametrize("field", ["state_dim", "control_dim"])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5, "1"], ids=["zero", "negative", "bool", "float", "str"])
+    def test_dimensions_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+            make_problem(control_matrix=np.zeros((1, 1)), **{field: value})
+
+    def test_numpy_integer_dimensions_accepted(self):
+        problem = make_problem(state_dim=np.int64(1), control_dim=np.int32(1))
+        assert (problem.state_dim, problem.control_dim) == (1, 1)
+
     @pytest.mark.parametrize(
         "hooks",
         [
-            dict(drift=lambda t, x: x, control_matrix=np.array([[np.nan]])),
-            dict(drift=lambda t, x: x, control_matrix=np.ones((1, 2))),
-            dict(drift=lambda t, x: x),
-            dict(control_matrix=np.ones((1, 1))),
-            dict(drift_jacobian=lambda t, x: np.ones((1, 1))),
-            dict(drift=lambda t, x: x, drift_jacobian=lambda t, x: np.ones((1, 1))),
+            dict(control_matrix=np.array([[np.nan]])),
+            dict(control_matrix=np.ones((1, 2))),
+            dict(control_matrix=None, drift_jacobian=None),
+            dict(drift=None, drift_jacobian=None),
+            dict(drift=None, control_matrix=None),
+            dict(control_matrix=None),
+            dict(drift_jacobian=None),
+            dict(drift=None),
         ],
         ids=[
             "non-finite-matrix",
@@ -249,10 +269,12 @@ class TestProblemValidation:
             "matrix-without-drift",
             "jacobian-alone",
             "jacobian-without-matrix",
+            "without-jacobian",
+            "without-drift",
         ],
     )
     def test_control_affine_hooks_rejected(self, hooks):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="control_matrix"):
             make_problem(**hooks)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -267,17 +289,22 @@ class TestProblemValidation:
         make_problem(running_cost=None, running_cost_batch=lambda t, x, U: np.zeros(len(U)))
 
     @pytest.mark.parametrize(
-        "form",
+        "form, error, message",
         [
-            dict(dynamics_batch=lambda t, x, U: np.zeros((len(U), 1))),
-            dict(drift=lambda t, x: np.zeros(1), control_matrix=np.ones((1, 1))),
+            (dict(dynamics_batch=lambda t, x, U: np.zeros((len(U), 1))), TypeError,
+             "unexpected keyword argument 'dynamics_batch'"),
+            (dict(dynamics=lambda t, x, u: np.zeros(1)), TypeError,
+             "unexpected keyword argument 'dynamics'"),
+            (dict(drift=None, control_matrix=None, drift_jacobian=None), ValueError,
+             "^a problem needs drift, control_matrix and drift_jacobian$"),
         ],
-        ids=["batch", "control-affine"],
+        ids=["batch", "scalar", "control-affine"],
     )
-    def test_dynamics_form_required(self, form):
-        with pytest.raises(ValueError, match="dynamics, dynamics_batch or drift"):
-            make_problem(dynamics=None)
-        make_problem(dynamics=None, **form)
+    def test_dynamics_form_required(self, form, error, message):
+        # the dynamics come in one form, the three control-affine hooks:
+        # the general forms are no fields, and the hooks are required
+        with pytest.raises(error, match=message):
+            make_problem(**form)
 
 
 N, K = 2, 3
@@ -289,8 +316,6 @@ U = np.zeros((K, 1))
 HOOKS = {
     "drift": ((N,), lambda pr: eval_drift(pr, 0.5, X)),
     "drift_jacobian": ((N, N), lambda pr: eval_drift_jacobian(pr, 0.5, X)),
-    "dynamics_batch": ((K, N), lambda pr: eval_dynamics_batch(pr, 0.5, X, U)),
-    "dynamics": ((N,), lambda pr: eval_dynamics_batch(pr, 0.5, X, U)),
     "running_cost_batch": ((K,), lambda pr: eval_running_cost_batch(pr, 0.5, X, U)),
     "running_cost": ((), lambda pr: eval_running_cost_batch(pr, 0.5, X, U)),
     "hamiltonian_x_gradient": ((N,), lambda pr: grad_h_state(pr, 0.5, X, X, U[0])),
@@ -303,13 +328,7 @@ TIMELESS = ("terminal_cost", "terminal_gradient", "terminal_hessian")
 
 def hook_problem(hook, value):
     """A two-state problem whose ``hook`` returns ``value`` at every call."""
-    fields = dict(
-        state_dim=2,
-        initial_state=np.zeros(2),
-        dynamics=lambda t, x, u: np.zeros(2),
-    )
-    if hook.startswith("drift"):
-        fields.update(drift=lambda t, x: np.zeros(2), control_matrix=np.ones((1, 2)))
+    fields = dict(state_dim=2, initial_state=np.zeros(2), control_matrix=np.ones((1, 2)))
     fields[hook] = lambda *args: value
     return make_problem(**fields)
 

@@ -26,6 +26,8 @@ from chatterctl.problems import (
     CustomerRecord,
     ITEMS,
     SUPPLIERS,
+    ItemRecord,
+    SupplierRecord,
 )
 from oracles import (
     item_fixed_cost_envelope,
@@ -179,6 +181,27 @@ class TestTables:
     def test_supplier_quantity_bounds_ordered(self):
         for rec in SUPPLIERS:
             assert 0 <= rec.min_qty <= rec.max_qty
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("field", ["unit_cost", "fixed_cost"])
+    def test_supplier_costs_nonnegative_and_finite(self, field, value):
+        # a NaN unit cost used to build a grocer that failed only at interval 0
+        fields = dict(item_id=0, supplier="s", unit_cost=1.0, fixed_cost=1.0, min_qty=0.0, max_qty=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got "):
+            SupplierRecord(**fields)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("field", ["inv_carry_cost", "penalty"])
+    def test_item_costs_nonnegative_and_finite(self, field, value):
+        fields = dict(item_id=0, name="i", inv_carry_cost=1.0, penalty=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got "):
+            ItemRecord(**fields)
+
+    def test_zero_costs_accepted(self):
+        assert SupplierRecord(0, "s", 0.0, 0.0, 0.0, 1.0).unit_cost == 0.0
+        assert ItemRecord(0, "i", 0.0, 0.0).penalty == 0.0
 
 
 class TestSyntheticDemand:

@@ -27,7 +27,7 @@ from chatterctl import (
 from chatterctl import NonFiniteEvaluation, chattering
 from chatterctl.chattering import TIE_TOL, LevelCache, generate_levels_with_dynamics
 from chatterctl.model import eval_drift, eval_dynamics_batch, eval_running_cost_batch
-from oracles import affine_p_dot_f, bolza_problem, dense_control, fingerprint, without_hooks
+from oracles import affine_p_dot_f, bolza_problem, dense_control, fingerprint, linear_dynamics
 
 
 def lqr_point(x, p, t=0.0):
@@ -104,7 +104,7 @@ class TestSteps:
             horizon=1.0,
             initial_state=np.array([2.0]),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.zeros(1),
+            **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
         )
@@ -136,7 +136,7 @@ class TestSteps:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost=lambda t, x, u: float(u[0] ** 2),
-            dynamics=lambda t, x, u: np.array([u[0]]),
+            **linear_dynamics(np.ones((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
         )
@@ -201,7 +201,7 @@ class TestSteps:
             horizon=1.0,
             initial_state=np.array([0.5]),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.array([u[0]]),
+            **linear_dynamics(np.ones((1, 1))),
             control_lower=np.array([-10.0]),
             control_upper=np.array([10.0]),
             state_lower=np.array([0.0]),
@@ -221,7 +221,7 @@ def trivial_problem():
         horizon=2.0,
         initial_state=np.array([1.5]),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: np.zeros(1),
+        **linear_dynamics(np.zeros((1, 1))),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
     )
@@ -294,7 +294,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.array([0.2]),
             running_cost=lambda t, x, u: float((u[0] + 1.0) ** 2),
-            dynamics=lambda t, x, u: np.array([u[0] - 0.5]),
+            **linear_dynamics(np.ones((1, 1)), c=-0.5),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
             state_lower=np.array([0.0]),
@@ -319,7 +319,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost=lambda t, x, u: 1.0,
-            dynamics=lambda t, x, u: np.zeros(1),
+            **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
         )
@@ -334,7 +334,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.array([2.0]),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.zeros(1),
+            **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
             terminal_cost=lambda x: float(x @ x),
@@ -346,7 +346,7 @@ class TestPropagateForward:
     def test_error_reports_interval_index(self):
         calls = {"n": 0}
 
-        def flaky(t, x, u):
+        def flaky(t, x):
             calls["n"] += 1
             return np.array([np.nan if t >= 0.5 else 0.0])
 
@@ -356,7 +356,9 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=flaky,
+            drift=flaky,
+            control_matrix=np.zeros((1, 1)),
+            drift_jacobian=lambda t, x: np.zeros((1, 1)),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
         )
@@ -378,7 +380,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.zeros(1),
+            **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([0.0]),
             control_upper=np.array([1.0]),
             hamiltonian_x_gradient=lambda t, x, p, u: np.array([-1.7e308]),
@@ -431,14 +433,14 @@ class TestMalformedHookOutput:
         assert excinfo.value.interval_index == 0
         assert str(excinfo.value).endswith("(char 0) [interval 0, t=0.0]")
 
-    def test_transposed_dynamics_batch(self):
+    def test_column_drift(self):
         demand = synthetic_demand("seasonal", 5.0, 0.5)
-        problem = without_hooks(build_supply_chain(demand, 1.0, 4))
-        rows = problem.dynamics_batch
-        problem = dataclasses.replace(problem, dynamics_batch=lambda t, x, U: rows(t, x, U).T)
+        problem = build_supply_chain(demand, 1.0, 4)
+        drift = problem.drift
+        problem = dataclasses.replace(problem, drift=lambda t, x: drift(t, x)[:, None])
         part = TimePartition.uniform(1.0, 4)
-        expected = r"dynamics_batch returned shape \(20, (\d+)\), expected \(\1, 20\)"
-        with pytest.raises(ValueError, match=expected):
+        expected = "drift returned shape (20, 1), expected (20,) [interval 0, t=0.0]"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             propagate_forward(problem, part, np.zeros(20), GridParams(3, 64))
 
 
@@ -527,9 +529,8 @@ class TestPricingHook:
             grid_only
         )
 
-    @pytest.mark.parametrize("hooks", [True, False], ids=["affine", "batch"])
-    def test_row_leaving_the_box_is_dropped(self, hooks):
-        problem = two_control_box() if hooks else without_hooks(two_control_box())
+    def test_row_leaving_the_box_is_dropped(self):
+        problem = two_control_box()
         seen = []
 
         def corner(t, x, p, lo, hi):
@@ -545,11 +546,10 @@ class TestPricingHook:
         assert seen == [([-1.0, -1.0], [1.0, 1.0])]
         assert fingerprint(priced) == fingerprint(grid_only)
 
-    @pytest.mark.parametrize("hooks", [True, False], ids=["affine", "batch"])
-    def test_only_rows_inside_the_box_that_beat_the_grid_are_kept(self, hooks):
+    def test_only_rows_inside_the_box_that_beat_the_grid_are_kept(self):
         # (1, 1) leaves the box, (1, 0.5) ties the grid minimum and
         # (0.75, 0.75) beats it by 0.125: that one row takes the weight
-        problem = two_control_box() if hooks else without_hooks(two_control_box())
+        problem = two_control_box()
         rows = [[1.0, 1.0], [0.75, 0.75], [1.0, 0.5]]
         problem = dataclasses.replace(problem, hamiltonian_argmin=lambda t, x, p, lo, hi: rows)
         traj = propagate_forward(problem, TimePartition.uniform(0.1, 1), np.zeros(1), GridParams(5, 64))
@@ -773,26 +773,21 @@ class TestProductionPath:
                 x_next, _ = step_state(problem, pt.x, weights, f_vals, dt_i)
                 assert np.max(np.abs(x_next - nxt.x)) <= 1e-12
 
-    def test_level_generator_dynamics_match_a_fresh_sweep(self):
-        # propagate_forward skips its own dynamics sweep when the level
-        # generator hands back the rows it already evaluated; only a problem
-        # without the control-affine hooks gets them, since the hooked one
-        # sweeps its Hamiltonian in factored form
+    def test_level_generator_returns_no_dynamics_rows(self):
+        # the sweep is factored, so the generator's (grid, rows) pair never
+        # carries rows: not on a filtered build, and not on a memo hit
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-        stripped = without_hooks(problem)
+        cache = LevelCache(problem, GridParams())
+        cache.memo = {}
         rng = np.random.default_rng(6)
         for _ in range(3):
             t = float(rng.uniform(0.0, 1.0))
             x = rng.uniform(0.0, 2.0, 20)
             # states on the zero floor make the admissibility filter drop levels
             x[rng.integers(0, 20, 6)] = 0.0
-            grid, f_vals = generate_levels_with_dynamics(problem, t, x, 0.005, GridParams())
-            assert f_vals is None and grid.K < GridParams().cap
-            grid, f_vals = generate_levels_with_dynamics(stripped, t, x, 0.005, GridParams())
-            assert f_vals is not None and grid.K < GridParams().cap
-            fresh = eval_dynamics_batch(stripped, t, x, grid.levels)
-            assert f_vals.shape == fresh.shape
-            assert np.max(np.abs(f_vals - fresh)) <= 1e-12
+            for _ in range(2):  # a build, then a memo hit
+                grid, rows = generate_levels_with_dynamics(problem, t, x, 0.005, GridParams(), None, cache)
+                assert rows is None and grid.K < GridParams().cap
 
 
 class TestRelaxedStageCost:

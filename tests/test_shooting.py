@@ -26,11 +26,12 @@ from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
 from chatterctl.shooting import tangent_sensitivities, update_initial_costate
 from oracles import (
+    central_difference_tangent,
     fingerprint,
+    linear_dynamics,
     lqr_discrete_optimum,
     lqr_hamiltonian_flow,
     priced_bolza_problem,
-    without_hooks,
 )
 
 
@@ -42,7 +43,7 @@ def inert_problem(n=2, horizon=1.0):
         horizon=horizon,
         initial_state=np.zeros(n),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: np.zeros(n),
+        **linear_dynamics(np.zeros((1, n))),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
     )
@@ -56,7 +57,9 @@ def drift_only_problem():
         horizon=1.0,
         initial_state=np.array([1.0, -1.0]),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: np.array([-x[0], 0.5 * x[1]]),
+        drift=lambda t, x: np.array([-x[0], 0.5 * x[1]]),
+        control_matrix=np.zeros((1, 2)),
+        drift_jacobian=lambda t, x: np.diag([-1.0, 0.5]),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
     )
@@ -259,7 +262,7 @@ class TestSolve:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.zeros(1),
+            **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
             terminal_cost=lambda x: 0.5 * float(x @ x),
@@ -288,7 +291,7 @@ class TestSolve:
             horizon=1.0,
             initial_state=np.array([0.04]),
             running_cost=lambda t, x, u: 0.0,
-            dynamics=lambda t, x, u: np.array([-1.0]),
+            **linear_dynamics(np.zeros((1, 1)), c=-1.0),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
             state_lower=np.array([0.0]),
@@ -311,7 +314,7 @@ class TestSolve:
             horizon=1.0,
             initial_state=np.array([0.2]),
             running_cost=lambda t, x, u: 0.1 * float(u[0]),
-            dynamics=lambda t, x, u: np.array([-u[0] - (0.2 - x[0])]),
+            **linear_dynamics(-np.ones((1, 1)), c=-0.2, a=1.0),
             control_lower=np.array([0.0]),
             control_upper=np.array([1.0]),
             state_lower=np.array([0.0]),
@@ -461,7 +464,7 @@ def two_rest_point_problem():
         horizon=1.0,
         initial_state=rest,
         running_cost=lambda t, x, u: 0.1 * float(u[0] + u[1]),
-        dynamics=lambda t, x, u: -u - (rest - x),
+        **linear_dynamics(-np.eye(2), c=-rest, a=1.0),
         control_lower=np.zeros(2),
         control_upper=np.ones(2),
         state_lower=np.zeros(2),
@@ -477,7 +480,9 @@ def coupled_problem():
         horizon=1.0,
         initial_state=np.array([0.5, 2.0]),
         running_cost=lambda t, x, u: 0.0,
-        dynamics=lambda t, x, u: np.array([x[1], 0.0]),
+        drift=lambda t, x: np.array([x[1], 0.0]),
+        control_matrix=np.zeros((1, 2)),
+        drift_jacobian=lambda t, x: np.array([[0.0, 1.0], [0.0, 0.0]]),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
     )
@@ -488,9 +493,8 @@ def desk_problem():
     return problem, TimePartition.uniform(1.0, 200), GridParams(101, 4096)
 
 
-#: lqr's drift Jacobian is analytic, and a central difference divided by its
-#: realised step is exact on the drift-only problem's exactly evaluated
-#: dynamics, so the closed forms hold to rounding (both measure 9e-16)
+#: the drift Jacobians of lqr and the drift-only problem are exact, so the
+#: closed forms hold to rounding
 AFFINE_RTOL = 1e-13
 
 
@@ -548,10 +552,10 @@ class TestTangentSensitivities:
             p0 = np.array([lqr_analytic_solution(0.0)[1]])
         nominal = propagate_forward(problem, part, p0, grid)
         analytic = tangent_sensitivities(problem, part, nominal)
-        reference = tangent_sensitivities(without_hooks(problem), part, nominal)
-        assert np.array_equal(analytic.P_x, reference.P_x)
-        scale = np.max(np.abs(reference.P_p))
-        assert np.max(np.abs(analytic.P_p - reference.P_p)) <= 1e-9 * scale
+        reference = central_difference_tangent(problem, part, nominal)
+        assert np.array_equal(analytic.P_x, np.zeros_like(reference))
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(analytic.P_p - reference)) <= 1e-9 * scale
 
     def test_partition_must_match_nominal(self):
         problem = inert_problem()
@@ -616,15 +620,9 @@ class TestLevelMemo:
     starts from the same state reuses the level work, and the run is the
     one that plain propagations of the same guesses give."""
 
-    @pytest.mark.parametrize(
-        "case, intervals, repeats, filtered_repeats",
-        [("hooks", 50, 62, 40), ("no-hooks", 20, 25, 17)],
-    )
-    def test_solve_matches_plain_propagations(
-        self, case, intervals, repeats, filtered_repeats, monkeypatch
-    ):
+    @pytest.mark.parametrize("intervals, repeats, filtered_repeats", [(50, 62, 40), (20, 25, 17)])
+    def test_solve_matches_plain_propagations(self, intervals, repeats, filtered_repeats, monkeypatch):
         problem, part, grid = filtered_grocer(intervals)
-        problem = problem if case == "hooks" else without_hooks(problem)
         forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
         runs, caches, reused = [], [], []
 
