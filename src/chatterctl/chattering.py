@@ -73,14 +73,13 @@ class LevelGrid:
     built with one is valid only until that cache's next build.
 
     ``lo`` and ``hi`` are the per-dimension control ranges the grid spans,
-    which every grid of the level generator carries (None otherwise): the
-    ranges in which ``ControlProblem.hamiltonian_argmin`` prices (see
-    ``generate_levels_with_dynamics``).
+    required: the ranges in which ``ControlProblem.hamiltonian_argmin``
+    prices (see ``generate_levels_with_dynamics``).
     """
 
     levels: Array
-    lo: Optional[Array] = None
-    hi: Optional[Array] = None
+    lo: Array
+    hi: Array
 
     def __post_init__(self):
         levels = self.levels
@@ -470,7 +469,7 @@ def _write_columns(levels: Array, grids: Sequence[List[float]], cols: Sequence[i
 
 class LevelCache:
     """What level generation reuses for one problem and one ``GridParams``;
-    ``generate_levels_with_dynamics`` refuses it for any other.
+    ``propagate_forward`` refuses it for any other.
 
     Computed from the problem's arrays when the cache is built: ``counts``,
     the level count of each control dimension (``_coarsen_counts``), and
@@ -529,7 +528,7 @@ def _product(
         grids, levels = list(cache.grids), cache.levels
         moved = ((lo.view(np.int64) != cache.lo.view(np.int64))
                  | (hi.view(np.int64) != cache.hi.view(np.int64))).nonzero()[0].tolist()
-    gated_dims = problem.gated_dims or {}
+    gated_dims = problem.gated_dims
     lo_list, hi_list, count_list = lo.tolist(), hi.tolist(), counts.tolist()
     changed, resized = [], False
     for j in moved:
@@ -551,31 +550,27 @@ def _product(
 
 
 def generate_levels_with_dynamics(
-    problem: ControlProblem, t: float, x_i: Array, dt: float, params: GridParams,
-    drift: Optional[Array] = None, cache: Optional[LevelCache] = None,
+    cache: LevelCache, t: float, x_i: Array, dt: float, drift: Array
 ) -> Tuple[LevelGrid, None]:
-    """Build the level grid for one interval at state ``x_i``.
+    """Build the level grid of ``cache.problem`` for one interval at the
+    float state ``x_i``, where the drift is ``drift``.
 
     Per control dimension a uniform grid covers the admissible range (the
     control bounds, shrunk where a one-step state prediction would leave the
     state box).  The multidimensional grid is the Cartesian product with
     per-dimension counts coarsened uniformly so the total stays within
-    ``params.cap``; when state bounds are present, product vectors whose
-    joint one-step prediction leaves the box are dropped (by the separable
-    bound of ``_affine_in_box``).  Rows come back
-    sorted lexicographically, in a read-only array that the grid shares:
+    ``cache.params.cap``; when state bounds are present, product vectors
+    whose joint one-step prediction leaves the box are dropped (by the
+    separable bound of ``_affine_in_box``).  Rows come back sorted
+    lexicographically, in a read-only array that the grid shares:
     the column-major product itself when every level is kept, a row-major
     copy (``levels[keep]``) otherwise.
     Without state bounds the grid is the cache's shared ``box_grid``.
-    ``drift`` is the drift at (t, x_i) when the caller has it already; it
-    is evaluated here otherwise.  The grid's ``lo`` and
-    ``hi`` are the ranges it spans: the control bounds for ``box_grid``,
-    the searched ranges otherwise.
+    The grid's ``lo`` and ``hi`` are the ranges it spans: the control
+    bounds for ``box_grid``, the searched ranges otherwise.
 
     ``cache`` (see ``LevelCache``) holds the level work that this build
-    reuses and then replaces; a fresh one is built when none is given, and
-    one built for another problem (by identity) or other ``params`` (by
-    equality) raises ``ValueError``.  Each searched build starts from the
+    reuses and then replaces.  Each searched build starts from the
     one before it: a range whose ends did not move keeps its scalar grid,
     and the product is written into the cache's buffer, only the changed
     columns (``_product``).  When the cache's memo holds this
@@ -592,13 +587,9 @@ def generate_levels_with_dynamics(
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if cache is None:
-        cache = LevelCache(problem, params)
-    elif cache.problem is not problem or cache.params != params:
-        raise ValueError("the LevelCache was built for another problem or other GridParams")
+    problem = cache.problem
     if not problem.has_state_bounds:
         return cache.box_grid, None
-    x_i = np.asarray(x_i, dtype=float)
     state = x_i.tobytes()
     memo = cache.memo
     entry = None if memo is None else memo.pop((t, dt), None)
@@ -606,8 +597,6 @@ def generate_levels_with_dynamics(
     if hit:
         _, lo, hi, keep = entry
     else:
-        if drift is None:
-            drift = eval_drift(problem, t, x_i)
         lo, hi = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift, cache.terms)
         lo.setflags(write=False)
         hi.setflags(write=False)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -69,15 +70,16 @@ def _readonly(a, dtype=float) -> Array:
 class ControlProblem:
     """A continuous-time optimal control problem on a fixed horizon.
 
-    The running cost comes as ``running_cost(t, x, u)`` (a float) or
+    The running cost comes in one form, required:
     ``running_cost_batch(t, x, U)`` over a ``(K, m)`` block of controls
-    (shape ``(K,)``); the solver evaluates blocks, calling the scalar form
-    once per row.  Terminal evaluators take a 1-d float array.
+    (shape ``(K,)``), since the solver evaluates blocks of up to
+    ``GridParams.cap`` levels.  Terminal evaluators take a 1-d float array.
 
     ``gated_dims`` marks control dimensions that are either exactly zero
     (off) or confined to an active range ``[low, high]``; level generation
     lays out ``{0} + grid(low, high)`` for them instead of a plain uniform
-    grid.
+    grid.  It is kept as a read-only mapping (empty when none is given), so
+    its ranges stay the ones that were checked.
 
     The dynamics come in one form, and all three of its parts are
     required: ``drift``, ``control_matrix`` and ``drift_jacobian`` describe
@@ -103,7 +105,6 @@ class ControlProblem:
     initial_state: Array
     control_lower: Array
     control_upper: Array
-    running_cost: Optional[Callable[[float, Array, Array], float]] = None
     terminal_cost: Optional[Callable[[Array], float]] = None
     terminal_gradient: Optional[Callable[[Array], Array]] = None
     terminal_hessian: Optional[Callable[[Array], Array]] = None
@@ -144,16 +145,22 @@ class ControlProblem:
                 object.__setattr__(self, attr, bound)
                 if bound.shape != (n,) or np.any(np.isnan(bound)):
                     raise ValueError(f"{attr} must have shape ({n},) and no NaN")
+        both = self.state_lower is not None and self.state_upper is not None
+        if both and np.any(self.state_lower > self.state_upper):
+            raise ValueError("state_lower must be <= state_upper componentwise")
         if self.state_lower is not None and np.any(self.initial_state < self.state_lower):
             raise ValueError("initial_state violates state_lower")
         if self.state_upper is not None and np.any(self.initial_state > self.state_upper):
             raise ValueError("initial_state violates state_upper")
-        if self.gated_dims:
-            for dim, (lo, hi) in self.gated_dims.items():
-                if not 0 <= dim < m:
-                    raise ValueError(f"gated dim {dim} out of range")
-                if not lo <= hi:
-                    raise ValueError(f"gated dim {dim} has empty active range")
+        gated = {}
+        for dim, (lo, hi) in (self.gated_dims or {}).items():
+            _check_count("gated_dims key", dim, 0)
+            if not dim < m:
+                raise ValueError(f"gated dim {dim} out of range")
+            if not lo <= hi:
+                raise ValueError(f"gated dim {dim} has empty active range")
+            gated[dim] = (lo, hi)
+        object.__setattr__(self, "gated_dims", MappingProxyType(gated))
         if self.drift is None or self.control_matrix is None or self.drift_jacobian is None:
             raise ValueError("a problem needs drift, control_matrix and drift_jacobian")
         object.__setattr__(self, "control_matrix", _readonly(self.control_matrix))
@@ -161,8 +168,8 @@ class ControlProblem:
             raise ValueError(f"control_matrix must have shape ({m}, {n})")
         if not np.all(np.isfinite(self.control_matrix)):
             raise ValueError("control_matrix must be finite")
-        if self.running_cost is None and self.running_cost_batch is None:
-            raise ValueError("a problem needs running_cost or running_cost_batch")
+        if self.running_cost_batch is None:
+            raise ValueError("a problem needs running_cost_batch")
 
     @property
     def has_state_bounds(self) -> bool:
@@ -196,7 +203,7 @@ def eval_hamiltonian_argmin(
     # a few candidate rows: scalar tests cost less than array calls here.
     # NaN and inf fail them too, since lo and hi are finite
     ranges = list(zip(lo.tolist(), hi.tolist()))
-    gated = (problem.gated_dims or {}).items()
+    gated = problem.gated_dims.items()
     for row in rows.tolist():
         for v, (a, b) in zip(row, ranges):
             if not a <= v <= b:
@@ -227,9 +234,6 @@ def eval_dynamics_batch(problem: ControlProblem, t: float, x: Array, controls: A
 def eval_running_cost_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:
     """Running cost at one (t, x) for a (K, m) block of controls, shape (K,)."""
     controls = np.asarray(controls, dtype=float)
-    if problem.running_cost_batch is None:
-        rows = [_checked(problem.running_cost(t, x, u), (), "running_cost", t) for u in controls]
-        return np.array(rows)
     g = problem.running_cost_batch(t, x, controls)
     return _checked(g, (len(controls),), "running_cost_batch", t)
 

@@ -324,10 +324,11 @@ def propagate_forward(
     tagged with the ``interval_index``.
 
     Every level generation gets ``cache`` (a ``chattering.LevelCache`` for
-    ``problem`` and ``grid_params``; one is built when none is given) and
-    starts from the one before it.  Propagations that share a cache with a
-    memo reuse an interval's level work when they start it from the same
-    state (see ``chattering.generate_levels_with_dynamics``).
+    ``problem``, by identity, and ``grid_params``, by equality, else
+    ``ValueError`` before the first interval; one is built when none is
+    given) and starts from the one before it.  Propagations that share a
+    cache with a memo reuse an interval's level work when they start it
+    from the same state (see ``chattering.generate_levels_with_dynamics``).
     """
     p0 = np.asarray(p0, dtype=float)
     n, N = problem.state_dim, partition.intervals
@@ -345,6 +346,8 @@ def propagate_forward(
     B = problem.control_matrix
     if cache is None:
         cache = LevelCache(problem, grid_params)
+    elif cache.problem is not problem or cache.params != grid_params:
+        raise ValueError("the LevelCache was built for another problem or other GridParams")
     x, p, cost, clamp_count = np.array(problem.initial_state), np.array(p0), 0.0, 0
     for i, (t, dt) in enumerate(zip(partition.times.tolist(), partition.deltas.tolist())):
         if measurement_source is not None:
@@ -357,9 +360,7 @@ def propagate_forward(
                 x, _ = _clamp(problem, measured)
         try:
             drift = eval_drift(problem, t, x)
-            grid, _ = chattering.generate_levels_with_dynamics(
-                problem, t, x, dt, grid_params, drift, cache
-            )
+            grid, _ = chattering.generate_levels_with_dynamics(cache, t, x, dt, drift)
             # the two products also serve the pricing step
             p_terms = (B @ p, drift @ p)
             g_vals, h_vals = _sweep(problem, t, x, grid.levels, p_terms)

@@ -236,7 +236,7 @@ def full_width_levels(problem, t, x, dt, grid_params, ranges=None):
         ranges = chattering.level_bound_search(problem, t, x, dt, range(m))
     counts = chattering._coarsen_counts(problem, grid_params.k_per_dim, grid_params.cap)
     grids = [
-        reference_scalar_grid((problem.gated_dims or {}).get(j), j, lo, hi, int(count))
+        reference_scalar_grid(problem.gated_dims.get(j), j, lo, hi, int(count))
         for j, ((lo, hi), count) in enumerate(zip(ranges, counts))
     ]
     levels = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1)
@@ -347,7 +347,6 @@ def bolza_problem(x0: float = 0.0) -> ControlProblem:
         control_dim=1,
         horizon=1.0,
         initial_state=np.array([x0]),
-        running_cost=lambda t, x, u: float(x[0] ** 2 + (u[0] ** 2 - 1.0) ** 2),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
         hamiltonian_x_gradient=lambda t, x, p, u: np.array([2.0 * x[0]]),

@@ -166,7 +166,7 @@ class TestAcceptance:
             control_dim=1,
             horizon=1.0,
             initial_state=np.zeros(2),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             drift=lambda t, x: np.zeros(2),
             control_matrix=np.zeros((1, 2)),
             drift_jacobian=lambda t, x: np.zeros((2, 2)),
@@ -227,8 +227,8 @@ class TestReferenceRuns:
         assert abs(trajectory.accumulated_cost - expected) <= 1e-12 * abs(expected)
         generate = chattering.generate_levels_with_dynamics
 
-        def fresh(problem, t, x, dt, params, drift, cache):
-            return generate(problem, t, x, dt, params, drift)
+        def fresh(cache, t, x, dt, drift):
+            return generate(chattering.LevelCache(cache.problem, cache.params), t, x, dt, drift)
 
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", fresh)
         assert fingerprint(propagate_forward(problem, partition, p0, params, source)) == fingerprint(

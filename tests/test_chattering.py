@@ -24,6 +24,7 @@ from chatterctl import chattering
 from chatterctl.chattering import (
     BOUND_SEARCH_ITERATIONS,
     STEP_FEASIBILITY_TOL,
+    LevelCache,
     _coarsen_counts,
     generate_levels_with_dynamics,
     level_bound_search,
@@ -54,7 +55,7 @@ def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
         control_dim=m,
         horizon=1.0,
         initial_state=np.zeros(n) if x0 is None else np.asarray(x0, float),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         **dynamics,
         control_lower=np.full(m, -1.0) if control_lower is None else np.asarray(control_lower, float),
         control_upper=np.full(m, 1.0) if control_upper is None else np.asarray(control_upper, float),
@@ -62,6 +63,13 @@ def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
         state_upper=state_upper,
         gated_dims=gated_dims,
     )
+
+
+def build_grid(cache, t, x, dt):
+    """One level build with ``cache`` as ``propagate_forward`` makes it: at
+    the float state ``x``, with the drift there."""
+    x = np.asarray(x, dtype=float)
+    return generate_levels_with_dynamics(cache, t, x, dt, eval_drift(cache.problem, t, x))
 
 
 class TestMeasureLP:
@@ -356,7 +364,7 @@ def random_affine_problem(rng):
         control_dim=m,
         horizon=1.0,
         initial_state=rng.uniform(-0.4, 0.4, n),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         control_lower=lower,
         control_upper=lower + rng.uniform(0.0, 3.0, m),
         state_lower=np.full(n, -0.4),
@@ -412,7 +420,7 @@ class TestClosedFormLevelRanges:
         params = GridParams(101, 4096)
         trajectory = propagate_forward(problem, partition, p0, params, source)
         for pt, dt in zip(trajectory.points, partition.deltas.tolist()):
-            closed, _ = generate_levels_with_dynamics(problem, pt.t, pt.x, dt, params)
+            closed, _ = build_grid(LevelCache(problem, params), pt.t, pt.x, dt)
             ranges, _ = reference_bound_search(problem, pt.t, pt.x, dt, range(problem.control_dim))
             bisected, _, _ = full_width_levels(problem, pt.t, pt.x, dt, params, ranges)
             assert closed.K == bisected.shape[0], f"interval at t={pt.t}"
@@ -445,7 +453,7 @@ def bounded_affine_case(rng):
         control_dim=m,
         horizon=1.0,
         initial_state=x,
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         control_lower=lower,
         control_upper=lower + width,
         state_lower=state_lower,
@@ -575,7 +583,7 @@ def random_product_problem(rng):
         control_dim=m,
         horizon=1.0,
         initial_state=rng.uniform(-0.4, 0.4, n),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         control_lower=lower,
         control_upper=lower + width,
         state_lower=np.full(n, -0.4),
@@ -639,9 +647,9 @@ class TestLeanProductFilter:
             levels, f, keep = full_width_levels(problem, t, x, dt, params)
         except InfeasibleLevels:
             with pytest.raises(InfeasibleLevels):
-                generate_levels_with_dynamics(problem, t, x, dt, params)
+                build_grid(LevelCache(problem, params), t, x, dt)
             return None
-        grid, rows = generate_levels_with_dynamics(problem, t, x, dt, params)
+        grid, rows = build_grid(LevelCache(problem, params), t, x, dt)
         assert_bitwise(grid.levels, levels)
         assert rows is None
         return keep, assert_factored_sweep(problem, t, x, p, levels, f)
@@ -686,7 +694,7 @@ class TestLeanProductFilter:
             control_dim=3,
             horizon=1.0,
             initial_state=np.zeros(2),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             control_lower=np.array([-0.5, -0.5, -1.0]),
             control_upper=np.array([0.5, 0.5, 1.0]),
             state_lower=np.full(2, -0.4),
@@ -745,7 +753,7 @@ class TestSeparableBound:
             control_dim=2,
             horizon=1.0,
             initial_state=np.zeros(1),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             control_lower=np.array([threshold - d, 0.0]),
             control_upper=np.array([0.25, 2.0]),
             state_lower=np.array([-0.5]),
@@ -764,9 +772,8 @@ class TestSeparableBound:
     def test_desk_initial_state_needs_no_row_test(self, monkeypatch):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
         seen = count_row_tests(monkeypatch, 4096)
-        grid, rows = generate_levels_with_dynamics(
-            problem, 0.0, problem.initial_state, problem.horizon / 200, GridParams(101, 4096)
-        )
+        cache = LevelCache(problem, GridParams(101, 4096))
+        grid, rows = build_grid(cache, 0.0, problem.initial_state, problem.horizon / 200)
         assert grid.K == 4096 and rows is None
         assert seen and not any(seen)
 
@@ -785,7 +792,7 @@ class TestSeparableBound:
             params = GridParams(3, 3 ** base.control_dim)
             x = base.initial_state
             free = dataclasses.replace(base, state_lower=None, state_upper=None)
-            levels = generate_levels_with_dynamics(free, 0.0, x, dt, params)[0].levels
+            levels = build_grid(LevelCache(free, params), 0.0, x, dt)[0].levels
             x_next = x + dt * (eval_drift(base, 0.0, x) + levels @ base.control_matrix)
             low = np.nextafter(x_next.min(axis=0), np.inf)
             high = np.nextafter(x_next.max(axis=0), -np.inf)
@@ -831,7 +838,7 @@ class TestSeparableBound:
             counts = rng.integers(1, 6, m)
             problem = ControlProblem(
                 state_dim=n, control_dim=m, horizon=1.0, initial_state=np.zeros(n),
-                running_cost=lambda t, x, u: 0.0, control_lower=lower, control_upper=upper,
+                running_cost_batch=lambda t, x, U: np.zeros(len(U)), control_lower=lower, control_upper=upper,
                 state_lower=np.full(n, -1.0), state_upper=np.full(n, 1.0), gated_dims=gated,
                 drift=lambda t, x: np.zeros(n), control_matrix=b,
                 drift_jacobian=lambda t, x: np.zeros((n, n)),
@@ -923,9 +930,7 @@ class TestScalarGrids:
 class TestGenerateLevels:
     def test_uniform_grid_endpoints(self):
         problem = box_problem()
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, np.zeros(1), 0.1, GridParams(5, 4096)
-        )
+        grid, _ = build_grid(LevelCache(problem, GridParams(5, 4096)), 0.0, np.zeros(1), 0.1)
         assert np.array_equal(grid.levels[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0])
 
     def test_degenerate_grid_at_bound(self):
@@ -937,9 +942,7 @@ class TestGenerateLevels:
             control_upper=[10.0],
             x0=[1.0],
         )
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, np.array([1.0]), 1.0, GridParams(5, 4096)
-        )
+        grid, _ = build_grid(LevelCache(problem, GridParams(5, 4096)), 0.0, np.array([1.0]), 1.0)
         assert grid.K == 1
         assert grid.levels[0, 0] == 0.0
 
@@ -947,9 +950,7 @@ class TestGenerateLevels:
         problem = box_problem(
             control_lower=[0.0], control_upper=[14.0], gated_dims={0: (7.0, 14.0)}
         )
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, np.zeros(1), 0.1, GridParams(5, 4096)
-        )
+        grid, _ = build_grid(LevelCache(problem, GridParams(5, 4096)), 0.0, np.zeros(1), 0.1)
         vals = grid.levels[:, 0]
         assert vals[0] == 0.0
         assert np.all(vals[1:] >= 7.0) and np.all(vals[1:] <= 14.0)
@@ -958,18 +959,14 @@ class TestGenerateLevels:
 
     def test_cap_coarsens_uniformly(self):
         problem = box_problem(m=2, control_lower=[-1.0, -1.0], control_upper=[1.0, 1.0])
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, np.zeros(1), 0.1, GridParams(101, 4096)
-        )
+        grid, _ = build_grid(LevelCache(problem, GridParams(101, 4096)), 0.0, np.zeros(1), 0.1)
         assert grid.K == 64 * 64
         for j in range(2):
             assert len(np.unique(grid.levels[:, j])) == 64
 
     def test_lexicographic_order(self):
         problem = box_problem(m=2, control_lower=[0.0, 0.0], control_upper=[1.0, 1.0])
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, np.zeros(1), 0.1, GridParams(3, 4096)
-        )
+        grid, _ = build_grid(LevelCache(problem, GridParams(3, 4096)), 0.0, np.zeros(1), 0.1)
         rows = [tuple(r) for r in grid.levels]
         assert rows == sorted(rows)
 
@@ -990,7 +987,7 @@ class TestGenerateLevels:
             )
             dt = float(rng.uniform(0.05, 0.3))
             x = np.asarray(problem.initial_state)
-            grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, GridParams(7, 4096))
+            grid, _ = build_grid(LevelCache(problem, GridParams(7, 4096)), 0.0, x, dt)
             for level in grid.levels:
                 x_next = x + dt * (-0.5 * x + A @ level)
                 assert np.all(x_next >= problem.state_lower - 1e-9)
@@ -1002,9 +999,7 @@ class TestGenerateLevels:
             control_lower=[-2.0, 0.0, 1.0],
             control_upper=[2.0, 5.0, 4.0],
         )
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, np.zeros(1), 0.1, GridParams(4, 4096)
-        )
+        grid, _ = build_grid(LevelCache(problem, GridParams(4, 4096)), 0.0, np.zeros(1), 0.1)
         assert np.all(grid.levels >= problem.control_lower - 1e-12)
         assert np.all(grid.levels <= problem.control_upper + 1e-12)
 
@@ -1039,9 +1034,7 @@ class TestGenerateLevels:
         # a fixed dimension holds one value, so it must not take cap share
         problem = box_problem(m=2, control_lower=[-1.0, 0.5], control_upper=[1.0, 0.5])
         assert list(_coarsen_counts(problem, 101, 101)) == [101, 1]
-        grid, _ = generate_levels_with_dynamics(
-            problem, 0.0, np.zeros(1), 0.1, GridParams(101, 101)
-        )
+        grid, _ = build_grid(LevelCache(problem, GridParams(101, 101)), 0.0, np.zeros(1), 0.1)
         assert grid.K == 101
         assert np.all(grid.levels[:, 1] == 0.5)
 
@@ -1074,16 +1067,14 @@ class TestLevelMemos:
         problem = build_lqr()
         params = GridParams()
         cache = chattering.LevelCache(problem, params)
-        first, f_first = generate_levels_with_dynamics(problem, 0.0, np.array([10.0]), 0.01, params,
-                                                       cache=cache)
-        second, f_second = generate_levels_with_dynamics(problem, 0.7, np.array([-3.0]), 0.02, params,
-                                                         cache=cache)
+        first, f_first = build_grid(cache, 0.0, np.array([10.0]), 0.01)
+        second, f_second = build_grid(cache, 0.7, np.array([-3.0]), 0.02)
         assert f_first is None and f_second is None
         assert second is first is cache.box_grid
         assert not first.levels.flags.writeable
         with pytest.raises(ValueError):
             first.levels[0, 0] = 0.0
-        fresh, _ = generate_levels_with_dynamics(problem, 0.0, np.array([10.0]), 0.01, params)
+        fresh, _ = build_grid(LevelCache(problem, params), 0.0, np.array([10.0]), 0.01)
         assert fresh is not first
         assert fresh.levels.tobytes() == first.levels.tobytes()
 
@@ -1094,8 +1085,8 @@ class TestLevelMemos:
         def levels(params=GridParams(5, 4096), **changes):
             problem = box_problem(**{**base, **changes})
             cache = chattering.LevelCache(problem, params)
-            grid = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, cache)[0]
-            assert generate_levels_with_dynamics(problem, 0.5, x, 0.2, params, None, cache)[0] is grid
+            grid = build_grid(cache, 0.0, x, 0.1)[0]
+            assert build_grid(cache, 0.5, x, 0.2)[0] is grid
             return grid
 
         plain = levels()
@@ -1116,20 +1107,20 @@ class TestLevelMemos:
         problem = box_problem()
         cache = chattering.LevelCache(problem, GridParams())
         cache.memo = {}
-        generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, cache)
+        build_grid(cache, 0.0, np.zeros(1), 0.1)
         for dt in (0.0, -0.1):
             with pytest.raises(ValueError):
-                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), dt, GridParams(), None, cache)
+                build_grid(cache, 0.0, np.zeros(1), dt)
 
     def test_inadmissible_gated_dimension_raises_every_call(self):
         # active range above the control bounds, and zero outside them
         problem = box_problem(
             control_lower=[0.5], control_upper=[1.0], gated_dims={0: (2.0, 3.0)}
         )
-        cache = chattering.LevelCache(problem, GridParams())
-        for shared in (None, cache, cache):
+        cache = LevelCache(problem, GridParams())
+        for shared in (LevelCache(problem, GridParams()), cache, cache):
             with pytest.raises(InfeasibleLevels):
-                generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, shared)
+                build_grid(shared, 0.0, np.zeros(1), 0.1)
 
     def test_counts_read_only_and_computed_once_per_cache(self, monkeypatch):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 20)
@@ -1153,14 +1144,19 @@ class TestLevelMemos:
         assert len(calls) == 2
 
     def test_mismatched_cache_refused(self):
+        # propagate_forward, the one entry that takes a cache, refuses it
+        # before the first interval, so the error carries no interval tag
         problem, params = box_problem(state_upper=np.ones(1)), GridParams(5, 64)
-        cache = chattering.LevelCache(problem, params)
+        cache = LevelCache(problem, params)
+        partition = TimePartition.uniform(1.0, 4)
         equal_problem = dataclasses.replace(problem)
         for other, other_params in ((equal_problem, params), (problem, GridParams(5, 32))):
-            with pytest.raises(ValueError, match="LevelCache was built for another problem"):
-                generate_levels_with_dynamics(other, 0.0, np.zeros(1), 0.1, other_params, None, cache)
+            message = "^the LevelCache was built for another problem or other GridParams$"
+            with pytest.raises(ValueError, match=message) as raised:
+                propagate_forward(other, partition, np.zeros(1), other_params, cache=cache)
+            assert not hasattr(raised.value, "interval_index")
         # an equal GridParams is accepted
-        generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(5, 64), None, cache)
+        propagate_forward(problem, partition, np.zeros(1), GridParams(5, 64), cache=cache)
 
 
 def memo_cache(problem, params):
@@ -1199,37 +1195,37 @@ class TestIntervalMemo:
         if not filtered:
             x = problem.initial_state.copy()
         t, dt, params = 0.3, 0.005, GridParams()
-        plain, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
+        plain, _ = build_grid(LevelCache(problem, params), t, x, dt)
         assert (plain.K < params.cap) == filtered
         nudged = x.copy()
         nudged[3] = np.nextafter(nudged[3], np.inf)
-        plain_nudged, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params)
+        plain_nudged, _ = build_grid(LevelCache(problem, params), t, nudged, dt)
         searches = self.count_searches(monkeypatch)
         cache = memo_cache(problem, params)
         memo = cache.memo
         for expected_searches in (1, 1):
-            grid, rows = generate_levels_with_dynamics(problem, t, x.copy(), dt, params, None, cache)
+            grid, rows = build_grid(cache, t, x.copy(), dt)
             assert len(searches) == expected_searches and len(memo) == 1
             assert_bitwise(grid.levels, plain.levels)
             assert not grid.levels.flags.writeable and rows is None
             assert (grid.levels is cache.levels) != filtered
             assert (memo[(t, dt)][3] is None) != filtered
-        grid, _ = generate_levels_with_dynamics(problem, t, nudged, dt, params, None, cache)
+        grid, _ = build_grid(cache, t, nudged, dt)
         assert len(searches) == 2 and len(memo) == 1
         assert memo[(t, dt)][0] == nudged.tobytes()
         assert_bitwise(grid.levels, plain_nudged.levels)
         # another interval from the same state is another entry
-        generate_levels_with_dynamics(problem, t + dt, nudged, dt, params, None, cache)
+        build_grid(cache, t + dt, nudged, dt)
         assert len(searches) == 3 and len(memo) == 2
 
     def test_infeasible_build_leaves_no_entry(self):
         # x' = 1 against the upper bound 0: from x = 0 no level is admissible
         problem = box_problem(dynamics=linear_dynamics([[0.0]], c=1.0), state_upper=np.zeros(1))
         cache = memo_cache(problem, GridParams())
-        generate_levels_with_dynamics(problem, 0.0, np.array([-1.0]), 0.1, GridParams(), None, cache)
+        build_grid(cache, 0.0, np.array([-1.0]), 0.1)
         assert len(cache.memo) == 1
         with pytest.raises(InfeasibleLevels):
-            generate_levels_with_dynamics(problem, 0.0, np.zeros(1), 0.1, GridParams(), None, cache)
+            build_grid(cache, 0.0, np.zeros(1), 0.1)
         assert cache.memo == {}
 
 
@@ -1241,7 +1237,7 @@ class TestGridRanges:
 
     def test_unbounded_grid_spans_the_control_bounds(self):
         problem = build_lqr()
-        grid, _ = generate_levels_with_dynamics(problem, 0.0, problem.initial_state, 0.01, GridParams())
+        grid, _ = build_grid(LevelCache(problem, GridParams()), 0.0, problem.initial_state, 0.01)
         assert_bitwise(grid.lo, problem.control_lower)
         assert_bitwise(grid.hi, problem.control_upper)
 
@@ -1253,9 +1249,7 @@ class TestGridRanges:
         )
         cache = memo_cache(problem, GridParams(5, 64))
         for _ in range(2):
-            grid, _ = generate_levels_with_dynamics(
-                problem, 0.0, problem.initial_state, 0.1, GridParams(5, 64), None, cache
-            )
+            grid, _ = build_grid(cache, 0.0, problem.initial_state, 0.1)
             assert grid.levels is cache.levels
             assert_bitwise(grid.lo, problem.control_lower)
             assert_bitwise(grid.hi, problem.control_upper)
@@ -1275,13 +1269,13 @@ class TestGridRanges:
         # with a memo the second build is a hit, which takes the entry's
         # ends; without one it searches again
         cache = memo_cache(problem, params) if memo else chattering.LevelCache(problem, params)
-        first, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+        first, _ = build_grid(cache, t, x, dt)
         assert_bitwise(first.lo, ranges[:, 0])
         assert_bitwise(first.hi, ranges[:, 1])
         assert not (first.lo.flags.writeable or first.hi.flags.writeable)
         assert np.all(first.levels >= first.lo) and np.all(first.levels <= first.hi)
         lo, hi = first.lo, first.hi
-        again, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+        again, _ = build_grid(cache, t, x, dt)
         assert (again.lo is lo and again.hi is hi) == memo
         assert_bitwise(again.lo, lo)
         assert_bitwise(again.hi, hi)
@@ -1297,7 +1291,7 @@ class TestGridRanges:
         assert np.any(ranges[:, 1] < problem.control_upper)
         cache = memo_cache(problem, params)
         for _ in range(2):  # a miss, then a hit
-            grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+            grid, _ = build_grid(cache, t, x, dt)
             assert_bitwise(grid.lo, ranges[:, 0])
             assert_bitwise(grid.hi, ranges[:, 1])
             # the memo keeps the grid's ends, which a hit builds its grids from
@@ -1379,7 +1373,7 @@ def chain_path(before, cache, grid, steps_inside):
 def fresh_build(problem, t, x, dt, params):
     """A build with a fresh cache, and whether the whole control box steps
     inside the state box there (``box_steps_inside``)."""
-    grid, _ = generate_levels_with_dynamics(problem, t, x, dt, params)
+    grid, _ = build_grid(LevelCache(problem, params), t, x, dt)
     return grid, box_steps_inside(problem, t, x, dt)
 
 
@@ -1405,7 +1399,7 @@ def run_chain(rng, paths):
     def build(t, x, fresh, label):
         fresh, steps_inside = fresh
         before = (cache.grids, cache.levels)
-        chained, _ = generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+        chained, _ = build_grid(cache, t, x, dt)
         assert_bitwise(chained.levels, fresh.levels)
         assert_bitwise(chained.lo, fresh.lo)
         assert_bitwise(chained.hi, fresh.hi)
@@ -1422,7 +1416,7 @@ def run_chain(rng, paths):
             fresh = fresh_build(problem, t, x, dt, params)
         except InfeasibleLevels:
             with pytest.raises(InfeasibleLevels):
-                generate_levels_with_dynamics(problem, t, x, dt, params, None, cache)
+                build_grid(cache, t, x, dt)
             paths["raised"] += 1
             continue
         whole_box = build(t, x, fresh, "")
@@ -1470,9 +1464,9 @@ class TestIncrementalBuild:
         generate, built = chattering.generate_levels_with_dynamics, []
         paths = collections.Counter()
 
-        def recorded(problem, t, x, dt, params, drift, cache):
+        def recorded(cache, t, x, dt, drift):
             before = (cache.grids, cache.levels)
-            grid_out = generate(problem, t, x, dt, params, drift, cache)
+            grid_out = generate(cache, t, x, dt, drift)
             # compare now: the next build may write over this grid
             fresh, steps_inside = fresh_build(problem, t, x, dt, params)
             paths[chain_path(before, cache, grid_out[0], steps_inside)] += 1
@@ -1492,8 +1486,8 @@ class TestIncrementalBuild:
         problem, p0, source = feedback_replay(1)
         generate, buffers = chattering.generate_levels_with_dynamics, []
 
-        def recorded(problem, t, x, dt, params, drift, cache):
-            grid_out = generate(problem, t, x, dt, params, drift, cache)
+        def recorded(cache, t, x, dt, drift):
+            grid_out = generate(cache, t, x, dt, drift)
             if cache.levels is not None:
                 assert cache.levels.shape == (4096, problem.control_dim)
                 buffers.append(cache.levels)
@@ -1526,13 +1520,11 @@ class TestIncrementalBuild:
         cache = chattering.LevelCache(problem, params)
         x_floor = problem.initial_state.copy()
         x_floor[[0, 3, 7]] = 0.0
-        first, _ = generate_levels_with_dynamics(
-            problem, 0.0, problem.initial_state, 0.005, params, None, cache
-        )
+        first, _ = build_grid(cache, 0.0, problem.initial_state, 0.005)
         assert first.K == 4096 and first.levels is cache.levels
         as_built = first.levels.copy()
-        second, _ = generate_levels_with_dynamics(problem, 0.5, x_floor, 0.005, params, None, cache)
-        fresh, _ = generate_levels_with_dynamics(problem, 0.5, x_floor, 0.005, params)
+        second, _ = build_grid(cache, 0.5, x_floor, 0.005)
+        fresh, _ = build_grid(LevelCache(problem, params), 0.5, x_floor, 0.005)
         assert_bitwise(second.levels, fresh.levels)
         assert cache.levels is first.levels
         assert not np.array_equal(first.levels, as_built)
@@ -1558,7 +1550,7 @@ class TestWholeBoxGrid:
             params = GridParams(5, 64)
             steps_inside = box_steps_inside(problem, 0.0, x, dt)
             try:
-                grid, _ = generate_levels_with_dynamics(problem, 0.0, x, dt, params)
+                grid, _ = build_grid(LevelCache(problem, params), 0.0, x, dt)
             except InfeasibleLevels:
                 assert not steps_inside
                 continue
@@ -1580,7 +1572,7 @@ class TestWholeBoxGrid:
         x = problem.initial_state
         assert box_steps_inside(problem, 0.0, x, 0.1)
         for _ in range(2):  # a miss, then a hit
-            grid, rows = generate_levels_with_dynamics(problem, 0.0, x, 0.1, params, None, cache)
+            grid, rows = build_grid(cache, 0.0, x, 0.1)
             assert rows is None
             ((key, (state, lo, hi, keep)),) = cache.memo.items()
             assert key == (0.0, 0.1) and state == x.tobytes() and keep is None
@@ -1598,8 +1590,8 @@ class TestWholeBoxGrid:
         cache = chattering.LevelCache(problem, params)
         generate, kinds = chattering.generate_levels_with_dynamics, collections.Counter()
 
-        def recorded(problem, t, x, dt, params, drift, cache_):
-            grid, f = generate(problem, t, x, dt, params, drift, cache_)
+        def recorded(cache_, t, x, dt, drift):
+            grid, f = generate(cache_, t, x, dt, drift)
             kinds["box steps inside"] += box_steps_inside(problem, t, x, dt)
             if grid.levels is cache.levels:
                 kinds["shared"] += 1
@@ -1624,16 +1616,23 @@ class TestLevelGridSharing:
     """A grid shares a read-only float64 array that owns its data, which is
     what the level generator hands it, and copies anything else."""
 
+    #: the control ranges of the 2 x 2 grids below, which every grid carries
+    ranges = (np.zeros(2), np.full(2, 3.0))
+
+    def test_ranges_required(self):
+        with pytest.raises(TypeError, match="missing 2 required positional arguments: 'lo' and 'hi'"):
+            LevelGrid(np.array([[0.0, 1.0], [2.0, 3.0]]))
+
     def test_shares_a_read_only_owner(self):
         levels = np.array([[0.0, 1.0], [2.0, 3.0]])
         levels.setflags(write=False)
-        assert LevelGrid(levels).levels is levels
+        assert LevelGrid(levels, *self.ranges).levels is levels
 
     def test_shared_owner_is_handed_over(self):
         # the owner can turn writing back on, and the grid sees the write
         levels = np.array([[0.0, 1.0], [2.0, 3.0]])
         levels.setflags(write=False)
-        grid = LevelGrid(levels)
+        grid = LevelGrid(levels, *self.ranges)
         levels.setflags(write=True)
         levels[0, 0] = 5.0
         assert grid.levels[0, 0] == 5.0
@@ -1645,7 +1644,7 @@ class TestLevelGridSharing:
         if kind == "read-only view":
             given = source[:, :]
             given.setflags(write=False)
-        grid = LevelGrid(given)
+        grid = LevelGrid(given, *self.ranges)
         assert grid.levels is not given and grid.levels.dtype == np.float64
         assert not grid.levels.flags.writeable and source.flags.writeable
         source[0, 0] = 7
@@ -1662,11 +1661,10 @@ class TestLevelGridSharing:
         # states on the zero floor make the admissibility filter drop levels
         x_floor[rng.integers(0, 20, 6)] = 0.0
         params = GridParams()
-        cache = chattering.LevelCache(problem, params) if shared else None
-        full, _ = generate_levels_with_dynamics(problem, 0.0, problem.initial_state, 0.005, params,
-                                                None, cache)
-        kept, _ = generate_levels_with_dynamics(problem, t, x_floor, 0.005, params, None, cache)
-        assert (cache is not None and full.levels is cache.levels) == shared
+        cache = LevelCache(problem, params)
+        full, _ = build_grid(cache, 0.0, problem.initial_state, 0.005)
+        kept, _ = build_grid(cache if shared else LevelCache(problem, params), t, x_floor, 0.005)
+        assert full.levels is cache.levels
         assert full.K == 4096 and kept.K < 4096
         for grid in (full, kept):
             assert grid.levels.flags.owndata and not grid.levels.flags.writeable

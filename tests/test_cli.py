@@ -249,7 +249,7 @@ class TestConvergenceJson:
             control_dim=1,
             horizon=1.0,
             initial_state=np.zeros(1),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             drift=lambda t, x: np.array([-5.0]),
             control_matrix=np.ones((1, 1)),
             drift_jacobian=lambda t, x: np.zeros((1, 1)),

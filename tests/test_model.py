@@ -34,7 +34,7 @@ def make_problem(**overrides):
         control_dim=1,
         horizon=1.0,
         initial_state=np.array([0.0]),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         drift=lambda t, x: np.zeros(len(x)),
         drift_jacobian=lambda t, x: np.zeros((len(x), len(x))),
         control_lower=np.array([-1.0]),
@@ -66,7 +66,7 @@ class TestEvalHamiltonian:
             eval_hamiltonian(problem, *at(), np.array([0.0]))
 
     def test_non_finite_cost_raises(self):
-        problem = make_problem(running_cost=lambda t, x, u: float("nan"))
+        problem = make_problem(running_cost_batch=lambda t, x, U: np.full(len(U), np.nan))
         with pytest.raises(NonFiniteEvaluation):
             eval_hamiltonian(problem, *at(), np.array([0.0]))
 
@@ -223,12 +223,62 @@ class TestProblemValidation:
         assert problem.has_state_bounds
 
     def test_initial_state_outside_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^initial_state violates state_lower$"):
             make_problem(
                 initial_state=np.array([-2.0]),
                 state_lower=np.array([0.0]),
                 state_upper=np.array([5.0]),
             )
+
+    def test_initial_state_above_upper_bound(self):
+        with pytest.raises(ValueError, match="^initial_state violates state_upper$"):
+            make_problem(initial_state=np.array([6.0]), state_upper=np.array([5.0]))
+
+    def test_empty_state_box_rejected(self):
+        # refused by name before the initial state is checked against it
+        with pytest.raises(ValueError, match="^state_lower must be <= state_upper componentwise$"):
+            make_problem(state_lower=np.array([1.0]), state_upper=np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (dict(initial_state=np.zeros(2)), r"^initial_state must have shape \(1,\)$"),
+            (dict(control_lower=np.full(2, -1.0)), r"^control bounds must have shape \(1,\)$"),
+            (dict(control_upper=np.ones((1, 1))), r"^control bounds must have shape \(1,\)$"),
+        ],
+        ids=["initial-state", "control-lower", "control-upper"],
+    )
+    def test_array_shapes_checked(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            make_problem(**field)
+
+    @pytest.mark.parametrize(
+        "gated, message",
+        [
+            ({2: (0.2, 0.5)}, "^gated dim 2 out of range$"),
+            ({-1: (0.2, 0.5)}, "^gated_dims key must be an integer >= 0, got -1$"),
+            ({0: (0.5, 0.2)}, "^gated dim 0 has empty active range$"),
+            # a float key would never be applied, and True would gate dimension 1
+            ({1.5: (0.2, 0.5)}, "^gated_dims key must be an integer >= 0, got 1.5$"),
+            ({True: (0.2, 0.5)}, "^gated_dims key must be an integer >= 0, got True$"),
+        ],
+        ids=["out-of-range", "negative", "empty-range", "float-key", "bool-key"],
+    )
+    def test_gated_dims_checked(self, gated, message):
+        with pytest.raises(ValueError, match=message):
+            make_problem(control_dim=2, control_lower=np.zeros(2), control_upper=np.ones(2),
+                         gated_dims=gated)
+
+    def test_gated_dims_read_only(self):
+        # a caller could otherwise put a range that the checks refuse in
+        # place after they ran
+        given = {np.int64(0): (0.2, 0.5)}
+        problem = make_problem(gated_dims=given)
+        with pytest.raises(TypeError):
+            problem.gated_dims[0] = (9.0, 3.0)
+        given[0] = (9.0, 3.0)
+        assert dict(problem.gated_dims) == {0: (0.2, 0.5)}
+        assert make_problem().gated_dims == {}
 
     def test_positive_horizon_required(self):
         with pytest.raises(ValueError):
@@ -284,9 +334,12 @@ class TestProblemValidation:
             make_problem(initial_state=np.array([value]))
 
     def test_running_cost_form_required(self):
-        with pytest.raises(ValueError, match="running_cost or running_cost_batch"):
-            make_problem(running_cost=None)
-        make_problem(running_cost=None, running_cost_batch=lambda t, x, U: np.zeros(len(U)))
+        # the running cost comes in one form, the block hook: the scalar
+        # form is no field, and the block hook is required
+        with pytest.raises(TypeError, match="unexpected keyword argument 'running_cost'"):
+            make_problem(running_cost=lambda t, x, u: 0.0)
+        with pytest.raises(ValueError, match="^a problem needs running_cost_batch$"):
+            make_problem(running_cost_batch=None)
 
     @pytest.mark.parametrize(
         "form, error, message",
@@ -317,7 +370,6 @@ HOOKS = {
     "drift": ((N,), lambda pr: eval_drift(pr, 0.5, X)),
     "drift_jacobian": ((N, N), lambda pr: eval_drift_jacobian(pr, 0.5, X)),
     "running_cost_batch": ((K,), lambda pr: eval_running_cost_batch(pr, 0.5, X, U)),
-    "running_cost": ((), lambda pr: eval_running_cost_batch(pr, 0.5, X, U)),
     "hamiltonian_x_gradient": ((N,), lambda pr: grad_h_state(pr, 0.5, X, X, U[0])),
     "terminal_cost": ((), lambda pr: eval_terminal_cost(pr, X)),
     "terminal_gradient": ((N,), lambda pr: terminal_costate(pr, X)),

@@ -199,6 +199,20 @@ class TestTables:
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got "):
             ItemRecord(**fields)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: SupplierRecord(0, "s", 1.0, 1.0, 2.0, 1.0), r"^need 0 <= min_qty <= max_qty$"),
+            (lambda: SupplierRecord(0, "s", 1.0, 1.0, -1.0, 1.0), r"^need 0 <= min_qty <= max_qty$"),
+            (lambda: CustomerRecord(1, 0.0), r"^importance must lie in \(0, 1\]$"),
+            (lambda: CustomerRecord(1, 1.5), r"^importance must lie in \(0, 1\]$"),
+        ],
+        ids=["min-above-max", "negative-min", "zero-importance", "importance-above-one"],
+    )
+    def test_record_ranges_checked(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_zero_costs_accepted(self):
         assert SupplierRecord(0, "s", 0.0, 0.0, 0.0, 1.0).unit_cost == 0.0
         assert ItemRecord(0, "i", 0.0, 0.0).penalty == 0.0
@@ -483,6 +497,28 @@ class TestSupplyChainProblem:
         assert problem.gated_dims[0] == (7.0, 14.0)
         assert problem.control_upper[0] == 14.0
         assert problem.control_upper[14] == 20.0
+        # read-only: a range written in after the build would skip the
+        # checks that refuse it, and every propagation would then use it
+        with pytest.raises(TypeError):
+            problem.gated_dims[0] = (9.0, 3.0)
+        assert problem.gated_dims[0] == (7.0, 14.0)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(horizon=0.0), "^horizon must be positive$"),
+            (dict(horizon=-1.0), "^horizon must be positive$"),
+            (dict(suppliers=SUPPLIERS + (dataclasses.replace(SUPPLIERS[0], item_id=5),)),
+             f"^supplier {SUPPLIERS[0].supplier!r} references unknown item 5$"),
+            (dict(suppliers=(dataclasses.replace(SUPPLIERS[0], item_id=-1),)),
+             f"^supplier {SUPPLIERS[0].supplier!r} references unknown item -1$"),
+        ],
+        ids=["zero-horizon", "negative-horizon", "item-past-the-table", "negative-item"],
+    )
+    def test_build_arguments_checked(self, changes, message):
+        arguments = {**dict(demand=SEASONAL, horizon=1.0, intervals=100), **changes}
+        with pytest.raises(ConfigError, match=message):
+            build_supply_chain(**arguments)
 
 
 #: both forms of J sum at most 50 terms (29 control columns, the fixed cost,

@@ -8,7 +8,6 @@ import pytest
 from chatterctl import (
     ControlProblem,
     GridParams,
-    LevelGrid,
     ShootingConfig,
     TimePartition,
     accumulate_cost,
@@ -35,10 +34,10 @@ def lqr_point(x, p, t=0.0):
     return t, np.array([x]), np.array([p])
 
 
-def state_step(problem, t, x, p, grid, weights, dt):
-    """``step_state`` on the dynamics rows at the grid's levels, as
+def state_step(problem, t, x, p, levels, weights, dt):
+    """``step_state`` on the dynamics rows at ``levels``, as
     ``propagate_forward`` calls it."""
-    f_vals = eval_dynamics_batch(problem, t, x, grid.levels)
+    f_vals = eval_dynamics_batch(problem, t, x, levels)
     return step_state(problem, x, weights, f_vals, dt)
 
 
@@ -91,9 +90,9 @@ class TestTimePartition:
 class TestSteps:
     def test_state_step_point_mass(self):
         problem = build_lqr()
-        grid = LevelGrid(np.array([[0.0]]))
+        levels = np.array([[0.0]])
         weights = np.array([1.0])
-        x_next, clamped = state_step(problem, *lqr_point(10.0, 0.0), grid, weights, 0.01)
+        x_next, clamped = state_step(problem, *lqr_point(10.0, 0.0), levels, weights, 0.01)
         assert x_next[0] == pytest.approx(10.1, abs=1e-15)
         assert not clamped
 
@@ -103,30 +102,30 @@ class TestSteps:
             control_dim=1,
             horizon=1.0,
             initial_state=np.array([2.0]),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
         )
-        grid = LevelGrid(np.array([[0.5]]))
+        levels = np.array([[0.5]])
         weights = np.array([1.0])
-        x_next, _ = state_step(problem, *lqr_point(2.0, 0.0), grid, weights, 0.3)
+        x_next, _ = state_step(problem, *lqr_point(2.0, 0.0), levels, weights, 0.3)
         assert x_next[0] == 2.0
 
     def test_state_step_convex_combination(self):
         problem = build_lqr()
-        grid = LevelGrid(np.array([[-2.0], [0.0]]))
+        levels = np.array([[-2.0], [0.0]])
         weights = np.array([0.5, 0.5])
-        x_next, _ = state_step(problem, *lqr_point(10.0, 0.0), grid, weights, 0.01)
+        x_next, _ = state_step(problem, *lqr_point(10.0, 0.0), levels, weights, 0.01)
         assert x_next[0] == pytest.approx(10.09, abs=1e-15)
 
     def test_costate_step_lqr(self):
         problem = build_lqr()
-        grid = LevelGrid(np.array([[1.0]]))
+        levels = np.array([[1.0]])
         weights = np.array([1.0])
-        p_next = step_costate(problem, *lqr_point(10.0, 0.0), grid.levels, weights, 0.01)
+        p_next = step_costate(problem, *lqr_point(10.0, 0.0), levels, weights, 0.01)
         assert p_next[0] == pytest.approx(-0.2, abs=1e-15)
-        p_next = step_costate(problem, *lqr_point(0.0, 1.0), grid.levels, weights, 0.1)
+        p_next = step_costate(problem, *lqr_point(0.0, 1.0), levels, weights, 0.1)
         assert p_next[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_costate_unchanged_when_cost_and_dynamics_ignore_state(self):
@@ -135,14 +134,14 @@ class TestSteps:
             control_dim=1,
             horizon=1.0,
             initial_state=np.zeros(1),
-            running_cost=lambda t, x, u: float(u[0] ** 2),
+            running_cost_batch=lambda t, x, U: U[:, 0] ** 2,
             **linear_dynamics(np.ones((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
         )
-        grid = LevelGrid(np.array([[0.7]]))
+        levels = np.array([[0.7]])
         weights = np.array([1.0])
-        p_next = step_costate(problem, *lqr_point(3.0, 2.5), grid.levels, weights, 0.25)
+        p_next = step_costate(problem, *lqr_point(3.0, 2.5), levels, weights, 0.25)
         assert p_next[0] == pytest.approx(2.5, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -165,24 +164,24 @@ class TestSteps:
         # dyadic values so the x + dt*drift - x round trip is exact and the
         # halving identity can be asserted bitwise
         problem = build_lqr()
-        grid = LevelGrid(np.array([[-1.5], [2.0]]))
+        levels = np.array([[-1.5], [2.0]])
         weights = np.array([0.25, 0.75])
         t, x, p = lqr_point(3.5, -1.25)
-        dx_full = state_step(problem, t, x, p, grid, weights, 0.25)[0] - x
-        dx_half = state_step(problem, t, x, p, grid, weights, 0.125)[0] - x
+        dx_full = state_step(problem, t, x, p, levels, weights, 0.25)[0] - x
+        dx_half = state_step(problem, t, x, p, levels, weights, 0.125)[0] - x
         assert dx_half[0] == 0.5 * dx_full[0]
-        dp_full = step_costate(problem, t, x, p, grid.levels, weights, 0.25) - p
-        dp_half = step_costate(problem, t, x, p, grid.levels, weights, 0.125) - p
+        dp_full = step_costate(problem, t, x, p, levels, weights, 0.25) - p
+        dp_half = step_costate(problem, t, x, p, levels, weights, 0.125) - p
         assert dp_half[0] == 0.5 * dp_full[0]
 
     def test_increments_scale_with_dt_generic_values(self):
         problem = build_lqr()
-        grid = LevelGrid(np.array([[-1.5], [2.0]]))
+        levels = np.array([[-1.5], [2.0]])
         weights = np.array([0.25, 0.75])
         t, x, p = lqr_point(3.7, -1.3)
         steps = (
-            (x, lambda dt: state_step(problem, t, x, p, grid, weights, dt)[0]),
-            (p, lambda dt: step_costate(problem, t, x, p, grid.levels, weights, dt)),
+            (x, lambda dt: state_step(problem, t, x, p, levels, weights, dt)[0]),
+            (p, lambda dt: step_costate(problem, t, x, p, levels, weights, dt)),
         )
         for base, step in steps:
             full = step(0.02) - base
@@ -200,16 +199,16 @@ class TestSteps:
             control_dim=1,
             horizon=1.0,
             initial_state=np.array([0.5]),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             **linear_dynamics(np.ones((1, 1))),
             control_lower=np.array([-10.0]),
             control_upper=np.array([10.0]),
             state_lower=np.array([0.0]),
             state_upper=np.array([1.0]),
         )
-        grid = LevelGrid(np.array([[level]]))
+        levels = np.array([[level]])
         weights = np.array([1.0])
-        x_next, clamped = state_step(problem, *lqr_point(x, 0.0), grid, weights, dt)
+        x_next, clamped = state_step(problem, *lqr_point(x, 0.0), levels, weights, dt)
         assert x_next[0] == 0.0
         assert clamped == beyond_tolerance
 
@@ -220,7 +219,7 @@ def trivial_problem():
         control_dim=1,
         horizon=2.0,
         initial_state=np.array([1.5]),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         **linear_dynamics(np.zeros((1, 1))),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
@@ -293,7 +292,7 @@ class TestPropagateForward:
             control_dim=1,
             horizon=1.0,
             initial_state=np.array([0.2]),
-            running_cost=lambda t, x, u: float((u[0] + 1.0) ** 2),
+            running_cost_batch=lambda t, x, U: (U[:, 0] + 1.0) ** 2,
             **linear_dynamics(np.ones((1, 1)), c=-0.5),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -318,7 +317,7 @@ class TestPropagateForward:
             control_dim=1,
             horizon=1.0,
             initial_state=np.zeros(1),
-            running_cost=lambda t, x, u: 1.0,
+            running_cost_batch=lambda t, x, U: np.ones(len(U)),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -333,7 +332,7 @@ class TestPropagateForward:
             control_dim=1,
             horizon=1.0,
             initial_state=np.array([2.0]),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -355,7 +354,7 @@ class TestPropagateForward:
             control_dim=1,
             horizon=1.0,
             initial_state=np.zeros(1),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             drift=flaky,
             control_matrix=np.zeros((1, 1)),
             drift_jacobian=lambda t, x: np.zeros((1, 1)),
@@ -379,7 +378,7 @@ class TestPropagateForward:
             control_dim=1,
             horizon=1.0,
             initial_state=np.zeros(1),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([0.0]),
             control_upper=np.array([1.0]),
@@ -786,7 +785,8 @@ class TestProductionPath:
             # states on the zero floor make the admissibility filter drop levels
             x[rng.integers(0, 20, 6)] = 0.0
             for _ in range(2):  # a build, then a memo hit
-                grid, rows = generate_levels_with_dynamics(problem, t, x, 0.005, GridParams(), None, cache)
+                drift = eval_drift(problem, t, x)
+                grid, rows = generate_levels_with_dynamics(cache, t, x, 0.005, drift)
                 assert rows is None and grid.K < GridParams().cap
 
 
@@ -848,8 +848,9 @@ class TestRelaxedStageCost:
         problem, partition, result = self.bolza_run()
         h_values = result.trajectory.h_values
         for i, (point, dt) in enumerate(zip(result.trajectory.points, partition.deltas.tolist())):
-            grid, _ = generate_levels_with_dynamics(problem, point.t, point.x, dt, GridParams())
             drift = eval_drift(problem, point.t, point.x)
+            cache = LevelCache(problem, GridParams())
+            grid, _ = generate_levels_with_dynamics(cache, point.t, point.x, dt, drift)
             h_vals = eval_running_cost_batch(problem, point.t, point.x, grid.levels)
             h_vals = h_vals + affine_p_dot_f(problem, drift, point.p, grid.levels)
             support, weights = solve_measure_lp(h_vals)

@@ -42,7 +42,7 @@ def inert_problem(n=2, horizon=1.0):
         control_dim=1,
         horizon=horizon,
         initial_state=np.zeros(n),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         **linear_dynamics(np.zeros((1, n))),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
@@ -56,7 +56,7 @@ def drift_only_problem():
         control_dim=1,
         horizon=1.0,
         initial_state=np.array([1.0, -1.0]),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         drift=lambda t, x: np.array([-x[0], 0.5 * x[1]]),
         control_matrix=np.zeros((1, 2)),
         drift_jacobian=lambda t, x: np.diag([-1.0, 0.5]),
@@ -261,7 +261,7 @@ class TestSolve:
             control_dim=1,
             horizon=1.0,
             initial_state=np.zeros(1),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -290,7 +290,7 @@ class TestSolve:
             control_dim=1,
             horizon=1.0,
             initial_state=np.array([0.04]),
-            running_cost=lambda t, x, u: 0.0,
+            running_cost_batch=lambda t, x, U: np.zeros(len(U)),
             **linear_dynamics(np.zeros((1, 1)), c=-1.0),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -313,7 +313,7 @@ class TestSolve:
             control_dim=1,
             horizon=1.0,
             initial_state=np.array([0.2]),
-            running_cost=lambda t, x, u: 0.1 * float(u[0]),
+            running_cost_batch=lambda t, x, U: 0.1 * U[:, 0],
             **linear_dynamics(-np.ones((1, 1)), c=-0.2, a=1.0),
             control_lower=np.array([0.0]),
             control_upper=np.array([1.0]),
@@ -463,7 +463,7 @@ def two_rest_point_problem():
         control_dim=2,
         horizon=1.0,
         initial_state=rest,
-        running_cost=lambda t, x, u: 0.1 * float(u[0] + u[1]),
+        running_cost_batch=lambda t, x, U: 0.1 * (U[:, 0] + U[:, 1]),
         **linear_dynamics(-np.eye(2), c=-rest, a=1.0),
         control_lower=np.zeros(2),
         control_upper=np.ones(2),
@@ -479,7 +479,7 @@ def coupled_problem():
         control_dim=1,
         horizon=1.0,
         initial_state=np.array([0.5, 2.0]),
-        running_cost=lambda t, x, u: 0.0,
+        running_cost_batch=lambda t, x, U: np.zeros(len(U)),
         drift=lambda t, x: np.array([x[1], 0.0]),
         control_matrix=np.zeros((1, 2)),
         drift_jacobian=lambda t, x: np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -633,11 +633,11 @@ class TestLevelMemo:
             runs.append((np.array(p0), fingerprint(trajectory)))
             return trajectory
 
-        def recorded_levels(problem, t, x, dt, params, drift, cache):
+        def recorded_levels(cache, t, x, dt, drift):
             # a reuse: the memo holds this interval from this state, bit for bit
             entry = cache.memo.get((t, dt))
-            hit = entry is not None and entry[0] == np.asarray(x, dtype=float).tobytes()
-            grid_out = generate(problem, t, x, dt, params, drift, cache)
+            hit = entry is not None and entry[0] == x.tobytes()
+            grid_out = generate(cache, t, x, dt, drift)
             if hit:
                 reused.append(grid_out[0].K)
             return grid_out
@@ -667,9 +667,9 @@ class TestLevelMemo:
         problem, part, grid = filtered_grocer(20)
         generate, memos = chattering.generate_levels_with_dynamics, []
 
-        def recorded(problem, t, x, dt, params, drift, cache):
+        def recorded(cache, t, x, dt, drift):
             memos.append(cache.memo)
-            return generate(problem, t, x, dt, params, drift, cache)
+            return generate(cache, t, x, dt, drift)
 
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", recorded)
         propagate_forward(problem, part, np.zeros(20), grid)
