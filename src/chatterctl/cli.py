@@ -230,6 +230,7 @@ def export_convergence(result: shooting.ShootingResult, path) -> None:
         "message": result.message,
         "step_kinds": list(result.step_kinds),
         "condition_numbers": [_json_number(c) for c in result.condition_numbers],
+        "step_lengths": [float(v) for v in result.step_lengths],
     }
     _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n", "convergence JSON")
 
@@ -403,28 +404,46 @@ def check_tables() -> Tuple[bool, List[str]]:
 
 
 def check_sensitivities() -> Tuple[bool, List[str]]:
-    """Tangent sensitivities against the finite-difference reference on the
-    10-interval grocer at p0 = 0, where every perturbed run stays on the
-    nominal states: ``P_x`` must match exactly and ``P_p`` to 1e-6
-    relative."""
+    """Tangent sensitivities against the finite-difference reference:
+
+    - the 10-interval grocer at p0 = 0, where every perturbed run stays on
+      the nominal states: ``P_x`` must match exactly and ``P_p`` to 1e-6
+      relative;
+    - LQR at 100 intervals from p0 = 30, where every interval is priced and
+      no perturbed run crosses a clip, so the tangent sees the priced
+      control: ``P_x`` and ``P_p`` must match to 1e-6 relative.
+    """
     demand = problems.synthetic_demand("seasonal", 5.0, 0.5)
-    problem = problems.build_supply_chain(demand, SUPPLY_CHAIN_HORIZON, 10)
-    partition = TimePartition.uniform(problem.horizon, 10)
-    grid_params = GridParams(3, 64)
-    p0 = np.zeros(problem.state_dim)
+    grocer = problems.build_supply_chain(demand, SUPPLY_CHAIN_HORIZON, 10)
+    tangent, reference = _tangent_and_reference(grocer, 10, GridParams(3, 64), np.zeros(grocer.state_dim))
+    px_equal = bool(np.array_equal(tangent.P_x, reference.P_x))
+    errors = {"grocer P_p": _relative_difference(tangent.P_p, reference.P_p)}
+    lqr = problems.build_lqr()
+    tangent, reference = _tangent_and_reference(lqr, 100, GridParams(101, 4096), np.array([30.0]))
+    errors["lqr P_x"] = _relative_difference(tangent.P_x, reference.P_x)
+    errors["lqr P_p"] = _relative_difference(tangent.P_p, reference.P_p)
+    lines = [f"grocer P_x identical to finite differences: {px_equal}"]
+    lines += [f"{name} max relative difference: {err:.2e} (limit 1e-06)" for name, err in errors.items()]
+    return px_equal and all(err <= 1e-6 for err in errors.values()), lines
+
+
+def _tangent_and_reference(
+    problem: ControlProblem, intervals: int, grid_params: GridParams, p0: np.ndarray
+) -> Tuple[shooting.SensitivityEstimate, shooting.SensitivityEstimate]:
+    """The tangent sensitivities along the run from ``p0`` and the
+    finite-difference ones (step 1e-3) that it is checked against."""
+    partition = TimePartition.uniform(problem.horizon, intervals)
     nominal = propagate_forward(problem, partition, p0, grid_params)
     tangent = shooting.tangent_sensitivities(problem, partition, nominal)
     reference = shooting.finite_diff_sensitivities(
         problem, partition, p0, 1e-3, grid_params, nominal=nominal
     )
-    px_equal = bool(np.array_equal(tangent.P_x, reference.P_x))
-    rel_err = float(np.max(np.abs(tangent.P_p - reference.P_p)) / np.max(np.abs(reference.P_p)))
-    ok = px_equal and rel_err <= 1e-6
-    lines = [
-        f"P_x identical to finite differences: {px_equal}",
-        f"P_p max relative difference: {rel_err:.2e} (limit 1e-06)",
-    ]
-    return ok, lines
+    return tangent, reference
+
+
+def _relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest entry of ``|a - b|`` over the largest of ``|b|``."""
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 CHECKS = {
@@ -484,7 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--intervals", type=int)
     sp.add_argument("--levels", type=int)
     sp.add_argument("--level-cap", type=int, dest="level_cap")
-    sp.add_argument("--gamma", type=float)
+    sp.add_argument(
+        "--gamma", type=float,
+        help="floor of the Newton step length in (0, 1]: each correction tries the full "
+        "step and halves it down to this floor while the residual does not fall enough",
+    )
     sp.add_argument("--eps", type=float)
     sp.add_argument("--max-iters", type=int, dest="max_iters")
     sp.add_argument("--p0", type=str, help="comma-separated initial costate guess")

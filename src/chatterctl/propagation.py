@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +114,11 @@ class Trajectory:
     in the same rows of ``support_levels (S, m)``.  Also kept: the
     accumulated discretized cost and the number of state steps that the
     state-box clamp moved by more than ``STEP_FEASIBILITY_TOL``.
+
+    ``priced_ranges`` maps each interval whose measure the priced rows of
+    ``hamiltonian_argmin`` won to the control ranges ``(lo, hi)`` they were
+    priced over, read-only; it is empty for a problem without that hook.
+    The shooting tangent differentiates the hook there.
     """
 
     times: Array
@@ -126,6 +132,7 @@ class Trajectory:
     support_weights: Array
     accumulated_cost: float
     clamp_count: int = 0
+    priced_ranges: Mapping[int, Tuple[Array, Array]] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("times", "x", "p", "u", "h_values", "stage_costs", "support_levels",
@@ -152,6 +159,13 @@ class Trajectory:
             raise ValueError("support weights must lie in [0, 1]")
         if not np.all(np.abs(np.add.reduceat(w, off[:-1]) - 1.0) <= 1e-12):
             raise ValueError("the support weights of every interval must sum to 1 within 1e-12")
+        # one read-only copy per range end for all intervals, handed out by rows
+        index, ends = [int(i) for i in self.priced_ranges], list(self.priced_ranges.values())
+        lo, hi = _readonly([e[0] for e in ends]), _readonly([e[1] for e in ends])
+        m, P = u.shape[1], len(index)
+        if any(not 0 <= i < N for i in index) or P and not lo.shape == hi.shape == (P, m):
+            raise ValueError(f"priced_ranges needs interval indices below {N} and ({m},) ranges")
+        object.__setattr__(self, "priced_ranges", MappingProxyType(dict(zip(index, zip(lo, hi)))))
 
     @property
     def intervals(self) -> int:
@@ -308,8 +322,9 @@ def propagate_forward(
     Per interval: build the level grid at the current state, evaluate the
     Hamiltonian at every level, price the problem's ``hamiltonian_argmin``
     rows against the grid minimum when it has that hook (``_price``), solve
-    the measure LP over the priced rows when the best wins, else over the grid,
-    reconstruct the interval control, then advance state and costate.  The
+    the measure LP over the priced rows when the best wins (recording the
+    grid's ranges in ``priced_ranges``), else over the grid, reconstruct
+    the interval control, then advance state and costate.  The
     running cost is the relaxed one, ``sum_k a_k g(t_i, x_i, c_k)``,
     accumulated as a left-endpoint sum, plus the terminal cost at x_T.  Each
     interval writes one row of the returned ``Trajectory``.
@@ -341,6 +356,7 @@ def propagate_forward(
     offsets = np.zeros(N + 1, dtype=np.intp)
     support_levels: List[Array] = []
     support_weights: List[Array] = []
+    priced_ranges: Dict[int, Tuple[Array, Array]] = {}
     # one drift evaluation per interval serves level search, filter, sweep and step
     priced = problem.hamiltonian_argmin is not None
     B = problem.control_matrix
@@ -371,6 +387,7 @@ def propagate_forward(
                 won = _price(problem, t, x, p, dt, drift, p_terms, grid, float(h_vals.min()))
                 if won is not None:
                     levels, g_vals, h_vals = won
+                    priced_ranges[i] = (grid.lo, grid.hi)
             support, weights = solve_measure_lp(h_vals)
             # the zero-weight levels add nothing: reduce over the support only
             levels = levels[support]
@@ -399,6 +416,7 @@ def propagate_forward(
     return Trajectory(
         partition.times, xs, ps, us, h_values, stage_costs, offsets,
         np.concatenate(support_levels), np.concatenate(support_weights), cost, clamp_count,
+        priced_ranges,
     )
 
 

@@ -3,15 +3,22 @@
 The two-point boundary value problem (x(0) fixed, p(T) pinned to the terminal
 cost gradient) is solved as an initial value problem: guess p(0), propagate,
 measure the terminal mismatch, estimate the sensitivity of the terminal pair
-to the guess, and apply a damped Newton-style correction.
+to the guess, and apply a Newton correction with a monotonicity test.
 
 The sensitivities are the linearised state/costate flow along the nominal
-run (``tangent_sensitivities``; Bryson & Ho's neighbouring extremals): each
-interval's measure is held at its recorded value, so the state path does not
-depend on the guess and only the costate tangent moves, with the drift
-Jacobian.  The per-interval measure LP makes the control piecewise constant
-in the guess, so the tangent is exact within a switching pattern and blind
-to level switches; the damping factor and best-iterate tracking absorb that.
+run (``tangent_sensitivities``; Bryson & Ho's neighbouring extremals).  A
+grid interval's measure is held at its recorded value; an interval that the
+priced rows of ``hamiltonian_argmin`` won moves its control with the
+perturbation, by a central difference of the hook.  Without such intervals
+the state path does not depend on the guess and only the costate tangent
+moves, with the drift Jacobian.  The per-interval measure LP makes a grid
+control piecewise constant in the guess, so the tangent is blind to level
+switches; the step rule and best-iterate tracking absorb that.
+
+The step rule (Deuflhard's monotonicity test, "Newton Methods for
+Nonlinear Problems", Springer 2004): take the full step, accept the trial
+when its residual falls below ``1 - lambda/4`` of the accepted one, else
+halve ``lambda`` down to ``ShootingConfig.gamma`` and propagate again.
 
 ``finite_diff_sensitivities`` is the reference the tangent is checked
 against: n sequential propagations, one per perturbed costate coordinate.
@@ -31,6 +38,8 @@ from .model import (
     NonFiniteEvaluation,
     _check_count,
     eval_drift_jacobian,
+    eval_hamiltonian_argmin,
+    grad_h_state,
     terminal_costate,
     terminal_hessian,
 )
@@ -39,6 +48,14 @@ from .propagation import TimePartition, Trajectory, propagate_forward
 #: refuse the linear correction when its matrix is worse conditioned than
 #: this
 CONDITION_LIMIT = 1e14
+
+#: the tangent's central differences move the point (x, p) by
+#: ``TANGENT_STEP * max(1, |x|, |p|)`` along a column, in the max norm
+TANGENT_STEP = 1e-6
+
+#: one-sided differences of the priced control that differ by more than this
+#: share of the larger one straddle a kink (a clip switch or a tie)
+KINK_RTOL = 1e-3
 
 #: per-iteration progress callback: (iteration, residual, cost)
 ProgressSink = Callable[[int, float, float], None]
@@ -53,8 +70,11 @@ class SingularCorrection(RuntimeError):
 class ShootingConfig:
     """Outer-loop parameters.
 
-    The defaults aim for stable damped-Newton behavior; nothing here is
-    problem specific.
+    Each correction first tries the full step ``lambda = 1`` and halves it
+    while the trial fails the monotonicity test; ``gamma`` is the floor of
+    ``lambda``, and a trial at the floor is accepted whatever its residual.
+    So ``gamma = 1`` always takes the full step.  Nothing here is problem
+    specific.
     """
 
     p0_initial: Array
@@ -104,11 +124,14 @@ class ShootingResult:
     trajectory: Optional[Trajectory]
     p0_final: Array
     message: str = ""
-    #: one per correction: "newton", or "gradient" after a SingularCorrection
+    #: one per correction: "newton", "gradient" after a SingularCorrection,
+    #: or "rejected" for a trial that failed the monotonicity test
     step_kinds: Tuple[str, ...] = ()
     #: one per correction: the condition number of the correction matrix,
     #: nan where the matrix was refused and the gradient step taken
     condition_numbers: Tuple[float, ...] = ()
+    #: one per correction: its step length lambda
+    step_lengths: Tuple[float, ...] = ()
 
     def __post_init__(self):
         hist = np.array(self.residual_history, dtype=float)
@@ -157,31 +180,116 @@ def finite_diff_sensitivities(
     return SensitivityEstimate(P_x, P_p)
 
 
+def _column_steps(x: Array, p: Array, dx: Array, dp: Array) -> List[float]:
+    """The central-difference step ``h`` along each tangent column ``(dx_j,
+    dp_j)``, which moves (x, p) by ``TANGENT_STEP * max(1, |x|, |p|)`` in
+    the max norm; 0 for a zero column."""
+    size = np.maximum(np.abs(dx).max(axis=0), np.abs(dp).max(axis=0)).tolist()
+    scale = TANGENT_STEP * max(1.0, np.abs(x).max(), np.abs(p).max())
+    return [scale / s if s > 0.0 else 0.0 for s in size]
+
+
+def _priced_control_tangent(
+    problem: ControlProblem, t: float, x: Array, p: Array, u: Array,
+    ranges: Tuple[Array, Array], dx: Array, dp: Array, steps: List[float],
+) -> Array:
+    """``du (m, n)``: the central difference of ``hamiltonian_argmin`` over
+    ``ranges`` along each tangent column, 2 hook calls per column.  A
+    column keeps ``du = 0`` where the hook returns more than one row or
+    its one-sided differences from the nominal control ``u`` differ by more
+    than ``KINK_RTOL`` of the larger (a kink)."""
+    lo, hi = ranges
+    du = np.zeros((problem.control_dim, dx.shape[1]))
+    for j, h in enumerate(steps):
+        if h == 0.0:
+            continue
+        vx, vp = h * dx[:, j], h * dp[:, j]
+        ahead = eval_hamiltonian_argmin(problem, t, x + vx, p + vp, lo, hi)
+        behind = eval_hamiltonian_argmin(problem, t, x - vx, p - vp, lo, hi)
+        if ahead.shape[0] != 1 or behind.shape[0] != 1:
+            continue
+        rise, fall = ahead[0] - u, u - behind[0]
+        if np.abs(rise - fall).max() <= KINK_RTOL * max(np.abs(rise).max(), np.abs(fall).max()):
+            du[:, j] = (ahead[0] - behind[0]) / (2.0 * h)
+    return du
+
+
+def _curvature(
+    problem: ControlProblem, t: float, x: Array, p: Array, levels: Array, weights: Array,
+    dx: Array, du: Array, steps: List[float],
+) -> Array:
+    """``sum_k a_k (H_xx dx + H_xu du)`` over the support, one column per
+    tangent column: a central difference of ``grad_h_state`` along ``(dx,
+    du)`` at fixed p, 2 calls per column and support row."""
+    out = np.zeros_like(dx)
+    for j, h in enumerate(steps):
+        vx, vu = h * dx[:, j], h * du[:, j]
+        if not (vx.any() or vu.any()):
+            continue
+        for level, weight in zip(levels, weights.tolist()):
+            ahead = grad_h_state(problem, t, x + vx, p, level + vu)
+            behind = grad_h_state(problem, t, x - vx, p, level - vu)
+            out[:, j] += weight * (ahead - behind)
+        out[:, j] /= 2.0 * h
+    return out
+
+
 def tangent_sensitivities(
     problem: ControlProblem, partition: TimePartition, nominal: Trajectory
 ) -> SensitivityEstimate:
     """Jacobians of the terminal pair from the variational equations along
     ``nominal``, in one pass over its recorded rows: no level generation,
-    no measure LP, no propagation.
+    no measure LP, no propagation.  The tangent carries the state and
+    costate perturbations ``(dx, dp)``, from ``(0, I)``; its terminal value
+    is ``(P_x, P_p)``.
 
-    Each interval's measure (its recorded support levels and weights) is
-    held fixed.  Then the state path does not depend on p0 and x_0 is fixed, so
-    ``P_x`` is exactly 0.  H is affine in p, so the costate step's
-    derivative in p is ``I - dt F_x^T`` with ``F_x = sum_k a_k df/dx``,
-    which is the ``drift_jacobian`` whatever the measure; the tangent starts
-    at I and ``P_p`` is its terminal value.
+    A grid interval's measure (its recorded support levels and weights) is
+    held fixed.  While ``dx`` is 0 the state path does not depend on p0,
+    and H is affine in p, so the costate step's derivative is ``I - dt
+    J^T`` with ``J`` the ``drift_jacobian``, whatever the measure.  A
+    problem without a priced interval keeps ``P_x`` exactly 0.
 
-    The tangent does not see level switches: a change of p0 that moves an
-    interval's argmin changes the terminal pair in a way it misses.
+    At an interval that the priced rows won alone (a support of one row,
+    listed in ``nominal.priced_ranges``), the control moves:
+    ``du = d argmin / d(x, p)`` along each column, a central difference of
+    ``hamiltonian_argmin`` over the ranges it was priced on
+    (``_priced_control_tangent``; 0 at a kink).  There and at every later
+    interval the state takes ``dx + dt (J dx + B^T du)`` and the costate
+    ``dp - dt (J^T dp + H_xx dx + H_xu du)``, the second-order terms a
+    central difference of ``grad_h_state`` over the support rows
+    (``_curvature``).
+
+    The tangent does not see level switches: a change of p0 that moves a
+    grid interval's argmin changes the terminal pair in a way it misses.
     ``ValueError`` unless ``nominal`` ran on ``partition``'s times, bit for bit.
     """
     if nominal.times.tobytes() != partition.times.tobytes():
         raise ValueError("nominal was run on another partition: its times differ")
     n = problem.state_dim
-    dp = np.eye(n)
+    B, off, priced = problem.control_matrix, nominal.offsets.tolist(), nominal.priced_ranges
+    dx, dp = np.zeros((n, n)), np.eye(n)
+    # dx is exactly 0 until the first priced interval that moves the control
+    moved = False
     for i, (t, dt) in enumerate(zip(nominal.times.tolist(), partition.deltas.tolist())):
-        dp = dp - dt * (eval_drift_jacobian(problem, t, nominal.x[i]).T @ dp)
-    return SensitivityEstimate(np.zeros((n, n)), dp)
+        x, p = nominal.x[i], nominal.p[i]
+        J = eval_drift_jacobian(problem, t, x)
+        a, b = off[i], off[i + 1]
+        won = b - a == 1 and i in priced
+        if won or moved:
+            steps = _column_steps(x, p, dx, dp)
+            du = np.zeros((problem.control_dim, n))
+            if won:
+                du = _priced_control_tangent(
+                    problem, t, x, p, nominal.support_levels[a], priced[i], dx, dp, steps
+                )
+            moved = moved or bool(du.any())
+        if not moved:
+            dp = dp - dt * (J.T @ dp)
+            continue
+        levels, weights = nominal.support_levels[a:b], nominal.support_weights[a:b]
+        curvature = _curvature(problem, t, x, p, levels, weights, dx, du, steps)
+        dx, dp = dx + dt * (J @ dx + B.T @ du), dp - dt * (J.T @ dp + curvature)
+    return SensitivityEstimate(dx, dp)
 
 
 def update_initial_costate(
@@ -190,20 +298,24 @@ def update_initial_costate(
     p_T: Array,
     x_T: Array,
     problem: ControlProblem,
-    gamma: float,
+    step_length: float,
 ) -> Tuple[Array, float]:
     """One correction of the initial costate guess:
 
-        p0 <- p0 + gamma * (Hess(psi)(x_T) P_x - P_p)^-1 (p_T - dpsi/dx(x_T))
+        p0 <- p0 + step_length * (Hess(psi)(x_T) P_x - P_p)^-1 (p_T - dpsi/dx(x_T))
 
     solved densely and unregularized.  Returns the new guess and the
     condition number of the correction matrix.  Raises
     ``SingularCorrection`` when the condition number is not finite or
-    exceeds ``CONDITION_LIMIT``.
+    exceeds ``CONDITION_LIMIT``.  A ``P_x`` that is exactly 0 (no priced
+    interval moved the state) needs no terminal Hessian.
     """
     p0 = np.asarray(p0, dtype=float)
     residual = p_T - terminal_costate(problem, x_T)
-    M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
+    if sens.P_x.any():
+        M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
+    else:
+        M = -sens.P_p
     try:
         cond = float(np.linalg.cond(M))
     except np.linalg.LinAlgError:  # pragma: no cover - cond rarely fails
@@ -213,7 +325,7 @@ def update_initial_costate(
             f"correction matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
     step = np.linalg.solve(M, residual)
-    return p0 + gamma * step, cond
+    return p0 + step_length * step, cond
 
 
 def solve(
@@ -226,51 +338,71 @@ def solve(
     """Iterate propagate / sensitivities / correct until the terminal costate
     matches the terminal cost gradient within ``config.epsilon`` or the
     iteration budget runs out.  Returns the best-residual iterate either way.
+    Every propagation counts as one iteration.
 
-    The loop is deterministic, so a guess equal, bit for bit, to an earlier
-    iterate's would repeat the same cycle of iterates forever: the run stops
-    before propagating it, with ``converged=False`` and a message naming
-    the repeated iteration and the cycle length.
+    Each correction steps from the accepted iterate by ``lambda`` times its
+    Newton step, ``lambda = 1`` first.  The trial is accepted when its
+    residual is below ``1 - lambda/4`` of the accepted one, or when
+    ``lambda`` is at its floor ``config.gamma``; otherwise it is recorded
+    as "rejected", ``lambda`` halves (to no less than the floor) and the
+    next trial steps from the same accepted iterate.
+
+    The loop is deterministic, and an accepted iterate fixes everything
+    after it: a guess equal, bit for bit, to an earlier accepted iterate's,
+    with a known residual that the test would accept again, would repeat the
+    same cycle of iterates forever.  The run stops before propagating it,
+    with ``converged=False`` and a message naming the repeated iteration and
+    the cycle length.
 
     Infeasible level generation ends the run with ``converged=False`` and a
     diagnostic message instead of raising; non-finite evaluations propagate.
 
-    Within one switching pattern the state path does not depend on the
-    guess, so later iterations start interval after interval from the same
-    states: the propagations share one ``chattering.LevelCache`` with a
-    memo, which lives as long as this call, and skip the level work that an
-    earlier iteration did at the same interval and state.
+    Within one switching pattern of a problem without priced intervals the
+    state path does not depend on the guess, so later iterations start
+    interval after interval from the same states: the propagations share
+    one ``chattering.LevelCache`` with a memo, which lives as long as this
+    call, and skip the level work that an earlier iteration did at the same
+    interval and state.
     """
     p0 = np.array(config.p0_initial, dtype=float)
     history: List[float] = []
     step_kinds: List[str] = []
     condition_numbers: List[float] = []
+    step_lengths: List[float] = []
     best_residual = np.inf
     best_trajectory: Optional[Trajectory] = None
     best_p0 = np.array(p0)
     converged = False
     message = ""
-    # the iteration that propagated each guess, by the guess's bytes
-    seen: Dict[bytes, int] = {}
+    # the accepted iterate that the trials step from (its guess, run,
+    # mismatch, residual and tangent) and the next trial's step length
+    base_p0 = base_run = base_mismatch = base_sens = None
+    base_residual, step_length = np.inf, 1.0
+    # the iteration and residual of each accepted guess, by the guess's bytes
+    seen: Dict[bytes, Tuple[int, float]] = {}
     cache = LevelCache(problem, grid_params)
     cache.memo = {}
+
+    def accepts(residual: float) -> bool:
+        return step_length <= config.gamma or residual < (1.0 - step_length / 4.0) * base_residual
+
     for _ in range(config.max_iterations):
         iteration = len(history) + 1
         earlier = seen.get(p0.tobytes())
-        if earlier is not None:
+        if earlier is not None and accepts(earlier[1]):
             message = (
-                f"the guess for iteration {iteration} repeats iteration {earlier}: "
-                f"the iterates cycle with length {iteration - earlier}"
+                f"the guess for iteration {iteration} repeats iteration {earlier[0]}: "
+                f"the iterates cycle with length {iteration - earlier[0]}"
             )
             break
-        seen[p0.tobytes()] = iteration
         try:
             trajectory = propagate_forward(problem, partition, p0, grid_params, cache=cache)
         except InfeasibleLevels as err:
             message = f"level generation became infeasible: {err}"
             break
         x_T, p_T = trajectory.x[-1], trajectory.p[-1]
-        residual = float(np.linalg.norm(p_T - terminal_costate(problem, x_T)))
+        mismatch = p_T - terminal_costate(problem, x_T)
+        residual = float(np.linalg.norm(mismatch))
         history.append(residual)
         if residual < best_residual:
             best_residual = residual
@@ -281,18 +413,29 @@ def solve(
         if residual < config.epsilon:
             converged = True
             break
+        if accepts(residual):
+            seen[p0.tobytes()] = (iteration, residual)
+            base_p0, base_run, base_mismatch, base_residual = p0, trajectory, mismatch, residual
+            base_sens, step_length = None, 1.0
+        else:
+            step_kinds[-1] = "rejected"
+            step_length = max(0.5 * step_length, config.gamma)
         if len(history) >= config.max_iterations:
             break
-        sens = tangent_sensitivities(problem, partition, trajectory)
+        if base_sens is None:
+            base_sens = tangent_sensitivities(problem, partition, base_run)
         try:
-            p0, cond = update_initial_costate(p0, sens, p_T, x_T, problem, config.gamma)
+            p0, cond = update_initial_costate(
+                base_p0, base_sens, base_run.p[-1], base_run.x[-1], problem, step_length
+            )
             step_kinds.append("newton")
             condition_numbers.append(cond)
         except SingularCorrection:
             # plain residual gradient step keeps the loop alive
-            p0 = p0 - config.gamma * (p_T - terminal_costate(problem, x_T))
+            p0 = base_p0 - step_length * base_mismatch
             step_kinds.append("gradient")
             condition_numbers.append(float("nan"))
+        step_lengths.append(step_length)
     if not converged and not message:
         message = "iteration budget exhausted before the residual dropped below epsilon"
     return ShootingResult(
@@ -304,4 +447,5 @@ def solve(
         message="" if converged else message,
         step_kinds=tuple(step_kinds),
         condition_numbers=tuple(condition_numbers),
+        step_lengths=tuple(step_lengths),
     )

@@ -180,16 +180,11 @@ class TestAcceptance:
             max_iterations=60,
         )
         result = solve(problem, partition, config, GridParams(3, 16))
-        norm0 = float(np.linalg.norm(p0))
-        deviations = [
-            abs(res - 0.5**k * norm0) for k, res in enumerate(result.residual_history)
-        ]
-        ok = result.converged and max(deviations) <= 1e-10
-        report(
-            "closed-form-shooting-decay",
-            ok,
-            f"{len(deviations)} iterations, max deviation {max(deviations):.2e}",
-        )
+        # the shooting map is the identity: the full step, which every
+        # correction tries before the gamma floor, lands on its root
+        history = result.residual_history.tolist()
+        ok = result.converged and history == [float(np.linalg.norm(p0)), 0.0]
+        report("closed-form-shooting-decay", ok, f"residual history {history}")
 
     def test_table_fidelity(self):
         ok, lines = check_tables()
@@ -237,6 +232,6 @@ class TestReferenceRuns:
 
     def test_lqr(self):
         result = self.solve_twice(build_lqr(), 100, 0.5)
-        assert result.converged and result.iterations == 6
-        expected = float.fromhex("0x1.519b95e71dd5ap+7")
+        assert result.converged and result.iterations == 3
+        expected = float.fromhex("0x1.519b9076b64b7p+7")
         assert abs(result.trajectory.accumulated_cost - expected) <= 1e-12 * expected

@@ -207,9 +207,9 @@ class TestExportBytes:
     BLAS summation order enters these bytes."""
 
     DIGESTS = {
-        "trajectory.csv": "03dc671084e3b6a0bc64a42b5268bda134b4f0e6153c938601a03544441fa8e8",
-        "schedule.csv": "a7694916eace7ac57a7bea16de93845dbecac187770e399f017774328a41137a",
-        "convergence.json": "1577011afde7121794ae9cd710fa16431e7b306470ff006615de1b9ec6b2987a",
+        "trajectory.csv": "f09998e2bb8b38d0fa35089a9907a50c5c7645c5117964fb832c322ee6bf4f9c",
+        "schedule.csv": "90e65ffaa37af2c572af8b543e2f623cff8a9fc89778b692a62d13fc02152408",
+        "convergence.json": "95a7d7a143ae9006dc3d36f7b9e8854371be2792d8fd8bec9d8d4215f9eef3dc",
     }
 
     def test_lqr_defaults(self, tmp_path):
@@ -219,6 +219,15 @@ class TestExportBytes:
             for name in self.DIGESTS
         }
         assert digests == self.DIGESTS
+
+    def test_lqr_full_step_converges(self, tmp_path):
+        # gamma 1 takes every full step: the tangent sees the priced control,
+        # so the second one lands on the root
+        assert main(["solve", "--problem", "lqr", "--gamma", "1", "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "convergence.json").read_text())
+        assert payload["iterations"] == 3
+        assert payload["step_kinds"] == ["newton", "newton"]
+        assert payload["step_lengths"] == [1.0, 1.0]
 
 
 class TestExportSchedule:
@@ -405,7 +414,9 @@ class TestValidateCommand:
     def test_sensitivities(self, capsys):
         assert main(["validate", "sensitivities"]) == 0
         out = capsys.readouterr().out
-        assert "P_x identical to finite differences: True" in out
+        assert "grocer P_x identical to finite differences: True" in out
+        for name in ("grocer P_p", "lqr P_x", "lqr P_p"):
+            assert f"{name} max relative difference" in out
         assert "validate sensitivities: PASS" in out
 
 

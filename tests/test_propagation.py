@@ -666,6 +666,28 @@ class TestTrajectoryRecord:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(traj, **changes)
 
+    def test_priced_ranges(self):
+        # from the optimal p0 the priced row wins every lqr interval, over
+        # the whole control box (no state bounds); the grid alone records none
+        part, p0 = TimePartition.uniform(1.0, 10), np.array([lqr_analytic_solution(0.0)[1]])
+        traj = propagate_forward(build_lqr(), part, p0, GridParams())
+        assert sorted(traj.priced_ranges) == list(range(10))
+        for lo, hi in traj.priced_ranges.values():
+            assert lo.tolist() == [-30.0] and hi.tolist() == [5.0]
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                lo.setflags(write=True)
+        with pytest.raises(TypeError):
+            traj.priced_ranges[0] = traj.priced_ranges[1]
+        grid_only = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        assert len(propagate_forward(grid_only, part, p0, GridParams()).priced_ranges) == 0
+        assert len(self.bolza_record().priced_ranges) == 0
+
+    @pytest.mark.parametrize("ranges", [{4: ([0.0], [1.0])}, {-1: ([0.0], [1.0])},
+                                        {0: ([0.0, 1.0], [1.0, 2.0])}, {0: ([0.0], [[1.0]])}])
+    def test_inconsistent_priced_ranges_rejected(self, ranges):
+        with pytest.raises(ValueError, match="priced_ranges"):
+            dataclasses.replace(self.bolza_record(), priced_ranges=ranges)
+
 
 class TestFeedbackHook:
     def test_measurement_overrides_prediction(self):

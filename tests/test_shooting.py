@@ -21,6 +21,8 @@ from chatterctl import (
     propagate_forward,
     solve,
     synthetic_demand,
+    terminal_costate,
+    terminal_hessian,
 )
 from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
@@ -187,6 +189,31 @@ class TestUpdateInitialCostate:
             p0, _ = update_initial_costate(p0, sens, p0, np.zeros(1), problem, 0.5)
         assert p0[0] == 0.5**4 * 8.0
 
+    def test_zero_state_tangent_needs_no_terminal_hessian(self):
+        # psi without gradient or Hessian hooks: the gradient is a central
+        # difference (2 psi calls per state), the Hessian one of the gradient
+        # (2 gradients per state); a P_x of exact zeros needs no Hessian
+        calls = []
+
+        def psi(x):
+            calls.append(1)
+            return 0.5 * float(x @ x)
+
+        problem = dataclasses.replace(inert_problem(n=2), terminal_cost=psi)
+        args = (np.zeros(2), np.array([1.0, 2.0]), np.array([3.0, -4.0]), problem, 1.0)
+        frozen = SensitivityEstimate(np.zeros((2, 2)), np.eye(2))
+        new_p0, _ = update_initial_costate(args[0], frozen, *args[1:])
+        assert len(calls) == 4
+        # 0 - P_p is -P_p: the correction of the Hessian path, bit for bit
+        x_T, p_T = args[2], args[1]
+        M = terminal_hessian(problem, x_T) @ frozen.P_x - frozen.P_p
+        expected = args[0] + np.linalg.solve(M, p_T - terminal_costate(problem, x_T))
+        assert np.array_equal(new_p0, expected)
+        calls.clear()
+        moved = SensitivityEstimate(np.full((2, 2), 0.5), np.eye(2))
+        update_initial_costate(args[0], moved, *args[1:])
+        assert len(calls) == 20
+
     def test_singular_matrix_raises(self):
         problem = inert_problem(n=2)
         sens = SensitivityEstimate(np.zeros((2, 2)), np.zeros((2, 2)))
@@ -210,6 +237,8 @@ class TestSolve:
         assert result.p0_final[0] == 0.0
 
     def test_geometric_decay_matches_closed_form(self):
+        # the shooting map p0 -> p_T is the identity: the full step, which
+        # every correction tries first, lands on its root whatever the floor
         problem = inert_problem(n=2)
         part = TimePartition.uniform(1.0, 4)
         p0 = np.array([3.0, -4.0])
@@ -218,19 +247,24 @@ class TestSolve:
         )
         result = solve(problem, part, config, GridParams(3, 16))
         assert result.converged
-        norm0 = float(np.linalg.norm(p0))
-        for k, residual in enumerate(result.residual_history):
-            assert abs(residual - 0.5**k * norm0) <= 1e-10
+        assert result.residual_history.tolist() == [5.0, 0.0]
+        assert result.step_lengths == (1.0,) and result.step_kinds == ("newton",)
 
     def test_best_trajectory_matches_min_residual(self):
-        problem = build_lqr()
+        # the grid-only lqr at gamma 1 moves away from the root on its
+        # frozen tangent (the priced one converges in 3 iterations)
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
         part = TimePartition.uniform(1.0, 50)
-        config = ShootingConfig(p0_initial=np.zeros(1), max_iterations=12, epsilon=1e-12)
+        config = ShootingConfig(
+            p0_initial=np.zeros(1), gamma=1.0, max_iterations=8, epsilon=1e-12
+        )
         result = solve(problem, part, config, GridParams(101, 4096))
         assert not result.converged
         assert result.residual == float(np.min(result.residual_history))
-        assert result.iterations == 12
-        assert len(result.residual_history) == 12
+        assert result.residual < result.residual_history[-1]
+        assert result.iterations == 8
+        assert len(result.residual_history) == 8
+        assert "budget" in result.message
 
     def test_lqr_converges_deterministically(self):
         problem = build_lqr()
@@ -342,16 +376,66 @@ class TestSolve:
         assert "budget" in result.message
 
     def test_repeated_guess_stops_the_cycle(self):
-        # at 20 intervals the grid-only lqr iterates hop across the root by
-        # one level switch and repeat with period 3 (the priced lqr converges)
+        # at 20 intervals and gamma 1 every full step is accepted, and the
+        # grid-only lqr iterates settle on two guesses that alternate (the
+        # priced lqr converges)
         problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
-        config = ShootingConfig(p0_initial=np.zeros(1), max_iterations=500)
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=1.0, max_iterations=500)
         result = solve(problem, TimePartition.uniform(1.0, 20), config, GridParams(101, 4096))
         assert not result.converged
-        assert result.iterations < 60
-        assert "repeats iteration" in result.message
-        assert "cycle with length 3" in result.message
+        assert result.iterations == 12
+        assert "the guess for iteration 13 repeats iteration 11" in result.message
+        assert "cycle with length 2" in result.message
         assert result.residual == np.min(result.residual_history)
+
+    def test_rejected_trial_is_recorded(self, tmp_path):
+        # the grid-only lqr's frozen tangent overshoots: the full step from
+        # p0 = 0 raises the residual from 26.4 to 29.7, above 0.75 of it, so
+        # the trial is rejected and the half step, at the floor, accepted
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
+        result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
+        first, full, half = result.residual_history[:3].tolist()
+        assert first == pytest.approx(26.43, abs=0.01)
+        assert full == pytest.approx(29.68, abs=0.01) and full > 0.75 * first
+        assert half == pytest.approx(1.849, abs=0.001)
+        assert result.step_kinds[:2] == ("rejected", "newton")
+        assert result.step_lengths[:2] == (1.0, 0.5)
+        # one entry per correction, the floor never undercut
+        assert len(result.step_lengths) == len(result.step_kinds) == result.iterations - 1
+        assert set(result.step_lengths) == {1.0, 0.5}
+        # a rejected trial's guess is not a cycle: both of its propagations
+        # count, and the run converges
+        assert result.converged
+        export_convergence(result, tmp_path / "convergence.json")
+        written = json.loads((tmp_path / "convergence.json").read_text())
+        assert written["step_kinds"] == list(result.step_kinds)
+        assert written["step_lengths"] == list(result.step_lengths)
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_step_length_floor(self, gamma):
+        # halving stops at the floor: 1, 0.5 at gamma 0.3; the full step
+        # alone at gamma 1, where every trial is accepted
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=gamma, max_iterations=6)
+        result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
+        if gamma == 1.0:
+            assert set(result.step_lengths) == {1.0} and "rejected" not in result.step_kinds
+        else:
+            assert result.step_lengths[:2] == (1.0, 0.5)
+            assert min(result.step_lengths) >= gamma
+
+    @pytest.mark.parametrize("intervals", [20, 50, 100])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_priced_lqr_takes_three_newton_steps(self, intervals, gamma):
+        # the tangent sees the priced control, so the map is affine and the
+        # second full step lands on its root
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=gamma)
+        result = solve(build_lqr(), TimePartition.uniform(1.0, intervals), config, GridParams())
+        assert result.converged and result.iterations == 3
+        assert result.step_kinds == ("newton", "newton")
+        assert result.step_lengths == (1.0, 1.0)
+        assert result.residual_history[-1] < 1e-9
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -505,12 +589,57 @@ class TestTangentSensitivities:
         return tangent_sensitivities(problem, part, nominal)
 
     def test_lqr_closed_form(self):
-        # f = x + u: every interval multiplies the costate tangent by 1 - dt
+        # from the optimal p0 every interval is priced and unclipped, u = -p/2:
+        # dx' = dx + dt (dx + du) with du = -dp/2, dp' = dp - dt (dp + 2 dx),
+        # so each interval applies [[1 + dt, -dt/2], [-2 dt, 1 - dt]] to
+        # (dx, dp), from (0, 1)
         p0 = np.array([lqr_analytic_solution(0.0)[1]])
-        sens = self.tangent(build_lqr(), 100, p0, GridParams(101, 4096))
-        assert np.array_equal(sens.P_x, np.zeros((1, 1)))
-        expected = (1.0 - 1.0 / 100) ** 100
-        assert abs(sens.P_p[0, 0] - expected) <= AFFINE_RTOL * expected
+        part = TimePartition.uniform(1.0, 100)
+        nominal = propagate_forward(build_lqr(), part, p0, GridParams(101, 4096))
+        assert sorted(nominal.priced_ranges) == list(range(100))
+        sens = tangent_sensitivities(build_lqr(), part, nominal)
+        dt = 0.01
+        step = np.array([[1.0 + dt, -dt / 2], [-2.0 * dt, 1.0 - dt]])
+        expected = np.linalg.matrix_power(step, 100) @ np.array([0.0, 1.0])
+        assert sens.P_x[0, 0] == pytest.approx(expected[0], rel=1e-9)
+        assert sens.P_p[0, 0] == pytest.approx(expected[1], rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["grocer", "grid-only lqr"])
+    def test_hookless_tangent_is_the_frozen_product(self, case):
+        # without a priced interval the tangent is the product of
+        # I - dt J^T over the intervals, bit for bit, and P_x exactly 0
+        if case == "grocer":
+            problem, part, grid = grocer_10()
+        else:
+            problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+            part, grid = TimePartition.uniform(1.0, 100), GridParams(101, 4096)
+        nominal = propagate_forward(problem, part, np.ones(problem.state_dim), grid)
+        assert len(nominal.priced_ranges) == 0
+        sens = tangent_sensitivities(problem, part, nominal)
+        dp = np.eye(problem.state_dim)
+        for t, dt, x in zip(part.times.tolist(), part.deltas.tolist(), nominal.x):
+            dp = dp - dt * (problem.drift_jacobian(t, x).T @ dp)
+        assert np.array_equal(sens.P_x, np.zeros_like(dp))
+        assert np.array_equal(sens.P_p, dp)
+
+    @pytest.mark.parametrize("kink, expected", [(30.0, 0.0), (40.0, -0.5)])
+    def test_kink_keeps_the_frozen_control(self, kink, expected):
+        # lqr's minimizer -p/2 with its slope in p bent from -1/2 to -3/2 at
+        # p = kink: one interval from p0 = 30 prices u = -15 either way, and
+        # the one-sided differences of the hook disagree only when the bend
+        # sits at p0, where the control keeps du = 0 and P_x = dt du
+        lqr = build_lqr()
+
+        def bent(t, x, p, lo, hi):
+            u = -0.5 * float(p[0]) - max(float(p[0]) - kink, 0.0)
+            return [[min(max(u, float(lo[0])), float(hi[0]))]]
+
+        problem = dataclasses.replace(lqr, hamiltonian_argmin=bent)
+        part = TimePartition.uniform(1.0, 1)
+        nominal = propagate_forward(problem, part, np.array([30.0]), GridParams(101, 4096))
+        assert list(nominal.priced_ranges) == [0] and nominal.u[0, 0] == -15.0
+        sens = tangent_sensitivities(problem, part, nominal)
+        assert sens.P_x[0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_grocer_closed_form(self):
         # the grocer's drift is -x plus terms free of x
@@ -544,11 +673,13 @@ class TestTangentSensitivities:
 
     @pytest.mark.parametrize("case", ["grocer", "lqr"])
     def test_drift_jacobian_matches_central_differences(self, case):
+        # the reference holds every measure fixed: lqr runs on its grid alone
         if case == "grocer":
             problem, part, grid = grocer_10()
             p0 = np.zeros(20)
         else:
-            problem, part, grid = build_lqr(), TimePartition.uniform(1.0, 100), GridParams(101, 4096)
+            problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+            part, grid = TimePartition.uniform(1.0, 100), GridParams(101, 4096)
             p0 = np.array([lqr_analytic_solution(0.0)[1]])
         nominal = propagate_forward(problem, part, p0, grid)
         analytic = tangent_sensitivities(problem, part, nominal)
@@ -565,8 +696,9 @@ class TestTangentSensitivities:
             tangent_sensitivities(problem, TimePartition.uniform(1.0, 4), nominal)
 
     def test_partition_times_must_match_nominal(self):
-        # as many intervals, other times: dt would come from the wrong partition
-        problem = build_lqr()
+        # as many intervals, other times: dt would come from the wrong
+        # partition; on its grid alone lqr's tangent is (1 - dt)^4
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
         p0 = np.array([lqr_analytic_solution(0.0)[1]])
         part = TimePartition.uniform(problem.horizon, 4)
         nominal = propagate_forward(problem, part, p0, GridParams(101, 4096))
