@@ -47,7 +47,6 @@ log = logging.getLogger("chatterctl")
 SUPPLY_CHAIN_HORIZON = 1.0
 
 PROBLEM_CHOICES = ("lqr", "supply-chain")
-VALIDATE_CHOICES = ("lqr", "lp", "gradients", "tables", "sensitivities")
 
 #: SolveConfig fields that a config file must give as JSON integers or
 #: numbers; bool is an int subclass in Python and is refused for both
@@ -108,8 +107,9 @@ class SolveConfig:
             raise ConfigError("max-iters must be >= 1")
         if self.demand not in problems.DEMAND_PROFILES:
             raise ConfigError(f"demand must be one of {problems.DEMAND_PROFILES}")
-        if self.fixed_cost_mode not in ("on-order", "always"):
-            raise ConfigError("fixed-cost-mode must be 'on-order' or 'always'")
+        if self.fixed_cost_mode not in problems.FIXED_COST_MODES:
+            modes = " or ".join(map(repr, problems.FIXED_COST_MODES))
+            raise ConfigError(f"fixed-cost-mode must be {modes}")
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "SolveConfig":
@@ -394,10 +394,8 @@ def check_tables() -> Tuple[bool, List[str]]:
     against the shipped CSV fixtures."""
     lines = []
     ok = True
-    for table, render in problems.RENDERERS.items():
-        expected = problems.fixture_text(table)
-        actual = render()
-        match = expected == actual
+    for table in problems.FIXTURE_FILES:
+        match = problems.fixture_text(table) == problems.render_csv(table)
         ok = ok and match
         lines.append(f"{table}: {'match' if match else 'MISMATCH'}")
     return ok, lines
@@ -471,7 +469,7 @@ def run_export_fixtures(out_dir: str) -> int:
         target = Path(out_dir)
         target.mkdir(parents=True, exist_ok=True)
         for table, fname in problems.FIXTURE_FILES.items():
-            (target / fname).write_text(problems.RENDERERS[table](), encoding="utf-8")
+            (target / fname).write_text(problems.render_csv(table), encoding="utf-8")
             print(f"wrote {target / fname}")
         return 0
     except OSError as err:
@@ -515,13 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--amplitude", type=float)
     sp.add_argument("--period", type=float)
     sp.add_argument(
-        "--fixed-cost-mode", choices=("on-order", "always"), dest="fixed_cost_mode"
+        "--fixed-cost-mode", choices=problems.FIXED_COST_MODES, dest="fixed_cost_mode"
     )
     sp.add_argument("--out-dir", type=str, dest="out_dir")
     sp.add_argument("--config", type=str, help="JSON config file; flags override it")
 
     vp = sub.add_parser("validate", help="run oracle comparisons")
-    vp.add_argument("target", choices=VALIDATE_CHOICES)
+    vp.add_argument("target", choices=tuple(CHECKS))
 
     ep = sub.add_parser("export-fixtures", help="write the parameter tables as CSV")
     ep.add_argument("--out-dir", type=str, dest="out_dir", default=".")

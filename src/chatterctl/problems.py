@@ -16,7 +16,7 @@ shipped as CSV fixtures (``data/``) so tests can diff the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from importlib import resources
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -201,6 +201,8 @@ SUPPLIERS: Tuple[SupplierRecord, ...] = (
 )
 
 N_ITEMS = len(ITEMS)
+#: when the fixed ordering costs are charged (see ``build_supply_chain``)
+FIXED_COST_MODES = ("on-order", "always")
 #: bound on per-(customer, item) delivery rates
 DELIVERY_RATE_MAX = 20.0
 #: every customer pays this multiple of the item's unit-cost envelope
@@ -298,8 +300,9 @@ def build_supply_chain(
     ``customers``.  Another model's ``theta`` must rate every (customer,
     item) at t = 0 without ``LookupError`` or ``ValueError``.
     """
-    if fixed_cost_mode not in ("on-order", "always"):
-        raise ConfigError("fixed_cost_mode must be 'on-order' or 'always'")
+    if fixed_cost_mode not in FIXED_COST_MODES:
+        modes = " or ".join(map(repr, FIXED_COST_MODES))
+        raise ConfigError(f"fixed_cost_mode must be {modes}")
     if not horizon > 0:
         raise ConfigError("horizon must be positive")
     _check_count("intervals", intervals, 1, ConfigError)
@@ -434,39 +437,18 @@ FIXTURE_FILES = {
 }
 
 
-def _fmt(value: float) -> str:
-    return format(value, "g")
+#: each fixture table's records, in file order
+FIXTURE_RECORDS = {"items": ITEMS, "customers": CUSTOMERS, "suppliers": SUPPLIERS}
 
 
-def render_items_csv() -> str:
-    lines = ["item_id,name,inv_carry_cost,penalty"]
-    for it in ITEMS:
-        lines.append(f"{it.item_id},{it.name},{_fmt(it.inv_carry_cost)},{_fmt(it.penalty)}")
+def render_csv(table: str) -> str:
+    """The canonical CSV of fixture ``table``: a header of its records'
+    field names, then one row per record, floats through ``format(v, "g")``."""
+    records = FIXTURE_RECORDS[table]
+    lines = [",".join(field.name for field in fields(records[0]))]
+    for rec in records:
+        lines.append(",".join(format(v, "g") if isinstance(v, float) else str(v) for v in astuple(rec)))
     return "\n".join(lines) + "\n"
-
-
-def render_customers_csv() -> str:
-    lines = ["customer_id,importance"]
-    for c in CUSTOMERS:
-        lines.append(f"{c.customer_id},{_fmt(c.importance)}")
-    return "\n".join(lines) + "\n"
-
-
-def render_suppliers_csv() -> str:
-    lines = ["item_id,supplier,unit_cost,fixed_cost,min_qty,max_qty"]
-    for rec in SUPPLIERS:
-        lines.append(
-            f"{rec.item_id},{rec.supplier},{_fmt(rec.unit_cost)},{_fmt(rec.fixed_cost)},"
-            f"{_fmt(rec.min_qty)},{_fmt(rec.max_qty)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-RENDERERS = {
-    "items": render_items_csv,
-    "customers": render_customers_csv,
-    "suppliers": render_suppliers_csv,
-}
 
 
 def fixture_text(table: str) -> str:

@@ -369,11 +369,15 @@ def propagate_forward(
         if measurement_source is not None:
             measured = measurement_source(i, t, x)
             if measured is not None:
-                measured = np.asarray(measured, dtype=float)
-                if measured.shape != (n,) or not np.all(np.isfinite(measured)):
-                    msg = f"measured state must be {n} finite values, got {measured.tolist()}"
+                try:
+                    state = np.asarray(measured, dtype=float)
+                except (TypeError, ValueError):  # not an array of numbers
+                    state = None
+                if state is None or state.shape != (n,) or not np.all(np.isfinite(state)):
+                    shown = measured if state is None else state.tolist()
+                    msg = f"measured state must be {n} finite values, got {shown}"
                     raise _annotate(ValueError(msg), i, t)
-                x, _ = _clamp(problem, measured)
+                x, _ = _clamp(problem, state)
         try:
             drift = eval_drift(problem, t, x)
             grid, _ = chattering.generate_levels_with_dynamics(cache, t, x, dt, drift)

@@ -180,58 +180,48 @@ def finite_diff_sensitivities(
     return SensitivityEstimate(P_x, P_p)
 
 
-def _column_steps(x: Array, p: Array, dx: Array, dp: Array) -> List[float]:
-    """The central-difference step ``h`` along each tangent column ``(dx_j,
-    dp_j)``, which moves (x, p) by ``TANGENT_STEP * max(1, |x|, |p|)`` in
-    the max norm; 0 for a zero column."""
+def _interval_tangent(
+    problem: ControlProblem, t: float, x: Array, p: Array, levels: Array, weights: Array,
+    ranges: Optional[Tuple[Array, Array]], dx: Array, dp: Array,
+) -> Tuple[Array, Array]:
+    """``(du (m, n), curvature (n, n))`` at one interval, in one pass over the
+    tangent columns ``(dx_j, dp_j)``.  Each column takes central differences
+    with the step ``h`` that moves (x, p) by ``TANGENT_STEP * max(1, |x|,
+    |p|)`` in the max norm; a zero column takes none.
+
+    - ``du_j``: of ``hamiltonian_argmin`` over ``ranges``, 2 hook calls.  It
+      stays 0 without ``ranges``, where the hook returns more than one row,
+      or where its one-sided differences from the nominal control differ by
+      more than ``KINK_RTOL`` of the larger (a kink).
+    - The curvature ``sum_k a_k (H_xx dx_j + H_xu du_j)`` over the support:
+      of ``grad_h_state`` along ``(dx_j, du_j)`` at fixed p, 2 calls per
+      support row.
+    """
     size = np.maximum(np.abs(dx).max(axis=0), np.abs(dp).max(axis=0)).tolist()
     scale = TANGENT_STEP * max(1.0, np.abs(x).max(), np.abs(p).max())
-    return [scale / s if s > 0.0 else 0.0 for s in size]
-
-
-def _priced_control_tangent(
-    problem: ControlProblem, t: float, x: Array, p: Array, u: Array,
-    ranges: Tuple[Array, Array], dx: Array, dp: Array, steps: List[float],
-) -> Array:
-    """``du (m, n)``: the central difference of ``hamiltonian_argmin`` over
-    ``ranges`` along each tangent column, 2 hook calls per column.  A
-    column keeps ``du = 0`` where the hook returns more than one row or
-    its one-sided differences from the nominal control ``u`` differ by more
-    than ``KINK_RTOL`` of the larger (a kink)."""
-    lo, hi = ranges
-    du = np.zeros((problem.control_dim, dx.shape[1]))
-    for j, h in enumerate(steps):
-        if h == 0.0:
+    du, curvature = np.zeros((problem.control_dim, dx.shape[1])), np.zeros_like(dx)
+    for j, s in enumerate(size):
+        if not s > 0.0:
             continue
-        vx, vp = h * dx[:, j], h * dp[:, j]
-        ahead = eval_hamiltonian_argmin(problem, t, x + vx, p + vp, lo, hi)
-        behind = eval_hamiltonian_argmin(problem, t, x - vx, p - vp, lo, hi)
-        if ahead.shape[0] != 1 or behind.shape[0] != 1:
-            continue
-        rise, fall = ahead[0] - u, u - behind[0]
-        if np.abs(rise - fall).max() <= KINK_RTOL * max(np.abs(rise).max(), np.abs(fall).max()):
-            du[:, j] = (ahead[0] - behind[0]) / (2.0 * h)
-    return du
-
-
-def _curvature(
-    problem: ControlProblem, t: float, x: Array, p: Array, levels: Array, weights: Array,
-    dx: Array, du: Array, steps: List[float],
-) -> Array:
-    """``sum_k a_k (H_xx dx + H_xu du)`` over the support, one column per
-    tangent column: a central difference of ``grad_h_state`` along ``(dx,
-    du)`` at fixed p, 2 calls per column and support row."""
-    out = np.zeros_like(dx)
-    for j, h in enumerate(steps):
-        vx, vu = h * dx[:, j], h * du[:, j]
+        h = scale / s
+        vx = h * dx[:, j]
+        if ranges is not None:
+            u, vp = levels[0], h * dp[:, j]
+            ahead = eval_hamiltonian_argmin(problem, t, x + vx, p + vp, *ranges)
+            behind = eval_hamiltonian_argmin(problem, t, x - vx, p - vp, *ranges)
+            if ahead.shape[0] == 1 and behind.shape[0] == 1:
+                rise, fall = ahead[0] - u, u - behind[0]
+                if np.abs(rise - fall).max() <= KINK_RTOL * max(np.abs(rise).max(), np.abs(fall).max()):
+                    du[:, j] = (ahead[0] - behind[0]) / (2.0 * h)
+        vu = h * du[:, j]
         if not (vx.any() or vu.any()):
             continue
         for level, weight in zip(levels, weights.tolist()):
             ahead = grad_h_state(problem, t, x + vx, p, level + vu)
             behind = grad_h_state(problem, t, x - vx, p, level - vu)
-            out[:, j] += weight * (ahead - behind)
-        out[:, j] /= 2.0 * h
-    return out
+            curvature[:, j] += weight * (ahead - behind)
+        curvature[:, j] /= 2.0 * h
+    return du, curvature
 
 
 def tangent_sensitivities(
@@ -252,12 +242,11 @@ def tangent_sensitivities(
     At an interval that the priced rows won alone (a support of one row,
     listed in ``nominal.priced_ranges``), the control moves:
     ``du = d argmin / d(x, p)`` along each column, a central difference of
-    ``hamiltonian_argmin`` over the ranges it was priced on
-    (``_priced_control_tangent``; 0 at a kink).  There and at every later
-    interval the state takes ``dx + dt (J dx + B^T du)`` and the costate
-    ``dp - dt (J^T dp + H_xx dx + H_xu du)``, the second-order terms a
-    central difference of ``grad_h_state`` over the support rows
-    (``_curvature``).
+    ``hamiltonian_argmin`` over the ranges it was priced on (0 at a kink).
+    There and at every later interval the state takes ``dx + dt (J dx +
+    B^T du)`` and the costate ``dp - dt (J^T dp + H_xx dx + H_xu du)``, the
+    second-order terms a central difference of ``grad_h_state`` over the
+    support rows; ``_interval_tangent`` takes both in one pass.
 
     The tangent does not see level switches: a change of p0 that moves a
     grid interval's argmin changes the terminal pair in a way it misses.
@@ -274,44 +263,33 @@ def tangent_sensitivities(
         x, p = nominal.x[i], nominal.p[i]
         J = eval_drift_jacobian(problem, t, x)
         a, b = off[i], off[i + 1]
-        won = b - a == 1 and i in priced
-        if won or moved:
-            steps = _column_steps(x, p, dx, dp)
-            du = np.zeros((problem.control_dim, n))
-            if won:
-                du = _priced_control_tangent(
-                    problem, t, x, p, nominal.support_levels[a], priced[i], dx, dp, steps
-                )
+        # the ranges of an interval that the priced rows won alone
+        ranges = priced.get(i) if b - a == 1 else None
+        if ranges is not None or moved:
+            du, curvature = _interval_tangent(
+                problem, t, x, p, nominal.support_levels[a:b], nominal.support_weights[a:b],
+                ranges, dx, dp,
+            )
             moved = moved or bool(du.any())
         if not moved:
             dp = dp - dt * (J.T @ dp)
             continue
-        levels, weights = nominal.support_levels[a:b], nominal.support_weights[a:b]
-        curvature = _curvature(problem, t, x, p, levels, weights, dx, du, steps)
         dx, dp = dx + dt * (J @ dx + B.T @ du), dp - dt * (J.T @ dp + curvature)
     return SensitivityEstimate(dx, dp)
 
 
 def update_initial_costate(
-    p0: Array,
-    sens: SensitivityEstimate,
-    p_T: Array,
-    x_T: Array,
-    problem: ControlProblem,
-    step_length: float,
+    sens: SensitivityEstimate, mismatch: Array, x_T: Array, problem: ControlProblem
 ) -> Tuple[Array, float]:
-    """One correction of the initial costate guess:
+    """The Newton step of the initial costate guess,
 
-        p0 <- p0 + step_length * (Hess(psi)(x_T) P_x - P_p)^-1 (p_T - dpsi/dx(x_T))
+        (Hess(psi)(x_T) P_x - P_p)^-1 mismatch,  mismatch = p_T - dpsi/dx(x_T),
 
-    solved densely and unregularized.  Returns the new guess and the
-    condition number of the correction matrix.  Raises
-    ``SingularCorrection`` when the condition number is not finite or
-    exceeds ``CONDITION_LIMIT``.  A ``P_x`` that is exactly 0 (no priced
-    interval moved the state) needs no terminal Hessian.
+    solved densely and unregularized, and the condition number of its
+    matrix.  Raises ``SingularCorrection`` when the condition number is not
+    finite or exceeds ``CONDITION_LIMIT``.  A ``P_x`` that is exactly 0 (no
+    priced interval moved the state) needs no terminal Hessian.
     """
-    p0 = np.asarray(p0, dtype=float)
-    residual = p_T - terminal_costate(problem, x_T)
     if sens.P_x.any():
         M = terminal_hessian(problem, x_T) @ sens.P_x - sens.P_p
     else:
@@ -324,8 +302,7 @@ def update_initial_costate(
         raise SingularCorrection(
             f"correction matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    step = np.linalg.solve(M, residual)
-    return p0 + step_length * step, cond
+    return np.linalg.solve(M, mismatch), cond
 
 
 def solve(
@@ -340,12 +317,14 @@ def solve(
     iteration budget runs out.  Returns the best-residual iterate either way.
     Every propagation counts as one iteration.
 
-    Each correction steps from the accepted iterate by ``lambda`` times its
-    Newton step, ``lambda = 1`` first.  The trial is accepted when its
-    residual is below ``1 - lambda/4`` of the accepted one, or when
-    ``lambda`` is at its floor ``config.gamma``; otherwise it is recorded
-    as "rejected", ``lambda`` halves (to no less than the floor) and the
-    next trial steps from the same accepted iterate.
+    Each accepted iterate gets its tangent and its Newton step once (the
+    gradient step ``-mismatch`` after a ``SingularCorrection``); every trial
+    steps from it by ``lambda`` times that step, ``lambda = 1`` first.  The
+    trial is accepted when its residual is below ``1 - lambda/4`` of the
+    accepted one, or when ``lambda`` is at its floor ``config.gamma``;
+    otherwise it is recorded as "rejected", ``lambda`` halves (to no less
+    than the floor) and the next trial steps from the same accepted iterate,
+    at the cost of one propagation.
 
     The loop is deterministic, and an accepted iterate fixes everything
     after it: a guess equal, bit for bit, to an earlier accepted iterate's,
@@ -374,9 +353,9 @@ def solve(
     best_p0 = np.array(p0)
     converged = False
     message = ""
-    # the accepted iterate that the trials step from (its guess, run,
-    # mismatch, residual and tangent) and the next trial's step length
-    base_p0 = base_run = base_mismatch = base_sens = None
+    # the accepted iterate that the trials step from (its guess, residual
+    # and correction; the first run is always accepted) and the next trial's
+    # step length
     base_residual, step_length = np.inf, 1.0
     # the iteration and residual of each accepted guess, by the guess's bytes
     seen: Dict[bytes, Tuple[int, float]] = {}
@@ -413,28 +392,26 @@ def solve(
         if residual < config.epsilon:
             converged = True
             break
-        if accepts(residual):
+        accepted = accepts(residual)
+        if accepted:
             seen[p0.tobytes()] = (iteration, residual)
-            base_p0, base_run, base_mismatch, base_residual = p0, trajectory, mismatch, residual
-            base_sens, step_length = None, 1.0
+            base_p0, base_residual, step_length = p0, residual, 1.0
         else:
             step_kinds[-1] = "rejected"
             step_length = max(0.5 * step_length, config.gamma)
         if len(history) >= config.max_iterations:
             break
-        if base_sens is None:
-            base_sens = tangent_sensitivities(problem, partition, base_run)
-        try:
-            p0, cond = update_initial_costate(
-                base_p0, base_sens, base_run.p[-1], base_run.x[-1], problem, step_length
-            )
-            step_kinds.append("newton")
-            condition_numbers.append(cond)
-        except SingularCorrection:
-            # plain residual gradient step keeps the loop alive
-            p0 = base_p0 - step_length * base_mismatch
-            step_kinds.append("gradient")
-            condition_numbers.append(float("nan"))
+        if accepted:
+            sens = tangent_sensitivities(problem, partition, trajectory)
+            try:
+                direction, cond = update_initial_costate(sens, mismatch, x_T, problem)
+                kind = "newton"
+            except SingularCorrection:
+                # plain residual gradient step keeps the loop alive
+                direction, kind, cond = -mismatch, "gradient", float("nan")
+        p0 = base_p0 + step_length * direction
+        step_kinds.append(kind)
+        condition_numbers.append(cond)
         step_lengths.append(step_length)
     if not converged and not message:
         message = "iteration budget exhausted before the residual dropped below epsilon"

@@ -751,6 +751,27 @@ class TestFeedbackHook:
         assert excinfo.value.interval_index == 3
         assert "interval 3" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "state",
+        [["a"], [[1.0, 2.0], [3.0]], {"x": 1}],
+        ids=["non-numeric", "ragged", "mapping"],
+    )
+    def test_unconvertible_measurement_names_the_interval(self, state):
+        # a measurement that is not an array of numbers fails its conversion:
+        # that failure is tagged like a wrong shape
+        problem = build_lqr()
+
+        def source(i, t, x_pred):
+            return state if i == 2 else None
+
+        with pytest.raises(ValueError, match="measured state must be 1 finite values") as excinfo:
+            propagate_forward(
+                problem, TimePartition.uniform(1.0, 5), np.zeros(1), GridParams(3, 16),
+                measurement_source=source,
+            )
+        assert excinfo.value.interval_index == 2
+        assert "[interval 2, t=" in str(excinfo.value)
+
     def test_source_consulted_every_interval(self):
         problem = trivial_problem()
         part = TimePartition.uniform(2.0, 5)

@@ -168,31 +168,29 @@ class TestUpdateInitialCostate:
     def test_scalar_substitution(self):
         problem = inert_problem(n=1)
         sens = SensitivityEstimate(np.zeros((1, 1)), np.array([[2.0]]))
-        new_p0, _ = update_initial_costate(
-            np.array([4.0]), sens, np.array([1.0]), np.zeros(1), problem, 1.0
-        )
-        assert new_p0[0] == pytest.approx(3.5, abs=1e-15)
+        step, _ = update_initial_costate(sens, np.array([1.0]), np.zeros(1), problem)
+        assert 4.0 + step[0] == pytest.approx(3.5, abs=1e-15)
 
     def test_zero_residual_is_fixed_point(self):
         problem = inert_problem(n=1)
         sens = SensitivityEstimate(np.zeros((1, 1)), np.array([[1.0]]))
-        new_p0, _ = update_initial_costate(
-            np.array([2.0]), sens, np.zeros(1), np.zeros(1), problem, 0.7
-        )
-        assert new_p0[0] == 2.0
+        step, _ = update_initial_costate(sens, np.zeros(1), np.zeros(1), problem)
+        assert 2.0 + 0.7 * step[0] == 2.0
 
     def test_inert_family_decays_geometrically(self):
         problem = inert_problem(n=1)
         sens = SensitivityEstimate(np.zeros((1, 1)), np.eye(1))
         p0 = np.array([8.0])
         for _ in range(4):
-            p0, _ = update_initial_costate(p0, sens, p0, np.zeros(1), problem, 0.5)
+            step, _ = update_initial_costate(sens, p0, np.zeros(1), problem)
+            p0 = p0 + 0.5 * step
         assert p0[0] == 0.5**4 * 8.0
 
     def test_zero_state_tangent_needs_no_terminal_hessian(self):
-        # psi without gradient or Hessian hooks: the gradient is a central
-        # difference (2 psi calls per state), the Hessian one of the gradient
-        # (2 gradients per state); a P_x of exact zeros needs no Hessian
+        # psi without gradient or Hessian hooks: the Hessian is a central
+        # difference of the gradient (2 gradients per state), itself one of
+        # psi (2 calls per state); the mismatch comes in, so a P_x of exact
+        # zeros calls psi not at all
         calls = []
 
         def psi(x):
@@ -200,27 +198,25 @@ class TestUpdateInitialCostate:
             return 0.5 * float(x @ x)
 
         problem = dataclasses.replace(inert_problem(n=2), terminal_cost=psi)
-        args = (np.zeros(2), np.array([1.0, 2.0]), np.array([3.0, -4.0]), problem, 1.0)
+        p_T, x_T = np.array([1.0, 2.0]), np.array([3.0, -4.0])
+        mismatch = p_T - terminal_costate(problem, x_T)
+        calls.clear()
         frozen = SensitivityEstimate(np.zeros((2, 2)), np.eye(2))
-        new_p0, _ = update_initial_costate(args[0], frozen, *args[1:])
-        assert len(calls) == 4
+        step, _ = update_initial_costate(frozen, mismatch, x_T, problem)
+        assert len(calls) == 0
         # 0 - P_p is -P_p: the correction of the Hessian path, bit for bit
-        x_T, p_T = args[2], args[1]
         M = terminal_hessian(problem, x_T) @ frozen.P_x - frozen.P_p
-        expected = args[0] + np.linalg.solve(M, p_T - terminal_costate(problem, x_T))
-        assert np.array_equal(new_p0, expected)
+        assert np.array_equal(step, np.linalg.solve(M, mismatch))
         calls.clear()
         moved = SensitivityEstimate(np.full((2, 2), 0.5), np.eye(2))
-        update_initial_costate(args[0], moved, *args[1:])
-        assert len(calls) == 20
+        update_initial_costate(moved, mismatch, x_T, problem)
+        assert len(calls) == 16
 
     def test_singular_matrix_raises(self):
         problem = inert_problem(n=2)
         sens = SensitivityEstimate(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(SingularCorrection):
-            update_initial_costate(
-                np.zeros(2), sens, np.ones(2), np.zeros(2), problem, 0.5
-            )
+            update_initial_costate(sens, np.ones(2), np.zeros(2), problem)
 
 
 class TestSolve:
@@ -307,9 +303,8 @@ class TestSolve:
         # condition instead by a crafted sensitivity
         sens = SensitivityEstimate(P_x=np.array([[1.0]]), P_p=np.array([[1.0]]))
         with pytest.raises(SingularCorrection):
-            update_initial_costate(
-                np.array([1.0]), sens, np.array([2.0]), np.array([1.0]), problem, 0.5
-            )
+            # p_T = 2 and x_T = 1: the mismatch p_T - x_T is 1
+            update_initial_costate(sens, np.array([1.0]), np.array([1.0]), problem)
         # the outer loop absorbs the singularity via the gradient fallback
         part = TimePartition.uniform(1.0, 2)
         config = ShootingConfig(p0_initial=np.array([5.0]), gamma=0.5)
@@ -411,6 +406,49 @@ class TestSolve:
         written = json.loads((tmp_path / "convergence.json").read_text())
         assert written["step_kinds"] == list(result.step_kinds)
         assert written["step_lengths"] == list(result.step_lengths)
+
+    def test_rejected_trial_recomputes_neither_tangent_nor_step(self, monkeypatch):
+        # the grid-only lqr rejects 7 full steps: each of its 7 accepted
+        # iterates takes one tangent and one Newton step, and the rejected
+        # trial from it only halves the step length
+        calls = {"tangent_sensitivities": 0, "update_initial_costate": 0}
+
+        def counted(name):
+            wrapped = getattr(shooting, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(shooting, name, count)
+
+        counted("tangent_sensitivities")
+        counted("update_initial_costate")
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
+        result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
+        assert result.converged and result.iterations == 15
+        assert result.step_kinds.count("rejected") == 7
+        assert calls == {"tangent_sensitivities": 7, "update_initial_costate": 7}
+
+    def test_correction_reuses_the_mismatch(self):
+        # psi without gradient or Hessian hooks on the priced lqr, whose P_x
+        # is not 0: each of 4 propagations calls psi once for its cost and
+        # twice for the mismatch's gradient, each of 3 corrections 4 times
+        # for the Hessian and never for the mismatch
+        calls = []
+
+        def psi(x):
+            calls.append(1)
+            return 5.0 * float(x @ x)
+
+        problem = dataclasses.replace(build_lqr(), terminal_cost=psi)
+        calls.clear()
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
+        result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
+        assert result.converged and result.iterations == 4
+        assert result.step_kinds == ("newton",) * 3
+        assert len(calls) == 4 * (1 + 2) + 3 * 4 == 24
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0])
     def test_step_length_floor(self, gamma):
