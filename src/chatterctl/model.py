@@ -73,7 +73,9 @@ class ControlProblem:
     The running cost comes in one form, required:
     ``running_cost_batch(t, x, U)`` over a ``(K, m)`` block of controls
     (shape ``(K,)``), since the solver evaluates blocks of up to
-    ``GridParams.cap`` levels.  Terminal evaluators take a 1-d float array.
+    ``GridParams.cap`` levels.  The terminal cost ``terminal_cost`` psi(x),
+    its ``terminal_gradient`` (n,) and its ``terminal_hessian`` (n, n) of a
+    1-d float array come together or not at all: shooting differences none.
 
     ``gated_dims`` marks control dimensions that are either exactly zero
     (off) or confined to an active range ``[low, high]``; level generation
@@ -170,6 +172,9 @@ class ControlProblem:
             raise ValueError("control_matrix must be finite")
         if self.running_cost_batch is None:
             raise ValueError("a problem needs running_cost_batch")
+        terminal = (self.terminal_cost, self.terminal_gradient, self.terminal_hessian)
+        if 0 < sum(hook is None for hook in terminal) < 3:
+            raise ValueError("give terminal_cost, terminal_gradient and terminal_hessian, or none")
 
     @property
     def has_state_bounds(self) -> bool:
@@ -249,18 +254,13 @@ def eval_hamiltonian(problem: ControlProblem, t: float, x: Array, p: Array, u: A
     return h
 
 
-def _fd_state_step(x: Array, j: int) -> float:
-    """Central-difference step for state coordinate j: 1e-6 * max(1, |x_j|)."""
-    return 1e-6 * max(1.0, abs(float(x[j])))
-
-
 def _central_difference(fn: Callable[[Array], object], x: Array) -> Array:
     """Entry j is (fn(x + h e_j) - fn(x - h e_j)) divided by the realised step
-    between the two points (2h up to rounding), with h =
-    ``_fd_state_step(x, j)``; a vector-valued ``fn`` gives one row per j."""
+    between the two points (2h up to rounding), with h = 1e-6 * max(1,
+    |x_j|); a vector-valued ``fn`` gives one row per j."""
     diffs = []
     for j in range(x.size):
-        h = _fd_state_step(x, j)
+        h = 1e-6 * max(1.0, abs(float(x[j])))
         xp = np.array(x)
         xm = np.array(x)
         xp[j] += h
@@ -288,35 +288,22 @@ def eval_terminal_cost(problem: ControlProblem, x_final: Array) -> float:
 
 
 def terminal_costate(problem: ControlProblem, x_final: Array) -> Array:
-    """Terminal costate p(T) = d(psi)/dx at x(T).
-
-    Uses the analytic gradient when supplied; with no terminal cost at all
-    the result is an exact zero array (no pointless differencing of a
-    constant); otherwise a central difference of psi.
-    """
+    """Terminal costate p(T) = d(psi)/dx at x(T): the ``terminal_gradient``
+    hook, or exact zeros when there is no terminal cost."""
     x_final = np.asarray(x_final, dtype=float)
     if not np.all(np.isfinite(x_final)):
         raise NonFiniteEvaluation("terminal state is non-finite")
     n = problem.state_dim
-    if problem.terminal_gradient is not None:
-        return _checked(problem.terminal_gradient(x_final), (n,), "terminal_gradient")
-    if problem.terminal_cost is None:
+    if problem.terminal_gradient is None:
         return np.zeros(n)
-    grad = _central_difference(lambda x: eval_terminal_cost(problem, x), x_final)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteEvaluation("finite-difference terminal gradient is non-finite")
-    return grad
+    return _checked(problem.terminal_gradient(x_final), (n,), "terminal_gradient")
 
 
 def terminal_hessian(problem: ControlProblem, x_final: Array) -> Array:
-    """d2(psi)/dx2 at x(T); exact zeros when there is no terminal cost."""
-    x_final = np.asarray(x_final, dtype=float)
+    """d2(psi)/dx2 at x(T): the ``terminal_hessian`` hook, or exact zeros
+    when there is no terminal cost."""
     n = problem.state_dim
-    if problem.terminal_hessian is not None:
-        return _checked(problem.terminal_hessian(x_final), (n, n), "terminal_hessian")
-    if problem.terminal_cost is None:
+    if problem.terminal_hessian is None:
         return np.zeros((n, n))
-    # central differences of the terminal gradient (column j is the
-    # difference along x_j), symmetrized
-    hess = _central_difference(lambda x: terminal_costate(problem, x), x_final).T
-    return 0.5 * (hess + hess.T)
+    x_final = np.asarray(x_final, dtype=float)
+    return _checked(problem.terminal_hessian(x_final), (n, n), "terminal_hessian")

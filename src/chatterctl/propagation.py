@@ -246,18 +246,20 @@ def step_costate(
     return p - dt * acc
 
 
-def _annotate(err: Exception, interval: int, t: float) -> Exception:
-    """``err`` with the interval appended to its message and as
-    ``interval_index``: a new error of its type caused by ``err``, or
-    ``err`` itself when its type takes other constructor arguments."""
-    message = f"{err} [interval {interval}, t={t}]"
+def _annotate(err: Exception, note: str, **indices: int) -> Exception:
+    """``err`` with `` [note]`` appended to its message and ``indices`` (such
+    as ``interval_index=i``) set on it, besides the ones it already carries:
+    a new error of its type caused by ``err``, or ``err`` itself when its
+    type takes other constructor arguments."""
+    message = f"{err} [{note}]"
     try:
         tagged = type(err)(message)
         tagged.__cause__ = err
     except TypeError:
         err.args = (message,)
         tagged = err
-    tagged.interval_index = interval
+    for name, value in {**vars(err), **indices}.items():
+        setattr(tagged, name, value)
     return tagged
 
 
@@ -376,7 +378,7 @@ def propagate_forward(
                 if state is None or state.shape != (n,) or not np.all(np.isfinite(state)):
                     shown = measured if state is None else state.tolist()
                     msg = f"measured state must be {n} finite values, got {shown}"
-                    raise _annotate(ValueError(msg), i, t)
+                    raise _annotate(ValueError(msg), f"interval {i}, t={t}", interval_index=i)
                 x, _ = _clamp(problem, state)
         try:
             drift = eval_drift(problem, t, x)
@@ -403,7 +405,7 @@ def propagate_forward(
             if not (np.isfinite(x_next).all() and np.isfinite(p_next).all()):
                 raise NonFiniteEvaluation(f"state or costate step is non-finite at t={t}")
         except (NonFiniteEvaluation, InfeasibleLevels, ValueError) as err:
-            raise _annotate(err, i, t)
+            raise _annotate(err, f"interval {i}, t={t}", interval_index=i)
         xs[i], ps[i], us[i], stage_costs[i] = x, p, weights @ levels, stage
         offsets[i + 1] = offsets[i] + support.size
         support_levels.append(levels)

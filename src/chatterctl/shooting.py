@@ -43,7 +43,7 @@ from .model import (
     terminal_costate,
     terminal_hessian,
 )
-from .propagation import TimePartition, Trajectory, propagate_forward
+from .propagation import TimePartition, Trajectory, _annotate, propagate_forward
 
 #: refuse the linear correction when its matrix is worse conditioned than
 #: this
@@ -156,7 +156,8 @@ def finite_diff_sensitivities(
 ) -> SensitivityEstimate:
     """One-sided difference Jacobians from n perturbed propagations, one per
     costate coordinate in order, plus the nominal run (reused when supplied).
-    The first failing perturbation raises, with its ``perturbation_index``."""
+    The first failing perturbation raises, with its ``perturbation_index``
+    besides the ``interval_index`` the propagation tagged."""
     if not delta_p > 0:
         raise ValueError("delta_p must be positive")
     p0 = np.asarray(p0, dtype=float)
@@ -172,9 +173,7 @@ def finite_diff_sensitivities(
         try:
             perturbed = propagate_forward(problem, partition, p0_j, grid_params)
         except (NonFiniteEvaluation, InfeasibleLevels) as err:
-            tagged = type(err)(f"{err} [perturbation {j}]")
-            tagged.perturbation_index = j
-            raise tagged from err
+            raise _annotate(err, f"perturbation {j}", perturbation_index=j)
         P_x[:, j] = (perturbed.x[-1] - x_T) / delta_p
         P_p[:, j] = (perturbed.p[-1] - p_T) / delta_p
     return SensitivityEstimate(P_x, P_p)
@@ -251,6 +250,8 @@ def tangent_sensitivities(
     The tangent does not see level switches: a change of p0 that moves a
     grid interval's argmin changes the terminal pair in a way it misses.
     ``ValueError`` unless ``nominal`` ran on ``partition``'s times, bit for bit.
+    A hook's ``ValueError`` or ``NonFiniteEvaluation`` is tagged with its
+    ``interval_index``, as in ``propagate_forward``.
     """
     if nominal.times.tobytes() != partition.times.tobytes():
         raise ValueError("nominal was run on another partition: its times differ")
@@ -261,16 +262,19 @@ def tangent_sensitivities(
     moved = False
     for i, (t, dt) in enumerate(zip(nominal.times.tolist(), partition.deltas.tolist())):
         x, p = nominal.x[i], nominal.p[i]
-        J = eval_drift_jacobian(problem, t, x)
         a, b = off[i], off[i + 1]
         # the ranges of an interval that the priced rows won alone
         ranges = priced.get(i) if b - a == 1 else None
-        if ranges is not None or moved:
-            du, curvature = _interval_tangent(
-                problem, t, x, p, nominal.support_levels[a:b], nominal.support_weights[a:b],
-                ranges, dx, dp,
-            )
-            moved = moved or bool(du.any())
+        try:
+            J = eval_drift_jacobian(problem, t, x)
+            if ranges is not None or moved:
+                du, curvature = _interval_tangent(
+                    problem, t, x, p, nominal.support_levels[a:b], nominal.support_weights[a:b],
+                    ranges, dx, dp,
+                )
+                moved = moved or bool(du.any())
+        except (NonFiniteEvaluation, ValueError) as err:
+            raise _annotate(err, f"interval {i}, t={t}", interval_index=i)
         if not moved:
             dp = dp - dt * (J.T @ dp)
             continue

@@ -26,15 +26,17 @@ from chatterctl.model import ControlProblem, eval_drift, eval_dynamics_batch
 from chatterctl.problems import CUSTOMERS, ITEMS, LQR_HORIZON, LQR_X0, N_ITEMS, SUPPLIERS
 
 
-def lqr_discrete_optimum(intervals: int) -> float:
+def lqr_discrete_optimum(intervals: int, terminal_weight: float = 0.0) -> float:
     """Least cost of the regulator as the solver discretizes it on a uniform
     partition: explicit Euler ``x' = (1 + dt) x + dt u`` and the
-    left-endpoint sum of ``dt (x^2 + u^2)``, by the scalar Riccati recursion
-    ``P_i = dt + a^2 P' - (a b P')^2 / (dt + b^2 P')`` from ``P_N = 0``
-    (a = 1 + dt, b = dt, P' = P_{i+1}); the cost is ``P_0 x0^2``.  The
-    optimal controls lie inside the control bounds, so they do not bind."""
+    left-endpoint sum of ``dt (x^2 + u^2)``, plus the terminal cost
+    ``terminal_weight x_N^2``, by the scalar Riccati recursion
+    ``P_i = dt + a^2 P' - (a b P')^2 / (dt + b^2 P')`` from ``P_N =
+    terminal_weight`` (a = 1 + dt, b = dt, P' = P_{i+1}); the cost is ``P_0
+    x0^2``.  The optimal controls lie inside the control bounds, so they do
+    not bind."""
     dt = LQR_HORIZON / intervals
-    a, b, P = 1.0 + dt, dt, 0.0
+    a, b, P = 1.0 + dt, dt, terminal_weight
     for _ in range(intervals):
         P = dt + a * a * P - (a * b * P) ** 2 / (dt + b * b * P)
     return P * LQR_X0**2

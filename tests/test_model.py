@@ -13,6 +13,7 @@ from chatterctl import (
     terminal_costate,
     terminal_hessian,
 )
+from chatterctl import model
 from chatterctl.model import (
     eval_drift,
     eval_drift_jacobian,
@@ -150,31 +151,86 @@ class TestTerminal:
         assert g[0] == 0.0
         assert np.array_equal(terminal_hessian(problem, np.array([123.4])), np.zeros((1, 1)))
 
-    def test_quadratic_terminal_cost(self):
+    def test_quadratic_terminal_cost(self, monkeypatch):
+        # the hooks are read, never differenced: psi is not called and no
+        # central difference is taken, with or without a terminal cost
+        calls = []
+
+        def psi(x):
+            calls.append(1)
+            return 0.5 * float(x @ x)
+
+        def no_difference(*args):
+            raise AssertionError("a terminal function took a central difference")
+
+        monkeypatch.setattr(model, "_central_difference", no_difference)
         problem = make_problem(
             state_dim=2,
             initial_state=np.zeros(2),
-            terminal_cost=lambda x: 0.5 * float(x @ x),
+            terminal_cost=psi,
+            terminal_gradient=lambda x: np.array(x),
+            terminal_hessian=lambda x: np.eye(2),
         )
         x = np.array([3.0, -4.0])
-        assert np.allclose(terminal_costate(problem, x), x, atol=1e-6)
-        assert np.allclose(terminal_hessian(problem, x), np.eye(2), atol=1e-4)
+        assert np.array_equal(terminal_costate(problem, x), x)
+        assert np.array_equal(terminal_hessian(problem, x), np.eye(2))
+        assert calls == []
+        bare = make_problem(state_dim=2, initial_state=np.zeros(2))
+        assert np.array_equal(terminal_costate(bare, x), np.zeros(2))
+        assert np.array_equal(terminal_hessian(bare, x), np.zeros((2, 2)))
 
     def test_linear_terminal_cost(self):
+        # psi = sum(x), 6 at x: every hook gets x as a 1-d float array
+        seen = []
+
+        def hook(value):
+            def evaluate(x):
+                seen.append((x.dtype, x.shape))
+                return value
+            return evaluate
+
         problem = make_problem(
             state_dim=3,
             initial_state=np.zeros(3),
-            terminal_cost=lambda x: float(np.sum(x)),
+            terminal_cost=hook(6.0),
+            terminal_gradient=hook(np.ones(3)),
+            terminal_hessian=hook(np.zeros((3, 3))),
         )
-        g = terminal_costate(problem, np.array([1.0, -2.0, 7.0]))
-        assert np.allclose(g, np.ones(3), atol=1e-9)
+        x = [1, -2, 7]
+        assert eval_terminal_cost(problem, x) == 6.0
+        assert np.array_equal(terminal_costate(problem, x), np.ones(3))
+        assert np.array_equal(terminal_hessian(problem, x), np.zeros((3, 3)))
+        assert seen == [(np.dtype(float), (3,))] * 3
 
     def test_analytic_gradient_wins(self):
+        # the derivatives are the hooks' as given, not psi's (2x and 2)
         problem = make_problem(
             terminal_cost=lambda x: float(x[0] ** 2),
             terminal_gradient=lambda x: np.array([-99.0]),
+            terminal_hessian=lambda x: np.array([[-7.0]]),
         )
         assert terminal_costate(problem, np.array([1.0]))[0] == -99.0
+        assert terminal_hessian(problem, np.array([1.0]))[0, 0] == -7.0
+
+    @pytest.mark.parametrize("given", [
+        ("terminal_cost",),
+        ("terminal_gradient",),
+        ("terminal_hessian",),
+        ("terminal_cost", "terminal_gradient"),
+        ("terminal_cost", "terminal_hessian"),
+        ("terminal_gradient", "terminal_hessian"),
+    ], ids="+".join)
+    def test_terminal_hooks_come_together(self, given):
+        # a gradient without a cost would pin p(T) for a cost the run never
+        # charges; psi alone would leave both derivatives to differences
+        hooks = {
+            "terminal_cost": lambda x: 0.0,
+            "terminal_gradient": lambda x: np.zeros(1),
+            "terminal_hessian": lambda x: np.zeros((1, 1)),
+        }
+        message = "^give terminal_cost, terminal_gradient and terminal_hessian, or none$"
+        with pytest.raises(ValueError, match=message):
+            make_problem(**{name: hooks[name] for name in given})
 
 
 class TestProblemValidation:
@@ -381,6 +437,8 @@ TIMELESS = ("terminal_cost", "terminal_gradient", "terminal_hessian")
 def hook_problem(hook, value):
     """A two-state problem whose ``hook`` returns ``value`` at every call."""
     fields = dict(state_dim=2, initial_state=np.zeros(2), control_matrix=np.ones((1, 2)))
+    if hook in TIMELESS:  # the terminal hooks come together
+        fields.update(zip(TIMELESS, (lambda x: 0.0, lambda x: X, lambda x: np.eye(N))))
     fields[hook] = lambda *args: value
     return make_problem(**fields)
 

@@ -337,6 +337,8 @@ class TestPropagateForward:
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
             terminal_cost=lambda x: float(x @ x),
+            terminal_gradient=lambda x: 2.0 * x,
+            terminal_hessian=lambda x: 2.0 * np.eye(1),
         )
         part = TimePartition.uniform(1.0, 4)
         traj = propagate_forward(problem, part, np.zeros(1), GridParams(3, 16))

@@ -10,6 +10,7 @@ from chatterctl import (
     ControlProblem,
     GridParams,
     InfeasibleLevels,
+    NonFiniteEvaluation,
     SensitivityEstimate,
     ShootingConfig,
     SingularCorrection,
@@ -64,6 +65,23 @@ def drift_only_problem():
         drift_jacobian=lambda t, x: np.diag([-1.0, 0.5]),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
+    )
+
+
+def quadratic_terminal_cost(weight, n, calls):
+    """The terminal hooks of psi = weight |x|^2 in n states; each call
+    appends its hook's name to ``calls``."""
+
+    def counted(name, hook):
+        def call(x):
+            calls.append(name)
+            return hook(x)
+        return call
+
+    return dict(
+        terminal_cost=counted("psi", lambda x: weight * float(x @ x)),
+        terminal_gradient=counted("gradient", lambda x: 2.0 * weight * x),
+        terminal_hessian=counted("hessian", lambda x: 2.0 * weight * np.eye(n)),
     )
 
 
@@ -132,6 +150,7 @@ class TestFiniteDiffSensitivities:
         with pytest.raises(InfeasibleLevels) as excinfo:
             finite_diff_sensitivities(problem, part, np.zeros(2), 0.2, grid)
         assert excinfo.value.perturbation_index == 0
+        assert excinfo.value.interval_index == intervals[0]
         assert excinfo.value.__cause__.interval_index == intervals[0]
         assert f"[interval {intervals[0]}," in str(excinfo.value)
 
@@ -187,30 +206,24 @@ class TestUpdateInitialCostate:
         assert p0[0] == 0.5**4 * 8.0
 
     def test_zero_state_tangent_needs_no_terminal_hessian(self):
-        # psi without gradient or Hessian hooks: the Hessian is a central
-        # difference of the gradient (2 gradients per state), itself one of
-        # psi (2 calls per state); the mismatch comes in, so a P_x of exact
-        # zeros calls psi not at all
+        # the mismatch comes in, so a P_x of exact zeros calls no terminal
+        # hook; any other P_x calls the Hessian hook once
         calls = []
-
-        def psi(x):
-            calls.append(1)
-            return 0.5 * float(x @ x)
-
-        problem = dataclasses.replace(inert_problem(n=2), terminal_cost=psi)
+        problem = dataclasses.replace(inert_problem(n=2), **quadratic_terminal_cost(0.5, 2, calls))
         p_T, x_T = np.array([1.0, 2.0]), np.array([3.0, -4.0])
         mismatch = p_T - terminal_costate(problem, x_T)
         calls.clear()
         frozen = SensitivityEstimate(np.zeros((2, 2)), np.eye(2))
         step, _ = update_initial_costate(frozen, mismatch, x_T, problem)
-        assert len(calls) == 0
+        assert calls == []
         # 0 - P_p is -P_p: the correction of the Hessian path, bit for bit
         M = terminal_hessian(problem, x_T) @ frozen.P_x - frozen.P_p
         assert np.array_equal(step, np.linalg.solve(M, mismatch))
         calls.clear()
-        moved = SensitivityEstimate(np.full((2, 2), 0.5), np.eye(2))
+        # Hess(psi) = I: P_x = 0.5 everywhere would make the matrix singular
+        moved = SensitivityEstimate(np.full((2, 2), 0.25), np.eye(2))
         update_initial_costate(moved, mismatch, x_T, problem)
-        assert len(calls) == 16
+        assert calls == ["hessian"]
 
     def test_singular_matrix_raises(self):
         problem = inert_problem(n=2)
@@ -432,23 +445,17 @@ class TestSolve:
         assert calls == {"tangent_sensitivities": 7, "update_initial_costate": 7}
 
     def test_correction_reuses_the_mismatch(self):
-        # psi without gradient or Hessian hooks on the priced lqr, whose P_x
-        # is not 0: each of 4 propagations calls psi once for its cost and
-        # twice for the mismatch's gradient, each of 3 corrections 4 times
-        # for the Hessian and never for the mismatch
+        # psi = 5 x^2 on the priced lqr, whose P_x is not 0: each of 4
+        # propagations calls psi once for its cost and the gradient once
+        # for its mismatch, each of 3 corrections the Hessian once
         calls = []
-
-        def psi(x):
-            calls.append(1)
-            return 5.0 * float(x @ x)
-
-        problem = dataclasses.replace(build_lqr(), terminal_cost=psi)
-        calls.clear()
+        problem = dataclasses.replace(build_lqr(), **quadratic_terminal_cost(5.0, 1, calls))
         config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
         result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
         assert result.converged and result.iterations == 4
         assert result.step_kinds == ("newton",) * 3
-        assert len(calls) == 4 * (1 + 2) + 3 * 4 == 24
+        counts = {name: calls.count(name) for name in ("psi", "gradient", "hessian")}
+        assert counts == {"psi": 4, "gradient": 4, "hessian": 3} and len(calls) == 11
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0])
     def test_step_length_floor(self, gamma):
@@ -543,6 +550,18 @@ class TestExactPricing:
             grid_excess = reference.trajectory.accumulated_cost - lqr_discrete_optimum(intervals)
             assert excess < grid_excess and grid_excess == pytest.approx(0.0558, abs=1e-4)
             assert excess == pytest.approx(0.0448, abs=1e-4)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_terminal_cost_lands_near_the_discrete_optimum(self, gamma):
+        # psi = 5 x^2 with its gradient and Hessian: the Newton step through
+        # the terminal Hessian converges in 4 iterations to a run within
+        # 0.02 of the Riccati optimum from P_N = 5 (0.0100 above it)
+        problem = dataclasses.replace(build_lqr(), **quadratic_terminal_cost(5.0, 1, []))
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=gamma)
+        result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
+        assert result.converged and result.iterations == 4
+        excess = result.trajectory.accumulated_cost - lqr_discrete_optimum(100, terminal_weight=5.0)
+        assert 0.0 <= excess <= 0.02
 
     def test_priced_bolza_at_zero_adds_nothing_the_grid_attains(self):
         # the hook's minimizer at p = 0 is the grid's u = -1, which ties:
@@ -744,6 +763,22 @@ class TestTangentSensitivities:
         with pytest.raises(ValueError, match="another partition"):
             tangent_sensitivities(problem, other, nominal)
         assert tangent_sensitivities(problem, part, nominal).P_p[0, 0] == (1.0 - problem.horizon / 4) ** 4
+
+    @pytest.mark.parametrize("jacobian, error, interval, message", [
+        (lambda t, x: np.eye(2), ValueError, 0,
+         "drift_jacobian returned shape (2, 2), expected (1, 1) [interval 0, t=0.0]"),
+        (lambda t, x: np.array([[np.nan if t >= 0.5 else 1.0]]), NonFiniteEvaluation, 10,
+         "drift_jacobian returned a non-finite value at t=0.5 [interval 10, t=0.5]"),
+    ], ids=["shape", "nan"])
+    def test_hook_error_names_its_interval(self, jacobian, error, interval, message):
+        # propagate_forward never calls drift_jacobian: the tangent is the
+        # first to see a bad one, and tags it as a propagation would
+        problem = dataclasses.replace(build_lqr(), drift_jacobian=jacobian)
+        config = ShootingConfig(p0_initial=np.zeros(1))
+        with pytest.raises(error) as excinfo:
+            solve(problem, TimePartition.uniform(1.0, 20), config, GridParams(21, 64))
+        assert excinfo.value.interval_index == interval
+        assert str(excinfo.value) == message
 
     def test_desk_solve_runs_no_perturbed_propagation(self, monkeypatch):
         problem, part, grid = desk_problem()
