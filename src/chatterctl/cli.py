@@ -36,7 +36,8 @@ from .model import (
     _central_difference,
     eval_drift,
     eval_drift_jacobian,
-    grad_h_state,
+    eval_running_cost_batch,
+    eval_running_cost_state_gradient,
 )
 from .problems import ConfigError
 from .propagation import TimePartition, Trajectory, propagate_forward
@@ -344,43 +345,32 @@ def check_lp(instances: int = 1000, seed: int = 20250810) -> Tuple[bool, List[st
 
 
 def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tuple[bool, List[str]]:
-    """Analytic dH/dx against central differences on random evaluation
-    points for both built-in problems, and their ``drift_jacobian`` against a
-    central difference of the drift.  Dynamics come only as the
-    control-affine hooks, so there is no second form to compare."""
+    """The two parts of dH/dx on random points for both built-in problems:
+    ``running_cost_state_gradient`` on a random block of controls against a
+    central difference of ``running_cost_batch`` in x, and
+    ``drift_jacobian`` against one of the drift."""
     rng = np.random.default_rng(seed)
     lines: List[str] = []
     ok = True
     demand = problems.synthetic_demand("seasonal", 5.0, 0.5)
-    cases = [
-        ("lqr", problems.build_lqr(), 20.0, 50.0),
-        ("supply-chain", problems.build_supply_chain(demand, 1.0, 200), 20.0, 100.0),
-    ]
-    for name, problem, x_scale, p_scale in cases:
-        stripped = dataclasses.replace(problem, hamiltonian_x_gradient=None)
-        worst = 0.0
-        bad = 0
+    cases = [("lqr", problems.build_lqr()), ("supply-chain", problems.build_supply_chain(demand, 1.0, 200))]
+    for name, problem in cases:
+        worst, bad = 0.0, 0
         for _ in range(points_per_problem):
             t = float(rng.uniform(0.0, problem.horizon))
-            x = rng.uniform(0.0, x_scale, size=problem.state_dim)
+            x = rng.uniform(0.0, 20.0, size=problem.state_dim)
             if problem.state_lower is None:
-                x = x - 0.5 * x_scale
-            p = rng.uniform(-p_scale, p_scale, size=problem.state_dim)
-            u = rng.uniform(problem.control_lower, problem.control_upper)
-            analytic = grad_h_state(problem, t, x, p, u)
-            fd = grad_h_state(stripped, t, x, p, u)
-            tol = max(1e-6, 1e-4 * float(np.linalg.norm(analytic)))
-            err = float(np.max(np.abs(analytic - fd)))
-            worst = max(worst, err / tol)
-            if err > tol:
-                bad += 1
-            jacobian = eval_drift_jacobian(problem, t, x)
-            fd = _central_difference(lambda y: eval_drift(problem, t, y), x).T
-            tol = max(1e-6, 1e-4 * float(np.linalg.norm(jacobian)))
-            err = float(np.max(np.abs(jacobian - fd)))
-            worst = max(worst, err / tol)
-            if err > tol:
-                bad += 1
+                x = x - 10.0
+            U = rng.uniform(problem.control_lower, problem.control_upper, size=(4, problem.control_dim))
+            cost = (eval_running_cost_state_gradient(problem, t, x, U),
+                    lambda y: eval_running_cost_batch(problem, t, y, U))
+            drift = eval_drift_jacobian(problem, t, x), lambda y: eval_drift(problem, t, y)
+            for analytic, fn in (cost, drift):
+                # row by row: each control's gradient, each drift coordinate's
+                tol = np.maximum(1e-6, 1e-4 * np.linalg.norm(analytic, axis=1))
+                err = np.abs(analytic - _central_difference(fn, x).T).max(axis=1)
+                worst = max(worst, float((err / tol).max()))
+                bad += bool(np.any(err > tol))
         ok = ok and bad == 0
         lines.append(
             f"{name}: {points_per_problem - bad}/{points_per_problem} points within "

@@ -73,9 +73,12 @@ class ControlProblem:
     The running cost comes in one form, required:
     ``running_cost_batch(t, x, U)`` over a ``(K, m)`` block of controls
     (shape ``(K,)``), since the solver evaluates blocks of up to
-    ``GridParams.cap`` levels.  The terminal cost ``terminal_cost`` psi(x),
-    its ``terminal_gradient`` (n,) and its ``terminal_hessian`` (n, n) of a
-    1-d float array come together or not at all: shooting differences none.
+    ``GridParams.cap`` levels, with its state gradient
+    ``running_cost_state_gradient(t, x, U)`` (shape ``(K, n)``): dH/dx is
+    assembled from it and ``drift_jacobian``.  The terminal cost
+    ``terminal_cost`` psi(x), its ``terminal_gradient`` (n,) and its
+    ``terminal_hessian`` (n, n) of a 1-d float array come together or not
+    at all: shooting differences none.
 
     ``gated_dims`` marks control dimensions that are either exactly zero
     (off) or confined to an active range ``[low, high]``; level generation
@@ -110,10 +113,10 @@ class ControlProblem:
     terminal_cost: Optional[Callable[[Array], float]] = None
     terminal_gradient: Optional[Callable[[Array], Array]] = None
     terminal_hessian: Optional[Callable[[Array], Array]] = None
-    hamiltonian_x_gradient: Optional[Callable[[float, Array, Array, Array], Array]] = None
     state_lower: Optional[Array] = None
     state_upper: Optional[Array] = None
     running_cost_batch: Optional[Callable[[float, Array, Array], Array]] = None
+    running_cost_state_gradient: Optional[Callable[[float, Array, Array], Array]] = None
     gated_dims: Optional[Mapping[int, Tuple[float, float]]] = None
     drift: Optional[Callable[[float, Array], Array]] = None
     control_matrix: Optional[Array] = None
@@ -170,8 +173,8 @@ class ControlProblem:
             raise ValueError(f"control_matrix must have shape ({m}, {n})")
         if not np.all(np.isfinite(self.control_matrix)):
             raise ValueError("control_matrix must be finite")
-        if self.running_cost_batch is None:
-            raise ValueError("a problem needs running_cost_batch")
+        if self.running_cost_batch is None or self.running_cost_state_gradient is None:
+            raise ValueError("a problem needs running_cost_batch and running_cost_state_gradient")
         terminal = (self.terminal_cost, self.terminal_gradient, self.terminal_hessian)
         if 0 < sum(hook is None for hook in terminal) < 3:
             raise ValueError("give terminal_cost, terminal_gradient and terminal_hessian, or none")
@@ -243,6 +246,15 @@ def eval_running_cost_batch(problem: ControlProblem, t: float, x: Array, control
     return _checked(g, (len(controls),), "running_cost_batch", t)
 
 
+def eval_running_cost_state_gradient(
+    problem: ControlProblem, t: float, x: Array, controls: Array
+) -> Array:
+    """``d g / dx`` at one (t, x) for a (K, m) block of controls, shape (K, n)."""
+    controls = np.asarray(controls, dtype=float)
+    G = problem.running_cost_state_gradient(t, x, controls)
+    return _checked(G, (len(controls), problem.state_dim), "running_cost_state_gradient", t)
+
+
 def eval_hamiltonian(problem: ControlProblem, t: float, x: Array, p: Array, u: Array) -> float:
     """H(t, x, p, u) = g(t, x, u) + p . f(t, x, u), as a one-row batch."""
     row = np.asarray(u, dtype=float)[None, :]
@@ -269,15 +281,13 @@ def _central_difference(fn: Callable[[Array], object], x: Array) -> Array:
     return np.array(diffs)
 
 
-def grad_h_state(problem: ControlProblem, t: float, x: Array, p: Array, u: Array) -> Array:
-    """dH/dx, analytic when the problem supplies it, otherwise a central
-    finite difference per state coordinate (step 1e-6 * max(1, |x_j|)).
-    """
-    u = np.asarray(u, dtype=float)
-    if problem.hamiltonian_x_gradient is not None:
-        grad = problem.hamiltonian_x_gradient(t, x, p, u)
-        return _checked(grad, (problem.state_dim,), "hamiltonian_x_gradient", t)
-    return _central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
+def grad_h_state(problem: ControlProblem, t: float, x: Array, p: Array, levels: Array, weights: Array) -> Array:
+    """The measure-weighted dH/dx over the support ``levels`` (K, m) and
+    their ``weights`` (K,): ``sum_k a_k g_x(t, x, c_k) + F_x^T p``, with
+    ``g_x`` from ``running_cost_state_gradient`` and ``F_x`` the
+    ``drift_jacobian`` (the control-affine part does not depend on x)."""
+    G = eval_running_cost_state_gradient(problem, t, x, levels)
+    return weights @ G + p @ eval_drift_jacobian(problem, t, x)
 
 
 def eval_terminal_cost(problem: ControlProblem, x_final: Array) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import Array, ControlProblem, _check_count
+from .model import Array, ControlProblem, _check_count, _readonly
 
 
 class ConfigError(ValueError):
@@ -50,11 +50,14 @@ def build_lqr() -> ControlProblem:
     def running_cost_batch(t, x, U):
         return x[0] ** 2 + U[:, 0] ** 2
 
-    def h_x_gradient(t, x, p, u):
-        return np.array([2.0 * x[0] + p[0]])
+    def running_cost_state_gradient(t, x, U):
+        return np.full((len(U), 1), 2.0 * x[0])
 
     def hamiltonian_argmin(t, x, p, lo, hi):
         return [[min(max(0.0 - 0.5 * float(p[0]), float(lo[0])), float(hi[0]))]]
+
+    # built once: every costate step reads it
+    identity = _readonly(np.ones((1, 1)))
 
     return ControlProblem(
         state_dim=1,
@@ -63,11 +66,11 @@ def build_lqr() -> ControlProblem:
         initial_state=np.array([LQR_X0]),
         control_lower=np.array([LQR_CONTROL_BOUNDS[0]]),
         control_upper=np.array([LQR_CONTROL_BOUNDS[1]]),
-        hamiltonian_x_gradient=h_x_gradient,
         running_cost_batch=running_cost_batch,
+        running_cost_state_gradient=running_cost_state_gradient,
         drift=lambda t, x: np.asarray(x, dtype=float),
         control_matrix=np.ones((1, 1)),
-        drift_jacobian=lambda t, x: np.ones((1, 1)),
+        drift_jacobian=lambda t, x: identity,
         hamiltonian_argmin=hamiltonian_argmin,
         name="lqr",
     )
@@ -393,10 +396,9 @@ def build_supply_chain(
         J = net_cost_rate_batch(t, x, U)
         return J * np.abs(J)
 
-    def h_x_gradient(t: float, x: Array, p: Array, u: Array) -> Array:
-        J = float(net_cost_rate_batch(t, x, np.asarray(u, dtype=float)[None, :])[0])
-        # d(J|J|)/dx = 2|J| dJ/dx; the dynamics are -identity in the state
-        return 2.0 * abs(J) * cost_state_gradient - p
+    def running_cost_state_gradient(t: float, x: Array, U: Array) -> Array:
+        # d(J|J|)/dx = 2|J| dJ/dx, row by row
+        return (2.0 * np.abs(net_cost_rate_batch(t, x, U)))[:, None] * cost_state_gradient
 
     minus_identity = -np.eye(n)
     minus_identity.setflags(write=False)
@@ -415,9 +417,9 @@ def build_supply_chain(
         initial_state=x0,
         control_lower=control_lower,
         control_upper=control_upper,
-        hamiltonian_x_gradient=h_x_gradient,
         state_lower=np.zeros(n),
         running_cost_batch=running_cost_batch,
+        running_cost_state_gradient=running_cost_state_gradient,
         gated_dims=gated,
         drift=state_drift,
         control_matrix=B,

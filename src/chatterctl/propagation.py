@@ -231,19 +231,16 @@ def step_costate(
     weights: Array,
     dt: float,
 ) -> Array:
-    """p_{i+1} = p_i - dt * sum_k a_k dH/dx(t_i, x_i, p_i, c_k) over the
-    support ``levels`` c_k and their ``weights`` a_k (as many of each, or
-    ``ValueError``)."""
+    """p_{i+1} = p_i - dt * dH/dx(t_i, x_i, p_i), measure-weighted over the
+    support ``levels`` and their ``weights`` (as many of each, or
+    ``ValueError``): one ``grad_h_state`` call."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if len(levels) != weights.size:
         raise ValueError(
             f"the support has {len(levels)} levels but the measure has {weights.size} weights"
         )
-    acc = np.zeros(problem.state_dim)
-    for level, weight in zip(levels, weights.tolist()):
-        acc = acc + weight * grad_h_state(problem, t, x, p, level)
-    return p - dt * acc
+    return p - dt * grad_h_state(problem, t, x, p, levels, weights)
 
 
 def _annotate(err: Exception, note: str, **indices: int) -> Exception:

@@ -194,7 +194,7 @@ def _interval_tangent(
       more than ``KINK_RTOL`` of the larger (a kink).
     - The curvature ``sum_k a_k (H_xx dx_j + H_xu du_j)`` over the support:
       of ``grad_h_state`` along ``(dx_j, du_j)`` at fixed p, 2 calls per
-      support row.
+      column.
     """
     size = np.maximum(np.abs(dx).max(axis=0), np.abs(dp).max(axis=0)).tolist()
     scale = TANGENT_STEP * max(1.0, np.abs(x).max(), np.abs(p).max())
@@ -215,11 +215,9 @@ def _interval_tangent(
         vu = h * du[:, j]
         if not (vx.any() or vu.any()):
             continue
-        for level, weight in zip(levels, weights.tolist()):
-            ahead = grad_h_state(problem, t, x + vx, p, level + vu)
-            behind = grad_h_state(problem, t, x - vx, p, level - vu)
-            curvature[:, j] += weight * (ahead - behind)
-        curvature[:, j] /= 2.0 * h
+        ahead = grad_h_state(problem, t, x + vx, p, levels + vu, weights)
+        behind = grad_h_state(problem, t, x - vx, p, levels - vu, weights)
+        curvature[:, j] = (ahead - behind) / (2.0 * h)
     return du, curvature
 
 

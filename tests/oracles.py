@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from chatterctl import build_supply_chain, chattering, replay_measurement_source, synthetic_demand
+from chatterctl import build_lqr, build_supply_chain, chattering, replay_measurement_source, synthetic_demand
 from chatterctl.chattering import InfeasibleLevels
 from chatterctl.model import ControlProblem, eval_drift, eval_dynamics_batch
 from chatterctl.problems import CUSTOMERS, ITEMS, LQR_HORIZON, LQR_X0, N_ITEMS, SUPPLIERS
@@ -351,8 +351,8 @@ def bolza_problem(x0: float = 0.0) -> ControlProblem:
         initial_state=np.array([x0]),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
-        hamiltonian_x_gradient=lambda t, x, p, u: np.array([2.0 * x[0]]),
         running_cost_batch=lambda t, x, U: x[0] ** 2 + (U[:, 0] ** 2 - 1.0) ** 2,
+        running_cost_state_gradient=lambda t, x, U: np.full((len(U), 1), 2.0 * x[0]),
         drift=lambda t, x: np.zeros(1),
         control_matrix=np.ones((1, 1)),
         drift_jacobian=lambda t, x: np.zeros((1, 1)),
@@ -374,6 +374,28 @@ def priced_bolza_problem(x0: float = 0.0) -> ControlProblem:
         return candidates[[np.argmin(h)], None]
 
     return dataclasses.replace(bolza_problem(x0), hamiltonian_argmin=argmin)
+
+
+def cubic_drift_problem() -> ControlProblem:
+    """x' = -x - x^3 / 2 + u from x(0) = 1 on [0, 1], cost x^2 + u^2, u in
+    [-5, 5], priced by ``clip(-p/2)``: a drift Jacobian ``-1 - 3 x^2 / 2``
+    that depends on x, so that dH/dx carries ``d(F_x^T p)/dx = -3 x p`` into
+    the tangent's curvature.  Its pricing hook is the regulator's."""
+    return ControlProblem(
+        state_dim=1,
+        control_dim=1,
+        horizon=1.0,
+        initial_state=np.array([1.0]),
+        control_lower=np.array([-5.0]),
+        control_upper=np.array([5.0]),
+        running_cost_batch=lambda t, x, U: x[0] ** 2 + U[:, 0] ** 2,
+        running_cost_state_gradient=lambda t, x, U: np.full((len(U), 1), 2.0 * x[0]),
+        drift=lambda t, x: -x - 0.5 * x**3,
+        control_matrix=np.ones((1, 1)),
+        drift_jacobian=lambda t, x: np.array([[-1.0 - 1.5 * x[0] ** 2]]),
+        hamiltonian_argmin=build_lqr().hamiltonian_argmin,
+        name="cubic-drift",
+    )
 
 
 def feedback_replay(seed):

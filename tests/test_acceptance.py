@@ -167,6 +167,7 @@ class TestAcceptance:
             horizon=1.0,
             initial_state=np.zeros(2),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             drift=lambda t, x: np.zeros(2),
             control_matrix=np.zeros((1, 2)),
             drift_jacobian=lambda t, x: np.zeros((2, 2)),

@@ -56,6 +56,7 @@ def box_problem(n=1, m=1, dynamics=None, state_lower=None, state_upper=None,
         horizon=1.0,
         initial_state=np.zeros(n) if x0 is None else np.asarray(x0, float),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         **dynamics,
         control_lower=np.full(m, -1.0) if control_lower is None else np.asarray(control_lower, float),
         control_upper=np.full(m, 1.0) if control_upper is None else np.asarray(control_upper, float),
@@ -365,6 +366,7 @@ def random_affine_problem(rng):
         horizon=1.0,
         initial_state=rng.uniform(-0.4, 0.4, n),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         control_lower=lower,
         control_upper=lower + rng.uniform(0.0, 3.0, m),
         state_lower=np.full(n, -0.4),
@@ -454,6 +456,7 @@ def bounded_affine_case(rng):
         horizon=1.0,
         initial_state=x,
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         control_lower=lower,
         control_upper=lower + width,
         state_lower=state_lower,
@@ -584,6 +587,7 @@ def random_product_problem(rng):
         horizon=1.0,
         initial_state=rng.uniform(-0.4, 0.4, n),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         control_lower=lower,
         control_upper=lower + width,
         state_lower=np.full(n, -0.4),
@@ -695,6 +699,7 @@ class TestLeanProductFilter:
             horizon=1.0,
             initial_state=np.zeros(2),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             control_lower=np.array([-0.5, -0.5, -1.0]),
             control_upper=np.array([0.5, 0.5, 1.0]),
             state_lower=np.full(2, -0.4),
@@ -754,6 +759,7 @@ class TestSeparableBound:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             control_lower=np.array([threshold - d, 0.0]),
             control_upper=np.array([0.25, 2.0]),
             state_lower=np.array([-0.5]),
@@ -839,6 +845,7 @@ class TestSeparableBound:
             problem = ControlProblem(
                 state_dim=n, control_dim=m, horizon=1.0, initial_state=np.zeros(n),
                 running_cost_batch=lambda t, x, U: np.zeros(len(U)), control_lower=lower, control_upper=upper,
+                running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
                 state_lower=np.full(n, -1.0), state_upper=np.full(n, 1.0), gated_dims=gated,
                 drift=lambda t, x: np.zeros(n), control_matrix=b,
                 drift_jacobian=lambda t, x: np.zeros((n, n)),

@@ -259,6 +259,7 @@ class TestConvergenceJson:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             drift=lambda t, x: np.array([-5.0]),
             control_matrix=np.ones((1, 1)),
             drift_jacobian=lambda t, x: np.zeros((1, 1)),

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -6,10 +5,17 @@ import pytest
 
 from chatterctl import (
     ControlProblem,
+    GridParams,
     NonFiniteEvaluation,
+    ShootingConfig,
+    TimePartition,
     build_lqr,
+    build_supply_chain,
     eval_hamiltonian,
     grad_h_state,
+    propagate_forward,
+    solve,
+    synthetic_demand,
     terminal_costate,
     terminal_hessian,
 )
@@ -21,6 +27,7 @@ from chatterctl.model import (
     eval_running_cost_batch,
     eval_terminal_cost,
 )
+from oracles import cubic_drift_problem
 
 
 def at(t=0.0, x=(10.0,), p=(0.0,)):
@@ -36,6 +43,7 @@ def make_problem(**overrides):
         horizon=1.0,
         initial_state=np.array([0.0]),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         drift=lambda t, x: np.zeros(len(x)),
         drift_jacobian=lambda t, x: np.zeros((len(x), len(x))),
         control_lower=np.array([-1.0]),
@@ -121,26 +129,65 @@ class TestControlAffineHooks:
 
 class TestGradHState:
     def test_analytic_lqr(self):
+        # one support row of weight 1: g_x = 2x, and F_x^T p = p
         problem = build_lqr()
-        assert grad_h_state(problem, *at(x=(10.0,), p=(0.0,)), np.array([0.0]))[0] == 20.0
-        assert grad_h_state(problem, *at(x=(0.0,), p=(0.0,)), np.array([0.0]))[0] == 0.0
+        support = (np.array([[0.0]]), np.ones(1))
+        assert grad_h_state(problem, *at(x=(10.0,), p=(0.0,)), *support)[0] == 20.0
+        assert grad_h_state(problem, *at(x=(0.0,), p=(0.0,)), *support)[0] == 0.0
 
     def test_fd_matches_analytic(self):
-        problem = dataclasses.replace(build_lqr(), hamiltonian_x_gradient=None)
-        fd = grad_h_state(problem, *at(x=(10.0,), p=(1.0,)), np.array([0.0]))
+        problem = build_lqr()
+        t, x, p = at(x=(10.0,), p=(1.0,))
+        assert grad_h_state(problem, t, x, p, np.array([[0.0]]), np.ones(1))[0] == 21.0
+        fd = model._central_difference(lambda y: eval_hamiltonian(problem, t, y, p, np.zeros(1)), x)
         assert abs(fd[0] - 21.0) <= 1e-8
 
     def test_default_step_scales_with_state(self):
-        problem = dataclasses.replace(build_lqr(), hamiltonian_x_gradient=None)
-        analytic = build_lqr()
+        # the central difference that validate checks the hooks with, step
+        # 1e-6 * max(1, |x_j|), against the assembled dH/dx
+        problem = build_lqr()
         rng = np.random.default_rng(11)
         for _ in range(50):
-            c = at(x=rng.uniform(-100, 100, 1), p=rng.uniform(-50, 50, 1))
+            t, x, p = at(x=rng.uniform(-100, 100, 1), p=rng.uniform(-50, 50, 1))
             u = rng.uniform(-30, 5, 1)
-            want = grad_h_state(analytic, *c, u)
-            got = grad_h_state(problem, *c, u)
+            want = grad_h_state(problem, t, x, p, u[None, :], np.ones(1))
+            got = model._central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
             tol = max(1e-6, 1e-4 * float(np.linalg.norm(want)))
             assert abs(got[0] - want[0]) <= tol
+
+    def test_measure_weighted_parts(self):
+        # sum_k a_k g_x(c_k) + F_x^T p, in dyadic values, so exactly
+        problem = make_problem(
+            state_dim=2,
+            initial_state=np.zeros(2),
+            running_cost_state_gradient=lambda t, x, U: np.outer(U[:, 0], x),
+            drift_jacobian=lambda t, x: np.array([[0.0, 1.0], [-x[0], 0.0]]),
+        )
+        x, p = np.array([2.0, -1.0]), np.array([0.5, 4.0])
+        got = grad_h_state(problem, 0.0, x, p, np.array([[1.0], [3.0]]), np.array([0.25, 0.75]))
+        assert np.array_equal(got, 2.5 * x + np.array([[0.0, 1.0], [-2.0, 0.0]]).T @ p)
+
+    def test_x_dependent_drift_jacobian_matches_fd(self):
+        problem = cubic_drift_problem()
+        for x, p, u in [(0.3, 0.7, 0.25), (-1.2, -3.0, -1.5), (2.0, 0.7, 4.0)]:
+            x, p, u = np.array([x]), np.array([p]), np.array([u])
+            analytic = grad_h_state(problem, 0.0, x, p, u[None, :], np.ones(1))
+            fd = model._central_difference(lambda y: eval_hamiltonian(problem, 0.0, y, p, u), x)
+            assert abs(fd[0] - analytic[0]) <= 1e-8 * abs(analytic[0])
+
+    def test_no_dh_dx_is_differenced(self, monkeypatch):
+        # every dH/dx is assembled from the hooks: a solve and a grocer
+        # propagation run with the central difference unavailable
+        def no_difference(*args):
+            raise AssertionError("dH/dx took a central difference")
+
+        monkeypatch.setattr(model, "_central_difference", no_difference)
+        part = TimePartition.uniform(1.0, 100)
+        result = solve(build_lqr(), part, ShootingConfig(p0_initial=np.zeros(1)), GridParams(101, 4096))
+        assert result.converged
+        grocer = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 20)
+        traj = propagate_forward(grocer, TimePartition.uniform(1.0, 20), np.zeros(20), GridParams(3, 64))
+        assert np.all(np.isfinite(traj.p))
 
 
 class TestTerminal:
@@ -394,8 +441,12 @@ class TestProblemValidation:
         # form is no field, and the block hook is required
         with pytest.raises(TypeError, match="unexpected keyword argument 'running_cost'"):
             make_problem(running_cost=lambda t, x, u: 0.0)
-        with pytest.raises(ValueError, match="^a problem needs running_cost_batch$"):
+        # its state gradient, which dH/dx is assembled from, comes with it
+        message = "^a problem needs running_cost_batch and running_cost_state_gradient$"
+        with pytest.raises(ValueError, match=message):
             make_problem(running_cost_batch=None)
+        with pytest.raises(ValueError, match=message):
+            make_problem(running_cost_state_gradient=None)
 
     @pytest.mark.parametrize(
         "form, error, message",
@@ -426,7 +477,9 @@ HOOKS = {
     "drift": ((N,), lambda pr: eval_drift(pr, 0.5, X)),
     "drift_jacobian": ((N, N), lambda pr: eval_drift_jacobian(pr, 0.5, X)),
     "running_cost_batch": ((K,), lambda pr: eval_running_cost_batch(pr, 0.5, X, U)),
-    "hamiltonian_x_gradient": ((N,), lambda pr: grad_h_state(pr, 0.5, X, X, U[0])),
+    "running_cost_state_gradient": (
+        (K, N), lambda pr: grad_h_state(pr, 0.5, X, X, U, np.full(K, 1.0 / K))
+    ),
     "terminal_cost": ((), lambda pr: eval_terminal_cost(pr, X)),
     "terminal_gradient": ((N,), lambda pr: terminal_costate(pr, X)),
     "terminal_hessian": ((N, N), lambda pr: terminal_hessian(pr, X)),

@@ -103,6 +103,7 @@ class TestSteps:
             horizon=1.0,
             initial_state=np.array([2.0]),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -135,6 +136,7 @@ class TestSteps:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost_batch=lambda t, x, U: U[:, 0] ** 2,
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.ones((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -200,6 +202,7 @@ class TestSteps:
             horizon=1.0,
             initial_state=np.array([0.5]),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.ones((1, 1))),
             control_lower=np.array([-10.0]),
             control_upper=np.array([10.0]),
@@ -220,6 +223,7 @@ def trivial_problem():
         horizon=2.0,
         initial_state=np.array([1.5]),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         **linear_dynamics(np.zeros((1, 1))),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
@@ -293,6 +297,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.array([0.2]),
             running_cost_batch=lambda t, x, U: (U[:, 0] + 1.0) ** 2,
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.ones((1, 1)), c=-0.5),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -318,6 +323,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost_batch=lambda t, x, U: np.ones(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -333,6 +339,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.array([2.0]),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -357,6 +364,7 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             drift=flaky,
             control_matrix=np.zeros((1, 1)),
             drift_jacobian=lambda t, x: np.zeros((1, 1)),
@@ -381,10 +389,10 @@ class TestPropagateForward:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.full((len(U), 1), -1.7e308),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([0.0]),
             control_upper=np.array([1.0]),
-            hamiltonian_x_gradient=lambda t, x, p, u: np.array([-1.7e308]),
         )
         part = TimePartition.uniform(1.0, intervals)
         from chatterctl import NonFiniteEvaluation
@@ -465,7 +473,7 @@ def two_control_box():
         control_lower=np.full(2, -1.0),
         control_upper=np.full(2, 1.0),
         running_cost_batch=lambda t, x, U: ((U - 1.0) ** 2).sum(axis=1),
-        hamiltonian_x_gradient=lambda t, x, p, u: np.zeros(1),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         state_upper=np.array([0.15]),
         drift=lambda t, x: np.zeros(1),
         control_matrix=np.ones((2, 1)),
@@ -637,11 +645,11 @@ class TestTrajectoryRecord:
 
     def test_hooks_cannot_write_the_recorded_support(self):
         # the support rows reach the hooks before they are recorded
-        def gradient(t, x, p, u):
-            u[0] = 0.0
-            return np.array([2.0 * x[0]])
+        def gradient(t, x, U):
+            U[0, 0] = 0.0
+            return np.full((len(U), 1), 2.0 * x[0])
 
-        problem = dataclasses.replace(bolza_problem(0.0), hamiltonian_x_gradient=gradient)
+        problem = dataclasses.replace(bolza_problem(0.0), running_cost_state_gradient=gradient)
         with pytest.raises(ValueError, match="read-only") as excinfo:
             propagate_forward(problem, TimePartition.uniform(1.0, 4), np.zeros(1), GridParams())
         assert excinfo.value.interval_index == 0

@@ -30,6 +30,7 @@ from chatterctl.cli import export_convergence
 from chatterctl.shooting import tangent_sensitivities, update_initial_costate
 from oracles import (
     central_difference_tangent,
+    cubic_drift_problem,
     fingerprint,
     linear_dynamics,
     lqr_discrete_optimum,
@@ -46,6 +47,7 @@ def inert_problem(n=2, horizon=1.0):
         horizon=horizon,
         initial_state=np.zeros(n),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         **linear_dynamics(np.zeros((1, n))),
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
@@ -60,6 +62,7 @@ def drift_only_problem():
         horizon=1.0,
         initial_state=np.array([1.0, -1.0]),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         drift=lambda t, x: np.array([-x[0], 0.5 * x[1]]),
         control_matrix=np.zeros((1, 2)),
         drift_jacobian=lambda t, x: np.diag([-1.0, 0.5]),
@@ -305,6 +308,7 @@ class TestSolve:
             horizon=1.0,
             initial_state=np.zeros(1),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.zeros((1, 1))),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -333,6 +337,7 @@ class TestSolve:
             horizon=1.0,
             initial_state=np.array([0.04]),
             running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(np.zeros((1, 1)), c=-1.0),
             control_lower=np.array([-1.0]),
             control_upper=np.array([1.0]),
@@ -356,6 +361,7 @@ class TestSolve:
             horizon=1.0,
             initial_state=np.array([0.2]),
             running_cost_batch=lambda t, x, U: 0.1 * U[:, 0],
+            running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
             **linear_dynamics(-np.ones((1, 1)), c=-0.2, a=1.0),
             control_lower=np.array([0.0]),
             control_upper=np.array([1.0]),
@@ -605,6 +611,7 @@ def two_rest_point_problem():
         horizon=1.0,
         initial_state=rest,
         running_cost_batch=lambda t, x, U: 0.1 * (U[:, 0] + U[:, 1]),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         **linear_dynamics(-np.eye(2), c=-rest, a=1.0),
         control_lower=np.zeros(2),
         control_upper=np.ones(2),
@@ -621,6 +628,7 @@ def coupled_problem():
         horizon=1.0,
         initial_state=np.array([0.5, 2.0]),
         running_cost_batch=lambda t, x, U: np.zeros(len(U)),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), len(x))),
         drift=lambda t, x: np.array([x[1], 0.0]),
         control_matrix=np.zeros((1, 2)),
         drift_jacobian=lambda t, x: np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -728,6 +736,19 @@ class TestTangentSensitivities:
         )
         assert np.max(np.abs(sens.P_p - reference.P_p)) <= 1e-6
 
+    def test_x_dependent_drift_jacobian(self):
+        # every interval is priced, so the curvature runs at each of them,
+        # with its d(F_x^T p)/dx = -3 x p part; the reference is a central
+        # difference, (run from p0 + d - run from p0 - d) / 2d
+        problem, p0, d = cubic_drift_problem(), np.array([1.0]), 1e-4
+        part, grid = TimePartition.uniform(1.0, 50), GridParams(11, 64)
+        nominal = propagate_forward(problem, part, p0, grid)
+        assert sorted(nominal.priced_ranges) == list(range(50))
+        sens = tangent_sensitivities(problem, part, nominal)
+        reference = finite_diff_sensitivities(problem, part, p0 - d, 2.0 * d, grid)
+        assert sens.P_x[0, 0] == pytest.approx(reference.P_x[0, 0], rel=1e-6)
+        assert sens.P_p[0, 0] == pytest.approx(reference.P_p[0, 0], rel=1e-6)
+
     @pytest.mark.parametrize("case", ["grocer", "lqr"])
     def test_drift_jacobian_matches_central_differences(self, case):
         # the reference holds every measure fixed: lqr runs on its grid alone
@@ -771,14 +792,21 @@ class TestTangentSensitivities:
          "drift_jacobian returned a non-finite value at t=0.5 [interval 10, t=0.5]"),
     ], ids=["shape", "nan"])
     def test_hook_error_names_its_interval(self, jacobian, error, interval, message):
-        # propagate_forward never calls drift_jacobian: the tangent is the
-        # first to see a bad one, and tags it as a propagation would
+        # every costate step reads drift_jacobian, so a solve's first
+        # propagation sees a bad one; the tangent, along a good nominal run,
+        # tags it as the propagation does
         problem = dataclasses.replace(build_lqr(), drift_jacobian=jacobian)
-        config = ShootingConfig(p0_initial=np.zeros(1))
-        with pytest.raises(error) as excinfo:
-            solve(problem, TimePartition.uniform(1.0, 20), config, GridParams(21, 64))
-        assert excinfo.value.interval_index == interval
-        assert str(excinfo.value) == message
+        part, grid = TimePartition.uniform(1.0, 20), GridParams(21, 64)
+        nominal = propagate_forward(build_lqr(), part, np.zeros(1), grid)
+        runs = [
+            lambda: solve(problem, part, ShootingConfig(p0_initial=np.zeros(1)), grid),
+            lambda: tangent_sensitivities(problem, part, nominal),
+        ]
+        for run in runs:
+            with pytest.raises(error) as excinfo:
+                run()
+            assert excinfo.value.interval_index == interval
+            assert str(excinfo.value) == message
 
     def test_desk_solve_runs_no_perturbed_propagation(self, monkeypatch):
         problem, part, grid = desk_problem()
