@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Array, ControlProblem, _check_count, eval_drift
+from .model import Array, ControlProblem, _check_count
 from .model import eval_dynamics_batch  # noqa: F401  unused; perfbench/tracer.py wraps this name
 
 #: all ties within this absolute distance of the minimum share weight
@@ -32,8 +32,8 @@ TIE_TOL = 1e-9
 #: a level is admissible if one explicit Euler step stays inside the state
 #: box within this absolute slack
 STEP_FEASIBILITY_TOL = 1e-9
-#: the per-dimension level bound search returns a point of the grid that
-#: splits each search into 2**BOUND_SEARCH_ITERATIONS equal steps
+#: the level range search ends each infeasible side at a point of the grid
+#: that splits its search into 2**BOUND_SEARCH_ITERATIONS equal steps
 BOUND_SEARCH_ITERATIONS = 32
 
 
@@ -129,8 +129,8 @@ def schedule_segments(times: Array, offsets: Array, weights: Array) -> Tuple[Arr
 
     Each support level gets one segment of length ``weight * dt``, in level
     order, starting where the one before it ends (a running sum from the
-    interval start).  The last segment of an interval ends at
-    ``times[i] + dt`` exactly, so the segments tile it despite rounding.
+    interval start).  The last segment of interval i ends at ``times[i +
+    1]``, where interval i + 1 starts, so the segments tile the run.
     """
     times = np.asarray(times, dtype=float)
     offsets = np.asarray(offsets, dtype=np.intp)
@@ -147,7 +147,7 @@ def schedule_segments(times: Array, offsets: Array, weights: Array) -> Tuple[Arr
         edge[active] += lengths[offsets[active] + r]
         ends[offsets[active] + r] = edge[active]
     starts = np.where(rank == 0, times[interval], np.roll(ends, 1))
-    ends[offsets[1:] - 1] = times[:-1] + dts
+    ends[offsets[1:] - 1] = times[1:]
     return starts, ends, interval, rank
 
 
@@ -199,39 +199,6 @@ def _in_box(problem: ControlProblem, x_next: Array, coords=slice(None)) -> np.nd
     return ok
 
 
-def level_bound_search(
-    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int]
-) -> List[Tuple[float, float]]:
-    """Admissible scalar range ``(lo, hi)`` of each control dimension in
-    ``dims``: the largest subinterval of its control bounds whose endpoints
-    keep one explicit Euler step inside the state box.
-
-    The other dimensions are held at an anchor: the midpoint of the control
-    box, then (for dimensions whose whole slice was infeasible) the lower
-    bound, then the upper bound.  A dimension is found at the first anchor
-    where its lower end, upper end or midpoint is feasible (the start point,
-    in that order of preference); each infeasible end is then found from the
-    start point, which assumes the violation is monotone toward that end.
-    Each dimension's range depends on that dimension alone, so a call on a
-    subset of the dimensions returns the full call's entries for them.
-    Every range comes from one pass over the probe states, and each
-    infeasible end in closed form (see ``_search_ranges``).  Without state
-    bounds the full control intervals come back unchanged.  Raises
-    ``InfeasibleLevels`` when some dimension has no feasible point at any
-    anchor.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    dims = list(dims)
-    if any(not 0 <= d < problem.control_dim for d in dims):
-        raise ValueError(f"control dimensions {dims} out of range")
-    if not problem.has_state_bounds:
-        return [(float(problem.control_lower[d]), float(problem.control_upper[d])) for d in dims]
-    x = np.asarray(x, dtype=float)
-    lo, hi = _search_ranges(problem, t, x, dt, dims, eval_drift(problem, t, x), _search_terms(problem))
-    return [(float(lo[d]), float(hi[d])) for d in dims]
-
-
 class _SearchTerms(NamedTuple):
     """What the range search needs of a problem with state bounds alone,
     built once per ``LevelCache`` (see ``_search_terms``).  The probe points
@@ -272,43 +239,43 @@ def _search_terms(problem: ControlProblem) -> _SearchTerms:
 
 
 def _search_ranges(
-    problem: ControlProblem, t: float, x: Array, dt: float, dims: Sequence[int],
-    drift: Array, terms: _SearchTerms,
+    problem: ControlProblem, t: float, x: Array, dt: float, drift: Array, terms: _SearchTerms
 ) -> Tuple[Array, Array]:
-    """``level_bound_search`` with state bounds, as the lower and the upper
-    ends of every control dimension (its control bounds where it is not in
-    ``dims``); ``drift`` is the drift at (t, x), and ``terms`` the
-    problem's ``_SearchTerms``.
-
-    The probe states of every anchor, probe point and control dimension
-    are one ``(3, 3, m)`` block with one ``_in_box``, and take no dynamics
-    call: moving control d from an anchor to v moves the next state from
-    ``x + dt * (drift + anchor @ B)`` by ``dt * (v - anchor_d) * B[d]``, so
-    the block is built coordinate first, and its test reduces over long
-    contiguous rows.  Each dimension takes the first anchor where a probe
-    is feasible; every dimension is computed and those of ``dims`` are
-    kept, since none depends on another.
+    """The admissible range of every control dimension of a problem with
+    state bounds, as its lower and upper ends: the largest subinterval of
+    its control bounds whose ends keep one explicit Euler step inside the
+    state box; ``drift`` is the drift at (t, x), and ``terms`` the
+    problem's ``_SearchTerms``.  The other dimensions are held at an
+    anchor, the midpoint, then the lower, then the upper corner of the
+    control box, so a dimension's range depends on it alone.  It is found
+    at the first anchor where its lower end, upper end or midpoint (its
+    start point, in that order) is feasible; ``InfeasibleLevels`` names
+    every dimension found at none.  The probe states of every anchor,
+    probe point and dimension are one ``(3, 3, m)`` block with one
+    ``_in_box`` and no dynamics call: moving control d from an anchor to v
+    moves the next state from ``x + dt * (drift + anchor @ B)`` by ``dt *
+    (v - anchor_d) * B[d]``, so the block is built coordinate first, and
+    its test reduces over long contiguous rows.
 
     Each (dimension, infeasible end) then searches from its start point a
-    toward the infeasible end b, at its own anchor.  Moving a distance w
-    toward b moves the next state along ``+-dt * B[d]``, so the distance at
-    which the first state bound binds is one division per state coordinate
-    (zero rates bind nothing).  The end returned is the last point of the
-    grid ``a + k (b - a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance
-    (b itself excluded), so it stays inside the bound by less than one step
-    of that grid, as a bisection's would.  The margin matters: an end
-    exactly on a bound can round outside it once several dimensions move
-    together in the product filter, which drops a level that a bisection
-    keeps.
+    toward the infeasible end b, at its own anchor, assuming the violation
+    is monotone toward b.  Moving a distance w toward b moves the next
+    state along ``+-dt * B[d]``, so the distance at which the first state
+    bound binds is one division per state coordinate (zero rates bind
+    nothing).  The end returned is the last point of the grid ``a + k (b -
+    a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance (b itself
+    excluded), so it stays inside the bound by less than one step of that
+    grid, as a bisection's would.  The margin matters: an end exactly on a
+    bound can round outside it once several dimensions move together in
+    the product filter, which drops a level that a bisection keeps.
     """
     m, n = problem.control_dim, problem.state_dim
-    dims, cols = np.asarray(dims, dtype=np.intp), np.arange(m)
+    cols = np.arange(m)
     probes = (x + dt * (drift + terms.anchor_steps)).T[:, :, None, None] + dt * terms.shifts
     ok = _in_box(problem, probes.reshape(n, -1).T).reshape(3, 3, m)
     found = np.logical_or.reduce(ok, axis=1)
     anchor = found.argmax(axis=0)
-    feasible = found[anchor, cols]
-    missing = dims[~feasible[dims]]
+    missing = (~found[anchor, cols]).nonzero()[0]
     if missing.size:
         raise InfeasibleLevels(
             f"no admissible control level found for dimension(s) {missing.tolist()} "
@@ -316,12 +283,9 @@ def _search_ranges(
         )
     ok = ok[anchor, :, cols]
     start = ok.argmax(axis=1)  # the lower end, else the upper end, else the midpoint
-    wanted = np.zeros(m, dtype=bool)
-    wanted[dims] = True
-    # one search row per wanted (dimension, infeasible end), lower end first
-    search = ~ok[:, :2] & wanted[:, None]
     lo, hi = problem.control_lower.copy(), problem.control_upper.copy()
-    which, side = search.nonzero()
+    # one search row per (dimension, infeasible end), lower end first
+    which, side = (~ok[:, :2]).nonzero()
     if which.size == 0:
         return lo, hi
     begin = start[which]
@@ -597,7 +561,7 @@ def generate_levels_with_dynamics(
     if hit:
         _, lo, hi, keep = entry
     else:
-        lo, hi = _search_ranges(problem, t, x_i, dt, range(problem.control_dim), drift, cache.terms)
+        lo, hi = _search_ranges(problem, t, x_i, dt, drift, cache.terms)
         lo.setflags(write=False)
         hi.setflags(write=False)
     levels = _product(problem, lo, hi, cache.counts, cache)

@@ -10,8 +10,10 @@ grid and filter that the level generator must reproduce bit for bit, the
 anchor-by-anchor range search and the per-value separable sums that the
 closed-form search and filter must reproduce bit for bit, a problem whose
 relaxed optimum chatters (with and without an exact pricing hook), the
-optimum of the discretized regulator, the feedback benchmark's replayed
-states, and a fingerprint of a whole run.
+optimum of the discretized regulator, two coupled tanks and the optimum of
+their discretization, the feedback benchmark's replayed states, and a
+fingerprint of a whole run.  One helper is no oracle: ``level_ranges``
+reaches the solver's range search the way the level generator does.
 """
 
 import dataclasses
@@ -224,18 +226,32 @@ def reference_scalar_grid(gated, dim, lo, hi, count):
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
+def level_ranges(problem, t, x, dt):
+    """The level ranges that the level generator searches at (t, x) for a
+    step ``dt``, reached the way it reaches them: ``_search_ranges`` with a
+    ``LevelCache``'s search terms and the drift at (t, x).  Returns the
+    lower and the upper ends of every control dimension, the control bounds
+    for a problem without state bounds; raises ``InfeasibleLevels`` as the
+    search does."""
+    if not problem.has_state_bounds:
+        return problem.control_lower.copy(), problem.control_upper.copy()
+    x = np.asarray(x, dtype=float)
+    terms = chattering.LevelCache(problem, chattering.GridParams()).terms
+    return chattering._search_ranges(problem, t, x, dt, eval_drift(problem, t, x), terms)
+
+
 def full_width_levels(problem, t, x, dt, grid_params, ranges=None):
     """The level generator's grid, and the dynamics rows that the factored
     sweep is checked against, built the long way: the whole lexicographic
     product (``np.meshgrid``) of the ``reference_scalar_grid`` values over
-    ``ranges`` (one ``(lo, hi)`` per control dimension; the solver's
-    ``level_bound_search`` by default), kept where ``_in_box`` passes on
-    every state coordinate of ``x + dt * (drift + levels @ B)``.  Returns
-    the kept ``(levels, f)`` and the keep mask over the whole product;
-    raises ``InfeasibleLevels`` when no row is kept."""
-    m = problem.control_dim
+    ``ranges`` (one ``(lo, hi)`` per control dimension; the searched
+    ``level_ranges`` by default), kept where ``_in_box`` passes on every
+    state coordinate of ``x + dt * (drift + levels @ B)``.  Returns the
+    kept ``(levels, f)`` and the keep mask over the whole product; raises
+    ``InfeasibleLevels`` when no row is kept."""
     if ranges is None:
-        ranges = chattering.level_bound_search(problem, t, x, dt, range(m))
+        lo, hi = level_ranges(problem, t, x, dt)
+        ranges = list(zip(lo.tolist(), hi.tolist()))
     counts = chattering._coarsen_counts(problem, grid_params.k_per_dim, grid_params.cap)
     grids = [
         reference_scalar_grid(problem.gated_dims.get(j), j, lo, hi, int(count))
@@ -426,3 +442,87 @@ def fingerprint(trajectory) -> str:
         digest.update(repr(part.shape).encode())
         digest.update(part.tobytes())
     return digest.hexdigest()
+
+
+#: the two tanks: u0 fills tank 0, and u1 moves water from tank 0 to tank 1
+TANKS_B = np.array([[1.0, 0.0], [-1.0, 1.0]])
+TANKS_X0 = np.array([0.2, 0.0])
+TANKS_TARGET = np.array([1.0, 0.5])
+TANKS_DRAIN = 0.5
+TANKS_CONTROL_WEIGHT = 0.1
+TANKS_STATE_UPPER = 1.2
+
+
+def tanks_problem(priced: bool) -> ControlProblem:
+    """Two coupled tanks on [0, 1]: ``x' = -0.5 x + u @ [[1, 0], [-1, 1]]``
+    with u in [0, 1]^2, state box [0, 1.2]^2, x(0) = (0.2, 0), running cost
+    ``0.1 |u|^2`` (no state dependence) and terminal cost ``|x_T - (1,
+    0.5)|^2``.  Priced, it carries the exact minimizer of H over the box,
+    ``clip(-B p / 0.2, lo, hi)``: H is separable and convex in u."""
+
+    def argmin(t, x, p, lo, hi):
+        return np.clip(-(TANKS_B @ p) / (2.0 * TANKS_CONTROL_WEIGHT), lo, hi)[None, :]
+
+    return ControlProblem(
+        state_dim=2,
+        control_dim=2,
+        horizon=1.0,
+        initial_state=TANKS_X0,
+        control_lower=np.zeros(2),
+        control_upper=np.ones(2),
+        state_lower=np.zeros(2),
+        state_upper=np.full(2, TANKS_STATE_UPPER),
+        running_cost_batch=lambda t, x, U: TANKS_CONTROL_WEIGHT * np.einsum("kj,kj->k", U, U),
+        running_cost_state_gradient=lambda t, x, U: np.zeros((len(U), 2)),
+        **linear_dynamics(TANKS_B, a=-TANKS_DRAIN),
+        terminal_cost=lambda x: float((x - TANKS_TARGET) @ (x - TANKS_TARGET)),
+        terminal_gradient=lambda x: 2.0 * (x - TANKS_TARGET),
+        terminal_hessian=lambda x: 2.0 * np.eye(2),
+        hamiltonian_argmin=argmin if priced else None,
+        name="two-tanks",
+    )
+
+
+def tanks_discrete_optimum(intervals: int) -> float:
+    """Least cost of the tanks as the solver discretizes them on a uniform
+    partition: the left-endpoint sum of ``dt 0.1 |u_k|^2`` plus ``|x_N -
+    target|^2``, with ``x_{k+1} = a x_k + dt u_k @ B`` and ``a = 1 - 0.5
+    dt``.  ``x_N = c + u @ M`` is affine in the ``2 intervals`` controls
+    ``u``, so this is a strongly convex QP over the box [0, 1], solved by
+    FISTA with a projection onto the box (Beck and Teboulle, SIAM J.
+    Imaging Sci. 2, 2009) until a step moves no control by more than
+    1e-13.  The QP leaves out the state box; the rollout of its optimum is
+    asserted to stay inside it, so it is also the optimum of the
+    state-bounded problem."""
+    dt = 1.0 / intervals
+    a = 1.0 - TANKS_DRAIN * dt
+    powers = a ** np.arange(intervals - 1, -1, -1.0)  # a^(N-1-k) for control k
+    M = (dt * powers[:, None, None] * TANKS_B).reshape(2 * intervals, 2)
+    c = a**intervals * TANKS_X0
+    weight = dt * TANKS_CONTROL_WEIGHT
+
+    def cost(u):
+        miss = c + u @ M - TANKS_TARGET
+        return weight * float(u @ u) + float(miss @ miss)
+
+    def gradient(u):
+        return 2.0 * weight * u + 2.0 * M @ (c + u @ M - TANKS_TARGET)
+
+    step = 1.0 / (2.0 * weight + 2.0 * np.linalg.norm(M, 2) ** 2)
+    u = y = np.zeros(2 * intervals)
+    momentum = 1.0
+    for _ in range(100_000):
+        u_next = np.clip(y - step * gradient(y), 0.0, 1.0)
+        momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
+        y = u_next + (momentum - 1.0) / momentum_next * (u_next - u)
+        done = np.max(np.abs(u_next - u)) <= 1e-13
+        u, momentum = u_next, momentum_next
+        if done:
+            break
+    else:
+        raise AssertionError("FISTA did not settle")
+    x = TANKS_X0.copy()
+    for row in u.reshape(intervals, 2):
+        x = x + dt * (-TANKS_DRAIN * x + row @ TANKS_B)
+        assert np.all(x >= 0.0) and np.all(x <= TANKS_STATE_UPPER), "the optimum leaves the state box"
+    return cost(u)

@@ -27,7 +27,6 @@ from chatterctl.chattering import (
     LevelCache,
     _coarsen_counts,
     generate_levels_with_dynamics,
-    level_bound_search,
     schedule_segments,
 )
 from chatterctl.model import eval_drift, eval_running_cost_batch
@@ -36,6 +35,7 @@ from oracles import (
     dense_control,
     feedback_replay,
     full_width_levels,
+    level_ranges,
     linear_dynamics,
     reference_affine_ranges,
     reference_scalar_grid,
@@ -175,7 +175,7 @@ class TestRealizeSignal:
         starts, ends, _, rank = schedule_segments(times, [0, K], weights)
         assert rank.tolist() == list(range(K))
         assert starts[0] == t_start
-        assert ends[-1] == t_start + dt
+        assert ends[-1] == times[1]
         assert np.array_equal(starts[1:], ends[:-1])
         occupation = ends - starts
         assert np.all(np.abs(occupation - weights * dt) <= 1e-12 * dt)
@@ -211,7 +211,27 @@ class TestRealizeSignal:
             a, b = offsets[i], offsets[i + 1]
             alone = schedule_segments(times[i:i + 2], [0, b - a], weights[a:b])
             assert np.array_equal(starts[a:b], alone[0]) and np.array_equal(ends[a:b], alone[1])
-            assert starts[a] == times[i] and ends[b - 1] == times[i] + (times[i + 1] - times[i])
+            assert starts[a] == times[i] and ends[b - 1] == times[i + 1]
+
+    def test_non_uniform_partitions_tile_the_horizon(self):
+        # interval i's last segment ends where interval i + 1's first one
+        # starts, bit for bit, also where t_i + (t_{i+1} - t_i) rounds away
+        # from t_{i+1}
+        rng = np.random.default_rng(0)
+        rounded_away = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, rng.uniform(0.1, 10.0), n))))
+            counts = rng.integers(1, 5, n)
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            raw = rng.uniform(0.01, 1.0, offsets[-1])
+            weights = raw / np.repeat(np.add.reduceat(raw, offsets[:-1]), counts)
+            starts, ends, _, _ = schedule_segments(times, offsets, weights)
+            assert starts[0] == times[0] and ends[-1] == times[-1]
+            assert np.array_equal(starts[1:], ends[:-1])
+            assert np.array_equal(ends[offsets[1:] - 1], times[1:])
+            rounded_away += np.count_nonzero(times[:-1] + np.diff(times) != times[1:])
+        assert rounded_away > 0
 
 
 def reference_bound_search(problem, t, x, dt, dims):
@@ -292,16 +312,14 @@ def analytic_bound_problem(dynamics, control_lower, control_upper):
 
 
 class TestLevelBoundSearch:
-    def test_no_state_bounds_returns_full_interval(self):
-        problem = box_problem(control_lower=[-7.0], control_upper=[3.0])
-        assert level_bound_search(problem, 0.0, np.zeros(1), 0.1, [0]) == [(-7.0, 3.0)]
+    """The range search of a problem with state bounds, reached as the level
+    generator reaches it (``oracles.level_ranges``)."""
 
     @pytest.mark.parametrize("case", list(ANALYTIC_BOUND_CASES))
     def test_bisection_finds_analytic_bounds(self, case):
         dynamics, control_lower, control_upper, dt, expected = ANALYTIC_BOUND_CASES[case]
         problem = analytic_bound_problem(dynamics, control_lower, control_upper)
-        dims = list(range(problem.control_dim))
-        bounds = level_bound_search(problem, 0.0, np.zeros(1), dt, dims)
+        bounds = np.stack(level_ranges(problem, 0.0, np.zeros(1), dt), axis=1)
         assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("case, anchor", [("lower-anchor", 1), ("upper-anchor", 2)])
@@ -319,7 +337,7 @@ class TestLevelBoundSearch:
 
         monkeypatch.setattr(chattering, "_in_box", counted)
         monkeypatch.setattr(chattering, "eval_dynamics_batch", None)  # a call would raise
-        bounds = level_bound_search(problem, 0.0, np.zeros(1), dt, [0, 1])
+        bounds = np.stack(level_ranges(problem, 0.0, np.zeros(1), dt), axis=1)
         assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
         assert rows == [18]
         drift = eval_drift(problem, 0.0, np.zeros(1))
@@ -335,9 +353,9 @@ class TestLevelBoundSearch:
             control_upper=[10.0],
             x0=[1.0],
         )
-        [(lo, hi)] = level_bound_search(problem, 0.0, np.array([1.0]), 1.0, [0])
-        assert lo == 0.0
-        assert hi == 0.0
+        lo, hi = level_ranges(problem, 0.0, np.array([1.0]), 1.0)
+        assert lo.tolist() == [0.0]
+        assert hi.tolist() == [0.0]
 
     def test_infeasible_raises(self):
         # any control pushes the state below its floor
@@ -348,7 +366,7 @@ class TestLevelBoundSearch:
             control_upper=[1.0],
         )
         with pytest.raises(InfeasibleLevels):
-            level_bound_search(problem, 0.0, np.zeros(1), 1.0, [0])
+            level_ranges(problem, 0.0, np.zeros(1), 1.0)
 
 
 
@@ -391,9 +409,9 @@ class TestClosedFormLevelRanges:
             except InfeasibleLevels:
                 infeasible += 1
                 with pytest.raises(InfeasibleLevels):
-                    level_bound_search(problem, 0.0, x, dt, dims)
+                    level_ranges(problem, 0.0, x, dt)
                 continue
-            closed = level_bound_search(problem, 0.0, x, dt, dims)
+            closed = np.stack(level_ranges(problem, 0.0, x, dt), axis=1)
             fallbacks += sum(k > 0 for k in anchors_used)
             lower, upper = problem.control_lower, problem.control_upper
             bracket = (upper - lower) * 2.0**-BOUND_SEARCH_ITERATIONS
@@ -412,7 +430,7 @@ class TestClosedFormLevelRanges:
         problem = random_affine_problem(np.random.default_rng(3))
         # a call would raise TypeError
         monkeypatch.setattr(chattering, "eval_dynamics_batch", None)
-        level_bound_search(problem, 0.0, problem.initial_state, 0.1, range(problem.control_dim))
+        level_ranges(problem, 0.0, problem.initial_state, 0.1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_replayed_desk_grids_match_bisection(self, seed):
@@ -489,17 +507,17 @@ class TestOnePassSearch:
             problem, x, drift = bounded_affine_case(rng)
             terms = chattering.LevelCache(problem, GridParams()).terms
             t, dt = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0))
-            dims = random_dims(rng, problem.control_dim)
+            dims = range(problem.control_dim)
             sides[(problem.state_lower is not None, problem.state_upper is not None)] += 1
             try:
                 lo, hi, found_at = reference_affine_ranges(problem, t, x, dt, dims, drift)
             except InfeasibleLevels as error:
                 with pytest.raises(InfeasibleLevels) as raised_here:
-                    chattering._search_ranges(problem, t, x, dt, dims, drift, terms)
+                    chattering._search_ranges(problem, t, x, dt, drift, terms)
                 assert str(raised_here.value) == str(error)
                 raised += 1
                 continue
-            one_pass = chattering._search_ranges(problem, t, x, dt, dims, drift, terms)
+            one_pass = chattering._search_ranges(problem, t, x, dt, drift, terms)
             assert_bitwise(one_pass[0], lo)
             assert_bitwise(one_pass[1], hi)
             anchors.update(found_at[found_at >= 0].tolist())
@@ -509,54 +527,58 @@ class TestOnePassSearch:
         assert anchors[1] > 20 and anchors[2] > 20
         assert set(sides) == {(True, False), (False, True), (True, True)}
 
+    # each dimension's range depends on that dimension alone: the oracle
+    # searched on a subset of the dimensions returns the full search's
+    # entries for them
+
     def test_subset_returns_the_full_entries(self):
         rng = np.random.default_rng(1903)
         checked = 0
         for _ in range(500):
-            problem, x, _ = bounded_affine_case(rng)
+            problem, x, drift = bounded_affine_case(rng)
             dt = float(rng.uniform(0.05, 1.0))
-            m = problem.control_dim
             try:
-                full = level_bound_search(problem, 0.0, x, dt, range(m))
+                full = level_ranges(problem, 0.0, x, dt)
             except InfeasibleLevels:
                 continue
-            dims = random_dims(rng, m)
-            subset = level_bound_search(problem, 0.0, x, dt, dims)
-            assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
+            dims = random_dims(rng, problem.control_dim)
+            lo, hi, _ = reference_affine_ranges(problem, 0.0, x, dt, dims, drift)
+            assert_bitwise(full[0][dims], lo[dims])
+            assert_bitwise(full[1][dims], hi[dims])
             checked += 1
         assert checked > 250
 
     def test_subset_returns_the_full_entries_on_replayed_desk_states(self):
         problem, _, source = feedback_replay(0)
         rng = np.random.default_rng(5)
-        dt, m = problem.horizon / 200, problem.control_dim
+        dt = problem.horizon / 200
         for i in range(2, 200, 20):
-            x = source(i, i * dt, problem.initial_state)
-            full = level_bound_search(problem, i * dt, x, dt, range(m))
-            dims = random_dims(rng, m)
-            subset = level_bound_search(problem, i * dt, x, dt, dims)
-            assert np.array(subset).tobytes() == np.array([full[d] for d in dims]).tobytes()
+            t, x = i * dt, source(i, i * dt, problem.initial_state)
+            full = level_ranges(problem, t, x, dt)
+            dims = random_dims(rng, problem.control_dim)
+            lo, hi, _ = reference_affine_ranges(problem, t, x, dt, dims, eval_drift(problem, t, x))
+            assert_bitwise(full[0][dims], lo[dims])
+            assert_bitwise(full[1][dims], hi[dims])
 
     def test_subset_without_the_infeasible_dimensions(self):
-        # a full call that raises names the dimensions whose own calls
-        # raise; a call on the others returns what their own calls return
+        # a full search that raises names exactly the dimensions whose own
+        # oracle call raises
         rng = np.random.default_rng(1904)
         checked = 0
         for _ in range(1000):
-            problem, x, _ = bounded_affine_case(rng)
+            problem, x, drift = bounded_affine_case(rng)
             dt = float(rng.uniform(0.05, 1.0))
-            alone, missing = {}, []
+            found, missing = [], []
             for d in range(problem.control_dim):
                 try:
-                    alone[d] = level_bound_search(problem, 0.0, x, dt, [d])[0]
+                    reference_affine_ranges(problem, 0.0, x, dt, [d], drift)
+                    found.append(d)
                 except InfeasibleLevels:
                     missing.append(d)
-            if not (missing and alone):
+            if not (missing and found):
                 continue
             with pytest.raises(InfeasibleLevels, match=re.escape(f"dimension(s) {missing} at")):
-                level_bound_search(problem, 0.0, x, dt, range(problem.control_dim))
-            ranges = level_bound_search(problem, 0.0, x, dt, list(alone))
-            assert np.array(ranges).tobytes() == np.array(list(alone.values())).tobytes()
+                level_ranges(problem, 0.0, x, dt)
             checked += 1
         assert checked > 50
 
@@ -1271,14 +1293,14 @@ class TestGridRanges:
         x = rng.uniform(0.0, 2.0, 20)
         x[rng.integers(0, 20, 6)] = 0.0
         t, dt, params = 0.3, 0.005, GridParams()
-        ranges = np.array(level_bound_search(problem, t, x, dt, range(problem.control_dim)))
-        assert np.any(ranges[:, 1] < problem.control_upper)
+        lo, hi = level_ranges(problem, t, x, dt)
+        assert np.any(hi < problem.control_upper)
         # with a memo the second build is a hit, which takes the entry's
         # ends; without one it searches again
         cache = memo_cache(problem, params) if memo else chattering.LevelCache(problem, params)
         first, _ = build_grid(cache, t, x, dt)
-        assert_bitwise(first.lo, ranges[:, 0])
-        assert_bitwise(first.hi, ranges[:, 1])
+        assert_bitwise(first.lo, lo)
+        assert_bitwise(first.hi, hi)
         assert not (first.lo.flags.writeable or first.hi.flags.writeable)
         assert np.all(first.levels >= first.lo) and np.all(first.levels <= first.hi)
         lo, hi = first.lo, first.hi
@@ -1294,13 +1316,13 @@ class TestGridRanges:
         x = rng.uniform(0.0, 2.0, 20)
         x[rng.integers(0, 20, 6)] = 0.0
         t, dt, params = 0.3, 0.005, GridParams()
-        ranges = np.array(level_bound_search(problem, t, x, dt, range(problem.control_dim)))
-        assert np.any(ranges[:, 1] < problem.control_upper)
+        searched_lo, searched_hi = level_ranges(problem, t, x, dt)
+        assert np.any(searched_hi < problem.control_upper)
         cache = memo_cache(problem, params)
         for _ in range(2):  # a miss, then a hit
             grid, _ = build_grid(cache, t, x, dt)
-            assert_bitwise(grid.lo, ranges[:, 0])
-            assert_bitwise(grid.hi, ranges[:, 1])
+            assert_bitwise(grid.lo, searched_lo)
+            assert_bitwise(grid.hi, searched_hi)
             # the memo keeps the grid's ends, which a hit builds its grids from
             _, lo, hi, _ = cache.memo[(t, dt)]
             assert grid.lo is lo and grid.hi is hi

@@ -29,6 +29,9 @@ from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
 from chatterctl.shooting import tangent_sensitivities, update_initial_costate
 from oracles import (
+    TANKS_B,
+    TANKS_TARGET,
+    TANKS_X0,
     central_difference_tangent,
     cubic_drift_problem,
     fingerprint,
@@ -36,6 +39,8 @@ from oracles import (
     lqr_discrete_optimum,
     lqr_hamiltonian_flow,
     priced_bolza_problem,
+    tanks_discrete_optimum,
+    tanks_problem,
 )
 
 
@@ -591,6 +596,90 @@ class TestExactPricing:
         assert np.array_equal(traj.offsets, np.arange(0, 201, 2))
         assert traj.support_levels.tolist() == [[-1.0], [1.0]] * 100
         assert traj.support_weights.tolist() == [0.5] * 200
+
+
+class TestTwoTanks:
+    """The two tanks of ``oracles.tanks_problem``: two states coupled
+    through both controls, an upper state bound and a terminal cost,
+    against the explicit-Euler QP optimum ``oracles.tanks_discrete_optimum``."""
+
+    def test_oracle_matches_an_exhaustive_grid(self):
+        # every control block of a 21-point grid per control over [0, 1]^4,
+        # then of one over +-0.05 around the best, rolled out step by step
+        def grid_best(lo, hi):
+            axes = [np.linspace(a, b, 21) for a, b in zip(lo, hi)]
+            U = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+            U = U.reshape(-1, 2, 2)
+            dt, x, cost = 0.5, np.broadcast_to(TANKS_X0, (len(U), 2)), np.zeros(len(U))
+            for k in range(2):
+                cost += dt * 0.1 * (U[:, k] ** 2).sum(axis=1)
+                x = x + dt * (-0.5 * x + U[:, k] @ TANKS_B)
+            cost += ((x - TANKS_TARGET) ** 2).sum(axis=1)
+            best = int(cost.argmin())
+            return cost[best], U[best].ravel()
+
+        _, coarse = grid_best(np.zeros(4), np.ones(4))
+        fine, _ = grid_best(np.clip(coarse - 0.05, 0.0, 1.0), np.clip(coarse + 0.05, 0.0, 1.0))
+        # the grid's best is a feasible point: it cannot beat the optimum
+        assert 0.0 <= fine - tanks_discrete_optimum(2) <= 1e-5
+
+    def test_priced_tanks_converge_to_the_discrete_optimum(self):
+        # the exact minimizer prices every interval: the run ends 2.35e-7
+        # above the optimum of the QP the solver discretizes
+        config = ShootingConfig(p0_initial=np.zeros(2), gamma=0.5)
+        result = solve(tanks_problem(True), TimePartition.uniform(1.0, 20), config, GridParams(11, 121))
+        assert result.converged and result.iterations == 7
+        excess = result.trajectory.accumulated_cost - tanks_discrete_optimum(20)
+        assert 0.0 <= excess <= 1e-6
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 2: without a pricing hook the 121-level grid cannot reach the "
+        "optimum (the run spends its budget at cost 0.3572)",
+    )
+    def test_hookless_tanks_reach_the_discrete_optimum(self):
+        config = ShootingConfig(p0_initial=np.zeros(2), gamma=0.5, max_iterations=60)
+        result = solve(tanks_problem(False), TimePartition.uniform(1.0, 20), config, GridParams(11, 121))
+        assert result.converged
+        assert abs(result.trajectory.accumulated_cost - tanks_discrete_optimum(20)) <= 1e-5
+
+
+#: the runs that a step length backtracking below ``gamma`` must converge
+BELOW_GAMMA = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 16: a trial at lambda == gamma is accepted whatever its "
+    "residual, and the full steps at gamma 1 cycle",
+)
+
+
+class TestStepRuleBelowGamma:
+    """Runs that the step rule fails today: at ``gamma 1`` every full step
+    is accepted, and these iterates settle on a cycle of length 2."""
+
+    @BELOW_GAMMA
+    @pytest.mark.parametrize("p0", [-20.0, 200.0])
+    def test_terminal_cost_lqr_from_far_starts(self, p0):
+        # cycles after 3 (p0 = -20) or 5 (p0 = 200) iterations, best
+        # residual 391.8 or 322.9
+        problem = dataclasses.replace(build_lqr(), **quadratic_terminal_cost(5.0, 1, []))
+        config = ShootingConfig(p0_initial=np.array([p0]), gamma=1.0, max_iterations=60)
+        result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
+        assert result.converged
+
+    @BELOW_GAMMA
+    def test_grid_only_lqr_at_gamma_one(self):
+        # cycles after 9 iterations at cost 419.3
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        config = ShootingConfig(p0_initial=np.zeros(1), gamma=1.0, max_iterations=60)
+        result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
+        assert result.converged
+
+    @BELOW_GAMMA
+    def test_priced_tanks_at_gamma_one(self):
+        # cycles after 14 iterations with x_T = (0.915, 0)
+        config = ShootingConfig(p0_initial=np.zeros(2), gamma=1.0, max_iterations=60)
+        result = solve(tanks_problem(True), TimePartition.uniform(1.0, 20), config, GridParams(11, 121))
+        assert result.converged
 
 
 def grocer_10():
