@@ -34,6 +34,7 @@ from .model import (
     ControlProblem,
     NonFiniteEvaluation,
     _central_difference,
+    _check_count,
     eval_drift,
     eval_drift_jacobian,
     eval_running_cost_batch,
@@ -49,9 +50,8 @@ SUPPLY_CHAIN_HORIZON = 1.0
 
 PROBLEM_CHOICES = ("lqr", "supply-chain")
 
-#: SolveConfig fields that a config file must give as JSON integers or
-#: numbers; bool is an int subclass in Python and is refused for both
-INT_FIELDS = ("intervals", "levels", "level_cap", "max_iters")
+#: SolveConfig fields that a config file must give as JSON numbers; bool is
+#: an int subclass in Python and is refused
 FLOAT_FIELDS = ("gamma", "eps", "amplitude", "period")
 
 
@@ -65,11 +65,11 @@ class SolveConfig:
 
     problem: str = "lqr"
     intervals: int = 100
-    levels: int = 101
-    level_cap: int = 4096
-    gamma: float = 0.5
-    eps: float = 1e-3
-    max_iters: int = 500
+    levels: int = GridParams.k_per_dim
+    level_cap: int = GridParams.cap
+    gamma: float = shooting.ShootingConfig.gamma
+    eps: float = shooting.ShootingConfig.epsilon
+    max_iters: int = shooting.ShootingConfig.max_iterations
     p0: Optional[List[float]] = None
     demand: str = "seasonal"
     amplitude: float = 5.0
@@ -78,10 +78,8 @@ class SolveConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
-        for name in INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name.replace('_', '-')} must be an integer, got {value!r}")
+        for name, minimum in (("intervals", 1), ("levels", 2), ("level_cap", 1), ("max_iters", 1)):
+            _check_count(name.replace("_", "-"), getattr(self, name), minimum, ConfigError)
         for name in FLOAT_FIELDS:
             value = getattr(self, name)
             if not _is_number(value):
@@ -94,18 +92,10 @@ class SolveConfig:
             raise ConfigError(f"out-dir must be a string, got {self.out_dir!r}")
         if self.problem not in PROBLEM_CHOICES:
             raise ConfigError(f"problem must be one of {PROBLEM_CHOICES}")
-        if self.intervals < 1:
-            raise ConfigError("intervals must be >= 1")
-        if self.levels < 2:
-            raise ConfigError("levels must be >= 2")
-        if self.level_cap < 1:
-            raise ConfigError("level-cap must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
         if not 0.0 < self.eps < np.inf:
             raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
-        if self.max_iters < 1:
-            raise ConfigError("max-iters must be >= 1")
         if self.demand not in problems.DEMAND_PROFILES:
             raise ConfigError(f"demand must be one of {problems.DEMAND_PROFILES}")
         if self.fixed_cost_mode not in problems.FIXED_COST_MODES:
@@ -300,13 +290,14 @@ def run_solve(config: SolveConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_lqr(intervals: int = 100, levels: int = 101) -> Tuple[bool, List[str]]:
-    """Solve the regulator and compare the state trajectory and cost against
-    the closed-form optimum."""
-    problem = problems.build_lqr()
-    partition = TimePartition.uniform(problem.horizon, intervals)
+def check_lqr() -> Tuple[bool, List[str]]:
+    """Solve the regulator at the CLI defaults and compare the state
+    trajectory and cost against the closed-form optimum."""
+    defaults = SolveConfig()
+    problem = build_problem(defaults)
+    partition = TimePartition.uniform(problem.horizon, defaults.intervals)
     config = shooting.ShootingConfig(p0_initial=np.zeros(1))
-    result = shooting.solve(problem, partition, config, GridParams(levels, 4096))
+    result = shooting.solve(problem, partition, config, GridParams(defaults.levels, defaults.level_cap))
     trajectory = result.trajectory
     exact = np.array([problems.lqr_analytic_solution(t)[0] for t in partition.times])
     states = trajectory.states()[:, 0]
@@ -352,9 +343,8 @@ def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tupl
     rng = np.random.default_rng(seed)
     lines: List[str] = []
     ok = True
-    demand = problems.synthetic_demand("seasonal", 5.0, 0.5)
-    cases = [("lqr", problems.build_lqr()), ("supply-chain", problems.build_supply_chain(demand, 1.0, 200))]
-    for name, problem in cases:
+    for name in PROBLEM_CHOICES:
+        problem = build_problem(SolveConfig(problem=name, intervals=200))
         worst, bad = 0.0, 0
         for _ in range(points_per_problem):
             t = float(rng.uniform(0.0, problem.horizon))
@@ -401,13 +391,11 @@ def check_sensitivities() -> Tuple[bool, List[str]]:
       no perturbed run crosses a clip, so the tangent sees the priced
       control: ``P_x`` and ``P_p`` must match to 1e-6 relative.
     """
-    demand = problems.synthetic_demand("seasonal", 5.0, 0.5)
-    grocer = problems.build_supply_chain(demand, SUPPLY_CHAIN_HORIZON, 10)
-    tangent, reference = _tangent_and_reference(grocer, 10, GridParams(3, 64), np.zeros(grocer.state_dim))
+    grocer = SolveConfig(problem="supply-chain", intervals=10)
+    tangent, reference = _tangent_and_reference(grocer, GridParams(3, 64), 0.0)
     px_equal = bool(np.array_equal(tangent.P_x, reference.P_x))
     errors = {"grocer P_p": _relative_difference(tangent.P_p, reference.P_p)}
-    lqr = problems.build_lqr()
-    tangent, reference = _tangent_and_reference(lqr, 100, GridParams(101, 4096), np.array([30.0]))
+    tangent, reference = _tangent_and_reference(SolveConfig(problem="lqr", intervals=100), GridParams(), 30.0)
     errors["lqr P_x"] = _relative_difference(tangent.P_x, reference.P_x)
     errors["lqr P_p"] = _relative_difference(tangent.P_p, reference.P_p)
     lines = [f"grocer P_x identical to finite differences: {px_equal}"]
@@ -416,16 +404,17 @@ def check_sensitivities() -> Tuple[bool, List[str]]:
 
 
 def _tangent_and_reference(
-    problem: ControlProblem, intervals: int, grid_params: GridParams, p0: np.ndarray
+    config: SolveConfig, grid_params: GridParams, guess: float
 ) -> Tuple[shooting.SensitivityEstimate, shooting.SensitivityEstimate]:
-    """The tangent sensitivities along the run from ``p0`` and the
-    finite-difference ones (step 1e-3) that it is checked against."""
-    partition = TimePartition.uniform(problem.horizon, intervals)
+    """The tangent sensitivities along the run of ``config``'s problem and
+    interval count from ``p0 = guess`` in every coordinate, and the
+    finite-difference ones (step 1e-3) that they are checked against."""
+    problem = build_problem(config)
+    p0 = np.full(problem.state_dim, guess)
+    partition = TimePartition.uniform(problem.horizon, config.intervals)
     nominal = propagate_forward(problem, partition, p0, grid_params)
-    tangent = shooting.tangent_sensitivities(problem, partition, nominal)
-    reference = shooting.finite_diff_sensitivities(
-        problem, partition, p0, 1e-3, grid_params, nominal=nominal
-    )
+    tangent = shooting.tangent_sensitivities(problem, nominal)
+    reference = shooting.finite_diff_sensitivities(problem, partition, p0, 1e-3, grid_params)
     return tangent, reference
 
 

@@ -400,8 +400,7 @@ def build_supply_chain(
         # d(J|J|)/dx = 2|J| dJ/dx, row by row
         return (2.0 * np.abs(net_cost_rate_batch(t, x, U)))[:, None] * cost_state_gradient
 
-    minus_identity = -np.eye(n)
-    minus_identity.setflags(write=False)
+    minus_identity = _readonly(-np.eye(n))
 
     control_lower = np.zeros(m)
     control_upper = np.concatenate(

@@ -21,7 +21,8 @@ when its residual falls below ``1 - lambda/4`` of the accepted one, else
 halve ``lambda`` down to ``ShootingConfig.gamma`` and propagate again.
 
 ``finite_diff_sensitivities`` is the reference the tangent is checked
-against: n sequential propagations, one per perturbed costate coordinate.
+against: its own nominal run and n sequential propagations, one per
+perturbed costate coordinate.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import (
     ControlProblem,
     NonFiniteEvaluation,
     _check_count,
+    _readonly,
     eval_drift_jacobian,
     eval_hamiltonian_argmin,
     grad_h_state,
@@ -83,12 +85,11 @@ class ShootingConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        p0 = np.array(self.p0_initial, dtype=float)
+        p0 = _readonly(self.p0_initial)
         if p0.ndim != 1:
             raise ValueError("p0_initial must be a 1-d array")
         if not np.all(np.isfinite(p0)):
             raise ValueError("p0_initial must be finite")
-        p0.setflags(write=False)
         object.__setattr__(self, "p0_initial", p0)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
@@ -107,19 +108,17 @@ class SensitivityEstimate:
 
     def __post_init__(self):
         for name in ("P_x", "P_p"):
-            mat = np.array(getattr(self, name), dtype=float)
+            mat = _readonly(getattr(self, name))
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be a square matrix")
             if not np.all(np.isfinite(mat)):
                 raise ValueError(f"{name} must be finite")
-            mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
 
 @dataclass(frozen=True)
 class ShootingResult:
     converged: bool
-    iterations: int
     residual_history: Array
     trajectory: Optional[Trajectory]
     p0_final: Array
@@ -134,12 +133,13 @@ class ShootingResult:
     step_lengths: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        hist = np.array(self.residual_history, dtype=float)
-        hist.setflags(write=False)
-        object.__setattr__(self, "residual_history", hist)
-        object.__setattr__(self, "p0_final", np.array(self.p0_final, dtype=float))
-        if hist.size != self.iterations:
-            raise ValueError("residual_history length must equal iterations")
+        object.__setattr__(self, "residual_history", _readonly(self.residual_history))
+        object.__setattr__(self, "p0_final", _readonly(self.p0_final))
+
+    @property
+    def iterations(self) -> int:
+        """The number of propagations, one residual each."""
+        return self.residual_history.size
 
     @property
     def residual(self) -> float:
@@ -152,18 +152,16 @@ def finite_diff_sensitivities(
     p0: Array,
     delta_p: float,
     grid_params: GridParams = GridParams(),
-    nominal: Optional[Trajectory] = None,
 ) -> SensitivityEstimate:
-    """One-sided difference Jacobians from n perturbed propagations, one per
-    costate coordinate in order, plus the nominal run (reused when supplied).
-    The first failing perturbation raises, with its ``perturbation_index``
-    besides the ``interval_index`` the propagation tagged."""
+    """One-sided difference Jacobians from n + 1 propagations: the nominal
+    run from ``p0``, then one per costate coordinate in order.  The first
+    failing perturbation raises, with its ``perturbation_index`` besides
+    the ``interval_index`` the propagation tagged."""
     if not delta_p > 0:
         raise ValueError("delta_p must be positive")
     p0 = np.asarray(p0, dtype=float)
     n = problem.state_dim
-    if nominal is None:
-        nominal = propagate_forward(problem, partition, p0, grid_params)
+    nominal = propagate_forward(problem, partition, p0, grid_params)
     x_T, p_T = nominal.x[-1], nominal.p[-1]
     P_x = np.empty((n, n))
     P_p = np.empty((n, n))
@@ -221,9 +219,7 @@ def _interval_tangent(
     return du, curvature
 
 
-def tangent_sensitivities(
-    problem: ControlProblem, partition: TimePartition, nominal: Trajectory
-) -> SensitivityEstimate:
+def tangent_sensitivities(problem: ControlProblem, nominal: Trajectory) -> SensitivityEstimate:
     """Jacobians of the terminal pair from the variational equations along
     ``nominal``, in one pass over its recorded rows: no level generation,
     no measure LP, no propagation.  The tangent carries the state and
@@ -247,18 +243,16 @@ def tangent_sensitivities(
 
     The tangent does not see level switches: a change of p0 that moves a
     grid interval's argmin changes the terminal pair in a way it misses.
-    ``ValueError`` unless ``nominal`` ran on ``partition``'s times, bit for bit.
-    A hook's ``ValueError`` or ``NonFiniteEvaluation`` is tagged with its
+    The interval lengths are those of ``nominal.times``.  A hook's
+    ``ValueError`` or ``NonFiniteEvaluation`` is tagged with its
     ``interval_index``, as in ``propagate_forward``.
     """
-    if nominal.times.tobytes() != partition.times.tobytes():
-        raise ValueError("nominal was run on another partition: its times differ")
     n = problem.state_dim
     B, off, priced = problem.control_matrix, nominal.offsets.tolist(), nominal.priced_ranges
     dx, dp = np.zeros((n, n)), np.eye(n)
     # dx is exactly 0 until the first priced interval that moves the control
     moved = False
-    for i, (t, dt) in enumerate(zip(nominal.times.tolist(), partition.deltas.tolist())):
+    for i, (t, dt) in enumerate(zip(nominal.times.tolist(), np.diff(nominal.times).tolist())):
         x, p = nominal.x[i], nominal.p[i]
         a, b = off[i], off[i + 1]
         # the ranges of an interval that the priced rows won alone
@@ -404,7 +398,7 @@ def solve(
         if len(history) >= config.max_iterations:
             break
         if accepted:
-            sens = tangent_sensitivities(problem, partition, trajectory)
+            sens = tangent_sensitivities(problem, trajectory)
             try:
                 direction, cond = update_initial_costate(sens, mismatch, x_T, problem)
                 kind = "newton"
@@ -419,7 +413,6 @@ def solve(
         message = "iteration budget exhausted before the residual dropped below epsilon"
     return ShootingResult(
         converged=converged,
-        iterations=len(history),
         residual_history=np.asarray(history),
         trajectory=best_trajectory,
         p0_final=best_p0,

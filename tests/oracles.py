@@ -1,7 +1,8 @@
 """Independent oracles the tests compare the solver against.
 
 None of these run in the solver itself: closed forms, per-table envelopes,
-the grocer's net cost rate and drift in their table form, a single-row
+the grocer's net cost rate and drift in their table form, the grocer's
+least Hamiltonian over its gated control box, a single-row
 reference step, a schedule's time average, the control of a
 measure given by a weight on every level, the factored ``p . f`` sweep of a
 control-affine problem, the dynamics hooks of linear dynamics, the shooting
@@ -18,6 +19,7 @@ reaches the solver's range search the way the level generator does.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +120,112 @@ def reference_drift(demand, t, x, customers=CUSTOMERS, items=ITEMS):
                       for c in customers])
     x = np.asarray(x, dtype=float)
     return np.concatenate([-x[:len(items)], -x[len(items):] + table.T.ravel()])
+
+
+def grocer_hamiltonian_min(problem, t, x, p, lo, hi, suppliers=SUPPLIERS, customers=CUSTOMERS,
+                           items=ITEMS):
+    """The least Hamiltonian of the grocer built from ``suppliers``,
+    ``customers`` and ``items`` (fixed costs ``on-order``) at (t, x, p) over
+    the controls in ``[lo, hi]`` whose order columns are 0 or lie in their
+    supplier's ``[min_qty, max_qty]``, and a control that attains it:
+    ``(h_min, u)``.  No joint one-step state test is applied, so ``h_min``
+    bounds the level grid's least Hamiltonian from below.
+
+    ``H = J|J| + q.u + p.drift`` with ``q = B p``, and the net cost rate ``J``
+    is ``c(x) + alpha.mu + beta.[mu > 0]`` less the revenue: H depends on
+    the orders only through the item totals ``mu``, each of which ranges
+    over the merged sums of its suppliers' admissible ranges.  Every choice
+    of one such range per item fixes the fixed cost, and over the box it
+    leaves ``min J|J| + q.y`` is a parametric fractional knapsack (Dantzig,
+    Oper. Res. 5, 1957): with the columns sorted by ``q_k / a_k``, the
+    least ``q.y`` at ``a.y = s`` is convex and piecewise linear in s, and on
+    each of its pieces (slope r) ``J|J| + r s`` is least at an end or at
+    ``J = -r/2``.  Each item total is split back over its suppliers."""
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    S, n_items, n_cust = len(suppliers), len(items), len(customers)
+    alpha, beta = np.zeros(n_items), np.zeros(n_items)
+    for rec in suppliers:
+        alpha[rec.item_id] += rec.unit_cost
+        beta[rec.item_id] += rec.fixed_cost
+    holding = float(reference_net_cost_rate(np.zeros((1, lo.size)), x, "on-order", suppliers,
+                                            customers, items)[0][0])
+    # the delivery columns, customer-major: J loses 2 alpha per unit, and
+    # each drains its item's inventory and its (item, customer) market row
+    p_market = p[n_items:].reshape(n_items, n_cust).T
+    a_v = np.tile(-2.0 * alpha, n_cust)
+    q_v = -(p[:n_items] + p_market).ravel()
+    # per item: the off option (None) where every supplier can order
+    # nothing, then its merged on ranges, each with the supplier ranges
+    # whose sums it covers
+    rows = [[s for s, rec in enumerate(suppliers) if rec.item_id == item] for item in range(n_items)]
+    options = []
+    for item in range(n_items):
+        pieces = []
+        for s in rows[item]:
+            own = [(0.0, 0.0)] if lo[s] <= 0.0 <= hi[s] else []
+            a, b = max(suppliers[s].min_qty, lo[s]), min(suppliers[s].max_qty, hi[s])
+            pieces.append(own + ([(a, b)] if a <= b else []))
+        merged, off = [], False
+        for combo in sorted(itertools.product(*pieces), key=lambda c: sum(a for a, _ in c)):
+            a, b = sum(a for a, _ in combo), sum(b for _, b in combo)
+            if b == 0.0:
+                off = True
+            elif merged and a <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], b)
+                merged[-1][2].append(combo)
+            else:
+                merged.append([a, b, [combo]])
+        options.append(([None] if off else []) + merged)
+    # an order column's q is its item's inventory costate
+    best = (math.inf, None, None, None)
+    for choice in itertools.product(*options):
+        on = [i for i, opt in enumerate(choice) if opt is not None]
+        a = np.concatenate([alpha[on], a_v])
+        q = np.concatenate([p[on], q_v])
+        low = np.concatenate([[choice[i][0] for i in on], lo[S:]])
+        high = np.concatenate([[choice[i][1] for i in on], hi[S:]])
+        value, y = _least_signed_square(holding + beta[on].sum(), a, q, low, high)
+        if value < best[0]:
+            best = (value, choice, on, y)
+    value, choice, on, y = best
+    u = np.zeros(lo.size)
+    u[S:] = y[len(on):]
+    for mu, item in zip(y.tolist(), on):
+        # the supplier ranges nearest mu, filled in table order from their
+        # lower ends
+        combo = min(choice[item][2], key=lambda c: max(sum(a for a, _ in c) - mu,
+                                                       mu - sum(b for _, b in c)))
+        rest = mu - sum(a for a, _ in combo)
+        for s, (a, b) in zip(rows[item], combo):
+            u[s] = min(a + max(rest, 0.0), b)
+            rest -= u[s] - a
+    return value + float(p @ eval_drift(problem, t, x)), u
+
+
+def _least_signed_square(fixed, a, q, low, high):
+    """``min J|J| + q.y`` over the box ``[low, high]`` with ``J = fixed +
+    a.y`` (no ``a_k`` zero), and its minimizer.  In ``d_k = a_k (y_k -
+    low_k)`` the box spans ``[min(0, w_k), max(0, w_k)]`` with ``w_k = a_k
+    (high_k - low_k)`` and ``q.y`` adds ``(q_k / a_k) d_k``: J rises from its
+    least value through the pieces in the order of ``q_k / a_k``."""
+    ratio, span = q / a, a * (high - low)
+    order = np.argsort(ratio, kind="stable")
+    width, slope = np.abs(span)[order], ratio[order]
+    d_start = np.minimum(span, 0.0)
+    starts = fixed + a @ low + d_start.sum() + np.concatenate([[0.0], np.cumsum(width)])
+    base = q @ low + ratio @ d_start + np.concatenate([[0.0], np.cumsum(slope * width)])
+    # candidates on each piece: its two ends and J = -r/2 cut to the piece
+    ends = starts[1:]
+    J = np.stack([starts[:-1], ends, np.clip(-slope / 2.0, starts[:-1], ends)])
+    values = J * np.abs(J) + base[:-1] + slope * (J - starts[:-1])
+    k = np.unravel_index(np.argmin(values), values.shape)
+    target = J[k]
+    # fill the pieces in order up to J = target
+    taken = np.clip(target - starts[:-1], 0.0, width)
+    d = d_start.copy()
+    d[order] += taken
+    return float(values[k]), np.clip(low + d / a, low, high)
 
 
 def market_step_oracle(Z: float, theta: float, v: float, dt: float) -> float:

@@ -123,25 +123,22 @@ class TestFiniteDiffSensitivities:
                 inert_problem(), TimePartition.uniform(1.0, 2), np.zeros(2), 0.0
             )
 
-    def test_nominal_run_is_reused(self, monkeypatch):
+    def test_propagates_its_own_nominal(self, monkeypatch):
+        # n + 1 propagations, the first from p0 itself: the reference shares
+        # no run with the tangent it checks
         problem, part, grid = grocer_10()
         p0 = np.zeros(20)
-        nominal = propagate_forward(problem, part, p0, grid)
         forward = shooting.propagate_forward
-        calls = []
+        starts = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
+        def counted(problem, partition, p0, *args, **kwargs):
+            starts.append(np.array(p0))
+            return forward(problem, partition, p0, *args, **kwargs)
 
         monkeypatch.setattr(shooting, "propagate_forward", counted)
-        reused = finite_diff_sensitivities(problem, part, p0, 1e-3, grid, nominal=nominal)
-        assert len(calls) == 20
-        calls.clear()
-        fresh = finite_diff_sensitivities(problem, part, p0, 1e-3, grid)
-        assert len(calls) == 21
-        assert np.array_equal(reused.P_x, fresh.P_x)
-        assert np.array_equal(reused.P_p, fresh.P_p)
+        finite_diff_sensitivities(problem, part, p0, 1e-3, grid)
+        assert len(starts) == 21
+        assert np.array_equal(starts[0], p0)
 
     def test_lowest_failing_perturbation_reported(self):
         problem = two_rest_point_problem()
@@ -252,6 +249,21 @@ class TestSolve:
         assert result.iterations == 2
         assert np.array_equal(result.residual_history, [3.0, 0.0])
         assert result.p0_final[0] == 0.0
+
+    def test_record_arrays_are_read_only(self):
+        # each is a view of a read-only owner: a write raises, and so does
+        # turning writing back on, so export_convergence writes the run's
+        # own p0_final and a caller cannot change a config after its check
+        config = ShootingConfig(p0_initial=np.array([3.0]), gamma=1.0)
+        result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 3), config, GridParams(3, 16))
+        sens = SensitivityEstimate(np.eye(1), np.eye(1))
+        for array in (config.p0_initial, result.p0_final, result.residual_history, sens.P_x, sens.P_p):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        assert result.p0_final[0] == 0.0
+        assert result.iterations == result.residual_history.size == 2
 
     def test_geometric_decay_matches_closed_form(self):
         # the shooting map p0 -> p_T is the identity: the full step, which
@@ -740,7 +752,7 @@ class TestTangentSensitivities:
     def tangent(self, problem, intervals, p0, grid):
         part = TimePartition.uniform(problem.horizon, intervals)
         nominal = propagate_forward(problem, part, p0, grid)
-        return tangent_sensitivities(problem, part, nominal)
+        return tangent_sensitivities(problem, nominal)
 
     def test_lqr_closed_form(self):
         # from the optimal p0 every interval is priced and unclipped, u = -p/2:
@@ -751,7 +763,7 @@ class TestTangentSensitivities:
         part = TimePartition.uniform(1.0, 100)
         nominal = propagate_forward(build_lqr(), part, p0, GridParams(101, 4096))
         assert sorted(nominal.priced_ranges) == list(range(100))
-        sens = tangent_sensitivities(build_lqr(), part, nominal)
+        sens = tangent_sensitivities(build_lqr(), nominal)
         dt = 0.01
         step = np.array([[1.0 + dt, -dt / 2], [-2.0 * dt, 1.0 - dt]])
         expected = np.linalg.matrix_power(step, 100) @ np.array([0.0, 1.0])
@@ -769,7 +781,7 @@ class TestTangentSensitivities:
             part, grid = TimePartition.uniform(1.0, 100), GridParams(101, 4096)
         nominal = propagate_forward(problem, part, np.ones(problem.state_dim), grid)
         assert len(nominal.priced_ranges) == 0
-        sens = tangent_sensitivities(problem, part, nominal)
+        sens = tangent_sensitivities(problem, nominal)
         dp = np.eye(problem.state_dim)
         for t, dt, x in zip(part.times.tolist(), part.deltas.tolist(), nominal.x):
             dp = dp - dt * (problem.drift_jacobian(t, x).T @ dp)
@@ -792,7 +804,7 @@ class TestTangentSensitivities:
         part = TimePartition.uniform(1.0, 1)
         nominal = propagate_forward(problem, part, np.array([30.0]), GridParams(101, 4096))
         assert list(nominal.priced_ranges) == [0] and nominal.u[0, 0] == -15.0
-        sens = tangent_sensitivities(problem, part, nominal)
+        sens = tangent_sensitivities(problem, nominal)
         assert sens.P_x[0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_grocer_closed_form(self):
@@ -833,7 +845,7 @@ class TestTangentSensitivities:
         part, grid = TimePartition.uniform(1.0, 50), GridParams(11, 64)
         nominal = propagate_forward(problem, part, p0, grid)
         assert sorted(nominal.priced_ranges) == list(range(50))
-        sens = tangent_sensitivities(problem, part, nominal)
+        sens = tangent_sensitivities(problem, nominal)
         reference = finite_diff_sensitivities(problem, part, p0 - d, 2.0 * d, grid)
         assert sens.P_x[0, 0] == pytest.approx(reference.P_x[0, 0], rel=1e-6)
         assert sens.P_p[0, 0] == pytest.approx(reference.P_p[0, 0], rel=1e-6)
@@ -849,30 +861,23 @@ class TestTangentSensitivities:
             part, grid = TimePartition.uniform(1.0, 100), GridParams(101, 4096)
             p0 = np.array([lqr_analytic_solution(0.0)[1]])
         nominal = propagate_forward(problem, part, p0, grid)
-        analytic = tangent_sensitivities(problem, part, nominal)
+        analytic = tangent_sensitivities(problem, nominal)
         reference = central_difference_tangent(problem, part, nominal)
         assert np.array_equal(analytic.P_x, np.zeros_like(reference))
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(analytic.P_p - reference)) <= 1e-9 * scale
 
-    def test_partition_must_match_nominal(self):
-        problem = inert_problem()
-        part = TimePartition.uniform(1.0, 5)
-        nominal = propagate_forward(problem, part, np.zeros(2), GridParams(3, 16))
-        with pytest.raises(ValueError):
-            tangent_sensitivities(problem, TimePartition.uniform(1.0, 4), nominal)
-
-    def test_partition_times_must_match_nominal(self):
-        # as many intervals, other times: dt would come from the wrong
-        # partition; on its grid alone lqr's tangent is (1 - dt)^4
+    def test_interval_lengths_come_from_the_nominal_times(self):
+        # on its grid alone lqr's tangent is the product of 1 - dt over the
+        # intervals of the run, here of unequal lengths
         problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
         p0 = np.array([lqr_analytic_solution(0.0)[1]])
-        part = TimePartition.uniform(problem.horizon, 4)
+        part = TimePartition(np.array([0.0, 0.1, 0.2, 0.3, problem.horizon]))
         nominal = propagate_forward(problem, part, p0, GridParams(101, 4096))
-        other = TimePartition(np.array([0.0, 0.1, 0.2, 0.3, problem.horizon]))
-        with pytest.raises(ValueError, match="another partition"):
-            tangent_sensitivities(problem, other, nominal)
-        assert tangent_sensitivities(problem, part, nominal).P_p[0, 0] == (1.0 - problem.horizon / 4) ** 4
+        expected = 1.0
+        for dt in np.diff(part.times).tolist():
+            expected = expected - dt * expected
+        assert tangent_sensitivities(problem, nominal).P_p[0, 0] == expected
 
     @pytest.mark.parametrize("jacobian, error, interval, message", [
         (lambda t, x: np.eye(2), ValueError, 0,
@@ -889,7 +894,7 @@ class TestTangentSensitivities:
         nominal = propagate_forward(build_lqr(), part, np.zeros(1), grid)
         runs = [
             lambda: solve(problem, part, ShootingConfig(p0_initial=np.zeros(1)), grid),
-            lambda: tangent_sensitivities(problem, part, nominal),
+            lambda: tangent_sensitivities(problem, nominal),
         ]
         for run in runs:
             with pytest.raises(error) as excinfo:
@@ -1050,7 +1055,7 @@ class TestConditionNumbers:
         config = ShootingConfig(p0_initial=p0, max_iterations=2, epsilon=1e-15)
         result = solve(problem, part, config, GridParams(3, 16))
         nominal = propagate_forward(problem, part, p0, GridParams(3, 16))
-        sens = tangent_sensitivities(problem, part, nominal)
+        sens = tangent_sensitivities(problem, nominal)
         # no terminal cost: the matrix is -P_p
         expected = np.linalg.cond(-sens.P_p)
         assert result.condition_numbers[0] == expected
