@@ -356,11 +356,6 @@ def _scalar_grid(
     return _dedupe_sorted(values)
 
 
-def _same_bits(a: List[float], b: Optional[List[float]]) -> bool:
-    # == alone equates 0.0 and -0.0; the signs tell them apart
-    return a == b and [math.copysign(1.0, v) for v in a] == [math.copysign(1.0, v) for v in b]
-
-
 def _open_coords(
     problem: ControlProblem, x_i: Array, dt: float, drift: Array, low: Array, high: Array, largest: Array
 ) -> np.ndarray:
@@ -411,17 +406,14 @@ def _write_columns(levels: Array, grids: Sequence[List[float]], cols: Sequence[i
     """Writes columns ``cols`` of the lexicographic Cartesian product of
     ``grids`` into the column-major ``(K, m)`` array ``levels``: column j
     runs through grid j in blocks of ``prod(sizes[j + 1:])`` equal rows.
-    The write follows the column's shape: a one-value grid fills it; a
-    column that repeats a pattern of at most 4 rows gets one strided fill
-    per pattern row; any other gets its values broadcast over its blocks
-    (numpy's per-call cost, not the 4096 stores, sets the time here)."""
+    The write follows the column's shape: a column that repeats a pattern
+    of at most 4 rows gets one strided fill per pattern row; any other gets
+    its values broadcast over its blocks (numpy's per-call cost, not the
+    4096 stores, sets the time here)."""
     sizes = [len(g) for g in grids]
     for j in cols:
         grid, column = grids[j], levels[:, j]
         size = sizes[j]
-        if size == 1:
-            column.fill(grid[0])
-            continue
         inner = math.prod(sizes[j + 1:])
         period = size * inner
         if period <= 4:
@@ -480,11 +472,10 @@ def _product(
     to ``hi`` with ``counts`` points, as a read-only column-major ``(K,
     m)`` array (the dimension count is not limited the way np.meshgrid
     is).  Without ``cache`` it is a new array.  With one it is written in
-    place into the cache's buffer, which then holds it: only the dimensions
-    whose range ends differ from the cache's bit for bit get a new grid,
-    and only the columns whose grid changed bit for bit are written (every
-    column when a grid size changed); a new buffer is allocated only when K
-    changes."""
+    place into the cache's buffer, which then holds it: each dimension
+    whose range ends differ from the cache's bit for bit gets a new grid
+    and its column written (every column when a grid size changed); a new
+    buffer is allocated only when K changes."""
     m = len(counts)
     if cache is None or cache.grids is None:
         grids, levels, moved = [None] * m, None, range(m)
@@ -494,19 +485,17 @@ def _product(
                  | (hi.view(np.int64) != cache.hi.view(np.int64))).nonzero()[0].tolist()
     gated_dims = problem.gated_dims
     lo_list, hi_list, count_list = lo.tolist(), hi.tolist(), counts.tolist()
-    changed, resized = [], False
+    resized = False
     for j in moved:
         grid = _scalar_grid(gated_dims.get(j), j, lo_list[j], hi_list[j], count_list[j])
-        if not _same_bits(grid, grids[j]):
-            resized |= grids[j] is None or len(grid) != len(grids[j])
-            grids[j] = grid
-            changed.append(j)
+        resized |= grids[j] is None or len(grid) != len(grids[j])
+        grids[j] = grid
     if resized:
-        changed, K = range(m), math.prod(len(g) for g in grids)
+        moved, K = range(m), math.prod(len(g) for g in grids)
         if levels is None or levels.shape[0] != K:
             levels = np.empty((K, m), order="F")
     levels.setflags(write=True)
-    _write_columns(levels, grids, changed)
+    _write_columns(levels, grids, moved)
     levels.setflags(write=False)
     if cache is not None:
         cache.lo, cache.hi, cache.grids, cache.levels = lo, hi, grids, levels
@@ -535,9 +524,9 @@ def generate_levels_with_dynamics(
 
     ``cache`` (see ``LevelCache``) holds the level work that this build
     reuses and then replaces.  Each searched build starts from the
-    one before it: a range whose ends did not move keeps its scalar grid,
-    and the product is written into the cache's buffer, only the changed
-    columns (``_product``).  When the cache's memo holds this
+    one before it: a range whose ends did not move keeps its scalar grid
+    and its column of the product, which is written into the cache's
+    buffer (``_product``).  When the cache's memo holds this
     interval ``(t, dt)`` from ``x_i``, bit for bit, the range search and
     the box test are skipped and the entry's ranges are built again; a miss
     replaces the entry, and a failed build leaves none.  The result is bit

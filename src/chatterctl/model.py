@@ -36,11 +36,23 @@ class NonFiniteEvaluation(RuntimeError):
     this point."""
 
 
+def _as_floats(value, hook: str, t: Optional[float] = None) -> Array:
+    """A hook's output as a float array.  Output that is not an array of
+    numbers (a string, a mapping, a ragged nesting) raises ``ValueError``
+    naming the hook (and ``t`` for the hooks that take one)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        where = "" if t is None else f" at t={t}"
+        raise ValueError(f"{hook} returned a value that is not an array of numbers{where}") from err
+
+
 def _checked(value, shape: Tuple[int, ...], hook: str, t: Optional[float] = None) -> Array:
-    """A hook's output as a float array of ``shape``.  A wrong shape raises
-    ``ValueError`` and a NaN or inf ``NonFiniteEvaluation``, both naming the
-    hook (and ``t`` for the hooks that take one)."""
-    arr = np.asarray(value, dtype=float)
+    """A hook's output as a float array of ``shape``.  Output that is not an
+    array of numbers or has a wrong shape raises ``ValueError`` and a NaN or
+    inf ``NonFiniteEvaluation``, each naming the hook (and ``t`` for the
+    hooks that take one)."""
+    arr = _as_floats(value, hook, t)
     if arr.shape != shape:
         raise ValueError(f"{hook} returned shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
@@ -199,11 +211,12 @@ def eval_hamiltonian_argmin(
     problem: ControlProblem, t: float, x: Array, p: Array, lo: Array, hi: Array
 ) -> Array:
     """The candidate rows of ``hamiltonian_argmin`` at (t, x, p) over the
-    control ranges ``[lo, hi]``, shape ``(k, m)``.  A block of another shape
-    raises ``ValueError``, a NaN or inf ``NonFiniteEvaluation``, and a row
-    outside ``[lo, hi]`` or, on a gated dimension, neither 0 nor inside its
-    active range ``ValueError``, each naming the hook."""
-    rows = np.asarray(problem.hamiltonian_argmin(t, x, p, lo, hi), dtype=float)
+    control ranges ``[lo, hi]``, shape ``(k, m)``.  Output that is not an
+    array of numbers or a block of another shape raises ``ValueError``, a
+    NaN or inf ``NonFiniteEvaluation``, and a row outside ``[lo, hi]`` or,
+    on a gated dimension, neither 0 nor inside its active range
+    ``ValueError``, each naming the hook."""
+    rows = _as_floats(problem.hamiltonian_argmin(t, x, p, lo, hi), "hamiltonian_argmin", t)
     if rows.ndim != 2 or rows.shape[1] != problem.control_dim:
         raise ValueError(
             f"hamiltonian_argmin returned shape {rows.shape}, expected (k, {problem.control_dim})"

@@ -333,9 +333,9 @@ def propagate_forward(
 
     A non-finite evaluation, or a state or costate step that overflows,
     raises ``NonFiniteEvaluation``; that, ``InfeasibleLevels`` and a hook's
-    ``ValueError`` (an output of the wrong shape, or a priced row outside
-    the grid's ranges or its gated dimensions' admissible values) are
-    tagged with the ``interval_index``.
+    ``ValueError`` (an output that is not an array of numbers or has the
+    wrong shape, or a priced row outside the grid's ranges or its gated
+    dimensions' admissible values) are tagged with the ``interval_index``.
 
     Every level generation gets ``cache`` (a ``chattering.LevelCache`` for
     ``problem``, by identity, and ``grid_params``, by equality, else

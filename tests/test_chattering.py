@@ -1459,9 +1459,9 @@ def run_chain(rng, paths):
 
 
 class TestIncrementalBuild:
-    """A build with a ``LevelCache`` keeps the scalar grids whose ranges did
-    not move since the cache's last build and the product columns whose
-    grids did not change, and gives the fresh build's grid bit for bit."""
+    """A build with a ``LevelCache`` keeps the scalar grids and the product
+    columns whose ranges did not move since the cache's last build, and
+    gives the fresh build's grid bit for bit."""
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)

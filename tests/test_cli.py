@@ -24,6 +24,7 @@ from chatterctl.cli import (
     export_trajectory,
     main,
     parse_config_file,
+    run_validate,
 )
 from chatterctl.model import eval_running_cost_batch, eval_terminal_cost
 from chatterctl.problems import FIXTURE_FILES, fixture_text
@@ -38,7 +39,65 @@ def small_lqr_trajectory(intervals=4):
     return problem, result.trajectory
 
 
+def refuses(call, error) -> bool:
+    """Whether ``call()`` raises ``error``."""
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+#: the library object that checks each count or range the CLI also checks
+LIBRARY_CHECKS = {
+    "levels": lambda v: GridParams(k_per_dim=v),
+    "level_cap": lambda v: GridParams(cap=v),
+    "max_iters": lambda v: ShootingConfig(p0_initial=np.zeros(1), max_iterations=v),
+    "intervals": lambda v: TimePartition.uniform(1.0, v),
+    "gamma": lambda v: ShootingConfig(p0_initial=np.zeros(1), gamma=v),
+    "eps": lambda v: ShootingConfig(p0_initial=np.zeros(1), epsilon=v),
+}
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("levels", 1), ("levels", 2), ("level_cap", 0), ("level_cap", 1), ("max_iters", 0),
+         ("max_iters", 1), ("intervals", 0), ("intervals", 1), ("gamma", 0.0), ("gamma", 1.0),
+         ("gamma", 1.5), ("eps", 0.0), ("eps", 1e-3), ("eps", float("inf"))],
+    )
+    def test_refuses_what_the_library_refuses(self, name, value):
+        # the CLI restates these checks so that its messages name its own
+        # keys; a copy that drifts from the library's fails here
+        from chatterctl import ConfigError
+
+        library = refuses(lambda: LIBRARY_CHECKS[name](value), ValueError)
+        assert refuses(SolveConfig(**{name: value}).validate, ConfigError) == library
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"gamma": 0}, "error: gamma must lie in (0, 1]"),
+            ({"demand": "weekly"}, "error: demand must be one of"),
+            ({"fixed-cost-mode": "never"}, "error: fixed-cost-mode must be 'on-order' or"),
+            ([{"gamma": 0.5}], "error: config file must contain a JSON object"),
+        ],
+        ids=["zero-gamma", "unknown-demand", "unknown-mode", "list"],
+    )
+    def test_config_file_refused(self, raw, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["solve", "--config", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_unparsable_p0_flag_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--p0", "1,x", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: could not parse --p0 '1,x'")
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"problemo": "lqr"}), encoding="utf-8")
@@ -383,6 +442,25 @@ class TestSolveCommand:
         )
         assert code == 0
 
+    def test_solver_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        # the running cost turns NaN halfway: the error names its type, hook,
+        # time and interval, and no output is written
+        lqr = build_lqr()
+        cost = lqr.running_cost_batch
+
+        def failing(t, x, U):
+            return cost(t, x, U) + (np.nan if t >= 0.5 else 0.0)
+
+        failing_lqr = dataclasses.replace(lqr, running_cost_batch=failing)
+        monkeypatch.setattr(problems, "build_lqr", lambda: failing_lqr)
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", "lqr", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: NonFiniteEvaluation: running_cost_batch returned a non-finite value "
+            "at t=0.5 [interval 50, t=0.5]\n"
+        )
+        assert not out.exists()
+
     def test_p0_wrong_length_rejected(self, tmp_path, capsys):
         code = main(
             ["solve", "--problem", "lqr", "--p0", "1,2,3", "--out-dir", str(tmp_path)]
@@ -420,12 +498,24 @@ class TestValidateCommand:
             assert f"{name} max relative difference" in out
         assert "validate sensitivities: PASS" in out
 
+    def test_unknown_target_exits_one(self, capsys):
+        # the parser's choices refuse it first; run_validate refuses it too
+        assert run_validate("nope") == 1
+        assert capsys.readouterr().err == "error: unknown validation target 'nope'\n"
+
 
 class TestExportFixtures:
     def test_written_files_match_packaged_fixtures(self, tmp_path):
         assert main(["export-fixtures", "--out-dir", str(tmp_path)]) == 0
         for table, fname in FIXTURE_FILES.items():
             assert (tmp_path / fname).read_text(encoding="utf-8") == fixture_text(table)
+
+    def test_out_dir_naming_a_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("", encoding="utf-8")
+        assert main(["export-fixtures", "--out-dir", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
 class TestLogging:

@@ -23,7 +23,16 @@ from chatterctl import (
     step_state,
     synthetic_demand,
 )
-from chatterctl import NonFiniteEvaluation, chattering
+from chatterctl import (
+    LevelGrid,
+    NonFiniteEvaluation,
+    SensitivityEstimate,
+    Trajectory,
+    chattering,
+    eval_hamiltonian,
+    problems,
+    terminal_costate,
+)
 from chatterctl.chattering import TIE_TOL, LevelCache, generate_levels_with_dynamics
 from chatterctl.model import eval_drift, eval_dynamics_batch, eval_running_cost_batch
 from oracles import affine_p_dot_f, bolza_problem, dense_control, fingerprint, linear_dynamics
@@ -404,8 +413,21 @@ class TestPropagateForward:
 
 
 class TestMalformedHookOutput:
-    """A hook output of the wrong shape is refused by name before it reaches
-    the sweep, where it failed as a broadcast or indexing error."""
+    """A hook output of the wrong shape, or one that is not an array of
+    numbers, is refused by name before it reaches the sweep, where it failed
+    as a broadcast or indexing error or numpy's own conversion error."""
+
+    @pytest.mark.parametrize("hook", ["drift", "running_cost_batch", "hamiltonian_argmin"])
+    @pytest.mark.parametrize(
+        "output", [{"a": 1}, "x", [[1.0], [2.0, 3.0]]], ids=["mapping", "string", "ragged"]
+    )
+    def test_output_that_is_not_numbers(self, hook, output):
+        problem = dataclasses.replace(build_lqr(), **{hook: lambda *args: output})
+        expected = f"{hook} returned a value that is not an array of numbers at t=0.0"
+        with pytest.raises(ValueError) as excinfo:
+            propagate_forward(problem, TimePartition.uniform(1.0, 4), np.zeros(1), GridParams(5, 16))
+        assert str(excinfo.value) == expected + " [interval 0, t=0.0]"
+        assert excinfo.value.interval_index == 0
 
     @pytest.mark.parametrize(
         "cost, got",
@@ -451,6 +473,76 @@ class TestMalformedHookOutput:
         expected = "drift returned shape (20, 1), expected (20,) [interval 0, t=0.0]"
         with pytest.raises(ValueError, match=re.escape(expected)):
             propagate_forward(problem, part, np.zeros(20), GridParams(3, 64))
+
+
+def short_trajectory():
+    """One interval whose control record has no row."""
+    return Trajectory(
+        np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((0, 1)), np.zeros(1),
+        np.zeros(1), np.array([0, 1]), np.zeros((1, 1)), np.ones(1), 0.0,
+    )
+
+
+class TestRefusedArguments:
+    """Each public constructor and entry point refuses a malformed argument
+    by name."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: TimePartition(np.array([0.0])), ValueError, "at least two time points"),
+            (lambda: TimePartition.uniform(-1.0, 10), ValueError, "horizon must be positive"),
+            (lambda: step_state(build_lqr(), np.zeros(1), np.ones(1), np.zeros((1, 1)), 0.0),
+             ValueError, "dt must be positive"),
+            (lambda: step_costate(build_lqr(), 0.0, np.zeros(1), np.zeros(1), np.zeros((1, 1)),
+                                  np.ones(1), 0.0), ValueError, "dt must be positive"),
+            (short_trajectory, ValueError, re.escape("u must have shape (1, m) and h_values (1,)")),
+            (lambda: propagate_forward(build_lqr(), TimePartition.uniform(1.0, 4), [np.nan],
+                                       GridParams()), ValueError, "p0 must be finite"),
+            (lambda: ShootingConfig(p0_initial=[np.nan]), ValueError, "p0_initial must be finite"),
+            (lambda: SensitivityEstimate(np.zeros((1, 2)), np.eye(1)), ValueError,
+             "P_x must be a square matrix"),
+            (lambda: SensitivityEstimate(np.eye(1), np.full((1, 1), np.nan)), ValueError,
+             "P_p must be finite"),
+            (lambda: terminal_costate(build_lqr(), [np.nan]), NonFiniteEvaluation,
+             "terminal state is non-finite"),
+            (lambda: LevelGrid(np.zeros((0, 1)), np.zeros(1), np.ones(1)), ValueError,
+             re.escape("levels must be a non-empty (K, m) array")),
+            (lambda: solve_measure_lp(np.zeros((2, 2))), ValueError, "h_values must be 1-d"),
+            (lambda: problems.fixture_text("nope"), KeyError, "unknown table 'nope'"),
+        ],
+        ids=["one-time", "negative-horizon", "state-dt", "costate-dt", "short-u", "nan-p0",
+             "nan-p0-initial", "non-square", "non-finite", "nan-terminal-state", "no-levels",
+             "2d-lp", "unknown-table"],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+
+class TestOverflowingHamiltonian:
+    """A running cost near the float maximum and a costate of 1e307 make H
+    overflow at finite inputs: refused as non-finite, not carried on as
+    inf.  numpy's overflow warning, an error in this suite, is silenced so
+    that the solver's own check is reached."""
+
+    def problem(self):
+        return dataclasses.replace(
+            build_lqr(), running_cost_batch=lambda t, x, U: np.full(len(U), 1.7e308)
+        )
+
+    def test_propagation_refuses_it(self):
+        part = TimePartition.uniform(1.0, 4)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEvaluation) as excinfo:
+            propagate_forward(self.problem(), part, np.array([1e307]), GridParams(5, 16))
+        assert excinfo.value.interval_index == 0
+        assert str(excinfo.value) == "Hamiltonian is non-finite at t=0.0 [interval 0, t=0.0]"
+
+    def test_eval_hamiltonian_refuses_it(self):
+        x, p, u = np.array([10.0]), np.array([1e307]), np.array([5.0])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEvaluation) as excinfo:
+            eval_hamiltonian(self.problem(), 0.0, x, p, u)
+        assert str(excinfo.value) == "Hamiltonian is non-finite at t=0.0"
 
 
 def priced_lqr(argmin):
