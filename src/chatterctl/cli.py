@@ -74,7 +74,6 @@ class SolveConfig:
     demand: str = "seasonal"
     amplitude: float = 5.0
     period: float = 0.5
-    fixed_cost_mode: str = "on-order"
     out_dir: str = "."
 
     def validate(self) -> None:
@@ -98,9 +97,6 @@ class SolveConfig:
             raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
         if self.demand not in problems.DEMAND_PROFILES:
             raise ConfigError(f"demand must be one of {problems.DEMAND_PROFILES}")
-        if self.fixed_cost_mode not in problems.FIXED_COST_MODES:
-            modes = " or ".join(map(repr, problems.FIXED_COST_MODES))
-            raise ConfigError(f"fixed-cost-mode must be {modes}")
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "SolveConfig":
@@ -128,12 +124,7 @@ def build_problem(config: SolveConfig) -> ControlProblem:
     if config.problem == "lqr":
         return problems.build_lqr()
     demand = problems.synthetic_demand(config.demand, config.amplitude, config.period)
-    return problems.build_supply_chain(
-        demand,
-        SUPPLY_CHAIN_HORIZON,
-        config.intervals,
-        fixed_cost_mode=config.fixed_cost_mode,
-    )
+    return problems.build_supply_chain(demand, SUPPLY_CHAIN_HORIZON, config.intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--demand", choices=problems.DEMAND_PROFILES)
     sp.add_argument("--amplitude", type=float)
     sp.add_argument("--period", type=float)
-    sp.add_argument(
-        "--fixed-cost-mode", choices=problems.FIXED_COST_MODES, dest="fixed_cost_mode"
-    )
     sp.add_argument("--out-dir", type=str, dest="out_dir")
     sp.add_argument("--config", type=str, help="JSON config file; flags override it")
 

@@ -204,8 +204,6 @@ SUPPLIERS: Tuple[SupplierRecord, ...] = (
 )
 
 N_ITEMS = len(ITEMS)
-#: when the fixed ordering costs are charged (see ``build_supply_chain``)
-FIXED_COST_MODES = ("on-order", "always")
 #: bound on per-(customer, item) delivery rates
 DELIVERY_RATE_MAX = 20.0
 #: every customer pays this multiple of the item's unit-cost envelope
@@ -281,7 +279,6 @@ def build_supply_chain(
     demand: DemandModel,
     horizon: float,
     intervals: int,
-    fixed_cost_mode: str = "on-order",
     suppliers: Sequence[SupplierRecord] = SUPPLIERS,
     customers: Sequence[CustomerRecord] = CUSTOMERS,
     items: Sequence[ItemRecord] = ITEMS,
@@ -296,16 +293,13 @@ def build_supply_chain(
 
     The stage cost is the signed square J * |J| of the net cost rate J
     (revenue negative; ordering, carrying and unmet-demand penalties
-    positive).  Fixed ordering costs are charged per item whenever its total
-    order rate is positive (``on-order``) or unconditionally (``always``).
+    positive).  An item's fixed ordering cost is charged while its total
+    order rate is positive.
 
     Seasonal demand is scaled by the importance of the records in
     ``customers``.  Another model's ``theta`` must rate every (customer,
     item) at t = 0 without ``LookupError`` or ``ValueError``.
     """
-    if fixed_cost_mode not in FIXED_COST_MODES:
-        modes = " or ".join(map(repr, FIXED_COST_MODES))
-        raise ConfigError(f"fixed_cost_mode must be {modes}")
     if not horizon > 0:
         raise ConfigError("horizon must be positive")
     _check_count("intervals", intervals, 1, ConfigError)
@@ -384,12 +378,10 @@ def build_supply_chain(
 
     def net_cost_rate_batch(t: float, x: Array, U: Array) -> Array:
         U = np.asarray(U, dtype=float)
-        if fixed_cost_mode == "on-order":
-            # item totals of the transposed order block, a contiguous read of
-            # the solver's column-major level block
-            fixed = beta_env @ (agg.T @ U[:, :n_sup].T > 0.0)
-        else:
-            fixed = float(beta_env.sum())
+        # an item's fixed cost is charged while its total order rate is
+        # positive: item totals of the transposed order block, a contiguous
+        # read of the solver's column-major level block
+        fixed = beta_env @ (agg.T @ U[:, :n_sup].T > 0.0)
         return U @ rate + (fixed + cost_state_gradient @ np.asarray(x, dtype=float))
 
     def running_cost_batch(t: float, x: Array, U: Array) -> Array:

@@ -337,12 +337,14 @@ def propagate_forward(
     wrong shape, or a priced row outside the grid's ranges or its gated
     dimensions' admissible values) are tagged with the ``interval_index``.
 
-    Every level generation gets ``cache`` (a ``chattering.LevelCache`` for
-    ``problem``, by identity, and ``grid_params``, by equality, else
-    ``ValueError`` before the first interval; one is built when none is
-    given) and starts from the one before it.  Propagations that share a
-    cache with a memo reuse an interval's level work when they start it
-    from the same state (see ``chattering.generate_levels_with_dynamics``).
+    A partition that does not end at ``problem.horizon`` is a
+    ``ValueError`` before the first interval.  Every level generation gets
+    ``cache`` (a ``chattering.LevelCache`` for ``problem``, by identity, and
+    ``grid_params``, by equality, else ``ValueError`` before the first
+    interval; one is built when none is given) and starts from the one
+    before it.  Propagations that share a cache with a memo reuse an
+    interval's level work when they start it from the same state (see
+    ``chattering.generate_levels_with_dynamics``).
     """
     p0 = np.asarray(p0, dtype=float)
     n, N = problem.state_dim, partition.intervals
@@ -350,6 +352,8 @@ def propagate_forward(
         raise ValueError(f"p0 must have shape ({n},), got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ValueError("p0 must be finite")
+    if partition.horizon != problem.horizon:
+        raise ValueError(f"partition ends at t={partition.horizon}, not at the horizon {problem.horizon}")
     xs, ps = np.empty((N + 1, n)), np.empty((N + 1, n))
     us, h_values, stage_costs = np.empty((N, problem.control_dim)), np.empty(N), np.empty(N)
     offsets = np.zeros(N + 1, dtype=np.intp)

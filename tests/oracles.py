@@ -80,16 +80,15 @@ def unmet_demand_weights() -> np.ndarray:
     return table / table.sum()
 
 
-def reference_net_cost_rate(U, x, fixed_cost_mode="on-order", suppliers=SUPPLIERS,
-                            customers=CUSTOMERS, items=ITEMS):
+def reference_net_cost_rate(U, x, suppliers=SUPPLIERS, customers=CUSTOMERS, items=ITEMS):
     """The grocer's net cost rate J at every row of ``U`` in its table form:
     the item totals ``mu = U[:, :S] @ agg`` of the S order columns, the
     ordering cost ``mu @ alpha``, the revenue ``U[:, S:] @ tile(2 alpha)``
     over the customer-major delivery columns, the fixed cost ``(mu > 0) @
-    beta`` (every item's with ``always``) and the holding cost ``gamma @ X +
-    sum(wbar * Z)`` with Z read as a (customers, items) table.  Returns J,
-    the fixed-cost indicator ``mu > 0`` and the sum of the absolute values
-    of J's terms, which scales its rounding error."""
+    beta`` and the holding cost ``gamma @ X + sum(wbar * Z)`` with Z read
+    as a (customers, items) table.  Returns J, the fixed-cost indicator
+    ``mu > 0`` and the sum of the absolute values of J's terms, which
+    scales its rounding error."""
     U, x = np.asarray(U, dtype=float), np.asarray(x, dtype=float)
     S, n_items, n_cust = len(suppliers), len(items), len(customers)
     agg = np.zeros((S, n_items))
@@ -104,7 +103,7 @@ def reference_net_cost_rate(U, x, fixed_cost_mode="on-order", suppliers=SUPPLIER
     mu = U[:, :S] @ agg
     revenue_rate = np.tile(2.0 * alpha, n_cust)
     on = mu > 0.0
-    fixed = on @ beta if fixed_cost_mode == "on-order" else np.full(len(U), beta.sum())
+    fixed = on @ beta
     holding = gamma @ X + (wbar * Z).sum()
     J = -(U[:, S:] @ revenue_rate) + mu @ alpha + fixed + holding
     magnitude = (np.abs(U[:, S:]) @ revenue_rate + np.abs(U[:, :S]) @ (agg @ alpha) + fixed
@@ -148,8 +147,8 @@ def grocer_hamiltonian_min(problem, t, x, p, lo, hi, suppliers=SUPPLIERS, custom
     for rec in suppliers:
         alpha[rec.item_id] += rec.unit_cost
         beta[rec.item_id] += rec.fixed_cost
-    holding = float(reference_net_cost_rate(np.zeros((1, lo.size)), x, "on-order", suppliers,
-                                            customers, items)[0][0])
+    holding = float(reference_net_cost_rate(np.zeros((1, lo.size)), x, suppliers, customers,
+                                            items)[0][0])
     # the delivery columns, customer-major: J loses 2 alpha per unit, and
     # each drains its item's inventory and its (item, customer) market row
     p_market = p[n_items:].reshape(n_items, n_cust).T

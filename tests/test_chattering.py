@@ -1530,7 +1530,7 @@ class TestIncrementalBuild:
     def test_batch_hook_gets_the_read_only_column_major_buffer(self):
         # the sweep hands the running cost the grid's levels, which at the
         # initial state are the whole product, the cache's buffer itself
-        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 0.005, 1)
         cost, seen = problem.running_cost_batch, []
 
         def hook(t, x, controls):

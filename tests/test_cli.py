@@ -79,7 +79,8 @@ class TestConfig:
         [
             ({"gamma": 0}, "error: gamma must lie in (0, 1]"),
             ({"demand": "weekly"}, "error: demand must be one of"),
-            ({"fixed-cost-mode": "never"}, "error: fixed-cost-mode must be 'on-order' or"),
+            # the grocer has one fixed-cost rule, and no key selects it
+            ({"fixed-cost-mode": "on-order"}, "error: unknown config key 'fixed-cost-mode'"),
             ([{"gamma": 0.5}], "error: config file must contain a JSON object"),
         ],
         ids=["zero-gamma", "unknown-demand", "unknown-mode", "list"],
@@ -130,6 +131,18 @@ class TestConfig:
         path.write_text(json.dumps({"ridge": 1e-8}), encoding="utf-8")
         assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "unknown config key 'ridge'" in capsys.readouterr().err
+
+    def test_removed_fixed_cost_mode_flag_rejected(self, tmp_path, capsys):
+        assert main(["solve", "--fixed-cost-mode", "always", "--out-dir", str(tmp_path)]) == 1
+        assert "--fixed-cost-mode" in capsys.readouterr().err
+
+    def test_flags_and_config_keys_are_one_set(self):
+        # a flag without a SolveConfig field, or a field without a flag, is
+        # a knob reachable from one front door only
+        from chatterctl.cli import build_parser
+
+        flags = set(vars(build_parser().parse_args(["solve"]))) - {"command", "config"}
+        assert flags == {field.name for field in dataclasses.fields(SolveConfig)}
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -460,6 +473,13 @@ class TestSolveCommand:
             "at t=0.5 [interval 50, t=0.5]\n"
         )
         assert not out.exists()
+
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a directory where the trajectory CSV goes makes the write fail
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
+        assert main(["solve", "--problem", "lqr", "--intervals", "4", "--out-dir", "out"]) == 1
+        assert capsys.readouterr().err.startswith("error: failed writing trajectory CSV to")
 
     def test_p0_wrong_length_rejected(self, tmp_path, capsys):
         code = main(

@@ -333,12 +333,6 @@ class TestSupplyChainProblem:
         u = np.zeros(29)
         assert cost_at(problem, 0.0, x, u) == 0.0
 
-    def test_always_mode_charges_fixed_costs_at_rest(self):
-        demand = synthetic_demand("constant", 0.0)
-        problem = build_supply_chain(demand, 1.0, 100, fixed_cost_mode="always")
-        g = cost_at(problem, 0.0, np.zeros(20), np.zeros(29))
-        assert g == pytest.approx(222.0**2, rel=1e-12)
-
     def test_market_row_dynamics(self):
         # one market row with Z=5, theta=2, v=1 must drain at rate 4
         demand = synthetic_demand("constant", 2.0)
@@ -473,8 +467,9 @@ class TestSupplyChainProblem:
             build_supply_chain(SEASONAL, 1.0, 0)
         with pytest.raises(ConfigError):
             build_supply_chain(SEASONAL, 10.0, 5)  # dt too large
-        with pytest.raises(ConfigError):
-            build_supply_chain(SEASONAL, 1.0, 100, fixed_cost_mode="sometimes")
+        # the fixed costs have one rule, charged while an item is ordered
+        with pytest.raises(TypeError, match="fixed_cost_mode"):
+            build_supply_chain(SEASONAL, 1.0, 100, fixed_cost_mode="on-order")
 
     @pytest.mark.parametrize("intervals", [2.5, True, float("inf")], ids=["fraction", "bool", "inf"])
     def test_intervals_must_be_a_count(self, intervals):
@@ -555,20 +550,18 @@ class TestGrocerKernels:
     """The grocer's hooks are array kernels shaped for the solver's
     column-major level block; ``oracles`` keeps their table form."""
 
-    @pytest.mark.parametrize("mode", ["on-order", "always"])
-    def test_net_rate_matches_table_form(self, mode):
-        problem = build_supply_chain(SEASONAL, 1.0, 200, fixed_cost_mode=mode)
+    def test_net_rate_matches_table_form(self):
+        problem = build_supply_chain(SEASONAL, 1.0, 200)
         rng = np.random.default_rng(22)
         for _ in range(8):
             x = rng.normal(0.0, 5.0, 20)
             t = float(rng.uniform(0.0, 1.0))
             for U in grocer_blocks(rng):
                 J = signed_root(problem.running_cost_batch(t, x, U))
-                J_ref, _, magnitude = reference_net_cost_rate(U, x, mode)
+                J_ref, _, magnitude = reference_net_cost_rate(U, x)
                 assert np.all(np.abs(J - J_ref) <= NET_RATE_TOL * magnitude)
 
-    @pytest.mark.parametrize("mode", ["on-order", "always"])
-    def test_fixed_cost_indicator_matches_exactly(self, mode):
+    def test_fixed_cost_indicator_matches_exactly(self):
         # no unit cost and item i's fixed costs summing to 2**i: at x = 0 the
         # net rate is the indicator's bit pattern, in exact arithmetic
         first = {}
@@ -579,13 +572,12 @@ class TestGrocerKernels:
             )
             for s, rec in enumerate(SUPPLIERS)
         ]
-        problem = build_supply_chain(SEASONAL, 1.0, 200, fixed_cost_mode=mode, suppliers=suppliers)
+        problem = build_supply_chain(SEASONAL, 1.0, 200, suppliers=suppliers)
         x = np.zeros(20)
         for U in grocer_blocks(np.random.default_rng(5)):
             J = np.sqrt(problem.running_cost_batch(0.3, x, U))
-            J_ref, on, _ = reference_net_cost_rate(U, x, mode, suppliers)
-            bits = on @ 2.0 ** np.arange(5) if mode == "on-order" else 31.0
-            assert np.array_equal(J, np.broadcast_to(bits, J.shape))
+            J_ref, on, _ = reference_net_cost_rate(U, x, suppliers)
+            assert np.array_equal(J, on @ 2.0 ** np.arange(5))
             assert np.array_equal(J, J_ref)
         # the blocks hold both off and on items
         assert 0 < on.sum() < on.size
@@ -643,7 +635,7 @@ def grid_hamiltonian_min(problem, t, x, p, lo, hi, counts, suppliers, customers,
     )
 
     def rate(U):
-        return reference_net_cost_rate(U, x, "on-order", suppliers, customers, items)[0]
+        return reference_net_cost_rate(U, x, suppliers, customers, items)[0]
 
     J_orders = rate(np.pad(orders, ((0, 0), (0, m - S))))
     J_deliveries = rate(np.pad(deliveries, ((0, 0), (S, 0)))) - rate(np.zeros((1, m)))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -519,6 +520,17 @@ class TestRefusedArguments:
         with pytest.raises(error, match=message):
             call()
 
+    @pytest.mark.parametrize("end", [0.5, 2.0])
+    def test_partition_must_end_at_the_horizon(self, end):
+        # a partition that stops short of the unit horizon, or runs past it,
+        # would solve another problem than the one posed
+        part = TimePartition.uniform(end, 100)
+        message = f"^partition ends at t={end}, not at the horizon 1.0$"
+        with pytest.raises(ValueError, match=message):
+            propagate_forward(build_lqr(), part, np.zeros(1))
+        with pytest.raises(ValueError, match=message):
+            solve(build_lqr(), part, ShootingConfig(p0_initial=np.zeros(1)))
+
 
 class TestOverflowingHamiltonian:
     """A running cost near the float maximum and a costate of 1e307 make H
@@ -537,6 +549,25 @@ class TestOverflowingHamiltonian:
             propagate_forward(self.problem(), part, np.array([1e307]), GridParams(5, 16))
         assert excinfo.value.interval_index == 0
         assert str(excinfo.value) == "Hamiltonian is non-finite at t=0.0 [interval 0, t=0.0]"
+
+    def test_pricing_refuses_it(self):
+        # with no drift, H = g + u p is finite at every grid level, but the
+        # hook's row 4.9, off the 101-level grid, is the one that costs
+        # 1.79e308: its H overflows in the pricing step alone
+        def running_cost_batch(t, x, U):
+            return np.where(U[:, 0] == 4.9, 1.79e308, 0.0)
+
+        problem = dataclasses.replace(
+            build_lqr(), drift=lambda t, x: np.zeros(1), drift_jacobian=lambda t, x: np.zeros((1, 1)),
+            running_cost_batch=running_cost_batch, hamiltonian_argmin=lambda t, x, p, lo, hi: [[4.9]],
+        )
+        part = TimePartition.uniform(1.0, 4)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEvaluation) as excinfo:
+            propagate_forward(problem, part, np.array([5e306]), GridParams())
+        assert excinfo.value.interval_index == 0
+        assert str(excinfo.value) == "Hamiltonian is non-finite at t=0.0 [interval 0, t=0.0]"
+        # the tag wraps the error that the pricing step raised
+        assert traceback.extract_tb(excinfo.value.__cause__.__traceback__)[-1].name == "_price"
 
     def test_eval_hamiltonian_refuses_it(self):
         x, p, u = np.array([10.0]), np.array([1e307]), np.array([5.0])
@@ -896,9 +927,11 @@ class TestProductionPath:
     REPLAYED = 3
 
     def test_points_replay_through_step_functions(self):
-        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-        dt = problem.horizon / 200
-        part = TimePartition.uniform(self.INTERVALS * dt, self.INTERVALS)
+        # the first intervals of the 200-interval desk grid, on a horizon
+        # that ends where they do
+        horizon = self.INTERVALS * (1.0 / 200)
+        problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), horizon, self.INTERVALS)
+        part = TimePartition.uniform(horizon, self.INTERVALS)
         rng = np.random.default_rng(4)
         p0 = np.concatenate([np.full(5, 1e5), np.full(15, 1e2)]) * rng.uniform(0.5, 2.0, 20)
         replayed = rng.uniform(0.0, 1.0, 20)
