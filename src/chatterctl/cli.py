@@ -34,7 +34,6 @@ from .model import (
     ControlProblem,
     NonFiniteEvaluation,
     _central_difference,
-    _check_count,
     eval_drift,
     eval_drift_jacobian,
     eval_running_cost_batch,
@@ -77,8 +76,18 @@ class SolveConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
-        for name, minimum in (("intervals", 1), ("levels", 2), ("level_cap", 1), ("max_iters", 1)):
-            _check_count(name.replace("_", "-"), getattr(self, name), minimum, ConfigError)
+        # the library checks its own counts: its reason, after its own name
+        # for the count, follows the CLI key
+        for name, build in (
+            ("intervals", lambda v: TimePartition.uniform(1.0, v)),
+            ("levels", lambda v: GridParams(k_per_dim=v)),
+            ("level_cap", lambda v: GridParams(cap=v)),
+            ("max_iters", lambda v: shooting.ShootingConfig(np.zeros(1), max_iterations=v)),
+        ):
+            try:
+                build(getattr(self, name))
+            except ValueError as err:
+                raise ConfigError(f"{name.replace('_', '-')} {str(err).partition(' ')[2]}") from None
         for name in FLOAT_FIELDS:
             value = getattr(self, name)
             if not _is_number(value):

@@ -113,7 +113,14 @@ class ControlProblem:
     ``eval_hamiltonian_argmin``).  The candidates whose one-step state
     stays in the state box replace the grid in the interval's measure LP
     when the best of them beats the grid minimum by more than
-    ``chattering.TIE_TOL``.
+    ``chattering.TIE_TOL``.  Its two companions, given with it or not at
+    all, make the shooting tangent closed form: shooting differences none.
+    ``hamiltonian_argmin_jacobian(t, x, p, lo, hi, u)`` is ``[du/dx |
+    du/dp]`` (m, 2n) of the minimizer at the row ``u`` it returned over
+    ``[lo, hi]``, 0 where ``u`` sits at a vertex or a clip.
+    ``hamiltonian_state_hessian(t, x, p, U)`` is ``[H_xx | H_xu]`` (K, n, n
+    + m) at each control row: the Jacobian of ``running_cost_state_gradient``
+    row k plus ``p @ drift_jacobian`` in (x, u).
     """
 
     state_dim: int
@@ -134,6 +141,8 @@ class ControlProblem:
     control_matrix: Optional[Array] = None
     drift_jacobian: Optional[Callable[[float, Array], Array]] = None
     hamiltonian_argmin: Optional[Callable[[float, Array, Array, Array, Array], Array]] = None
+    hamiltonian_argmin_jacobian: Optional[Callable[[float, Array, Array, Array, Array, Array], Array]] = None
+    hamiltonian_state_hessian: Optional[Callable[[float, Array, Array, Array], Array]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -187,9 +196,11 @@ class ControlProblem:
             raise ValueError("control_matrix must be finite")
         if self.running_cost_batch is None or self.running_cost_state_gradient is None:
             raise ValueError("a problem needs running_cost_batch and running_cost_state_gradient")
-        terminal = (self.terminal_cost, self.terminal_gradient, self.terminal_hessian)
-        if 0 < sum(hook is None for hook in terminal) < 3:
-            raise ValueError("give terminal_cost, terminal_gradient and terminal_hessian, or none")
+        trios = (("terminal_cost", "terminal_gradient", "terminal_hessian"),
+                 ("hamiltonian_argmin", "hamiltonian_argmin_jacobian", "hamiltonian_state_hessian"))
+        for first, second, third in trios:
+            if 0 < sum(getattr(self, hook) is None for hook in (first, second, third)) < 3:
+                raise ValueError(f"give {first}, {second} and {third}, or none")
 
     @property
     def has_state_bounds(self) -> bool:
@@ -242,6 +253,20 @@ def eval_hamiltonian_argmin(
                     f"which admits only 0 and [{low}, {high}], at t={t}"
                 )
     return rows
+
+
+def eval_hamiltonian_argmin_jacobian(
+    problem: ControlProblem, t: float, x: Array, p: Array, lo: Array, hi: Array, u: Array
+) -> Array:
+    """``[du/dx | du/dp]`` (m, 2n) of ``hamiltonian_argmin``'s row ``u`` over ``[lo, hi]``."""
+    D = problem.hamiltonian_argmin_jacobian(t, x, p, lo, hi, u)
+    return _checked(D, (problem.control_dim, 2 * problem.state_dim), "hamiltonian_argmin_jacobian", t)
+
+
+def eval_hamiltonian_state_hessian(problem: ControlProblem, t: float, x: Array, p: Array, U: Array) -> Array:
+    """``[H_xx | H_xu]`` (K, n, n + m) at (t, x, p) for each row of a (K, m) block of controls."""
+    S, n = problem.hamiltonian_state_hessian(t, x, p, U), problem.state_dim
+    return _checked(S, (len(U), n, n + problem.control_dim), "hamiltonian_state_hessian", t)
 
 
 def eval_dynamics_batch(problem: ControlProblem, t: float, x: Array, controls: Array) -> Array:

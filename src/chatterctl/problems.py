@@ -45,7 +45,9 @@ def build_lqr() -> ControlProblem:
 
     H = x^2 + u^2 + p (x + u) is least at u = -p/2 (B = 1), clipped to the
     ranges, which ``hamiltonian_argmin`` returns in scalar arithmetic
-    (``0.0 -`` gives p = 0 the control +0.0, not -0.0)."""
+    (``0.0 -`` gives p = 0 the control +0.0, not -0.0).  Its ``[du/dx |
+    du/dp]`` is ``[0, -1/2]`` inside the ranges and 0 at a clip; ``[H_xx |
+    H_xu]`` is ``[2, 0]``."""
 
     def running_cost_batch(t, x, U):
         return x[0] ** 2 + U[:, 0] ** 2
@@ -56,8 +58,15 @@ def build_lqr() -> ControlProblem:
     def hamiltonian_argmin(t, x, p, lo, hi):
         return [[min(max(0.0 - 0.5 * float(p[0]), float(lo[0])), float(hi[0]))]]
 
-    # built once: every costate step reads it
+    def hamiltonian_argmin_jacobian(t, x, p, lo, hi, u):
+        return interior if lo[0] < u[0] < hi[0] else clipped
+
+    def hamiltonian_state_hessian(t, x, p, U):
+        return hessian.repeat(len(U), axis=0)
+
+    # built once: every costate step reads the first, every tangent step the rest
     identity = _readonly(np.ones((1, 1)))
+    interior, clipped, hessian = _readonly([[0.0, -0.5]]), _readonly([[0.0, 0.0]]), _readonly([[[2.0, 0.0]]])
 
     return ControlProblem(
         state_dim=1,
@@ -72,6 +81,8 @@ def build_lqr() -> ControlProblem:
         control_matrix=np.ones((1, 1)),
         drift_jacobian=lambda t, x: identity,
         hamiltonian_argmin=hamiltonian_argmin,
+        hamiltonian_argmin_jacobian=hamiltonian_argmin_jacobian,
+        hamiltonian_state_hessian=hamiltonian_state_hessian,
         name="lqr",
     )
 

@@ -118,7 +118,8 @@ class Trajectory:
     ``priced_ranges`` maps each interval whose measure the priced rows of
     ``hamiltonian_argmin`` won to the control ranges ``(lo, hi)`` they were
     priced over, read-only; it is empty for a problem without that hook.
-    The shooting tangent differentiates the hook there.
+    The shooting tangent reads the hook's ``hamiltonian_argmin_jacobian``
+    there.
     """
 
     times: Array
@@ -301,7 +302,7 @@ def _price(
     # k values: scalar tests cost less than array calls here
     values = h.tolist()
     if not all(map(math.isfinite, values)):
-        raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
+        raise NonFiniteEvaluation(f"priced Hamiltonian is non-finite at t={t}")
     # the LP's tie threshold is this same sum, so it stays below every grid row
     if not min(values) + TIE_TOL < h_min:
         return None

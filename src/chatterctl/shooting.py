@@ -6,14 +6,15 @@ measure the terminal mismatch, estimate the sensitivity of the terminal pair
 to the guess, and apply a Newton correction with a monotonicity test.
 
 The sensitivities are the linearised state/costate flow along the nominal
-run (``tangent_sensitivities``; Bryson & Ho's neighbouring extremals).  A
-grid interval's measure is held at its recorded value; an interval that the
-priced rows of ``hamiltonian_argmin`` won moves its control with the
-perturbation, by a central difference of the hook.  Without such intervals
-the state path does not depend on the guess and only the costate tangent
-moves, with the drift Jacobian.  The per-interval measure LP makes a grid
-control piecewise constant in the guess, so the tangent is blind to level
-switches; the step rule and best-iterate tracking absorb that.
+run (``tangent_sensitivities``; Bryson & Ho's neighbouring extremals), from
+the problem's hooks alone.  A grid interval's measure is held at its
+recorded value; an interval that the priced rows of ``hamiltonian_argmin``
+won moves its control by the hook's ``hamiltonian_argmin_jacobian``, and the
+costate then bends with the ``hamiltonian_state_hessian``.  Without such
+intervals the state path does not depend on the guess and only the costate
+tangent moves, with the drift Jacobian.  The per-interval measure LP makes a
+grid control piecewise constant in the guess, so the tangent is blind to
+level switches; the step rule and best-iterate tracking absorb that.
 
 The step rule (Deuflhard's monotonicity test, "Newton Methods for
 Nonlinear Problems", Springer 2004): take the full step, accept the trial
@@ -40,8 +41,8 @@ from .model import (
     _check_count,
     _readonly,
     eval_drift_jacobian,
-    eval_hamiltonian_argmin,
-    grad_h_state,
+    eval_hamiltonian_argmin_jacobian,
+    eval_hamiltonian_state_hessian,
     terminal_costate,
     terminal_hessian,
 )
@@ -50,14 +51,6 @@ from .propagation import TimePartition, Trajectory, _annotate, propagate_forward
 #: refuse the linear correction when its matrix is worse conditioned than
 #: this
 CONDITION_LIMIT = 1e14
-
-#: the tangent's central differences move the point (x, p) by
-#: ``TANGENT_STEP * max(1, |x|, |p|)`` along a column, in the max norm
-TANGENT_STEP = 1e-6
-
-#: one-sided differences of the priced control that differ by more than this
-#: share of the larger one straddle a kink (a clip switch or a tie)
-KINK_RTOL = 1e-3
 
 #: per-iteration progress callback: (iteration, residual, cost)
 ProgressSink = Callable[[int, float, float], None]
@@ -177,54 +170,12 @@ def finite_diff_sensitivities(
     return SensitivityEstimate(P_x, P_p)
 
 
-def _interval_tangent(
-    problem: ControlProblem, t: float, x: Array, p: Array, levels: Array, weights: Array,
-    ranges: Optional[Tuple[Array, Array]], dx: Array, dp: Array,
-) -> Tuple[Array, Array]:
-    """``(du (m, n), curvature (n, n))`` at one interval, in one pass over the
-    tangent columns ``(dx_j, dp_j)``.  Each column takes central differences
-    with the step ``h`` that moves (x, p) by ``TANGENT_STEP * max(1, |x|,
-    |p|)`` in the max norm; a zero column takes none.
-
-    - ``du_j``: of ``hamiltonian_argmin`` over ``ranges``, 2 hook calls.  It
-      stays 0 without ``ranges``, where the hook returns more than one row,
-      or where its one-sided differences from the nominal control differ by
-      more than ``KINK_RTOL`` of the larger (a kink).
-    - The curvature ``sum_k a_k (H_xx dx_j + H_xu du_j)`` over the support:
-      of ``grad_h_state`` along ``(dx_j, du_j)`` at fixed p, 2 calls per
-      column.
-    """
-    size = np.maximum(np.abs(dx).max(axis=0), np.abs(dp).max(axis=0)).tolist()
-    scale = TANGENT_STEP * max(1.0, np.abs(x).max(), np.abs(p).max())
-    du, curvature = np.zeros((problem.control_dim, dx.shape[1])), np.zeros_like(dx)
-    for j, s in enumerate(size):
-        if not s > 0.0:
-            continue
-        h = scale / s
-        vx = h * dx[:, j]
-        if ranges is not None:
-            u, vp = levels[0], h * dp[:, j]
-            ahead = eval_hamiltonian_argmin(problem, t, x + vx, p + vp, *ranges)
-            behind = eval_hamiltonian_argmin(problem, t, x - vx, p - vp, *ranges)
-            if ahead.shape[0] == 1 and behind.shape[0] == 1:
-                rise, fall = ahead[0] - u, u - behind[0]
-                if np.abs(rise - fall).max() <= KINK_RTOL * max(np.abs(rise).max(), np.abs(fall).max()):
-                    du[:, j] = (ahead[0] - behind[0]) / (2.0 * h)
-        vu = h * du[:, j]
-        if not (vx.any() or vu.any()):
-            continue
-        ahead = grad_h_state(problem, t, x + vx, p, levels + vu, weights)
-        behind = grad_h_state(problem, t, x - vx, p, levels - vu, weights)
-        curvature[:, j] = (ahead - behind) / (2.0 * h)
-    return du, curvature
-
-
 def tangent_sensitivities(problem: ControlProblem, nominal: Trajectory) -> SensitivityEstimate:
     """Jacobians of the terminal pair from the variational equations along
     ``nominal``, in one pass over its recorded rows: no level generation,
-    no measure LP, no propagation.  The tangent carries the state and
-    costate perturbations ``(dx, dp)``, from ``(0, I)``; its terminal value
-    is ``(P_x, P_p)``.
+    no measure LP, no propagation, no difference.  The tangent carries the
+    state and costate perturbations ``(dx, dp)``, from ``(0, I)``; its
+    terminal value is ``(P_x, P_p)``.
 
     A grid interval's measure (its recorded support levels and weights) is
     held fixed.  While ``dx`` is 0 the state path does not depend on p0,
@@ -233,13 +184,13 @@ def tangent_sensitivities(problem: ControlProblem, nominal: Trajectory) -> Sensi
     problem without a priced interval keeps ``P_x`` exactly 0.
 
     At an interval that the priced rows won alone (a support of one row,
-    listed in ``nominal.priced_ranges``), the control moves:
-    ``du = d argmin / d(x, p)`` along each column, a central difference of
-    ``hamiltonian_argmin`` over the ranges it was priced on (0 at a kink).
-    There and at every later interval the state takes ``dx + dt (J dx +
-    B^T du)`` and the costate ``dp - dt (J^T dp + H_xx dx + H_xu du)``, the
-    second-order terms a central difference of ``grad_h_state`` over the
-    support rows; ``_interval_tangent`` takes both in one pass.
+    listed in ``nominal.priced_ranges``), the control moves: ``du = D_x dx
+    + D_p dp`` with ``[D_x | D_p]`` the ``hamiltonian_argmin_jacobian`` at
+    that row over the ranges it was priced on.  Once the control has moved,
+    there and at every later interval the state takes ``dx + dt (J dx + B^T
+    du)`` and the costate ``dp - dt (J^T dp + H_xx dx + H_xu du)``, with
+    ``[H_xx | H_xu]`` the ``hamiltonian_state_hessian`` rows weighted by the
+    support.  Each hook is read once per interval, for all columns at once.
 
     The tangent does not see level switches: a change of p0 that moves a
     grid interval's argmin changes the terminal pair in a way it misses.
@@ -249,7 +200,8 @@ def tangent_sensitivities(problem: ControlProblem, nominal: Trajectory) -> Sensi
     """
     n = problem.state_dim
     B, off, priced = problem.control_matrix, nominal.offsets.tolist(), nominal.priced_ranges
-    dx, dp = np.zeros((n, n)), np.eye(n)
+    # a grid interval holds its control: du = 0 there
+    dx, dp, held = np.zeros((n, n)), np.eye(n), np.zeros((problem.control_dim, n))
     # dx is exactly 0 until the first priced interval that moves the control
     moved = False
     for i, (t, dt) in enumerate(zip(nominal.times.tolist(), np.diff(nominal.times).tolist())):
@@ -258,13 +210,15 @@ def tangent_sensitivities(problem: ControlProblem, nominal: Trajectory) -> Sensi
         # the ranges of an interval that the priced rows won alone
         ranges = priced.get(i) if b - a == 1 else None
         try:
-            J = eval_drift_jacobian(problem, t, x)
-            if ranges is not None or moved:
-                du, curvature = _interval_tangent(
-                    problem, t, x, p, nominal.support_levels[a:b], nominal.support_weights[a:b],
-                    ranges, dx, dp,
-                )
+            J, du = eval_drift_jacobian(problem, t, x), held
+            if ranges is not None:
+                D = eval_hamiltonian_argmin_jacobian(problem, t, x, p, *ranges, nominal.support_levels[a])
+                du = D[:, :n] @ dx + D[:, n:] @ dp
                 moved = moved or bool(du.any())
+            if moved:
+                rows = eval_hamiltonian_state_hessian(problem, t, x, p, nominal.support_levels[a:b])
+                S = (nominal.support_weights[a:b] @ rows.reshape(b - a, -1)).reshape(rows.shape[1:])
+                curvature = S[:, :n] @ dx + S[:, n:] @ du
         except (NonFiniteEvaluation, ValueError) as err:
             raise _annotate(err, f"interval {i}, t={t}", interval_index=i)
         if not moved:

@@ -6,15 +6,18 @@ least Hamiltonian over its gated control box, a single-row
 reference step, a schedule's time average, the control of a
 measure given by a weight on every level, the factored ``p . f`` sweep of a
 control-affine problem, the dynamics hooks of linear dynamics, the shooting
-tangent by central differences of the dynamics, the full-width product
+tangent by central differences of the dynamics, the pricing hook's Jacobian
+and the Hessian rows of H by central differences, the full-width product
 grid and filter that the level generator must reproduce bit for bit, the
 anchor-by-anchor range search and the per-value separable sums that the
 closed-form search and filter must reproduce bit for bit, a problem whose
 relaxed optimum chatters (with and without an exact pricing hook), the
 optimum of the discretized regulator, two coupled tanks and the optimum of
 their discretization, the feedback benchmark's replayed states, and a
-fingerprint of a whole run.  One helper is no oracle: ``level_ranges``
-reaches the solver's range search the way the level generator does.
+fingerprint of a whole run.  Three helpers are no oracle: ``level_ranges``
+reaches the solver's range search the way the level generator does, and
+``unpriced`` and ``constant_pricing`` take a problem's pricing hooks away or
+give it a constant one.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ import numpy as np
 
 from chatterctl import build_lqr, build_supply_chain, chattering, replay_measurement_source, synthetic_demand
 from chatterctl.chattering import InfeasibleLevels
-from chatterctl.model import ControlProblem, eval_drift, eval_dynamics_batch
+from chatterctl.model import ControlProblem, _central_difference, eval_drift, eval_dynamics_batch, grad_h_state
 from chatterctl.problems import CUSTOMERS, ITEMS, LQR_HORIZON, LQR_X0, N_ITEMS, SUPPLIERS
 
 
@@ -274,6 +277,66 @@ def linear_dynamics(B, c=0.0, a=0.0):
     )
 
 
+def unpriced(problem: ControlProblem) -> ControlProblem:
+    """``problem`` without its pricing hook and the hook's two companions:
+    the level grid alone prices every interval."""
+    return dataclasses.replace(
+        problem, hamiltonian_argmin=None, hamiltonian_argmin_jacobian=None, hamiltonian_state_hessian=None
+    )
+
+
+def constant_pricing(problem: ControlProblem, argmin) -> ControlProblem:
+    """``problem`` priced by ``argmin``, a hook whose rows do not move with
+    (x, p), so that its Jacobian is 0, with Hessian rows of 0: exact for a
+    problem whose dH/dx depends on neither x nor u."""
+    n, m = problem.state_dim, problem.control_dim
+    return dataclasses.replace(
+        problem,
+        hamiltonian_argmin=argmin,
+        hamiltonian_argmin_jacobian=lambda t, x, p, lo, hi, u: np.zeros((m, 2 * n)),
+        hamiltonian_state_hessian=lambda t, x, p, U: np.zeros((len(U), n, n + m)),
+    )
+
+
+def argmin_jacobian_by_differences(problem, t, x, p, lo, hi):
+    """``[du/dx | du/dp]`` (m, 2n) of the one row of ``hamiltonian_argmin``
+    at (t, x, p) over ``[lo, hi]``, by central differences of the hook in
+    each coordinate of (x, p) (step ``1e-6 max(1, |z_j|)``); None where the
+    two one-sided differences of some coordinate differ by more than 1e-3
+    of the larger, a kink (a clip switch or a tie).  The reference of
+    ``hamiltonian_argmin_jacobian`` away from kinks."""
+    n = problem.state_dim
+    z = np.concatenate([x, p])
+
+    def row(y):
+        return np.asarray(problem.hamiltonian_argmin(t, y[:n], y[n:], lo, hi), dtype=float)[0]
+
+    u, columns = row(z), []
+    for j in range(z.size):
+        h = 1e-6 * max(1.0, abs(float(z[j])))
+        ahead, behind = np.array(z), np.array(z)
+        ahead[j] += h
+        behind[j] -= h
+        rise, fall = row(ahead) - u, u - row(behind)
+        if np.abs(rise - fall).max() > 1e-3 * max(np.abs(rise).max(), np.abs(fall).max()):
+            return None
+        columns.append((rise + fall) / (ahead[j] - behind[j]))
+    return np.stack(columns, axis=1)
+
+
+def state_hessian_by_differences(problem, t, x, p, U):
+    """``[H_xx | H_xu]`` (K, n, n + m) at each row of ``U``: central
+    differences of ``grad_h_state`` at that row alone, in each coordinate of
+    (x, u).  The reference of ``hamiltonian_state_hessian``."""
+    n = problem.state_dim
+    one = np.ones(1)
+    rows = []
+    for u in np.asarray(U, dtype=float):
+        z = np.concatenate([x, u])
+        rows.append(_central_difference(lambda y: grad_h_state(problem, t, y[:n], p, y[None, n:], one), z).T)
+    return np.array(rows)
+
+
 def central_difference_tangent(problem, partition, nominal):
     """``P_p`` of the shooting tangent along ``nominal`` with ``F_x`` taken
     as a central difference (step ``1e-6 max(1, |x_j|)``) of the
@@ -487,7 +550,9 @@ def priced_bolza_problem(x0: float = 0.0) -> ControlProblem:
     """``bolza_problem(x0)`` with an exact ``hamiltonian_argmin``.  Over u,
     H = (u^2 - 1)^2 + p u + x^2 is least at a real root of its derivative
     ``4u^3 - 4u + p`` inside ``[lo, hi]`` or at an end of the range; the
-    ends come first, so a tie goes to an end."""
+    ends come first, so a tie goes to an end.  At an interior root ``du/dp
+    = -1 / (12 u^2 - 4)`` and ``du/dx = 0``, at an end both are 0; ``[H_xx
+    | H_xu] = [2, 0]``."""
 
     def argmin(t, x, p, lo, hi):
         roots = np.roots([4.0, 0.0, -4.0, p[0]])
@@ -496,14 +561,24 @@ def priced_bolza_problem(x0: float = 0.0) -> ControlProblem:
         h = (candidates**2 - 1.0) ** 2 + p[0] * candidates
         return candidates[[np.argmin(h)], None]
 
-    return dataclasses.replace(bolza_problem(x0), hamiltonian_argmin=argmin)
+    def jacobian(t, x, p, lo, hi, u):
+        return [[0.0, -1.0 / (12.0 * u[0] ** 2 - 4.0) if lo[0] < u[0] < hi[0] else 0.0]]
+
+    return dataclasses.replace(
+        bolza_problem(x0),
+        hamiltonian_argmin=argmin,
+        hamiltonian_argmin_jacobian=jacobian,
+        hamiltonian_state_hessian=lambda t, x, p, U: np.tile([[2.0, 0.0]], (len(U), 1, 1)),
+    )
 
 
 def cubic_drift_problem() -> ControlProblem:
     """x' = -x - x^3 / 2 + u from x(0) = 1 on [0, 1], cost x^2 + u^2, u in
     [-5, 5], priced by ``clip(-p/2)``: a drift Jacobian ``-1 - 3 x^2 / 2``
     that depends on x, so that dH/dx carries ``d(F_x^T p)/dx = -3 x p`` into
-    the tangent's curvature.  Its pricing hook is the regulator's."""
+    the tangent's curvature: ``[H_xx | H_xu] = [2 - 3 x p, 0]``.  Its pricing
+    hook and the hook's Jacobian are the regulator's."""
+    lqr = build_lqr()
     return ControlProblem(
         state_dim=1,
         control_dim=1,
@@ -516,7 +591,9 @@ def cubic_drift_problem() -> ControlProblem:
         drift=lambda t, x: -x - 0.5 * x**3,
         control_matrix=np.ones((1, 1)),
         drift_jacobian=lambda t, x: np.array([[-1.0 - 1.5 * x[0] ** 2]]),
-        hamiltonian_argmin=build_lqr().hamiltonian_argmin,
+        hamiltonian_argmin=lqr.hamiltonian_argmin,
+        hamiltonian_argmin_jacobian=lqr.hamiltonian_argmin_jacobian,
+        hamiltonian_state_hessian=lambda t, x, p, U: np.tile([[2.0 - 3.0 * x[0] * p[0], 0.0]], (len(U), 1, 1)),
         name="cubic-drift",
     )
 
@@ -565,10 +642,17 @@ def tanks_problem(priced: bool) -> ControlProblem:
     with u in [0, 1]^2, state box [0, 1.2]^2, x(0) = (0.2, 0), running cost
     ``0.1 |u|^2`` (no state dependence) and terminal cost ``|x_T - (1,
     0.5)|^2``.  Priced, it carries the exact minimizer of H over the box,
-    ``clip(-B p / 0.2, lo, hi)``: H is separable and convex in u."""
+    ``clip(-B p / 0.2, lo, hi)``: H is separable and convex in u.  Its
+    ``du/dp`` is ``-B / 0.2`` on the coordinates strictly inside ``[lo,
+    hi]`` and 0 on the clipped ones, its ``du/dx`` 0; dH/dx is ``-0.5 p``,
+    so every Hessian row is 0."""
 
     def argmin(t, x, p, lo, hi):
         return np.clip(-(TANKS_B @ p) / (2.0 * TANKS_CONTROL_WEIGHT), lo, hi)[None, :]
+
+    def jacobian(t, x, p, lo, hi, u):
+        free = ((lo < u) & (u < hi))[:, None]
+        return np.hstack([np.zeros((2, 2)), np.where(free, -TANKS_B / (2.0 * TANKS_CONTROL_WEIGHT), 0.0)])
 
     return ControlProblem(
         state_dim=2,
@@ -586,6 +670,8 @@ def tanks_problem(priced: bool) -> ControlProblem:
         terminal_gradient=lambda x: 2.0 * (x - TANKS_TARGET),
         terminal_hessian=lambda x: 2.0 * np.eye(2),
         hamiltonian_argmin=argmin if priced else None,
+        hamiltonian_argmin_jacobian=jacobian if priced else None,
+        hamiltonian_state_hessian=(lambda t, x, p, U: np.zeros((len(U), 2, 4))) if priced else None,
         name="two-tanks",
     )
 

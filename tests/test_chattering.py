@@ -32,6 +32,7 @@ from chatterctl.chattering import (
 from chatterctl.model import eval_drift, eval_running_cost_batch
 from oracles import (
     affine_p_dot_f,
+    constant_pricing,
     dense_control,
     feedback_replay,
     full_width_levels,
@@ -1286,9 +1287,7 @@ class TestGridRanges:
     @pytest.mark.parametrize("memo", [True, False])
     def test_searched_grid_spans_the_searched_ranges(self, memo):
         problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
-        problem = dataclasses.replace(
-            problem, hamiltonian_argmin=lambda t, x, p, lo, hi: np.empty((0, len(lo)))
-        )
+        problem = constant_pricing(problem, lambda t, x, p, lo, hi: np.empty((0, len(lo))))
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 2.0, 20)
         x[rng.integers(0, 20, 6)] = 0.0

@@ -28,7 +28,7 @@ from chatterctl.cli import (
 )
 from chatterctl.model import eval_running_cost_batch, eval_terminal_cost
 from chatterctl.problems import FIXTURE_FILES, fixture_text
-from oracles import bolza_problem
+from oracles import bolza_problem, unpriced
 
 
 def small_lqr_trajectory(intervals=4):
@@ -279,9 +279,9 @@ class TestExportBytes:
     BLAS summation order enters these bytes."""
 
     DIGESTS = {
-        "trajectory.csv": "f09998e2bb8b38d0fa35089a9907a50c5c7645c5117964fb832c322ee6bf4f9c",
-        "schedule.csv": "90e65ffaa37af2c572af8b543e2f623cff8a9fc89778b692a62d13fc02152408",
-        "convergence.json": "95a7d7a143ae9006dc3d36f7b9e8854371be2792d8fd8bec9d8d4215f9eef3dc",
+        "trajectory.csv": "e70270b182ac8fb71855cfe9c0f4fb00784b8242994c59e50957de6d344fbf2e",
+        "schedule.csv": "955ba539853ccf8d6145af6c1da16dc411d9eb4d2b55098f62944aa648a65edf",
+        "convergence.json": "9276dda7d6119ada9979515102dde7afd43f11392a7c7a873f7897076656f470",
     }
 
     def test_lqr_defaults(self, tmp_path):
@@ -413,7 +413,7 @@ class TestSolveCommand:
 
     def test_detected_cycle_exits_two(self, tmp_path, monkeypatch):
         # the grid-only lqr cycles at 20 intervals; the priced one converges
-        grid_only = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        grid_only = unpriced(build_lqr())
         monkeypatch.setattr(problems, "build_lqr", lambda: grid_only)
         code = main(["solve", "--problem", "lqr", "--intervals", "20", "--out-dir", str(tmp_path)])
         assert code == 2

@@ -24,6 +24,8 @@ from chatterctl.model import (
     eval_drift,
     eval_drift_jacobian,
     eval_dynamics_batch,
+    eval_hamiltonian_argmin_jacobian,
+    eval_hamiltonian_state_hessian,
     eval_running_cost_batch,
     eval_terminal_cost,
 )
@@ -436,6 +438,29 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="initial_state must be finite"):
             make_problem(initial_state=np.array([value]))
 
+    @pytest.mark.parametrize("given", [
+        ("hamiltonian_argmin",),
+        ("hamiltonian_argmin_jacobian",),
+        ("hamiltonian_state_hessian",),
+        ("hamiltonian_argmin", "hamiltonian_argmin_jacobian"),
+        ("hamiltonian_argmin", "hamiltonian_state_hessian"),
+        ("hamiltonian_argmin_jacobian", "hamiltonian_state_hessian"),
+    ], ids="+".join)
+    def test_pricing_hooks_come_together(self, given):
+        # a priced control without its derivatives would leave the shooting
+        # tangent to differences of the hook
+        hooks = {
+            "hamiltonian_argmin": lambda t, x, p, lo, hi: [lo],
+            "hamiltonian_argmin_jacobian": lambda t, x, p, lo, hi, u: np.zeros((1, 2)),
+            "hamiltonian_state_hessian": lambda t, x, p, U: np.zeros((len(U), 1, 2)),
+        }
+        message = (
+            "^give hamiltonian_argmin, hamiltonian_argmin_jacobian and hamiltonian_state_hessian, or none$"
+        )
+        with pytest.raises(ValueError, match=message):
+            make_problem(**{name: hooks[name] for name in given})
+        assert make_problem(**hooks).hamiltonian_state_hessian is hooks["hamiltonian_state_hessian"]
+
     def test_running_cost_form_required(self):
         # the running cost comes in one form, the block hook: the scalar
         # form is no field, and the block hook is required
@@ -483,8 +508,13 @@ HOOKS = {
     "terminal_cost": ((), lambda pr: eval_terminal_cost(pr, X)),
     "terminal_gradient": ((N,), lambda pr: terminal_costate(pr, X)),
     "terminal_hessian": ((N, N), lambda pr: terminal_hessian(pr, X)),
+    "hamiltonian_argmin_jacobian": (
+        (1, 2 * N), lambda pr: eval_hamiltonian_argmin_jacobian(pr, 0.5, X, X, U[0], U[0], U[0])
+    ),
+    "hamiltonian_state_hessian": ((K, N, N + 1), lambda pr: eval_hamiltonian_state_hessian(pr, 0.5, X, X, U)),
 }
 TIMELESS = ("terminal_cost", "terminal_gradient", "terminal_hessian")
+PRICING = ("hamiltonian_argmin", "hamiltonian_argmin_jacobian", "hamiltonian_state_hessian")
 
 
 def hook_problem(hook, value):
@@ -492,6 +522,8 @@ def hook_problem(hook, value):
     fields = dict(state_dim=2, initial_state=np.zeros(2), control_matrix=np.ones((1, 2)))
     if hook in TIMELESS:  # the terminal hooks come together
         fields.update(zip(TIMELESS, (lambda x: 0.0, lambda x: X, lambda x: np.eye(N))))
+    if hook in PRICING:  # and so do the pricing hooks
+        fields.update(dict.fromkeys(PRICING, lambda *args: None))
     fields[hook] = lambda *args: value
     return make_problem(**fields)
 

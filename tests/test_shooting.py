@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import json
@@ -27,11 +28,17 @@ from chatterctl import (
 )
 from chatterctl import chattering, shooting
 from chatterctl.cli import export_convergence
+from chatterctl.model import (
+    eval_hamiltonian_argmin,
+    eval_hamiltonian_argmin_jacobian,
+    eval_hamiltonian_state_hessian,
+)
 from chatterctl.shooting import tangent_sensitivities, update_initial_costate
 from oracles import (
     TANKS_B,
     TANKS_TARGET,
     TANKS_X0,
+    argmin_jacobian_by_differences,
     central_difference_tangent,
     cubic_drift_problem,
     fingerprint,
@@ -39,8 +46,10 @@ from oracles import (
     lqr_discrete_optimum,
     lqr_hamiltonian_flow,
     priced_bolza_problem,
+    state_hessian_by_differences,
     tanks_discrete_optimum,
     tanks_problem,
+    unpriced,
 )
 
 
@@ -282,7 +291,7 @@ class TestSolve:
     def test_best_trajectory_matches_min_residual(self):
         # the grid-only lqr at gamma 1 moves away from the root on its
         # frozen tangent (the priced one converges in 3 iterations)
-        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        problem = unpriced(build_lqr())
         part = TimePartition.uniform(1.0, 50)
         config = ShootingConfig(
             p0_initial=np.zeros(1), gamma=1.0, max_iterations=8, epsilon=1e-12
@@ -410,7 +419,7 @@ class TestSolve:
         # at 20 intervals and gamma 1 every full step is accepted, and the
         # grid-only lqr iterates settle on two guesses that alternate (the
         # priced lqr converges)
-        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        problem = unpriced(build_lqr())
         config = ShootingConfig(p0_initial=np.zeros(1), gamma=1.0, max_iterations=500)
         result = solve(problem, TimePartition.uniform(1.0, 20), config, GridParams(101, 4096))
         assert not result.converged
@@ -423,7 +432,7 @@ class TestSolve:
         # the grid-only lqr's frozen tangent overshoots: the full step from
         # p0 = 0 raises the residual from 26.4 to 29.7, above 0.75 of it, so
         # the trial is rejected and the half step, at the floor, accepted
-        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        problem = unpriced(build_lqr())
         config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
         result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
         first, full, half = result.residual_history[:3].tolist()
@@ -460,7 +469,7 @@ class TestSolve:
 
         counted("tangent_sensitivities")
         counted("update_initial_costate")
-        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        problem = unpriced(build_lqr())
         config = ShootingConfig(p0_initial=np.zeros(1), gamma=0.5)
         result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
         assert result.converged and result.iterations == 15
@@ -484,7 +493,7 @@ class TestSolve:
     def test_step_length_floor(self, gamma):
         # halving stops at the floor: 1, 0.5 at gamma 0.3; the full step
         # alone at gamma 1, where every trial is accepted
-        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        problem = unpriced(build_lqr())
         config = ShootingConfig(p0_initial=np.zeros(1), gamma=gamma, max_iterations=6)
         result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
         if gamma == 1.0:
@@ -503,7 +512,8 @@ class TestSolve:
         assert result.converged and result.iterations == 3
         assert result.step_kinds == ("newton", "newton")
         assert result.step_lengths == (1.0, 1.0)
-        assert result.residual_history[-1] < 1e-9
+        # the exact tangent's step lands on that root up to rounding
+        assert result.residual_history[-1] < 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -568,7 +578,7 @@ class TestExactPricing:
         excess = result.trajectory.accumulated_cost - lqr_discrete_optimum(intervals)
         assert excess >= 0.0
         if intervals == 100:
-            grid_only = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+            grid_only = unpriced(build_lqr())
             reference = solve(grid_only, part, config, GridParams(101, 4096))
             grid_excess = reference.trajectory.accumulated_cost - lqr_discrete_optimum(intervals)
             assert excess < grid_excess and grid_excess == pytest.approx(0.0558, abs=1e-4)
@@ -681,7 +691,7 @@ class TestStepRuleBelowGamma:
     @BELOW_GAMMA
     def test_grid_only_lqr_at_gamma_one(self):
         # cycles after 9 iterations at cost 419.3
-        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        problem = unpriced(build_lqr())
         config = ShootingConfig(p0_initial=np.zeros(1), gamma=1.0, max_iterations=60)
         result = solve(problem, TimePartition.uniform(1.0, 100), config, GridParams(101, 4096))
         assert result.converged
@@ -747,6 +757,58 @@ def desk_problem():
 #: closed forms hold to rounding
 AFFINE_RTOL = 1e-13
 
+#: the priced tanks at 20 intervals from near their solution: the priced rows
+#: win intervals 1 to 19, with u0 clipped at 1 and u1 free; at interval 0 the
+#: hook's row (1, 0.2) is a grid level, which the tie rule leaves to the grid
+TANKS_P0 = np.array([-0.34, -0.38])
+
+
+def priced_tanks():
+    return tanks_problem(True), TimePartition.uniform(1.0, 20), GridParams(11, 121)
+
+
+#: each priced problem and a draw of (p, lo, hi) at which its minimizer
+#: moves with p at some points and is clipped at others: the whole control
+#: box, except for Bolza, whose minimizer over [-1, 1] is always an end
+PRICED = {
+    "lqr": (build_lqr, lambda rng: (rng.uniform(-80.0, 80.0, 1), [-30.0], [5.0])),
+    "bolza": (
+        priced_bolza_problem,
+        lambda rng: (rng.uniform(-0.5, 2.0, 1), rng.uniform(0.0, 0.4, 1), rng.uniform(0.8, 1.0, 1)),
+    ),
+    "cubic-drift": (cubic_drift_problem, lambda rng: (rng.uniform(-20.0, 20.0, 1), [-5.0], [5.0])),
+    "tanks": (lambda: tanks_problem(True), lambda rng: (rng.uniform(-0.5, 0.5, 2), [0.0, 0.0], [1.0, 1.0])),
+}
+
+
+class TestPricingDerivatives:
+    """Each priced problem's ``hamiltonian_argmin_jacobian`` and
+    ``hamiltonian_state_hessian`` against central differences of its
+    ``hamiltonian_argmin`` and of ``grad_h_state``, at random points and
+    random control ranges away from the minimizer's kinks."""
+
+    @pytest.mark.parametrize("name", sorted(PRICED))
+    def test_hooks_match_central_differences(self, name):
+        build, draw = PRICED[name]
+        problem, rng = build(), np.random.default_rng(5)
+        n, m = problem.state_dim, problem.control_dim
+        moving = clipped = 0
+        for _ in range(60):
+            t, x = float(rng.uniform()), rng.uniform(-2.0, 2.0, n)
+            p, lo, hi = (np.asarray(v, dtype=float) for v in draw(rng))
+            reference = argmin_jacobian_by_differences(problem, t, x, p, lo, hi)
+            if reference is not None:
+                u = eval_hamiltonian_argmin(problem, t, x, p, lo, hi)[0]
+                got = eval_hamiltonian_argmin_jacobian(problem, t, x, p, lo, hi, u)
+                assert np.abs(got - reference).max() <= 1e-6 * max(1.0, np.abs(reference).max())
+                moving, clipped = moving + got.any(), clipped + (not got.any())
+            U = rng.uniform(problem.control_lower, problem.control_upper, (3, m))
+            reference = state_hessian_by_differences(problem, t, x, p, U)
+            got = eval_hamiltonian_state_hessian(problem, t, x, p, U)
+            assert np.abs(got - reference).max() <= 1e-6 * max(1.0, np.abs(reference).max())
+        # both pieces were reached
+        assert moving >= 10 and clipped >= 10
+
 
 class TestTangentSensitivities:
     def tangent(self, problem, intervals, p0, grid):
@@ -777,7 +839,7 @@ class TestTangentSensitivities:
         if case == "grocer":
             problem, part, grid = grocer_10()
         else:
-            problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+            problem = unpriced(build_lqr())
             part, grid = TimePartition.uniform(1.0, 100), GridParams(101, 4096)
         nominal = propagate_forward(problem, part, np.ones(problem.state_dim), grid)
         assert len(nominal.priced_ranges) == 0
@@ -791,21 +853,105 @@ class TestTangentSensitivities:
     @pytest.mark.parametrize("kink, expected", [(30.0, 0.0), (40.0, -0.5)])
     def test_kink_keeps_the_frozen_control(self, kink, expected):
         # lqr's minimizer -p/2 with its slope in p bent from -1/2 to -3/2 at
-        # p = kink: one interval from p0 = 30 prices u = -15 either way, and
-        # the one-sided differences of the hook disagree only when the bend
-        # sits at p0, where the control keeps du = 0 and P_x = dt du
-        lqr = build_lqr()
-
+        # p = kink: one interval from p0 = 30 prices u = -15 either way.
+        # The hook states its own slope, -1/2 below the bend and 0 at the
+        # bend itself, as at a clip; the tangent reads it: P_x = dt du
         def bent(t, x, p, lo, hi):
             u = -0.5 * float(p[0]) - max(float(p[0]) - kink, 0.0)
             return [[min(max(u, float(lo[0])), float(hi[0]))]]
 
-        problem = dataclasses.replace(lqr, hamiltonian_argmin=bent)
+        def slope(t, x, p, lo, hi, u):
+            inside = lo[0] < u[0] < hi[0] and p[0] != kink
+            return [[0.0, (-0.5 if p[0] < kink else -1.5) if inside else 0.0]]
+
+        calls = []
+
+        def argmin(*args):
+            calls.append(args)
+            return bent(*args)
+
+        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=argmin, hamiltonian_argmin_jacobian=slope)
         part = TimePartition.uniform(1.0, 1)
         nominal = propagate_forward(problem, part, np.array([30.0]), GridParams(101, 4096))
         assert list(nominal.priced_ranges) == [0] and nominal.u[0, 0] == -15.0
+        calls.clear()
         sens = tangent_sensitivities(problem, nominal)
-        assert sens.P_x[0, 0] == pytest.approx(expected, abs=1e-9)
+        assert sens.P_x[0, 0] == expected and calls == []
+
+    @pytest.mark.parametrize("case", ["lqr", "tanks"])
+    def test_priced_tangent_differences_no_hook(self, case):
+        # the tangent reads the drift Jacobian once per interval, the
+        # minimizer's Jacobian once per priced interval and the Hessian rows
+        # once per interval from the first that moved the control; it calls
+        # neither the minimizer nor the dH/dx of grad_h_state (its hook
+        # running_cost_state_gradient)
+        if case == "lqr":
+            problem, part, grid = build_lqr(), TimePartition.uniform(1.0, 100), GridParams()
+            p0 = np.array([lqr_analytic_solution(0.0)[1]])
+        else:
+            (problem, part, grid), p0 = priced_tanks(), TANKS_P0
+        calls = collections.Counter()
+
+        def counted(name):
+            hook = getattr(problem, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return hook(*args)
+
+            return wrapper
+
+        names = ("hamiltonian_argmin", "hamiltonian_argmin_jacobian", "hamiltonian_state_hessian",
+                 "running_cost_state_gradient", "drift_jacobian")
+        problem = dataclasses.replace(problem, **{name: counted(name) for name in names})
+        nominal = propagate_forward(problem, part, p0, grid)
+        first = min(nominal.priced_ranges)
+        assert first == (0 if case == "lqr" else 1)
+        calls.clear()
+        tangent_sensitivities(problem, nominal)
+        assert calls == {
+            "hamiltonian_argmin_jacobian": len(nominal.priced_ranges),
+            "hamiltonian_state_hessian": part.intervals - first,
+            "drift_jacobian": part.intervals,
+        }
+
+    def test_priced_tanks_match_finite_differences(self):
+        # the reference's perturbations of 1e-6 keep every priced interval's
+        # clip pattern and interval 0 on its grid level, so the map is affine
+        # there and the two agree to rounding
+        (problem, part, grid), p0 = priced_tanks(), TANKS_P0
+        sens = tangent_sensitivities(problem, propagate_forward(problem, part, p0, grid))
+        reference = finite_diff_sensitivities(problem, part, p0, 1e-6, grid)
+        assert sens.P_x.any()
+        for got, expected in ((sens.P_x, reference.P_x), (sens.P_p, reference.P_p)):
+            assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("hook, shape", [
+        ("hamiltonian_argmin_jacobian", (1, 2)), ("hamiltonian_state_hessian", (1, 1, 2)),
+    ], ids=["jacobian", "hessian"])
+    @pytest.mark.parametrize("bad", ["shape", "nan"])
+    def test_pricing_derivative_errors_name_their_interval(self, hook, shape, bad):
+        # from the optimal p0 every lqr interval is priced and moves the
+        # control, so the tangent reads both hooks at each; they go wrong
+        # from t = 0.5 on: interval 10 of 20
+        lqr = build_lqr()
+        exact = getattr(lqr, hook)
+        value = np.zeros(shape + (1,)) if bad == "shape" else np.full(shape, np.nan)
+
+        def wrong(t, *args):
+            return value if t >= 0.5 else exact(t, *args)
+
+        problem = dataclasses.replace(lqr, **{hook: wrong})
+        part = TimePartition.uniform(1.0, 20)
+        nominal = propagate_forward(problem, part, np.array([lqr_analytic_solution(0.0)[1]]), GridParams())
+        if bad == "shape":
+            error, message = ValueError, f"{hook} returned shape {value.shape}, expected {shape}"
+        else:
+            error, message = NonFiniteEvaluation, f"{hook} returned a non-finite value at t=0.5"
+        with pytest.raises(error) as excinfo:
+            tangent_sensitivities(problem, nominal)
+        assert excinfo.value.interval_index == 10
+        assert str(excinfo.value) == f"{message} [interval 10, t=0.5]"
 
     def test_grocer_closed_form(self):
         # the grocer's drift is -x plus terms free of x
@@ -857,7 +1003,7 @@ class TestTangentSensitivities:
             problem, part, grid = grocer_10()
             p0 = np.zeros(20)
         else:
-            problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+            problem = unpriced(build_lqr())
             part, grid = TimePartition.uniform(1.0, 100), GridParams(101, 4096)
             p0 = np.array([lqr_analytic_solution(0.0)[1]])
         nominal = propagate_forward(problem, part, p0, grid)
@@ -870,7 +1016,7 @@ class TestTangentSensitivities:
     def test_interval_lengths_come_from_the_nominal_times(self):
         # on its grid alone lqr's tangent is the product of 1 - dt over the
         # intervals of the run, here of unequal lengths
-        problem = dataclasses.replace(build_lqr(), hamiltonian_argmin=None)
+        problem = unpriced(build_lqr())
         p0 = np.array([lqr_analytic_solution(0.0)[1]])
         part = TimePartition(np.array([0.0, 0.1, 0.2, 0.3, problem.horizon]))
         nominal = propagate_forward(problem, part, p0, GridParams(101, 4096))
