@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Array, ControlProblem, _check_count
+from .model import Array, ControlProblem, _all_finite, _check_count
 from .model import eval_dynamics_batch  # noqa: F401  unused; perfbench/tracer.py wraps this name
 
 #: all ties within this absolute distance of the minimum share weight
@@ -114,9 +114,9 @@ def solve_measure_lp(h_values: Array) -> Tuple[Array, Array]:
         raise ValueError("h_values must be 1-d")
     if h.size == 0:
         raise EmptyGrid("cannot solve the measure LP over zero levels")
-    # ufunc reduce, argmin and nonzero skip numpy's Python-level wrappers
-    # (ndarray.all, min, flatnonzero): half the cost on a short h
-    if not np.logical_and.reduce(np.isfinite(h)):
+    # argmin and nonzero skip numpy's Python-level wrappers (min,
+    # flatnonzero): half the cost on a short h
+    if not _all_finite(h):
         raise ValueError("h_values must be finite")
     tied = (h <= h[h.argmin()] + TIE_TOL).nonzero()[0]
     return tied, np.full(tied.size, 1.0 / tied.size)
@@ -399,7 +399,10 @@ def _affine_in_box(
     )
     if not open_.any():
         return None
-    return _in_box(problem, x_i[open_] + dt * (drift + levels @ B)[:, open_], open_)
+    # the full product, then the tested columns: the same sums element for
+    # element as testing every column (``levels @ B[:, open_]`` rounds
+    # differently), without a (K, n) temporary
+    return _in_box(problem, x_i[open_] + dt * (drift[open_] + (levels @ B)[:, open_]), open_)
 
 
 def _write_columns(levels: Array, grids: Sequence[List[float]], cols: Sequence[int]) -> None:

@@ -33,6 +33,7 @@ from .chattering import GridParams, InfeasibleLevels, schedule_segments, solve_m
 from .model import (
     ControlProblem,
     NonFiniteEvaluation,
+    _FEW_VALUES,
     _central_difference,
     eval_drift,
     eval_drift_jacobian,
@@ -315,11 +316,13 @@ def check_lqr() -> Tuple[bool, List[str]]:
 
 
 def check_lp(instances: int = 1000, seed: int = 20250810) -> Tuple[bool, List[str]]:
-    """Measure LP against brute-force vertex enumeration on random instances."""
+    """Measure LP against brute-force vertex enumeration on random instances
+    of 1 to ``2 * _FEW_VALUES`` levels, so that the LP's finiteness test
+    runs on both sides of its bound."""
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(instances):
-        k = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 2 * _FEW_VALUES + 1))
         h = rng.uniform(-10.0, 10.0, size=k)
         support, w = solve_measure_lp(h)
         objective = float(w @ h[support])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -33,6 +32,7 @@ from .model import (
     Array,
     ControlProblem,
     NonFiniteEvaluation,
+    _all_finite,
     _check_count,
     _readonly,
     eval_drift,
@@ -150,7 +150,7 @@ class Trajectory:
             raise ValueError(f"u must have shape ({N}, m) and h_values ({N},)")
         if self.stage_costs.shape != (N,):
             raise ValueError(f"stage_costs must have shape ({N},)")
-        if not (np.isfinite(x).all() and np.isfinite(self.p).all()):
+        if not (_all_finite(x) and _all_finite(self.p)):
             raise ValueError("trajectory has non-finite x or p")
         if off.shape != (N + 1,) or off[0] != 0 or off[-1] != S or np.any(np.diff(off) < 1):
             raise ValueError("offsets must rise from 0 to the support size, by >= 1 per interval")
@@ -299,12 +299,10 @@ def _price(
             return None
         rows = rows[inside]
     g, h = _sweep(problem, t, x, rows, p_terms)
-    # k values: scalar tests cost less than array calls here
-    values = h.tolist()
-    if not all(map(math.isfinite, values)):
+    if not _all_finite(h):
         raise NonFiniteEvaluation(f"priced Hamiltonian is non-finite at t={t}")
     # the LP's tie threshold is this same sum, so it stays below every grid row
-    if not min(values) + TIE_TOL < h_min:
+    if not min(h.tolist()) + TIE_TOL < h_min:
         return None
     return rows, g, h
 
@@ -351,7 +349,7 @@ def propagate_forward(
     n, N = problem.state_dim, partition.intervals
     if p0.shape != (n,):
         raise ValueError(f"p0 must have shape ({n},), got {p0.shape}")
-    if not np.all(np.isfinite(p0)):
+    if not _all_finite(p0):
         raise ValueError("p0 must be finite")
     if partition.horizon != problem.horizon:
         raise ValueError(f"partition ends at t={partition.horizon}, not at the horizon {problem.horizon}")
@@ -377,7 +375,7 @@ def propagate_forward(
                     state = np.asarray(measured, dtype=float)
                 except (TypeError, ValueError):  # not an array of numbers
                     state = None
-                if state is None or state.shape != (n,) or not np.all(np.isfinite(state)):
+                if state is None or state.shape != (n,) or not _all_finite(state):
                     shown = measured if state is None else state.tolist()
                     msg = f"measured state must be {n} finite values, got {shown}"
                     raise _annotate(ValueError(msg), f"interval {i}, t={t}", interval_index=i)
@@ -388,7 +386,7 @@ def propagate_forward(
             # the two products also serve the pricing step
             p_terms = (B @ p, drift @ p)
             g_vals, h_vals = _sweep(problem, t, x, grid.levels, p_terms)
-            if not np.isfinite(h_vals).all():
+            if not _all_finite(h_vals):
                 raise NonFiniteEvaluation(f"Hamiltonian is non-finite at t={t}")
             levels = grid.levels
             if priced:
@@ -404,7 +402,7 @@ def propagate_forward(
             h_values[i] = weights @ h_vals[support]
             x_next, clamped = step_state(problem, x, weights, drift + levels @ B, dt)
             p_next = step_costate(problem, t, x, p, levels, weights, dt)
-            if not (np.isfinite(x_next).all() and np.isfinite(p_next).all()):
+            if not (_all_finite(x_next) and _all_finite(p_next)):
                 raise NonFiniteEvaluation(f"state or costate step is non-finite at t={t}")
         except (NonFiniteEvaluation, InfeasibleLevels, ValueError) as err:
             raise _annotate(err, f"interval {i}, t={t}", interval_index=i)

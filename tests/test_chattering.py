@@ -29,7 +29,7 @@ from chatterctl.chattering import (
     generate_levels_with_dynamics,
     schedule_segments,
 )
-from chatterctl.model import eval_drift, eval_running_cost_batch
+from chatterctl.model import _FEW_VALUES, eval_drift, eval_running_cost_batch
 from oracles import (
     affine_p_dot_f,
     constant_pricing,
@@ -95,14 +95,25 @@ class TestMeasureLP:
         with pytest.raises(ValueError):
             solve_measure_lp(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("size", [_FEW_VALUES, _FEW_VALUES + 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_on_both_sides_of_the_bound(self, size, bad):
+        h = np.ones(size)
+        h[-1] = bad
+        with pytest.raises(ValueError, match="^h_values must be finite$"):
+            solve_measure_lp(h)
+
     @given(
         st.lists(
             st.floats(min_value=-100, max_value=100, allow_nan=False),
             min_size=1,
-            max_size=8,
+            max_size=2 * _FEW_VALUES,
         )
     )
     @settings(max_examples=300, deadline=None)
+    # the longest list, with ties: hypothesis alone draws few lists above
+    # _FEW_VALUES, where the LP's finiteness test takes its array pass
+    @example([float(k % 7) for k in range(2 * _FEW_VALUES)])
     def test_matches_vertex_enumeration(self, values):
         h = np.asarray(values)
         support, w = solve_measure_lp(h)

@@ -67,8 +67,10 @@ class TestConfig:
          ("gamma", 1.5), ("eps", 0.0), ("eps", 1e-3), ("eps", float("inf"))],
     )
     def test_refuses_what_the_library_refuses(self, name, value):
-        # the CLI restates these checks so that its messages name its own
-        # keys; a copy that drifts from the library's fails here
+        # the CLI checks the four counts by building TimePartition,
+        # GridParams and ShootingConfig, and restates only the gamma and
+        # eps checks so that their messages name its own keys; a restated
+        # check that drifts from the library's fails here
         from chatterctl import ConfigError
 
         library = refuses(lambda: LIBRARY_CHECKS[name](value), ValueError)

@@ -494,6 +494,8 @@ class TestProblemValidation:
 
 N, K = 2, 3
 X = np.array([1.0, -2.0])
+#: the most values that the finiteness test reads as Python floats
+FEW = model._FEW_VALUES
 U = np.zeros((K, 1))
 
 #: every problem hook: the shape its output must have, and an evaluation
@@ -545,8 +547,53 @@ class TestHookOutputChecks:
         with pytest.raises(NonFiniteEvaluation, match=expected):
             evaluate(hook_problem(hook, np.full(shape, np.nan)))
 
+    @pytest.mark.parametrize("size", [FEW, FEW + 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named_on_both_sides_of_the_bound(self, size, bad):
+        value = np.ones(size)
+        assert model._checked(value, (size,), "hook", 0.5).tolist() == value.tolist()
+        value[-1] = bad
+        with pytest.raises(NonFiniteEvaluation, match="^hook returned a non-finite value at t=0.5$"):
+            model._checked(value, (size,), "hook", 0.5)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_affine_rows_name_both_hooks(self):
         problem = hook_problem("drift", np.full(2, 1e308))
         with pytest.raises(NonFiniteEvaluation, match="drift \\+ u @ control_matrix returned"):
             eval_dynamics_batch(problem, 0.5, X, np.full((K, 1), 1e308))
+
+
+def planted(shape, index, value):
+    """A float array of ``shape`` with ``value`` at flat ``index``."""
+    a = np.random.default_rng(0).uniform(-1.0, 1.0, size=shape)
+    if index is not None:
+        a.flat[index] = value
+    return a
+
+
+class TestAllFinite:
+    """``_all_finite`` against ``np.isfinite(a).all()`` on both sides of
+    ``_FEW_VALUES``, where it switches from Python floats to an array pass."""
+
+    @pytest.mark.parametrize("size", [0, 1, FEW, FEW + 1, 4096])
+    def test_finite_values_pass(self, size):
+        assert model._all_finite(planted((size,), None, None))
+
+    @pytest.mark.parametrize("size", [1, FEW, FEW + 1, 4096])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_value_fails(self, size, where, bad):
+        index = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+        a = planted((size,), index, bad)
+        assert model._all_finite(a) is False
+        assert bool(np.isfinite(a).all()) is False
+
+    @pytest.mark.parametrize("shape", [(), (4, FEW // 4), (5, FEW // 4), (2, 3, 4), (3, 4, FEW)])
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+    def test_any_shape(self, shape, bad):
+        a = planted(shape, None if bad is None else -1, bad)
+        assert model._all_finite(a) is bool(np.isfinite(a).all()) is (bad is None)
+
+    @pytest.mark.parametrize("size", [2, FEW + 1])
+    def test_values_whose_sum_overflows_pass(self, size):
+        assert model._all_finite(np.full(size, 1e308))
