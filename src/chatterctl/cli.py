@@ -1,12 +1,7 @@
-"""Command-line front end: solve runs, validation checks, fixture export.
-
-Subcommands
------------
-solve            run the shooting solver on a built-in problem and export the
-                 trajectory CSV, chattering schedule CSV and convergence JSON
-validate         run oracle comparisons (lqr | lp | gradients | tables |
-                 sensitivities)
-export-fixtures  write the grocer parameter tables as CSV
+"""Command-line front end: ``chatterctl solve`` runs the shooting solver on
+a built-in problem and exports the trajectory CSV, the chattering schedule
+CSV and the convergence JSON.  The oracle checks of the solver live in the
+test suite.
 
 Exit codes: 0 success/converged, 2 not converged (iteration budget exhausted
 or a cycle of iterates detected), 1 error.
@@ -24,24 +19,15 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import problems, shooting
-from .chattering import GridParams, InfeasibleLevels, schedule_segments, solve_measure_lp
-from .model import (
-    ControlProblem,
-    NonFiniteEvaluation,
-    _FEW_VALUES,
-    _central_difference,
-    eval_drift,
-    eval_drift_jacobian,
-    eval_running_cost_batch,
-    eval_running_cost_state_gradient,
-)
+from .chattering import GridParams, InfeasibleLevels, schedule_segments
+from .model import ControlProblem, NonFiniteEvaluation
 from .problems import ConfigError
-from .propagation import TimePartition, Trajectory, propagate_forward
+from .propagation import TimePartition, Trajectory
 
 log = logging.getLogger("chatterctl")
 
@@ -53,6 +39,10 @@ PROBLEM_CHOICES = ("lqr", "supply-chain")
 #: SolveConfig fields that a config file must give as JSON numbers; bool is
 #: an int subclass in Python and is refused
 FLOAT_FIELDS = ("gamma", "eps", "amplitude", "period")
+
+
+#: the CLI key of each library setting whose name differs from it
+LIBRARY_NAMES = {"k_per_dim": "levels", "cap": "level-cap", "epsilon": "eps", "max_iterations": "max-iters"}
 
 
 def _is_number(value) -> bool:
@@ -77,22 +67,22 @@ class SolveConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
-        # the library checks its own counts: its reason, after its own name
-        # for the count, follows the CLI key
-        for name, build in (
-            ("intervals", lambda v: TimePartition.uniform(1.0, v)),
-            ("levels", lambda v: GridParams(k_per_dim=v)),
-            ("level_cap", lambda v: GridParams(cap=v)),
-            ("max_iters", lambda v: shooting.ShootingConfig(np.zeros(1), max_iterations=v)),
-        ):
-            try:
-                build(getattr(self, name))
-            except ValueError as err:
-                raise ConfigError(f"{name.replace('_', '-')} {str(err).partition(' ')[2]}") from None
         for name in FLOAT_FIELDS:
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigError(f"{name.replace('_', '-')} must be a number, got {value!r}")
+        # the library checks its own settings, after the number checks so
+        # that no string reaches its comparisons: its reason, after its own
+        # name for the setting, follows the CLI key
+        try:
+            TimePartition.uniform(1.0, self.intervals)
+            GridParams(self.levels, self.level_cap)
+            shooting.ShootingConfig(
+                np.zeros(1), gamma=self.gamma, epsilon=self.eps, max_iterations=self.max_iters
+            )
+        except ValueError as err:
+            name, _, reason = str(err).partition(" ")
+            raise ConfigError(f"{LIBRARY_NAMES.get(name, name)} {reason}") from None
         if self.p0 is not None and not (
             isinstance(self.p0, list) and all(_is_number(v) for v in self.p0)
         ):
@@ -101,10 +91,6 @@ class SolveConfig:
             raise ConfigError(f"out-dir must be a string, got {self.out_dir!r}")
         if self.problem not in PROBLEM_CHOICES:
             raise ConfigError(f"problem must be one of {PROBLEM_CHOICES}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in (0, 1]")
-        if not 0.0 < self.eps < np.inf:
-            raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
         if self.demand not in problems.DEMAND_PROFILES:
             raise ConfigError(f"demand must be one of {problems.DEMAND_PROFILES}")
 
@@ -287,179 +273,6 @@ def run_solve(config: SolveConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# validate
-# ---------------------------------------------------------------------------
-
-
-def check_lqr() -> Tuple[bool, List[str]]:
-    """Solve the regulator at the CLI defaults and compare the state
-    trajectory and cost against the closed-form optimum."""
-    defaults = SolveConfig()
-    problem = build_problem(defaults)
-    partition = TimePartition.uniform(problem.horizon, defaults.intervals)
-    config = shooting.ShootingConfig(p0_initial=np.zeros(1))
-    result = shooting.solve(problem, partition, config, GridParams(defaults.levels, defaults.level_cap))
-    trajectory = result.trajectory
-    exact = np.array([problems.lqr_analytic_solution(t)[0] for t in partition.times])
-    states = trajectory.states()[:, 0]
-    rel_err = float(np.max(np.abs(states - exact) / np.abs(exact)))
-    j_star = problems.lqr_analytic_solution(0.0)[3]
-    cost_err = abs(trajectory.accumulated_cost - j_star) / j_star
-    ok = result.converged and rel_err <= 0.05 and cost_err <= 0.05
-    lines = [
-        f"shooting converged: {result.converged} ({result.iterations} iterations, "
-        f"residual {result.residual:.3e})",
-        f"max relative state error vs analytic solution: {rel_err:.4f} (limit 0.05)",
-        f"relative cost error vs analytic optimum: {cost_err:.4f} (limit 0.05)",
-    ]
-    return ok, lines
-
-
-def check_lp(instances: int = 1000, seed: int = 20250810) -> Tuple[bool, List[str]]:
-    """Measure LP against brute-force vertex enumeration on random instances
-    of 1 to ``2 * _FEW_VALUES`` levels, so that the LP's finiteness test
-    runs on both sides of its bound."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(instances):
-        k = int(rng.integers(1, 2 * _FEW_VALUES + 1))
-        h = rng.uniform(-10.0, 10.0, size=k)
-        support, w = solve_measure_lp(h)
-        objective = float(w @ h[support])
-        vertex_best = min(float(h[j]) for j in range(k))
-        simplex_ok = (
-            abs(float(w.sum()) - 1.0) <= 1e-12
-            and np.all(w >= 0.0)
-            and np.all(w <= 1.0)
-        )
-        if objective != vertex_best or not simplex_ok:
-            failures += 1
-    ok = failures == 0
-    return ok, [f"{instances - failures}/{instances} instances match the vertex oracle exactly"]
-
-
-def check_gradients(points_per_problem: int = 500, seed: int = 20250811) -> Tuple[bool, List[str]]:
-    """The two parts of dH/dx on random points for both built-in problems:
-    ``running_cost_state_gradient`` on a random block of controls against a
-    central difference of ``running_cost_batch`` in x, and
-    ``drift_jacobian`` against one of the drift."""
-    rng = np.random.default_rng(seed)
-    lines: List[str] = []
-    ok = True
-    for name in PROBLEM_CHOICES:
-        problem = build_problem(SolveConfig(problem=name, intervals=200))
-        worst, bad = 0.0, 0
-        for _ in range(points_per_problem):
-            t = float(rng.uniform(0.0, problem.horizon))
-            x = rng.uniform(0.0, 20.0, size=problem.state_dim)
-            if problem.state_lower is None:
-                x = x - 10.0
-            U = rng.uniform(problem.control_lower, problem.control_upper, size=(4, problem.control_dim))
-            cost = (eval_running_cost_state_gradient(problem, t, x, U),
-                    lambda y: eval_running_cost_batch(problem, t, y, U))
-            drift = eval_drift_jacobian(problem, t, x), lambda y: eval_drift(problem, t, y)
-            for analytic, fn in (cost, drift):
-                # row by row: each control's gradient, each drift coordinate's
-                tol = np.maximum(1e-6, 1e-4 * np.linalg.norm(analytic, axis=1))
-                err = np.abs(analytic - _central_difference(fn, x).T).max(axis=1)
-                worst = max(worst, float((err / tol).max()))
-                bad += bool(np.any(err > tol))
-        ok = ok and bad == 0
-        lines.append(
-            f"{name}: {points_per_problem - bad}/{points_per_problem} points within "
-            f"tolerance (worst err/tol {worst:.2e})"
-        )
-    return ok, lines
-
-
-def check_tables() -> Tuple[bool, List[str]]:
-    """Byte-compare the embedded parameter tables, canonically rendered,
-    against the shipped CSV fixtures."""
-    lines = []
-    ok = True
-    for table in problems.FIXTURE_FILES:
-        match = problems.fixture_text(table) == problems.render_csv(table)
-        ok = ok and match
-        lines.append(f"{table}: {'match' if match else 'MISMATCH'}")
-    return ok, lines
-
-
-def check_sensitivities() -> Tuple[bool, List[str]]:
-    """Tangent sensitivities against the finite-difference reference:
-
-    - the 10-interval grocer at p0 = 0, where every perturbed run stays on
-      the nominal states: ``P_x`` must match exactly and ``P_p`` to 1e-6
-      relative;
-    - LQR at 100 intervals from p0 = 30, where every interval is priced and
-      no perturbed run crosses a clip, so the tangent sees the priced
-      control: ``P_x`` and ``P_p`` must match to 1e-6 relative.
-    """
-    grocer = SolveConfig(problem="supply-chain", intervals=10)
-    tangent, reference = _tangent_and_reference(grocer, GridParams(3, 64), 0.0)
-    px_equal = bool(np.array_equal(tangent.P_x, reference.P_x))
-    errors = {"grocer P_p": _relative_difference(tangent.P_p, reference.P_p)}
-    tangent, reference = _tangent_and_reference(SolveConfig(problem="lqr", intervals=100), GridParams(), 30.0)
-    errors["lqr P_x"] = _relative_difference(tangent.P_x, reference.P_x)
-    errors["lqr P_p"] = _relative_difference(tangent.P_p, reference.P_p)
-    lines = [f"grocer P_x identical to finite differences: {px_equal}"]
-    lines += [f"{name} max relative difference: {err:.2e} (limit 1e-06)" for name, err in errors.items()]
-    return px_equal and all(err <= 1e-6 for err in errors.values()), lines
-
-
-def _tangent_and_reference(
-    config: SolveConfig, grid_params: GridParams, guess: float
-) -> Tuple[shooting.SensitivityEstimate, shooting.SensitivityEstimate]:
-    """The tangent sensitivities along the run of ``config``'s problem and
-    interval count from ``p0 = guess`` in every coordinate, and the
-    finite-difference ones (step 1e-3) that they are checked against."""
-    problem = build_problem(config)
-    p0 = np.full(problem.state_dim, guess)
-    partition = TimePartition.uniform(problem.horizon, config.intervals)
-    nominal = propagate_forward(problem, partition, p0, grid_params)
-    tangent = shooting.tangent_sensitivities(problem, nominal)
-    reference = shooting.finite_diff_sensitivities(problem, partition, p0, 1e-3, grid_params)
-    return tangent, reference
-
-
-def _relative_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """The largest entry of ``|a - b|`` over the largest of ``|b|``."""
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-
-
-CHECKS = {
-    "lqr": check_lqr,
-    "lp": check_lp,
-    "gradients": check_gradients,
-    "tables": check_tables,
-    "sensitivities": check_sensitivities,
-}
-
-
-def run_validate(target: str) -> int:
-    if target not in CHECKS:
-        print(f"error: unknown validation target {target!r}", file=sys.stderr)
-        return 1
-    ok, lines = CHECKS[target]()
-    for line in lines:
-        print(f"  {line}")
-    print(f"validate {target}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def run_export_fixtures(out_dir: str) -> int:
-    try:
-        target = Path(out_dir)
-        target.mkdir(parents=True, exist_ok=True)
-        for table, fname in problems.FIXTURE_FILES.items():
-            (target / fname).write_text(problems.render_csv(table), encoding="utf-8")
-            print(f"wrote {target / fname}")
-        return 0
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
@@ -497,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", type=str, dest="out_dir")
     sp.add_argument("--config", type=str, help="JSON config file; flags override it")
 
-    vp = sub.add_parser("validate", help="run oracle comparisons")
-    vp.add_argument("target", choices=tuple(CHECKS))
-
-    ep = sub.add_parser("export-fixtures", help="write the parameter tables as CSV")
-    ep.add_argument("--out-dir", type=str, dest="out_dir", default=".")
-
     return parser
 
 
@@ -535,16 +342,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as err:
         # argparse reports usage problems itself; fold them into the error code
         return 0 if err.code in (0, None) else 1
-    if args.command == "solve":
-        try:
-            config = config_from_args(args)
-        except (ConfigError, OSError, json.JSONDecodeError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        return run_solve(config)
-    if args.command == "validate":
-        return run_validate(args.target)
-    return run_export_fixtures(args.out_dir)
+    try:
+        config = config_from_args(args)
+    except (ConfigError, OSError, json.JSONDecodeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    return run_solve(config)
 
 
 def console_main() -> None:

@@ -319,21 +319,6 @@ def eval_hamiltonian(problem: ControlProblem, t: float, x: Array, p: Array, u: A
     return h
 
 
-def _central_difference(fn: Callable[[Array], object], x: Array) -> Array:
-    """Entry j is (fn(x + h e_j) - fn(x - h e_j)) divided by the realised step
-    between the two points (2h up to rounding), with h = 1e-6 * max(1,
-    |x_j|); a vector-valued ``fn`` gives one row per j."""
-    diffs = []
-    for j in range(x.size):
-        h = 1e-6 * max(1.0, abs(float(x[j])))
-        xp = np.array(x)
-        xm = np.array(x)
-        xp[j] += h
-        xm[j] -= h
-        diffs.append((fn(xp) - fn(xm)) / (xp[j] - xm[j]))
-    return np.array(diffs)
-
-
 def grad_h_state(problem: ControlProblem, t: float, x: Array, p: Array, levels: Array, weights: Array) -> Array:
     """The measure-weighted dH/dx over the support ``levels`` (K, m) and
     their ``weights`` (K,): ``sum_k a_k g_x(t, x, c_k) + F_x^T p``, with

@@ -9,15 +9,14 @@ Two problems ship with the solver:
   dynamics, supplier order quantities that are either zero or confined to a
   min/max range, and a signed-square cost.
 
-The grocer's external parameters are embedded as records below and also
-shipped as CSV fixtures (``data/``) so tests can diff the two.
+The grocer's external parameters are the records ``ITEMS``, ``CUSTOMERS``
+and ``SUPPLIERS`` below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
-from importlib import resources
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -427,38 +426,4 @@ def build_supply_chain(
         control_matrix=B,
         drift_jacobian=lambda t, x: minus_identity,
         name="supply-chain",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Table fixtures
-# ---------------------------------------------------------------------------
-
-FIXTURE_FILES = {
-    "items": "grocer_items.csv",
-    "customers": "grocer_customers.csv",
-    "suppliers": "grocer_suppliers.csv",
-}
-
-
-#: each fixture table's records, in file order
-FIXTURE_RECORDS = {"items": ITEMS, "customers": CUSTOMERS, "suppliers": SUPPLIERS}
-
-
-def render_csv(table: str) -> str:
-    """The canonical CSV of fixture ``table``: a header of its records'
-    field names, then one row per record, floats through ``format(v, "g")``."""
-    records = FIXTURE_RECORDS[table]
-    lines = [",".join(field.name for field in fields(records[0]))]
-    for rec in records:
-        lines.append(",".join(format(v, "g") if isinstance(v, float) else str(v) for v in astuple(rec)))
-    return "\n".join(lines) + "\n"
-
-
-def fixture_text(table: str) -> str:
-    """Contents of the shipped CSV fixture for ``table``."""
-    if table not in FIXTURE_FILES:
-        raise KeyError(f"unknown table {table!r}")
-    return (
-        resources.files("chatterctl").joinpath("data", FIXTURE_FILES[table]).read_text("utf-8")
     )

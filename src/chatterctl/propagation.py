@@ -453,22 +453,31 @@ def replay_measurement_source(replacements: Mapping[int, Sequence[float]]) -> Me
 
 def load_replay_file(path) -> MeasurementSource:
     """Load a JSON replay file mapping interval index to a state vector; a
-    file that holds no such object, a key that is not an integer and a
-    state that is not a rectangular array of numbers raise ``ValueError``
-    naming the file (and the key)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    file that is not UTF-8 text or holds no such object, a key that is not
+    an integer, a second key for the same interval (``"1"`` and ``"01"``)
+    and a state that is not a rectangular array of numbers raise
+    ``ValueError`` naming the file (and the keys)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"replay file {path} is not UTF-8 text: {err.reason} at byte {err.start}") from err
     if not isinstance(raw, dict):
         raise ValueError(
             f"replay file {path} must hold a JSON object mapping interval index to state, "
             f"not a {type(raw).__name__}"
         )
-    table = {}
+    table, keys = {}, {}
     for key, state in raw.items():
         try:
             index = int(key)
         except ValueError:
             raise ValueError(f"replay file {path}: key {key!r} is not an interval index") from None
+        if index in keys:
+            raise ValueError(
+                f"replay file {path}: keys {keys[index]!r} and {key!r} name the same interval {index}"
+            )
+        keys[index] = key
         try:
             table[index] = np.asarray(state, dtype=float)
         except (TypeError, ValueError) as err:

@@ -6,7 +6,8 @@ least Hamiltonian over its gated control box, a single-row
 reference step, a schedule's time average, the control of a
 measure given by a weight on every level, the factored ``p . f`` sweep of a
 control-affine problem, the dynamics hooks of linear dynamics, the shooting
-tangent by central differences of the dynamics, the pricing hook's Jacobian
+tangent by central differences of the dynamics, a central difference of any
+function of the state, the pricing hook's Jacobian
 and the Hessian rows of H by central differences, the full-width product
 grid and filter that the level generator must reproduce bit for bit, the
 anchor-by-anchor range search and the per-value separable sums that the
@@ -29,7 +30,7 @@ import numpy as np
 
 from chatterctl import build_lqr, build_supply_chain, chattering, replay_measurement_source, synthetic_demand
 from chatterctl.chattering import InfeasibleLevels
-from chatterctl.model import ControlProblem, _central_difference, eval_drift, eval_dynamics_batch, grad_h_state
+from chatterctl.model import ControlProblem, eval_drift, eval_dynamics_batch, grad_h_state
 from chatterctl.problems import CUSTOMERS, ITEMS, LQR_HORIZON, LQR_X0, N_ITEMS, SUPPLIERS
 
 
@@ -298,6 +299,22 @@ def constant_pricing(problem: ControlProblem, argmin) -> ControlProblem:
     )
 
 
+def central_difference(fn, x):
+    """Entry j is (fn(x + h e_j) - fn(x - h e_j)) divided by the realised step
+    between the two points (2h up to rounding), with h = 1e-6 * max(1,
+    |x_j|); a vector-valued ``fn`` gives one row per j.  The tests check
+    the derivative hooks of the built-in problems against it."""
+    diffs = []
+    for j in range(x.size):
+        h = 1e-6 * max(1.0, abs(float(x[j])))
+        xp = np.array(x)
+        xm = np.array(x)
+        xp[j] += h
+        xm[j] -= h
+        diffs.append((fn(xp) - fn(xm)) / (xp[j] - xm[j]))
+    return np.array(diffs)
+
+
 def argmin_jacobian_by_differences(problem, t, x, p, lo, hi):
     """``[du/dx | du/dp]`` (m, 2n) of the one row of ``hamiltonian_argmin``
     at (t, x, p) over ``[lo, hi]``, by central differences of the hook in
@@ -333,7 +350,7 @@ def state_hessian_by_differences(problem, t, x, p, U):
     rows = []
     for u in np.asarray(U, dtype=float):
         z = np.concatenate([x, u])
-        rows.append(_central_difference(lambda y: grad_h_state(problem, t, y[:n], p, y[None, n:], one), z).T)
+        rows.append(central_difference(lambda y: grad_h_state(problem, t, y[:n], p, y[None, n:], one), z).T)
     return np.array(rows)
 
 

@@ -123,6 +123,9 @@ class TestMeasureLP:
         vertex_best = min(float(v) for v in h)
         assert float(w @ h[support]) <= vertex_best + 1e-9
         assert np.all(h[support] <= h.min() + 1e-9)
+        if len(support) == 1:
+            # a least value without a tie is met exactly
+            assert float(w @ h[support]) == vertex_best
 
     def test_exact_tie_objective_equals_minimum(self):
         # powers of two split exactly

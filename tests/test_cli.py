@@ -24,10 +24,8 @@ from chatterctl.cli import (
     export_trajectory,
     main,
     parse_config_file,
-    run_validate,
 )
 from chatterctl.model import eval_running_cost_batch, eval_terminal_cost
-from chatterctl.problems import FIXTURE_FILES, fixture_text
 from oracles import bolza_problem, unpriced
 
 
@@ -67,10 +65,10 @@ class TestConfig:
          ("gamma", 1.5), ("eps", 0.0), ("eps", 1e-3), ("eps", float("inf"))],
     )
     def test_refuses_what_the_library_refuses(self, name, value):
-        # the CLI checks the four counts by building TimePartition,
-        # GridParams and ShootingConfig, and restates only the gamma and
-        # eps checks so that their messages name its own keys; a restated
-        # check that drifts from the library's fails here
+        # the CLI checks the counts and the step rule by building
+        # TimePartition, GridParams and ShootingConfig, and names its own
+        # key in the library's reason; a check of its own that drifted from
+        # the library's would fail here
         from chatterctl import ConfigError
 
         library = refuses(lambda: LIBRARY_CHECKS[name](value), ValueError)
@@ -137,6 +135,15 @@ class TestConfig:
     def test_removed_fixed_cost_mode_flag_rejected(self, tmp_path, capsys):
         assert main(["solve", "--fixed-cost-mode", "always", "--out-dir", str(tmp_path)]) == 1
         assert "--fixed-cost-mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["validate", "lqr"], ["export-fixtures"]], ids=["validate", "export-fixtures"]
+    )
+    def test_removed_commands_are_unknown(self, argv, capsys):
+        # the oracle checks live in the test suite, and the grocer's tables
+        # have one copy, the records in problems.py: solve is the one command
+        assert main(argv) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_flags_and_config_keys_are_one_set(self):
         # a flag without a SolveConfig field, or a field without a flag, is
@@ -489,55 +496,6 @@ class TestSolveCommand:
         )
         assert code == 1
         assert "p0" in capsys.readouterr().err
-
-
-class TestValidateCommand:
-    def test_tables(self, capsys):
-        assert main(["validate", "tables"]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_lqr(self, capsys):
-        assert main(["validate", "lqr"]) == 0
-        out = capsys.readouterr().out
-        assert "max relative state error" in out and "PASS" in out
-
-    def test_lp(self, capsys):
-        assert main(["validate", "lp"]) == 0
-        out = capsys.readouterr().out
-        assert "1000/1000" in out and "PASS" in out
-
-    def test_gradients(self, capsys):
-        assert main(["validate", "gradients"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("500/500 points within tolerance") == 2
-        assert "PASS" in out
-
-    def test_sensitivities(self, capsys):
-        assert main(["validate", "sensitivities"]) == 0
-        out = capsys.readouterr().out
-        assert "grocer P_x identical to finite differences: True" in out
-        for name in ("grocer P_p", "lqr P_x", "lqr P_p"):
-            assert f"{name} max relative difference" in out
-        assert "validate sensitivities: PASS" in out
-
-    def test_unknown_target_exits_one(self, capsys):
-        # the parser's choices refuse it first; run_validate refuses it too
-        assert run_validate("nope") == 1
-        assert capsys.readouterr().err == "error: unknown validation target 'nope'\n"
-
-
-class TestExportFixtures:
-    def test_written_files_match_packaged_fixtures(self, tmp_path):
-        assert main(["export-fixtures", "--out-dir", str(tmp_path)]) == 0
-        for table, fname in FIXTURE_FILES.items():
-            assert (tmp_path / fname).read_text(encoding="utf-8") == fixture_text(table)
-
-    def test_out_dir_naming_a_file_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "file"
-        path.write_text("", encoding="utf-8")
-        assert main(["export-fixtures", "--out-dir", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
 class TestLogging:

@@ -29,7 +29,7 @@ from chatterctl.model import (
     eval_running_cost_batch,
     eval_terminal_cost,
 )
-from oracles import cubic_drift_problem
+from oracles import central_difference, cubic_drift_problem
 
 
 def at(t=0.0, x=(10.0,), p=(0.0,)):
@@ -141,11 +141,11 @@ class TestGradHState:
         problem = build_lqr()
         t, x, p = at(x=(10.0,), p=(1.0,))
         assert grad_h_state(problem, t, x, p, np.array([[0.0]]), np.ones(1))[0] == 21.0
-        fd = model._central_difference(lambda y: eval_hamiltonian(problem, t, y, p, np.zeros(1)), x)
+        fd = central_difference(lambda y: eval_hamiltonian(problem, t, y, p, np.zeros(1)), x)
         assert abs(fd[0] - 21.0) <= 1e-8
 
     def test_default_step_scales_with_state(self):
-        # the central difference that validate checks the hooks with, step
+        # the central difference that the tests check the hooks with, step
         # 1e-6 * max(1, |x_j|), against the assembled dH/dx
         problem = build_lqr()
         rng = np.random.default_rng(11)
@@ -153,7 +153,7 @@ class TestGradHState:
             t, x, p = at(x=rng.uniform(-100, 100, 1), p=rng.uniform(-50, 50, 1))
             u = rng.uniform(-30, 5, 1)
             want = grad_h_state(problem, t, x, p, u[None, :], np.ones(1))
-            got = model._central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
+            got = central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
             tol = max(1e-6, 1e-4 * float(np.linalg.norm(want)))
             assert abs(got[0] - want[0]) <= tol
 
@@ -174,16 +174,12 @@ class TestGradHState:
         for x, p, u in [(0.3, 0.7, 0.25), (-1.2, -3.0, -1.5), (2.0, 0.7, 4.0)]:
             x, p, u = np.array([x]), np.array([p]), np.array([u])
             analytic = grad_h_state(problem, 0.0, x, p, u[None, :], np.ones(1))
-            fd = model._central_difference(lambda y: eval_hamiltonian(problem, 0.0, y, p, u), x)
+            fd = central_difference(lambda y: eval_hamiltonian(problem, 0.0, y, p, u), x)
             assert abs(fd[0] - analytic[0]) <= 1e-8 * abs(analytic[0])
 
-    def test_no_dh_dx_is_differenced(self, monkeypatch):
-        # every dH/dx is assembled from the hooks: a solve and a grocer
-        # propagation run with the central difference unavailable
-        def no_difference(*args):
-            raise AssertionError("dH/dx took a central difference")
-
-        monkeypatch.setattr(model, "_central_difference", no_difference)
+    def test_no_dh_dx_is_differenced(self):
+        # every dH/dx is assembled from the hooks (the library holds no
+        # central difference): a solve and a grocer propagation run
         part = TimePartition.uniform(1.0, 100)
         result = solve(build_lqr(), part, ShootingConfig(p0_initial=np.zeros(1)), GridParams(101, 4096))
         assert result.converged
@@ -200,19 +196,16 @@ class TestTerminal:
         assert g[0] == 0.0
         assert np.array_equal(terminal_hessian(problem, np.array([123.4])), np.zeros((1, 1)))
 
-    def test_quadratic_terminal_cost(self, monkeypatch):
-        # the hooks are read, never differenced: psi is not called and no
-        # central difference is taken, with or without a terminal cost
+    def test_quadratic_terminal_cost(self):
+        # the hooks are read, never differenced (the library holds no
+        # central difference): psi is not called, with or without a
+        # terminal cost
         calls = []
 
         def psi(x):
             calls.append(1)
             return 0.5 * float(x @ x)
 
-        def no_difference(*args):
-            raise AssertionError("a terminal function took a central difference")
-
-        monkeypatch.setattr(model, "_central_difference", no_difference)
         problem = make_problem(
             state_dim=2,
             initial_state=np.zeros(2),

@@ -21,7 +21,7 @@ from chatterctl import (
     synthetic_demand,
     terminal_costate,
 )
-from chatterctl.model import _central_difference, eval_drift, eval_dynamics_batch, eval_running_cost_batch
+from chatterctl.model import eval_drift, eval_dynamics_batch, eval_running_cost_batch
 from chatterctl.problems import (
     CUSTOMERS,
     DEMAND_PROFILES,
@@ -32,6 +32,7 @@ from chatterctl.problems import (
     SupplierRecord,
 )
 from oracles import (
+    central_difference,
     grocer_hamiltonian_min,
     item_fixed_cost_envelope,
     item_unit_cost_envelope,
@@ -399,7 +400,7 @@ class TestSupplyChainProblem:
             u = rng.uniform(problem.control_lower, problem.control_upper)
             t = float(rng.uniform(0.0, 1.0))
             analytic = grad_h_state(problem, t, x, p, u[None, :], np.ones(1))
-            fd = _central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
+            fd = central_difference(lambda y: eval_hamiltonian(problem, t, y, p, u), x)
             tol = max(1e-6, 1e-4 * float(np.linalg.norm(analytic)))
             assert np.max(np.abs(analytic - fd)) <= tol
 

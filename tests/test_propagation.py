@@ -30,7 +30,6 @@ from chatterctl import (
     Trajectory,
     chattering,
     eval_hamiltonian,
-    problems,
     terminal_costate,
 )
 from chatterctl.chattering import TIE_TOL, LevelCache, generate_levels_with_dynamics
@@ -517,11 +516,10 @@ class TestRefusedArguments:
             (lambda: LevelGrid(np.zeros((0, 1)), np.zeros(1), np.ones(1)), ValueError,
              re.escape("levels must be a non-empty (K, m) array")),
             (lambda: solve_measure_lp(np.zeros((2, 2))), ValueError, "h_values must be 1-d"),
-            (lambda: problems.fixture_text("nope"), KeyError, "unknown table 'nope'"),
         ],
         ids=["one-time", "negative-horizon", "state-dt", "costate-dt", "short-u", "nan-p0",
              "nan-p0-initial", "non-square", "non-finite", "nan-terminal-state", "no-levels",
-             "2d-lp", "unknown-table"],
+             "2d-lp"],
     )
     def test_refused(self, call, error, message):
         with pytest.raises(error, match=message):
@@ -858,12 +856,15 @@ class TestFeedbackHook:
             ({"2.5": [7.5]}, "key '2.5' is not an interval index"),
             ({"0": ["a", 1]}, "state at key '0' is not an array of numbers"),
             ({"0": [[1, 2], [3]]}, "state at key '0' is not an array of numbers"),
+            # int() reads all three as interval 1: the file is ambiguous
+            ({"1": [1.0], "01": [2.0], " 1": [3.0]}, "keys '1' and '01' name the same interval 1"),
+            (b'{"2": [7.5], "\xff": [1.0]}', "is not UTF-8 text"),
         ],
-        ids=["list", "non-integer-key", "non-numeric-state", "ragged-state"],
+        ids=["list", "non-integer-key", "non-numeric-state", "ragged-state", "same-interval", "not-utf8"],
     )
     def test_bad_replay_file_refused_by_name(self, tmp_path, raw, message):
         path = tmp_path / "replay.json"
-        path.write_text(json.dumps(raw), encoding="utf-8")
+        path.write_bytes(raw if isinstance(raw, bytes) else json.dumps(raw).encode("utf-8"))
         with pytest.raises(ValueError, match=message) as excinfo:
             load_replay_file(path)
         assert str(path) in str(excinfo.value)

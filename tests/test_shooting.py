@@ -953,6 +953,25 @@ class TestTangentSensitivities:
         assert excinfo.value.interval_index == 10
         assert str(excinfo.value) == f"{message} [interval 10, t=0.5]"
 
+    @pytest.mark.parametrize("case", ["grocer", "lqr"])
+    def test_matches_the_finite_difference_reference(self, case):
+        # the reference steps 1e-3. At the 10-interval grocer from p0 = 0
+        # every perturbed run stays on the nominal states, so P_x matches
+        # exactly; at LQR from p0 = 30 every interval is priced and no
+        # perturbed run crosses a clip, so the tangent sees the priced control
+        if case == "grocer":
+            (problem, part, grid), p0 = grocer_10(), np.zeros(20)
+        else:
+            problem, part, grid = build_lqr(), TimePartition.uniform(1.0, 100), GridParams()
+            p0 = np.array([30.0])
+        sens = tangent_sensitivities(problem, propagate_forward(problem, part, p0, grid))
+        reference = finite_diff_sensitivities(problem, part, p0, 1e-3, grid)
+        if case == "grocer":
+            assert np.array_equal(sens.P_x, reference.P_x)
+        else:
+            assert np.abs(sens.P_x - reference.P_x).max() <= 1e-6 * np.abs(reference.P_x).max()
+        assert np.abs(sens.P_p - reference.P_p).max() <= 1e-6 * np.abs(reference.P_p).max()
+
     def test_grocer_closed_form(self):
         # the grocer's drift is -x plus terms free of x
         problem, part, grid = grocer_10()
