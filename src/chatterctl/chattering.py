@@ -431,11 +431,13 @@ class LevelCache:
     ``propagate_forward`` refuses it for any other.
 
     Computed from the problem's arrays when the cache is built: ``counts``,
-    the level count of each control dimension (``_coarsen_counts``), and
-    ``terms``, the ``_SearchTerms`` of a problem with state bounds (None
-    otherwise).  Built on first use: ``box_grid``, the grid over the whole
-    control box, which is the grid of every interval of a problem without
-    state bounds.
+    the level count of each control dimension (``_coarsen_counts``),
+    ``reads_hi``, whether a dimension's scalar grid depends on its upper
+    range end (a non-gated dimension of one level has the grid ``[lo]``),
+    and ``terms``, the ``_SearchTerms`` of a problem with state bounds
+    (None otherwise).  Built on first use: ``box_grid``, the grid over the
+    whole control box, which is the grid of every interval of a problem
+    without state bounds.
 
     Kept from the searched build before, which the next one starts from
     (``_product``): ``lo`` and ``hi``, its range ends, ``grids``, the scalar
@@ -458,6 +460,8 @@ class LevelCache:
     def __init__(self, problem: ControlProblem, params: GridParams):
         self.problem, self.params = problem, params
         self.counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
+        gated = np.isin(np.arange(self.counts.size), list(problem.gated_dims))
+        self.reads_hi = (self.counts > 1) | gated
         self.terms = _search_terms(problem) if problem.has_state_bounds else None
         self.lo = self.hi = self.grids = self.levels = None
         self.memo: Optional[Dict[Tuple[float, float], tuple]] = None
@@ -476,16 +480,17 @@ def _product(
     m)`` array (the dimension count is not limited the way np.meshgrid
     is).  Without ``cache`` it is a new array.  With one it is written in
     place into the cache's buffer, which then holds it: each dimension
-    whose range ends differ from the cache's bit for bit gets a new grid
-    and its column written (every column when a grid size changed); a new
-    buffer is allocated only when K changes."""
+    whose grid reads a range end that differs from the cache's bit for bit
+    (``LevelCache.reads_hi``) gets a new grid and its column written (every
+    column when a grid size changed); a new buffer is allocated only when K
+    changes."""
     m = len(counts)
     if cache is None or cache.grids is None:
         grids, levels, moved = [None] * m, None, range(m)
     else:
         grids, levels = list(cache.grids), cache.levels
         moved = ((lo.view(np.int64) != cache.lo.view(np.int64))
-                 | (hi.view(np.int64) != cache.hi.view(np.int64))).nonzero()[0].tolist()
+                 | ((hi.view(np.int64) != cache.hi.view(np.int64)) & cache.reads_hi)).nonzero()[0].tolist()
     gated_dims = problem.gated_dims
     lo_list, hi_list, count_list = lo.tolist(), hi.tolist(), counts.tolist()
     resized = False

@@ -4,8 +4,9 @@ CSV and the convergence JSON.  The oracle checks of the solver live in the
 test suite.
 
 Exit codes: 0 success/converged, 2 not converged (iteration budget exhausted
-or a cycle of iterates detected), 1 error.
-Verbosity comes from the CHATTER_LOG env var (quiet | info | debug).
+or a cycle of iterates detected), 1 error.  A run prints one summary line
+(and a not-converged run its message) to stderr; ``convergence.json`` is
+the record of every iteration.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -27,9 +26,7 @@ from . import problems, shooting
 from .chattering import GridParams, InfeasibleLevels, schedule_segments
 from .model import ControlProblem, NonFiniteEvaluation
 from .problems import ConfigError
-from .propagation import TimePartition, Trajectory
-
-log = logging.getLogger("chatterctl")
+from .propagation import TimePartition, Trajectory, _read_json_object
 
 #: the grocer benchmark runs on a unit horizon; interval count is the knob
 SUPPLY_CHAIN_HORIZON = 1.0
@@ -107,12 +104,9 @@ class SolveConfig:
 
 def parse_config_file(path: str) -> SolveConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {err.reason} at byte {err.start}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object")
+        raw = _read_json_object(path, "config file")
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     return SolveConfig.from_json_dict(raw)
 
 
@@ -202,6 +196,7 @@ def export_convergence(result: shooting.ShootingResult, path) -> None:
         "iterations": int(result.iterations),
         "residual": _json_number(result.residual),
         "residual_history": [_json_number(r) for r in result.residual_history],
+        "cost_history": [_json_number(c) for c in result.cost_history],
         "cost": _json_number(trajectory.accumulated_cost) if trajectory else None,
         "p0": [float(v) for v in result.p0_final],
         "p_T": [float(v) for v in trajectory.p[-1]] if trajectory else None,
@@ -235,16 +230,8 @@ def run_solve(config: SolveConfig) -> int:
             max_iterations=config.max_iters,
         )
         grid_params = GridParams(config.levels, config.level_cap)
-
-        def progress(iteration: int, residual: float, cost: float) -> None:
-            log.debug(
-                "iteration %d: residual %.6e cost %.6e", iteration, residual, cost
-            )
-
         started = time.perf_counter()
-        result = shooting.solve(
-            problem, partition, shooting_config, grid_params, progress=progress
-        )
+        result = shooting.solve(problem, partition, shooting_config, grid_params)
         elapsed = time.perf_counter() - started
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,17 +239,15 @@ def run_solve(config: SolveConfig) -> int:
             export_trajectory(result.trajectory, out_dir / "trajectory.csv")
             export_schedule(result.trajectory, out_dir / "schedule.csv")
         export_convergence(result, out_dir / "convergence.json")
-        log.info(
-            "%s: %s after %d iteration(s) in %.2fs; best residual %.3e; cost %s",
-            config.problem,
-            "converged" if result.converged else "not converged",
-            result.iterations,
-            elapsed,
-            result.residual,
-            f"{result.trajectory.accumulated_cost:.6g}" if result.trajectory else "n/a",
+        cost = f"{result.trajectory.accumulated_cost:.6g}" if result.trajectory else "n/a"
+        print(
+            f"{config.problem}: {'converged' if result.converged else 'not converged'} after "
+            f"{result.iterations} iteration(s) in {elapsed:.2f}s; best residual "
+            f"{result.residual:.3e}; cost {cost}",
+            file=sys.stderr,
         )
         if not result.converged and result.message:
-            log.info("%s", result.message)
+            print(result.message, file=sys.stderr)
         return 0 if result.converged else 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -325,17 +310,7 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
     return config
 
 
-def setup_logging() -> None:
-    name = os.environ.get("CHATTER_LOG", "info").strip().lower()
-    level = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        name, logging.INFO
-    )
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
-    log.setLevel(level)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -344,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if err.code in (0, None) else 1
     try:
         config = config_from_args(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return run_solve(config)

@@ -451,24 +451,39 @@ def replay_measurement_source(replacements: Mapping[int, Sequence[float]]) -> Me
     return source
 
 
-def load_replay_file(path) -> MeasurementSource:
-    """Load a JSON replay file mapping interval index to a state vector; a
-    file that is not UTF-8 text or holds no such object, a key that is not
-    an integer, a second key for the same interval (``"1"`` and ``"01"``)
-    and a state that is not a rectangular array of numbers raise
-    ``ValueError`` naming the file (and the keys)."""
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``.  Text that is not UTF-8,
+    malformed JSON, a value other than an object and a key repeated within
+    one object raise ``ValueError`` naming ``what`` and the file."""
+
+    def unique(pairs):
+        table = {}
+        for key, value in pairs:
+            if key in table:
+                raise ValueError(f"{what} {path}: key {key!r} appears twice")
+            table[key] = value
+        return table
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique)
     except UnicodeDecodeError as err:
-        raise ValueError(f"replay file {path} is not UTF-8 text: {err.reason} at byte {err.start}") from err
+        raise ValueError(f"{what} {path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
-        raise ValueError(
-            f"replay file {path} must hold a JSON object mapping interval index to state, "
-            f"not a {type(raw).__name__}"
-        )
+        raise ValueError(f"{what} {path} must hold a JSON object, not a {type(raw).__name__}")
+    return raw
+
+
+def load_replay_file(path) -> MeasurementSource:
+    """Load a JSON replay file, an object mapping interval index to a state
+    vector.  What ``_read_json_object`` refuses, a key that is not an
+    integer, a second key for the same interval (``"1"`` and ``"01"``) and a
+    state that is not a rectangular array of numbers raise ``ValueError``
+    naming the file (and the keys)."""
     table, keys = {}, {}
-    for key, state in raw.items():
+    for key, state in _read_json_object(path, "replay file").items():
         try:
             index = int(key)
         except ValueError:

@@ -29,7 +29,7 @@ perturbed costate coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from .propagation import TimePartition, Trajectory, _annotate, propagate_forward
 #: refuse the linear correction when its matrix is worse conditioned than
 #: this
 CONDITION_LIMIT = 1e14
-
-#: per-iteration progress callback: (iteration, residual, cost)
-ProgressSink = Callable[[int, float, float], None]
 
 
 class SingularCorrection(RuntimeError):
@@ -114,6 +111,8 @@ class SensitivityEstimate:
 class ShootingResult:
     converged: bool
     residual_history: Array
+    #: one per iteration: the accumulated cost of its propagation
+    cost_history: Array
     trajectory: Optional[Trajectory]
     p0_final: Array
     message: str = ""
@@ -128,6 +127,7 @@ class ShootingResult:
 
     def __post_init__(self):
         object.__setattr__(self, "residual_history", _readonly(self.residual_history))
+        object.__setattr__(self, "cost_history", _readonly(self.cost_history))
         object.__setattr__(self, "p0_final", _readonly(self.p0_final))
 
     @property
@@ -265,7 +265,6 @@ def solve(
     partition: TimePartition,
     config: ShootingConfig,
     grid_params: GridParams = GridParams(),
-    progress: Optional[ProgressSink] = None,
 ) -> ShootingResult:
     """Iterate propagate / sensitivities / correct until the terminal costate
     matches the terminal cost gradient within ``config.epsilon`` or the
@@ -300,6 +299,7 @@ def solve(
     """
     p0 = np.array(config.p0_initial, dtype=float)
     history: List[float] = []
+    costs: List[float] = []
     step_kinds: List[str] = []
     condition_numbers: List[float] = []
     step_lengths: List[float] = []
@@ -338,12 +338,11 @@ def solve(
         mismatch = p_T - terminal_costate(problem, x_T)
         residual = float(np.linalg.norm(mismatch))
         history.append(residual)
+        costs.append(trajectory.accumulated_cost)
         if residual < best_residual:
             best_residual = residual
             best_trajectory = trajectory
             best_p0 = np.array(p0)
-        if progress is not None:
-            progress(len(history), residual, trajectory.accumulated_cost)
         if residual < config.epsilon:
             converged = True
             break
@@ -373,6 +372,7 @@ def solve(
     return ShootingResult(
         converged=converged,
         residual_history=np.asarray(history),
+        cost_history=np.asarray(costs),
         trajectory=best_trajectory,
         p0_final=best_p0,
         message="" if converged else message,

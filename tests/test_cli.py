@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import logging
+import sys
 
 import numpy as np
 import pytest
@@ -81,17 +84,20 @@ class TestConfig:
             ({"demand": "weekly"}, "error: demand must be one of"),
             # the grocer has one fixed-cost rule, and no key selects it
             ({"fixed-cost-mode": "on-order"}, "error: unknown config key 'fixed-cost-mode'"),
-            ([{"gamma": 0.5}], "error: config file must contain a JSON object"),
+            ([{"gamma": 0.5}], "error: config file <path> must hold a JSON object, not a list"),
+            (b'{"1": [1.0],', "error: config file <path> is not valid JSON: "),
+            (b'{"gamma": 0.5, "gamma": 1.0}', "error: config file <path>: key 'gamma' appears twice"),
         ],
-        ids=["zero-gamma", "unknown-demand", "unknown-mode", "list"],
+        ids=["zero-gamma", "unknown-demand", "unknown-mode", "list", "truncated", "repeated-key"],
     )
     def test_config_file_refused(self, raw, message, tmp_path, capsys):
         out = tmp_path / "out"
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw), encoding="utf-8")
+        path.write_bytes(raw if isinstance(raw, bytes) else json.dumps(raw).encode("utf-8"))
         assert main(["solve", "--config", str(path), "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(message)
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(message.replace("<path>", str(path)))
+        assert "Traceback" not in err and not out.exists()
 
     def test_unparsable_p0_flag_refused(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -290,7 +296,7 @@ class TestExportBytes:
     DIGESTS = {
         "trajectory.csv": "e70270b182ac8fb71855cfe9c0f4fb00784b8242994c59e50957de6d344fbf2e",
         "schedule.csv": "955ba539853ccf8d6145af6c1da16dc411d9eb4d2b55098f62944aa648a65edf",
-        "convergence.json": "9276dda7d6119ada9979515102dde7afd43f11392a7c7a873f7897076656f470",
+        "convergence.json": "766fd0ba6ae744f45be35ed9074e7335797cdb53c2546bab5981de67c7fe94b6",
     }
 
     def test_lqr_defaults(self, tmp_path):
@@ -497,12 +503,30 @@ class TestSolveCommand:
         assert code == 1
         assert "p0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--problem", "lqr"], ["--problem", "supply-chain", "--intervals", "200", "--gamma", "1.0"]],
+        ids=["lqr", "desk"],
+    )
+    def test_convergence_records_every_cost(self, argv, tmp_path):
+        assert main(["solve", *argv, "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "convergence.json").read_text())
+        assert len(payload["cost_history"]) == len(payload["residual_history"]) == payload["iterations"]
+        # a converged run ends on its best iterate
+        assert payload["cost_history"][-1] == payload["cost"]
 
-class TestLogging:
-    @pytest.mark.parametrize("level", ["quiet", "info", "debug"])
-    def test_log_levels_accepted(self, level, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHATTER_LOG", level)
-        code = main(
-            ["solve", "--problem", "lqr", "--intervals", "30", "--out-dir", str(tmp_path)]
-        )
-        assert code in (0, 2)
+    def test_each_call_prints_to_the_stderr_of_its_time(self, tmp_path, monkeypatch):
+        # main keeps no process state: two calls in one process each print
+        # to the sys.stderr current at the call, and the root logger keeps
+        # the handlers it had (none here)
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        runs = [("lqr", 0, "converged", []), ("budget", 2, "not converged", ["--max-iters", "1"])]
+        for tag, code, outcome, flags in runs:
+            stream = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", stream)
+            assert main(["solve", "--problem", "lqr", *flags, "--out-dir", str(tmp_path / tag)]) == code
+            payload = json.loads((tmp_path / tag / "convergence.json").read_text())
+            lines = stream.getvalue().splitlines()
+            assert lines[0].startswith(f"lqr: {outcome} after {payload['iterations']} iteration(s) in ")
+            assert lines[1:] == ([payload["message"]] if payload["message"] else [])
+        assert logging.getLogger().handlers == []

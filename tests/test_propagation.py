@@ -859,8 +859,12 @@ class TestFeedbackHook:
             # int() reads all three as interval 1: the file is ambiguous
             ({"1": [1.0], "01": [2.0], " 1": [3.0]}, "keys '1' and '01' name the same interval 1"),
             (b'{"2": [7.5], "\xff": [1.0]}', "is not UTF-8 text"),
+            (b'{"1": [1.0],', "is not valid JSON"),
+            # json.load alone keeps the last of the two pairs
+            (b'{"1": [1.0], "1": [2.0]}', "key '1' appears twice"),
         ],
-        ids=["list", "non-integer-key", "non-numeric-state", "ragged-state", "same-interval", "not-utf8"],
+        ids=["list", "non-integer-key", "non-numeric-state", "ragged-state", "same-interval", "not-utf8",
+             "truncated", "repeated-key"],
     )
     def test_bad_replay_file_refused_by_name(self, tmp_path, raw, message):
         path = tmp_path / "replay.json"

@@ -266,7 +266,8 @@ class TestSolve:
         config = ShootingConfig(p0_initial=np.array([3.0]), gamma=1.0)
         result = solve(inert_problem(n=1), TimePartition.uniform(1.0, 3), config, GridParams(3, 16))
         sens = SensitivityEstimate(np.eye(1), np.eye(1))
-        for array in (config.p0_initial, result.p0_final, result.residual_history, sens.P_x, sens.P_p):
+        records = (result.p0_final, result.residual_history, result.cost_history)
+        for array in (config.p0_initial, *records, sens.P_x, sens.P_p):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
             with pytest.raises(ValueError):
@@ -546,20 +547,14 @@ class TestSolve:
             with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 ShootingConfig(p0_initial=np.zeros(1), epsilon=eps)
 
-    def test_progress_sink_sees_every_iteration(self):
+    def test_cost_history_has_one_entry_per_iteration(self):
         problem = inert_problem(n=1)
         part = TimePartition.uniform(1.0, 2)
-        seen = []
         config = ShootingConfig(p0_initial=np.array([2.0]), gamma=0.5, epsilon=1e-6)
-        solve(
-            problem,
-            part,
-            config,
-            GridParams(3, 16),
-            progress=lambda it, res, cost: seen.append((it, res, cost)),
-        )
-        assert [it for it, _, _ in seen] == list(range(1, len(seen) + 1))
-        assert all(cost == 0.0 for _, _, cost in seen)
+        result = solve(problem, part, config, GridParams(3, 16))
+        assert result.converged and result.iterations > 1
+        assert result.cost_history.tolist() == [0.0] * result.iterations
+        assert result.cost_history[-1] == result.trajectory.accumulated_cost
 
 
 class TestExactPricing:
@@ -1152,6 +1147,25 @@ class TestLevelMemo:
             assert fingerprint(propagate_forward(problem, part, p0, grid)) == digest
         assert fingerprint(result.trajectory) == runs[-1][1]
 
+
+    def test_desk_solve_writes_only_the_moved_columns(self, monkeypatch):
+        # the grid of a non-gated dimension with one level is [lo]: a build
+        # where only its hi moved keeps its column. On desk these are
+        # dimensions 22-28, and the first build writes each of them once
+        problem, part, grid = desk_problem()
+        write, writes = chattering._write_columns, collections.Counter()
+
+        def counted(levels, grids, cols):
+            writes.update(cols)
+            return write(levels, grids, cols)
+
+        monkeypatch.setattr(chattering, "_write_columns", counted)
+        result = solve(problem, part, ShootingConfig(p0_initial=np.zeros(20), gamma=1.0), grid)
+        assert result.converged and result.iterations == 3
+        one_value = (~chattering.LevelCache(problem, grid).reads_hi).nonzero()[0].tolist()
+        assert one_value == list(range(22, 29))
+        assert [writes[j] for j in one_value] == [1] * 7
+        assert sum(writes.values()) == 4691
 
     def test_lone_propagation_keeps_no_memo(self, monkeypatch):
         # a lone propagation starts each interval once, so a memo would
