@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,8 @@ TIE_TOL = 1e-9
 #: a level is admissible if one explicit Euler step stays inside the state
 #: box within this absolute slack
 STEP_FEASIBILITY_TOL = 1e-9
-#: the level range search ends each infeasible side at a point of the grid
-#: that splits its search into 2**BOUND_SEARCH_ITERATIONS equal steps
+#: a cut level range ends at a point of the grid that splits its control
+#: range into 2**BOUND_SEARCH_ITERATIONS equal steps
 BOUND_SEARCH_ITERATIONS = 32
 
 
@@ -199,118 +199,59 @@ def _in_box(problem: ControlProblem, x_next: Array, coords=slice(None)) -> np.nd
     return ok
 
 
-class _SearchTerms(NamedTuple):
-    """What the range search needs of a problem with state bounds alone,
-    built once per ``LevelCache`` (see ``_search_terms``).  The probe points
-    of a control dimension, which are also the start points an infeasible
-    end is searched from, are its lower end, upper end and midpoint; the
-    anchors are the midpoint, the lower and the upper corner of the control
-    box."""
-
-    #: ``(3, m)``: the probe points, lower end, upper end, midpoint
-    points: Array
-    #: ``(3, m, 2)``: ``sign(b - a)`` for start point a, dimension, and the
-    #: end b searched for (lower, upper)
-    signs: Array
-    #: ``(3, m, 2)``: the search grid's step ``|b - a| * 2**-BOUND_SEARCH_ITERATIONS``
-    brackets: Array
-    #: ``(3, n)``: ``anchor @ B`` of each anchor
-    anchor_steps: Array
-    #: ``(n, 3, 3, m)``: ``(v - anchor_d) * B[d]`` for anchor, probe point
-    #: v and dimension d, state coordinate first
-    shifts: Array
-
-
-def _search_terms(problem: ControlProblem) -> _SearchTerms:
-    """The ``_SearchTerms`` of a problem with state bounds, as read-only
-    arrays."""
-    lo, hi, B = problem.control_lower, problem.control_upper, problem.control_matrix
-    points = np.stack([lo, hi, 0.5 * (lo + hi)])
-    anchors = np.stack([points[2], lo, hi])
-    gaps = np.stack([np.stack([lo - a, hi - a], axis=1) for a in points])
-    terms = _SearchTerms(
-        points, np.sign(gaps), np.abs(gaps) * 2.0 ** -BOUND_SEARCH_ITERATIONS,
-        np.stack([a @ B for a in anchors]),
-        np.stack([(points - a)[:, :, None] * B for a in anchors]).transpose(3, 0, 1, 2).copy(),
-    )
-    for a in terms:
-        a.setflags(write=False)
-    return terms
-
-
-def _search_ranges(
-    problem: ControlProblem, t: float, x: Array, dt: float, drift: Array, terms: _SearchTerms
+def _level_ranges(
+    problem: ControlProblem, t: float, x: Array, dt: float, drift: Array
 ) -> Tuple[Array, Array]:
-    """The admissible range of every control dimension of a problem with
-    state bounds, as its lower and upper ends: the largest subinterval of
-    its control bounds whose ends keep one explicit Euler step inside the
-    state box; ``drift`` is the drift at (t, x), and ``terms`` the
-    problem's ``_SearchTerms``.  The other dimensions are held at an
-    anchor, the midpoint, then the lower, then the upper corner of the
-    control box, so a dimension's range depends on it alone.  It is found
-    at the first anchor where its lower end, upper end or midpoint (its
-    start point, in that order) is feasible; ``InfeasibleLevels`` names
-    every dimension found at none.  The probe states of every anchor,
-    probe point and dimension are one ``(3, 3, m)`` block with one
-    ``_in_box`` and no dynamics call: moving control d from an anchor to v
-    moves the next state from ``x + dt * (drift + anchor @ B)`` by ``dt *
-    (v - anchor_d) * B[d]``, so the block is built coordinate first, and
-    its test reduces over long contiguous rows.
-
-    Each (dimension, infeasible end) then searches from its start point a
-    toward the infeasible end b, at its own anchor, assuming the violation
-    is monotone toward b.  Moving a distance w toward b moves the next
-    state along ``+-dt * B[d]``, so the distance at which the first state
-    bound binds is one division per state coordinate (zero rates bind
-    nothing).  The end returned is the last point of the grid ``a + k (b -
-    a) 2**-BOUND_SEARCH_ITERATIONS`` within that distance (b itself
-    excluded), so it stays inside the bound by less than one step of that
-    grid, as a bisection's would.  The margin matters: an end exactly on a
-    bound can round outside it once several dimensions move together in
-    the product filter, which drops a level that a bisection keeps.
+    """The level range of every control dimension of a problem with state
+    bounds, as its lower and upper ends (``drift`` is the drift at (t, x)):
+    an outer box of the controls u whose explicit Euler step ``x + dt *
+    (drift + u @ B)`` stays in the state box, by one round of bound
+    propagation (Savelsbergh, ORSA J. Comput. 6, 1994).  Each side of each
+    state row r cuts every control j with a nonzero rate there: at the
+    corner of the control box that favours the row, its slack s lets j
+    move ``s / |dt * B[j, r]|`` from its favouring end.  The box ends bound
+    every admissible value, a gated dimension's too, so no feasible
+    control is cut; a cut does not move the ends that the other rows hold.
+    A cut end is the last point of the grid ``a + k (b - a)
+    2**-BOUND_SEARCH_ITERATIONS`` from the opposite end a within the
+    nearest cut (b excluded), as an end exactly on a bound could round
+    outside it once several dimensions move together in the product filter
+    (``_affine_in_box``), which drops every row whose step leaves the box.
+    ``InfeasibleLevels`` names every dimension whose range is empty: cut by
+    a row that no control in the box satisfies, or by cuts that cross.
     """
-    m, n = problem.control_dim, problem.state_dim
-    cols = np.arange(m)
-    probes = (x + dt * (drift + terms.anchor_steps)).T[:, :, None, None] + dt * terms.shifts
-    ok = _in_box(problem, probes.reshape(n, -1).T).reshape(3, 3, m)
-    found = np.logical_or.reduce(ok, axis=1)
-    anchor = found.argmax(axis=0)
-    missing = (~found[anchor, cols]).nonzero()[0]
-    if missing.size:
+    lo, hi, B = problem.control_lower, problem.control_upper, problem.control_matrix
+    rate = np.abs(dt * B)
+    at_lo, at_hi = lo[:, None] * B, hi[:, None] * B
+    # per (dimension, row): the distance down from the upper end that places
+    # the lower end, and up from the lower end that places the upper end
+    reach = np.full((2,) + B.shape, np.inf)
+    for bound, favour, sign in ((problem.state_lower, np.maximum, 1.0),
+                                (problem.state_upper, np.minimum, -1.0)):
+        if bound is None:
+            continue
+        corner = x + dt * (drift + favour(at_lo, at_hi).sum(axis=0))
+        slack = sign * (corner - (bound - sign * STEP_FEASIBILITY_TOL))
+        cut = np.divide(slack, rate, out=np.full(B.shape, np.inf), where=rate != 0.0)
+        rising = sign * B > 0.0  # the slack rises with the control
+        reach[0] = np.minimum(reach[0], np.where(rising, cut, np.inf))
+        reach[1] = np.minimum(reach[1], np.where(rising, np.inf, cut))
+    reach = reach.min(axis=2)
+    ends = np.stack([lo, hi])
+    empty = np.logical_or.reduce(reach < 0.0)
+    side, which = ((reach < hi - lo) & ~empty).nonzero()
+    if which.size:
+        bracket = (hi - lo)[which] * 2.0**-BOUND_SEARCH_ITERATIONS
+        # b itself lies outside the cut and is never a grid point
+        steps = np.minimum(np.floor(reach[side, which] / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
+        ends[side, which] = ends[1 - side, which] + (2.0 * side - 1.0) * (steps * bracket)
+    empty |= ends[0] > ends[1]
+    if empty.any():
         raise InfeasibleLevels(
-            f"no admissible control level found for dimension(s) {missing.tolist()} "
+            f"no admissible control level found for dimension(s) {empty.nonzero()[0].tolist()} "
             f"at t={t}: state bounds and step size are incompatible here"
         )
-    ok = ok[anchor, :, cols]
-    start = ok.argmax(axis=1)  # the lower end, else the upper end, else the midpoint
-    lo, hi = problem.control_lower.copy(), problem.control_upper.copy()
-    # one search row per (dimension, infeasible end), lower end first
-    which, side = (~ok[:, :2]).nonzero()
-    if which.size == 0:
-        return lo, hi
-    begin = start[which]
-    x_start = probes[:, anchor[which], begin, which].T
-    sign = terms.signs[begin, which, side]
-    rate = sign[:, None] * (dt * problem.control_matrix[which])
-    # where a search starts, the slack at x_start is >= 0: it passed the
-    # same comparison in _in_box
-    slack = np.full((2,) + x_start.shape, np.inf)
-    if problem.state_lower is not None:
-        slack[0] = x_start - (problem.state_lower - STEP_FEASIBILITY_TOL)
-    if problem.state_upper is not None:
-        slack[1] = (problem.state_upper + STEP_FEASIBILITY_TOL) - x_start
-    reach = np.divide(
-        np.where(rate < 0.0, slack[0], slack[1]), np.abs(rate),
-        out=np.full(rate.shape, np.inf), where=rate != 0.0,
-    )
-    bracket = terms.brackets[begin, which, side]
-    # b itself is infeasible and never a grid point
-    steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**BOUND_SEARCH_ITERATIONS - 1)
-    ends = terms.points[begin, which] + sign * (steps * bracket)
-    lower = side == 0
-    lo[which[lower]] = ends[lower]
-    hi[which[~lower]] = ends[~lower]
-    return lo, hi
+    return ends[0], ends[1]
 
 
 def _uniform_grid(lo: float, hi: float, count: int) -> List[float]:
@@ -432,27 +373,25 @@ class LevelCache:
 
     Computed from the problem's arrays when the cache is built: ``counts``,
     the level count of each control dimension (``_coarsen_counts``),
-    ``reads_hi``, whether a dimension's scalar grid depends on its upper
-    range end (a non-gated dimension of one level has the grid ``[lo]``),
-    and ``terms``, the ``_SearchTerms`` of a problem with state bounds
-    (None otherwise).  Built on first use: ``box_grid``, the grid over the
-    whole control box, which is the grid of every interval of a problem
-    without state bounds.
+    and ``reads_hi``, whether a dimension's scalar grid depends on its upper
+    range end (a non-gated dimension of one level has the grid ``[lo]``).
+    Built on first use: ``box_grid``, the grid over the whole control box,
+    which is the grid of every interval of a problem without state bounds.
 
-    Kept from the searched build before, which the next one starts from
-    (``_product``): ``lo`` and ``hi``, its range ends, ``grids``, the scalar
-    grid of each control dimension over them in Python floats, and
+    Kept from the state-bounded build before, which the next one starts
+    from (``_product``): ``lo`` and ``hi``, its range ends, ``grids``, the
+    scalar grid of each control dimension over them in Python floats, and
     ``levels``, the buffer that holds their whole product before the box
     filter; all None until the first such build.  The cache owns
     ``levels``: a column-major ``(K, m)`` array, read-only to everyone
-    else, that each searched build writes over in place, so a grid or a
-    batch-hook block that shares it is valid only until the next build
+    else, that each state-bounded build writes over in place, so a grid or
+    a batch-hook block that shares it is valid only until the next build
     with this cache.
 
     ``memo`` is None, or a dict that keeps per interval ``(t, dt)`` the
-    start state's bytes, the searched range ends and the keep mask (None
-    when every level is kept) of the last build there; never levels, whose
-    size would grow the peak memory by megabytes.
+    start state's bytes, the range ends and the keep mask (None when every
+    level is kept) of the last build there; never levels, whose size would
+    grow the peak memory by megabytes.
     ``solve`` gives its cache one, because its propagations start intervals
     again from the same states; a lone propagation never does.
     """
@@ -462,7 +401,6 @@ class LevelCache:
         self.counts = _coarsen_counts(problem, params.k_per_dim, params.cap)
         gated = np.isin(np.arange(self.counts.size), list(problem.gated_dims))
         self.reads_hi = (self.counts > 1) | gated
-        self.terms = _search_terms(problem) if problem.has_state_bounds else None
         self.lo = self.hi = self.grids = self.levels = None
         self.memo: Optional[Dict[Tuple[float, float], tuple]] = None
 
@@ -517,25 +455,25 @@ def generate_levels_with_dynamics(
     float state ``x_i``, where the drift is ``drift``.
 
     Per control dimension a uniform grid covers the admissible range (the
-    control bounds, shrunk where a one-step state prediction would leave the
-    state box).  The multidimensional grid is the Cartesian product with
-    per-dimension counts coarsened uniformly so the total stays within
-    ``cache.params.cap``; when state bounds are present, product vectors
-    whose joint one-step prediction leaves the box are dropped (by the
-    separable bound of ``_affine_in_box``).  Rows come back sorted
+    control bounds, cut where a one-step state prediction would leave the
+    state box: ``_level_ranges``).  The multidimensional grid is the
+    Cartesian product with per-dimension counts coarsened uniformly so the
+    total stays within ``cache.params.cap``; when state bounds are present,
+    product vectors whose joint one-step prediction leaves the box are
+    dropped (by the separable bound of ``_affine_in_box``).  Rows come back sorted
     lexicographically, in a read-only array that the grid shares:
     the column-major product itself when every level is kept, a row-major
     copy (``levels[keep]``) otherwise.
     Without state bounds the grid is the cache's shared ``box_grid``.
     The grid's ``lo`` and ``hi`` are the ranges it spans: the control
-    bounds for ``box_grid``, the searched ranges otherwise.
+    bounds for ``box_grid``, the cut ranges otherwise.
 
     ``cache`` (see ``LevelCache``) holds the level work that this build
-    reuses and then replaces.  Each searched build starts from the
+    reuses and then replaces.  Each state-bounded build starts from the
     one before it: a range whose ends did not move keeps its scalar grid
     and its column of the product, which is written into the cache's
     buffer (``_product``).  When the cache's memo holds this
-    interval ``(t, dt)`` from ``x_i``, bit for bit, the range search and
+    interval ``(t, dt)`` from ``x_i``, bit for bit, the range cuts and
     the box test are skipped and the entry's ranges are built again; a miss
     replaces the entry, and a failed build leaves none.  The result is bit
     for bit the fresh build's, but a grid is valid only until the next
@@ -558,7 +496,7 @@ def generate_levels_with_dynamics(
     if hit:
         _, lo, hi, keep = entry
     else:
-        lo, hi = _search_ranges(problem, t, x_i, dt, drift, cache.terms)
+        lo, hi = _level_ranges(problem, t, x_i, dt, drift)
         lo.setflags(write=False)
         hi.setflags(write=False)
     levels = _product(problem, lo, hi, cache.counts, cache)

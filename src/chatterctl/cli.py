@@ -264,7 +264,7 @@ def run_solve(config: SolveConfig) -> int:
 
 def _parse_p0(text: str) -> List[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as err:
         raise ConfigError(f"could not parse --p0 {text!r}: {err}") from err
 

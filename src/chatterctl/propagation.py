@@ -359,7 +359,7 @@ def propagate_forward(
     support_levels: List[Array] = []
     support_weights: List[Array] = []
     priced_ranges: Dict[int, Tuple[Array, Array]] = {}
-    # one drift evaluation per interval serves level search, filter, sweep and step
+    # one drift evaluation per interval serves level ranges, filter, sweep and step
     priced = problem.hamiltonian_argmin is not None
     B = problem.control_matrix
     if cache is None:
@@ -478,16 +478,16 @@ def _read_json_object(path, what: str) -> dict:
 
 def load_replay_file(path) -> MeasurementSource:
     """Load a JSON replay file, an object mapping interval index to a state
-    vector.  What ``_read_json_object`` refuses, a key that is not an
-    integer, a second key for the same interval (``"1"`` and ``"01"``) and a
-    state that is not a rectangular array of numbers raise ``ValueError``
-    naming the file (and the keys)."""
+    vector.  What ``_read_json_object`` refuses, a key that is not ASCII
+    decimal digits (``int`` would read ``"-1"``, ``"+3"`` and ``"1_0"``), a
+    second key for the same interval (``"1"`` and ``"01"``) and a state
+    that is not a rectangular array of numbers raise ``ValueError`` naming
+    the file (and the keys)."""
     table, keys = {}, {}
     for key, state in _read_json_object(path, "replay file").items():
-        try:
-            index = int(key)
-        except ValueError:
-            raise ValueError(f"replay file {path}: key {key!r} is not an interval index") from None
+        if not (key.isascii() and key.isdigit()):
+            raise ValueError(f"replay file {path}: key {key!r} is not an interval index")
+        index = int(key)
         if index in keys:
             raise ValueError(
                 f"replay file {path}: keys {keys[index]!r} and {key!r} name the same interval {index}"

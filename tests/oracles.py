@@ -10,13 +10,13 @@ tangent by central differences of the dynamics, a central difference of any
 function of the state, the pricing hook's Jacobian
 and the Hessian rows of H by central differences, the full-width product
 grid and filter that the level generator must reproduce bit for bit, the
-anchor-by-anchor range search and the per-value separable sums that the
-closed-form search and filter must reproduce bit for bit, a problem whose
+row-by-row level ranges and the per-value separable sums that the
+range cuts and the filter must reproduce bit for bit, a problem whose
 relaxed optimum chatters (with and without an exact pricing hook), the
 optimum of the discretized regulator, two coupled tanks and the optimum of
 their discretization, the feedback benchmark's replayed states, and a
 fingerprint of a whole run.  Three helpers are no oracle: ``level_ranges``
-reaches the solver's range search the way the level generator does, and
+reaches the solver's range cuts the way the level generator does, and
 ``unpriced`` and ``constant_pricing`` take a problem's pricing hooks away or
 give it a constant one.
 """
@@ -414,24 +414,22 @@ def reference_scalar_grid(gated, dim, lo, hi, count):
 
 
 def level_ranges(problem, t, x, dt):
-    """The level ranges that the level generator searches at (t, x) for a
-    step ``dt``, reached the way it reaches them: ``_search_ranges`` with a
-    ``LevelCache``'s search terms and the drift at (t, x).  Returns the
-    lower and the upper ends of every control dimension, the control bounds
-    for a problem without state bounds; raises ``InfeasibleLevels`` as the
-    search does."""
+    """The level ranges that the level generator cuts at (t, x) for a step
+    ``dt``, reached the way it reaches them: ``_level_ranges`` with the
+    drift at (t, x).  Returns the lower and the upper ends of every control
+    dimension, the control bounds for a problem without state bounds;
+    raises ``InfeasibleLevels`` as ``_level_ranges`` does."""
     if not problem.has_state_bounds:
         return problem.control_lower.copy(), problem.control_upper.copy()
     x = np.asarray(x, dtype=float)
-    terms = chattering.LevelCache(problem, chattering.GridParams()).terms
-    return chattering._search_ranges(problem, t, x, dt, eval_drift(problem, t, x), terms)
+    return chattering._level_ranges(problem, t, x, dt, eval_drift(problem, t, x))
 
 
 def full_width_levels(problem, t, x, dt, grid_params, ranges=None):
     """The level generator's grid, and the dynamics rows that the factored
     sweep is checked against, built the long way: the whole lexicographic
     product (``np.meshgrid``) of the ``reference_scalar_grid`` values over
-    ``ranges`` (one ``(lo, hi)`` per control dimension; the searched
+    ``ranges`` (one ``(lo, hi)`` per control dimension; the cut
     ``level_ranges`` by default), kept where ``_in_box`` passes on every
     state coordinate of ``x + dt * (drift + levels @ B)``.  Returns the
     kept ``(levels, f)`` and the keep mask over the whole product; raises
@@ -452,78 +450,66 @@ def full_width_levels(problem, t, x, dt, grid_params, ranges=None):
     return levels[keep], f[keep], keep
 
 
-def reference_affine_ranges(problem, t, x, dt, dims, drift):
-    """The level range search of a control-affine problem with state
-    bounds, anchor by anchor: at the midpoint, the lower and the upper
-    corner of the control box in turn, the dimensions not yet found probe
-    their lower end, upper end and (when both fail) midpoint from one
-    ``base = x + dt * (drift + anchor @ B)``; each infeasible end is then
-    the last point of the bisection's grid that stays within the distance
-    at which the first state bound binds, from the first feasible probe.
-    Returns the lower and upper ends of every control dimension (its
-    control bounds where it is not in ``dims``) and the anchor at which
-    each dimension was found (0 midpoint, 1 lower, 2 upper; -1 where not
-    searched); raises ``InfeasibleLevels`` as ``_search_ranges`` does."""
-    lower, upper = problem.control_lower, problem.control_upper
-    B = problem.control_matrix
+def reference_level_ranges(problem, t, x, dt, drift):
+    """The level ranges of a control-affine problem with state bounds, one
+    state row, one side of the state box and one control at a time, in
+    Python floats.  The row's next state ``x_r + dt * (drift_r + sum_k u_k
+    B[k, r])`` is taken at the corner of the control box that favours that
+    side (each term at the greater, or the lesser, of its two box ends,
+    summed in control order); its slack against the side, the bound
+    widened by ``STEP_FEASIBILITY_TOL``, over ``|dt * B[j, r]|`` is how far
+    control j can move from its favouring end.  A control that the slack
+    falls with cuts its far end, to the last point ``a + k (b - a)
+    2**-BOUND_SEARCH_ITERATIONS`` short of that distance from the
+    favouring end a (b excluded).  Each range is the tightest of its cuts;
+    raises ``InfeasibleLevels`` as ``_level_ranges`` does, naming every
+    dimension that a row with negative slack cuts or whose cuts cross."""
+    lower, upper = problem.control_lower.tolist(), problem.control_upper.tolist()
+    B = problem.control_matrix.tolist()
+    x, drift = np.asarray(x, dtype=float).tolist(), np.asarray(drift, dtype=float).tolist()
     tol = chattering.STEP_FEASIBILITY_TOL
-    iterations = chattering.BOUND_SEARCH_ITERATIONS
-    lo_out, hi_out = np.array(lower), np.array(upper)
-    found_at = np.full(problem.control_dim, -1)
-    pending = np.asarray(dims, dtype=np.intp)
-
-    def closed_form_ends(x_start, cols, a, b):
-        sign = np.sign(b - a)
-        rate = sign[:, None] * (dt * B[cols])
-        reach = np.full(rate.shape, np.inf)
-        if problem.state_lower is not None:
-            slack = x_start - (problem.state_lower - tol)
-            falling = rate < 0.0
-            reach[falling] = slack[falling] / -rate[falling]
-        if problem.state_upper is not None:
-            slack = (problem.state_upper + tol) - x_start
-            rising = rate > 0.0
-            reach[rising] = np.minimum(reach[rising], slack[rising] / rate[rising])
-        bracket = np.abs(b - a) * 2.0**-iterations
-        steps = np.minimum(np.floor(reach.min(axis=1) / bracket), 2.0**iterations - 1)
-        return a + sign * (steps * bracket)
-
-    for index, anchor in enumerate((0.5 * (lower + upper), lower, upper)):
-        if pending.size == 0:
-            break
-        base = x + dt * (drift + anchor @ B)
-
-        def next_states(cols, v):
-            return base + dt * ((v - anchor[cols])[:, None] * B[cols])
-
-        lo, hi, mid = lower[pending], upper[pending], 0.5 * (lower[pending] + upper[pending])
-        ends = next_states(np.repeat(pending, 2), np.stack([lo, hi], axis=1).ravel())
-        ends_ok = chattering._in_box(problem, ends).reshape(-1, 2)
-        lo_ok, hi_ok = ends_ok[:, 0], ends_ok[:, 1]
-        found = lo_ok | hi_ok
-        x_start = np.where(lo_ok[:, None], ends[0::2], ends[1::2])
-        both_bad = ~found
-        if np.any(both_bad):
-            mids = next_states(pending[both_bad], mid[both_bad])
-            found[both_bad] = chattering._in_box(problem, mids)
-            x_start[both_bad] = mids
-        search = np.stack([found & ~lo_ok, found & ~hi_ok], axis=1)
-        which, side = np.nonzero(search)
-        if which.size:
-            cols = pending[which]
-            a = np.where(lo_ok, lo, np.where(hi_ok, hi, mid))[which]
-            b = np.where(side == 0, lo[which], hi[which])
-            a = closed_form_ends(x_start[which], cols, a, b)
-            lo_out[cols[side == 0]] = a[side == 0]
-            hi_out[cols[side == 1]] = a[side == 1]
-        found_at[pending[found]] = index
-        pending = pending[~found]
-    if pending.size:
+    grid = 2.0**chattering.BOUND_SEARCH_ITERATIONS
+    m, n = problem.control_dim, problem.state_dim
+    lo_out, hi_out = list(lower), list(upper)
+    empty = set()
+    sides = []
+    if problem.state_lower is not None:
+        sides.append((problem.state_lower.tolist(), max, 1.0))
+    if problem.state_upper is not None:
+        sides.append((problem.state_upper.tolist(), min, -1.0))
+    for r in range(n):
+        for bound, favour, side in sides:
+            total = 0.0
+            for k in range(m):
+                total += favour(lower[k] * B[k][r], upper[k] * B[k][r])
+            corner = x[r] + dt * (drift[r] + total)
+            if side > 0:
+                slack = corner - (bound[r] - tol)
+            else:
+                slack = (bound[r] + tol) - corner
+            for j in range(m):
+                rate = abs(dt * B[j][r])
+                if rate == 0.0:
+                    continue
+                if slack < 0.0:
+                    empty.add(j)
+                    continue
+                reach = slack / rate
+                width = upper[j] - lower[j]
+                if reach >= width:
+                    continue
+                steps = min(math.floor(reach / (width / grid)), grid - 1)
+                if side * B[j][r] > 0.0:  # the slack rises with u_j: cut the lower end
+                    lo_out[j] = max(lo_out[j], upper[j] - steps * (width / grid))
+                else:
+                    hi_out[j] = min(hi_out[j], lower[j] + steps * (width / grid))
+    empty |= {j for j in range(m) if lo_out[j] > hi_out[j]}
+    if empty:
         raise InfeasibleLevels(
-            f"no admissible control level found for dimension(s) {pending.tolist()} "
+            f"no admissible control level found for dimension(s) {sorted(empty)} "
             f"at t={t}: state bounds and step size are incompatible here"
         )
-    return lo_out, hi_out, found_at
+    return np.array(lo_out), np.array(hi_out)
 
 
 def reference_separable_sums(values, sizes, B):

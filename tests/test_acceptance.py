@@ -257,7 +257,7 @@ class TestReferenceRuns:
         problem, p0, source = feedback_replay(0)
         partition, params = TimePartition.uniform(1.0, 200), GridParams(101, 4096)
         trajectory = propagate_forward(problem, partition, p0, params, source)
-        expected = float.fromhex("-0x1.181f0fecfdd22p+27")
+        expected = float.fromhex("-0x1.1675d5b12e360p+27")
         assert abs(trajectory.accumulated_cost - expected) <= 1e-12 * abs(expected)
         generate = chattering.generate_levels_with_dynamics
 

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -22,7 +23,6 @@ from chatterctl import (
 )
 from chatterctl import chattering
 from chatterctl.chattering import (
-    BOUND_SEARCH_ITERATIONS,
     STEP_FEASIBILITY_TOL,
     LevelCache,
     _coarsen_counts,
@@ -30,6 +30,7 @@ from chatterctl.chattering import (
     schedule_segments,
 )
 from chatterctl.model import _FEW_VALUES, eval_drift, eval_running_cost_batch
+from chatterctl.problems import CUSTOMERS, ITEMS, N_ITEMS, SUPPLIERS
 from oracles import (
     affine_p_dot_f,
     constant_pricing,
@@ -38,7 +39,7 @@ from oracles import (
     full_width_levels,
     level_ranges,
     linear_dynamics,
-    reference_affine_ranges,
+    reference_level_ranges,
     reference_scalar_grid,
     reference_separable_sums,
     schedule_time_average,
@@ -249,73 +250,24 @@ class TestRealizeSignal:
         assert rounded_away > 0
 
 
-def reference_bound_search(problem, t, x, dt, dims):
-    """Scalar form of the level-range rule, for comparison with the closed
-    form: per dimension, hold the other controls at the midpoint, then the
-    lower, then the upper control bound; on the first of these slices with a
-    feasible point, bisect from it toward each infeasible end, stepping the
-    state along ``drift + u @ B`` one control at a time.  Returns the ranges
-    and, per dimension, the index of the anchor that supplied it."""
-    lower, upper = problem.control_lower, problem.control_upper
-    drift = np.asarray(problem.drift(t, x), dtype=float)
-    # a missing side of the state box bounds nothing
-    floor = -np.inf if problem.state_lower is None else problem.state_lower - STEP_FEASIBILITY_TOL
-    ceiling = np.inf if problem.state_upper is None else problem.state_upper + STEP_FEASIBILITY_TOL
-
-    def feasible(anchor, d, value):
-        u = np.array(anchor)
-        u[d] = value
-        x_next = x + dt * (drift + u @ problem.control_matrix)
-        return bool(np.all(x_next >= floor) and np.all(x_next <= ceiling))
-
-    def bisect(anchor, d, a, b):
-        for _ in range(BOUND_SEARCH_ITERATIONS):
-            mid = 0.5 * (a + b)
-            if feasible(anchor, d, mid):
-                a = mid
-            else:
-                b = mid
-        return a
-
-    ranges, anchors_used = [], []
-    for d in dims:
-        lo, hi = float(lower[d]), float(upper[d])
-        for k, anchor in enumerate((0.5 * (lower + upper), lower, upper)):
-            lo_ok, hi_ok = feasible(anchor, d, lo), feasible(anchor, d, hi)
-            start = lo if lo_ok else hi if hi_ok else 0.5 * (lo + hi)
-            if lo_ok or hi_ok or feasible(anchor, d, start):
-                ranges.append((
-                    lo if lo_ok else bisect(anchor, d, start, lo),
-                    hi if hi_ok else bisect(anchor, d, start, hi),
-                ))
-                anchors_used.append(k)
-                break
-        else:
-            raise InfeasibleLevels(f"no feasible level for dimension {d}")
-    return ranges, anchors_used
-
-
-#: dynamics, control bounds, step and the ranges that one step inside the
-#: state box [-1, 1] from x = 0 admits
-ANALYTIC_BOUND_CASES = {
-    # both ends infeasible: both sides are searched from the midpoint
-    "midpoint-start": (linear_dynamics([[1.0]]), [-10.0], [10.0], 0.5, [(-2.0, 2.0)]),
-    # only the upper end is feasible: the lower side is searched from it
-    "upper-end-start": (linear_dynamics([[1.0]]), [-10.0], [1.0], 0.5, [(-2.0, 1.0)]),
-    # x' = u0 - 0.2 u1 admits u0 within 0.5 of 0.2 u1: with u1 at its
-    # midpoint 5 none of the probes 0, 2 and 4 of dimension 0 is feasible;
-    # the slice with u1 at its lower bound is tried before the one at its
-    # upper bound, which would give (1.5, 2.5)
-    "lower-anchor": (linear_dynamics([[1.0], [-0.2]]), [0.0, 0.0], [4.0, 10.0], 2.0,
-                     [(0.0, 0.5), (7.5, 10.0)]),
-    # dimension 0 is infeasible with u1 at its midpoint and its lower
-    # bound; the slice with u1 at its upper bound supplies its range
-    "upper-anchor": (linear_dynamics([[1.0], [1.0]], c=-10.0), [0.0, 0.0], [2.0, 10.0], 1.0,
-                     [(0.0, 1.0), (8.0, 10.0)]),
+#: dynamics, control bounds, step and the ranges that bound propagation
+#: gives for one step inside the state box [-1, 1] from x = 0
+ANALYTIC_RANGE_CASES = {
+    # x' = u: the ceiling cuts the upper end, the floor the lower end
+    "both-ends-cut": (linear_dynamics([[1.0]]), [-10.0], [10.0], 0.5, [(-2.0, 2.0)]),
+    # only the lower end is cut
+    "lower-end-cut": (linear_dynamics([[1.0]]), [-10.0], [1.0], 0.5, [(-2.0, 1.0)]),
+    # x' = u0 - 0.2 u1: the ceiling cuts u0 with u1 at its upper end, the
+    # end that favours it (u0 = 2.5, u1 = 10 steps onto the ceiling)
+    "coupled-ceiling": (linear_dynamics([[1.0], [-0.2]]), [0.0, 0.0], [4.0, 10.0], 2.0,
+                        [(0.0, 2.5), (0.0, 10.0)]),
+    # x' = u0 + u1 - 10: the floor cuts u1 with u0 at its upper end 2
+    "coupled-floor": (linear_dynamics([[1.0], [1.0]], c=-10.0), [0.0, 0.0], [2.0, 10.0], 1.0,
+                      [(0.0, 2.0), (7.0, 10.0)]),
 }
 
 
-def analytic_bound_problem(dynamics, control_lower, control_upper):
+def analytic_range_problem(dynamics, control_lower, control_upper):
     return box_problem(
         m=len(control_lower),
         dynamics=dynamics,
@@ -327,37 +279,15 @@ def analytic_bound_problem(dynamics, control_lower, control_upper):
 
 
 class TestLevelBoundSearch:
-    """The range search of a problem with state bounds, reached as the level
-    generator reaches it (``oracles.level_ranges``)."""
+    """The level ranges of a problem with state bounds, reached as the level
+    generator reaches them (``oracles.level_ranges``)."""
 
-    @pytest.mark.parametrize("case", list(ANALYTIC_BOUND_CASES))
-    def test_bisection_finds_analytic_bounds(self, case):
-        dynamics, control_lower, control_upper, dt, expected = ANALYTIC_BOUND_CASES[case]
-        problem = analytic_bound_problem(dynamics, control_lower, control_upper)
+    @pytest.mark.parametrize("case", list(ANALYTIC_RANGE_CASES))
+    def test_analytic_ranges(self, case):
+        dynamics, control_lower, control_upper, dt, expected = ANALYTIC_RANGE_CASES[case]
+        problem = analytic_range_problem(dynamics, control_lower, control_upper)
         bounds = np.stack(level_ranges(problem, 0.0, np.zeros(1), dt), axis=1)
         assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
-
-    @pytest.mark.parametrize("case, anchor", [("lower-anchor", 1), ("upper-anchor", 2)])
-    def test_fallback_anchors_share_one_probe_batch(self, case, anchor, monkeypatch):
-        # the probe rows of every anchor go in one box test, nine rows per
-        # dimension, and no dynamics block is evaluated; dimension 0 falls
-        # back to the lower (1) or the upper (2) corner of the control box
-        dynamics, control_lower, control_upper, dt, expected = ANALYTIC_BOUND_CASES[case]
-        problem = analytic_bound_problem(dynamics, control_lower, control_upper)
-        in_box, rows = chattering._in_box, []
-
-        def counted(problem, x_next, *coords):
-            rows.append(x_next.shape[0])
-            return in_box(problem, x_next, *coords)
-
-        monkeypatch.setattr(chattering, "_in_box", counted)
-        monkeypatch.setattr(chattering, "eval_dynamics_batch", None)  # a call would raise
-        bounds = np.stack(level_ranges(problem, 0.0, np.zeros(1), dt), axis=1)
-        assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
-        assert rows == [18]
-        drift = eval_drift(problem, 0.0, np.zeros(1))
-        _, _, found_at = reference_affine_ranges(problem, 0.0, np.zeros(1), dt, [0, 1], drift)
-        assert found_at[0] == anchor
 
     def test_state_pinned_at_upper_bound(self):
         problem = box_problem(
@@ -373,16 +303,45 @@ class TestLevelBoundSearch:
         assert hi.tolist() == [0.0]
 
     def test_infeasible_raises(self):
-        # any control pushes the state below its floor
+        # x' = u - 10 leaves the floor 0 at every u in [-1, 1]
+        problem = box_problem(
+            dynamics=linear_dynamics([[1.0]], c=-10.0),
+            state_lower=np.array([0.0]),
+            control_lower=[-1.0],
+            control_upper=[1.0],
+        )
+        with pytest.raises(InfeasibleLevels, match=re.escape("dimension(s) [0] at t=0.0")):
+            level_ranges(problem, 0.0, np.zeros(1), 1.0)
+
+    def test_crossing_cuts_raise(self):
+        # x' = (u, u + 2) from x = (0, -0.75) into [-1, 1] x [-1, -0.5]:
+        # row 0 admits u in [-1, 1] and row 1 u in [-2.25, -1.75]
+        x = np.array([0.0, -0.75])
+        problem = box_problem(
+            n=2,
+            dynamics=linear_dynamics([[1.0, 1.0]], c=[0.0, 2.0]),
+            state_lower=np.array([-1.0, -1.0]),
+            state_upper=np.array([1.0, -0.5]),
+            control_lower=[-3.0],
+            control_upper=[3.0],
+            x0=x,
+        )
+        with pytest.raises(InfeasibleLevels, match=re.escape("dimension(s) [0] at t=0.0")):
+            level_ranges(problem, 0.0, x, 1.0)
+
+    def test_row_without_a_control_is_left_to_the_filter(self):
+        # x' = -1 leaves the floor whatever the control: no rate cuts a
+        # range, and the product filter finds no level
         problem = box_problem(
             dynamics=linear_dynamics([[0.0]], c=-1.0),
             state_lower=np.array([0.0]),
             control_lower=[-1.0],
             control_upper=[1.0],
         )
-        with pytest.raises(InfeasibleLevels):
-            level_ranges(problem, 0.0, np.zeros(1), 1.0)
-
+        lo, hi = level_ranges(problem, 0.0, np.zeros(1), 1.0)
+        assert lo.tolist() == [-1.0] and hi.tolist() == [1.0]
+        with pytest.raises(InfeasibleLevels, match="no product level"):
+            build_grid(LevelCache(problem, GridParams(5, 16)), 0.0, np.zeros(1), 1.0)
 
 
 def random_affine_problem(rng):
@@ -408,58 +367,6 @@ def random_affine_problem(rng):
         control_matrix=a.T,
         drift_jacobian=lambda t, x: -0.5 * np.eye(n),
     )
-
-
-class TestClosedFormLevelRanges:
-    def test_matches_bisection(self):
-        rng = np.random.default_rng(20172)
-        fallbacks = infeasible = 0
-        for _ in range(300):
-            problem = random_affine_problem(rng)
-            x = problem.initial_state
-            dt = float(rng.uniform(0.05, 0.5))
-            dims = list(range(problem.control_dim))
-            try:
-                bisected, anchors_used = reference_bound_search(problem, 0.0, x, dt, dims)
-            except InfeasibleLevels:
-                infeasible += 1
-                with pytest.raises(InfeasibleLevels):
-                    level_ranges(problem, 0.0, x, dt)
-                continue
-            closed = np.stack(level_ranges(problem, 0.0, x, dt), axis=1)
-            fallbacks += sum(k > 0 for k in anchors_used)
-            lower, upper = problem.control_lower, problem.control_upper
-            bracket = (upper - lower) * 2.0**-BOUND_SEARCH_ITERATIONS
-            assert np.all(np.abs(np.subtract(closed, bisected)) <= bracket[:, None])
-            anchors = (0.5 * (lower + upper), lower, upper)
-            for d, ends, k in zip(dims, closed, anchors_used):
-                for end in ends:
-                    u = np.array(anchors[k])
-                    u[d] = end
-                    x_next = x + dt * (eval_drift(problem, 0.0, x) + u @ problem.control_matrix)
-                    assert np.all(np.abs(x_next) <= 0.4 + STEP_FEASIBILITY_TOL)
-        assert fallbacks > 0
-        assert infeasible > 0
-
-    def test_search_makes_no_dynamics_calls(self, monkeypatch):
-        problem = random_affine_problem(np.random.default_rng(3))
-        # a call would raise TypeError
-        monkeypatch.setattr(chattering, "eval_dynamics_batch", None)
-        level_ranges(problem, 0.0, problem.initial_state, 0.1)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_replayed_desk_grids_match_bisection(self, seed):
-        # the grid over the scalar bisection's ranges, built the long way
-        problem, p0, source = feedback_replay(seed)
-        partition = TimePartition.uniform(1.0, 200)
-        params = GridParams(101, 4096)
-        trajectory = propagate_forward(problem, partition, p0, params, source)
-        for pt, dt in zip(trajectory.points, partition.deltas.tolist()):
-            closed, _ = build_grid(LevelCache(problem, params), pt.t, pt.x, dt)
-            ranges, _ = reference_bound_search(problem, pt.t, pt.x, dt, range(problem.control_dim))
-            bisected, _, _ = full_width_levels(problem, pt.t, pt.x, dt, params, ranges)
-            assert closed.K == bisected.shape[0], f"interval at t={pt.t}"
-            assert np.max(np.abs(closed.levels - bisected)) <= 1e-8
 
 
 def bounded_affine_case(rng):
@@ -501,101 +408,168 @@ def bounded_affine_case(rng):
     return problem, x, drift
 
 
-def random_dims(rng, m):
-    """All control dimensions in order, or a shuffled subset of them."""
-    if rng.uniform() < 0.5:
-        return list(range(m))
-    return rng.permutation(m)[: int(rng.integers(1, m + 1))].tolist()
+class TestClosedFormLevelRanges:
+    """The level ranges must be what the row-by-row loop of
+    ``oracles.reference_level_ranges`` returns, bit for bit."""
 
+    def test_search_makes_no_dynamics_calls(self, monkeypatch):
+        # the ranges come from the rows' slack at one corner each: no state
+        # is tested and no dynamics block is evaluated (a call would raise)
+        monkeypatch.setattr(chattering, "_in_box", None)
+        monkeypatch.setattr(chattering, "eval_dynamics_batch", None)
+        dynamics, control_lower, control_upper, dt, expected = ANALYTIC_RANGE_CASES["coupled-floor"]
+        problem = analytic_range_problem(dynamics, control_lower, control_upper)
+        bounds = np.stack(level_ranges(problem, 0.0, np.zeros(1), dt), axis=1)
+        assert np.allclose(bounds, expected, rtol=0.0, atol=1e-6)
+        problem = random_affine_problem(np.random.default_rng(3))
+        level_ranges(problem, 0.0, problem.initial_state, 0.1)
 
-class TestOnePassSearch:
-    """The range search computes every anchor, probe point and dimension in
-    one pass; it must return what the anchor-by-anchor search of
-    ``oracles.reference_affine_ranges`` returns, bit for bit."""
-
-    def test_matches_the_anchor_loop_bit_for_bit(self):
+    def test_matches_the_row_loop_bit_for_bit(self):
         rng = np.random.default_rng(1902)
         same = raised = 0
-        anchors = collections.Counter()
+        cut = collections.Counter()
         sides = collections.Counter()
         for _ in range(3000):
             problem, x, drift = bounded_affine_case(rng)
-            terms = chattering.LevelCache(problem, GridParams()).terms
             t, dt = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0))
-            dims = range(problem.control_dim)
             sides[(problem.state_lower is not None, problem.state_upper is not None)] += 1
             try:
-                lo, hi, found_at = reference_affine_ranges(problem, t, x, dt, dims, drift)
+                lo, hi = reference_level_ranges(problem, t, x, dt, drift)
             except InfeasibleLevels as error:
                 with pytest.raises(InfeasibleLevels) as raised_here:
-                    chattering._search_ranges(problem, t, x, dt, drift, terms)
+                    chattering._level_ranges(problem, t, x, dt, drift)
                 assert str(raised_here.value) == str(error)
                 raised += 1
                 continue
-            one_pass = chattering._search_ranges(problem, t, x, dt, drift, terms)
-            assert_bitwise(one_pass[0], lo)
-            assert_bitwise(one_pass[1], hi)
-            anchors.update(found_at[found_at >= 0].tolist())
+            ranges = chattering._level_ranges(problem, t, x, dt, drift)
+            assert_bitwise(ranges[0], lo)
+            assert_bitwise(ranges[1], hi)
+            cut["lower"] += int(np.any(lo > problem.control_lower))
+            cut["upper"] += int(np.any(hi < problem.control_upper))
             same += 1
         assert same > 1500 and raised > 200
-        # fallbacks to the lower and to the upper corner both occur
-        assert anchors[1] > 20 and anchors[2] > 20
+        assert cut["lower"] > 200 and cut["upper"] > 200
         assert set(sides) == {(True, False), (False, True), (True, True)}
 
-    # each dimension's range depends on that dimension alone: the oracle
-    # searched on a subset of the dimensions returns the full search's
-    # entries for them
-
-    def test_subset_returns_the_full_entries(self):
-        rng = np.random.default_rng(1903)
-        checked = 0
-        for _ in range(500):
-            problem, x, drift = bounded_affine_case(rng)
-            dt = float(rng.uniform(0.05, 1.0))
-            try:
-                full = level_ranges(problem, 0.0, x, dt)
-            except InfeasibleLevels:
-                continue
-            dims = random_dims(rng, problem.control_dim)
-            lo, hi, _ = reference_affine_ranges(problem, 0.0, x, dt, dims, drift)
-            assert_bitwise(full[0][dims], lo[dims])
-            assert_bitwise(full[1][dims], hi[dims])
-            checked += 1
-        assert checked > 250
-
-    def test_subset_returns_the_full_entries_on_replayed_desk_states(self):
+    def test_replayed_desk_states(self):
         problem, _, source = feedback_replay(0)
-        rng = np.random.default_rng(5)
         dt = problem.horizon / 200
-        for i in range(2, 200, 20):
+        for i in range(2, 200, 2):
             t, x = i * dt, source(i, i * dt, problem.initial_state)
-            full = level_ranges(problem, t, x, dt)
-            dims = random_dims(rng, problem.control_dim)
-            lo, hi, _ = reference_affine_ranges(problem, t, x, dt, dims, eval_drift(problem, t, x))
-            assert_bitwise(full[0][dims], lo[dims])
-            assert_bitwise(full[1][dims], hi[dims])
+            lo, hi = reference_level_ranges(problem, t, x, dt, eval_drift(problem, t, x))
+            ranges = level_ranges(problem, t, x, dt)
+            assert_bitwise(ranges[0], lo)
+            assert_bitwise(ranges[1], hi)
 
-    def test_subset_without_the_infeasible_dimensions(self):
-        # a full search that raises names exactly the dimensions whose own
-        # oracle call raises
-        rng = np.random.default_rng(1904)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replayed_desk_grids_match_the_long_way(self, seed):
+        # the grid over the row loop's ranges, built the long way
+        problem, p0, source = feedback_replay(seed)
+        partition = TimePartition.uniform(1.0, 200)
+        params = GridParams(101, 4096)
+        trajectory = propagate_forward(problem, partition, p0, params, source)
+        for pt, dt in zip(trajectory.points, partition.deltas.tolist()):
+            grid, _ = build_grid(LevelCache(problem, params), pt.t, pt.x, dt)
+            lo, hi = reference_level_ranges(problem, pt.t, pt.x, dt, eval_drift(problem, pt.t, pt.x))
+            levels, _, _ = full_width_levels(problem, pt.t, pt.x, dt, params, list(zip(lo, hi)))
+            assert_bitwise(grid.levels, levels)
+
+
+def exhaustive_feasible_rows(problem, t, x, dt, counts, columns=None):
+    """The rows of the exhaustive product of the ``reference_scalar_grid``
+    values over the control box (``counts`` values per column) whose one
+    explicit Euler step passes ``_in_box``.  With ``columns`` only those
+    control columns run through their grids, and the others stay at 0."""
+    m = problem.control_dim
+    columns = range(m) if columns is None else columns
+    grids = [
+        reference_scalar_grid(problem.gated_dims.get(j), j, problem.control_lower[j],
+                              problem.control_upper[j], count)
+        for j, count in zip(columns, counts)
+    ]
+    U = np.zeros((math.prod(len(g) for g in grids), m))
+    U[:, list(columns)] = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1)
+    keep = chattering._in_box(problem, x + dt * (eval_drift(problem, t, x) + U @ problem.control_matrix))
+    return U[keep]
+
+
+def assert_outer_box(problem, t, x, dt, rows):
+    """Every feasible row lies inside the level ranges at (t, x); ranges
+    that raise leave no feasible row."""
+    try:
+        lo, hi = level_ranges(problem, t, x, dt)
+    except InfeasibleLevels:
+        assert rows.shape[0] == 0
+        return
+    outside = ~np.logical_and.reduce((rows >= lo) & (rows <= hi), axis=1)
+    assert not outside.any(), f"feasible rows outside the ranges: {rows[outside][:3]}"
+
+
+class TestOuterBox:
+    """Bound propagation gives an outer box: it cuts no control whose one
+    step stays inside the state box."""
+
+    def test_small_control_affine_problems(self):
+        rng = np.random.default_rng(1905)
         checked = 0
-        for _ in range(1000):
-            problem, x, drift = bounded_affine_case(rng)
-            dt = float(rng.uniform(0.05, 1.0))
-            found, missing = [], []
-            for d in range(problem.control_dim):
-                try:
-                    reference_affine_ranges(problem, 0.0, x, dt, [d], drift)
-                    found.append(d)
-                except InfeasibleLevels:
-                    missing.append(d)
-            if not (missing and found):
+        for case in ANALYTIC_RANGE_CASES.values():
+            dynamics, control_lower, control_upper, dt, _ = case
+            problem = analytic_range_problem(dynamics, control_lower, control_upper)
+            rows = exhaustive_feasible_rows(problem, 0.0, np.zeros(1), dt, [41] * problem.control_dim)
+            assert rows.shape[0] > 0
+            assert_outer_box(problem, 0.0, np.zeros(1), dt, rows)
+        for _ in range(300):
+            problem, x, _ = bounded_affine_case(rng)
+            if problem.control_dim > 4:
                 continue
-            with pytest.raises(InfeasibleLevels, match=re.escape(f"dimension(s) {missing} at")):
-                level_ranges(problem, 0.0, x, dt)
-            checked += 1
-        assert checked > 50
+            dt = float(rng.uniform(0.05, 1.0))
+            rows = exhaustive_feasible_rows(problem, 0.0, x, dt, [9] * problem.control_dim)
+            assert_outer_box(problem, 0.0, x, dt, rows)
+            checked += rows.shape[0] > 0
+        assert checked > 100
+
+    @pytest.mark.parametrize("suppliers, customers, items", [
+        (SUPPLIERS[:2], CUSTOMERS[:1], ITEMS[:1]),
+        ((SUPPLIERS[0], SUPPLIERS[2]), CUSTOMERS[:1], ITEMS[:2]),
+    ])
+    def test_reduced_grocers_at_floor_states(self, suppliers, customers, items):
+        # an empty store delivers only what it orders in the same step
+        problem = build_supply_chain(
+            synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200,
+            suppliers=suppliers, customers=customers, items=items,
+        )
+        rng = np.random.default_rng(1906)
+        n, m, dt = problem.state_dim, problem.control_dim, 0.005
+        delivered = 0
+        for draw in range(20):
+            t = float(rng.uniform(0.0, 1.0))
+            x = rng.uniform(0.0, 2.0, n)
+            x[rng.uniform(size=n) < 0.5] = 0.0
+            if draw == 0:
+                t, x[:] = 0.0, 0.0
+            rows = exhaustive_feasible_rows(problem, t, x, dt, [21] * m)
+            assert_outer_box(problem, t, x, dt, rows)
+            delivered += int(np.any(rows[:, len(suppliers):] > 0.0))
+            assert delivered or draw > 0  # the empty store can deliver
+        assert delivered > 10
+
+    def test_feedback_replayed_states(self):
+        # the grocer's rows split by item: an item's inventory and market
+        # rows move with its orders and deliveries alone, and every control
+        # at 0 keeps every row in the box.  So a row of the whole product is
+        # feasible exactly when each item's columns, the rest at 0, are: the
+        # product over one item's columns at a time checks them all
+        problem, _, source = feedback_replay(0)
+        dt = problem.horizon / 200
+        B = problem.control_matrix
+        for i in range(2, 200, 2):
+            t, x = i * dt, source(i, i * dt, problem.initial_state)
+            for item in range(N_ITEMS):
+                columns = np.flatnonzero(B[:, item]).tolist()
+                counts = [3 if j in problem.gated_dims else 4 for j in columns]
+                rows = exhaustive_feasible_rows(problem, t, x, dt, counts, columns)
+                assert np.all(rows[0] == 0.0)  # every column at 0 is feasible
+                assert_outer_box(problem, t, x, dt, rows)
 
 
 def random_product_problem(rng):
@@ -751,10 +725,8 @@ class TestLeanProductFilter:
 
 
 def count_row_tests(monkeypatch, size):
-    """Records how often ``_in_box`` sees ``size`` rows, the product's size
-    (the range search tests all its probes in one call of
-    nine rows per control dimension: three anchors by three probe points;
-    ``size`` must differ from that)."""
+    """Records, per call of ``_in_box``, whether it sees ``size`` rows, the
+    product's size."""
     seen = []
     in_box = chattering._in_box
 
@@ -787,7 +759,7 @@ class TestSeparableBound:
         # x' = u0 + d u1 from x = 0 with dt = 1, where d is one ulp at the
         # threshold T = state_lower - STEP_FEASIBILITY_TOL and u0 starts one
         # ulp below T: u1 in {0, 1, 2} puts rows at T - d, T and T + d (exact
-        # arithmetic), and the range search keeps both control ranges whole
+        # arithmetic), and the range cuts keep both control ranges whole
         threshold = -0.5 - STEP_FEASIBILITY_TOL
         d = threshold - np.nextafter(threshold, -np.inf)
         problem = ControlProblem(
@@ -818,7 +790,7 @@ class TestSeparableBound:
         cache = LevelCache(problem, GridParams(101, 4096))
         grid, rows = build_grid(cache, 0.0, problem.initial_state, problem.horizon / 200)
         assert grid.K == 4096 and rows is None
-        assert seen and not any(seen)
+        assert seen == []
 
     def test_state_bounds_on_the_extreme_rows(self):
         # bounds placed as the rows compute them, one ulp inside the lowest
@@ -1213,18 +1185,18 @@ def memo_cache(problem, params):
 class TestIntervalMemo:
     """A cache with a memo keeps, per interval, the state and the level work
     done there; the same interval from the same state, bit for bit, skips
-    the range search and gives the same grid."""
+    the range cuts and gives the same grid."""
 
     @staticmethod
-    def count_searches(monkeypatch):
+    def count_range_cuts(monkeypatch):
         calls = []
-        search = chattering._search_ranges
+        ranges = chattering._level_ranges
 
         def counted(*args):
             calls.append(1)
-            return search(*args)
+            return ranges(*args)
 
-        monkeypatch.setattr(chattering, "_search_ranges", counted)
+        monkeypatch.setattr(chattering, "_level_ranges", counted)
         return calls
 
     @pytest.mark.parametrize("filtered", [True, False])
@@ -1244,7 +1216,7 @@ class TestIntervalMemo:
         nudged = x.copy()
         nudged[3] = np.nextafter(nudged[3], np.inf)
         plain_nudged, _ = build_grid(LevelCache(problem, params), t, nudged, dt)
-        searches = self.count_searches(monkeypatch)
+        searches = self.count_range_cuts(monkeypatch)
         cache = memo_cache(problem, params)
         memo = cache.memo
         for expected_searches in (1, 1):
@@ -1276,7 +1248,7 @@ class TestIntervalMemo:
 class TestGridRanges:
     """The grids that ``generate_levels_with_dynamics`` returns carry the
     ranges they span, which a pricing hook searches: the control bounds for
-    the whole-box grid; the searched ranges otherwise, with or without a
+    the whole-box grid; the cut ranges otherwise, with or without a
     pricing hook, and on a memo hit those of the entry."""
 
     def test_unbounded_grid_spans_the_control_bounds(self):
@@ -1309,7 +1281,7 @@ class TestGridRanges:
         lo, hi = level_ranges(problem, t, x, dt)
         assert np.any(hi < problem.control_upper)
         # with a memo the second build is a hit, which takes the entry's
-        # ends; without one it searches again
+        # ends; without one it cuts again
         cache = memo_cache(problem, params) if memo else chattering.LevelCache(problem, params)
         first, _ = build_grid(cache, t, x, dt)
         assert_bitwise(first.lo, lo)
@@ -1344,7 +1316,7 @@ class TestGridRanges:
 def zero_gated_problem(rng):
     """``random_product_problem`` with its last control gated from zero to
     its upper bound: the zero level merges into the active range while the
-    searched range holds zero and stands apart once it does not, so the
+    cut range holds zero and stands apart once it does not, so the
     grid sizes change from state to state."""
     problem = random_product_problem(rng)
     m = problem.control_dim
@@ -1372,7 +1344,7 @@ def next_chain_state(rng, problem, x):
 def box_steps_inside(problem, t, x, dt):
     """Whether the separable bound over each control's bounds
     (``reference_separable_sums``) clears every state coordinate: the whole
-    control box steps inside the state box, so the search keeps every range
+    control box steps inside the state box, so the cuts keep every range
     whole and the filter every level."""
     lo, hi = problem.control_lower, problem.control_upper
     sums = reference_separable_sums(np.stack([lo, hi], axis=1).ravel(), [2] * lo.size,
@@ -1565,8 +1537,10 @@ class TestIncrementalBuild:
         first, _ = build_grid(cache, 0.0, problem.initial_state, 0.005)
         assert first.K == 4096 and first.levels is cache.levels
         as_built = first.levels.copy()
-        second, _ = build_grid(cache, 0.5, x_floor, 0.005)
-        fresh, _ = build_grid(LevelCache(problem, params), 0.5, x_floor, 0.005)
+        # the seasonal demand at t = 0.1 moves the delivery ranges that the
+        # market rows cut
+        second, _ = build_grid(cache, 0.1, x_floor, 0.005)
+        fresh, _ = build_grid(LevelCache(problem, params), 0.1, x_floor, 0.005)
         assert_bitwise(second.levels, fresh.levels)
         assert cache.levels is first.levels
         assert not np.array_equal(first.levels, as_built)
@@ -1574,7 +1548,7 @@ class TestIncrementalBuild:
 
 class TestWholeBoxGrid:
     """Where the separable bound clears every state coordinate over the
-    whole control box, the searched build gives the whole-box grid: the
+    whole control box, the state-bounded build gives the whole-box grid: the
     ranges are the control bounds and the filter keeps every level."""
 
     def test_box_steps_inside_gives_the_whole_box_grid(self):
@@ -1624,7 +1598,7 @@ class TestWholeBoxGrid:
 
     def test_lone_feedback_propagation_holds_one_product_array(self, monkeypatch):
         # whole-box intervals write the box product into the cache's buffer
-        # like any searched build: every grid handed out shares the buffer
+        # like any state-bounded build: every grid handed out shares the buffer
         # or is a filtered row subset of it, and no second (K, m) array is
         # kept beside it
         problem, p0, source = feedback_replay(0)

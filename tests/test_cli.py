@@ -105,6 +105,14 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: could not parse --p0 '1,x'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["1,,2", "1,,", ",", ""])
+    def test_p0_flag_with_an_empty_field_refused(self, tmp_path, capsys, text):
+        # an empty field is no value: "1,,2" is not the two values 1 and 2
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", "lqr", "--p0", text, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: could not parse --p0 {text!r}")
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"problemo": "lqr"}), encoding="utf-8")

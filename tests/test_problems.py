@@ -655,7 +655,7 @@ def grid_hamiltonian_min(problem, t, x, p, lo, hi, counts, suppliers, customers,
 def desk_pricing():
     """The converged desk run (seasonal demand, 200 intervals, gamma 1, p0
     = 0), its partition, and the exact least Hamiltonian at every interval
-    over the ranges that its level grid searched."""
+    over the ranges that its level grid cut."""
     problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 200)
     partition = TimePartition.uniform(1.0, 200)
     config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)

@@ -854,16 +854,23 @@ class TestFeedbackHook:
         [
             ([[7.5]], "must hold a JSON object"),
             ({"2.5": [7.5]}, "key '2.5' is not an interval index"),
+            # int() reads these as intervals -1, 10, 3, 1 and 1
+            ({"-1": [7.5]}, "key '-1' is not an interval index"),
+            ({"1_0": [7.5]}, "key '1_0' is not an interval index"),
+            ({"+3": [7.5]}, "key '\\+3' is not an interval index"),
+            ({" 1": [7.5]}, "key ' 1' is not an interval index"),
+            ({"\u0661": [7.5]}, "key '\u0661' is not an interval index"),
             ({"0": ["a", 1]}, "state at key '0' is not an array of numbers"),
             ({"0": [[1, 2], [3]]}, "state at key '0' is not an array of numbers"),
-            # int() reads all three as interval 1: the file is ambiguous
-            ({"1": [1.0], "01": [2.0], " 1": [3.0]}, "keys '1' and '01' name the same interval 1"),
+            # "1" and "01" both name interval 1: the file is ambiguous
+            ({"1": [1.0], "01": [2.0]}, "keys '1' and '01' name the same interval 1"),
             (b'{"2": [7.5], "\xff": [1.0]}', "is not UTF-8 text"),
             (b'{"1": [1.0],', "is not valid JSON"),
             # json.load alone keeps the last of the two pairs
             (b'{"1": [1.0], "1": [2.0]}', "key '1' appears twice"),
         ],
-        ids=["list", "non-integer-key", "non-numeric-state", "ragged-state", "same-interval", "not-utf8",
+        ids=["list", "non-integer-key", "negative-key", "underscore-key", "plus-key", "space-key",
+             "non-ascii-digit-key", "non-numeric-state", "ragged-state", "same-interval", "not-utf8",
              "truncated", "repeated-key"],
     )
     def test_bad_replay_file_refused_by_name(self, tmp_path, raw, message):

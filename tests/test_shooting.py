@@ -33,6 +33,7 @@ from chatterctl.model import (
     eval_hamiltonian_argmin_jacobian,
     eval_hamiltonian_state_hessian,
 )
+from chatterctl.problems import N_ITEMS, SUPPLIERS
 from chatterctl.shooting import tangent_sensitivities, update_initial_costate
 from oracles import (
     TANKS_B,
@@ -699,6 +700,45 @@ class TestStepRuleBelowGamma:
         assert result.converged
 
 
+def low_stock_desk(stock):
+    """The desk problem with ``stock`` of every item at t = 0."""
+    problem, partition, grid = desk_problem()
+    x0 = problem.initial_state.copy()
+    x0[:N_ITEMS] = stock
+    return dataclasses.replace(problem, initial_state=x0), partition, grid
+
+
+class TestLowStartingStock:
+    """From low stock the grocer sells only what it orders.  Each bound is
+    the cost of a hand policy (ROADMAP item 20: explicit-Euler rollouts
+    that reorder every item at its least minimum quantity), which bounds the
+    discrete optimum from above.  ``converged`` is not asserted: these runs
+    stop on a detected cycle (items 16 and 7), and ``solve`` returns the
+    best iterate."""
+
+    @staticmethod
+    def best_iterate(stock):
+        problem, partition, grid = low_stock_desk(stock)
+        config = ShootingConfig(p0_initial=np.zeros(problem.state_dim), gamma=1.0)
+        return solve(problem, partition, config, grid).trajectory
+
+    def test_empty_store_orders_and_beats_the_five_item_policy(self):
+        trajectory = self.best_iterate(0.0)
+        assert np.any(trajectory.u[:, :len(SUPPLIERS)] > 0.0)
+        assert trajectory.clamp_count == 0
+        assert trajectory.accumulated_cost <= -396_746.0
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 20c: the grid alone ends at -3,304,958 from stock 2, where a "
+        "policy that reorders all five items below 0.05 reaches -5,952,174",
+    )
+    def test_stock_two_beats_the_reorder_policy(self):
+        trajectory = self.best_iterate(2.0)
+        assert trajectory.clamp_count == 0
+        assert trajectory.accumulated_cost <= -5_952_174.0
+
+
 def grocer_10():
     problem = build_supply_chain(synthetic_demand("seasonal", 5.0, 0.5), 1.0, 10)
     return problem, TimePartition.uniform(1.0, 10), GridParams(3, 64)
@@ -1065,8 +1105,8 @@ class TestTangentSensitivities:
     def test_desk_solve_runs_no_perturbed_propagation(self, monkeypatch):
         problem, part, grid = desk_problem()
         forward, generate = shooting.propagate_forward, chattering.generate_levels_with_dynamics
-        search = chattering._search_ranges
-        calls = {"forward": 0, "levels": 0, "searches": 0}
+        ranges = chattering._level_ranges
+        calls = {"forward": 0, "levels": 0, "ranges": 0}
 
         def counted_forward(*args, **kwargs):
             calls["forward"] += 1
@@ -1076,13 +1116,13 @@ class TestTangentSensitivities:
             calls["levels"] += 1
             return generate(*args, **kwargs)
 
-        def counted_search(*args):
-            calls["searches"] += 1
-            return search(*args)
+        def counted_ranges(*args):
+            calls["ranges"] += 1
+            return ranges(*args)
 
         monkeypatch.setattr(shooting, "propagate_forward", counted_forward)
         monkeypatch.setattr(chattering, "generate_levels_with_dynamics", counted_levels)
-        monkeypatch.setattr(chattering, "_search_ranges", counted_search)
+        monkeypatch.setattr(chattering, "_level_ranges", counted_ranges)
         config = ShootingConfig(p0_initial=np.zeros(20), gamma=1.0)
         result = solve(problem, part, config, grid)
         assert result.converged and result.iterations == 3
@@ -1090,8 +1130,8 @@ class TestTangentSensitivities:
         assert result.residual_history[-1] < 1e-6
         # one propagation per iteration, one level generation per interval;
         # 222 of them start an interval from the state an earlier iteration
-        # started it from, and skip the range search
-        assert calls == {"forward": 3, "levels": 600, "searches": 378}
+        # started it from, and skip the range cuts
+        assert calls == {"forward": 3, "levels": 600, "ranges": 378}
 
 
 def filtered_grocer(intervals):
